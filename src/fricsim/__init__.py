@@ -4,13 +4,12 @@ Desk-scale simulator and library: neo-Hookean tetrahedral elasticity with
 Rayleigh damping, cubic-penalty contact against analytic obstacles with
 adaptive stiffening, smoothed Coulomb/Stribeck friction (fully implicit and
 lagged), physically-based volume-change penalties, first- and second-order
-implicit integrators, and exact/inexact damped Newton solvers with
-dual-number Jacobian-vector products.
+implicit integrators, and exact/inexact damped Newton solvers on assembled
+Jacobians that match dual-number Jacobian-vector products.
 """
 
 from .dual import Dual, jvp
-from .mesh import (MaterialParams, SystemState, TetMeshModel, advance_positions,
-                   build_lumped_mass)
+from .mesh import MaterialParams, SystemState, TetMeshModel, build_lumped_mass
 from .contact import (ContactSet, HalfSpace, PenaltyParams, RigidMotion, Sphere,
                       adaptive_stiffen, contact_force, gaps, penalty_b,
                       sliding_basis)
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dual", "jvp",
-    "MaterialParams", "SystemState", "TetMeshModel", "advance_positions",
-    "build_lumped_mass",
+    "MaterialParams", "SystemState", "TetMeshModel", "build_lumped_mass",
     "ContactSet", "HalfSpace", "PenaltyParams", "RigidMotion", "Sphere",
     "adaptive_stiffen", "contact_force", "gaps", "penalty_b", "sliding_basis",
     "FrictionParams", "friction_force", "friction_magnitude_c", "smooth_s",

@@ -40,7 +40,7 @@ def cmd_run(args) -> int:
     retries = sum(i.retries for i in infos)
     print(f"{len(infos)} steps, {len(records)} samples, "
           f"{retries} contact retries, final kappa "
-          f"{scene.penalty.kappa:.4g}; results in {args.out}")
+          f"{records[-1].kappa:.4g}; results in {args.out}")
     return 0
 
 
@@ -87,8 +87,6 @@ def main(argv=None) -> int:
                     "contact")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for experiment matrices")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; simulations are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate a scene config")

@@ -25,7 +25,7 @@ __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "gaps", "penalty_b", "penalty_db", "penalty_d2b", "penalty_lambda",
     "contact_force", "sliding_basis", "tangent_basis", "adaptive_stiffen",
-    "StiffeningError", "AdaptDecision",
+    "StiffeningError", "AdaptDecision", "gap_matrix",
 ]
 
 
@@ -139,9 +139,6 @@ class RigidMotion:
         k = self.rotation_axis
         kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
         return np.eye(3) + np.sin(ang) * kx + (1 - np.cos(ang)) * (kx @ kx)
-
-    def is_static(self) -> bool:
-        return (len(self.translation) <= 1 and not self.rotation_angles)
 
 
 _STATIC = RigidMotion()
@@ -275,7 +272,6 @@ class ContactSet:
     b2: np.ndarray                      # (k, 3)
     n_dofs: int
     obstacles: list = field(default_factory=list, repr=False)
-    build_t: float = 0.0
     build_x: np.ndarray | None = None   # (k, 3) contact-vertex positions
 
     @property
@@ -288,55 +284,54 @@ class ContactSet:
             yield int(oi), np.nonzero(self.obstacle == oi)[0]
 
 
-def gaps(obstacles: list, q, t: float, candidate_vertices=None,
-         activation: float | None = None, delta: float | None = None,
-         penalty: PenaltyParams | None = None) -> ContactSet:
+def gap_matrix(obstacles, x, t: float) -> np.ndarray:
+    """Gaps (n_obstacles, k) of the positions x (k, 3) to every obstacle."""
+    return np.array([obs.gap(x, t) for obs in obstacles],
+                    float).reshape(len(obstacles), len(x))
+
+
+def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
+         candidate_vertices=None, activation=None, extra=None) -> ContactSet:
     """Build the contact candidate set from current positions.
 
-    Candidates are vertices with gap below ``activation`` (default 1.5*delta,
-    the penalty support plus a margin for set stability across one solve).
+    Candidates are the (vertex, obstacle) pairs with gap below
+    ``activation`` (a scalar or one value per candidate vertex; default
+    1.5*delta, the penalty support plus a margin for set stability across
+    one solve), unioned with the ``extra`` (n, 2) array of (vertex,
+    obstacle) pairs.  Pairs come out sorted by vertex, then obstacle, without
+    repeats.  ``penalty`` may be None when there are no pairs.
     """
-    if penalty is not None and delta is None:
-        delta = penalty.delta
-    if delta is None:
-        raise ValueError("gaps() needs delta or penalty")
     if activation is None:
-        activation = 1.5 * delta
+        activation = 1.5 * penalty.delta
     x = np.asarray(q, float).reshape(-1, 3)
     cand = (np.arange(len(x)) if candidate_vertices is None
             else np.asarray(candidate_vertices, int))
-    verts, obs_idx, d_all, n_all = [], [], [], []
-    for oi, obs in enumerate(obstacles):
-        d, n = obs.gap_normal(x[cand], t)
-        keep = d < activation
-        verts.append(cand[keep])
-        obs_idx.append(np.full(keep.sum(), oi))
-        d_all.append(d[keep])
-        n_all.append(n[keep])
-    vertex = np.concatenate(verts) if verts else np.zeros(0, int)
-    obstacle = np.concatenate(obs_idx) if obs_idx else np.zeros(0, int)
-    d = np.concatenate(d_all) if d_all else np.zeros(0)
-    n = np.concatenate(n_all) if n_all else np.zeros((0, 3))
-    b1, b2 = (tangent_basis(n) if len(n)
-              else (np.zeros((0, 3)), np.zeros((0, 3))))
-    kappa = penalty.kappa if penalty is not None else 1.0
-    lam = penalty_lambda(d, delta, kappa)
+    obstacle, near = np.nonzero(gap_matrix(obstacles, x[cand], t) < activation)
+    pairs = np.stack([cand[near], obstacle], axis=1)
+    if extra is not None:
+        pairs = np.concatenate([pairs, extra])
+    vertex, obstacle = np.unique(pairs, axis=0).T
+    d, lam = np.zeros(len(vertex)), np.zeros(len(vertex))
+    n = np.zeros((len(vertex), 3))
+    for oi in np.unique(obstacle):
+        members = np.nonzero(obstacle == oi)[0]
+        d[members], n[members] = obstacles[oi].gap_normal(x[vertex[members]], t)
+        lam[members] = penalty_lambda(d[members], penalty.delta, penalty.kappa)
+    b1, b2 = tangent_basis(n)
     return ContactSet(vertex=vertex, obstacle=obstacle, d=d, lam=lam, n=n,
                       b1=b1, b2=b2, n_dofs=3 * len(x), obstacles=list(obstacles),
-                      build_t=t, build_x=x[vertex].copy())
+                      build_x=x[vertex].copy())
 
 
 def contact_force(cset: ContactSet, obstacles, q, t: float,
                   penalty: PenaltyParams):
-    """(f_c, lambda): generalized penalty force and per-contact magnitudes.
+    """Generalized penalty force f_c (m,) of the frozen set.
 
     Generic over Dual q; geometry is evaluated live at q for the frozen set.
     """
     x = q.reshape(-1, 3)
     out = dm.zeros((x.shape[0] if not dm.is_dual(q) else x.re.shape[0], 3),
                    like=q)
-    lam_parts = []
-    order = []
     for oi, members in cset.groups():
         obs = obstacles[oi]
         xi = x[cset.vertex[members]]
@@ -347,19 +342,7 @@ def contact_force(cset: ContactSet, obstacles, q, t: float,
         else:
             contrib = lam[:, None] * n
         dm.scatter_add(out, cset.vertex[members], contrib)
-        lam_parts.append(lam)
-        order.append(members)
-    if lam_parts:
-        lam_full = dm.zeros((cset.size,), like=lam_parts[0])
-        for members, lam in zip(order, lam_parts):
-            if dm.is_dual(lam_full):
-                lam_full.re[members] = dm.value(lam)
-                lam_full.eps[members] = dm.tangent(lam)
-            else:
-                lam_full[members] = lam
-    else:
-        lam_full = np.zeros(0)
-    return out.reshape(-1), lam_full
+    return out.reshape(-1)
 
 
 def contact_energy(cset: ContactSet, obstacles, q, t: float,

@@ -21,7 +21,7 @@ import numpy as np
 __all__ = [
     "Dual", "is_dual", "value", "tangent", "where", "maximum", "minimum",
     "sqrt", "log", "asum", "dot_last", "stack_last", "matmul", "swap_last2",
-    "det3", "inv3", "cross_last", "norm_last", "zeros", "concat",
+    "det3", "inv3", "cross_last", "norm_last", "zeros",
     "scatter_add", "jvp", "derivative",
 ]
 
@@ -232,15 +232,6 @@ def stack_last(parts):
         return Dual(np.stack([p.re for p in parts], axis=-1),
                     np.stack([p.eps for p in parts], axis=-1))
     return np.stack(parts, axis=-1)
-
-
-def concat(parts):
-    if any(isinstance(p, Dual) for p in parts):
-        parts = [p if isinstance(p, Dual) else Dual(_arr(p), np.zeros_like(_arr(p)))
-                 for p in parts]
-        return Dual(np.concatenate([p.re for p in parts]),
-                    np.concatenate([p.eps for p in parts]))
-    return np.concatenate(parts)
 
 
 def matmul(a, b):

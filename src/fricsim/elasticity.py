@@ -99,10 +99,7 @@ def elastic_force(mesh: TetMeshModel, q):
     """f_e = -dW/dq as a flat (m,) vector; zero at rest."""
     s = mesh.scratch()
     x = q.reshape(-1, 3)
-    forces = _element_forces(mesh, s, x[mesh.tets])
-    out = dm.zeros((mesh.n_verts, 3), like=forces)
-    dm.scatter_add(out, mesh.tets, forces)
-    return out.reshape(-1)
+    return _scatter(mesh, _element_forces(mesh, s, x[mesh.tets]))
 
 
 def _element_stiffness(mesh, s, q):
@@ -160,34 +157,29 @@ def _element_stiffness_product(mesh, s, x_elem, w_elem):
     return _per_elem(s.volumes) * out
 
 
+def _scatter(mesh, per_elem):
+    """Sum per-element corner vectors (n_e, 4, 3) into a flat (m,) vector."""
+    out = dm.zeros((mesh.n_verts, 3), like=per_elem)
+    dm.scatter_add(out, mesh.tets, per_elem)
+    return out.reshape(-1)
+
+
 def stiffness_product(mesh: TetMeshModel, q, w):
     """K(q) w without assembling K; generic over Dual q/w."""
-    s = mesh.scratch()
-    x = q.reshape(-1, 3)
-    wv = w.reshape(-1, 3)
-    kw = _element_stiffness_product(mesh, s, x[mesh.tets], wv[mesh.tets])
-    out = dm.zeros((mesh.n_verts, 3), like=kw)
-    dm.scatter_add(out, mesh.tets, kw)
-    return out.reshape(-1)
-
-
-def beta_stiffness_product(mesh: TetMeshModel, q, w):
-    """(beta K(q)) w with per-element beta; generic over Dual q/w."""
-    s = mesh.scratch()
-    x = q.reshape(-1, 3)
-    wv = w.reshape(-1, 3)
-    kw = _element_stiffness_product(mesh, s, x[mesh.tets], wv[mesh.tets])
-    kw = _per_elem(mesh.beta) * kw
-    out = dm.zeros((mesh.n_verts, 3), like=kw)
-    dm.scatter_add(out, mesh.tets, kw)
-    return out.reshape(-1)
+    x, wv = q.reshape(-1, 3), w.reshape(-1, 3)
+    return _scatter(mesh, _element_stiffness_product(
+        mesh, mesh.scratch(), x[mesh.tets], wv[mesh.tets]))
 
 
 def damping_force(mesh: TetMeshModel, q, v):
-    """Rayleigh damping  f_d = -(alpha M + beta K(q)) v  (generic)."""
+    """Rayleigh damping  f_d = -(alpha M + beta K(q)) v  (generic); beta is
+    per element, so it scales each element's product before the scatter."""
     fd = -(mesh.alpha * (mesh.mass_dofs * v))
     if np.any(mesh.beta > 0.0):
-        fd = fd - beta_stiffness_product(mesh, q, v)
+        x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
+        kv = _element_stiffness_product(mesh, mesh.scratch(), x[mesh.tets],
+                                        vv[mesh.tets])
+        fd = fd - _scatter(mesh, _per_elem(mesh.beta) * kv)
     return fd
 
 

@@ -23,8 +23,8 @@ import scipy.sparse as sp
 
 from . import dual as dm
 from .contact import (ContactSet, HalfSpace, PenaltyParams, Sphere,
-                      contact_force, penalty_d2b, penalty_lambda,
-                      tangent_basis)
+                      contact_force, gap_matrix, gaps, penalty_d2b,
+                      penalty_lambda)
 from .elasticity import _element_stiffness, damping_force, damping_q_blocks, \
     elastic_force
 from .friction import (LaggedFrictionCache, contact_friction_blocks,
@@ -98,36 +98,20 @@ class ForceModel:
 
         The activation distance is 1.5*delta plus a per-vertex sweep margin
         h*(|v| + obstacle speed), so vertices cannot cross the penalty support
-        undetected within one step.  ``extra_candidates`` is (vertex, obstacle)
-        arrays unioned in by the kappa-retry loop.
+        undetected within one step.  ``extra_candidates`` is an (n, 2) array
+        of (vertex, obstacle) pairs unioned in by the kappa-retry loop.
         """
-        if self.penalty is None or not self.obstacles:
-            return ContactState(cset=_empty_set(self.mesh.n_dofs,
-                                                self.obstacles))
-        x = np.asarray(q, float).reshape(-1, 3)
-        vv = np.asarray(v, float).reshape(-1, 3)
+        if self.penalty is None:  # no contact law, so no candidates
+            return ContactState(cset=gaps([], q, t, None, activation=0.0))
         surf = self.mesh.surface_vertices
+        vv = np.asarray(v, float).reshape(-1, 3)
         speed = np.linalg.norm(vv[surf], axis=1)
         obs_speed = max((np.linalg.norm(o.motion.linear_velocity(t))
                          for o in self.obstacles), default=0.0)
         margin = h * (speed + obs_speed)
-        verts_list, obs_list = [], []
-        for oi, obs in enumerate(self.obstacles):
-            d = obs.gap(x[surf], t)
-            keep = d < 1.5 * self.penalty.delta + margin
-            verts_list.append(surf[keep])
-            obs_list.append(np.full(int(keep.sum()), oi))
-        if extra_candidates is not None:
-            ev, eo = extra_candidates
-            verts_list.append(np.asarray(ev, int))
-            obs_list.append(np.asarray(eo, int))
-        vertex = np.concatenate(verts_list)
-        obstacle = np.concatenate(obs_list)
-        if len(vertex):
-            pairs = np.unique(np.stack([vertex, obstacle], axis=1), axis=0)
-            vertex, obstacle = pairs[:, 0], pairs[:, 1]
-        cset = _geometry_for(self.obstacles, vertex, obstacle, x, t,
-                             self.penalty, self.mesh.n_dofs)
+        cset = gaps(self.obstacles, q, t, self.penalty, candidate_vertices=surf,
+                    activation=1.5 * self.penalty.delta + margin,
+                    extra=extra_candidates)
         state = ContactState(cset=cset)
         if self.friction_mode == "lagged" and cset.size:
             state.lagged = LaggedFrictionCache.build(
@@ -140,33 +124,21 @@ class ForceModel:
             state.lagged = LaggedFrictionCache.build(
                 state.cset, self.obstacles, q_anchor, t, self.penalty)
 
-    def all_gaps(self, q, t: float) -> np.ndarray:
-        """Gaps of every surface vertex against every obstacle (k_total,)."""
-        if not self.obstacles:
-            return np.full(1, np.inf)
+    def penetration(self, q, t: float):
+        """(deepest gap, (n, 2) penetrating (vertex, obstacle) pairs) over
+        every surface vertex and obstacle; the deepest gap is inf without
+        obstacles."""
         x = np.asarray(q, float).reshape(-1, 3)
         surf = self.mesh.surface_vertices
-        return np.concatenate([obs.gap(x[surf], t) for obs in self.obstacles])
-
-    def penetrating_candidates(self, q, t: float):
-        """(vertex, obstacle) arrays of currently penetrating surface vertices."""
-        x = np.asarray(q, float).reshape(-1, 3)
-        surf = self.mesh.surface_vertices
-        verts, obs_idx = [], []
-        for oi, obs in enumerate(self.obstacles):
-            d = obs.gap(x[surf], t)
-            pen = d < 0.0
-            verts.append(surf[pen])
-            obs_idx.append(np.full(int(pen.sum()), oi))
-        if not verts:
-            return np.zeros(0, int), np.zeros(0, int)
-        return np.concatenate(verts), np.concatenate(obs_idx)
+        g = gap_matrix(self.obstacles, x[surf], t)
+        obstacle, vertex = np.nonzero(g < 0.0)
+        return (float(g.min(initial=np.inf)),
+                np.stack([surf[vertex], obstacle], axis=1))
 
     # -- forces ----------------------------------------------------------------
     def force(self, q, v, t: float, contact: ContactState,
-              parts: frozenset = ALL_PARTS, frozen_basis: bool | None = None):
+              parts: frozenset = ALL_PARTS):
         """Total generalized force (m,), generic over Dual q/v."""
-        frozen = self.frozen_basis if frozen_basis is None else frozen_basis
         total = 0.0 * q + 0.0 * v  # promotes to Dual if either input is
         if "elastic" in parts:
             total = total + elastic_force(self.mesh, q)
@@ -176,17 +148,16 @@ class ForceModel:
             total = total + self.gravity_force
         if self.penalty is not None and contact.cset.size:
             if "contact" in parts:
-                fc, _ = contact_force(contact.cset, self.obstacles, q, t,
-                                      self.penalty)
-                total = total + fc
+                total = total + contact_force(contact.cset, self.obstacles,
+                                              q, t, self.penalty)
             if "friction" in parts:
                 if self.friction_mode == "lagged":
                     total = total + friction_force_lagged(
                         contact.lagged, self.obstacles, v, t, self.penalty)
                 else:
                     total = total + friction_force(
-                        contact.cset, self.obstacles, q, q, v, t,
-                        self.penalty, frozen_basis=frozen)
+                        contact.cset, self.obstacles, q, v, t, self.penalty,
+                        frozen_basis=self.frozen_basis)
         if "volume" in parts:
             for vp in self.volume_penalties:
                 total = total + volume_force(vp.region, q, vp, strict=False)
@@ -304,31 +275,6 @@ class ForceModel:
             u[self.fixed_mask] = 0.0
             out.append(Rank1(scale=r.scale, u=u, w=r.w))
         return out
-
-
-def _empty_set(n_dofs: int, obstacles) -> ContactSet:
-    z = np.zeros(0, int)
-    return ContactSet(vertex=z, obstacle=z, d=np.zeros(0),
-                      lam=np.zeros(0), n=np.zeros((0, 3)), b1=np.zeros((0, 3)),
-                      b2=np.zeros((0, 3)), n_dofs=n_dofs,
-                      obstacles=list(obstacles), build_t=0.0,
-                      build_x=np.zeros((0, 3)))
-
-
-def _geometry_for(obstacles, vertex, obstacle, x, t, penalty, n_dofs):
-    k = len(vertex)
-    d = np.zeros(k)
-    n = np.zeros((k, 3))
-    for oi in np.unique(obstacle):
-        members = np.nonzero(obstacle == oi)[0]
-        dd, nn = obstacles[int(oi)].gap_normal(x[vertex[members]], t)
-        d[members] = dd
-        n[members] = nn
-    b1, b2 = tangent_basis(n) if k else (np.zeros((0, 3)), np.zeros((0, 3)))
-    lam = penalty_lambda(d, penalty.delta, penalty.kappa)
-    return ContactSet(vertex=vertex, obstacle=obstacle, d=d, lam=lam, n=n,
-                      b1=b1, b2=b2, n_dofs=n_dofs, obstacles=list(obstacles),
-                      build_t=t, build_x=x[vertex].copy())
 
 
 def _vertex_block_indices(vertex):

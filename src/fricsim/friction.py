@@ -34,8 +34,6 @@ __all__ = [
     "LaggedFrictionCache",
 ]
 
-_NO_FRICTION = None  # set below, after the dataclass exists
-
 
 @dataclass(frozen=True)
 class FrictionParams:
@@ -131,40 +129,27 @@ def _scatter_groups(n_verts: int, contribs):
     return out.reshape(-1)
 
 
-def friction_force(cset: ContactSet, obstacles, q_basis, q_contact, v,
-                   t: float, penalty: PenaltyParams,
-                   frozen_basis: bool = False):
-    """Total friction force (m,): -T(q_basis) H(T^T v) c with lambda(q_contact).
+def friction_force(cset: ContactSet, obstacles, q, v, t: float,
+                   penalty: PenaltyParams, frozen_basis: bool = False):
+    """Total friction force (m,): -T(q) H(T^T v) c with lambda(q).
 
-    Fully implicit mode passes the same end-of-step q for both arguments.
     ``frozen_basis`` detaches the positional dependence (geometry evaluated at
     value(q)), giving the cheaper Jacobian variant's force a matching dual
     oracle.
     """
-    x_basis = q_basis.reshape(-1, 3)
-    x_contact = q_contact.reshape(-1, 3)
+    x = q.reshape(-1, 3)
     vv = v.reshape(-1, 3)
-    n_verts = x_basis.shape[0]
-    same_q = q_basis is q_contact
     contribs = []
     for oi, members in cset.groups():
         obs = obstacles[oi]
         idx = cset.vertex[members]
-        xb = x_basis[idx]
-        if frozen_basis:
-            xb = dm.value(xb)
-        lam = None
-        if not same_q:
-            xc = x_contact[idx]
-            if frozen_basis:
-                xc = dm.value(xc)
-            lam = penalty_lambda(obs.gap(xc, t), penalty.delta, penalty.kappa)
-        f = _contact_friction_local(xb, vv[idx], obs, _params(obs), t,
-                                    penalty, lam=lam)
+        xi = dm.value(x[idx]) if frozen_basis else x[idx]
+        f = _contact_friction_local(xi, vv[idx], obs, _params(obs), t,
+                                    penalty)
         contribs.append((idx, f))
     if not contribs:
         return 0.0 * v
-    return _scatter_groups(n_verts, contribs)
+    return _scatter_groups(x.shape[0], contribs)
 
 
 @dataclass

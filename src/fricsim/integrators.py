@@ -22,7 +22,7 @@ Second-order schemes (standard stiffly-accurate forms; all L-stable):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +30,6 @@ import scipy.sparse as sp
 from . import dual as dm
 from .forces import ALL_PARTS, NON_CONTACT_PARTS, ContactState, ForceModel
 from .mesh import SystemState
-
-SCHEME_NAMES = ("be", "tr", "bdf2", "trbdf2", "sdirk2", "tr_missplit")
 
 
 @dataclass
@@ -86,14 +84,11 @@ class StageProblem:
         combo = (dfdv + self.pos_coeff * dfdq) * self.force_scale
         if self.mass_scaled:
             jac = sp.eye(m, format="csr") - sp.diags(1.0 / mass) @ combo
-            scaled = []
-            for r in rank1:
-                scaled.append(type(r)(scale=-self.force_scale * self.pos_coeff
-                                      * r.scale, u=r.u / mass, w=r.w))
         else:
             jac = sp.diags(mass) - combo
-            scaled = [type(r)(scale=-self.force_scale * self.pos_coeff
-                              * r.scale, u=r.u, w=r.w) for r in rank1]
+        scaled = [replace(r, scale=-self.force_scale * self.pos_coeff * r.scale,
+                          u=r.u / mass if self.mass_scaled else r.u)
+                  for r in rank1]
         jac = self.model.constrain_matrix(jac.tocsr())
         scaled = self.model.constrain_rank1(scaled)
         return jac, scaled
@@ -130,8 +125,7 @@ class StepResult:
 
 class Scheme:
     name = ""
-    needs_history = False
-    lagged = False
+    mass_scaled = False  # M^{-1}-scaled residual form (lagged variants)
 
     def step(self, model: ForceModel, contact: ContactState,
              state: SystemState, h: float, solve, prev: SystemState | None
@@ -145,7 +139,8 @@ class BackwardEuler(Scheme):
     def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
         prob = StageProblem(model=model, contact=contact, v_lin=state.v,
                             q_ref=state.q, pos_coeff=h, force_scale=h,
-                            t_eval=state.t + h, h=h)
+                            t_eval=state.t + h, h=h,
+                            mass_scaled=self.mass_scaled)
         v1, rep = solve(prob, state.v if v_guess is None else v_guess)
         return StepResult(q=state.q + h * v1, v=v1, reports=[rep])
 
@@ -160,14 +155,15 @@ class TrapezoidalRule(Scheme):
     def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
         f0 = model.force(state.q, state.v, state.t, contact,
                          parts=self.explicit_parts)
-        mass = model.mass_dofs
-        scaled = isinstance(self, (TrapezoidalLagged,))
+        if self.mass_scaled:
+            f0 = f0 / model.mass_dofs
         prob = StageProblem(model=model, contact=contact, v_lin=state.v,
                             q_ref=state.q + 0.5 * h * state.v,
                             pos_coeff=0.5 * h, force_scale=0.5 * h,
                             t_eval=state.t + h, h=h,
-                            f_const=(0.5 * h) * (f0 / mass if scaled else f0),
-                            mass_scaled=scaled, parts=self.implicit_parts)
+                            f_const=(0.5 * h) * f0,
+                            mass_scaled=self.mass_scaled,
+                            parts=self.implicit_parts)
         v1, rep = solve(prob, state.v if v_guess is None else v_guess)
         return StepResult(q=state.q + 0.5 * h * (state.v + v1), v=v1,
                           reports=[rep])
@@ -183,31 +179,21 @@ class TrapezoidalMissplit(TrapezoidalRule):
     implicit_parts = NON_CONTACT_PARTS
 
 
-class BackwardEulerLagged(Scheme):
+class BackwardEulerLagged(BackwardEuler):
     """BE with lagged friction anchors, in M^{-1}-scaled residual form."""
 
-    name = "be"
-    lagged = True
-
-    def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
-        prob = StageProblem(model=model, contact=contact, v_lin=state.v,
-                            q_ref=state.q, pos_coeff=h, force_scale=h,
-                            t_eval=state.t + h, h=h, mass_scaled=True)
-        v1, rep = solve(prob, state.v if v_guess is None else v_guess)
-        return StepResult(q=state.q + h * v1, v=v1, reports=[rep])
+    mass_scaled = True
 
 
 class TrapezoidalLagged(TrapezoidalRule):
     """TR with the entire lagged net force split into implicit and explicit
     halves; the explicit half is cached at step start and never re-evaluated."""
 
-    name = "tr"
-    lagged = True
+    mass_scaled = True
 
 
 class BDF2(Scheme):
     name = "bdf2"
-    needs_history = True
 
     def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
         if prev is None:

@@ -199,10 +199,6 @@ class TetMeshModel:
         return 3 * self.n_verts
 
     @property
-    def n_elements(self) -> int:
-        return len(self.tets)
-
-    @property
     def mass_dofs(self) -> np.ndarray:
         """Diagonal of the (m x m) lumped mass matrix."""
         return np.repeat(self.vertex_mass, 3)
@@ -219,15 +215,6 @@ class TetMeshModel:
             from .elasticity import ElasticScratch
             self._scratch = ElasticScratch(self)
         return self._scratch
-
-
-def advance_positions(q, v, h: float):
-    """q + h*v componentwise; the position update shared by the integrators."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if np.shape(q) != np.shape(v):
-        raise ValueError("q and v must have identical shapes")
-    return q + h * v
 
 
 def merge_meshes(meshes: list[TetMeshModel]) -> TetMeshModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class SceneConfig:
 
     normalized: dict
     meshes: list
-    mesh_names: list
     mesh_slices: list                    # per-mesh vertex index ranges
     obstacles: list
     penalty: PenaltyParams
@@ -125,8 +124,10 @@ class SceneConfig:
         return merge_meshes(self.meshes)
 
     def build_model(self) -> ForceModel:
+        """A model with its own copy of the penalty parameters: adaptive
+        stiffening raises the model's kappa, never the scene's."""
         mesh = self.merged_mesh()
-        return ForceModel(mesh, self.obstacles, self.penalty,
+        return ForceModel(mesh, self.obstacles, replace(self.penalty),
                           gravity=self.gravity,
                           volume_penalties=self.volume_penalties,
                           friction_mode=self.friction_mode,
@@ -436,7 +437,6 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     return SceneConfig(
         normalized=normalized,
         meshes=meshes,
-        mesh_names=names,
         mesh_slices=mesh_slices,
         obstacles=obstacles,
         penalty=penalty,

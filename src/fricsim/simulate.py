@@ -5,8 +5,8 @@ Each step freezes a contact candidate set, solves the scheme's stage
 residual(s), then checks end-of-step gaps over every surface vertex.  Any
 non-positive gap bumps kappa by b'(d_deepest)/b'(0.5 delta) and the same step
 is re-solved from the start-of-step state (positions and velocities both
-reset), with the offending vertices unioned into the candidate set.  kappa
-never decreases.
+reset), with the offending pairs of every retry so far unioned into the
+candidate set.  kappa never decreases.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import StiffeningError, adaptive_stiffen, contact_energy
+from .contact import (StiffeningError, adaptive_stiffen, contact_energy,
+                      tangential_velocity)
 from .elasticity import elastic_energy
 from .forces import ForceModel
 from .integrators import Scheme, StageProblem, make_scheme
@@ -115,7 +116,7 @@ class Simulation:
         h = self.h
         model = self.model
         retries = 0
-        extra = None
+        extra = np.zeros((0, 2), int)  # penetrating pairs of earlier tries
         info = StepInfo(index=self.step_index, retries=0,
                         kappa=model.penalty.kappa if model.penalty else 0.0)
         while True:
@@ -138,12 +139,9 @@ class Simulation:
                                   f"{exc} [{exc.report.status}]",
                                   exc.report) from exc
             info.reports.extend(result.reports)
-            if model.penalty is None or not model.obstacles:
-                break
-            gaps_end = model.all_gaps(result.q, st.t + h)
+            deepest, penetrating = model.penetration(result.q, st.t + h)
             try:
-                decision = adaptive_stiffen(float(gaps_end.min()),
-                                            model.penalty)
+                decision = adaptive_stiffen(deepest, model.penalty)
             except StiffeningError as exc:
                 raise StepFailure(self.step_index, str(exc)) from exc
             if decision.accept:
@@ -155,8 +153,7 @@ class Simulation:
                 raise StepFailure(self.step_index,
                                   f"contact not resolved after {MAX_RETRIES} "
                                   "kappa retries")
-            ev, eo = model.penetrating_candidates(result.q, st.t + h)
-            extra = (ev, eo)
+            extra = np.concatenate([extra, penetrating])
         info.retries = retries
         self.prev_state = st
         self.state = SystemState(result.q, result.v, st.t + h)
@@ -177,23 +174,13 @@ class Simulation:
         kinetic = 0.5 * float(np.sum(mass[:, None] * v * v))
         elastic = float(elastic_energy(mesh, st.q))
         grav = -float(np.sum(mass[:, None] * model.gravity[None, :] * x))
-        contact_e = 0.0
-        deepest = np.inf
-        max_slide = 0.0
-        if model.obstacles and model.penalty is not None:
-            cs_state = model.build_contact_state(st.q, st.v, st.t, 0.0)
-            cset = cs_state.cset
-            if cset.size:
-                contact_e = contact_energy(cset, model.obstacles, st.q, st.t,
-                                           model.penalty)
-                from .contact import tangential_velocity
-                vbar = tangential_velocity(cset, st.v, st.t,
-                                           x=x[cset.vertex])
-                active = cset.lam > 0.0
-                if active.any():
-                    max_slide = float(
-                        np.linalg.norm(vbar[active], axis=1).max())
-            deepest = float(model.all_gaps(st.q, st.t).min())
+        cset = model.build_contact_state(st.q, st.v, st.t, 0.0).cset
+        contact_e = contact_energy(cset, model.obstacles, st.q, st.t,
+                                   model.penalty)
+        vbar = tangential_velocity(cset, st.v, st.t, x=x[cset.vertex])
+        max_slide = float(np.linalg.norm(vbar[cset.lam > 0.0], axis=1)
+                          .max(initial=0.0))
+        deepest, _ = model.penetration(st.q, st.t)
         vol_e = 0.0
         region_volumes = {}
         for vp in model.volume_penalties:

@@ -54,7 +54,6 @@ class SolveReport:
     linear_iters: list = field(default_factory=list)
     sigmas: list = field(default_factory=list)               # forcing terms used
     sigmas_post: list = field(default_factory=list)          # 1 - a(1 - sigma_k)
-    kappa_bumps: int = 0                                     # filled by the step loop
     status: str = "Converged"
 
     def ok(self) -> bool:
@@ -155,8 +154,10 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
 
 
 def inexact_damped_newton(problem, v0, cfg: SolverConfig | None = None):
-    """Inexact Newton: BiCGSTAB directions through matrix-free dual JVPs,
-    residual-ratio adaptive forcing, residual backtracking."""
+    """Inexact Newton: unpreconditioned BiCGSTAB directions on
+    ``problem.jac_matvec`` (the assembled sparse Jacobian plus the exact
+    rank-1 volume terms), residual-ratio adaptive forcing, residual
+    backtracking."""
     cfg = cfg or SolverConfig()
     report = SolveReport()
     v = np.asarray(v0, float).copy()
@@ -216,7 +217,8 @@ def inexact_damped_newton(problem, v0, cfg: SolverConfig | None = None):
 
 
 def bicgstab(apply_j, b, tol: float, max_iters: int = 200):
-    """Biconjugate gradient stabilized for non-symmetric J (matrix-free).
+    """Biconjugate gradient stabilized for non-symmetric J, given as the
+    callable ``apply_j(p) = J p``.
 
     Returns (x, iterations, converged) with |b - J x| <= tol * |b| on
     success.  On rho/omega breakdown the shadow residual is re-randomized

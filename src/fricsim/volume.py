@@ -22,21 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
+from .mesh import check_closed_oriented
 
 ATM = 101325.0  # Pa
 
 __all__ = ["ATM", "VolumePenaltyParams", "VolumeDomainError",
            "enclosed_volume", "volume_energy", "volume_force",
-           "volume_jacobian_apply", "volume_hessian_blocks", "region_closed"]
+           "volume_jacobian_apply", "volume_hessian_blocks"]
 
 
 class VolumeDomainError(ValueError):
     pass
-
-
-def region_closed(tris: np.ndarray) -> bool:
-    from .mesh import check_closed_oriented
-    return check_closed_oriented(tris)
 
 
 @dataclass
@@ -57,7 +53,7 @@ class VolumePenaltyParams:
             raise ValueError(f"unknown volume model {self.model!r}")
         if self.kappa_v_atm <= 0 or self.p0_atm <= 0:
             raise ValueError("kappa_v and P0 must be positive")
-        if not region_closed(self.region):
+        if not check_closed_oriented(self.region):
             raise VolumeDomainError(
                 "volume region must be a closed oriented surface")
 
@@ -166,7 +162,7 @@ def volume_jacobian_apply(region, q, params: VolumePenaltyParams, p,
 
     The force Jacobian contribution to a residual is the negative of this.
     ``include_rank1=False`` gives the sparse approximation used by assembled
-    (direct-solver) matrices; the full form is what matrix-free solves apply.
+    (direct-solver) matrices; the full form matches the dual-number JVP.
     """
     q = np.asarray(q, float)
     p = np.asarray(p, float)

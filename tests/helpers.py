@@ -22,7 +22,7 @@ class LinearForceModel:
     def mass_dofs(self):
         return self.mass
 
-    def force(self, q, v, t, contact, parts=ALL_PARTS, frozen_basis=None):
+    def force(self, q, v, t, contact, parts=ALL_PARTS):
         fq = dm.matmul(self.a_q, q) if "elastic" in parts else 0.0 * q
         fv = dm.matmul(self.a_v, v) if "damping" in parts else 0.0 * v
         out = fq + fv

@@ -244,7 +244,7 @@ def test_criterion_7_friction_units_and_mdp():
         ang = rng.uniform(0, 2 * np.pi)
         speed = rng.uniform(eps, 100 * eps)
         v = np.array([speed * np.cos(ang), 0.0, speed * np.sin(ang)])
-        f = friction_force(cs, [plane], q, q, v, 0.0, pen).reshape(-1, 3)[0]
+        f = friction_force(cs, [plane], q, v, 0.0, pen).reshape(-1, 3)[0]
         vbar = np.array([v[0], v[2]])
         fbar = np.array([f[0], f[2]])
         best = -vbar @ fbar

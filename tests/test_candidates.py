@@ -1,0 +1,96 @@
+"""The contact-candidate path against a brute-force scan of every
+(surface vertex, obstacle) pair, on the three-obstacle plate_squeeze scene."""
+
+import os
+
+import numpy as np
+
+from fricsim.contact import penalty_lambda
+from fricsim.scene import load_scene_file
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+H = 0.005
+
+
+def _model():
+    scene = load_scene_file(os.path.join(SCENES, "plate_squeeze.json"))
+    model = scene.build_model()
+    rng = np.random.default_rng(3)
+    q = scene.initial_q + 2e-4 * rng.normal(size=scene.initial_q.size)
+    v = 0.05 * rng.normal(size=q.size)
+    return model, q, v
+
+
+def _brute_force(model, q, v, t, h):
+    """(vertex, obstacle, d, n) of every pair inside the activation distance,
+    one pair at a time, in vertex-then-obstacle order."""
+    x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
+    obs_speed = max(np.linalg.norm(o.motion.linear_velocity(t))
+                    for o in model.obstacles)
+    rows = []
+    for vert in model.mesh.surface_vertices:
+        reach = 1.5 * model.penalty.delta \
+            + h * (np.linalg.norm(vv[vert]) + obs_speed)
+        for oi, obs in enumerate(model.obstacles):
+            d, n = obs.gap_normal(x[vert][None], t)
+            if d[0] < reach:
+                rows.append((vert, oi, d[0], n[0]))
+    return rows
+
+
+def test_candidates_match_brute_force():
+    model, q, v = _model()
+    t = 0.1
+    cset = model.build_contact_state(q, v, t, H).cset
+    rows = _brute_force(model, q, v, t, H)
+    assert len({oi for _, oi, _, _ in rows}) == 3  # every obstacle in play
+    np.testing.assert_array_equal(cset.vertex, [r[0] for r in rows])
+    np.testing.assert_array_equal(cset.obstacle, [r[1] for r in rows])
+    d = np.array([r[2] for r in rows])
+    np.testing.assert_allclose(cset.d, d, rtol=1e-14, atol=1e-18)
+    np.testing.assert_allclose(cset.n, [r[3] for r in rows], rtol=1e-14,
+                               atol=1e-18)
+    pen = model.penalty
+    np.testing.assert_allclose(cset.lam, penalty_lambda(d, pen.delta,
+                                                        pen.kappa),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_extra_pairs_are_unioned_sorted_and_unique():
+    model, q, v = _model()
+    base = model.build_contact_state(q, v, 0.0, H).cset
+    pairs = set(zip(base.vertex.tolist(), base.obstacle.tolist()))
+    far = [(int(vert), oi) for vert in model.mesh.surface_vertices
+           for oi in range(3) if (int(vert), oi) not in pairs][:4]
+    assert len(far) == 4
+    extra = np.array(far + far[:2] + [next(iter(pairs))])  # with repeats
+    cset = model.build_contact_state(q, v, 0.0, H,
+                                     extra_candidates=extra).cset
+    got = list(zip(cset.vertex.tolist(), cset.obstacle.tolist()))
+    assert got == sorted(pairs | set(far))
+    x = q.reshape(-1, 3)
+    for k, (vert, oi) in enumerate(got):
+        d, _ = model.obstacles[oi].gap_normal(x[vert][None], 0.0)
+        assert cset.d[k] == d[0]
+
+
+def test_penetration_is_minimum_and_exact_pairs():
+    model, q, _ = _model()
+    q = q.copy()
+    q[1::3] -= 1e-3  # sink the block into the floor
+    t = 0.1
+    deepest, pairs = model.penetration(q, t)
+    x = q.reshape(-1, 3)
+    surf = model.mesh.surface_vertices
+    gaps = [(int(vert), oi, obs.gap(x[vert][None], t)[0])
+            for vert in surf for oi, obs in enumerate(model.obstacles)]
+    assert deepest == min(g for _, _, g in gaps) < 0.0
+    assert sorted(map(tuple, pairs.tolist())) \
+        == [(vert, oi) for vert, oi, g in gaps if g < 0.0]
+
+
+def test_penetration_without_obstacles():
+    model, q, _ = _model()
+    model.obstacles = []
+    deepest, pairs = model.penetration(q, 0.0)
+    assert deepest == np.inf and pairs.shape == (0, 2)

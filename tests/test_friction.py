@@ -92,14 +92,14 @@ def _plane_setup(mu=0.5, mu_s=None, height=0.0005, n_verts=1):
 
 def test_friction_zero_velocity():
     plane, q, cs = _plane_setup()
-    f = friction_force(cs, [plane], q, q, np.zeros_like(q), 0.0, PEN)
+    f = friction_force(cs, [plane], q, np.zeros_like(q), 0.0, PEN)
     assert np.all(f == 0.0)
 
 
 def test_friction_coulomb_limit_direction():
     plane, q, cs = _plane_setup(mu=0.5)
     v = np.array([0.03, 0.0, 0.04])  # tangential, speed >> eps
-    f = friction_force(cs, [plane], q, q, v, 0.0, PEN).reshape(-1, 3)[0]
+    f = friction_force(cs, [plane], q, v, 0.0, PEN).reshape(-1, 3)[0]
     lam = cs.lam[0]
     assert np.linalg.norm(f) == pytest.approx(0.5 * lam, rel=1e-9)
     direction = f / np.linalg.norm(f)
@@ -117,7 +117,7 @@ def test_friction_mdp_brute_force():
         ang = rng.uniform(0, 2 * np.pi)
         speed = rng.uniform(EPS, 50 * EPS)
         v = np.array([speed * np.cos(ang), 0.0, speed * np.sin(ang)])
-        f = friction_force(cs, [plane], q, q, v, 0.0, PEN).reshape(-1, 3)[0]
+        f = friction_force(cs, [plane], q, v, 0.0, PEN).reshape(-1, 3)[0]
         vbar = np.array([v[0], v[2]])
         fbar = np.array([f[0], f[2]])
         best = -vbar @ fbar
@@ -133,7 +133,7 @@ def test_friction_dissipative_all_speeds():
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = rng.normal(size=3) * 10 ** rng.uniform(-6, 1)
-        f = friction_force(cs, [plane], q, q, v, 0.0, PEN)
+        f = friction_force(cs, [plane], q, v, 0.0, PEN)
         assert v @ f <= 1e-18
 
 
@@ -152,14 +152,14 @@ def test_friction_frame_equivariance():
     q = np.array([0.02, 0.0004, -0.01])
     v = np.array([0.05, -0.001, 0.02])
     cs = gaps([plane], q, 0.0, penalty=PEN)
-    f = friction_force(cs, [plane], q, q, v, 0.0, PEN)
+    f = friction_force(cs, [plane], q, v, 0.0, PEN)
 
     plane_r = HalfSpace(point=rot @ plane.point, normal=rot @ plane.normal,
                         friction=fr)
     q_r = rot @ q
     v_r = rot @ v
     cs_r = gaps([plane_r], q_r, 0.0, penalty=PEN)
-    f_r = friction_force(cs_r, [plane_r], q_r, q_r, v_r, 0.0, PEN)
+    f_r = friction_force(cs_r, [plane_r], q_r, v_r, 0.0, PEN)
     np.testing.assert_allclose(f_r, rot @ f, rtol=1e-10, atol=1e-14)
 
 
@@ -172,7 +172,7 @@ def test_friction_coulomb_consistency_as_eps_shrinks():
         plane = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), friction=fr)
         q = np.array([0.0, lam_height, 0.0])
         cs = gaps([plane], q, 0.0, penalty=PEN)
-        f = friction_force(cs, [plane], q, q, v, 0.0, PEN)
+        f = friction_force(cs, [plane], q, v, 0.0, PEN)
         lam = cs.lam[0]
         target = -mu * lam * v / np.linalg.norm(v)
         err = np.linalg.norm(f - target)
@@ -192,7 +192,7 @@ def test_lagged_uses_frozen_lambda():
     cache_far_eval = friction_force_lagged(cache, [plane], v, 0.0, PEN)
     np.testing.assert_allclose(cache_far_eval, f0)
     # implicit force at the separated state vanishes instead
-    f_impl = friction_force(cs, [plane], q_far, q_far, v, 0.0, PEN)
+    f_impl = friction_force(cs, [plane], q_far, v, 0.0, PEN)
     assert np.all(f_impl == 0.0)
 
 
@@ -202,9 +202,9 @@ def test_friction_jvp_matches_fd_in_v():
     v = np.array([2 * EPS, 0.0, -0.5 * EPS])
     p = rng.normal(size=3)
     h = 1e-8
-    fd = (friction_force(cs, [plane], q, q, v + h * p, 0.0, PEN)
-          - friction_force(cs, [plane], q, q, v - h * p, 0.0, PEN)) / (2 * h)
-    ad = jvp(lambda vv: friction_force(cs, [plane], q, q, vv, 0.0, PEN), v, p)
+    fd = (friction_force(cs, [plane], q, v + h * p, 0.0, PEN)
+          - friction_force(cs, [plane], q, v - h * p, 0.0, PEN)) / (2 * h)
+    ad = jvp(lambda vv: friction_force(cs, [plane], q, vv, 0.0, PEN), v, p)
     denom = max(np.max(np.abs(fd)), 1e-30)
     assert np.max(np.abs(ad - fd)) / denom <= 1e-4
 
@@ -221,12 +221,12 @@ def test_friction_jvp_matches_fd_in_q_sphere():
     rng = np.random.default_rng(13)
     p = rng.normal(size=3)
     h = 1e-8
-    fd = (friction_force(cs, [sph], q + h * p, q + h * p, v, 0.0, PEN)
-          - friction_force(cs, [sph], q - h * p, q - h * p, v, 0.0, PEN)) \
+    fd = (friction_force(cs, [sph], q + h * p, v, 0.0, PEN)
+          - friction_force(cs, [sph], q - h * p, v, 0.0, PEN)) \
         / (2 * h)
 
     def f_of_q(qq):
-        return friction_force(cs, [sph], qq, qq, v, 0.0, PEN)
+        return friction_force(cs, [sph], qq, v, 0.0, PEN)
 
     ad = jvp(f_of_q, q, p)
     denom = max(np.max(np.abs(fd)), 1e-30)

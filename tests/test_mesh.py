@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fricsim.mesh import (MaterialParams, MeshConstructionError, SystemState,
-                          advance_positions, build_lumped_mass,
-                          check_closed_oriented)
+                          build_lumped_mass, check_closed_oriented)
 from fricsim.meshgen import ball_mesh, box_mesh
 
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3)
@@ -48,33 +47,6 @@ def test_degenerate_element_error_names_element():
     verts = np.vstack([UNIT_TET, UNIT_TET[0]])  # duplicate -> zero volume
     with pytest.raises(MeshConstructionError, match="element 1"):
         build_lumped_mass(verts, [[0, 1, 2, 3], [0, 1, 2, 4]], 1.0)
-
-
-def test_advance_positions_cases():
-    q = np.zeros(3)
-    assert np.all(advance_positions(q, np.zeros(3), 0.01) == 0.0)
-    out = advance_positions(np.array([1.0, 0, 0]), np.array([0.0, 1, 0]), 0.5)
-    np.testing.assert_allclose(out, [1.0, 0.5, 0.0])
-
-
-def test_advance_positions_linearity():
-    rng = np.random.default_rng(0)
-    q, v = rng.normal(size=6), rng.normal(size=6)
-    twice = advance_positions(advance_positions(q, v, 0.1), v, 0.1)
-    once = advance_positions(q, v, 0.2)
-    np.testing.assert_allclose(twice, once, rtol=1e-15)
-    # exact superposition in (q, v)
-    q2, v2 = rng.normal(size=6), rng.normal(size=6)
-    lhs = advance_positions(q + q2, v + v2, 0.1)
-    rhs = advance_positions(q, v, 0.1) + advance_positions(q2, v2, 0.1)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-15)
-
-
-def test_advance_positions_errors():
-    with pytest.raises(ValueError):
-        advance_positions(np.zeros(3), np.zeros(6), 0.1)
-    with pytest.raises(ValueError):
-        advance_positions(np.zeros(3), np.zeros(3), 0.0)
 
 
 def test_state_validation():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fricsim.contact import HalfSpace
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, run_simulation
 
@@ -93,8 +94,8 @@ def test_kappa_retry_loop_terminates_and_raises_kappa():
     infos = [sim.advance() for _ in range(3)]
     assert sim.model.penalty.kappa >= k0
     assert all(i.retries <= 20 for i in infos)
-    gaps = sim.model.all_gaps(sim.state.q, sim.state.t)
-    assert gaps.min() > 0.0
+    deepest, _ = sim.model.penetration(sim.state.q, sim.state.t)
+    assert deepest > 0.0
 
 
 def test_snapshots_and_sampling_rates():
@@ -146,3 +147,54 @@ def test_tet_drop_scene_file():
     scene = load_scene_file(os.path.join(SCENES, "tet_drop_min.json"))
     records, snaps, infos = run_simulation(scene, duration=0.1)
     assert all(r.deepest_gap > 0 for r in records[1:])
+
+
+def _fast_drop(v0, step):
+    """The cube launched at the floor from just above it: its first step
+    needs kappa retries."""
+    scene = _scene(duration=0.06, step=step)
+    scene.initial_q[1::3] -= 0.2 - 0.052
+    scene.initial_v[1::3] = v0
+    return scene
+
+
+def test_reused_scene_runs_identically():
+    # adaptive stiffening raises the simulation's kappa, not the scene's
+    scene = _fast_drop(-3.0, 0.02)
+    kappa0 = scene.penalty.kappa
+    first, _, infos = run_simulation(scene)
+    assert sum(i.retries for i in infos) > 0
+    assert first[-1].kappa > kappa0 == scene.penalty.kappa
+    second, _, _ = run_simulation(scene)
+    assert ([r.row(scene.region_names) for r in first]
+            == [r.row(scene.region_names) for r in second])
+
+
+def test_retry_candidate_sets_are_nested():
+    # a far wall no vertex reaches; the first retry also reports a pair with
+    # it, which only a union over the retries keeps in the later sets
+    scene = _fast_drop(-10.0, 0.02)
+    scene.obstacles.append(HalfSpace(point=(5, 0, 0), normal=(-1, 0, 0)))
+    sim = Simulation(scene)
+    model = sim.model
+    build, penetration = model.build_contact_state, model.penetration
+    sets = []
+
+    def build_spy(*args, **kwargs):
+        state = build(*args, **kwargs)
+        cset = state.cset
+        sets.append(set(zip(cset.vertex.tolist(), cset.obstacle.tolist())))
+        return state
+
+    def penetration_spy(q, t):
+        deepest, pairs = penetration(q, t)
+        if len(sets) == 1:
+            pairs = np.concatenate([pairs, [[0, 1]]])
+        return deepest, pairs
+
+    model.build_contact_state = build_spy
+    model.penetration = penetration_spy
+    info = sim.advance()
+    assert info.retries >= 2 and len(sets) == info.retries + 1
+    assert (0, 1) not in sets[0]
+    assert all(a <= b for a, b in zip(sets, sets[1:]))
