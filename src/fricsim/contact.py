@@ -23,9 +23,9 @@ from . import dual as dm
 
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
-    "gaps", "penalty_b", "penalty_db", "penalty_d2b", "penalty_lambda",
-    "contact_force", "sliding_basis", "tangent_basis", "adaptive_stiffen",
-    "StiffeningError", "AdaptDecision", "gap_matrix",
+    "gaps", "penalty_b", "penalty_db", "penalty_lambda", "contact_local",
+    "contact_force", "contact_blocks", "sliding_basis", "tangent_basis",
+    "adaptive_stiffen", "StiffeningError", "AdaptDecision", "gap_matrix",
 ]
 
 
@@ -57,12 +57,6 @@ def penalty_b(x, delta: float, kappa: float):
 def penalty_db(x, delta: float, kappa: float):
     shifted = x - delta
     return dm.where(x < delta, (-3.0 * kappa / delta) * shifted ** 2,
-                    0.0 * shifted)
-
-
-def penalty_d2b(x, delta: float, kappa: float):
-    shifted = x - delta
-    return dm.where(x < delta, (-6.0 * kappa / delta) * shifted,
                     0.0 * shifted)
 
 
@@ -163,12 +157,7 @@ class _ObstacleBase:
         vlin = self.motion.linear_velocity(t)
         omega = self.motion.angular_velocity(t)
         if np.all(omega == 0.0):
-            if np.all(vlin == 0.0):
-                return dm.zeros(np.shape(dm.value(x)), like=x) * 0.0 \
-                    if dm.is_dual(x) else np.zeros_like(dm.value(x))
-            return np.broadcast_to(vlin, np.shape(dm.value(x))) + 0.0 * x \
-                if dm.is_dual(x) else np.broadcast_to(
-                    vlin, np.shape(dm.value(x))).copy()
+            return vlin + 0.0 * x
         center = self.motion.rotation_pivot + self.motion.offset(t)
         arm = x - center
         w = np.broadcast_to(omega, np.shape(dm.value(x)))
@@ -199,10 +188,7 @@ class HalfSpace(_ObstacleBase):
         r, off = self._frame(t)
         n = r @ self.normal
         nb = np.broadcast_to(n, np.shape(dm.value(x)))
-        d = self.gap(x, t)
-        if dm.is_dual(x):
-            return d, dm.Dual(np.array(nb), np.zeros_like(nb))
-        return d, np.array(nb)
+        return self.gap(x, t), np.array(nb)
 
 
 class Sphere(_ObstacleBase):
@@ -231,10 +217,7 @@ class Sphere(_ObstacleBase):
     def gap_normal(self, x, t: float):
         rel = x - self._center(t)
         dist = dm.norm_last(rel)
-        if dm.is_dual(rel):
-            unit = rel / dm.Dual(dist.re[..., None], dist.eps[..., None])
-        else:
-            unit = rel / dist[..., None]
+        unit = rel / dist[..., None]
         d = (self.radius - dist) if self.contains else (dist - self.radius)
         return d, (-unit if self.contains else unit)
 
@@ -323,6 +306,13 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
                       build_x=x[vertex].copy())
 
 
+def contact_local(x, obs, t: float, penalty: PenaltyParams):
+    """Per-contact penalty forces lambda(d) grad d (k, 3) of the positions
+    x (k, 3) against one obstacle; generic over Dual x."""
+    d, n = obs.gap_normal(x, t)
+    return penalty_lambda(d, penalty.delta, penalty.kappa)[..., None] * n
+
+
 def contact_force(cset: ContactSet, obstacles, q, t: float,
                   penalty: PenaltyParams):
     """Generalized penalty force f_c (m,) of the frozen set.
@@ -330,19 +320,25 @@ def contact_force(cset: ContactSet, obstacles, q, t: float,
     Generic over Dual q; geometry is evaluated live at q for the frozen set.
     """
     x = q.reshape(-1, 3)
-    out = dm.zeros((x.shape[0] if not dm.is_dual(q) else x.re.shape[0], 3),
-                   like=q)
+    out = dm.zeros(x.shape, like=q)
     for oi, members in cset.groups():
-        obs = obstacles[oi]
-        xi = x[cset.vertex[members]]
-        d, n = obs.gap_normal(xi, t)
-        lam = penalty_lambda(d, penalty.delta, penalty.kappa)
-        if dm.is_dual(lam):
-            contrib = dm.Dual(lam.re[:, None], lam.eps[:, None]) * n
-        else:
-            contrib = lam[:, None] * n
-        dm.scatter_add(out, cset.vertex[members], contrib)
+        idx = cset.vertex[members]
+        out = dm.scatter_add(out, idx,
+                             contact_local(x[idx], obstacles[oi], t, penalty))
     return out.reshape(-1)
+
+
+def contact_blocks(cset: ContactSet, obstacles, q, t: float,
+                   penalty: PenaltyParams) -> np.ndarray:
+    """Per-contact 3x3 blocks (k, 3, 3) of df_c/dq, the ``jacobian_blocks``
+    of :func:`contact_local`; diagonal in the contact index."""
+    x = np.asarray(q, float).reshape(-1, 3)
+    blocks = np.zeros((cset.size, 3, 3))
+    for oi, members in cset.groups():
+        blocks[members] = dm.jacobian_blocks(
+            lambda xd: contact_local(xd, obstacles[oi], t, penalty),
+            x[cset.vertex[members]])
+    return blocks
 
 
 def contact_energy(cset: ContactSet, obstacles, q, t: float,

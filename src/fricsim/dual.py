@@ -19,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Dual", "is_dual", "value", "tangent", "where", "maximum", "minimum",
+    "Dual", "value", "tangent", "where", "maximum", "minimum",
     "sqrt", "log", "asum", "dot_last", "stack_last", "matmul", "swap_last2",
     "det3", "inv3", "cross_last", "norm_last", "zeros",
-    "scatter_add", "jvp", "derivative",
+    "scatter_add", "jvp", "jacobian_blocks", "derivative",
 ]
 
 _GUARD = 1e-300  # additive guard used by norm_last; below any physical scale
@@ -152,10 +152,6 @@ class Dual:
         return self.re != self._other_re(other)
 
     __hash__ = None
-
-
-def is_dual(x) -> bool:
-    return isinstance(x, Dual)
 
 
 def value(x):
@@ -326,6 +322,29 @@ def jvp(fn, x, p):
     if isinstance(out, Dual):
         return np.array(np.broadcast_to(out.eps, np.shape(out.re)), dtype=float)
     return np.zeros_like(_arr(out))
+
+
+def jacobian_blocks(fn, x, *per_item):
+    """Per-item Jacobian blocks (k, n_out, n_in) of an item-wise kernel.
+
+    ``fn(x, *per_item)`` maps k independent items ``x`` (k, ...) to outputs
+    (k, ...), output item i depending only on ``x[i]`` and on item i of each
+    ``per_item`` array, which are held constant.  One dual pass gives every
+    block: the n_in unit seeds are stacked along the item axis and each
+    ``per_item`` array is tiled to match, so
+    ``blocks[i, :, c] = d fn(x)[i].ravel() / d x[i].ravel()[c]``.
+    """
+    x = _arr(x)
+    k, item = len(x), x.shape[1:]
+    n_in = int(np.prod(item))
+    seeds = np.eye(n_in).reshape((n_in, 1) + item)
+    stacked = (n_in * k,) + item
+    xs = np.broadcast_to(x, (n_in,) + x.shape).reshape(stacked)
+    eps = np.broadcast_to(seeds, (n_in,) + x.shape).reshape(stacked)
+    tiled = [np.tile(a, (n_in,) + (1,) * (np.ndim(a) - 1)) for a in per_item]
+    out = tangent(fn(Dual(xs, eps), *tiled))
+    n_out = int(np.prod(out.shape[1:]))
+    return np.moveaxis(out.reshape(n_in, k, n_out), 0, -1)
 
 
 def derivative(fn, x: float) -> float:

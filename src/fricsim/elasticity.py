@@ -8,8 +8,9 @@ which is zero with zero slope at F = I and rotation invariant.  Inverted
 elements (J <= 0) evaluate to +inf so the line search rejects such states.
 
 All kernels are generic over ndarray-vs-Dual input, so the same code path
-produces values, Jacobian-vector products and (via per-element dual
-differentiation) assembled matrix blocks.
+produces values and Jacobian-vector products.  The stiffness blocks K_e are
+closed form (``_element_stiffness``); the damping blocks d(beta K_e v_e)/dq_e
+are the ``dual.jacobian_blocks`` of the stiffness product.
 """
 
 from __future__ import annotations
@@ -47,19 +48,12 @@ class ElasticScratch:
         self.block_cols = cols.ravel()
 
 
-def _deformation_gradient(scratch, x_elem):
+def _deformation_gradient(rest_inv, x_elem):
     d1 = x_elem[:, 1, :] - x_elem[:, 0, :]
     d2 = x_elem[:, 2, :] - x_elem[:, 0, :]
     d3 = x_elem[:, 3, :] - x_elem[:, 0, :]
     ds = dm.stack_last([d1, d2, d3])  # columns d1, d2, d3
-    return dm.matmul(ds, scratch.rest_inv)
-
-
-def _per_elem(a):
-    """Broadcast a per-element scalar (n_e,) to (n_e, 1, 1), Dual-aware."""
-    if dm.is_dual(a):
-        return dm.Dual(a.re[:, None, None], a.eps[:, None, None])
-    return np.asarray(a)[:, None, None]
+    return dm.matmul(ds, rest_inv)
 
 
 def _first_piola(f, mu, lam):
@@ -67,7 +61,7 @@ def _first_piola(f, mu, lam):
     j = dm.det3(f)
     finv_t = dm.swap_last2(dm.inv3(f))
     logj = dm.log(j)
-    return _per_elem(mu) * f + _per_elem(lam * logj - mu) * finv_t
+    return mu[:, None, None] * f + (lam * logj - mu)[:, None, None] * finv_t
 
 
 def elastic_energy(mesh: TetMeshModel, q):
@@ -76,7 +70,7 @@ def elastic_energy(mesh: TetMeshModel, q):
     if not np.all(np.isfinite(dm.value(q))):
         raise ValueError("non-finite positions passed to elastic_energy")
     x = q.reshape(-1, 3)
-    f = _deformation_gradient(s, x[mesh.tets])
+    f = _deformation_gradient(s.rest_inv, x[mesh.tets])
     j = dm.det3(f)
     if np.any(dm.value(j) <= 0.0):
         return np.inf
@@ -89,10 +83,10 @@ def elastic_energy(mesh: TetMeshModel, q):
 
 def _element_forces(mesh, s, x_elem):
     """Per-element corner forces (n_e, 4, 3) = -vol * N P^T."""
-    f = _deformation_gradient(s, x_elem)
+    f = _deformation_gradient(s.rest_inv, x_elem)
     p = _first_piola(f, mesh.mu, mesh.lam)
     npt = dm.matmul(s.shape_grad, dm.swap_last2(p))
-    return _per_elem(-s.volumes) * npt
+    return -s.volumes[:, None, None] * npt
 
 
 def elastic_force(mesh: TetMeshModel, q):
@@ -111,7 +105,7 @@ def _element_stiffness(mesh, s, q):
                                + lam R[a,c] R[b,e] ).
     """
     x = np.asarray(q, float).reshape(-1, 3)
-    f = _deformation_gradient(s, x[mesh.tets])
+    f = _deformation_gradient(s.rest_inv, x[mesh.tets])
     g = np.swapaxes(np.linalg.inv(f), -1, -2)
     logj = np.log(np.linalg.det(f))
     n = s.shape_grad
@@ -136,25 +130,27 @@ def stiffness_matrix(mesh: TetMeshModel, q) -> sp.csr_matrix:
     return k.tocsr()
 
 
-def _element_stiffness_product(mesh, s, x_elem, w_elem):
+def _element_stiffness_product(mesh, s, x_elem, w_elem, e=slice(None)):
     """K_e(x) w_e per element, (n_e, 4, 3); generic over Dual inputs.
 
+    ``e`` selects the elements whose data the rows of x_elem/w_elem use.
     Directional derivative of the first Piola stress:
       dP = mu dF + (mu - lam ln J) G dF^T G + lam tr(F^{-1} dF) G,  G = F^{-T}.
     """
-    f = _deformation_gradient(s, x_elem)
-    df = _deformation_gradient(s, w_elem)
+    mu, lam = mesh.mu[e], mesh.lam[e]
+    f = _deformation_gradient(s.rest_inv[e], x_elem)
+    df = _deformation_gradient(s.rest_inv[e], w_elem)
     j = dm.det3(f)
     finv = dm.inv3(f)
     g = dm.swap_last2(finv)
     logj = dm.log(j)
     trace = (finv * dm.swap_last2(df)).sum(axis=(-2, -1))
-    dp = (_per_elem(mesh.mu) * df
-          + _per_elem(mesh.mu - mesh.lam * logj)
+    dp = (mu[:, None, None] * df
+          + (mu - lam * logj)[:, None, None]
           * dm.matmul(dm.matmul(g, dm.swap_last2(df)), g)
-          + _per_elem(mesh.lam * trace) * g)
-    out = dm.matmul(s.shape_grad, dm.swap_last2(dp))
-    return _per_elem(s.volumes) * out
+          + (lam * trace)[:, None, None] * g)
+    out = dm.matmul(s.shape_grad[e], dm.swap_last2(dp))
+    return s.volumes[e][:, None, None] * out
 
 
 def _scatter(mesh, per_elem):
@@ -179,26 +175,22 @@ def damping_force(mesh: TetMeshModel, q, v):
         x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
         kv = _element_stiffness_product(mesh, mesh.scratch(), x[mesh.tets],
                                         vv[mesh.tets])
-        fd = fd - _scatter(mesh, _per_elem(mesh.beta) * kv)
+        fd = fd - _scatter(mesh, mesh.beta[:, None, None] * kv)
     return fd
 
 
 def damping_q_blocks(mesh: TetMeshModel, q, v) -> np.ndarray:
     """Element blocks (n_e, 12, 12) of d(beta K_e(q) v_e)/dq_e.
 
-    Assembled by 12 per-element dual evaluations of the stiffness product, so
-    the blocks match the matrix-free JVP to machine precision.  The damping
-    force contribution is the negative of these blocks.
+    One ``dual.jacobian_blocks`` pass over the stiffness product, with each
+    element's velocities and index as per-item constants, so the blocks
+    match the dual JVP to machine precision.  The damping force
+    contribution is the negative of these blocks.
     """
     s = mesh.scratch()
     x_elem = np.asarray(q, float).reshape(-1, 3)[mesh.tets]
     v_elem = np.asarray(v, float).reshape(-1, 3)[mesh.tets]
-    n_e = len(mesh.tets)
-    blocks = np.empty((n_e, 12, 12))
-    for jdof in range(12):
-        seed = np.zeros((1, 4, 3))
-        seed[0, jdof // 3, jdof % 3] = 1.0
-        xd = dm.Dual(x_elem, np.broadcast_to(seed, x_elem.shape))
-        kw = _element_stiffness_product(mesh, s, xd, v_elem)
-        blocks[:, :, jdof] = (mesh.beta[:, None, None] * kw.eps).reshape(n_e, 12)
-    return blocks
+    blocks = dm.jacobian_blocks(
+        lambda xd, ve, e: _element_stiffness_product(mesh, s, xd, ve, e),
+        x_elem, v_elem, np.arange(len(mesh.tets)))
+    return mesh.beta[:, None, None] * blocks

@@ -9,6 +9,9 @@ parameters and Dirichlet constraints, and provides
   * ``jacobians`` — assembled sparse (df/dq, df/dv) plus exact low-rank
     volume corrections, kept separate so the direct solver can use the
     sparse approximation while consistency tests apply the full product.
+    The elastic K and the volume Hessian are closed form; the contact,
+    friction and damping-dq blocks are ``dual.jacobian_blocks`` of the
+    per-item kernels the force uses, so no obstacle curvature is coded here.
 
 Contact candidate sets are frozen per step (built by the stepping loop) and
 evaluated live inside a solve.
@@ -16,19 +19,19 @@ evaluated live inside a solve.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import dual as dm
-from .contact import (ContactSet, HalfSpace, PenaltyParams, Sphere,
-                      contact_force, gap_matrix, gaps, penalty_d2b,
-                      penalty_lambda)
+from .contact import (ContactSet, PenaltyParams, contact_blocks,
+                      contact_force, gap_matrix, gaps)
 from .elasticity import _element_stiffness, damping_force, damping_q_blocks, \
     elastic_force
 from .friction import (LaggedFrictionCache, contact_friction_blocks,
-                       friction_force, friction_force_lagged)
+                       friction_force)
 from .mesh import TetMeshModel
 from .volume import (_d2wdv2, _dwdv, enclosed_volume, volume_force,
                      volume_hessian_blocks)
@@ -70,7 +73,8 @@ class ForceModel:
         self.obstacles = list(obstacles)
         self.penalty = penalty
         self.gravity = np.asarray(gravity, float)
-        self.volume_penalties = list(volume_penalties)
+        # own copies: the measured rest volume is run state, not scene config
+        self.volume_penalties = [copy.copy(vp) for vp in volume_penalties]
         for vp in self.volume_penalties:
             if vp.rest_volume is None:
                 v0, _ = enclosed_volume(vp.region, mesh.rest_q())
@@ -151,13 +155,11 @@ class ForceModel:
                 total = total + contact_force(contact.cset, self.obstacles,
                                               q, t, self.penalty)
             if "friction" in parts:
-                if self.friction_mode == "lagged":
-                    total = total + friction_force_lagged(
-                        contact.lagged, self.obstacles, v, t, self.penalty)
-                else:
-                    total = total + friction_force(
-                        contact.cset, self.obstacles, q, v, t, self.penalty,
-                        frozen_basis=self.frozen_basis)
+                lagged = self.friction_mode == "lagged"
+                total = total + friction_force(
+                    contact.cset, self.obstacles, q, v, t, self.penalty,
+                    frozen_basis=self.frozen_basis,
+                    cache=contact.lagged if lagged else None)
         if "volume" in parts:
             for vp in self.volume_penalties:
                 total = total + volume_force(vp.region, q, vp, strict=False)
@@ -200,7 +202,8 @@ class ForceModel:
         if self.penalty is not None and cset.size:
             br, bc = _vertex_block_indices(cset.vertex)
             if "contact" in parts:
-                blocks = self._contact_jacobian_blocks(q, t, cset)
+                blocks = contact_blocks(cset, self.obstacles, q, t,
+                                        self.penalty)
                 rows_q.append(br)
                 cols_q.append(bc)
                 vals_q.append(blocks.ravel())
@@ -231,23 +234,6 @@ class ForceModel:
         dfdq = _to_csr(rows_q, cols_q, vals_q, m)
         dfdv = _to_csr(rows_v, cols_v, vals_v, m)
         return dfdq, dfdv, rank1
-
-    def _contact_jacobian_blocks(self, q, t, cset: ContactSet):
-        """df_c/dq per contact: -b''(d) grad grad^T + lambda * Hess(d)."""
-        x = q.reshape(-1, 3)
-        blocks = np.zeros((cset.size, 3, 3))
-        pen = self.penalty
-        for oi, members in cset.groups():
-            obs = self.obstacles[oi]
-            xm = x[cset.vertex[members]]
-            d, n = obs.gap_normal(xm, t)
-            d2b = penalty_d2b(d, pen.delta, pen.kappa)
-            lam = penalty_lambda(d, pen.delta, pen.kappa)
-            blocks[members] = -d2b[:, None, None] * n[:, :, None] * n[:, None, :]
-            curv = _gap_hessian(obs, xm, t)
-            if curv is not None:
-                blocks[members] += lam[:, None, None] * curv
-        return blocks
 
     # -- constraints --------------------------------------------------------------
     def apply_velocity_constraints(self, r, v):
@@ -285,20 +271,6 @@ def _vertex_block_indices(vertex):
     shape = (len(vertex), 3, 3)
     return (np.broadcast_to(r, shape).ravel(),
             np.broadcast_to(c, shape).ravel())
-
-
-def _gap_hessian(obs, x, t):
-    """d(grad d)/dx per vertex (k, 3, 3); None for planes (zero curvature)."""
-    if isinstance(obs, HalfSpace):
-        return None
-    if isinstance(obs, Sphere):
-        rel = x - obs._center(t)
-        dist = np.linalg.norm(rel, axis=1)
-        unit = rel / dist[:, None]
-        proj = (np.eye(3)[None] - unit[:, :, None] * unit[:, None, :])
-        h = proj / dist[:, None, None]
-        return -h if obs.contains else h
-    raise TypeError(f"unknown obstacle type {type(obs)!r}")
 
 
 def _to_csr(rows, cols, vals, m):

@@ -30,7 +30,7 @@ from .contact import ContactSet, PenaltyParams, penalty_lambda
 
 __all__ = [
     "FrictionParams", "smooth_s", "stribeck_g", "friction_magnitude_c",
-    "friction_force", "friction_force_lagged", "contact_friction_blocks",
+    "friction_force", "contact_friction_blocks",
     "LaggedFrictionCache",
 ]
 
@@ -89,67 +89,21 @@ def friction_magnitude_c(v, lam, params: FrictionParams):
     return mu_eff * smooth_s(v, params.epsilon) * lam + params.mu_v * v
 
 
-def _col(a):
-    """Append a trailing axis to a (k,) array, Dual-aware."""
-    if dm.is_dual(a):
-        return dm.Dual(a.re[..., None], a.eps[..., None])
-    return np.asarray(a)[..., None]
+def _geometry(obs, x, t: float, penalty: PenaltyParams):
+    """Live (lambda, normal, surface velocity) at positions x; generic."""
+    d, normal = obs.gap_normal(x, t)
+    return (penalty_lambda(d, penalty.delta, penalty.kappa), normal,
+            obs.surface_velocity(x, t))
 
 
-def _contact_friction_local(x, v, obs, params: FrictionParams, t: float,
-                            penalty: PenaltyParams, lam=None, normal=None,
-                            w=None):
-    """Per-contact friction forces (k, 3) from vertex positions/velocities.
-
-    When lam/normal/w are given they are treated as constants (lagged or
-    frozen-basis evaluation); otherwise they come from the live geometry.
-    """
-    if normal is None or lam is None:
-        d, n = obs.gap_normal(x, t)
-        if lam is None:
-            lam = penalty_lambda(d, penalty.delta, penalty.kappa)
-        if normal is None:
-            normal = n
-    if w is None:
-        w = obs.surface_velocity(x, t)
+def _contact_friction_local(v, lam, normal, w, params: FrictionParams):
+    """Per-contact friction forces (k, 3) from vertex velocities v, normal
+    force magnitudes lam, unit normals and obstacle surface velocities w."""
     rel = v - w
-    vt = rel - _col(dm.dot_last(rel, normal)) * normal
+    vt = rel - dm.dot_last(rel, normal)[..., None] * normal
     speed = dm.norm_last(vt)
     ratio = friction_magnitude_c(speed, lam, params) / speed
-    return -_col(ratio) * vt
-
-
-def _scatter_groups(n_verts: int, contribs):
-    """Sum (idx, (k,3) force) contributions into a flat (m,) vector."""
-    template = next((f for _, f in contribs if dm.is_dual(f)), None)
-    out = dm.zeros((n_verts, 3),
-                   like=template if template is not None else np.zeros(1))
-    for idx, f in contribs:
-        dm.scatter_add(out, idx, f)
-    return out.reshape(-1)
-
-
-def friction_force(cset: ContactSet, obstacles, q, v, t: float,
-                   penalty: PenaltyParams, frozen_basis: bool = False):
-    """Total friction force (m,): -T(q) H(T^T v) c with lambda(q).
-
-    ``frozen_basis`` detaches the positional dependence (geometry evaluated at
-    value(q)), giving the cheaper Jacobian variant's force a matching dual
-    oracle.
-    """
-    x = q.reshape(-1, 3)
-    vv = v.reshape(-1, 3)
-    contribs = []
-    for oi, members in cset.groups():
-        obs = obstacles[oi]
-        idx = cset.vertex[members]
-        xi = dm.value(x[idx]) if frozen_basis else x[idx]
-        f = _contact_friction_local(xi, vv[idx], obs, _params(obs), t,
-                                    penalty)
-        contribs.append((idx, f))
-    if not contribs:
-        return 0.0 * v
-    return _scatter_groups(x.shape[0], contribs)
+    return -ratio[..., None] * vt
 
 
 @dataclass
@@ -176,25 +130,39 @@ class LaggedFrictionCache:
         return cls(cset=cset, x0=x0, lam0=lam0, n0=n0)
 
 
-def friction_force_lagged(cache: LaggedFrictionCache, obstacles, v, t: float,
-                          penalty: PenaltyParams):
-    """Friction with T, lambda anchored at the cached start-of-step state;
-    only the velocity is live (generic over Dual v)."""
-    cset = cache.cset
+def _anchor(cache: LaggedFrictionCache | None, members, obs, x, t: float,
+            penalty: PenaltyParams):
+    """(lambda, normal, w) of one obstacle's contacts: the cached
+    start-of-step values when lagged, else live at their positions x."""
+    if cache is None:
+        return _geometry(obs, x, t, penalty)
+    return (cache.lam0[members], cache.n0[members],
+            obs.surface_velocity(cache.x0[members], t))
+
+
+def friction_force(cset: ContactSet, obstacles, q, v, t: float,
+                   penalty: PenaltyParams, frozen_basis: bool = False,
+                   cache: LaggedFrictionCache | None = None):
+    """Total friction force (m,): -T(q) H(T^T v) c with lambda(q).
+
+    With a lagged ``cache``, T and lambda come from the cached start-of-step
+    state and only the velocity is live (q is not read).  ``frozen_basis``
+    detaches the positional dependence (geometry evaluated at value(q)),
+    giving the cheaper Jacobian variant's force a matching dual oracle.
+    Generic over Dual q/v.
+    """
+    x = q.reshape(-1, 3)
     vv = v.reshape(-1, 3)
-    n_verts = vv.shape[0]
-    contribs = []
+    out = dm.zeros(vv.shape, like=v)
     for oi, members in cset.groups():
         obs = obstacles[oi]
         idx = cset.vertex[members]
+        xi = dm.value(x[idx]) if frozen_basis else x[idx]
         f = _contact_friction_local(
-            cache.x0[members], vv[idx], obs, _params(obs), t, penalty,
-            lam=cache.lam0[members], normal=cache.n0[members],
-            w=obs.surface_velocity(cache.x0[members], t))
-        contribs.append((idx, f))
-    if not contribs:
-        return 0.0 * v
-    return _scatter_groups(n_verts, contribs)
+            vv[idx], *_anchor(cache, members, obs, xi, t, penalty),
+            _params(obs))
+        out = dm.scatter_add(out, idx, f)
+    return out.reshape(-1)
 
 
 def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
@@ -203,38 +171,28 @@ def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
                             frozen_basis: bool = False):
     """Per-contact 3x3 Jacobian blocks (dfdq, dfdv) of the friction force.
 
-    Obtained by 3+3 per-contact dual evaluations of the same kernel used in
-    the residual, so assembled products match the matrix-free JVP to machine
-    precision.  Each contact touches exactly one vertex in this obstacle-only
-    setting, so the blocks are diagonal in the contact index.
+    Each is one ``dual.jacobian_blocks`` pass over the kernel the residual
+    uses, so assembled products match the dual JVP to machine precision.
+    dfdq is zero when lagged or ``frozen_basis``.  Each contact touches
+    exactly one vertex in this obstacle-only setting, so the blocks are
+    diagonal in the contact index.
     """
     k = cset.size
     dfdq = np.zeros((k, 3, 3))
     dfdv = np.zeros((k, 3, 3))
     x = np.asarray(q, float).reshape(-1, 3)
     vv = np.asarray(v, float).reshape(-1, 3)
+    lagged = cache if mode == "lagged" else None
     for oi, members in cset.groups():
         obs = obstacles[oi]
         params = _params(obs)
         idx = cset.vertex[members]
-        if mode == "lagged":
-            xm = cache.x0[members]
-            lam = cache.lam0[members]
-            nrm = cache.n0[members]
-            w = obs.surface_velocity(xm, t)
-        else:
-            xm = x[idx]
-            lam = nrm = w = None
-        vm = vv[idx]
-        for j in range(3):
-            seed = np.zeros((1, 3))
-            seed[0, j] = 1.0
-            vd = dm.Dual(vm, np.broadcast_to(seed, vm.shape))
-            f = _contact_friction_local(xm, vd, obs, params, t, penalty,
-                                        lam=lam, normal=nrm, w=w)
-            dfdv[members, :, j] = f.eps
-            if mode == "implicit" and not frozen_basis:
-                xd = dm.Dual(xm, np.broadcast_to(seed, xm.shape))
-                fq = _contact_friction_local(xd, vm, obs, params, t, penalty)
-                dfdq[members, :, j] = fq.eps
+        dfdv[members] = dm.jacobian_blocks(
+            lambda vd, *anchor: _contact_friction_local(vd, *anchor, params),
+            vv[idx], *_anchor(lagged, members, obs, x[idx], t, penalty))
+        if lagged is None and not frozen_basis:
+            dfdq[members] = dm.jacobian_blocks(
+                lambda xd, vm: _contact_friction_local(
+                    vm, *_geometry(obs, xd, t, penalty), params),
+                x[idx], vv[idx])
     return dfdq, dfdv

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fricsim.contact import (HalfSpace, PenaltyParams, RigidMotion, Sphere,
-                             StiffeningError, adaptive_stiffen, contact_energy,
-                             contact_force, gaps, penalty_b, penalty_db,
-                             penalty_lambda, sliding_basis,
+                             StiffeningError, adaptive_stiffen, contact_blocks,
+                             contact_energy, contact_force, gaps, penalty_b,
+                             penalty_db, penalty_lambda, sliding_basis,
                              tangential_velocity)
 
 DELTA = 1e-3
@@ -185,3 +185,33 @@ def test_rotating_obstacle_surface_velocity():
     w = plane.surface_velocity(x, 0.5)
     # omega = pi rad/s about z, at (1,0,0) -> v = (0, pi, 0)
     np.testing.assert_allclose(w, [[0.0, np.pi, 0.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("contains", [True, False])
+def test_sphere_contact_blocks_match_fd(contains):
+    # vertices inside the penalty support of a sphere wall, from inside a
+    # container or outside a ball: the curvature term has opposite signs
+    sph = Sphere(center=(0.0, 0.0, 0.0), radius=0.1, contains=contains)
+    rng = np.random.default_rng(21)
+    dirs = rng.normal(size=(4, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    x = dirs * (0.1 + (-0.0004 if contains else 0.0004))
+    q = x.ravel()
+    cs = gaps([sph], q, 0.0, PEN)
+    assert cs.size == 4
+    blocks = contact_blocks(cs, [sph], q, 0.0, PEN)
+    h = 1e-7
+    for c in range(3):
+        step = np.zeros_like(x)
+        step[:, c] = h
+        fd = (contact_force(cs, [sph], q + step.ravel(), 0.0, PEN)
+              - contact_force(cs, [sph], q - step.ravel(), 0.0, PEN)) / (2 * h)
+        np.testing.assert_allclose(blocks[:, :, c], fd.reshape(-1, 3),
+                                   rtol=0, atol=1e-6 * np.abs(blocks).max())
+    # along a tangent only the curvature term lambda * Hess(d) acts:
+    # -lambda/r inside a container, +lambda/r outside a ball
+    tang = np.cross(dirs, [0.0, 0.0, 1.0])
+    tang /= np.linalg.norm(tang, axis=1)[:, None]
+    curv = np.einsum("ki,kij,kj->k", tang, blocks, tang)
+    expect = cs.lam / np.linalg.norm(x, axis=1) * (-1.0 if contains else 1.0)
+    np.testing.assert_allclose(curv, expect, rtol=1e-9)

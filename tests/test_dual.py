@@ -128,3 +128,26 @@ def test_scatter_add_dual():
                    Dual(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])))
     np.testing.assert_allclose(acc.re, [3.0, 0.0, 3.0])
     np.testing.assert_allclose(acc.eps, [0.3, 0.0, 0.3])
+
+
+def test_jacobian_blocks_match_per_seed_jvp():
+    # items map (2, 3) inputs and a per-item constant (2,) to 4 outputs
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5, 2, 3))
+    c = rng.uniform(0.5, 2.0, size=(5, 2))
+
+    def fn(xx, cc):
+        a = dm.dot_last(xx, xx) * cc
+        r = dm.sqrt(dm.asum(xx * xx, axis=(-2, -1)))
+        return dm.stack_last([a[:, 0], a[:, 1] * xx[:, 0, 2], dm.log(r),
+                              dm.where(xx[:, 1, 0] > 0.0, xx[:, 1, 0], r)
+                              / cc[:, 1]])
+
+    blocks = dm.jacobian_blocks(fn, x, c)
+    assert blocks.shape == (5, 4, 6)
+    for col in range(6):
+        seed = np.zeros(6)
+        seed[col] = 1.0
+        p = np.broadcast_to(seed.reshape(2, 3), x.shape)
+        assert np.array_equal(blocks[:, :, col],
+                              jvp(lambda xx: fn(xx, c), x, p))

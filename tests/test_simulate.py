@@ -1,5 +1,6 @@
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -149,10 +150,10 @@ def test_tet_drop_scene_file():
     assert all(r.deepest_gap > 0 for r in records[1:])
 
 
-def _fast_drop(v0, step):
+def _fast_drop(v0, step, **top):
     """The cube launched at the floor from just above it: its first step
     needs kappa retries."""
-    scene = _scene(duration=0.06, step=step)
+    scene = _scene(duration=0.06, step=step, **top)
     scene.initial_q[1::3] -= 0.2 - 0.052
     scene.initial_v[1::3] = v0
     return scene
@@ -198,3 +199,29 @@ def test_retry_candidate_sets_are_nested():
     assert info.retries >= 2 and len(sets) == info.retries + 1
     assert (0, 1) not in sets[0]
     assert all(a <= b for a, b in zip(sets, sets[1:]))
+
+
+def test_model_measures_rest_volume_on_its_own_copy():
+    scene = load_scene_file(os.path.join(SCENES, "ball_drop.json"))
+    sim = Simulation(scene)
+    assert scene.volume_penalties[0].rest_volume is None
+    assert sim.model.volume_penalties[0].rest_volume > 0.0
+
+
+def test_threaded_runs_match_serial():
+    # two runs of one scene (volume penalty, kappa retries) at once in
+    # threads give the serial run's records: they share no run state
+    cube = dict(_scene().normalized["meshes"][0],
+                volume_region={"model": "quadratic", "kappa_v_atm": 1.0,
+                               "name": "cavity"})
+    scene = _fast_drop(-3.0, 0.02, meshes=[cube])
+    assert scene.volume_penalties
+    serial, _, infos = run_simulation(scene)
+    assert sum(i.retries for i in infos) > 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda _: run_simulation(scene)[0], range(2)))
+
+    def rows(records):
+        return [r.row(scene.region_names) for r in records]
+
+    assert rows(threaded[0]) == rows(serial) == rows(threaded[1])
