@@ -4,8 +4,9 @@ Desk-scale simulator and library: neo-Hookean tetrahedral elasticity with
 Rayleigh damping, cubic-penalty contact against analytic obstacles with
 adaptive stiffening, smoothed Coulomb/Stribeck friction (fully implicit and
 lagged), physically-based volume-change penalties, first- and second-order
-implicit integrators, and exact/inexact damped Newton solvers on assembled
-Jacobians that match dual-number Jacobian-vector products.
+implicit integrators, and one damped-Newton solver whose ``solver.kind``
+picks a sparse LU or a BiCGSTAB direction on assembled Jacobians that match
+dual-number Jacobian-vector products.
 """
 
 from .dual import Dual, jvp
@@ -22,7 +23,7 @@ from .elasticity import (damping_force, elastic_energy, elastic_force,
 from .forces import ForceModel
 from .integrators import StageProblem, make_scheme
 from .solvers import (SolveReport, SolverConfig, bicgstab, damped_newton,
-                      inexact_damped_newton, should_stop)
+                      should_stop)
 from .scene import SceneConfig, SceneError, load_scene, load_scene_file
 from .simulate import Simulation, StepFailure, run_simulation
 from .export import export
@@ -41,7 +42,7 @@ __all__ = [
     "damping_force", "elastic_energy", "elastic_force", "stiffness_matrix",
     "ForceModel", "StageProblem", "make_scheme",
     "SolveReport", "SolverConfig", "bicgstab", "damped_newton",
-    "inexact_damped_newton", "should_stop",
+    "should_stop",
     "SceneConfig", "SceneError", "load_scene", "load_scene_file",
     "Simulation", "StepFailure", "run_simulation", "export",
     "__version__",

@@ -22,8 +22,7 @@ from .forces import ForceModel
 from .integrators import Scheme, StageProblem, make_scheme
 from .mesh import SystemState
 from .scene import SceneConfig
-from .solvers import (SolveFailure, SolverConfig, damped_newton,
-                      inexact_damped_newton)
+from .solvers import SolveFailure, SolverConfig, damped_newton
 from .volume import volume_energy, enclosed_volume
 
 MAX_RETRIES = 20
@@ -106,8 +105,6 @@ class Simulation:
 
     # -- solving ----------------------------------------------------------------
     def _solve(self, problem: StageProblem, v0):
-        if self.solver_cfg.kind == "iterative":
-            return inexact_damped_newton(problem, v0, self.solver_cfg)
         return damped_newton(problem, v0, self.solver_cfg)
 
     def advance(self) -> StepInfo:

@@ -21,8 +21,7 @@ from fricsim.mesh import MaterialParams, SystemState
 from fricsim.meshgen import box_mesh
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, StepFailure, run_simulation
-from fricsim.solvers import PHI, SolverConfig, damped_newton, \
-    inexact_damped_newton
+from fricsim.solvers import PHI, SolverConfig, damped_newton
 from fricsim.volume import VolumePenaltyParams, volume_energy
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -361,7 +360,7 @@ def test_criterion_10_solver_equivalence():
                                      r_tol_abs=abs_tol, v_tol=0.1 * v_tol,
                                      max_krylov_iters=500)
                 vd, _ = damped_newton(prob, st.v, cfg_d)
-                vi, rep_i = inexact_damped_newton(prob, st.v, cfg_i)
+                vi, rep_i = damped_newton(prob, st.v, cfg_i)
                 worst = max(worst, float(np.max(np.abs(vd - vi))))
                 n_solves += 1
                 norms = rep_i.residual_norms

@@ -7,7 +7,7 @@ import pytest
 
 from fricsim.contact import HalfSpace
 from fricsim.scene import load_scene, load_scene_file
-from fricsim.simulate import Simulation, run_simulation
+from fricsim.simulate import Simulation, StepFailure, run_simulation
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -142,6 +142,16 @@ def test_iterative_solver_path_runs():
     records, _, infos = run_simulation(scene)
     assert all(r.ok() for i in infos for r in i.reports)
     assert records[-1].deepest_gap > 0.0
+
+
+def test_newton_budget_exhausted_fails_step():
+    scene = _scene(solver={"k_max": 1, "r_tol_rel": 1e-14,
+                           "r_tol_abs": 1e-14, "v_tol": 1e-14})
+    scene.initial_q[1::3] += -0.2 + 0.049  # starts in contact
+    sim = Simulation(scene)
+    with pytest.raises(StepFailure) as exc:
+        sim.advance()
+    assert exc.value.report.status == "MaxIters"
 
 
 def test_tet_drop_scene_file():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from fricsim.solvers import (PHI, SolveFailure, SolverConfig, bicgstab,
-                             damped_newton, inexact_damped_newton, should_stop)
+from fricsim.solvers import (C1, PHI, SolveFailure, SolverConfig, bicgstab,
+                             damped_newton, should_stop)
 
 from helpers import BareProblem
+
+
+ITERATIVE = SolverConfig(kind="iterative")
 
 
 def _linear_spd_problem(n=8, seed=0):
@@ -70,7 +73,7 @@ def test_newton_backtracks_on_nonfinite():
 
 def test_inexact_first_sigma_is_default():
     prob, a, b = _linear_spd_problem()
-    v, rep = inexact_damped_newton(prob, np.zeros(8))
+    v, rep = damped_newton(prob, np.zeros(8), ITERATIVE)
     assert rep.sigmas[0] == pytest.approx(0.01)
     # linear problem: after one outer iteration |r1| <= sigma |r0|
     assert rep.residual_norms[1] <= 0.01 * rep.residual_norms[0] * (1 + 1e-9)
@@ -88,8 +91,8 @@ def test_inexact_forcing_terms_match_log():
         return lin + 0.2 * v * v * v - 1.0
 
     prob = BareProblem(resid)
-    v, rep = inexact_damped_newton(prob, np.zeros(n),
-                                   SolverConfig(r_tol_rel=1e-12))
+    v, rep = damped_newton(prob, np.zeros(n),
+                           SolverConfig(kind="iterative", r_tol_rel=1e-12))
     assert rep.status == "Converged"
     for k, sig in enumerate(rep.sigmas):
         if k == 0:
@@ -98,9 +101,10 @@ def test_inexact_forcing_terms_match_log():
             expect = min((rep.residual_norms[k] / rep.residual_norms[k - 1])
                          ** PHI, 0.01)
             assert sig == pytest.approx(expect, rel=1e-12)
-    # post-acceptance update recorded as 1 - alpha(1 - sigma_k)
-    for alpha, sig, post in zip(rep.alphas, rep.sigmas, rep.sigmas_post):
-        assert post == pytest.approx(1.0 - alpha * (1.0 - sig), rel=1e-12)
+    # every accepted step passes the forcing-term acceptance test
+    norms = rep.residual_norms
+    for k, (alpha, sig) in enumerate(zip(rep.alphas, rep.sigmas)):
+        assert norms[k + 1] <= (1.0 - C1 * alpha * (1.0 - sig)) * norms[k]
 
 
 def test_inexact_superlinear_tail():
@@ -113,9 +117,9 @@ def test_inexact_superlinear_tail():
         return dm.matmul(a, v) + 0.5 * v * v - 2.0
 
     prob = BareProblem(resid)
-    v, rep = inexact_damped_newton(prob, np.zeros(n),
-                                   SolverConfig(r_tol_rel=1e-13,
-                                                r_tol_abs=1e-13))
+    v, rep = damped_newton(prob, np.zeros(n),
+                           SolverConfig(kind="iterative", r_tol_rel=1e-13,
+                                        r_tol_abs=1e-13))
     norms = rep.residual_norms
     ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 2)]
     if len(ratios) >= 3:
@@ -124,7 +128,7 @@ def test_inexact_superlinear_tail():
 
 def test_inexact_strict_decrease():
     prob, a, b = _linear_spd_problem(seed=5)
-    v, rep = inexact_damped_newton(prob, np.zeros(8))
+    v, rep = damped_newton(prob, np.zeros(8), ITERATIVE)
     norms = rep.residual_norms
     assert all(norms[i + 1] < norms[i] for i in range(len(norms) - 1))
 
@@ -138,16 +142,18 @@ def test_direct_and_inexact_agree():
         from fricsim import dual as dm
         return dm.matmul(a, v) + 0.1 * v * v * v - 3.0
 
-    cfg = SolverConfig(r_tol_rel=1e-10, r_tol_abs=1e-12)
-    v1, _ = damped_newton(BareProblem(resid), np.zeros(n), cfg)
-    v2, _ = inexact_damped_newton(BareProblem(resid), np.zeros(n), cfg)
+    cfg = dict(r_tol_rel=1e-10, r_tol_abs=1e-12)
+    v1, _ = damped_newton(BareProblem(resid), np.zeros(n),
+                          SolverConfig(kind="direct", **cfg))
+    v2, _ = damped_newton(BareProblem(resid), np.zeros(n),
+                          SolverConfig(kind="iterative", **cfg))
     assert np.max(np.abs(v1 - v2)) <= 10 * 1e-10 * max(1.0, np.max(np.abs(v1)))
 
 
 def test_determinism():
     prob, _, _ = _linear_spd_problem(seed=7)
-    v1, r1 = inexact_damped_newton(prob, np.zeros(8))
-    v2, r2 = inexact_damped_newton(prob, np.zeros(8))
+    v1, r1 = damped_newton(prob, np.zeros(8), ITERATIVE)
+    v2, r2 = damped_newton(prob, np.zeros(8), ITERATIVE)
     assert np.array_equal(v1, v2)
     assert r1.residual_norms == r2.residual_norms
     assert r1.sigmas == r2.sigmas
@@ -191,13 +197,15 @@ def test_bicgstab_random_diag_dominant():
     assert np.linalg.norm(b - a @ x) <= 1e-9 * np.linalg.norm(b) * (1 + 1e-9)
 
 
-def test_bicgstab_linearity_check():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(6, 6)) + 3 * np.eye(6)
-    apply_j = lambda p: a @ p
-    p1, p2 = rng.normal(size=6), rng.normal(size=6)
-    np.testing.assert_allclose(apply_j(2 * p1 - p2),
-                               2 * apply_j(p1) - apply_j(p2), rtol=1e-12)
+def test_bicgstab_restarts_on_zero_denominator():
+    # r_hat = b = e1 and A e1 = e2, so r_hat . A p = 0 on the first iteration
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.array([1.0, 0.0])
+    x, iters, ok = bicgstab(lambda p: a @ p, b, tol=1e-12)
+    assert ok and iters == 2
+    np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
+    x2, iters2, ok2 = bicgstab(lambda p: a @ p, b, tol=1e-12)
+    assert np.array_equal(x, x2) and (iters2, ok2) == (iters, ok)
 
 
 def test_newton_max_iters_failure():
@@ -207,3 +215,45 @@ def test_newton_max_iters_failure():
         damped_newton(prob, np.array([0.0]),
                       SolverConfig(k_max=1, r_tol_rel=1e-14, v_tol=1e-14))
     assert exc.value.report.status == "MaxIters"
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="kind"):
+        SolverConfig(kind="bogus")
+
+
+def test_direct_singular_jacobian_fails():
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])
+    b = np.array([1.0, 0.0])
+    prob = BareProblem(lambda v: a @ v - b, lambda v: a)
+    with pytest.raises(SolveFailure) as exc:
+        damped_newton(prob, np.zeros(2))
+    assert exc.value.report.status == "LinearSolveFailed"
+
+
+def _skew_shifted(sign):
+    """r(v) = A v - b with A = sign (3 I + N - N^T): -r descends for sign = 1
+    and ascends for sign = -1."""
+    n = 4
+    skew = np.triu(np.full((n, n), 0.25), 1)
+    a = sign * (3.0 * np.eye(n) + skew - skew.T)
+    b = np.arange(1.0, n + 1.0)
+    return BareProblem(lambda v: _lin(a, v, b)), a, b
+
+
+def test_iterative_falls_back_to_minus_r():
+    prob, a, b = _skew_shifted(1.0)
+    cfg = SolverConfig(kind="iterative", max_krylov_iters=1, r_tol_rel=1e-10,
+                       v_tol=1e-14)
+    v, rep = damped_newton(prob, np.zeros(4), cfg)
+    assert rep.status == "Converged"
+    assert set(rep.linear_iters) == {1} and max(rep.alphas) < 1.0
+    np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
+
+
+def test_iterative_fallback_ascent_fails():
+    prob, _, _ = _skew_shifted(-1.0)
+    cfg = SolverConfig(kind="iterative", max_krylov_iters=1)
+    with pytest.raises(SolveFailure, match="-r fallback") as exc:
+        damped_newton(prob, np.zeros(4), cfg)
+    assert exc.value.report.status == "LinearSolveFailed"
