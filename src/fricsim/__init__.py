@@ -17,7 +17,7 @@ from .contact import (ContactSet, HalfSpace, PenaltyParams, RigidMotion, Sphere,
 from .friction import (FrictionParams, friction_force, friction_magnitude_c,
                        smooth_s, stribeck_g)
 from .volume import (VolumePenaltyParams, enclosed_volume, volume_energy,
-                     volume_force, volume_jacobian_apply)
+                     volume_force)
 from .elasticity import (damping_force, elastic_energy, elastic_force,
                          stiffness_matrix)
 from .forces import ForceModel
@@ -38,7 +38,6 @@ __all__ = [
     "FrictionParams", "friction_force", "friction_magnitude_c", "smooth_s",
     "stribeck_g",
     "VolumePenaltyParams", "enclosed_volume", "volume_energy", "volume_force",
-    "volume_jacobian_apply",
     "damping_force", "elastic_energy", "elastic_force", "stiffness_matrix",
     "ForceModel", "StageProblem", "make_scheme",
     "SolveReport", "SolverConfig", "bicgstab", "damped_newton",

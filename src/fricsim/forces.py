@@ -6,9 +6,9 @@ parameters and Dirichlet constraints, and provides
   * ``force`` — generic total force, evaluable with Dual q/v for JVPs,
     with part selection (used by the mis-split TR diagnostic) and lagged
     friction anchoring;
-  * ``jacobians`` — assembled sparse (df/dq, df/dv) plus exact low-rank
-    volume corrections, kept separate so the direct solver can use the
-    sparse approximation while consistency tests apply the full product.
+  * ``jacobians`` — assembled sparse (df/dq, df/dv) plus exact rank-1
+    volume terms, kept separate because they are dense; the solvers apply
+    them without forming them (Woodbury on the LU factor, or a matvec).
     The elastic K and the volume Hessian are closed form; the contact,
     friction and damping-dq blocks are ``dual.jacobian_blocks`` of the
     per-item kernels the force uses, so no obstacle curvature is coded here.

@@ -47,7 +47,6 @@ class StageProblem:
     f_const: np.ndarray | None = None
     mass_scaled: bool = False
     parts: frozenset = ALL_PARTS
-    v_guess: np.ndarray | None = None
 
     def positions(self, v):
         return self.q_ref + self.pos_coeff * v
@@ -72,9 +71,8 @@ class StageProblem:
     def jacobian(self, v):
         """(sparse J, rank1 list): J = M - s_f (df/dv + c_q df/dq).
 
-        The rank1 list carries the exact dense volume corrections; the direct
-        solver factors the sparse part only (sparse approximation), while
-        ``jac_matvec`` applies the full product.
+        J is the sparse matrix plus the rank1 list's exact volume terms, each
+        ``scale * outer(u, w)`` and never stored dense.
         """
         q = self.positions(np.asarray(v, float))
         dfdq, dfdv, rank1 = self.model.jacobians(q, v, self.t_eval,

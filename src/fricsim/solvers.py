@@ -1,5 +1,6 @@
 """One damped-Newton loop whose ``SolverConfig.kind`` picks the direction:
-sparse LU (``"direct"``) or unpreconditioned BiCGSTAB (``"iterative"``).
+sparse LU with the rank-1 volume terms applied by the Woodbury identity
+(``"direct"``) or unpreconditioned BiCGSTAB (``"iterative"``).
 
 Every step backtracks on the Euclidean residual norm with the acceptance
 test  |r(v + a p)| <= (1 - c1 a (1 - sigma_k)) |r(v_k)|.  The LU direction
@@ -97,13 +98,39 @@ def _backtrack(residual_fn, v, p, r_norm, sigma_k):
     return None
 
 
+def _lu_direction(jac, rank1, r):
+    """Newton direction p = -(A + U S W^T)^{-1} r for the sparse part A and
+    the rank-1 terms  scale * outer(u, w),  by the Woodbury identity on one
+    LU factor of A (Hager, SIAM Review 31, 1989):
+
+        y = A^{-1}(-r),  Z = A^{-1} U,  C = I_k + S W^T Z,
+        p = y - Z C^{-1} S W^T y.
+
+    With no rank-1 terms this is the plain LU solve.  The factor is freed on
+    return, before the line search.  A singular A or C raises
+    ``RuntimeError`` or ``LinAlgError``, as does a non-finite p.
+    """
+    lu = spla.splu(jac.tocsc())
+    p = lu.solve(-r)
+    if rank1:
+        u = np.column_stack([t.u for t in rank1])
+        w = np.column_stack([t.w for t in rank1])
+        s = np.array([t.scale for t in rank1])
+        z = lu.solve(u)
+        cap = np.eye(len(rank1)) + s[:, None] * (w.T @ z)
+        p = p - z @ np.linalg.solve(cap, s * (w.T @ p))
+    if not np.all(np.isfinite(p)):
+        raise np.linalg.LinAlgError("singular Jacobian")
+    return p
+
+
 def damped_newton(problem, v0, cfg: SolverConfig | None = None):
     """Damped Newton with residual backtracking; the residual is always exact.
 
-    ``cfg.kind == "direct"`` factors the assembled sparse ``problem.jacobian``
-    (volume penalties contribute their sparse approximation only);
-    ``"iterative"`` runs BiCGSTAB with residual-ratio forcing on
-    ``problem.jac_matvec`` (which adds the exact rank-1 volume terms).
+    Both kinds use the exact Jacobian ``problem.jacobian`` returns, its sparse
+    part plus its rank-1 volume terms: ``cfg.kind == "direct"`` solves it by
+    ``_lu_direction``; ``"iterative"`` runs BiCGSTAB with residual-ratio
+    forcing on ``problem.jac_matvec``.
     """
     cfg = cfg or SolverConfig()
     report = SolveReport()
@@ -127,16 +154,12 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
         on_fail = "LineSearchFailed", "line search underflow (alpha < 1e-12)"
         if cfg.kind == "direct":
             sigma_k = 0.0
-            jac, _ = problem.jacobian(v)
             try:
-                p = spla.splu(jac.tocsc()).solve(-r)
-            except RuntimeError as exc:  # singular factorization
+                p = _lu_direction(*problem.jacobian(v), r)
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise SolveFailure(report, "LinearSolveFailed",
-                                   f"sparse LU failed ({exc}); try a smaller "
-                                   "time step")
-            if not np.all(np.isfinite(p)):
-                raise SolveFailure(report, "LinearSolveFailed",
-                                   "singular Jacobian; try a smaller step")
+                                   f"LU direction failed ({exc}); "
+                                   "try a smaller time step")
             report.linear_iters.append(0)
         else:
             sigma_k = SIGMA if k == 0 or norms[k - 1] == 0.0 \

@@ -28,7 +28,7 @@ ATM = 101325.0  # Pa
 
 __all__ = ["ATM", "VolumePenaltyParams", "VolumeDomainError",
            "enclosed_volume", "volume_energy", "volume_force",
-           "volume_jacobian_apply", "volume_hessian_blocks"]
+           "volume_hessian_blocks"]
 
 
 class VolumeDomainError(ValueError):
@@ -153,43 +153,6 @@ def volume_force(region, q, params: VolumePenaltyParams,
     grad = _volume_gradient(region, x)
     scale = _dwdv(v, params, v0)
     return (-(scale * grad)).reshape(-1)
-
-
-def volume_jacobian_apply(region, q, params: VolumePenaltyParams, p,
-                          v0: float | None = None,
-                          include_rank1: bool = True):
-    """Energy-Hessian product:  W'(V) (d2V/dq2) p  [+ W''(V) g (g.p)].
-
-    The force Jacobian contribution to a residual is the negative of this.
-    ``include_rank1=False`` gives the sparse approximation used by assembled
-    (direct-solver) matrices; the full form matches the dual-number JVP.
-    """
-    q = np.asarray(q, float)
-    p = np.asarray(p, float)
-    if p.shape != q.shape:
-        raise ValueError("direction must match q")
-    v0 = params.rest_volume if v0 is None else v0
-    v, g = enclosed_volume(region, q)
-    w1 = float(_dwdv(v, params, v0))
-    out = w1 * _d2v_apply(region, q, p)
-    if include_rank1:
-        w2 = _d2wdv2(v, params, v0)
-        out = out + w2 * g * float(g @ p)
-    return out
-
-
-def _d2v_apply(region, q, p):
-    """(d2V/dq2) p via the trilinear structure of the triangle determinants."""
-    tris = np.asarray(region, int)
-    x = q.reshape(-1, 3)
-    dp = p.reshape(-1, 3)
-    p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
-    d1, d2, d3 = dp[tris[:, 0]], dp[tris[:, 1]], dp[tris[:, 2]]
-    out = np.zeros_like(x)
-    np.add.at(out, tris[:, 0], (np.cross(d2, p3) + np.cross(p2, d3)) / 6.0)
-    np.add.at(out, tris[:, 1], (np.cross(d3, p1) + np.cross(p3, d1)) / 6.0)
-    np.add.at(out, tris[:, 2], (np.cross(d1, p2) + np.cross(p1, d2)) / 6.0)
-    return out.reshape(-1)
 
 
 def volume_hessian_blocks(region, q):

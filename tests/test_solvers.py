@@ -1,10 +1,20 @@
+import json
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fricsim import solvers
+from fricsim.forces import Rank1
+from fricsim.scene import load_scene, load_scene_file
+from fricsim.simulate import Simulation
 from fricsim.solvers import (C1, PHI, SolveFailure, SolverConfig, bicgstab,
                              damped_newton, should_stop)
 
 from helpers import BareProblem
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
 
 ITERATIVE = SolverConfig(kind="iterative")
@@ -256,4 +266,91 @@ def test_iterative_fallback_ascent_fails():
     cfg = SolverConfig(kind="iterative", max_krylov_iters=1)
     with pytest.raises(SolveFailure, match="-r fallback") as exc:
         damped_newton(prob, np.zeros(4), cfg)
+    assert exc.value.report.status == "LinearSolveFailed"
+
+
+class _DirectionFound(Exception):
+    pass
+
+
+def _first_stage(scene):
+    """The stage problem and start guess of a scene's first solve."""
+    sim = Simulation(scene)
+    seen = []
+    solve = sim._solve
+
+    def spy(problem, v0):
+        seen.append((problem, v0))
+        return solve(problem, v0)
+
+    sim._solve = spy
+    sim.advance()
+    return seen[0]
+
+
+def _direct_direction(problem, v0, monkeypatch):
+    """The first Newton direction of the direct path, taken at the line
+    search."""
+    def stop(residual_fn, v, p, r_norm, sigma_k):
+        raise _DirectionFound(p)
+
+    monkeypatch.setattr(solvers, "_backtrack", stop)
+    with pytest.raises(_DirectionFound) as found:
+        damped_newton(problem, v0)
+    return found.value.args[0]
+
+
+def _cube(name, x, model, kappa_v_atm):
+    return {"name": name,
+            "generator": {"kind": "box", "size": [0.1, 0.1, 0.1],
+                          "divisions": [2, 2, 2]},
+            "material": {"density": 800.0, "youngs_modulus": 2e5,
+                         "poisson_ratio": 0.3},
+            "translate": [x, 0.0505, 0.0],
+            "volume_region": {"model": model, "kappa_v_atm": kappa_v_atm}}
+
+
+def _squeezed_ball_drop(factor=0.98):
+    scene = load_scene_file(os.path.join(SCENES, "ball_drop.json"))
+    x = scene.initial_q.reshape(-1, 3)
+    c = x.mean(axis=0)
+    scene.initial_q[:] = ((x - c) * factor + c).ravel()
+    return scene
+
+
+def _two_cubes():
+    return load_scene(json.dumps({
+        "duration": 0.05, "step": 0.005, "integrator": "bdf2",
+        "meshes": [_cube("a", 0.0, "quadratic", 1.0),
+                   _cube("b", 0.3, "ideal_gas", 2.0)],
+        "obstacles": [{"kind": "half_space", "point": [0, 0, 0],
+                       "normal": [0, 1, 0], "friction": {"mu_d": 0.4}}]}))
+
+
+@pytest.mark.parametrize("make_scene,k", [(_squeezed_ball_drop, 1),
+                                          (_two_cubes, 2)])
+def test_direct_direction_is_exact_newton(make_scene, k, monkeypatch):
+    # J p = -r with J the full Jacobian, rank-1 volume terms included
+    problem, v0 = _first_stage(make_scene())
+    assert len(problem.jacobian(v0)[1]) == k
+    p = _direct_direction(problem, v0, monkeypatch)
+    r = np.asarray(problem.residual(v0), float)
+    err = np.max(np.abs(problem.jvp(v0, p) + r)) / np.max(np.abs(r))
+    assert err <= 1e-10
+
+
+class _SingularCapacitance(BareProblem):
+    """J = I - e1 e1^T: the LU factor of I is fine, but C = 1 - 1 = 0."""
+
+    def jacobian(self, v):
+        n = np.size(v)
+        e1 = np.eye(n)[0]
+        return sp.eye(n, format="csr"), [Rank1(-1.0, e1, e1)]
+
+
+def test_direct_singular_capacitance_fails():
+    b = np.array([1.0, 2.0])
+    prob = _SingularCapacitance(lambda v: v - b)
+    with pytest.raises(SolveFailure) as exc:
+        damped_newton(prob, np.zeros(2))
     assert exc.value.report.status == "LinearSolveFailed"

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fricsim.dual import jvp
+from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams
 from fricsim.meshgen import box_mesh
 from fricsim.volume import (ATM, VolumeDomainError, VolumePenaltyParams,
-                            enclosed_volume, volume_energy, volume_force,
-                            volume_jacobian_apply)
+                            enclosed_volume, volume_energy, volume_force)
 
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3)
 
@@ -135,51 +135,55 @@ def test_force_matches_energy_fd(cube):
             assert f @ d == pytest.approx(fd, rel=2e-5, abs=1e-8)
 
 
+def _volume_jacobians(cube, params, q):
+    """(sparse volume block of df/dq, Rank1 list) from ForceModel.jacobians."""
+    model = ForceModel(cube, gravity=(0.0, 0.0, 0.0),
+                       volume_penalties=[params])
+    v = np.zeros_like(q)
+    contact = model.build_contact_state(q, v, 0.0, 0.01)
+    dfdq, _, rank1 = model.jacobians(q, v, 0.0, contact,
+                                     parts=frozenset({"volume"}))
+    return dfdq, rank1
+
+
 def test_jacobian_apply_matches_force_jvp(cube):
     rng = np.random.default_rng(3)
     region = cube.surface_tris
     q = cube.rest_q() + 0.02 * rng.normal(size=cube.n_dofs)
     for model in ("quadratic", "ideal_gas", "nearly_incompressible"):
         p = _params(region, model, kv=2.0, v0=1.0)
+        dfdq, rank1 = _volume_jacobians(cube, p, q)
+        assert len(rank1) == 1
         for _ in range(3):
             d = rng.normal(size=q.size)
-            hp = volume_jacobian_apply(region, q, p, d, include_rank1=True)
+            assembled = dfdq @ d + rank1[0].apply(d)
             ad = jvp(lambda qq: volume_force(region, qq, p, strict=False),
                      q, d)
             denom = max(np.max(np.abs(ad)), 1e-30)
-            # jvp of the force equals minus the energy-Hessian product
-            assert np.max(np.abs(ad + hp)) / denom <= 1e-10
+            assert np.max(np.abs(assembled - ad)) / denom <= 1e-10
 
 
 def test_jacobian_apply_zero_direction(cube):
     p = _params(cube.surface_tris, "quadratic", v0=1.0)
-    out = volume_jacobian_apply(cube.surface_tris, cube.rest_q(), p,
-                                np.zeros(cube.n_dofs))
-    assert np.all(out == 0.0)
+    dfdq, (term,) = _volume_jacobians(cube, p, cube.rest_q())
+    zero = np.zeros(cube.n_dofs)
+    assert np.all(dfdq @ zero + term.apply(zero) == 0.0)
 
 
-def test_jacobian_sparse_strategy_drops_rank1_only(cube):
+def test_volume_rank1_is_curvature_times_gradient(cube):
     rng = np.random.default_rng(4)
     region = cube.surface_tris
     q = cube.rest_q() + 0.02 * rng.normal(size=cube.n_dofs)
-    p = _params(region, "quadratic", kv=1.0, v0=1.0)
-    d = rng.normal(size=q.size)
-    full = volume_jacobian_apply(region, q, p, d, include_rank1=True)
-    sparse = volume_jacobian_apply(region, q, p, d, include_rank1=False)
-    v, g = enclosed_volume(region, q)
-    w2 = 1.0 / (1.0 * p.kappa_v)
-    scale = np.max(np.abs(full))
-    np.testing.assert_allclose(full, sparse + w2 * g * (g @ d),
-                               atol=1e-12 * scale)
-    # with the curvature term zeroed by construction (linearized W) the two
-    # strategies agree exactly
-    import fricsim.volume as vol
-    import unittest.mock as mock
-    with mock.patch.object(vol, "_d2wdv2", lambda *a: 0.0):
-        full_lin = volume_jacobian_apply(region, q, p, d, include_rank1=True)
-        sparse_lin = volume_jacobian_apply(region, q, p, d,
-                                           include_rank1=False)
-    np.testing.assert_allclose(full_lin, sparse_lin, atol=0.0)
+    vol, g = enclosed_volume(region, q)
+    for model in ("quadratic", "ideal_gas", "nearly_incompressible"):
+        p = _params(region, model, kv=1.0, v0=1.0)
+        # W''(V) of the three energies, with V0 = 1
+        curvature = {"quadratic": 1.0 / p.kappa_v,
+                     "ideal_gas": p.p0 / vol ** 2,
+                     "nearly_incompressible": 1.0 / (vol * p.kappa_v)}[model]
+        _, (term,) = _volume_jacobians(cube, p, q)
+        assert term.scale == pytest.approx(-curvature, rel=1e-14)
+        assert np.array_equal(term.u, g) and np.array_equal(term.w, g)
 
 
 def test_volume_force_conservative_loop(cube):
