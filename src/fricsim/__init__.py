@@ -12,8 +12,7 @@ dual-number Jacobian-vector products.
 from .dual import Dual, jvp
 from .mesh import MaterialParams, SystemState, TetMeshModel, build_lumped_mass
 from .contact import (ContactSet, HalfSpace, PenaltyParams, RigidMotion, Sphere,
-                      adaptive_stiffen, contact_force, gaps, penalty_b,
-                      sliding_basis)
+                      adaptive_stiffen, contact_force, gaps, penalty_b)
 from .friction import (FrictionParams, friction_force, friction_magnitude_c,
                        smooth_s, stribeck_g)
 from .volume import (VolumePenaltyParams, enclosed_volume, volume_energy,
@@ -34,7 +33,7 @@ __all__ = [
     "Dual", "jvp",
     "MaterialParams", "SystemState", "TetMeshModel", "build_lumped_mass",
     "ContactSet", "HalfSpace", "PenaltyParams", "RigidMotion", "Sphere",
-    "adaptive_stiffen", "contact_force", "gaps", "penalty_b", "sliding_basis",
+    "adaptive_stiffen", "contact_force", "gaps", "penalty_b",
     "FrictionParams", "friction_force", "friction_magnitude_c", "smooth_s",
     "stribeck_g",
     "VolumePenaltyParams", "enclosed_volume", "volume_energy", "volume_force",

@@ -38,7 +38,10 @@ def cmd_run(args) -> int:
     except ExportError as exc:
         return _fail("io", str(exc), 4)
     retries = sum(i.retries for i in infos)
+    reports = [r for i in infos for r in i.reports]
+    newton = sum(r.iterations for r in reports)
     print(f"{len(infos)} steps, {len(records)} samples, "
+          f"{len(reports)} solves, {newton} Newton iterations, "
           f"{retries} contact retries, final kappa "
           f"{records[-1].kappa:.4g}; results in {args.out}")
     return 0

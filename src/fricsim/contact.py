@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dual as dm
 
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "gaps", "penalty_b", "penalty_db", "penalty_lambda", "contact_local",
-    "contact_force", "contact_blocks", "sliding_basis", "tangent_basis",
+    "contact_force", "contact_blocks", "tangent_basis",
     "adaptive_stiffen", "StiffeningError", "AdaptDecision", "gap_matrix",
 ]
 
@@ -243,7 +242,7 @@ class ContactSet:
 
     Geometry fields (d, lam, n, b1, b2) are snapshots at the positions/time
     the set was built from; live evaluation recomputes them at the query
-    state.  T has 6 nonzeros per contact column pair (one vertex each).
+    state.
     """
 
     vertex: np.ndarray                  # (k,) vertex indices
@@ -352,29 +351,10 @@ def contact_energy(cset: ContactSet, obstacles, q, t: float,
     return total
 
 
-def sliding_basis(cset: ContactSet) -> sp.csr_matrix:
-    """T (m x 2k): maps per-contact tangential force coords to generalized
-    forces; T^T extracts relative tangential velocity components (the
-    obstacle-motion offset is handled separately, keeping T linear)."""
-    k = cset.size
-    if k == 0:
-        return sp.csr_matrix((cset.n_dofs, 0))
-    rows = np.repeat(3 * cset.vertex, 3) + np.tile([0, 1, 2], k)
-    data1 = cset.b1.ravel()
-    data2 = cset.b2.ravel()
-    cols1 = np.repeat(2 * np.arange(k), 3)
-    cols2 = cols1 + 1
-    t = sp.coo_matrix(
-        (np.concatenate([data1, data2]),
-         (np.concatenate([rows, rows]), np.concatenate([cols1, cols2]))),
-        shape=(cset.n_dofs, 2 * k))
-    return t.tocsr()
-
-
 def tangential_velocity(cset: ContactSet, v: np.ndarray, t: float,
                         x=None) -> np.ndarray:
-    """Relative tangential velocity 2-vectors (k, 2): T^T v minus the
-    obstacle surface motion at the contact points."""
+    """Relative tangential velocity 2-vectors (k, 2): v minus the obstacle
+    surface motion at each contact point, in the tangent basis (b1, b2)."""
     vv = np.asarray(v, float).reshape(-1, 3)
     x = cset.build_x if x is None else np.asarray(x, float)
     out = np.zeros((cset.size, 2))

@@ -8,9 +8,10 @@ which is zero with zero slope at F = I and rotation invariant.  Inverted
 elements (J <= 0) evaluate to +inf so the line search rejects such states.
 
 All kernels are generic over ndarray-vs-Dual input, so the same code path
-produces values and Jacobian-vector products.  The stiffness blocks K_e are
-closed form (``_element_stiffness``); the damping blocks d(beta K_e v_e)/dq_e
-are the ``dual.jacobian_blocks`` of the stiffness product.
+produces values and Jacobian-vector products.  The Jacobian blocks are closed
+form and share one kinematics helper: the stiffness blocks K_e
+(``_element_stiffness``) and the damping blocks d(beta K_e v_e)/dq_e
+(``damping_q_blocks``, the q-derivative of the stiffness product).
 """
 
 from __future__ import annotations
@@ -96,6 +97,17 @@ def elastic_force(mesh: TetMeshModel, q):
     return _scatter(mesh, _element_forces(mesh, s, x[mesh.tets]))
 
 
+def _element_kinematics(mesh, s, q):
+    """Per element at real q: G = F^{-T}, ln J and R = N G^T (n_e, 4, 3),
+    R[a,c] = N[a,:].G[c,:]."""
+    x = np.asarray(q, float).reshape(-1, 3)
+    f = _deformation_gradient(s.rest_inv, x[mesh.tets])
+    g = np.swapaxes(np.linalg.inv(f), -1, -2)
+    logj = np.log(np.linalg.det(f))
+    r = s.shape_grad @ np.swapaxes(g, -1, -2)
+    return g, logj, r
+
+
 def _element_stiffness(mesh, s, q):
     """Element blocks (n_e, 12, 12) of K = -df/dq via the analytic dP/dF.
 
@@ -104,12 +116,8 @@ def _element_stiffness(mesh, s, q):
                                + (mu - lam ln J) R[a,e] R[b,c]
                                + lam R[a,c] R[b,e] ).
     """
-    x = np.asarray(q, float).reshape(-1, 3)
-    f = _deformation_gradient(s.rest_inv, x[mesh.tets])
-    g = np.swapaxes(np.linalg.inv(f), -1, -2)
-    logj = np.log(np.linalg.det(f))
+    _, logj, r = _element_kinematics(mesh, s, q)
     n = s.shape_grad
-    r = n @ np.swapaxes(g, -1, -2)                  # R[a,c] = N[a,:].G[c,:]
     nnt = n @ np.swapaxes(n, -1, -2)                # (n_e, 4, 4)
     w = lambda a: a[:, None, None, None, None]
     eye3 = np.eye(3)[None, None, :, None, :]        # delta_ce
@@ -130,16 +138,15 @@ def stiffness_matrix(mesh: TetMeshModel, q) -> sp.csr_matrix:
     return k.tocsr()
 
 
-def _element_stiffness_product(mesh, s, x_elem, w_elem, e=slice(None)):
+def _element_stiffness_product(mesh, s, x_elem, w_elem):
     """K_e(x) w_e per element, (n_e, 4, 3); generic over Dual inputs.
 
-    ``e`` selects the elements whose data the rows of x_elem/w_elem use.
     Directional derivative of the first Piola stress:
       dP = mu dF + (mu - lam ln J) G dF^T G + lam tr(F^{-1} dF) G,  G = F^{-T}.
     """
-    mu, lam = mesh.mu[e], mesh.lam[e]
-    f = _deformation_gradient(s.rest_inv[e], x_elem)
-    df = _deformation_gradient(s.rest_inv[e], w_elem)
+    mu, lam = mesh.mu, mesh.lam
+    f = _deformation_gradient(s.rest_inv, x_elem)
+    df = _deformation_gradient(s.rest_inv, w_elem)
     j = dm.det3(f)
     finv = dm.inv3(f)
     g = dm.swap_last2(finv)
@@ -149,8 +156,8 @@ def _element_stiffness_product(mesh, s, x_elem, w_elem, e=slice(None)):
           + (mu - lam * logj)[:, None, None]
           * dm.matmul(dm.matmul(g, dm.swap_last2(df)), g)
           + (lam * trace)[:, None, None] * g)
-    out = dm.matmul(s.shape_grad[e], dm.swap_last2(dp))
-    return s.volumes[e][:, None, None] * out
+    out = dm.matmul(s.shape_grad, dm.swap_last2(dp))
+    return s.volumes[:, None, None] * out
 
 
 def _scatter(mesh, per_elem):
@@ -180,17 +187,33 @@ def damping_force(mesh: TetMeshModel, q, v):
 
 
 def damping_q_blocks(mesh: TetMeshModel, q, v) -> np.ndarray:
-    """Element blocks (n_e, 12, 12) of d(beta K_e(q) v_e)/dq_e.
+    """Element blocks (n_e, 12, 12) of d(beta K_e(q) v_e)/dq_e, closed form.
 
-    One ``dual.jacobian_blocks`` pass over the stiffness product, with each
-    element's velocities and index as per-item constants, so the blocks
-    match the dual JVP to machine precision.  The damping force
-    contribution is the negative of these blocks.
+    The q-derivative of the ``dP`` in :func:`_element_stiffnessvproduct`.
+    With A = dF(v), G = F^{-T}, R = N G^T, S = N (G A^T G)^T,
+    t = <G, A> and c = mu - lam ln J:
+      D[(a,i),(b,j)] = beta vol ( -lam (S[a,i] R[b,j] + R[a,i] S[b,j])
+                                  - c (S[a,j] R[b,i] + R[a,j] S[b,i])
+                                  - lam t R[a,j] R[b,i] ).
+    The damping force contribution is the negative of these blocks.
     """
     s = mesh.scratch()
-    x_elem = np.asarray(q, float).reshape(-1, 3)[mesh.tets]
+    g, logj, r = _element_kinematics(mesh, s, q)
     v_elem = np.asarray(v, float).reshape(-1, 3)[mesh.tets]
-    blocks = dm.jacobian_blocks(
-        lambda xd, ve, e: _element_stiffness_product(mesh, s, xd, ve, e),
-        x_elem, v_elem, np.arange(len(mesh.tets)))
-    return mesh.beta[:, None, None] * blocks
+    a = _deformation_gradient(s.rest_inv, v_elem)
+    gt = np.swapaxes(g, -1, -2)
+    sv = s.shape_grad @ (gt @ a @ gt)               # S = N (G A^T G)^T
+    t = (g * a).sum(axis=(-2, -1))
+    scale = mesh.beta * s.volumes
+    lam = (scale * mesh.lam)[:, None, None]
+    c = (scale * (mesh.mu - mesh.lam * logj))[:, None, None]
+    rt = np.swapaxes(r, 1, 2)                       # R[b,i] at (i, b)
+    st = np.swapaxes(sv, 1, 2)
+    # Terms in (a, i, b, j): S_ai R_bj + R_ai S_bj, then the index-swapped
+    # S_aj R_bi and R_aj (c S_bi + lam t R_bi).
+    d = -(lam * sv)[:, :, :, None, None] * r[:, None, None, :, :]
+    d -= (lam * r)[:, :, :, None, None] * sv[:, None, None, :, :]
+    d -= (c * sv)[:, :, None, None, :] * rt[:, None, :, :, None]
+    d -= r[:, :, None, None, :] * (c * st + lam * t[:, None, None] * rt
+                                   )[:, None, :, :, None]
+    return d.reshape(len(mesh.tets), 12, 12)

@@ -9,9 +9,10 @@ parameters and Dirichlet constraints, and provides
   * ``jacobians`` — assembled sparse (df/dq, df/dv) plus exact rank-1
     volume terms, kept separate because they are dense; the solvers apply
     them without forming them (Woodbury on the LU factor, or a matvec).
-    The elastic K and the volume Hessian are closed form; the contact,
-    friction and damping-dq blocks are ``dual.jacobian_blocks`` of the
-    per-item kernels the force uses, so no obstacle curvature is coded here.
+    The elastic K, the damping-dq blocks and the volume Hessian are closed
+    form; only the contact and friction blocks are ``dual.jacobian_blocks``
+    of the per-item kernels the force uses, so no obstacle curvature is
+    coded here.
 
 Contact candidate sets are frozen per step (built by the stepping loop) and
 evaluated live inside a solve.

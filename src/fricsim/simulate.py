@@ -122,6 +122,7 @@ class Simulation:
             try:
                 result = self.scheme.step(model, contact, st, h, self._solve,
                                           prev=self.prev_state)
+                info.reports.extend(result.reports)
                 if (self.scene.friction_mode == "lagged"
                         and self.scene.fixed_point_iters > 1
                         and contact.cset.size):
@@ -131,11 +132,11 @@ class Simulation:
                                                   self._solve,
                                                   prev=self.prev_state,
                                                   v_guess=result.v)
+                        info.reports.extend(result.reports)
             except SolveFailure as exc:
                 raise StepFailure(self.step_index,
                                   f"{exc} [{exc.report.status}]",
                                   exc.report) from exc
-            info.reports.extend(result.reports)
             deepest, penetrating = model.penetration(result.q, st.t + h)
             try:
                 decision = adaptive_stiffen(deepest, model.penalty)

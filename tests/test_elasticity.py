@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.spatial.transform import Rotation
+from hypothesis import given, settings, strategies as st
 
 from fricsim.dual import jvp
-from fricsim.elasticity import (damping_force, elastic_energy, elastic_force,
+from fricsim.elasticity import (damping_force, damping_q_blocks,
+                                elastic_energy, elastic_force,
                                 stiffness_matrix, stiffness_product)
 from fricsim.mesh import MaterialParams, TetMeshModel
 from fricsim.meshgen import box_mesh
@@ -164,3 +168,48 @@ def test_damping_jvp_matches_fd(mesh, perturbed):
           - damping_force(mesh, perturbed - h * p, v)) / (2 * h)
     ad = jvp(lambda q: damping_force(mesh, q, v), perturbed, p)
     assert rel_err(ad, fd) <= 1e-4
+
+
+def _two_material_box():
+    box = box_mesh((0.1, 0.1, 0.1), (2, 1, 1), MAT)
+    right = box.rest_positions[box.tets].mean(axis=1)[:, 0] > 0.0
+    box.mu = np.where(right, 3.0 * box.mu, box.mu)
+    box.lam = np.where(right, 0.2 * box.lam, box.lam)
+    box.beta = np.where(right, 4e-3, 1e-3)
+    return box
+
+
+SINGLE_TET = TetMeshModel(UNIT_TET, [[0, 1, 2, 3]], MAT)
+TWO_MATERIAL_BOX = _two_material_box()
+angle = st.floats(min_value=-np.pi, max_value=np.pi)
+stretch = st.floats(min_value=0.5, max_value=2.0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(r1=st.tuples(angle, angle, angle), r2=st.tuples(angle, angle, angle),
+       s1=stretch, s2=stretch,
+       log_j=st.floats(min_value=-3.0, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_damping_q_blocks_match_jvp_near_inversion(r1, r2, s1, s2, log_j,
+                                                   seed):
+    # F = R1 diag(s1, s2, J/(s1 s2)) R2^T, so det F = J in [1e-3, 10]
+    sigma = np.diag([s1, s2, 10.0 ** log_j / (s1 * s2)])
+    f = (Rotation.from_euler("zyx", r1).as_matrix() @ sigma
+         @ Rotation.from_euler("zyx", r2).as_matrix().T)
+    rng = np.random.default_rng(seed)
+    for mesh in (SINGLE_TET, TWO_MATERIAL_BOX):
+        edge = np.cbrt(mesh.rest_volumes.min())
+        x = mesh.rest_positions + 0.02 * edge * rng.normal(
+            size=mesh.rest_positions.shape)
+        q = (x @ f.T).ravel()
+        v = rng.normal(size=mesh.n_dofs)
+        s = mesh.scratch()
+        blocks = damping_q_blocks(mesh, q, v)
+        dfdq = -sp.coo_matrix((blocks.ravel(), (s.block_rows, s.block_cols)),
+                              shape=(mesh.n_dofs, mesh.n_dofs)).toarray()
+        scale = np.max(np.abs(dfdq))
+        assert scale > 0.0
+        for k in range(mesh.n_dofs):
+            col = jvp(lambda qq: damping_force(mesh, qq, v), q,
+                      np.eye(mesh.n_dofs)[k])
+            assert np.max(np.abs(dfdq[:, k] - col)) <= 1e-10 * scale

@@ -91,3 +91,9 @@ def test_cli_check_and_run(tmp_path):
     assert out.returncode == 0, out.stderr
     assert (outdir / "trajectory.csv").exists()
     assert (outdir / "manifest.json").exists()
+    _, _, infos = run_simulation(load_scene(json.dumps(doc), scenes))
+    reports = [r for i in infos for r in i.reports]
+    newton = sum(r.iterations for r in reports)
+    assert newton > 0
+    assert (f"{len(reports)} solves, {newton} Newton iterations"
+            in out.stdout), out.stdout

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fricsim.contact import HalfSpace
+from fricsim.experiments import block_slide_scene
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, StepFailure, run_simulation
 
@@ -142,6 +143,26 @@ def test_iterative_solver_path_runs():
     records, _, infos = run_simulation(scene)
     assert all(r.ok() for i in infos for r in i.reports)
     assert records[-1].deepest_gap > 0.0
+
+
+def test_step_reports_cover_every_lagged_pass():
+    scene = load_scene(json.dumps(block_slide_scene(
+        0.01, "be", "lagged:4", solver_kind="iterative", duration=0.2)))
+    sim = Simulation(scene)
+    seen = []
+    solve = sim._solve
+
+    def counting_solve(problem, v0):
+        result = solve(problem, v0)
+        seen.append(result[1].iterations)
+        return result
+
+    sim._solve = counting_solve
+    infos = [sim.advance() for _ in range(20)]
+    reports = [r for i in infos for r in i.reports]
+    assert len(seen) > len(infos)       # lagged passes ran
+    assert len(reports) == len(seen)
+    assert sum(r.iterations for r in reports) == sum(seen)
 
 
 def test_newton_budget_exhausted_fails_step():
