@@ -17,8 +17,7 @@ from .friction import (FrictionParams, friction_force, friction_magnitude_c,
                        smooth_s, stribeck_g)
 from .volume import (VolumePenaltyParams, enclosed_volume, volume_energy,
                      volume_force)
-from .elasticity import (damping_force, elastic_energy, elastic_force,
-                         stiffness_matrix)
+from .elasticity import damping_force, elastic_energy, elastic_force
 from .forces import ForceModel
 from .integrators import StageProblem, make_scheme
 from .solvers import (SolveReport, SolverConfig, bicgstab, damped_newton,
@@ -37,7 +36,7 @@ __all__ = [
     "FrictionParams", "friction_force", "friction_magnitude_c", "smooth_s",
     "stribeck_g",
     "VolumePenaltyParams", "enclosed_volume", "volume_energy", "volume_force",
-    "damping_force", "elastic_energy", "elastic_force", "stiffness_matrix",
+    "damping_force", "elastic_energy", "elastic_force",
     "ForceModel", "StageProblem", "make_scheme",
     "SolveReport", "SolverConfig", "bicgstab", "damped_newton",
     "should_stop",

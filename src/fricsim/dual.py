@@ -104,19 +104,20 @@ class Dual:
 
     __rmul__ = __mul__
 
+    # Real parts divide exactly as the plain arrays would, so a Dual
+    # evaluation's real part is bitwise the real evaluation.
     def __truediv__(self, other):
         if isinstance(other, Dual):
             inv = 1.0 / other.re
-            return Dual(self.re * inv,
+            return Dual(self.re / other.re,
                         (self.eps - self.re * inv * other.eps) * inv)
-        inv = 1.0 / _arr(other)
-        return Dual(self.re * inv, self.eps * inv)
+        other = _arr(other)
+        return Dual(self.re / other, self.eps * (1.0 / other))
 
     def __rtruediv__(self, other):
         other = _arr(other)
         inv = 1.0 / self.re
-        val = other * inv
-        return Dual(val, -val * inv * self.eps)
+        return Dual(other / self.re, -(other * inv) * inv * self.eps)
 
     def __neg__(self):
         return Dual(-self.re, -self.eps)

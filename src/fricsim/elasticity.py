@@ -9,15 +9,15 @@ elements (J <= 0) evaluate to +inf so the line search rejects such states.
 
 All kernels are generic over ndarray-vs-Dual input, so the same code path
 produces values and Jacobian-vector products.  The Jacobian blocks are closed
-form and share one kinematics helper: the stiffness blocks K_e
-(``_element_stiffness``) and the damping blocks d(beta K_e v_e)/dq_e
-(``damping_q_blocks``, the q-derivative of the stiffness product).
+form and take one ``element_kinematics`` evaluation, made once per assembly:
+the stiffness blocks K_e (``_element_stiffness``) and the damping blocks
+d(beta K_e v_e)/dq_e (``damping_q_blocks``, the q-derivative of the stiffness
+product).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dual as dm
 from .mesh import TetMeshModel
@@ -40,13 +40,6 @@ class ElasticScratch:
         n[:, 1:, :] = self.rest_inv
         n[:, 0, :] = -self.rest_inv.sum(axis=1)
         self.shape_grad = n
-        # Flat dof indices per element (n_e, 12), vertex-major.
-        dofs = (3 * t[:, :, None] + np.arange(3)[None, None, :])
-        self.elem_dofs = dofs.reshape(len(t), 12)
-        rows = np.repeat(self.elem_dofs, 12, axis=1)
-        cols = np.tile(self.elem_dofs, (1, 12))
-        self.block_rows = rows.ravel()
-        self.block_cols = cols.ravel()
 
 
 def _deformation_gradient(rest_inv, x_elem):
@@ -97,9 +90,10 @@ def elastic_force(mesh: TetMeshModel, q):
     return _scatter(mesh, _element_forces(mesh, s, x[mesh.tets]))
 
 
-def _element_kinematics(mesh, s, q):
-    """Per element at real q: G = F^{-T}, ln J and R = N G^T (n_e, 4, 3),
-    R[a,c] = N[a,:].G[c,:]."""
+def element_kinematics(mesh: TetMeshModel, q):
+    """Per element at real q: (G = F^{-T}, ln J, R = N G^T (n_e, 4, 3)),
+    R[a,c] = N[a,:].G[c,:]; shared by the stiffness and damping-dq blocks."""
+    s = mesh.scratch()
     x = np.asarray(q, float).reshape(-1, 3)
     f = _deformation_gradient(s.rest_inv, x[mesh.tets])
     g = np.swapaxes(np.linalg.inv(f), -1, -2)
@@ -108,15 +102,17 @@ def _element_kinematics(mesh, s, q):
     return g, logj, r
 
 
-def _element_stiffness(mesh, s, q):
-    """Element blocks (n_e, 12, 12) of K = -df/dq via the analytic dP/dF.
+def _element_stiffness(mesh, kin):
+    """Element blocks (n_e, 12, 12) of K = -df/dq via the analytic dP/dF,
+    from the :func:`element_kinematics` ``kin`` at q.
 
     With N the shape gradients, G = F^{-T} and R = N G^T:
       K[(a,c),(b,e)] = vol * ( mu d_ce (N N^T)[a,b]
                                + (mu - lam ln J) R[a,e] R[b,c]
                                + lam R[a,c] R[b,e] ).
     """
-    _, logj, r = _element_kinematics(mesh, s, q)
+    s = mesh.scratch()
+    _, logj, r = kin
     n = s.shape_grad
     nnt = n @ np.swapaxes(n, -1, -2)                # (n_e, 4, 4)
     w = lambda a: a[:, None, None, None, None]
@@ -127,15 +123,6 @@ def _element_stiffness(mesh, s, q):
          + w(mesh.lam) * r[:, :, :, None, None] * r[:, None, None, :, :])
     k *= w(s.volumes)
     return k.reshape(len(mesh.tets), 12, 12)
-
-
-def stiffness_matrix(mesh: TetMeshModel, q) -> sp.csr_matrix:
-    """K = -df_e/dq assembled sparse (m x m); symmetric, may be indefinite."""
-    s = mesh.scratch()
-    blocks = _element_stiffness(mesh, s, q)
-    k = sp.coo_matrix((blocks.ravel(), (s.block_rows, s.block_cols)),
-                      shape=(mesh.n_dofs, mesh.n_dofs))
-    return k.tocsr()
 
 
 def _element_stiffness_product(mesh, s, x_elem, w_elem):
@@ -167,13 +154,6 @@ def _scatter(mesh, per_elem):
     return out.reshape(-1)
 
 
-def stiffness_product(mesh: TetMeshModel, q, w):
-    """K(q) w without assembling K; generic over Dual q/w."""
-    x, wv = q.reshape(-1, 3), w.reshape(-1, 3)
-    return _scatter(mesh, _element_stiffness_product(
-        mesh, mesh.scratch(), x[mesh.tets], wv[mesh.tets]))
-
-
 def damping_force(mesh: TetMeshModel, q, v):
     """Rayleigh damping  f_d = -(alpha M + beta K(q)) v  (generic); beta is
     per element, so it scales each element's product before the scatter."""
@@ -186,10 +166,11 @@ def damping_force(mesh: TetMeshModel, q, v):
     return fd
 
 
-def damping_q_blocks(mesh: TetMeshModel, q, v) -> np.ndarray:
-    """Element blocks (n_e, 12, 12) of d(beta K_e(q) v_e)/dq_e, closed form.
+def damping_q_blocks(mesh: TetMeshModel, kin, v) -> np.ndarray:
+    """Element blocks (n_e, 12, 12) of d(beta K_e(q) v_e)/dq_e, closed form,
+    from the :func:`element_kinematics` ``kin`` at q.
 
-    The q-derivative of the ``dP`` in :func:`_element_stiffnessvproduct`.
+    The q-derivative of the ``dP`` in :func:`_element_stiffness_product`.
     With A = dF(v), G = F^{-T}, R = N G^T, S = N (G A^T G)^T,
     t = <G, A> and c = mu - lam ln J:
       D[(a,i),(b,j)] = beta vol ( -lam (S[a,i] R[b,j] + R[a,i] S[b,j])
@@ -198,7 +179,7 @@ def damping_q_blocks(mesh: TetMeshModel, q, v) -> np.ndarray:
     The damping force contribution is the negative of these blocks.
     """
     s = mesh.scratch()
-    g, logj, r = _element_kinematics(mesh, s, q)
+    g, logj, r = kin
     v_elem = np.asarray(v, float).reshape(-1, 3)[mesh.tets]
     a = _deformation_gradient(s.rest_inv, v_elem)
     gt = np.swapaxes(g, -1, -2)

@@ -12,7 +12,9 @@ parameters and Dirichlet constraints, and provides
     The elastic K, the damping-dq blocks and the volume Hessian are closed
     form; only the contact and friction blocks are ``dual.jacobian_blocks``
     of the per-item kernels the force uses, so no obstacle curvature is
-    coded here.
+    coded here.  Both matrices live on one fixed CSR pattern per model
+    (:class:`CsrPattern`, built at the first assembly): every part is one
+    ``np.bincount`` scatter of its blocks into the pattern's ``data``.
 
 Contact candidate sets are frozen per step (built by the stepping loop) and
 evaluated live inside a solve.
@@ -29,13 +31,13 @@ import scipy.sparse as sp
 from . import dual as dm
 from .contact import (ContactSet, PenaltyParams, contact_blocks,
                       contact_force, gap_matrix, gaps)
-from .elasticity import _element_stiffness, damping_force, damping_q_blocks, \
-    elastic_force
+from .elasticity import (_element_stiffness, damping_force, damping_q_blocks,
+                         elastic_force, element_kinematics)
 from .friction import (LaggedFrictionCache, contact_friction_blocks,
                        friction_force)
 from .mesh import TetMeshModel
 from .volume import (_d2wdv2, _dwdv, enclosed_volume, volume_force,
-                     volume_hessian_blocks)
+                     volume_hessian_blocks, volume_hessian_pairs)
 
 ALL_PARTS = frozenset({"elastic", "damping", "gravity", "contact", "friction",
                        "volume"})
@@ -52,6 +54,60 @@ class Rank1:
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.scale * self.u * float(self.w @ p)
+
+
+class CsrPattern:
+    """Fixed, sorted CSR sparsity of an m x m matrix (m = 3 n) made of 3x3
+    blocks over vertex pairs: the diagonal blocks plus the union of the
+    (vi, vj) vertex-pair pieces it is built from.
+
+    ``slots[i]`` has piece i's shape plus (3, 3) and holds the position in
+    ``data`` of each entry of each of its blocks; ``vertex`` (n, 9) holds
+    the slots of each vertex's own block, ``diag`` the diagonal slots and
+    ``rows`` the row of every slot.  Matrices on the pattern share its
+    ``indices`` and ``indptr`` and differ only in ``data``.
+    """
+
+    def __init__(self, n: int, pieces):
+        diag = np.arange(n)
+        vi = np.concatenate([diag] + [np.ravel(a) for a, _ in pieces])
+        vj = np.concatenate([diag] + [np.ravel(b) for _, b in pieces])
+        keys, block = np.unique(vi * n + vj, return_inverse=True)
+        bi, bj = np.divmod(keys, n)
+        start = np.searchsorted(bi, np.arange(n + 1))
+        # Row 3i + c holds the blocks of block row i, three columns each, so
+        # entry (c, e) of block k sits at 9 start_i + 3 c deg_i + 3 rank_k + e.
+        first = 9 * start[bi] + 3 * (np.arange(keys.size) - start[bi])
+        stride = 3 * np.diff(start)[bi]
+        three = np.arange(3)
+
+        def entries(k):
+            k = k[..., None, None]
+            return first[k] + stride[k] * three[:, None] + three
+
+        self.m = 3 * n
+        self.nnz = 9 * keys.size
+        every = entries(np.arange(keys.size))
+        self.rows = np.empty(self.nnz, int)
+        self.rows[every] = 3 * bi[:, None, None] + three[:, None]
+        self.indices = np.empty(self.nnz, np.int32)
+        self.indices[every] = 3 * bj[:, None, None] + three
+        self.indptr = np.searchsorted(self.rows,
+                                      np.arange(self.m + 1)).astype(np.int32)
+        ends = np.cumsum([n] + [np.size(a) for a, _ in pieces])
+        own, *blocks = np.split(block, ends[:-1])
+        self.vertex = entries(own).reshape(n, 9)
+        self.diag = self.vertex[:, [0, 4, 8]].ravel()
+        self.slots = [entries(b.reshape(np.shape(a)))
+                      for b, (a, _) in zip(blocks, pieces)]
+
+    def scatter(self, slots, weights) -> np.ndarray:
+        """``data`` with the weights summed into their slots (both flat)."""
+        return np.bincount(slots, weights, minlength=self.nnz)
+
+    def matrix(self, data) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.m, self.m))
 
 
 @dataclass
@@ -91,6 +147,7 @@ class ForceModel:
             self.fixed_mask[dofs] = True
         self.fixed_velocity = np.tile(np.asarray(fixed_velocity, float),
                                       mesh.n_verts)
+        self._pattern = None
 
     @property
     def mass_dofs(self) -> np.ndarray:
@@ -167,74 +224,82 @@ class ForceModel:
         return total
 
     # -- assembled jacobians -----------------------------------------------------
+    def pattern(self) -> CsrPattern:
+        """The Jacobians' fixed CSR pattern, built at the first call.
+
+        Its pieces are the vertex pairs of the element blocks and of each
+        volume region's triangle blocks; the contact and friction blocks
+        use its ``vertex`` table.  The piece slots are kept flat in the
+        order of the blocks they receive: the (n_e, 12, 12) stiffness
+        blocks and the (6 n_t, 3, 3) volume Hessian blocks.
+        """
+        if self._pattern is None:
+            mesh = self.mesh
+            n_e = len(mesh.tets)
+            pair = np.broadcast_to(mesh.tets[:, :, None], (n_e, 4, 4))
+            pat = CsrPattern(mesh.n_verts,
+                             [(pair, np.swapaxes(pair, 1, 2))]
+                             + [volume_hessian_pairs(vp.region)
+                                for vp in self.volume_penalties])
+            elem, *regions = pat.slots
+            pat.slots = [elem.transpose(0, 1, 3, 2, 4).ravel(),
+                         *(r.ravel() for r in regions)]
+            self._pattern = pat
+        return self._pattern
+
     def jacobians(self, q, v, t: float, contact: ContactState,
                   parts: frozenset = ALL_PARTS):
-        """(df/dq, df/dv, rank1 list) assembled sparse at real (q, v)."""
+        """(df/dq, df/dv, rank1 list) at real (q, v); df/dq and df/dv are CSR
+        on :meth:`pattern`, so they share its ``indices`` and ``indptr``."""
         q = np.asarray(q, float)
         v = np.asarray(v, float)
-        m = self.mesh.n_dofs
-        rows_q, cols_q, vals_q = [], [], []
-        rows_v, cols_v, vals_v = [], [], []
+        pat = self.pattern()
+        elem, *regions = pat.slots
+        data_q = np.zeros(pat.nnz)
+        data_v = np.zeros(pat.nnz)
         rank1: list[Rank1] = []
-        s = self.mesh.scratch()
-        has_beta = bool(np.any(self.mesh.beta > 0.0))
+        mesh = self.mesh
+        has_beta = bool(np.any(mesh.beta > 0.0))
 
-        kblocks = None
         if "elastic" in parts or ("damping" in parts and has_beta):
-            kblocks = _element_stiffness(self.mesh, s, q)
+            kin = element_kinematics(mesh, q)
+            kblocks = _element_stiffness(mesh, kin)
         if "elastic" in parts:
-            rows_q.append(s.block_rows)
-            cols_q.append(s.block_cols)
-            vals_q.append(-kblocks.ravel())
+            data_q -= pat.scatter(elem, kblocks.ravel())
         if "damping" in parts:
-            rows_v.append(np.arange(m))
-            cols_v.append(np.arange(m))
-            vals_v.append(-self.mesh.alpha * self.mesh.mass_dofs)
+            data_v[pat.diag] -= mesh.alpha * mesh.mass_dofs
             if has_beta:
-                rows_v.append(s.block_rows)
-                cols_v.append(s.block_cols)
-                vals_v.append(-(kblocks * self.mesh.beta[:, None, None]).ravel())
-                dblocks = damping_q_blocks(self.mesh, q, v)
-                rows_q.append(s.block_rows)
-                cols_q.append(s.block_cols)
-                vals_q.append(-dblocks.ravel())
+                data_v -= pat.scatter(
+                    elem, (kblocks * mesh.beta[:, None, None]).ravel())
+                data_q -= pat.scatter(
+                    elem, damping_q_blocks(mesh, kin, v).ravel())
 
         cset = contact.cset
         if self.penalty is not None and cset.size:
-            br, bc = _vertex_block_indices(cset.vertex)
+            slots = pat.vertex[cset.vertex].ravel()
             if "contact" in parts:
                 blocks = contact_blocks(cset, self.obstacles, q, t,
                                         self.penalty)
-                rows_q.append(br)
-                cols_q.append(bc)
-                vals_q.append(blocks.ravel())
+                data_q += pat.scatter(slots, blocks.ravel())
             if "friction" in parts:
                 dfdq, dfdv = contact_friction_blocks(
                     cset, self.obstacles, q, v, t, self.penalty,
                     mode=self.friction_mode, cache=contact.lagged,
                     frozen_basis=self.frozen_basis)
-                rows_v.append(br)
-                cols_v.append(bc)
-                vals_v.append(dfdv.ravel())
+                data_v += pat.scatter(slots, dfdv.ravel())
                 if self.friction_mode != "lagged" and not self.frozen_basis:
-                    rows_q.append(br)
-                    cols_q.append(bc)
-                    vals_q.append(dfdq.ravel())
+                    data_q += pat.scatter(slots, dfdq.ravel())
 
         if "volume" in parts:
-            for vp in self.volume_penalties:
+            for vp, slots in zip(self.volume_penalties, regions):
                 vvol, g = enclosed_volume(vp.region, q)
                 w1 = float(_dwdv(vvol, vp, vp.rest_volume))
                 w2 = _d2wdv2(float(vvol), vp, vp.rest_volume)
-                hr, hc, hv = volume_hessian_blocks(vp.region, q)
-                rows_q.append(hr)
-                cols_q.append(hc)
-                vals_q.append(-w1 * hv)
+                hv = volume_hessian_blocks(vp.region, q)
+                data_q -= pat.scatter(slots, w1 * hv.ravel())
                 rank1.append(Rank1(scale=-w2, u=g, w=g))
 
-        dfdq = _to_csr(rows_q, cols_q, vals_q, m)
-        dfdv = _to_csr(rows_v, cols_v, vals_v, m)
-        return dfdq, dfdv, rank1
+        return pat.matrix(data_q), pat.matrix(data_v), rank1
 
     # -- constraints --------------------------------------------------------------
     def apply_velocity_constraints(self, r, v):
@@ -243,14 +308,14 @@ class ForceModel:
             return r
         return dm.where(self.fixed_mask, v - self.fixed_velocity, r)
 
-    def constrain_matrix(self, mat: sp.csr_matrix) -> sp.csr_matrix:
-        """Zero fixed rows and put 1 on their diagonal."""
-        if not self.fixed_mask.any():
-            return mat
-        free = (~self.fixed_mask).astype(float)
-        proj = sp.diags(free)
-        eye_fixed = sp.diags(self.fixed_mask.astype(float))
-        return (proj @ mat + eye_fixed).tocsr()
+    def constrain_rows(self, data: np.ndarray) -> np.ndarray:
+        """Zero the fixed rows of Jacobian ``data`` on :meth:`pattern` and
+        put 1 on their diagonal slots, in place."""
+        if self.fixed_mask.any():
+            pat = self.pattern()
+            data[self.fixed_mask[pat.rows]] = 0.0
+            data[pat.diag[self.fixed_mask]] = 1.0
+        return data
 
     def constrain_rank1(self, rank1):
         """Zero fixed rows of low-rank corrections."""
@@ -262,21 +327,3 @@ class ForceModel:
             u[self.fixed_mask] = 0.0
             out.append(Rank1(scale=r.scale, u=u, w=r.w))
         return out
-
-
-def _vertex_block_indices(vertex):
-    """(rows, cols) for per-vertex 3x3 blocks in flat dof numbering."""
-    base = 3 * vertex
-    r = (base[:, None, None] + np.arange(3)[None, :, None])
-    c = (base[:, None, None] + np.arange(3)[None, None, :])
-    shape = (len(vertex), 3, 3)
-    return (np.broadcast_to(r, shape).ravel(),
-            np.broadcast_to(c, shape).ravel())
-
-
-def _to_csr(rows, cols, vals, m):
-    if not rows:
-        return sp.csr_matrix((m, m))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m)).tocsr()

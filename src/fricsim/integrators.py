@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dual as dm
 from .forces import ALL_PARTS, NON_CONTACT_PARTS, ContactState, ForceModel
@@ -72,22 +71,26 @@ class StageProblem:
         """(sparse J, rank1 list): J = M - s_f (df/dv + c_q df/dq).
 
         J is the sparse matrix plus the rank1 list's exact volume terms, each
-        ``scale * outer(u, w)`` and never stored dense.
+        ``scale * outer(u, w)`` and never stored dense.  The sparse part is
+        formed on the ``data`` of the model's fixed pattern: the combination
+        slot by slot (divided by the mass of the slot's row when mass-scaled),
+        M (or 1) added on the diagonal slots, then the fixed rows masked.
         """
         q = self.positions(np.asarray(v, float))
         dfdq, dfdv, rank1 = self.model.jacobians(q, v, self.t_eval,
                                                  self.contact, parts=self.parts)
+        pat = self.model.pattern()
         mass = self.model.mass_dofs
-        m = mass.size
-        combo = (dfdv + self.pos_coeff * dfdq) * self.force_scale
+        data = -self.force_scale * (dfdv.data + self.pos_coeff * dfdq.data)
         if self.mass_scaled:
-            jac = sp.eye(m, format="csr") - sp.diags(1.0 / mass) @ combo
+            data /= mass[pat.rows]
+            data[pat.diag] += 1.0
         else:
-            jac = sp.diags(mass) - combo
+            data[pat.diag] += mass
+        jac = pat.matrix(self.model.constrain_rows(data))
         scaled = [replace(r, scale=-self.force_scale * self.pos_coeff * r.scale,
                           u=r.u / mass if self.mass_scaled else r.u)
                   for r in rank1]
-        jac = self.model.constrain_matrix(jac.tocsr())
         scaled = self.model.constrain_rank1(scaled)
         return jac, scaled
 

@@ -52,6 +52,10 @@ class SolveReport:
     linear_iters: list = field(default_factory=list)
     sigmas: list = field(default_factory=list)               # forcing terms used
     status: str = "Converged"
+    # what ended the solve: "residual" (|r|_inf <= tol), "step"
+    # (|dv|_inf <= v_tol) or the failure status
+    stop: str = ""
+    tol: float = float("nan")                 # residual tolerance applied
 
     def ok(self) -> bool:
         return self.status == "Converged"
@@ -60,23 +64,24 @@ class SolveReport:
 class SolveFailure(RuntimeError):
     def __init__(self, report: SolveReport, status: str, message: str):
         super().__init__(message)
-        report.status = status
+        report.status = report.stop = status
         self.report = report
 
 
 def should_stop(r, v_k, v_prev, cfg: SolverConfig, r0_inf: float,
-                abs_tol: float) -> bool:
-    """True iff |r|_inf <= max(abs, rel*|r0|_inf) or |dv|_inf <= v_tol."""
+                abs_tol: float) -> str | None:
+    """Why to stop, or None: ``"residual"`` iff
+    |r|_inf <= max(abs, rel*|r0|_inf), else ``"step"`` iff |dv|_inf <= v_tol."""
     r_inf = float(np.max(np.abs(r))) if np.size(r) else 0.0
     if not np.isfinite(r_inf):
-        return False
+        return None
     if r_inf <= max(abs_tol, cfg.r_tol_rel * r0_inf):
-        return True
+        return "residual"
     if v_prev is not None:
         dv = float(np.max(np.abs(v_k - v_prev)))
         if dv <= (1e-5 if cfg.v_tol is None else cfg.v_tol):
-            return True
-    return False
+            return "step"
+    return None
 
 
 def _norm(r) -> float:
@@ -146,8 +151,10 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
         norms.append(r_norm)
         report.residual_inf_norms.append(
             float(np.max(np.abs(r))) if r.size else 0.0)
-        if should_stop(r, v, v_prev, cfg, report.residual_inf_norms[0],
-                       abs_tol):
+        r0_inf = report.residual_inf_norms[0]
+        report.tol = max(abs_tol, cfg.r_tol_rel * r0_inf)
+        report.stop = should_stop(r, v, v_prev, cfg, r0_inf, abs_tol) or ""
+        if report.stop:
             return v, report
         if k == cfg.k_max:
             break

@@ -28,7 +28,7 @@ ATM = 101325.0  # Pa
 
 __all__ = ["ATM", "VolumePenaltyParams", "VolumeDomainError",
            "enclosed_volume", "volume_energy", "volume_force",
-           "volume_hessian_blocks"]
+           "volume_hessian_blocks", "volume_hessian_pairs"]
 
 
 class VolumeDomainError(ValueError):
@@ -155,8 +155,21 @@ def volume_force(region, q, params: VolumePenaltyParams,
     return (-(scale * grad)).reshape(-1)
 
 
+# Vertex pairs of the six off-diagonal d2V/dp dp blocks of every triangle,
+# as columns of the region; no diagonal blocks.
+_HESSIAN_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
+
+
+def volume_hessian_pairs(region):
+    """(vi, vj) vertex pairs of the blocks of :func:`volume_hessian_blocks`,
+    in its order; they depend only on the region."""
+    tris = np.asarray(region, int)
+    return (np.concatenate([tris[:, a] for a, _ in _HESSIAN_PAIRS]),
+            np.concatenate([tris[:, b] for _, b in _HESSIAN_PAIRS]))
+
+
 def volume_hessian_blocks(region, q):
-    """Sparse triplets (rows, cols, 3x3 data) of d2V/dq2.
+    """3x3 blocks (6 n_t, 3, 3) of d2V/dq2, at :func:`volume_hessian_pairs`.
 
     Per triangle (a, b, c): d2 det/dp_a dp_b = -skew(p_c) etc.; six off-diagonal
     blocks per triangle, no diagonal blocks.
@@ -172,19 +185,6 @@ def volume_hessian_blocks(region, q):
         k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
         return k / 6.0
 
-    pairs = [
-        (tris[:, 0], tris[:, 1], -skew(pc)),   # d2/dpa dpb = -skew(pc)/6
-        (tris[:, 1], tris[:, 0], skew(pc)),
-        (tris[:, 1], tris[:, 2], -skew(pa)),
-        (tris[:, 2], tris[:, 1], skew(pa)),
-        (tris[:, 2], tris[:, 0], -skew(pb)),
-        (tris[:, 0], tris[:, 2], skew(pb)),
-    ]
-    rows, cols, data = [], [], []
-    for vi, vj, blocks in pairs:
-        r = (3 * vi[:, None, None] + np.arange(3)[None, :, None])
-        c = (3 * vj[:, None, None] + np.arange(3)[None, None, :])
-        rows.append(np.broadcast_to(r, blocks.shape).ravel())
-        cols.append(np.broadcast_to(c, blocks.shape).ravel())
-        data.append(blocks.ravel())
-    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
+    # in _HESSIAN_PAIRS order: d2/dpa dpb = -skew(pc)/6, and so on
+    kc, ka, kb = skew(pc), skew(pa), skew(pb)
+    return np.concatenate([-kc, kc, -ka, ka, -kb, kb])

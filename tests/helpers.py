@@ -1,10 +1,19 @@
-"""Shared test doubles: linear force models and bare nonlinear problems."""
+"""Shared test helpers: element block indices, linear force models and bare
+nonlinear problems."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from fricsim import dual as dm
-from fricsim.forces import ALL_PARTS
+from fricsim.forces import ALL_PARTS, CsrPattern
+
+
+def element_block_indices(mesh):
+    """(rows, cols) of the (n_e, 12, 12) element blocks' entries, flat,
+    with the 12 element dofs vertex-major."""
+    dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
+    return (np.repeat(dofs, 12, axis=1).ravel(),
+            np.tile(dofs, (1, 12)).ravel())
 
 
 class LinearForceModel:
@@ -17,6 +26,12 @@ class LinearForceModel:
         self.a_v = np.zeros((n, n)) if a_v is None else np.asarray(a_v, float)
         self.const = np.zeros(n) if const is None else np.asarray(const, float)
         self.gravity = np.zeros(3)
+        k = n // 3
+        idx = np.arange(k)
+        self._pattern = CsrPattern(k, [(np.repeat(idx, k), np.tile(idx, k))])
+        # slots of the dense matrix entries, row-major
+        self._slots = (self._pattern.slots[0].reshape(k, k, 3, 3)
+                       .transpose(0, 2, 1, 3).ravel())
 
     @property
     def mass_dofs(self):
@@ -30,19 +45,23 @@ class LinearForceModel:
             out = out + self.const
         return out
 
+    def pattern(self):
+        """Dense n x n pattern."""
+        return self._pattern
+
     def jacobians(self, q, v, t, contact, parts=ALL_PARTS):
-        n = self.mass.size
-        dfdq = sp.csr_matrix(self.a_q) if "elastic" in parts \
-            else sp.csr_matrix((n, n))
-        dfdv = sp.csr_matrix(self.a_v) if "damping" in parts \
-            else sp.csr_matrix((n, n))
-        return dfdq, dfdv, []
+        pat = self._pattern
+        zero = np.zeros_like(self.a_q)
+        dfdq = self.a_q if "elastic" in parts else zero
+        dfdv = self.a_v if "damping" in parts else zero
+        return (pat.matrix(pat.scatter(self._slots, dfdq.ravel())),
+                pat.matrix(pat.scatter(self._slots, dfdv.ravel())), [])
 
     def apply_velocity_constraints(self, r, v):
         return r
 
-    def constrain_matrix(self, m):
-        return m
+    def constrain_rows(self, data):
+        return data
 
     def constrain_rank1(self, r):
         return r

@@ -1,0 +1,197 @@
+"""The stage Jacobian on the model's fixed CSR pattern against a COO oracle.
+
+``StageProblem.jacobian`` scatters every block into one precomputed pattern
+and forms J on its ``data``.  The oracle here assembles the same blocks with
+``scipy.sparse.coo_matrix`` (duplicates summed), forms J densely and applies
+the Dirichlet rows by hand; the two must agree to 1e-14 relative.  On the
+same stage states, the real part of a dual residual evaluation must be the
+residual bit for bit.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from fricsim.contact import contact_blocks
+from fricsim.dual import Dual
+from fricsim.elasticity import (_element_stiffness, damping_q_blocks,
+                                element_kinematics)
+from fricsim.experiments import block_slide_scene
+from fricsim.friction import contact_friction_blocks
+from fricsim.scene import load_scene, load_scene_file
+from fricsim.simulate import Simulation
+from fricsim.volume import (_dwdv, enclosed_volume, volume_hessian_blocks,
+                            volume_hessian_pairs)
+
+from helpers import element_block_indices
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+
+FIXED_CUBE = {
+    "duration": 0.1, "step": 0.01, "integrator": "be",
+    "meshes": [{
+        "name": "cube",
+        "generator": {"kind": "box", "size": [0.1, 0.1, 0.1],
+                      "divisions": [1, 1, 1]},
+        "material": {"density": 800.0, "youngs_modulus": 2e5,
+                     "poisson_ratio": 0.3, "rayleigh_beta": 1e-3},
+        "translate": [0.0, 0.0502, 0.0],
+        "fixed_vertices": [4, 5, 6, 7],
+        "fixed_velocity": [0.01, 0.0, 0.0],
+    }],
+    "obstacles": [{"kind": "half_space", "point": [0.0, 0.0, 0.0],
+                   "normal": [0.0, 1.0, 0.0],
+                   "friction": {"mu_d": 0.5, "epsilon": 1e-3}}],
+}
+
+
+def _scene(name):
+    if name == "slide":
+        return load_scene(json.dumps(block_slide_scene(
+            0.01, "be", "lagged:4", solver_kind="iterative")))
+    if name == "fixed_cube":
+        return load_scene(json.dumps(FIXED_CUBE))
+    return load_scene_file(os.path.join(SCENES, f"{name}.json"))
+
+
+def _stage(name, steps):
+    """(problem, v) of the first solve after ``steps`` accepted steps."""
+    sim = Simulation(_scene(name))
+    for _ in range(steps):
+        sim.advance()
+    seen = []
+
+    def capture(problem, v0):
+        seen.append((problem, np.asarray(v0, float).copy()))
+        return Simulation._solve(sim, problem, v0)
+
+    sim._solve = capture
+    sim.advance()
+    return seen[0]
+
+
+def _triplets(rows, cols, vals):
+    return np.ravel(rows), np.ravel(cols), np.ravel(vals)
+
+
+def _pair_blocks(vi, vj):
+    """(rows, cols) of the 3x3 blocks of vertex pairs (vi, vj)."""
+    shape = (len(vi), 3, 3)
+    return (np.broadcast_to(3 * vi[:, None, None] + np.arange(3)[:, None],
+                            shape),
+            np.broadcast_to(3 * vj[:, None, None] + np.arange(3), shape))
+
+
+def coo_oracle(prob, v):
+    """Dense sparse part of J(v), assembled block by block through COO."""
+    model, mesh = prob.model, prob.model.mesh
+    q = prob.positions(v)
+    m = mesh.n_dofs
+    parts = prob.parts
+    in_q, in_v = [], []
+    kblocks = _element_stiffness(mesh, element_kinematics(mesh, q))
+    elem = element_block_indices(mesh)
+    if "elastic" in parts:
+        in_q.append(_triplets(*elem, -kblocks))
+    if "damping" in parts:
+        diag = np.arange(m)
+        in_v.append(_triplets(diag, diag, -mesh.alpha * mesh.mass_dofs))
+        if np.any(mesh.beta > 0.0):
+            in_v.append(_triplets(*elem,
+                                  -kblocks * mesh.beta[:, None, None]))
+            d = damping_q_blocks(mesh, element_kinematics(mesh, q), v)
+            in_q.append(_triplets(*elem, -d))
+    cset = prob.contact.cset
+    if cset.size:
+        rc = _pair_blocks(cset.vertex, cset.vertex)
+        if "contact" in parts:
+            in_q.append(_triplets(*rc, contact_blocks(
+                cset, model.obstacles, q, prob.t_eval, model.penalty)))
+        if "friction" in parts:
+            dq, dv = contact_friction_blocks(
+                cset, model.obstacles, q, v, prob.t_eval, model.penalty,
+                mode=model.friction_mode, cache=prob.contact.lagged,
+                frozen_basis=model.frozen_basis)
+            in_v.append(_triplets(*rc, dv))
+            if model.friction_mode != "lagged" and not model.frozen_basis:
+                in_q.append(_triplets(*rc, dq))
+    if "volume" in parts:
+        for vp in model.volume_penalties:
+            vol, _ = enclosed_volume(vp.region, q)
+            w1 = float(_dwdv(vol, vp, vp.rest_volume))
+            in_q.append(_triplets(*_pair_blocks(*volume_hessian_pairs(
+                                      vp.region)),
+                                  -w1 * volume_hessian_blocks(vp.region, q)))
+
+    def dense(trips):
+        rows, cols, vals = (np.concatenate(x) for x in zip(*trips))
+        return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).toarray()
+
+    mass = model.mass_dofs
+    combo = prob.force_scale * (dense(in_v) + prob.pos_coeff * dense(in_q))
+    if prob.mass_scaled:
+        jac = np.eye(m) - combo / mass[:, None]
+    else:
+        jac = np.diag(mass) - combo
+    fixed = model.fixed_mask
+    jac[fixed] = 0.0
+    jac[fixed, fixed] = 1.0
+    return jac
+
+
+@pytest.fixture(scope="module", params=[
+    ("ball_drop", 70), ("plate_squeeze", 5), ("slide", 3),
+    ("fixed_cube", 3)])
+def stage(request):
+    return request.param[0], _stage(*request.param)
+
+
+def test_jacobian_matches_coo_oracle(stage):
+    name, (prob, v) = stage
+    assert prob.contact.cset.size > 0, "the state must have contacts"
+    jac, rank1 = prob.jacobian(v)
+    oracle = coo_oracle(prob, v)
+    err = np.max(np.abs(jac.toarray() - oracle))
+    assert err <= 1e-14 * np.max(np.abs(oracle)), name
+    assert len(rank1) == len(prob.model.volume_penalties)
+
+
+def test_scene_coverage(stage):
+    name, (prob, _) = stage
+    model = prob.model
+    if name == "ball_drop":
+        assert prob.pos_coeff != prob.h  # BDF2 stage
+        assert np.all(model.mesh.beta > 0.0) and model.volume_penalties
+    if name == "plate_squeeze":
+        assert model.friction_mode == "implicit"
+    if name == "slide":
+        assert prob.mass_scaled and model.friction_mode == "lagged"
+    if name == "fixed_cube":
+        assert model.fixed_mask.any()
+
+
+def test_successive_calls_share_the_pattern(stage):
+    _, (prob, v) = stage
+    first, _ = prob.jacobian(v)
+    second, _ = prob.jacobian(v + 1e-3)
+    pat = prob.model.pattern()
+    assert np.shares_memory(first.indices, second.indices)
+    assert np.shares_memory(first.indices, pat.indices)
+    assert np.shares_memory(first.indptr, second.indptr)
+    assert first.has_sorted_indices and first.nnz == pat.nnz
+
+
+def test_dual_residual_real_part_is_bitwise(stage):
+    _, (prob, v) = stage
+    p = np.random.default_rng(0).normal(size=v.size)
+    assert np.array_equal(prob.residual(Dual(v, p)).re, prob.residual(v))
+
+
+def test_simulation_setup_builds_no_pattern():
+    sim = Simulation(_scene("ball_drop"))
+    assert sim.model._pattern is None
+    sim.advance()
+    assert sim.model._pattern is not None

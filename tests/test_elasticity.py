@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from fricsim.dual import jvp
 from fricsim.elasticity import (damping_force, damping_q_blocks,
                                 elastic_energy, elastic_force,
-                                stiffness_matrix, stiffness_product)
+                                element_kinematics)
+from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams, TetMeshModel
 from fricsim.meshgen import box_mesh
+
+from helpers import element_block_indices
 
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3,
                      rayleigh_alpha=0.5, rayleigh_beta=1e-3)
@@ -45,6 +48,14 @@ def fd_gradient(fn, q, h):
 def rel_err(a, b):
     denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-30)
     return np.max(np.abs(a - b)) / denom
+
+
+def stiffness_matrix(mesh, q):
+    """K = -df_e/dq, the elastic part of the assembled force Jacobian."""
+    model = ForceModel(mesh)
+    v = np.zeros_like(q)
+    contact = model.build_contact_state(q, v, 0.0, 0.0)
+    return -model.jacobians(q, v, 0.0, contact, parts={"elastic"})[0]
 
 
 def test_energy_zero_at_rest(mesh):
@@ -135,7 +146,8 @@ def test_stiffness_product_matches_matrix(mesh, perturbed):
     rng = np.random.default_rng(4)
     k = stiffness_matrix(mesh, perturbed)
     w = rng.normal(size=mesh.n_dofs)
-    np.testing.assert_allclose(stiffness_product(mesh, perturbed, w), k @ w,
+    np.testing.assert_allclose(-jvp(lambda q: elastic_force(mesh, q),
+                                    perturbed, w), k @ w,
                                rtol=1e-9, atol=1e-9 * abs(k).max())
 
 
@@ -203,9 +215,8 @@ def test_damping_q_blocks_match_jvp_near_inversion(r1, r2, s1, s2, log_j,
             size=mesh.rest_positions.shape)
         q = (x @ f.T).ravel()
         v = rng.normal(size=mesh.n_dofs)
-        s = mesh.scratch()
-        blocks = damping_q_blocks(mesh, q, v)
-        dfdq = -sp.coo_matrix((blocks.ravel(), (s.block_rows, s.block_cols)),
+        blocks = damping_q_blocks(mesh, element_kinematics(mesh, q), v)
+        dfdq = -sp.coo_matrix((blocks.ravel(), element_block_indices(mesh)),
                               shape=(mesh.n_dofs, mesh.n_dofs)).toarray()
         scale = np.max(np.abs(dfdq))
         assert scale > 0.0

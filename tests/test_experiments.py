@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,3 +98,7 @@ def test_cli_check_and_run(tmp_path):
     assert newton > 0
     assert (f"{len(reports)} solves, {newton} Newton iterations"
             in out.stdout), out.stdout
+    stops = Counter(r.stop for r in reports)
+    assert set(stops) <= {"residual", "step"}
+    listed = ", ".join(f"{stops[k]} {k}" for k in sorted(stops))
+    assert f"(stops: {listed})" in out.stdout, out.stdout

@@ -173,12 +173,13 @@ def test_determinism():
 def test_should_stop_cases():
     cfg = SolverConfig(r_tol_abs=1e-8, r_tol_rel=1e-6, v_tol=1e-5)
     r0 = 1.0
-    assert should_stop(np.zeros(3), np.zeros(3), None, cfg, r0, 1e-8)
+    assert should_stop(np.zeros(3), np.zeros(3), None, cfg, r0,
+                       1e-8) == "residual"
     big_r = np.full(3, 1e-5)
-    assert not should_stop(big_r, np.ones(3), np.zeros(3), cfg, r0, 1e-8)
+    assert should_stop(big_r, np.ones(3), np.zeros(3), cfg, r0, 1e-8) is None
     # velocity stagnation exits even with a large residual
     v = np.ones(3)
-    assert should_stop(big_r, v, v + 1e-7, cfg, r0, 1e-8)
+    assert should_stop(big_r, v, v + 1e-7, cfg, r0, 1e-8) == "step"
 
 
 def test_bicgstab_identity():
@@ -225,6 +226,37 @@ def test_newton_max_iters_failure():
         damped_newton(prob, np.array([0.0]),
                       SolverConfig(k_max=1, r_tol_rel=1e-14, v_tol=1e-14))
     assert exc.value.report.status == "MaxIters"
+    assert exc.value.report.stop == "MaxIters"
+
+
+@pytest.mark.parametrize("kind", ["direct", "iterative"])
+def test_report_residual_stop(kind):
+    prob, a, b = _linear_spd_problem()
+    cfg = SolverConfig(kind=kind, r_tol_abs=1e-12, r_tol_rel=1e-9)
+    v, rep = damped_newton(prob, np.zeros(8), cfg)
+    assert rep.stop == "residual"
+    assert rep.tol == max(1e-12, 1e-9 * rep.residual_inf_norms[0])
+    assert rep.residual_inf_norms[-1] <= rep.tol
+
+
+def test_report_step_stop_above_tolerance():
+    # r = v^2 has a double root: Newton halves v, so |dv| = 5e-4 <= v_tol
+    # after one step while |r|_inf = 2.5e-7 is far above the tolerance.
+    prob = BareProblem(lambda v: v * v, lambda v: np.diag(2.0 * v))
+    cfg = SolverConfig(r_tol_abs=1e-12, r_tol_rel=1e-6, v_tol=1e-3)
+    v, rep = damped_newton(prob, np.array([1e-3]), cfg)
+    assert rep.iterations == 1 and rep.status == "Converged"
+    assert rep.stop == "step"
+    assert rep.tol == 1e-12
+    assert rep.residual_inf_norms[-1] > 1e4 * rep.tol
+
+
+def test_report_failure_stop():
+    prob = BareProblem(lambda v: v * v + 1.0, lambda v: np.zeros((1, 1)))
+    with pytest.raises(SolveFailure) as exc:
+        damped_newton(prob, np.array([1.0]))
+    assert exc.value.report.stop == "LinearSolveFailed"
+    assert exc.value.report.status == "LinearSolveFailed"
 
 
 def test_unknown_kind_rejected():
