@@ -94,19 +94,6 @@ class StageProblem:
         scaled = self.model.constrain_rank1(scaled)
         return jac, scaled
 
-    def jac_matvec(self, v):
-        """Callable p -> J(v) p using the assembled sparse part plus the exact
-        low-rank corrections (strategy (a): full product, never stored dense)."""
-        jac, rank1 = self.jacobian(v)
-
-        def apply(p):
-            out = jac @ p
-            for r in rank1:
-                out = out + r.apply(p)
-            return out
-
-        return apply
-
     def default_abs_tol(self, rel_factor: float = 1e-6) -> float:
         """Residual-scale absolute tolerance: rel_factor * h * |M g|_inf
         (momentum scale), or * |g|_inf for mass-scaled residuals."""

@@ -1,6 +1,8 @@
 """One damped-Newton loop whose ``SolverConfig.kind`` picks the direction:
 sparse LU with the rank-1 volume terms applied by the Woodbury identity
-(``"direct"``) or unpreconditioned BiCGSTAB (``"iterative"``).
+(``"direct"``) or BiCGSTAB right-preconditioned by that same solve, made
+from the first Newton iteration's Jacobian and kept for the whole solve
+(``"iterative"``).
 
 Every step backtracks on the Euclidean residual norm with the acceptance
 test  |r(v + a p)| <= (1 - c1 a (1 - sigma_k)) |r(v_k)|.  The LU direction
@@ -103,39 +105,45 @@ def _backtrack(residual_fn, v, p, r_norm, sigma_k):
     return None
 
 
-def _lu_direction(jac, rank1, r):
-    """Newton direction p = -(A + U S W^T)^{-1} r for the sparse part A and
-    the rank-1 terms  scale * outer(u, w),  by the Woodbury identity on one
-    LU factor of A (Hager, SIAM Review 31, 1989):
+def _factor(jac, rank1):
+    """Solve b -> (A + U S W^T)^{-1} b for the sparse part A and the rank-1
+    terms  scale * outer(u, w),  by the Woodbury identity on one LU factor
+    of A (Hager, SIAM Review 31, 1989):
 
-        y = A^{-1}(-r),  Z = A^{-1} U,  C = I_k + S W^T Z,
-        p = y - Z C^{-1} S W^T y.
+        y = A^{-1} b,  Z = A^{-1} U,  C = I_k + S W^T Z,
+        x = y - Z C^{-1} S W^T y.
 
-    With no rank-1 terms this is the plain LU solve.  The factor is freed on
-    return, before the line search.  A singular A or C raises
-    ``RuntimeError`` or ``LinAlgError``, as does a non-finite p.
+    With no rank-1 terms this is the plain LU solve.  A singular A or C
+    raises ``RuntimeError`` or ``LinAlgError``, as does a non-finite x.
     """
     lu = spla.splu(jac.tocsc())
-    p = lu.solve(-r)
     if rank1:
         u = np.column_stack([t.u for t in rank1])
         w = np.column_stack([t.w for t in rank1])
         s = np.array([t.scale for t in rank1])
         z = lu.solve(u)
         cap = np.eye(len(rank1)) + s[:, None] * (w.T @ z)
-        p = p - z @ np.linalg.solve(cap, s * (w.T @ p))
-    if not np.all(np.isfinite(p)):
-        raise np.linalg.LinAlgError("singular Jacobian")
-    return p
+
+    def solve(b):
+        x = lu.solve(b)
+        if rank1:
+            x = x - z @ np.linalg.solve(cap, s * (w.T @ x))
+        if not np.all(np.isfinite(x)):
+            raise np.linalg.LinAlgError("singular Jacobian")
+        return x
+
+    return solve
 
 
 def damped_newton(problem, v0, cfg: SolverConfig | None = None):
     """Damped Newton with residual backtracking; the residual is always exact.
 
-    Both kinds use the exact Jacobian ``problem.jacobian`` returns, its sparse
-    part plus its rank-1 volume terms: ``cfg.kind == "direct"`` solves it by
-    ``_lu_direction``; ``"iterative"`` runs BiCGSTAB with residual-ratio
-    forcing on ``problem.jac_matvec``.
+    Each iteration assembles the exact Jacobian once, ``problem.jacobian``'s
+    sparse part plus its rank-1 volume terms.  ``cfg.kind == "direct"``
+    factors it and solves (``_factor``); ``"iterative"`` factors only the
+    first iteration's Jacobian and runs BiCGSTAB with residual-ratio forcing
+    on the assembled product, right-preconditioned by that factor.  When the
+    factor fails or BiCGSTAB stagnates, the step is along -r.
     """
     cfg = cfg or SolverConfig()
     report = SolveReport()
@@ -144,7 +152,7 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
     r = np.asarray(problem.residual(v), float)
     abs_tol = cfg.r_tol_abs if cfg.r_tol_abs is not None \
         else problem.default_abs_tol()
-    v_prev = None
+    v_prev = precond = None
     for k in range(cfg.k_max + 1):
         report.iterations = k
         r_norm = _norm(r)
@@ -159,10 +167,11 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
         if k == cfg.k_max:
             break
         on_fail = "LineSearchFailed", "line search underflow (alpha < 1e-12)"
+        jac, rank1 = problem.jacobian(v)
         if cfg.kind == "direct":
             sigma_k = 0.0
             try:
-                p = _lu_direction(*problem.jacobian(v), r)
+                p = _factor(jac, rank1)(-r)
             except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise SolveFailure(report, "LinearSolveFailed",
                                    f"LU direction failed ({exc}); "
@@ -171,15 +180,22 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
         else:
             sigma_k = SIGMA if k == 0 or norms[k - 1] == 0.0 \
                 else min((r_norm / norms[k - 1]) ** PHI, SIGMA)
-            p, lin_iters, lin_ok = bicgstab(problem.jac_matvec(v), -r,
-                                            tol=sigma_k,
-                                            max_iters=cfg.max_krylov_iters)
+            lin_iters, lin_ok = 0, False
+            try:
+                if k == 0:
+                    precond = _factor(jac, rank1)
+                if precond is not None:
+                    p, lin_iters, lin_ok = bicgstab(
+                        lambda x: jac @ x + sum(t.apply(x) for t in rank1),
+                        -r, sigma_k, cfg.max_krylov_iters, precond)
+            except (RuntimeError, np.linalg.LinAlgError):
+                pass
             report.linear_iters.append(lin_iters)
             if not lin_ok or not np.all(np.isfinite(p)):
                 # one steepest-descent-like fallback with a fresh line search
                 p = -r
-                on_fail = ("LinearSolveFailed",
-                           "BiCGSTAB stagnated and the -r fallback failed")
+                on_fail = ("LinearSolveFailed", "no preconditioned BiCGSTAB "
+                           "direction and the -r fallback failed")
         report.sigmas.append(sigma_k)
         hit = _backtrack(problem.residual, v, p, r_norm, sigma_k)
         if hit is None:
@@ -195,15 +211,17 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
                        f"no convergence in {cfg.k_max} Newton iterations")
 
 
-def bicgstab(apply_j, b, tol: float, max_iters: int = 200):
+def bicgstab(apply_j, b, tol: float, max_iters: int = 200, precond=None):
     """Biconjugate gradient stabilized for non-symmetric J, given as the
-    callable ``apply_j(p) = J p``.
+    callable ``apply_j(p) = J p``, right-preconditioned by the callable
+    ``precond(y) = M^{-1} y`` when one is given.
 
     Returns (x, iterations, converged) with |b - J x| <= tol * |b| on
     success.  On a rho, omega or r_hat.Ap breakdown the shadow residual is
     re-randomized once (fixed seed; determinism contract) before giving up.
     """
     b = np.asarray(b, float)
+    m_inv = precond or (lambda y: y)
     n = b.size
     x = np.zeros(n)
     r = b.copy()
@@ -224,7 +242,8 @@ def bicgstab(apply_j, b, tol: float, max_iters: int = 200):
         if not breakdown:
             beta = (rho / rho_prev) * (alpha / omega)
             p = r + beta * (p - omega * vv)
-            vv = _apply(apply_j, p)
+            p_hat = m_inv(p)
+            vv = _apply(apply_j, p_hat)
             denom = float(r_hat @ vv)
             breakdown = abs(denom) < tiny
         if breakdown:
@@ -242,15 +261,16 @@ def bicgstab(apply_j, b, tol: float, max_iters: int = 200):
         s = r - alpha * vv
         iters += 1
         if np.linalg.norm(s) <= target:
-            x = x + alpha * p
+            x = x + alpha * p_hat
             return x, iters, True
-        t = _apply(apply_j, s)
+        s_hat = m_inv(s)
+        t = _apply(apply_j, s_hat)
         tt = float(t @ t)
         if tt < tiny:
-            x = x + alpha * p
+            x = x + alpha * p_hat
             return x, iters, np.linalg.norm(s) <= target
         omega = float(t @ s) / tt
-        x = x + alpha * p + omega * s
+        x = x + alpha * p_hat + omega * s_hat
         r = s - omega * t
         rho_prev = rho
         if np.linalg.norm(r) <= target:

@@ -89,9 +89,5 @@ class BareProblem:
     def jvp(self, v, p):
         return dm.jvp(self._residual, np.asarray(v, float), p)
 
-    def jac_matvec(self, v):
-        v = np.asarray(v, float)
-        return lambda p: self.jvp(v, p)
-
     def default_abs_tol(self):
         return self._abs_tol

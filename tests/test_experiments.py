@@ -84,6 +84,7 @@ def test_cli_check_and_run(tmp_path):
     with open(cfg) as fh:
         doc = json.load(fh)
     doc["duration"] = 0.02
+    doc["solver"] = {"kind": "iterative"}
     short.write_text(json.dumps(doc))
     outdir = tmp_path / "results"
     out = subprocess.run([sys.executable, "-m", "fricsim.cli", "run",
@@ -102,3 +103,6 @@ def test_cli_check_and_run(tmp_path):
     assert set(stops) <= {"residual", "step"}
     listed = ", ".join(f"{stops[k]} {k}" for k in sorted(stops))
     assert f"(stops: {listed})" in out.stdout, out.stdout
+    krylov = sum(sum(r.linear_iters) for r in reports)
+    assert krylov > 0
+    assert f", {krylov} Krylov iterations," in out.stdout, out.stdout

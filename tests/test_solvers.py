@@ -6,11 +6,12 @@ import pytest
 import scipy.sparse as sp
 
 from fricsim import solvers
+from fricsim.experiments import block_slide_scene
 from fricsim.forces import Rank1
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation
-from fricsim.solvers import (C1, PHI, SolveFailure, SolverConfig, bicgstab,
-                             damped_newton, should_stop)
+from fricsim.solvers import (C1, PHI, SIGMA, SolveFailure, SolverConfig,
+                             bicgstab, damped_newton, should_stop)
 
 from helpers import BareProblem
 
@@ -273,31 +274,45 @@ def test_direct_singular_jacobian_fails():
     assert exc.value.report.status == "LinearSolveFailed"
 
 
+class _SplitColumn(BareProblem):
+    """J = A given as A with its first column zeroed, a singular sparse part
+    whose LU factor fails, plus that column as a rank-1 term."""
+
+    def __init__(self, a, b):
+        super().__init__(lambda v: _lin(a, v, b))
+        self.a = a
+
+    def jacobian(self, v):
+        sparse = self.a.copy()
+        sparse[:, 0] = 0.0
+        e0 = np.eye(len(self.a))[0]
+        return sp.csr_matrix(sparse), [Rank1(1.0, self.a[:, 0].copy(), e0)]
+
+
 def _skew_shifted(sign):
     """r(v) = A v - b with A = sign (3 I + N - N^T): -r descends for sign = 1
-    and ascends for sign = -1."""
+    and ascends for sign = -1.  The preconditioner's factor fails."""
     n = 4
     skew = np.triu(np.full((n, n), 0.25), 1)
     a = sign * (3.0 * np.eye(n) + skew - skew.T)
     b = np.arange(1.0, n + 1.0)
-    return BareProblem(lambda v: _lin(a, v, b)), a, b
+    return _SplitColumn(a, b), a, b
 
 
 def test_iterative_falls_back_to_minus_r():
     prob, a, b = _skew_shifted(1.0)
-    cfg = SolverConfig(kind="iterative", max_krylov_iters=1, r_tol_rel=1e-10,
-                       v_tol=1e-14)
+    cfg = SolverConfig(kind="iterative", r_tol_rel=1e-10, v_tol=1e-14)
     v, rep = damped_newton(prob, np.zeros(4), cfg)
     assert rep.status == "Converged"
-    assert set(rep.linear_iters) == {1} and max(rep.alphas) < 1.0
+    # no factor, so no BiCGSTAB iteration: every step is along -r
+    assert set(rep.linear_iters) == {0} and max(rep.alphas) < 1.0
     np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
 
 
 def test_iterative_fallback_ascent_fails():
     prob, _, _ = _skew_shifted(-1.0)
-    cfg = SolverConfig(kind="iterative", max_krylov_iters=1)
     with pytest.raises(SolveFailure, match="-r fallback") as exc:
-        damped_newton(prob, np.zeros(4), cfg)
+        damped_newton(prob, np.zeros(4), ITERATIVE)
     assert exc.value.report.status == "LinearSolveFailed"
 
 
@@ -320,15 +335,15 @@ def _first_stage(scene):
     return seen[0]
 
 
-def _direct_direction(problem, v0, monkeypatch):
-    """The first Newton direction of the direct path, taken at the line
-    search."""
+def _first_direction(problem, v0, monkeypatch, cfg=None):
+    """The first Newton direction of ``damped_newton`` under ``cfg`` (default:
+    the direct path), taken at the line search."""
     def stop(residual_fn, v, p, r_norm, sigma_k):
         raise _DirectionFound(p)
 
     monkeypatch.setattr(solvers, "_backtrack", stop)
     with pytest.raises(_DirectionFound) as found:
-        damped_newton(problem, v0)
+        damped_newton(problem, v0, cfg)
     return found.value.args[0]
 
 
@@ -365,7 +380,7 @@ def test_direct_direction_is_exact_newton(make_scene, k, monkeypatch):
     # J p = -r with J the full Jacobian, rank-1 volume terms included
     problem, v0 = _first_stage(make_scene())
     assert len(problem.jacobian(v0)[1]) == k
-    p = _direct_direction(problem, v0, monkeypatch)
+    p = _first_direction(problem, v0, monkeypatch)
     r = np.asarray(problem.residual(v0), float)
     err = np.max(np.abs(problem.jvp(v0, p) + r)) / np.max(np.abs(r))
     assert err <= 1e-10
@@ -386,3 +401,44 @@ def test_direct_singular_capacitance_fails():
     with pytest.raises(SolveFailure) as exc:
         damped_newton(prob, np.zeros(2))
     assert exc.value.report.status == "LinearSolveFailed"
+
+
+def test_iterative_first_direction_matches_direct(monkeypatch):
+    # the preconditioner is the direct path's Woodbury solve of the same J,
+    # so BiCGSTAB's first direction is the exact Newton direction
+    problem, v0 = _first_stage(_squeezed_ball_drop())
+    assert len(problem.jacobian(v0)[1]) == 1
+    p_direct = _first_direction(problem, v0, monkeypatch)
+    p_iter = _first_direction(problem, v0, monkeypatch, ITERATIVE)
+    err = np.linalg.norm(p_iter - p_direct) / np.linalg.norm(p_direct)
+    assert err <= SIGMA
+
+
+def test_iterative_factors_once_per_solve(monkeypatch):
+    # r(v) = v^3 + v - c: the Jacobian changes every iteration, yet only the
+    # first one is factored
+    c = np.array([2.0, -5.0, 0.3])
+    prob = BareProblem(lambda v: v * v * v + v - c)
+    calls = []
+    splu = solvers.spla.splu
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(solvers.spla, "splu", counting)
+    cfg = SolverConfig(kind="iterative", r_tol_rel=1e-14, r_tol_abs=1e-13,
+                       v_tol=1e-14)
+    v, rep = damped_newton(prob, np.zeros(3), cfg)
+    assert rep.ok() and rep.iterations >= 4
+    assert len(calls) == 1
+    np.testing.assert_allclose(v**3 + v, c, rtol=1e-10)
+
+
+def test_slide_krylov_iterations_stay_small():
+    scene = load_scene(json.dumps(block_slide_scene(
+        0.01, "be", "lagged:4", solver_kind="iterative")), SCENES)
+    sim = Simulation(scene)
+    iters = [n for _ in range(30) for rep in sim.advance().reports
+             for n in rep.linear_iters]
+    assert iters and max(iters) <= 10
