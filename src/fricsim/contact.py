@@ -10,11 +10,17 @@ penalty
 whose value, first and second derivatives all vanish at x = delta.  The
 contact force magnitude is lambda = -b'(d) >= 0, applied along the gap
 gradient.  kappa is raised adaptively until end-of-step gaps are positive.
+
+:func:`contact_geometry` evaluates each obstacle's gap, normal and surface
+velocity once for all of its contacts and returns them in contact order; the
+residual's contact force and the contact dq blocks come from it inside the
+one contact-and-friction kernel of :mod:`fricsim.friction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +28,8 @@ from . import dual as dm
 
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
-    "gaps", "penalty_b", "penalty_db", "penalty_lambda", "contact_local",
-    "contact_force", "contact_blocks", "tangent_basis",
+    "gaps", "penalty_b", "penalty_db", "penalty_lambda", "per_obstacle",
+    "contact_geometry", "contact_force", "tangent_basis",
     "adaptive_stiffen", "StiffeningError", "AdaptDecision", "gap_matrix",
 ]
 
@@ -176,18 +182,16 @@ class HalfSpace(_ObstacleBase):
         self.normal = normal / nrm
 
     def gap(self, x, t: float):
-        r, off = self._frame(t)
-        n = r @ self.normal
-        p = r @ (self.point - self.motion.rotation_pivot) \
-            + self.motion.rotation_pivot + off
-        return dm.dot_last(x - p, np.broadcast_to(n, np.shape(dm.value(x))))
+        return self.gap_normal(x, t)[0]
 
     def gap_normal(self, x, t: float):
         """(gap, unit gradient of gap) — generic over Dual x."""
         r, off = self._frame(t)
         n = r @ self.normal
+        p = r @ (self.point - self.motion.rotation_pivot) \
+            + self.motion.rotation_pivot + off
         nb = np.broadcast_to(n, np.shape(dm.value(x)))
-        return self.gap(x, t), np.array(nb)
+        return dm.dot_last(x - p, nb), np.array(nb)
 
 
 class Sphere(_ObstacleBase):
@@ -265,6 +269,13 @@ class ContactSet:
         for oi in np.unique(self.obstacle):
             yield int(oi), np.nonzero(self.obstacle == oi)[0]
 
+    @cached_property
+    def friction_coeffs(self) -> np.ndarray:
+        """(k, 5) friction coefficients of each contact's obstacle (columns
+        as in ``friction.obstacle_coeffs``), gathered once per set."""
+        from .friction import obstacle_coeffs  # friction imports this module
+        return obstacle_coeffs(self.obstacles)[self.obstacle]
+
 
 def gap_matrix(obstacles, x, t: float) -> np.ndarray:
     """Gaps (n_obstacles, k) of the positions x (k, 3) to every obstacle."""
@@ -305,39 +316,42 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
                       build_x=x[vertex].copy())
 
 
-def contact_local(x, obs, t: float, penalty: PenaltyParams):
-    """Per-contact penalty forces lambda(d) grad d (k, 3) of the positions
-    x (k, 3) against one obstacle; generic over Dual x."""
-    d, n = obs.gap_normal(x, t)
-    return penalty_lambda(d, penalty.delta, penalty.kappa)[..., None] * n
+def per_obstacle(fn, obstacles, obstacle, x):
+    """The outputs of ``fn(obs, x_o)``, a tuple of per-row arrays, for the
+    rows of x (k, 3) in contact with ``obstacles[obstacle]`` (k,): one call
+    per obstacle on its own rows x_o, results back in the row order of x.
+    Generic over Dual x."""
+    present = np.unique(obstacle)
+    if len(present) <= 1:  # without rows the first obstacle gives empties
+        return fn(obstacles[present[0] if len(present) else 0], x)
+    rows = [np.nonzero(obstacle == oi)[0] for oi in present]
+    outs = [fn(obstacles[oi], x[r]) for oi, r in zip(present, rows)]
+    order = np.argsort(np.concatenate(rows))
+    return tuple(dm.concat(part)[order] for part in zip(*outs))
+
+
+def contact_geometry(obstacles, obstacle, x, t: float):
+    """(gap (k,), unit normal (k, 3), obstacle surface velocity (k, 3)) of
+    the positions x (k, 3) against ``obstacles[obstacle]``, with one
+    ``gap_normal`` and one ``surface_velocity`` call per obstacle; generic
+    over Dual x."""
+    return per_obstacle(lambda obs, xo: (*obs.gap_normal(xo, t),
+                                         obs.surface_velocity(xo, t)),
+                        obstacles, obstacle, x)
 
 
 def contact_force(cset: ContactSet, obstacles, q, t: float,
                   penalty: PenaltyParams):
-    """Generalized penalty force f_c (m,) of the frozen set.
+    """Generalized penalty force f_c (m,) of the frozen set: lambda(d) grad d
+    at each contact.
 
     Generic over Dual q; geometry is evaluated live at q for the frozen set.
     """
     x = q.reshape(-1, 3)
-    out = dm.zeros(x.shape, like=q)
-    for oi, members in cset.groups():
-        idx = cset.vertex[members]
-        out = dm.scatter_add(out, idx,
-                             contact_local(x[idx], obstacles[oi], t, penalty))
-    return out.reshape(-1)
-
-
-def contact_blocks(cset: ContactSet, obstacles, q, t: float,
-                   penalty: PenaltyParams) -> np.ndarray:
-    """Per-contact 3x3 blocks (k, 3, 3) of df_c/dq, the ``jacobian_blocks``
-    of :func:`contact_local`; diagonal in the contact index."""
-    x = np.asarray(q, float).reshape(-1, 3)
-    blocks = np.zeros((cset.size, 3, 3))
-    for oi, members in cset.groups():
-        blocks[members] = dm.jacobian_blocks(
-            lambda xd: contact_local(xd, obstacles[oi], t, penalty),
-            x[cset.vertex[members]])
-    return blocks
+    d, n, _ = contact_geometry(obstacles, cset.obstacle, x[cset.vertex], t)
+    f = penalty_lambda(d, penalty.delta, penalty.kappa)[..., None] * n
+    return dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
+                          f).reshape(-1)
 
 
 def contact_energy(cset: ContactSet, obstacles, q, t: float,

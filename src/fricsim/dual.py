@@ -20,8 +20,8 @@ import numpy as np
 
 __all__ = [
     "Dual", "value", "tangent", "where", "maximum", "minimum",
-    "sqrt", "log", "asum", "dot_last", "stack_last", "matmul", "swap_last2",
-    "det3", "inv3", "cross_last", "norm_last", "zeros",
+    "sqrt", "log", "asum", "dot_last", "stack_last", "concat", "matmul",
+    "swap_last2", "det3", "inv3", "cross_last", "norm_last", "zeros",
     "scatter_add", "jvp", "jacobian_blocks", "derivative",
 ]
 
@@ -221,14 +221,19 @@ def dot_last(a, b):
     return asum(a * b, axis=-1)
 
 
+def concat(parts, axis=0):
+    """Join arrays along an existing axis (generic np.concatenate)."""
+    if any(isinstance(p, Dual) for p in parts):
+        parts = [p if isinstance(p, Dual)
+                 else Dual(_arr(p), np.zeros_like(_arr(p))) for p in parts]
+        return Dual(np.concatenate([p.re for p in parts], axis=axis),
+                    np.concatenate([p.eps for p in parts], axis=axis))
+    return np.concatenate(parts, axis=axis)
+
+
 def stack_last(parts):
     """Stack scalars-per-item into a new trailing axis (generic np.stack)."""
-    if any(isinstance(p, Dual) for p in parts):
-        parts = [p if isinstance(p, Dual) else Dual(_arr(p), np.zeros_like(_arr(p)))
-                 for p in parts]
-        return Dual(np.stack([p.re for p in parts], axis=-1),
-                    np.stack([p.eps for p in parts], axis=-1))
-    return np.stack(parts, axis=-1)
+    return concat([p[..., None] for p in parts], axis=-1)
 
 
 def matmul(a, b):

@@ -10,8 +10,10 @@ parameters and Dirichlet constraints, and provides
     volume terms, kept separate because they are dense; the solvers apply
     them without forming them (Woodbury on the LU factor, or a matvec).
     The elastic K, the damping-dq blocks and the volume Hessian are closed
-    form; only the contact and friction blocks are ``dual.jacobian_blocks``
-    of the per-item kernels the force uses, so no obstacle curvature is
+    form; the contact dq, friction dq and friction dv blocks all come from
+    one ``dual.jacobian_blocks`` pass over every contact of the
+    contact-and-friction kernel the force uses
+    (``friction.contact_friction_blocks``), so no obstacle curvature is
     coded here.  Both matrices live on one fixed CSR pattern per model
     (:class:`CsrPattern`, built at the first assembly): every part is one
     ``np.bincount`` scatter of its blocks into the pattern's ``data``.
@@ -29,19 +31,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dual as dm
-from .contact import (ContactSet, PenaltyParams, contact_blocks,
-                      contact_force, gap_matrix, gaps)
+from .contact import ContactSet, PenaltyParams, gap_matrix, gaps
 from .elasticity import (_element_stiffness, damping_force, damping_q_blocks,
                          elastic_force, element_kinematics)
 from .friction import (LaggedFrictionCache, contact_friction_blocks,
-                       friction_force)
+                       contact_friction_forces)
 from .mesh import TetMeshModel
 from .volume import (_d2wdv2, _dwdv, enclosed_volume, volume_force,
                      volume_hessian_blocks, volume_hessian_pairs)
 
 ALL_PARTS = frozenset({"elastic", "damping", "gravity", "contact", "friction",
                        "volume"})
-NON_CONTACT_PARTS = ALL_PARTS - {"contact", "friction"}
+CONTACT_PARTS = frozenset({"contact", "friction"})
+NON_CONTACT_PARTS = ALL_PARTS - CONTACT_PARTS
 
 
 @dataclass
@@ -159,17 +161,22 @@ class ForceModel:
         """Freeze the candidate set from start-of-step positions.
 
         The activation distance is 1.5*delta plus a per-vertex sweep margin
-        h*(|v| + obstacle speed), so vertices cannot cross the penalty support
-        undetected within one step.  ``extra_candidates`` is an (n, 2) array
-        of (vertex, obstacle) pairs unioned in by the kappa-retry loop.
+        h*(|v| + obstacle speed), where the obstacle speed is the largest
+        |surface velocity| over the obstacles at the vertex (rotation
+        included), so vertices cannot cross the penalty support undetected
+        within one step.  ``extra_candidates`` is an (n, 2) array of
+        (vertex, obstacle) pairs unioned in by the kappa-retry loop.
         """
         if self.penalty is None:  # no contact law, so no candidates
             return ContactState(cset=gaps([], q, t, None, activation=0.0))
         surf = self.mesh.surface_vertices
+        x = np.asarray(q, float).reshape(-1, 3)[surf]
         vv = np.asarray(v, float).reshape(-1, 3)
         speed = np.linalg.norm(vv[surf], axis=1)
-        obs_speed = max((np.linalg.norm(o.motion.linear_velocity(t))
-                         for o in self.obstacles), default=0.0)
+        obs_speed = np.zeros(len(surf))
+        for o in self.obstacles:
+            obs_speed = np.maximum(
+                obs_speed, np.linalg.norm(o.surface_velocity(x, t), axis=1))
         margin = h * (speed + obs_speed)
         cset = gaps(self.obstacles, q, t, self.penalty, candidate_vertices=surf,
                     activation=1.5 * self.penalty.delta + margin,
@@ -208,16 +215,15 @@ class ForceModel:
             total = total + damping_force(self.mesh, q, v)
         if "gravity" in parts:
             total = total + self.gravity_force
-        if self.penalty is not None and contact.cset.size:
+        if (self.penalty is not None and contact.cset.size
+                and parts & CONTACT_PARTS):
+            f_c, f_f = contact_friction_forces(
+                contact.cset, self.obstacles, q, v, t, self.penalty,
+                frozen_basis=self.frozen_basis, cache=contact.lagged)
             if "contact" in parts:
-                total = total + contact_force(contact.cset, self.obstacles,
-                                              q, t, self.penalty)
+                total = total + f_c
             if "friction" in parts:
-                lagged = self.friction_mode == "lagged"
-                total = total + friction_force(
-                    contact.cset, self.obstacles, q, v, t, self.penalty,
-                    frozen_basis=self.frozen_basis,
-                    cache=contact.lagged if lagged else None)
+                total = total + f_f
         if "volume" in parts:
             for vp in self.volume_penalties:
                 total = total + volume_force(vp.region, q, vp, strict=False)
@@ -275,20 +281,16 @@ class ForceModel:
                     elem, damping_q_blocks(mesh, kin, v).ravel())
 
         cset = contact.cset
-        if self.penalty is not None and cset.size:
+        if self.penalty is not None and cset.size and parts & CONTACT_PARTS:
             slots = pat.vertex[cset.vertex].ravel()
+            blocks = contact_friction_blocks(
+                cset, self.obstacles, q, v, t, self.penalty,
+                cache=contact.lagged, frozen_basis=self.frozen_basis)
             if "contact" in parts:
-                blocks = contact_blocks(cset, self.obstacles, q, t,
-                                        self.penalty)
-                data_q += pat.scatter(slots, blocks.ravel())
+                data_q += pat.scatter(slots, blocks[:, :3, :3].ravel())
             if "friction" in parts:
-                dfdq, dfdv = contact_friction_blocks(
-                    cset, self.obstacles, q, v, t, self.penalty,
-                    mode=self.friction_mode, cache=contact.lagged,
-                    frozen_basis=self.frozen_basis)
-                data_v += pat.scatter(slots, dfdv.ravel())
-                if self.friction_mode != "lagged" and not self.frozen_basis:
-                    data_q += pat.scatter(slots, dfdq.ravel())
+                data_v += pat.scatter(slots, blocks[:, 3:, 3:].ravel())
+                data_q += pat.scatter(slots, blocks[:, 3:, :3].ravel())
 
         if "volume" in parts:
             for vp, slots in zip(self.volume_penalties, regions):

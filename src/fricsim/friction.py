@@ -16,22 +16,31 @@ sliding-basis form -T H(T^T v) c for any orthonormal tangent pair and has no
 reference-axis degeneracy.  Fully implicit evaluation takes the contact
 geometry at the live (end-of-step) positions; lagged evaluation takes it from
 cached start-of-step geometry while the velocity stays implicit.
+
+One kernel gives the contact and the friction force of every contact from
+one geometry evaluation per obstacle (:func:`contact.contact_geometry`), with
+the friction coefficients gathered per contact.  The residual calls it once;
+:func:`contact_friction_blocks` makes one ``dual.jacobian_blocks`` pass of it
+over all contacts, seeding each contact's 6 (q, v) directions, for the
+contact dq, friction dq and friction dv blocks together.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dual as dm
-from .contact import ContactSet, PenaltyParams, penalty_lambda
+from .contact import (ContactSet, PenaltyParams, contact_geometry,
+                      penalty_lambda, per_obstacle)
 
 __all__ = [
     "FrictionParams", "smooth_s", "stribeck_g", "friction_magnitude_c",
-    "friction_force", "contact_friction_blocks",
-    "LaggedFrictionCache",
+    "contact_friction_forces", "friction_force", "contact_friction_blocks",
+    "LaggedFrictionCache", "obstacle_coeffs",
 ]
 
 
@@ -65,8 +74,24 @@ class FrictionParams:
 _NO_FRICTION = FrictionParams(mu_d=0.0)
 
 
-def _params(obs) -> FrictionParams:
-    return obs.friction if obs.friction is not None else _NO_FRICTION
+class _Coeffs(NamedTuple):
+    """The :class:`FrictionParams` coefficients as per-contact arrays."""
+
+    mu_d: np.ndarray
+    mu_s: np.ndarray
+    mu_v: np.ndarray
+    epsilon: np.ndarray
+    v_s: np.ndarray
+
+
+def obstacle_coeffs(obstacles) -> np.ndarray:
+    """(n_obstacles, 5) friction coefficients, columns mu_d, mu_s, mu_v,
+    epsilon, v_s; an obstacle without friction parameters gets
+    mu_d = mu_s = mu_v = 0."""
+    params = [o.friction if o.friction is not None else _NO_FRICTION
+              for o in obstacles]
+    return np.array([[getattr(p, c) for c in _Coeffs._fields]
+                     for p in params], float).reshape(len(params), 5)
 
 
 def smooth_s(v, epsilon: float):
@@ -89,21 +114,25 @@ def friction_magnitude_c(v, lam, params: FrictionParams):
     return mu_eff * smooth_s(v, params.epsilon) * lam + params.mu_v * v
 
 
-def _geometry(obs, x, t: float, penalty: PenaltyParams):
-    """Live (lambda, normal, surface velocity) at positions x; generic."""
-    d, normal = obs.gap_normal(x, t)
-    return (penalty_lambda(d, penalty.delta, penalty.kappa), normal,
-            obs.surface_velocity(x, t))
+def _contact_friction_local(x, v, obstacle, coeffs, *anchor, obstacles,
+                            t: float, penalty: PenaltyParams):
+    """Per-contact (contact force, friction force), (k, 3) each, of the
+    positions x and velocities v (k, 3) of contacts against
+    ``obstacles[obstacle]`` with friction coefficients ``coeffs`` (k, 5)
+    (columns as in :func:`obstacle_coeffs`).
 
-
-def _contact_friction_local(v, lam, normal, w, params: FrictionParams):
-    """Per-contact friction forces (k, 3) from vertex velocities v, normal
-    force magnitudes lam, unit normals and obstacle surface velocities w."""
-    rel = v - w
-    vt = rel - dm.dot_last(rel, normal)[..., None] * normal
+    Friction takes its (lambda, normal, obstacle surface velocity) from the
+    live geometry at x, or from the constant arrays ``anchor`` when given.
+    Generic over Dual x and v.
+    """
+    d, normal, w = contact_geometry(obstacles, obstacle, x, t)
+    lam = penalty_lambda(d, penalty.delta, penalty.kappa)
+    lam_f, n_f, w_f = anchor or (lam, normal, w)
+    rel = v - w_f
+    vt = rel - dm.dot_last(rel, n_f)[..., None] * n_f
     speed = dm.norm_last(vt)
-    ratio = friction_magnitude_c(speed, lam, params) / speed
-    return -ratio[..., None] * vt
+    ratio = friction_magnitude_c(speed, lam_f, _Coeffs(*coeffs.T)) / speed
+    return lam[..., None] * normal, -ratio[..., None] * vt
 
 
 @dataclass
@@ -118,81 +147,91 @@ class LaggedFrictionCache:
     @classmethod
     def build(cls, cset: ContactSet, obstacles, q0, t0: float,
               penalty: PenaltyParams) -> "LaggedFrictionCache":
-        x = np.asarray(q0, float).reshape(-1, 3)
-        k = cset.size
-        lam0 = np.zeros(k)
-        n0 = np.zeros((k, 3))
-        x0 = x[cset.vertex]
-        for oi, members in cset.groups():
-            d, n = obstacles[oi].gap_normal(x0[members], t0)
-            lam0[members] = penalty_lambda(d, penalty.delta, penalty.kappa)
-            n0[members] = n
-        return cls(cset=cset, x0=x0, lam0=lam0, n0=n0)
+        x0 = np.asarray(q0, float).reshape(-1, 3)[cset.vertex]
+        d, n0, _ = contact_geometry(obstacles, cset.obstacle, x0, t0)
+        return cls(cset=cset, x0=x0,
+                   lam0=penalty_lambda(d, penalty.delta, penalty.kappa),
+                   n0=n0)
 
 
-def _anchor(cache: LaggedFrictionCache | None, members, obs, x, t: float,
-            penalty: PenaltyParams):
-    """(lambda, normal, w) of one obstacle's contacts: the cached
-    start-of-step values when lagged, else live at their positions x."""
-    if cache is None:
-        return _geometry(obs, x, t, penalty)
-    return (cache.lam0[members], cache.n0[members],
-            obs.surface_velocity(cache.x0[members], t))
+def _friction_anchor(cset: ContactSet, obstacles, x, t: float,
+                     penalty: PenaltyParams, frozen_basis: bool,
+                     cache: LaggedFrictionCache | None):
+    """Constant (lambda, normal, w) friction takes in place of the live
+    geometry: the cached start-of-step values when lagged (w at the cached
+    positions), the live values at value(x) under ``frozen_basis``, and none
+    when fully implicit."""
+    if cache is not None:
+        w0, = per_obstacle(lambda obs, xo: (obs.surface_velocity(xo, t),),
+                           obstacles, cset.obstacle, cache.x0)
+        return cache.lam0, cache.n0, w0
+    if frozen_basis:
+        d, n, w = contact_geometry(obstacles, cset.obstacle, dm.value(x), t)
+        return penalty_lambda(d, penalty.delta, penalty.kappa), n, w
+    return ()
+
+
+def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
+                            penalty: PenaltyParams, frozen_basis: bool = False,
+                            cache: LaggedFrictionCache | None = None):
+    """(contact force, friction force), each (m,), of the frozen set from one
+    geometry evaluation per obstacle.
+
+    The friction force is -T(q) H(T^T v) c with lambda(q).  With a lagged
+    ``cache``, its T and lambda come from the cached start-of-step state and
+    only the velocity is live.  ``frozen_basis`` detaches its positional
+    dependence (geometry evaluated at value(q)), giving the cheaper Jacobian
+    variant's force a matching dual oracle.  Generic over Dual q/v.
+    """
+    x = q.reshape(-1, 3)
+    vv = v.reshape(-1, 3)
+    xc = x[cset.vertex]
+    anchor = _friction_anchor(cset, obstacles, xc, t, penalty, frozen_basis,
+                              cache)
+    fc, ff = _contact_friction_local(
+        xc, vv[cset.vertex], cset.obstacle, cset.friction_coeffs, *anchor,
+        obstacles=obstacles, t=t, penalty=penalty)
+    return (dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
+                           fc).reshape(-1),
+            dm.scatter_add(dm.zeros(vv.shape, like=v), cset.vertex,
+                           ff).reshape(-1))
 
 
 def friction_force(cset: ContactSet, obstacles, q, v, t: float,
                    penalty: PenaltyParams, frozen_basis: bool = False,
                    cache: LaggedFrictionCache | None = None):
-    """Total friction force (m,): -T(q) H(T^T v) c with lambda(q).
-
-    With a lagged ``cache``, T and lambda come from the cached start-of-step
-    state and only the velocity is live (q is not read).  ``frozen_basis``
-    detaches the positional dependence (geometry evaluated at value(q)),
-    giving the cheaper Jacobian variant's force a matching dual oracle.
-    Generic over Dual q/v.
-    """
-    x = q.reshape(-1, 3)
-    vv = v.reshape(-1, 3)
-    out = dm.zeros(vv.shape, like=v)
-    for oi, members in cset.groups():
-        obs = obstacles[oi]
-        idx = cset.vertex[members]
-        xi = dm.value(x[idx]) if frozen_basis else x[idx]
-        f = _contact_friction_local(
-            vv[idx], *_anchor(cache, members, obs, xi, t, penalty),
-            _params(obs))
-        out = dm.scatter_add(out, idx, f)
-    return out.reshape(-1)
+    """Total friction force (m,), the second of
+    :func:`contact_friction_forces`."""
+    return contact_friction_forces(cset, obstacles, q, v, t, penalty,
+                                   frozen_basis, cache)[1]
 
 
 def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
-                            penalty: PenaltyParams, mode: str = "implicit",
+                            penalty: PenaltyParams,
                             cache: LaggedFrictionCache | None = None,
-                            frozen_basis: bool = False):
-    """Per-contact 3x3 Jacobian blocks (dfdq, dfdv) of the friction force.
+                            frozen_basis: bool = False) -> np.ndarray:
+    """Per-contact Jacobian blocks (k, 6, 6) of the contact and friction
+    forces with respect to the contact vertex's (q, v).
 
-    Each is one ``dual.jacobian_blocks`` pass over the kernel the residual
-    uses, so assembled products match the dual JVP to machine precision.
-    dfdq is zero when lagged or ``frozen_basis``.  Each contact touches
-    exactly one vertex in this obstacle-only setting, so the blocks are
-    diagonal in the contact index.
+    Rows 0-2 are the contact force and rows 3-5 the friction force; columns
+    0-2 are q and 3-5 are v.  So ``[:, :3, :3]`` is the contact dq block,
+    ``[:, 3:, :3]`` the friction dq block (exactly zero when lagged or under
+    ``frozen_basis``, whose anchors are constant) and ``[:, 3:, 3:]`` the
+    friction dv block; ``[:, :3, 3:]`` is zero.  All come from one
+    ``dual.jacobian_blocks`` pass over every contact of the kernel the
+    residual uses, so assembled products match the dual JVP to machine
+    precision.  Each contact touches exactly one vertex in this
+    obstacle-only setting, so the blocks are diagonal in the contact index.
     """
-    k = cset.size
-    dfdq = np.zeros((k, 3, 3))
-    dfdv = np.zeros((k, 3, 3))
-    x = np.asarray(q, float).reshape(-1, 3)
-    vv = np.asarray(v, float).reshape(-1, 3)
-    lagged = cache if mode == "lagged" else None
-    for oi, members in cset.groups():
-        obs = obstacles[oi]
-        params = _params(obs)
-        idx = cset.vertex[members]
-        dfdv[members] = dm.jacobian_blocks(
-            lambda vd, *anchor: _contact_friction_local(vd, *anchor, params),
-            vv[idx], *_anchor(lagged, members, obs, x[idx], t, penalty))
-        if lagged is None and not frozen_basis:
-            dfdq[members] = dm.jacobian_blocks(
-                lambda xd, vm: _contact_friction_local(
-                    vm, *_geometry(obs, xd, t, penalty), params),
-                x[idx], vv[idx])
-    return dfdq, dfdv
+    x = np.asarray(q, float).reshape(-1, 3)[cset.vertex]
+    vv = np.asarray(v, float).reshape(-1, 3)[cset.vertex]
+    anchor = _friction_anchor(cset, obstacles, x, t, penalty, frozen_basis,
+                              cache)
+
+    def kernel(y, *per_item):
+        return dm.concat(_contact_friction_local(
+            y[:, :3], y[:, 3:], *per_item, obstacles=obstacles, t=t,
+            penalty=penalty), axis=-1)
+
+    return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),
+                              cset.obstacle, cset.friction_coeffs, *anchor)

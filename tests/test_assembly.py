@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fricsim.contact import contact_blocks
 from fricsim.dual import Dual
 from fricsim.elasticity import (_element_stiffness, damping_q_blocks,
                                 element_kinematics)
@@ -107,17 +106,14 @@ def coo_oracle(prob, v):
     cset = prob.contact.cset
     if cset.size:
         rc = _pair_blocks(cset.vertex, cset.vertex)
+        blocks = contact_friction_blocks(
+            cset, model.obstacles, q, v, prob.t_eval, model.penalty,
+            cache=prob.contact.lagged, frozen_basis=model.frozen_basis)
         if "contact" in parts:
-            in_q.append(_triplets(*rc, contact_blocks(
-                cset, model.obstacles, q, prob.t_eval, model.penalty)))
+            in_q.append(_triplets(*rc, blocks[:, :3, :3]))
         if "friction" in parts:
-            dq, dv = contact_friction_blocks(
-                cset, model.obstacles, q, v, prob.t_eval, model.penalty,
-                mode=model.friction_mode, cache=prob.contact.lagged,
-                frozen_basis=model.frozen_basis)
-            in_v.append(_triplets(*rc, dv))
-            if model.friction_mode != "lagged" and not model.frozen_basis:
-                in_q.append(_triplets(*rc, dq))
+            in_v.append(_triplets(*rc, blocks[:, 3:, 3:]))
+            in_q.append(_triplets(*rc, blocks[:, 3:, :3]))
     if "volume" in parts:
         for vp in model.volume_penalties:
             vol, _ = enclosed_volume(vp.region, q)

@@ -1,11 +1,16 @@
 """The contact-candidate path against a brute-force scan of every
-(surface vertex, obstacle) pair, on the three-obstacle plate_squeeze scene."""
+(surface vertex, obstacle) pair, on the three-obstacle plate_squeeze scene,
+and the sweep margin of a rotating obstacle."""
 
 import os
 
 import numpy as np
 
-from fricsim.contact import penalty_lambda
+from fricsim.contact import (HalfSpace, PenaltyParams, RigidMotion,
+                             penalty_lambda)
+from fricsim.forces import ForceModel
+from fricsim.mesh import MaterialParams
+from fricsim.meshgen import box_mesh
 from fricsim.scene import load_scene_file
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -25,10 +30,10 @@ def _brute_force(model, q, v, t, h):
     """(vertex, obstacle, d, n) of every pair inside the activation distance,
     one pair at a time, in vertex-then-obstacle order."""
     x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
-    obs_speed = max(np.linalg.norm(o.motion.linear_velocity(t))
-                    for o in model.obstacles)
     rows = []
     for vert in model.mesh.surface_vertices:
+        obs_speed = max(np.linalg.norm(o.surface_velocity(x[vert], t))
+                        for o in model.obstacles)
         reach = 1.5 * model.penalty.delta \
             + h * (np.linalg.norm(vv[vert]) + obs_speed)
         for oi, obs in enumerate(model.obstacles):
@@ -54,6 +59,33 @@ def test_candidates_match_brute_force():
     np.testing.assert_allclose(cset.lam, penalty_lambda(d, pen.delta,
                                                         pen.kappa),
                                rtol=1e-12, atol=0.0)
+
+
+def test_rotating_obstacle_sweeps_candidates_in():
+    # a floor spinning about a pivot 1 m away, level at t = 0.1, sweeps up
+    # at 0.5 m/s under the block: its bottom vertices, at rest 3 mm above it,
+    # are inside the swept band but outside the band its (zero) linear
+    # velocity alone gives
+    motion = RigidMotion(rotation_axis=(0, 0, 1), rotation_pivot=(-1, 0, 0),
+                         rotation_angles=[(0.0, -0.05), (1.0, 0.45)])
+    floor = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), motion=motion)
+    mesh = box_mesh((0.02, 0.02, 0.02), (1, 1, 1),
+                    MaterialParams(density=1000.0, youngs_modulus=1e5,
+                                   poisson_ratio=0.3))
+    model = ForceModel(mesh, [floor], PenaltyParams(delta=1e-3, kappa=1e4))
+    x = mesh.rest_positions.copy()
+    x[:, 1] += 0.003 - x[:, 1].min()
+    t, h = 0.1, 0.01
+    gap = floor.gap(x, t)
+    bottom = np.nonzero(gap < 0.01)[0]
+    assert len(bottom) == 4
+    linear_band = 1.5 * model.penalty.delta \
+        + h * np.linalg.norm(motion.linear_velocity(t))
+    swept_band = 1.5 * model.penalty.delta + h * np.linalg.norm(
+        floor.surface_velocity(x[bottom], t), axis=1)
+    assert np.all((gap[bottom] > linear_band) & (gap[bottom] < swept_band))
+    cset = model.build_contact_state(x.ravel(), np.zeros(x.size), t, h).cset
+    np.testing.assert_array_equal(cset.vertex, bottom)
 
 
 def test_extra_pairs_are_unioned_sorted_and_unique():

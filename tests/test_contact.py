@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fricsim.contact import (HalfSpace, PenaltyParams, RigidMotion, Sphere,
-                             StiffeningError, adaptive_stiffen, contact_blocks,
-                             contact_energy, contact_force, gaps, penalty_b,
-                             penalty_db, penalty_lambda, tangential_velocity)
+                             StiffeningError, adaptive_stiffen, contact_energy,
+                             contact_force, gaps, penalty_b, penalty_db,
+                             penalty_lambda, tangential_velocity)
+from fricsim.friction import contact_friction_blocks
 
 DELTA = 1e-3
 KAPPA = 1e4
@@ -183,7 +184,8 @@ def test_sphere_contact_blocks_match_fd(contains):
     q = x.ravel()
     cs = gaps([sph], q, 0.0, PEN)
     assert cs.size == 4
-    blocks = contact_blocks(cs, [sph], q, 0.0, PEN)
+    blocks = contact_friction_blocks(cs, [sph], q, np.zeros_like(q), 0.0,
+                                     PEN)[:, :3, :3]
     h = 1e-7
     for c in range(3):
         step = np.zeros_like(x)

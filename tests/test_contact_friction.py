@@ -1,0 +1,215 @@
+"""The one contact-and-friction pass against a per-obstacle oracle.
+
+``contact_friction_blocks`` seeds the 6 (q, v) directions of every contact in
+one ``dual.jacobian_blocks`` pass, and ``contact_friction_forces`` evaluates
+each obstacle's geometry once for all its contacts.  The oracle here does it
+the long way: per obstacle and per block kind, one ``jacobian_blocks`` pass
+of a kernel written with that obstacle's scalar ``FrictionParams``.  The
+mixed state has a Stribeck half-space, a moving sphere, a frictionless
+rotating plane and a vertex touching two obstacles.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from fricsim import dual as dm
+from fricsim.contact import (HalfSpace, PenaltyParams, RigidMotion, Sphere,
+                             gaps, penalty_lambda)
+from fricsim.friction import (FrictionParams, LaggedFrictionCache,
+                              contact_friction_blocks,
+                              contact_friction_forces, friction_magnitude_c)
+from fricsim.scene import load_scene_file
+from fricsim.simulate import Simulation
+
+PEN = PenaltyParams(delta=1e-3, kappa=1e4)
+T = 0.25
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+
+
+def _obstacles(contains):
+    """A Stribeck floor, a moving sphere resting on it (a ball, or a large
+    container the other points lie inside) and a frictionless wall that
+    rotates about a far pivot."""
+    floor = HalfSpace((0, 0, 0), (0, 1, 0), friction=FrictionParams(
+        mu_d=0.4, mu_s=0.9, mu_v=0.05, epsilon=1e-3, v_s=5e-3))
+    centre, radius = ((0.0, 0.5, 0.0), 2.0) if contains \
+        else ((0.3, 0.1, 0.0), 0.1)
+    sphere = Sphere(centre, radius, contains=contains,
+                    friction=FrictionParams(mu_d=0.7, mu_s=1.1, epsilon=2e-3),
+                    motion=RigidMotion(translation=[(0.0, (0, 0, 0)),
+                                                    (1.0, (0.04, 0, 0.02))]))
+    wall = HalfSpace((0, 0, 0.05), (0, 0, -1), motion=RigidMotion(
+        rotation_axis=(0, 1, 0), rotation_pivot=(0.0, 0.0, -2.0),
+        rotation_angles=[(0.0, 0.0), (1.0, 0.004)]))
+    return [floor, sphere, wall]
+
+
+def _onto(obs, x, gap):
+    """x moved along the obstacle normal until its gap is ``gap``."""
+    for _ in range(3):
+        d, n = obs.gap_normal(x[None], T)
+        x = x + (gap - d[0]) * n[0]
+    return x
+
+
+def _state(contains):
+    """(obstacles, q, v): 4 points inside the penalty support of each
+    obstacle and a corner point 0.5 delta from the floor and the sphere."""
+    obstacles = _obstacles(contains)
+    floor, sphere, wall = obstacles
+    rng = np.random.default_rng(4)
+    points = []
+    for obs, near in ((floor, (0.1, 0.0, -0.1)), (wall, (-0.2, 0.3, 0.05))):
+        for _ in range(4):
+            x = np.array(near) + 0.02 * rng.normal(size=3)
+            points.append(_onto(obs, x, rng.uniform(-0.2, 0.8) * PEN.delta))
+    centre = sphere._center(T)
+    for _ in range(4):  # upper half, on the floor side of the wall
+        u = rng.normal(size=3)
+        u[1] = abs(u[1]) + 1.0
+        u[2] = -abs(u[2]) - 0.5
+        u /= np.linalg.norm(u)
+        points.append(_onto(sphere, centre + sphere.radius * u,
+                            rng.uniform(-0.2, 0.8) * PEN.delta))
+    g = 0.5 * PEN.delta
+    rise = centre[1] - g
+    reach = sphere.radius - g if contains else sphere.radius + g
+    points.append(centre + [np.sqrt(reach ** 2 - rise ** 2), -rise, 0.0])
+    q = np.ravel(points)
+    speeds = rng.choice([0.3, 3.0, 30.0], size=len(points)) * 1e-3
+    dirs = rng.normal(size=(len(points), 3))
+    v = (dirs / np.linalg.norm(dirs, axis=1)[:, None] * speeds[:, None]).ravel()
+    return obstacles, q, v
+
+
+def _friction_local(v, lam, normal, w, params):
+    rel = v - w
+    vt = rel - dm.dot_last(rel, normal)[..., None] * normal
+    speed = dm.norm_last(vt)
+    return -(friction_magnitude_c(speed, lam, params) / speed)[..., None] * vt
+
+
+def _oracle(cset, obstacles, q, v, cache, frozen):
+    """(blocks (k, 6, 6), contact force, friction force), per obstacle."""
+    x = q.reshape(-1, 3)[cset.vertex]
+    vv = v.reshape(-1, 3)[cset.vertex]
+    blocks = np.zeros((cset.size, 6, 6))
+    f_c = np.zeros((len(q) // 3, 3))
+    f_f = np.zeros((len(q) // 3, 3))
+    for oi in np.unique(cset.obstacle):
+        obs = obstacles[oi]
+        m = np.nonzero(cset.obstacle == oi)[0]
+        params = obs.friction or FrictionParams(mu_d=0.0)
+
+        def contact(xd, obs=obs):
+            d, n = obs.gap_normal(xd, T)
+            return penalty_lambda(d, PEN.delta, PEN.kappa)[..., None] * n
+
+        def anchor(xd, obs=obs, m=m):
+            if cache is not None:
+                return (cache.lam0[m], cache.n0[m],
+                        obs.surface_velocity(cache.x0[m], T))
+            xg = dm.value(xd) if frozen else xd
+            d, n = obs.gap_normal(xg, T)
+            return (penalty_lambda(d, PEN.delta, PEN.kappa), n,
+                    obs.surface_velocity(xg, T))
+
+        def friction_v(vd, *anc, params=params):
+            return _friction_local(vd, *anc, params)
+
+        def friction_q(xd, vm, anchor=anchor, params=params):
+            return _friction_local(vm, *anchor(xd), params)
+
+        blocks[m, :3, :3] = dm.jacobian_blocks(contact, x[m])
+        if cache is None and not frozen:  # else friction is constant in q
+            blocks[m, 3:, :3] = dm.jacobian_blocks(friction_q, x[m], vv[m])
+        blocks[m, 3:, 3:] = dm.jacobian_blocks(friction_v, vv[m],
+                                               *anchor(x[m]))
+        np.add.at(f_c, cset.vertex[m], contact(x[m]))
+        np.add.at(f_f, cset.vertex[m], friction_v(vv[m], *anchor(x[m])))
+    return blocks, f_c.ravel(), f_f.ravel()
+
+
+def _close(got, want):
+    scale = max(np.abs(want).max(), 1e-300)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("contains", [False, True])
+@pytest.mark.parametrize("mode", ["implicit", "lagged", "frozen_basis"])
+def test_one_pass_matches_per_obstacle_oracle(mode, contains):
+    obstacles, q, v = _state(contains)
+    cset = gaps(obstacles, q, T, PEN)
+    assert np.array_equal(np.bincount(cset.obstacle), [5, 5, 4])
+    corner = cset.vertex == len(q) // 3 - 1  # on the floor and the sphere
+    assert np.array_equal(cset.obstacle[corner], [0, 1])
+    assert np.all(cset.lam > 0.0)
+    cache = None
+    if mode == "lagged":
+        q0 = q + 1e-4 * np.random.default_rng(1).normal(size=q.size)
+        cache = LaggedFrictionCache.build(cset, obstacles, q0, 0.2, PEN)
+    frozen = mode == "frozen_basis"
+    blocks = contact_friction_blocks(cset, obstacles, q, v, T, PEN,
+                                     cache=cache, frozen_basis=frozen)
+    f_c, f_f = contact_friction_forces(cset, obstacles, q, v, T, PEN,
+                                       frozen_basis=frozen, cache=cache)
+    want, want_c, want_f = _oracle(cset, obstacles, q, v, cache, frozen)
+    _close(blocks[:, :3, :3], want[:, :3, :3])
+    _close(blocks[:, 3:, 3:], want[:, 3:, 3:])
+    _close(blocks[:, 3:, :3], want[:, 3:, :3])
+    assert np.all(blocks[:, :3, 3:] == 0.0)
+    if mode != "implicit":
+        assert np.all(blocks[:, 3:, :3] == 0.0)
+    else:
+        assert np.abs(blocks[:, 3:, :3]).max() > 0.0
+    # the frictionless wall's contacts carry no friction
+    wall = cset.obstacle == 2
+    assert np.all(blocks[wall, 3:] == 0.0)
+    assert np.abs(blocks[~wall, 3:, 3:]).max() > 0.0
+    _close(f_c, want_c)
+    _close(f_f, want_f)
+
+
+def _stage():
+    """(problem, v) of the first solve after 120 plate_squeeze steps."""
+    sim = Simulation(load_scene_file(os.path.join(SCENES,
+                                                  "plate_squeeze.json")))
+    for _ in range(120):
+        sim.advance()
+    seen = []
+
+    def capture(problem, v0):
+        seen.append((problem, np.asarray(v0, float).copy()))
+        return Simulation._solve(sim, problem, v0)
+
+    sim._solve = capture
+    sim.advance()
+    return seen[0]
+
+
+def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
+    prob, v = _stage()
+    model = prob.model
+    assert len(model.obstacles) == 3
+    assert len(np.unique(prob.contact.cset.obstacle)) == 3
+    passes = []
+    real_blocks = dm.jacobian_blocks
+
+    def counted_blocks(*args, **kwargs):
+        passes.append(1)
+        return real_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(dm, "jacobian_blocks", counted_blocks)
+    model.jacobians(prob.positions(v), v, prob.t_eval, prob.contact)
+    assert len(passes) == 1
+
+    calls = [0] * len(model.obstacles)
+    for i, obs in enumerate(model.obstacles):
+        def counted(x, t, real=obs.gap_normal, i=i):
+            calls[i] += 1
+            return real(x, t)
+        monkeypatch.setattr(obs, "gap_normal", counted)
+    prob.residual(v)
+    assert calls == [1, 1, 1]

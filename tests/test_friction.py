@@ -238,7 +238,8 @@ def test_jacobian_blocks_negative_semidefinite_at_rest():
     # at vbar = 0 the velocity Jacobian is pure tangential damping with
     # slope c'(0+) = 2 mu_s lambda / eps (+ mu_v); NSD for any tangential v
     plane, q, cs = _plane_setup(mu=0.9, mu_s=1.5)
-    _, dfdv = contact_friction_blocks(cs, [plane], q, np.zeros(3), 0.0, PEN)
+    dfdv = contact_friction_blocks(cs, [plane], q, np.zeros(3), 0.0,
+                                   PEN)[:, 3:, 3:]
     sym = 0.5 * (dfdv[0] + dfdv[0].T)
     w = np.linalg.eigvalsh(sym)
     assert w.max() <= 1e-9 * max(1.0, -w.min())
@@ -252,7 +253,7 @@ def test_jacobian_blocks_nsd_while_sliding_coulomb():
     # without Stribeck decay (mu_s = mu_d) the sliding branch stays NSD
     plane, q, cs = _plane_setup(mu=0.9)
     for v in (np.array([0.5 * EPS, 0.0, 0.0]), np.array([5 * EPS, 0.0, 2 * EPS])):
-        _, dfdv = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN)
+        dfdv = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN)[:, 3:, 3:]
         sym = 0.5 * (dfdv[0] + dfdv[0].T)
         w = np.linalg.eigvalsh(sym)
         assert w.max() <= 1e-9 * max(1.0, -w.min())
@@ -263,11 +264,12 @@ def test_frozen_basis_equals_full_on_plane_with_lagged_lambda():
     plane, q, cs = _plane_setup(mu=0.7)
     cache = LaggedFrictionCache.build(cs, [plane], q, 0.0, PEN)
     v = np.array([0.002, 0.0, 0.001])
-    dfdq_l, dfdv_l = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
-                                             mode="lagged", cache=cache)
-    dfdq_f, dfdv_f = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
-                                             mode="lagged", cache=cache,
-                                             frozen_basis=True)
+    blocks_l = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
+                                       cache=cache)
+    blocks_f = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
+                                       cache=cache, frozen_basis=True)
+    dfdq_l, dfdv_l = blocks_l[:, 3:, :3], blocks_l[:, 3:, 3:]
+    dfdq_f, dfdv_f = blocks_f[:, 3:, :3], blocks_f[:, 3:, 3:]
     np.testing.assert_allclose(dfdv_l, dfdv_f, atol=1e-15)
     np.testing.assert_allclose(dfdq_l, 0.0, atol=1e-15)
     np.testing.assert_allclose(dfdq_f, 0.0, atol=1e-15)
