@@ -12,9 +12,11 @@ contact force magnitude is lambda = -b'(d) >= 0, applied along the gap
 gradient.  kappa is raised adaptively until end-of-step gaps are positive.
 
 :func:`contact_geometry` evaluates each obstacle's gap, normal and surface
-velocity once for all of its contacts and returns them in contact order; the
-residual's contact force and the contact dq blocks come from it inside the
-one contact-and-friction kernel of :mod:`fricsim.friction`.
+velocity once for all of its contacts and returns them in contact order.  It
+is the one per-obstacle path: the candidate set's build-time geometry, the
+contact energy, the tangential velocity, and the residual's contact force
+and contact dq blocks (inside the one contact-and-friction kernel of
+:mod:`fricsim.friction`) all take their geometry from it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import dual as dm
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "gaps", "penalty_b", "penalty_db", "penalty_lambda", "per_obstacle",
-    "contact_geometry", "contact_force", "tangent_basis",
+    "contact_geometry", "contact_force",
     "adaptive_stiffen", "StiffeningError", "AdaptDecision", "gap_matrix",
 ]
 
@@ -157,6 +159,9 @@ class _ObstacleBase:
         off = self.motion.offset(t)
         return r, off
 
+    def gap(self, x, t: float):
+        return self.gap_normal(x, t)[0]
+
     def surface_velocity(self, x, t: float):
         """Material velocity of the obstacle point currently at x (generic)."""
         vlin = self.motion.linear_velocity(t)
@@ -180,9 +185,6 @@ class HalfSpace(_ObstacleBase):
         if nrm == 0:
             raise ValueError("half-space normal must be nonzero")
         self.normal = normal / nrm
-
-    def gap(self, x, t: float):
-        return self.gap_normal(x, t)[0]
 
     def gap_normal(self, x, t: float):
         """(gap, unit gradient of gap) — generic over Dual x."""
@@ -212,11 +214,6 @@ class Sphere(_ObstacleBase):
         return r @ (self.center - self.motion.rotation_pivot) \
             + self.motion.rotation_pivot + off
 
-    def gap(self, x, t: float):
-        rel = x - self._center(t)
-        dist = dm.norm_last(rel)
-        return (self.radius - dist) if self.contains else (dist - self.radius)
-
     def gap_normal(self, x, t: float):
         rel = x - self._center(t)
         dist = dm.norm_last(rel)
@@ -225,28 +222,12 @@ class Sphere(_ObstacleBase):
         return d, (-unit if self.contains else unit)
 
 
-def tangent_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal tangent pairs (b1, b2) for unit normals.
-
-    b1 is the projection of a fixed reference axis (x, falling back to y when
-    nearly parallel); b2 = n x b1.
-    """
-    n = np.atleast_2d(np.asarray(normals, float))
-    ref = np.tile(np.array([1.0, 0.0, 0.0]), (len(n), 1))
-    ref[np.abs(n[:, 0]) > 0.9] = np.array([0.0, 1.0, 0.0])
-    b1 = ref - (np.einsum("ij,ij->i", ref, n))[:, None] * n
-    b1 /= np.linalg.norm(b1, axis=1)[:, None]
-    b2 = np.cross(n, b1)
-    return b1, b2
-
-
 @dataclass
 class ContactSet:
     """Frozen vertex-obstacle candidate pairs with build-time geometry.
 
-    Geometry fields (d, lam, n, b1, b2) are snapshots at the positions/time
-    the set was built from; live evaluation recomputes them at the query
-    state.
+    Geometry fields (d, lam, n) are snapshots at the positions/time the set
+    was built from; live evaluation recomputes them at the query state.
     """
 
     vertex: np.ndarray                  # (k,) vertex indices
@@ -254,20 +235,12 @@ class ContactSet:
     d: np.ndarray                       # (k,) gaps at build positions
     lam: np.ndarray                     # (k,) -b'(d) at build positions
     n: np.ndarray                       # (k, 3) unit normals
-    b1: np.ndarray                      # (k, 3) tangents
-    b2: np.ndarray                      # (k, 3)
     n_dofs: int
     obstacles: list = field(default_factory=list, repr=False)
-    build_x: np.ndarray | None = None   # (k, 3) contact-vertex positions
 
     @property
     def size(self) -> int:
         return len(self.vertex)
-
-    def groups(self):
-        """Yield (obstacle_index, member_slice_indices) per obstacle."""
-        for oi in np.unique(self.obstacle):
-            yield int(oi), np.nonzero(self.obstacle == oi)[0]
 
     @cached_property
     def friction_coeffs(self) -> np.ndarray:
@@ -304,16 +277,10 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
     if extra is not None:
         pairs = np.concatenate([pairs, extra])
     vertex, obstacle = np.unique(pairs, axis=0).T
-    d, lam = np.zeros(len(vertex)), np.zeros(len(vertex))
-    n = np.zeros((len(vertex), 3))
-    for oi in np.unique(obstacle):
-        members = np.nonzero(obstacle == oi)[0]
-        d[members], n[members] = obstacles[oi].gap_normal(x[vertex[members]], t)
-        lam[members] = penalty_lambda(d[members], penalty.delta, penalty.kappa)
-    b1, b2 = tangent_basis(n)
+    d, n, _ = contact_geometry(obstacles, obstacle, x[vertex], t)
+    lam = penalty_lambda(d, penalty.delta, penalty.kappa) if len(d) else d
     return ContactSet(vertex=vertex, obstacle=obstacle, d=d, lam=lam, n=n,
-                      b1=b1, b2=b2, n_dofs=3 * len(x), obstacles=list(obstacles),
-                      build_x=x[vertex].copy())
+                      n_dofs=3 * len(x), obstacles=list(obstacles))
 
 
 def per_obstacle(fn, obstacles, obstacle, x):
@@ -322,8 +289,8 @@ def per_obstacle(fn, obstacles, obstacle, x):
     per obstacle on its own rows x_o, results back in the row order of x.
     Generic over Dual x."""
     present = np.unique(obstacle)
-    if len(present) <= 1:  # without rows the first obstacle gives empties
-        return fn(obstacles[present[0] if len(present) else 0], x)
+    if len(present) == 1:
+        return fn(obstacles[present[0]], x)
     rows = [np.nonzero(obstacle == oi)[0] for oi in present]
     outs = [fn(obstacles[oi], x[r]) for oi, r in zip(present, rows)]
     order = np.argsort(np.concatenate(rows))
@@ -334,7 +301,10 @@ def contact_geometry(obstacles, obstacle, x, t: float):
     """(gap (k,), unit normal (k, 3), obstacle surface velocity (k, 3)) of
     the positions x (k, 3) against ``obstacles[obstacle]``, with one
     ``gap_normal`` and one ``surface_velocity`` call per obstacle; generic
-    over Dual x."""
+    over Dual x.  Without rows (perhaps without obstacles) it gives empty
+    real arrays."""
+    if not len(obstacle):
+        return np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3))
     return per_obstacle(lambda obs, xo: (*obs.gap_normal(xo, t),
                                          obs.surface_velocity(xo, t)),
                         obstacles, obstacle, x)
@@ -358,27 +328,18 @@ def contact_energy(cset: ContactSet, obstacles, q, t: float,
                    penalty: PenaltyParams):
     """Aggregate penalty energy W_c at q for the frozen set."""
     x = np.asarray(dm.value(q), float).reshape(-1, 3)
-    total = 0.0
-    for oi, members in cset.groups():
-        d = obstacles[oi].gap(x[cset.vertex[members]], t)
-        total += float(np.sum(penalty_b(d, penalty.delta, penalty.kappa)))
-    return total
+    d, _, _ = contact_geometry(obstacles, cset.obstacle, x[cset.vertex], t)
+    return float(np.sum(penalty_b(d, penalty.delta, penalty.kappa)))
 
 
-def tangential_velocity(cset: ContactSet, v: np.ndarray, t: float,
-                        x=None) -> np.ndarray:
-    """Relative tangential velocity 2-vectors (k, 2): v minus the obstacle
-    surface motion at each contact point, in the tangent basis (b1, b2)."""
-    vv = np.asarray(v, float).reshape(-1, 3)
-    x = cset.build_x if x is None else np.asarray(x, float)
-    out = np.zeros((cset.size, 2))
-    for oi, members in cset.groups():
-        obs = cset.obstacles[oi]
-        w = obs.surface_velocity(x[members], t)
-        rel = vv[cset.vertex[members]] - w
-        out[members, 0] = np.einsum("ij,ij->i", rel, cset.b1[members])
-        out[members, 1] = np.einsum("ij,ij->i", rel, cset.b2[members])
-    return out
+def tangential_velocity(cset: ContactSet, q, v, t: float) -> np.ndarray:
+    """Relative tangential velocities (k, 3) at q: v minus the obstacle
+    surface motion at each contact point, projected onto the tangent plane
+    of the live normal."""
+    x = np.asarray(q, float).reshape(-1, 3)[cset.vertex]
+    _, n, w = contact_geometry(cset.obstacles, cset.obstacle, x, t)
+    rel = np.asarray(v, float).reshape(-1, 3)[cset.vertex] - w
+    return rel - dm.dot_last(rel, n)[:, None] * n
 
 
 @dataclass

@@ -6,17 +6,18 @@ parameters and Dirichlet constraints, and provides
   * ``force`` — generic total force, evaluable with Dual q/v for JVPs,
     with part selection (used by the mis-split TR diagnostic) and lagged
     friction anchoring;
-  * ``jacobians`` — assembled sparse (df/dq, df/dv) plus exact rank-1
-    volume terms, kept separate because they are dense; the solvers apply
-    them without forming them (Woodbury on the LU factor, or a matvec).
-    The elastic K, the damping-dq blocks and the volume Hessian are closed
-    form; the contact dq, friction dq and friction dv blocks all come from
-    one ``dual.jacobian_blocks`` pass over every contact of the
+  * ``jacobians`` — the sparse c_q df/dq + c_v df/dv, as ``data`` on one
+    fixed CSR pattern per model (:class:`CsrPattern`, built at the first
+    assembly), plus the exact rank-1 volume terms of c_q df/dq, kept
+    separate because they are dense; the solvers apply them without
+    forming them (Woodbury on the LU factor, or a matvec).  Each part is
+    one ``np.bincount`` scatter of its weighted blocks: the elements'
+    closed-form (c_q + c_v beta) K + c_q D (D the damping-dq blocks), the
+    contacts' contact dq, friction dq and friction dv blocks from one
+    ``dual.jacobian_blocks`` pass over every contact of the
     contact-and-friction kernel the force uses
     (``friction.contact_friction_blocks``), so no obstacle curvature is
-    coded here.  Both matrices live on one fixed CSR pattern per model
-    (:class:`CsrPattern`, built at the first assembly): every part is one
-    ``np.bincount`` scatter of its blocks into the pattern's ``data``.
+    coded here, and each volume region's closed-form Hessian.
 
 Contact candidate sets are frozen per step (built by the stepping loop) and
 evaluated live inside a solve.
@@ -253,44 +254,43 @@ class ForceModel:
             self._pattern = pat
         return self._pattern
 
-    def jacobians(self, q, v, t: float, contact: ContactState,
-                  parts: frozenset = ALL_PARTS):
-        """(df/dq, df/dv, rank1 list) at real (q, v); df/dq and df/dv are CSR
-        on :meth:`pattern`, so they share its ``indices`` and ``indptr``."""
+    def jacobians(self, q, v, t: float, contact: ContactState, c_q: float,
+                  c_v: float, parts: frozenset = ALL_PARTS):
+        """(data, rank1 list) at real (q, v): ``data`` holds
+        c_q df/dq + c_v df/dv on :meth:`pattern`, and the rank-1 volume
+        terms are those of df/dq scaled by c_q."""
         q = np.asarray(q, float)
         v = np.asarray(v, float)
         pat = self.pattern()
         elem, *regions = pat.slots
-        data_q = np.zeros(pat.nnz)
-        data_v = np.zeros(pat.nnz)
+        data = np.zeros(pat.nnz)
         rank1: list[Rank1] = []
         mesh = self.mesh
-        has_beta = bool(np.any(mesh.beta > 0.0))
+        elastic, damping = "elastic" in parts, "damping" in parts
+        has_beta = damping and bool(np.any(mesh.beta > 0.0))
 
-        if "elastic" in parts or ("damping" in parts and has_beta):
+        if elastic or has_beta:
             kin = element_kinematics(mesh, q)
-            kblocks = _element_stiffness(mesh, kin)
-        if "elastic" in parts:
-            data_q -= pat.scatter(elem, kblocks.ravel())
-        if "damping" in parts:
-            data_v[pat.diag] -= mesh.alpha * mesh.mass_dofs
+            weight = c_q * elastic + c_v * damping * mesh.beta
+            blocks = _element_stiffness(mesh, kin) * weight[:, None, None]
             if has_beta:
-                data_v -= pat.scatter(
-                    elem, (kblocks * mesh.beta[:, None, None]).ravel())
-                data_q -= pat.scatter(
-                    elem, damping_q_blocks(mesh, kin, v).ravel())
+                blocks += c_q * damping_q_blocks(mesh, kin, v)
+            data -= pat.scatter(elem, blocks.ravel())
+        if damping:
+            data[pat.diag] -= c_v * mesh.alpha * mesh.mass_dofs
 
         cset = contact.cset
         if self.penalty is not None and cset.size and parts & CONTACT_PARTS:
-            slots = pat.vertex[cset.vertex].ravel()
-            blocks = contact_friction_blocks(
+            cf = contact_friction_blocks(
                 cset, self.obstacles, q, v, t, self.penalty,
                 cache=contact.lagged, frozen_basis=self.frozen_basis)
+            blocks = 0.0
             if "contact" in parts:
-                data_q += pat.scatter(slots, blocks[:, :3, :3].ravel())
+                blocks += c_q * cf[:, :3, :3]
             if "friction" in parts:
-                data_v += pat.scatter(slots, blocks[:, 3:, 3:].ravel())
-                data_q += pat.scatter(slots, blocks[:, 3:, :3].ravel())
+                blocks += c_q * cf[:, 3:, :3] + c_v * cf[:, 3:, 3:]
+            data += pat.scatter(pat.vertex[cset.vertex].ravel(),
+                                blocks.ravel())
 
         if "volume" in parts:
             for vp, slots in zip(self.volume_penalties, regions):
@@ -298,10 +298,10 @@ class ForceModel:
                 w1 = float(_dwdv(vvol, vp, vp.rest_volume))
                 w2 = _d2wdv2(float(vvol), vp, vp.rest_volume)
                 hv = volume_hessian_blocks(vp.region, q)
-                data_q -= pat.scatter(slots, w1 * hv.ravel())
-                rank1.append(Rank1(scale=-w2, u=g, w=g))
+                data -= pat.scatter(slots, (c_q * w1) * hv.ravel())
+                rank1.append(Rank1(scale=-c_q * w2, u=g, w=g))
 
-        return pat.matrix(data_q), pat.matrix(data_v), rank1
+        return data, rank1
 
     # -- constraints --------------------------------------------------------------
     def apply_velocity_constraints(self, r, v):

@@ -15,7 +15,9 @@ The kernel uses the tangent-plane projector (I - n n^T), which equals the
 sliding-basis form -T H(T^T v) c for any orthonormal tangent pair and has no
 reference-axis degeneracy.  Fully implicit evaluation takes the contact
 geometry at the live (end-of-step) positions; lagged evaluation takes it from
-cached start-of-step geometry while the velocity stays implicit.
+cached start-of-step geometry while the velocity stays implicit; under
+``frozen_basis`` friction takes the real part of the live geometry, so its
+positional derivative is dropped without a second geometry evaluation.
 
 One kernel gives the contact and the friction force of every contact from
 one geometry evaluation per obstacle (:func:`contact.contact_geometry`), with
@@ -115,19 +117,22 @@ def friction_magnitude_c(v, lam, params: FrictionParams):
 
 
 def _contact_friction_local(x, v, obstacle, coeffs, *anchor, obstacles,
-                            t: float, penalty: PenaltyParams):
+                            t: float, penalty: PenaltyParams,
+                            frozen_basis: bool):
     """Per-contact (contact force, friction force), (k, 3) each, of the
     positions x and velocities v (k, 3) of contacts against
     ``obstacles[obstacle]`` with friction coefficients ``coeffs`` (k, 5)
     (columns as in :func:`obstacle_coeffs`).
 
     Friction takes its (lambda, normal, obstacle surface velocity) from the
-    live geometry at x, or from the constant arrays ``anchor`` when given.
-    Generic over Dual x and v.
+    constant arrays ``anchor`` when given, else from the live geometry at x,
+    detached to its real part under ``frozen_basis``.  Generic over Dual x
+    and v.
     """
     d, normal, w = contact_geometry(obstacles, obstacle, x, t)
     lam = penalty_lambda(d, penalty.delta, penalty.kappa)
-    lam_f, n_f, w_f = anchor or (lam, normal, w)
+    lam_f, n_f, w_f = anchor or [dm.value(a) if frozen_basis else a
+                                 for a in (lam, normal, w)]
     rel = v - w_f
     vt = rel - dm.dot_last(rel, n_f)[..., None] * n_f
     speed = dm.norm_last(vt)
@@ -154,21 +159,16 @@ class LaggedFrictionCache:
                    n0=n0)
 
 
-def _friction_anchor(cset: ContactSet, obstacles, x, t: float,
-                     penalty: PenaltyParams, frozen_basis: bool,
-                     cache: LaggedFrictionCache | None):
-    """Constant (lambda, normal, w) friction takes in place of the live
-    geometry: the cached start-of-step values when lagged (w at the cached
-    positions), the live values at value(x) under ``frozen_basis``, and none
-    when fully implicit."""
-    if cache is not None:
-        w0, = per_obstacle(lambda obs, xo: (obs.surface_velocity(xo, t),),
-                           obstacles, cset.obstacle, cache.x0)
-        return cache.lam0, cache.n0, w0
-    if frozen_basis:
-        d, n, w = contact_geometry(obstacles, cset.obstacle, dm.value(x), t)
-        return penalty_lambda(d, penalty.delta, penalty.kappa), n, w
-    return ()
+def _lagged_anchor(cset: ContactSet, obstacles, t: float,
+                   cache: LaggedFrictionCache | None):
+    """The cached start-of-step (lambda, normal, w) lagged friction takes in
+    place of the live geometry, with w at the cached positions; none when
+    there is no cache."""
+    if cache is None:
+        return ()
+    w0, = per_obstacle(lambda obs, xo: (obs.surface_velocity(xo, t),),
+                       obstacles, cset.obstacle, cache.x0)
+    return cache.lam0, cache.n0, w0
 
 
 def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
@@ -180,17 +180,16 @@ def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
     The friction force is -T(q) H(T^T v) c with lambda(q).  With a lagged
     ``cache``, its T and lambda come from the cached start-of-step state and
     only the velocity is live.  ``frozen_basis`` detaches its positional
-    dependence (geometry evaluated at value(q)), giving the cheaper Jacobian
-    variant's force a matching dual oracle.  Generic over Dual q/v.
+    dependence (friction takes the real part of the live geometry), giving
+    the cheaper Jacobian variant's force a matching dual oracle.  Generic
+    over Dual q/v.
     """
     x = q.reshape(-1, 3)
     vv = v.reshape(-1, 3)
-    xc = x[cset.vertex]
-    anchor = _friction_anchor(cset, obstacles, xc, t, penalty, frozen_basis,
-                              cache)
     fc, ff = _contact_friction_local(
-        xc, vv[cset.vertex], cset.obstacle, cset.friction_coeffs, *anchor,
-        obstacles=obstacles, t=t, penalty=penalty)
+        x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
+        *_lagged_anchor(cset, obstacles, t, cache), obstacles=obstacles, t=t,
+        penalty=penalty, frozen_basis=frozen_basis)
     return (dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
                            fc).reshape(-1),
             dm.scatter_add(dm.zeros(vv.shape, like=v), cset.vertex,
@@ -225,13 +224,12 @@ def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
     """
     x = np.asarray(q, float).reshape(-1, 3)[cset.vertex]
     vv = np.asarray(v, float).reshape(-1, 3)[cset.vertex]
-    anchor = _friction_anchor(cset, obstacles, x, t, penalty, frozen_basis,
-                              cache)
 
     def kernel(y, *per_item):
         return dm.concat(_contact_friction_local(
             y[:, :3], y[:, 3:], *per_item, obstacles=obstacles, t=t,
-            penalty=penalty), axis=-1)
+            penalty=penalty, frozen_basis=frozen_basis), axis=-1)
 
     return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),
-                              cset.obstacle, cset.friction_coeffs, *anchor)
+                              cset.obstacle, cset.friction_coeffs,
+                              *_lagged_anchor(cset, obstacles, t, cache))

@@ -71,24 +71,26 @@ class StageProblem:
         """(sparse J, rank1 list): J = M - s_f (df/dv + c_q df/dq).
 
         J is the sparse matrix plus the rank1 list's exact volume terms, each
-        ``scale * outer(u, w)`` and never stored dense.  The sparse part is
-        formed on the ``data`` of the model's fixed pattern: the combination
-        slot by slot (divided by the mass of the slot's row when mass-scaled),
-        M (or 1) added on the diagonal slots, then the fixed rows masked.
+        ``scale * outer(u, w)`` and never stored dense.  The model assembles
+        df/dv + c_q df/dq with weights (c_q, 1) on the ``data`` of its fixed
+        pattern; that is scaled by -s_f (and divided by the mass of each
+        slot's row when mass-scaled), M (or 1) is added on the diagonal
+        slots, and the fixed rows are masked.
         """
         q = self.positions(np.asarray(v, float))
-        dfdq, dfdv, rank1 = self.model.jacobians(q, v, self.t_eval,
-                                                 self.contact, parts=self.parts)
+        data, rank1 = self.model.jacobians(q, v, self.t_eval, self.contact,
+                                           self.pos_coeff, 1.0,
+                                           parts=self.parts)
         pat = self.model.pattern()
         mass = self.model.mass_dofs
-        data = -self.force_scale * (dfdv.data + self.pos_coeff * dfdq.data)
+        data *= -self.force_scale
         if self.mass_scaled:
             data /= mass[pat.rows]
             data[pat.diag] += 1.0
         else:
             data[pat.diag] += mass
         jac = pat.matrix(self.model.constrain_rows(data))
-        scaled = [replace(r, scale=-self.force_scale * self.pos_coeff * r.scale,
+        scaled = [replace(r, scale=-self.force_scale * r.scale,
                           u=r.u / mass if self.mass_scaled else r.u)
                   for r in rank1]
         scaled = self.model.constrain_rank1(scaled)

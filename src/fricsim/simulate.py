@@ -175,8 +175,8 @@ class Simulation:
         cset = model.build_contact_state(st.q, st.v, st.t, 0.0).cset
         contact_e = contact_energy(cset, model.obstacles, st.q, st.t,
                                    model.penalty)
-        vbar = tangential_velocity(cset, st.v, st.t, x=x[cset.vertex])
-        max_slide = float(np.linalg.norm(vbar[cset.lam > 0.0], axis=1)
+        vt = tangential_velocity(cset, st.q, st.v, st.t)
+        max_slide = float(np.linalg.norm(vt[cset.lam > 0.0], axis=1)
                           .max(initial=0.0))
         deepest, _ = model.penetration(st.q, st.t)
         vol_e = 0.0

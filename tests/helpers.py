@@ -1,5 +1,5 @@
-"""Shared test helpers: element block indices, linear force models and bare
-nonlinear problems."""
+"""Shared test helpers: element block indices, df/dq and df/dv from the
+weighted assembly, linear force models and bare nonlinear problems."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,6 +14,15 @@ def element_block_indices(mesh):
     dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(-1, 12)
     return (np.repeat(dofs, 12, axis=1).ravel(),
             np.tile(dofs, (1, 12)).ravel())
+
+
+def split_jacobians(model, q, v, t, contact, parts=ALL_PARTS):
+    """(df/dq, df/dv, rank1 list of df/dq) as CSR matrices on the model's
+    pattern, from its weighted assembly with weights (1, 0) and (0, 1)."""
+    pat = model.pattern()
+    data_q, rank1 = model.jacobians(q, v, t, contact, 1.0, 0.0, parts=parts)
+    data_v, _ = model.jacobians(q, v, t, contact, 0.0, 1.0, parts=parts)
+    return pat.matrix(data_q), pat.matrix(data_v), rank1
 
 
 class LinearForceModel:
@@ -49,13 +58,10 @@ class LinearForceModel:
         """Dense n x n pattern."""
         return self._pattern
 
-    def jacobians(self, q, v, t, contact, parts=ALL_PARTS):
-        pat = self._pattern
-        zero = np.zeros_like(self.a_q)
-        dfdq = self.a_q if "elastic" in parts else zero
-        dfdv = self.a_v if "damping" in parts else zero
-        return (pat.matrix(pat.scatter(self._slots, dfdq.ravel())),
-                pat.matrix(pat.scatter(self._slots, dfdv.ravel())), [])
+    def jacobians(self, q, v, t, contact, c_q, c_v, parts=ALL_PARTS):
+        dfdx = (c_q * ("elastic" in parts) * self.a_q
+                + c_v * ("damping" in parts) * self.a_v)
+        return self._pattern.scatter(self._slots, dfdx.ravel()), []
 
     def apply_velocity_constraints(self, r, v):
         return r

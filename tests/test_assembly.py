@@ -1,11 +1,12 @@
 """The stage Jacobian on the model's fixed CSR pattern against a COO oracle.
 
-``StageProblem.jacobian`` scatters every block into one precomputed pattern
-and forms J on its ``data``.  The oracle here assembles the same blocks with
-``scipy.sparse.coo_matrix`` (duplicates summed), forms J densely and applies
-the Dirichlet rows by hand; the two must agree to 1e-14 relative.  On the
-same stage states, the real part of a dual residual evaluation must be the
-residual bit for bit.
+``StageProblem.jacobian`` has the model assemble df/dv + c_q df/dq in one
+weighted pass, one scatter per part into one precomputed pattern, and forms
+J on its ``data``.  The oracle here assembles df/dq and df/dv block by block
+with ``scipy.sparse.coo_matrix`` (duplicates summed), combines them densely
+and applies the Dirichlet rows by hand; the two must agree to 1e-14
+relative.  On the same stage states the weights must act linearly, and the
+real part of a dual residual evaluation must be the residual bit for bit.
 """
 
 import json
@@ -19,6 +20,7 @@ from fricsim.dual import Dual
 from fricsim.elasticity import (_element_stiffness, damping_q_blocks,
                                 element_kinematics)
 from fricsim.experiments import block_slide_scene
+from fricsim.forces import CsrPattern
 from fricsim.friction import contact_friction_blocks
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation
@@ -153,6 +155,37 @@ def test_jacobian_matches_coo_oracle(stage):
     err = np.max(np.abs(jac.toarray() - oracle))
     assert err <= 1e-14 * np.max(np.abs(oracle)), name
     assert len(rank1) == len(prob.model.volume_penalties)
+
+
+def test_one_scatter_per_part(stage, monkeypatch):
+    _, (prob, v) = stage
+    calls = []
+    real = CsrPattern.scatter
+
+    def counted(self, slots, weights):
+        calls.append(1)
+        return real(self, slots, weights)
+
+    monkeypatch.setattr(CsrPattern, "scatter", counted)
+    prob.jacobian(v)
+    # elements, contacts and one per volume region
+    assert len(calls) == 2 + len(prob.model.volume_penalties)
+
+
+def test_weights_act_linearly(stage):
+    _, (prob, v) = stage
+    model = prob.model
+    args = (prob.positions(v), v, prob.t_eval, prob.contact)
+    c_q, c_v = prob.pos_coeff, 1.0
+    data, rank1 = model.jacobians(*args, c_q, c_v, parts=prob.parts)
+    data_q, rank1_q = model.jacobians(*args, 1.0, 0.0, parts=prob.parts)
+    data_v, rank1_v = model.jacobians(*args, 0.0, 1.0, parts=prob.parts)
+    want = c_q * data_q + c_v * data_v
+    assert np.max(np.abs(data - want)) <= 1e-14 * np.max(np.abs(want))
+    for r, r_q, r_v in zip(rank1, rank1_q, rank1_v, strict=True):
+        assert r.scale == pytest.approx(c_q * r_q.scale + c_v * r_v.scale,
+                                        rel=1e-14)
+        assert np.array_equal(r.u, r_q.u) and np.array_equal(r.w, r_q.w)
 
 
 def test_scene_coverage(stage):

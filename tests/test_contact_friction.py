@@ -202,14 +202,19 @@ def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
         return real_blocks(*args, **kwargs)
 
     monkeypatch.setattr(dm, "jacobian_blocks", counted_blocks)
-    model.jacobians(prob.positions(v), v, prob.t_eval, prob.contact)
-    assert len(passes) == 1
-
     calls = [0] * len(model.obstacles)
     for i, obs in enumerate(model.obstacles):
         def counted(x, t, real=obs.gap_normal, i=i):
             calls[i] += 1
             return real(x, t)
         monkeypatch.setattr(obs, "gap_normal", counted)
-    prob.residual(v)
-    assert calls == [1, 1, 1]
+    # frozen_basis takes friction's anchor from the same live geometry
+    for frozen in (False, True):
+        monkeypatch.setattr(model, "frozen_basis", frozen)
+        passes.clear()
+        model.jacobians(prob.positions(v), v, prob.t_eval, prob.contact,
+                        prob.pos_coeff, 1.0)
+        assert len(passes) == 1, frozen
+        calls[:] = [0] * len(calls)
+        prob.residual(v)
+        assert calls == [1, 1, 1], frozen

@@ -12,7 +12,7 @@ from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams, TetMeshModel
 from fricsim.meshgen import box_mesh
 
-from helpers import element_block_indices
+from helpers import element_block_indices, split_jacobians
 
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3,
                      rayleigh_alpha=0.5, rayleigh_beta=1e-3)
@@ -55,7 +55,7 @@ def stiffness_matrix(mesh, q):
     model = ForceModel(mesh)
     v = np.zeros_like(q)
     contact = model.build_contact_state(q, v, 0.0, 0.0)
-    return -model.jacobians(q, v, 0.0, contact, parts={"elastic"})[0]
+    return -split_jacobians(model, q, v, 0.0, contact, parts={"elastic"})[0]
 
 
 def test_energy_zero_at_rest(mesh):

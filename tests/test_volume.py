@@ -8,6 +8,8 @@ from fricsim.meshgen import box_mesh
 from fricsim.volume import (ATM, VolumeDomainError, VolumePenaltyParams,
                             enclosed_volume, volume_energy, volume_force)
 
+from helpers import split_jacobians
+
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3)
 
 
@@ -136,12 +138,13 @@ def test_force_matches_energy_fd(cube):
 
 
 def _volume_jacobians(cube, params, q):
-    """(sparse volume block of df/dq, Rank1 list) from ForceModel.jacobians."""
+    """(sparse volume block of df/dq, Rank1 list) from ForceModel.jacobians
+    with weights (1, 0)."""
     model = ForceModel(cube, gravity=(0.0, 0.0, 0.0),
                        volume_penalties=[params])
     v = np.zeros_like(q)
     contact = model.build_contact_state(q, v, 0.0, 0.01)
-    dfdq, _, rank1 = model.jacobians(q, v, 0.0, contact,
+    dfdq, _, rank1 = split_jacobians(model, q, v, 0.0, contact,
                                      parts=frozenset({"volume"}))
     return dfdq, rank1
 
