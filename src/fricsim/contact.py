@@ -11,12 +11,11 @@ whose value, first and second derivatives all vanish at x = delta.  The
 contact force magnitude is lambda = -b'(d) >= 0, applied along the gap
 gradient.  kappa is raised adaptively until end-of-step gaps are positive.
 
-:func:`contact_geometry` evaluates each obstacle's gap, normal and surface
-velocity once for all of its contacts and returns them in contact order.  It
-is the one per-obstacle path: the candidate set's build-time geometry, the
-contact energy, the tangential velocity, and the residual's contact force
-and contact dq blocks (inside the one contact-and-friction kernel of
-:mod:`fricsim.friction`) all take their geometry from it.
+A :class:`ContactSet` carries its pairs' geometry at its build positions
+(:func:`snapshot`, one ``gap_normal`` call per obstacle); lagged friction's
+anchor is such a set.  :func:`contact_geometry` evaluates each obstacle's
+gap, normal and surface velocity once for all of its contacts at live
+positions, for the residual's contact-and-friction kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from . import dual as dm
 
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
-    "gaps", "penalty_b", "penalty_db", "penalty_lambda", "per_obstacle",
-    "contact_geometry", "contact_force",
+    "gaps", "snapshot", "penalty_b", "penalty_db", "penalty_lambda",
+    "per_obstacle", "contact_geometry", "surface_velocities", "contact_force",
     "adaptive_stiffen", "StiffeningError", "AdaptDecision", "gap_matrix",
 ]
 
@@ -224,18 +223,18 @@ class Sphere(_ObstacleBase):
 
 @dataclass
 class ContactSet:
-    """Frozen vertex-obstacle candidate pairs with build-time geometry.
+    """Frozen vertex-obstacle candidate pairs with a geometry snapshot.
 
-    Geometry fields (d, lam, n) are snapshots at the positions/time the set
-    was built from; live evaluation recomputes them at the query state.
+    The snapshot (x, d, lam, n) is taken at the positions and time the set
+    was built from; live evaluation recomputes it at the query state.
     """
 
     vertex: np.ndarray                  # (k,) vertex indices
     obstacle: np.ndarray                # (k,) obstacle indices
-    d: np.ndarray                       # (k,) gaps at build positions
-    lam: np.ndarray                     # (k,) -b'(d) at build positions
-    n: np.ndarray                       # (k, 3) unit normals
-    n_dofs: int
+    x: np.ndarray                       # (k, 3) build positions
+    d: np.ndarray                       # (k,) gaps at x
+    lam: np.ndarray                     # (k,) -b'(d)
+    n: np.ndarray                       # (k, 3) unit normals at x
     obstacles: list = field(default_factory=list, repr=False)
 
     @property
@@ -277,10 +276,22 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
     if extra is not None:
         pairs = np.concatenate([pairs, extra])
     vertex, obstacle = np.unique(pairs, axis=0).T
-    d, n, _ = contact_geometry(obstacles, obstacle, x[vertex], t)
+    return snapshot(obstacles, vertex, obstacle, q, t, penalty)
+
+
+def snapshot(obstacles, vertex, obstacle, q, t: float,
+             penalty: PenaltyParams) -> ContactSet:
+    """The pairs of ``vertex`` (k,) and ``obstacles[obstacle]`` (k,) as a
+    set whose snapshot is taken at (q, t), with one ``gap_normal`` call per
+    obstacle.  ``penalty`` may be None when there are no pairs."""
+    x = np.asarray(q, float).reshape(-1, 3)[vertex]
+    d, n = np.zeros(0), np.zeros((0, 3))
+    if len(vertex):
+        d, n = per_obstacle(lambda obs, xo: obs.gap_normal(xo, t),
+                            obstacles, obstacle, x)
     lam = penalty_lambda(d, penalty.delta, penalty.kappa) if len(d) else d
-    return ContactSet(vertex=vertex, obstacle=obstacle, d=d, lam=lam, n=n,
-                      n_dofs=3 * len(x), obstacles=list(obstacles))
+    return ContactSet(vertex=vertex, obstacle=obstacle, x=x, d=d, lam=lam,
+                      n=n, obstacles=list(obstacles))
 
 
 def per_obstacle(fn, obstacles, obstacle, x):
@@ -324,22 +335,30 @@ def contact_force(cset: ContactSet, obstacles, q, t: float,
                           f).reshape(-1)
 
 
+def surface_velocities(obstacles, obstacle, x, t: float) -> np.ndarray:
+    """Surface velocities (k, 3) of ``obstacles[obstacle]`` at the positions
+    x (k, 3), with one ``surface_velocity`` call per obstacle."""
+    if not len(obstacle):
+        return np.zeros((0, 3))
+    return per_obstacle(lambda obs, xo: (obs.surface_velocity(xo, t),),
+                        obstacles, obstacle, x)[0]
+
+
 def contact_energy(cset: ContactSet, obstacles, q, t: float,
                    penalty: PenaltyParams):
     """Aggregate penalty energy W_c at q for the frozen set."""
-    x = np.asarray(dm.value(q), float).reshape(-1, 3)
-    d, _, _ = contact_geometry(obstacles, cset.obstacle, x[cset.vertex], t)
+    d = snapshot(obstacles, cset.vertex, cset.obstacle, dm.value(q), t,
+                 penalty).d
     return float(np.sum(penalty_b(d, penalty.delta, penalty.kappa)))
 
 
-def tangential_velocity(cset: ContactSet, q, v, t: float) -> np.ndarray:
-    """Relative tangential velocities (k, 3) at q: v minus the obstacle
-    surface motion at each contact point, projected onto the tangent plane
-    of the live normal."""
-    x = np.asarray(q, float).reshape(-1, 3)[cset.vertex]
-    _, n, w = contact_geometry(cset.obstacles, cset.obstacle, x, t)
+def tangential_velocity(cset: ContactSet, v, t: float) -> np.ndarray:
+    """Relative tangential velocities (k, 3) at the set's snapshot: v minus
+    the obstacle surface motion at each build position x, projected onto
+    the tangent plane of the snapshot normal; t is the snapshot's time."""
+    w = surface_velocities(cset.obstacles, cset.obstacle, cset.x, t)
     rel = np.asarray(v, float).reshape(-1, 3)[cset.vertex] - w
-    return rel - dm.dot_last(rel, n)[:, None] * n
+    return rel - dm.dot_last(rel, cset.n)[:, None] * cset.n
 
 
 @dataclass

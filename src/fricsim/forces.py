@@ -32,11 +32,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dual as dm
-from .contact import ContactSet, PenaltyParams, gap_matrix, gaps
+from .contact import ContactSet, PenaltyParams, gap_matrix, gaps, snapshot
 from .elasticity import (_element_stiffness, damping_force, damping_q_blocks,
                          elastic_force, element_kinematics)
-from .friction import (LaggedFrictionCache, contact_friction_blocks,
-                       contact_friction_forces)
+from .friction import contact_friction_blocks, contact_friction_forces
 from .mesh import TetMeshModel
 from .volume import (_d2wdv2, _dwdv, enclosed_volume, volume_force,
                      volume_hessian_blocks, volume_hessian_pairs)
@@ -115,10 +114,10 @@ class CsrPattern:
 
 @dataclass
 class ContactState:
-    """Per-step frozen contact candidates plus optional lagged anchors."""
+    """Per-step frozen contact candidates plus the lagged friction anchor."""
 
     cset: ContactSet
-    lagged: LaggedFrictionCache | None = None
+    lagged: ContactSet | None = None
 
 
 class ForceModel:
@@ -159,7 +158,8 @@ class ForceModel:
     # -- contact management ---------------------------------------------------
     def build_contact_state(self, q, v, t: float, h: float,
                             extra_candidates=None) -> ContactState:
-        """Freeze the candidate set from start-of-step positions.
+        """Freeze the candidate set, which is also the lagged friction
+        anchor, from start-of-step positions.
 
         The activation distance is 1.5*delta plus a per-vertex sweep margin
         h*(|v| + obstacle speed), where the obstacle speed is the largest
@@ -182,17 +182,14 @@ class ForceModel:
         cset = gaps(self.obstacles, q, t, self.penalty, candidate_vertices=surf,
                     activation=1.5 * self.penalty.delta + margin,
                     extra=extra_candidates)
-        state = ContactState(cset=cset)
-        if self.friction_mode == "lagged" and cset.size:
-            state.lagged = LaggedFrictionCache.build(
-                cset, self.obstacles, q, t, self.penalty)
-        return state
+        return ContactState(
+            cset=cset, lagged=cset if self.friction_mode == "lagged" else None)
 
     def rebuild_lagged(self, state: ContactState, q_anchor, t: float):
-        """Refresh lagged anchors from newer positions (fixed-point iteration)."""
-        if state.cset.size:
-            state.lagged = LaggedFrictionCache.build(
-                state.cset, self.obstacles, q_anchor, t, self.penalty)
+        """Re-snapshot the anchor's pairs at newer positions (fixed-point
+        iteration)."""
+        state.lagged = snapshot(self.obstacles, state.cset.vertex,
+                                state.cset.obstacle, q_anchor, t, self.penalty)
 
     def penetration(self, q, t: float):
         """(deepest gap, (n, 2) penetrating (vertex, obstacle) pairs) over
@@ -220,7 +217,7 @@ class ForceModel:
                 and parts & CONTACT_PARTS):
             f_c, f_f = contact_friction_forces(
                 contact.cset, self.obstacles, q, v, t, self.penalty,
-                frozen_basis=self.frozen_basis, cache=contact.lagged)
+                frozen_basis=self.frozen_basis, anchor=contact.lagged)
             if "contact" in parts:
                 total = total + f_c
             if "friction" in parts:
@@ -283,7 +280,7 @@ class ForceModel:
         if self.penalty is not None and cset.size and parts & CONTACT_PARTS:
             cf = contact_friction_blocks(
                 cset, self.obstacles, q, v, t, self.penalty,
-                cache=contact.lagged, frozen_basis=self.frozen_basis)
+                anchor=contact.lagged, frozen_basis=self.frozen_basis)
             blocks = 0.0
             if "contact" in parts:
                 blocks += c_q * cf[:, :3, :3]

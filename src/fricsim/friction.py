@@ -14,8 +14,9 @@ v -> 0, so the 0/0 is removed by a guarded norm without changing values.
 The kernel uses the tangent-plane projector (I - n n^T), which equals the
 sliding-basis form -T H(T^T v) c for any orthonormal tangent pair and has no
 reference-axis degeneracy.  Fully implicit evaluation takes the contact
-geometry at the live (end-of-step) positions; lagged evaluation takes it from
-cached start-of-step geometry while the velocity stays implicit; under
+geometry at the live (end-of-step) positions; lagged evaluation takes lambda,
+the normal and the obstacle velocity at the snapshot of an anchor set (see
+``ForceModel.rebuild_lagged``) while the velocity stays implicit; under
 ``frozen_basis`` friction takes the real part of the live geometry, so its
 positional derivative is dropped without a second geometry evaluation.
 
@@ -37,12 +38,12 @@ import numpy as np
 
 from . import dual as dm
 from .contact import (ContactSet, PenaltyParams, contact_geometry,
-                      penalty_lambda, per_obstacle)
+                      penalty_lambda, surface_velocities)
 
 __all__ = [
     "FrictionParams", "smooth_s", "stribeck_g", "friction_magnitude_c",
     "contact_friction_forces", "friction_force", "contact_friction_blocks",
-    "LaggedFrictionCache", "obstacle_coeffs",
+    "obstacle_coeffs",
 ]
 
 
@@ -140,45 +141,24 @@ def _contact_friction_local(x, v, obstacle, coeffs, *anchor, obstacles,
     return lam[..., None] * normal, -ratio[..., None] * vt
 
 
-@dataclass
-class LaggedFrictionCache:
-    """Start-of-step contact geometry for the lagged friction evaluation."""
-
-    cset: ContactSet
-    x0: np.ndarray          # (k, 3) anchor positions
-    lam0: np.ndarray        # (k,)
-    n0: np.ndarray          # (k, 3)
-
-    @classmethod
-    def build(cls, cset: ContactSet, obstacles, q0, t0: float,
-              penalty: PenaltyParams) -> "LaggedFrictionCache":
-        x0 = np.asarray(q0, float).reshape(-1, 3)[cset.vertex]
-        d, n0, _ = contact_geometry(obstacles, cset.obstacle, x0, t0)
-        return cls(cset=cset, x0=x0,
-                   lam0=penalty_lambda(d, penalty.delta, penalty.kappa),
-                   n0=n0)
-
-
-def _lagged_anchor(cset: ContactSet, obstacles, t: float,
-                   cache: LaggedFrictionCache | None):
-    """The cached start-of-step (lambda, normal, w) lagged friction takes in
-    place of the live geometry, with w at the cached positions; none when
-    there is no cache."""
-    if cache is None:
+def _lagged_anchor(obstacles, t: float, anchor: ContactSet | None):
+    """The (lambda, normal, w) lagged friction takes in place of the live
+    geometry: the anchor's snapshot, with w at its positions; none when
+    there is no anchor."""
+    if anchor is None:
         return ()
-    w0, = per_obstacle(lambda obs, xo: (obs.surface_velocity(xo, t),),
-                       obstacles, cset.obstacle, cache.x0)
-    return cache.lam0, cache.n0, w0
+    return anchor.lam, anchor.n, surface_velocities(
+        obstacles, anchor.obstacle, anchor.x, t)
 
 
 def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
                             penalty: PenaltyParams, frozen_basis: bool = False,
-                            cache: LaggedFrictionCache | None = None):
+                            anchor: ContactSet | None = None):
     """(contact force, friction force), each (m,), of the frozen set from one
     geometry evaluation per obstacle.
 
     The friction force is -T(q) H(T^T v) c with lambda(q).  With a lagged
-    ``cache``, its T and lambda come from the cached start-of-step state and
+    ``anchor`` set, its T and lambda come from the anchor's snapshot and
     only the velocity is live.  ``frozen_basis`` detaches its positional
     dependence (friction takes the real part of the live geometry), giving
     the cheaper Jacobian variant's force a matching dual oracle.  Generic
@@ -188,7 +168,7 @@ def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
     vv = v.reshape(-1, 3)
     fc, ff = _contact_friction_local(
         x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
-        *_lagged_anchor(cset, obstacles, t, cache), obstacles=obstacles, t=t,
+        *_lagged_anchor(obstacles, t, anchor), obstacles=obstacles, t=t,
         penalty=penalty, frozen_basis=frozen_basis)
     return (dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
                            fc).reshape(-1),
@@ -198,16 +178,16 @@ def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
 
 def friction_force(cset: ContactSet, obstacles, q, v, t: float,
                    penalty: PenaltyParams, frozen_basis: bool = False,
-                   cache: LaggedFrictionCache | None = None):
+                   anchor: ContactSet | None = None):
     """Total friction force (m,), the second of
     :func:`contact_friction_forces`."""
     return contact_friction_forces(cset, obstacles, q, v, t, penalty,
-                                   frozen_basis, cache)[1]
+                                   frozen_basis, anchor)[1]
 
 
 def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
                             penalty: PenaltyParams,
-                            cache: LaggedFrictionCache | None = None,
+                            anchor: ContactSet | None = None,
                             frozen_basis: bool = False) -> np.ndarray:
     """Per-contact Jacobian blocks (k, 6, 6) of the contact and friction
     forces with respect to the contact vertex's (q, v).
@@ -232,4 +212,4 @@ def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
 
     return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),
                               cset.obstacle, cset.friction_coeffs,
-                              *_lagged_anchor(cset, obstacles, t, cache))
+                              *_lagged_anchor(obstacles, t, anchor))

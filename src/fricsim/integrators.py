@@ -1,17 +1,17 @@
-"""Time-integration residuals: BE, TR, BDF2, TR-BDF2, SDIRK2 and the lagged
-BE/TR variants, plus a deliberately mis-split TR used as a stability foil.
+"""Time-integration residuals: BE, TR, BDF2, TR-BDF2, SDIRK2, plus a
+deliberately mis-split TR used as a stability foil.
 
-Every stage solves r(v) = 0 for the stage velocity with
+Every stage solves r(v) = 0 for the stage velocity with one coefficient c:
 
-    r(v) = M (v - v_lin) - s_f * f(q_ref + c_q v, v, t_eval) - f_const
+    r(v) = M (v - v_lin) - c f(q_ref + c v, v, t_eval) - f_const
 
-(or the same scaled by M^{-1} for the lagged velocity-form residuals,
-whose roots coincide; tolerances are interpreted in the residual's own
-scaling).  Position updates are linear in the stage velocity, so df/dq enters
-the velocity Jacobian through the chain factor c_q.
+Position updates are linear in the stage velocity, so df/dq enters the
+velocity Jacobian through the chain factor c.  Lagged friction (BE and TR
+only) uses the same stages; only friction's anchor in the contact state
+differs (:mod:`fricsim.friction`).
 
 Second-order schemes (standard stiffly-accurate forms; all L-stable):
-  BDF2     v_lin = 4/3 v^t - 1/3 v^{t-h}, q_ref likewise, c_q = s_f = 2h/3;
+  BDF2     v_lin = 4/3 v^t - 1/3 v^{t-h}, q_ref likewise, c = 2h/3;
            the first step bootstraps with BE.
   TR-BDF2  gamma = 2 - sqrt(2); a TR stage over gamma*h, then the BDF2-style
            closure  y^{t+h} = a_g y^{t+gamma h} + a_0 y^t + b h F(y^{t+h})
@@ -39,26 +39,20 @@ class StageProblem:
     contact: ContactState
     v_lin: np.ndarray
     q_ref: np.ndarray
-    pos_coeff: float
-    force_scale: float
+    c: float
     t_eval: float
     h: float
     f_const: np.ndarray | None = None
-    mass_scaled: bool = False
     parts: frozenset = ALL_PARTS
 
     def positions(self, v):
-        return self.q_ref + self.pos_coeff * v
+        return self.q_ref + self.c * v
 
     def residual(self, v):
         """Stage residual, generic over Dual v."""
         q = self.positions(v)
         f = self.model.force(q, v, self.t_eval, self.contact, parts=self.parts)
-        mass = self.model.mass_dofs
-        if self.mass_scaled:
-            r = (v - self.v_lin) - self.force_scale * (f / mass)
-        else:
-            r = mass * (v - self.v_lin) - self.force_scale * f
+        r = self.model.mass_dofs * (v - self.v_lin) - self.c * f
         if self.f_const is not None:
             r = r - self.f_const
         return self.model.apply_velocity_constraints(r, v)
@@ -68,41 +62,29 @@ class StageProblem:
         return dm.jvp(self.residual, np.asarray(v, float), p)
 
     def jacobian(self, v):
-        """(sparse J, rank1 list): J = M - s_f (df/dv + c_q df/dq).
+        """(sparse J, rank1 list): J = M - c (df/dv + c df/dq).
 
         J is the sparse matrix plus the rank1 list's exact volume terms, each
         ``scale * outer(u, w)`` and never stored dense.  The model assembles
-        df/dv + c_q df/dq with weights (c_q, 1) on the ``data`` of its fixed
-        pattern; that is scaled by -s_f (and divided by the mass of each
-        slot's row when mass-scaled), M (or 1) is added on the diagonal
-        slots, and the fixed rows are masked.
+        df/dv + c df/dq with weights (c, 1) on the ``data`` of its fixed
+        pattern; that is scaled by -c, M is added on the diagonal slots, and
+        the fixed rows are masked.
         """
         q = self.positions(np.asarray(v, float))
         data, rank1 = self.model.jacobians(q, v, self.t_eval, self.contact,
-                                           self.pos_coeff, 1.0,
-                                           parts=self.parts)
+                                           self.c, 1.0, parts=self.parts)
         pat = self.model.pattern()
-        mass = self.model.mass_dofs
-        data *= -self.force_scale
-        if self.mass_scaled:
-            data /= mass[pat.rows]
-            data[pat.diag] += 1.0
-        else:
-            data[pat.diag] += mass
+        data *= -self.c
+        data[pat.diag] += self.model.mass_dofs
         jac = pat.matrix(self.model.constrain_rows(data))
-        scaled = [replace(r, scale=-self.force_scale * r.scale,
-                          u=r.u / mass if self.mass_scaled else r.u)
-                  for r in rank1]
-        scaled = self.model.constrain_rank1(scaled)
-        return jac, scaled
+        scaled = [replace(r, scale=-self.c * r.scale) for r in rank1]
+        return jac, self.model.constrain_rank1(scaled)
 
     def default_abs_tol(self, rel_factor: float = 1e-6) -> float:
         """Residual-scale absolute tolerance: rel_factor * h * |M g|_inf
-        (momentum scale), or * |g|_inf for mass-scaled residuals."""
+        (momentum scale)."""
         gnorm = np.linalg.norm(self.model.gravity)
         gscale = gnorm if gnorm > 0 else 9.8
-        if self.mass_scaled:
-            return rel_factor * self.h * gscale
         return rel_factor * self.h * float(np.max(self.model.mass_dofs)) * gscale
 
 
@@ -115,7 +97,6 @@ class StepResult:
 
 class Scheme:
     name = ""
-    mass_scaled = False  # M^{-1}-scaled residual form (lagged variants)
 
     def step(self, model: ForceModel, contact: ContactState,
              state: SystemState, h: float, solve, prev: SystemState | None
@@ -128,31 +109,23 @@ class BackwardEuler(Scheme):
 
     def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
         prob = StageProblem(model=model, contact=contact, v_lin=state.v,
-                            q_ref=state.q, pos_coeff=h, force_scale=h,
-                            t_eval=state.t + h, h=h,
-                            mass_scaled=self.mass_scaled)
+                            q_ref=state.q, c=h, t_eval=state.t + h, h=h)
         v1, rep = solve(prob, state.v if v_guess is None else v_guess)
         return StepResult(q=state.q + h * v1, v=v1, reports=[rep])
 
 
 class TrapezoidalRule(Scheme):
-    """Fully coupled TR: every force enters both halves."""
+    """Fully coupled TR: every force enters both halves.  The explicit half
+    is evaluated at each call, so each ``lagged:N`` pass uses its anchor."""
 
     name = "tr"
-    explicit_parts = ALL_PARTS
     implicit_parts = ALL_PARTS
 
     def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
-        f0 = model.force(state.q, state.v, state.t, contact,
-                         parts=self.explicit_parts)
-        if self.mass_scaled:
-            f0 = f0 / model.mass_dofs
+        f0 = model.force(state.q, state.v, state.t, contact)
         prob = StageProblem(model=model, contact=contact, v_lin=state.v,
-                            q_ref=state.q + 0.5 * h * state.v,
-                            pos_coeff=0.5 * h, force_scale=0.5 * h,
-                            t_eval=state.t + h, h=h,
-                            f_const=(0.5 * h) * f0,
-                            mass_scaled=self.mass_scaled,
+                            q_ref=state.q + 0.5 * h * state.v, c=0.5 * h,
+                            t_eval=state.t + h, h=h, f_const=(0.5 * h) * f0,
                             parts=self.implicit_parts)
         v1, rep = solve(prob, state.v if v_guess is None else v_guess)
         return StepResult(q=state.q + 0.5 * h * (state.v + v1), v=v1,
@@ -165,21 +138,7 @@ class TrapezoidalMissplit(TrapezoidalRule):
     Diagnostic scheme; expected to go unstable on bouncing scenes."""
 
     name = "tr_missplit"
-    explicit_parts = ALL_PARTS
     implicit_parts = NON_CONTACT_PARTS
-
-
-class BackwardEulerLagged(BackwardEuler):
-    """BE with lagged friction anchors, in M^{-1}-scaled residual form."""
-
-    mass_scaled = True
-
-
-class TrapezoidalLagged(TrapezoidalRule):
-    """TR with the entire lagged net force split into implicit and explicit
-    halves; the explicit half is cached at step start and never re-evaluated."""
-
-    mass_scaled = True
 
 
 class BDF2(Scheme):
@@ -192,8 +151,8 @@ class BDF2(Scheme):
         v_lin = (4.0 * state.v - prev.v) / 3.0
         q_ref = (4.0 * state.q - prev.q) / 3.0
         prob = StageProblem(model=model, contact=contact, v_lin=v_lin,
-                            q_ref=q_ref, pos_coeff=2.0 * h / 3.0,
-                            force_scale=2.0 * h / 3.0, t_eval=state.t + h, h=h)
+                            q_ref=q_ref, c=2.0 * h / 3.0, t_eval=state.t + h,
+                            h=h)
         v1, rep = solve(prob, state.v if v_guess is None else v_guess)
         return StepResult(q=q_ref + (2.0 * h / 3.0) * v1, v=v1, reports=[rep])
 
@@ -205,14 +164,12 @@ class SDIRK2(Scheme):
     def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
         g = self.gamma
         s1 = StageProblem(model=model, contact=contact, v_lin=state.v,
-                          q_ref=state.q, pos_coeff=g * h, force_scale=g * h,
-                          t_eval=state.t + g * h, h=h)
+                          q_ref=state.q, c=g * h, t_eval=state.t + g * h, h=h)
         v_s1, rep1 = solve(s1, state.v if v_guess is None else v_guess)
         k1v = (v_s1 - state.v) / (g * h)
         s2 = StageProblem(model=model, contact=contact,
                           v_lin=state.v + (1.0 - g) * h * k1v,
-                          q_ref=state.q + (1.0 - g) * h * v_s1,
-                          pos_coeff=g * h, force_scale=g * h,
+                          q_ref=state.q + (1.0 - g) * h * v_s1, c=g * h,
                           t_eval=state.t + h, h=h)
         v1, rep2 = solve(s2, v_s1)
         return StepResult(q=s2.q_ref + g * h * v1, v=v1, reports=[rep1, rep2])
@@ -227,8 +184,7 @@ class TRBDF2(Scheme):
         f0 = model.force(state.q, state.v, state.t, contact)
         s1 = StageProblem(model=model, contact=contact, v_lin=state.v,
                           q_ref=state.q + 0.5 * g * h * state.v,
-                          pos_coeff=0.5 * g * h, force_scale=0.5 * g * h,
-                          t_eval=state.t + g * h, h=h,
+                          c=0.5 * g * h, t_eval=state.t + g * h, h=h,
                           f_const=(0.5 * g * h) * f0)
         v_g, rep1 = solve(s1, state.v if v_guess is None else v_guess)
         q_g = state.q + 0.5 * g * h * (state.v + v_g)
@@ -237,20 +193,17 @@ class TRBDF2(Scheme):
         b = (1.0 - g) / (2.0 - g)
         s2 = StageProblem(model=model, contact=contact,
                           v_lin=a_g * v_g + a_0 * state.v,
-                          q_ref=a_g * q_g + a_0 * state.q,
-                          pos_coeff=b * h, force_scale=b * h,
+                          q_ref=a_g * q_g + a_0 * state.q, c=b * h,
                           t_eval=state.t + h, h=h)
         v1, rep2 = solve(s2, v_g)
         return StepResult(q=s2.q_ref + b * h * v1, v=v1, reports=[rep1, rep2])
 
 
 def make_scheme(name: str, lagged: bool = False) -> Scheme:
+    """The scheme called ``name``; lagged friction needs BE or TR, whose
+    stages are the same with it (the lag is in the contact state)."""
     name = name.lower()
-    if lagged:
-        if name == "be":
-            return BackwardEulerLagged()
-        if name == "tr":
-            return TrapezoidalLagged()
+    if lagged and name not in ("be", "tr"):
         raise ValueError(
             f"lagged friction is defined for be/tr only, not {name!r}")
     schemes = {"be": BackwardEuler, "tr": TrapezoidalRule, "bdf2": BDF2,

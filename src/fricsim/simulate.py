@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import (StiffeningError, adaptive_stiffen, contact_energy,
+from .contact import (StiffeningError, adaptive_stiffen, penalty_b,
                       tangential_velocity)
 from .elasticity import elastic_energy
 from .forces import ForceModel
@@ -172,10 +172,11 @@ class Simulation:
         kinetic = 0.5 * float(np.sum(mass[:, None] * v * v))
         elastic = float(elastic_energy(mesh, st.q))
         grav = -float(np.sum(mass[:, None] * model.gravity[None, :] * x))
+        # the set's snapshot is at (q, t): energy and slide speed read it
         cset = model.build_contact_state(st.q, st.v, st.t, 0.0).cset
-        contact_e = contact_energy(cset, model.obstacles, st.q, st.t,
-                                   model.penalty)
-        vt = tangential_velocity(cset, st.q, st.v, st.t)
+        pen = model.penalty
+        contact_e = float(np.sum(penalty_b(cset.d, pen.delta, pen.kappa)))
+        vt = tangential_velocity(cset, st.v, st.t)
         max_slide = float(np.linalg.norm(vt[cset.lam > 0.0], axis=1)
                           .max(initial=0.0))
         deepest, _ = model.penetration(st.q, st.t)

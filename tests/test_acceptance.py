@@ -192,9 +192,7 @@ def test_criterion_6_derivative_consistency():
         for scheme_name in ("be", "tr"):
             prob = StageProblem(
                 model=model, contact=contact, v_lin=v, q_ref=q,
-                pos_coeff=h if scheme_name == "be" else 0.5 * h,
-                force_scale=h if scheme_name == "be" else 0.5 * h,
-                t_eval=h, h=h)
+                c=h if scheme_name == "be" else 0.5 * h, t_eval=h, h=h)
             v_eval = v + 1e-3 * rng.normal(size=v.size)
             jac, rank1 = prob.jacobian(v_eval)
             for _ in range(13):
@@ -352,9 +350,8 @@ def test_criterion_10_solver_equivalence():
                 contact = sim.model.build_contact_state(st.q, st.v, st.t,
                                                         sim.h)
                 prob = StageProblem(model=sim.model, contact=contact,
-                                    v_lin=st.v, q_ref=st.q, pos_coeff=sim.h,
-                                    force_scale=sim.h, t_eval=st.t + sim.h,
-                                    h=sim.h)
+                                    v_lin=st.v, q_ref=st.q, c=sim.h,
+                                    t_eval=st.t + sim.h, h=sim.h)
                 abs_tol = 1e-5 * prob.default_abs_tol()
                 cfg_d = SolverConfig(kind="direct", r_tol_rel=1e-11,
                                      r_tol_abs=abs_tol, v_tol=0.1 * v_tol)

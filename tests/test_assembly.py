@@ -1,6 +1,6 @@
 """The stage Jacobian on the model's fixed CSR pattern against a COO oracle.
 
-``StageProblem.jacobian`` has the model assemble df/dv + c_q df/dq in one
+``StageProblem.jacobian`` has the model assemble df/dv + c df/dq in one
 weighted pass, one scatter per part into one precomputed pattern, and forms
 J on its ``data``.  The oracle here assembles df/dq and df/dv block by block
 with ``scipy.sparse.coo_matrix`` (duplicates summed), combines them densely
@@ -11,6 +11,7 @@ real part of a dual residual evaluation must be the residual bit for bit.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def coo_oracle(prob, v):
         rc = _pair_blocks(cset.vertex, cset.vertex)
         blocks = contact_friction_blocks(
             cset, model.obstacles, q, v, prob.t_eval, model.penalty,
-            cache=prob.contact.lagged, frozen_basis=model.frozen_basis)
+            anchor=prob.contact.lagged, frozen_basis=model.frozen_basis)
         if "contact" in parts:
             in_q.append(_triplets(*rc, blocks[:, :3, :3]))
         if "friction" in parts:
@@ -128,12 +129,8 @@ def coo_oracle(prob, v):
         rows, cols, vals = (np.concatenate(x) for x in zip(*trips))
         return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).toarray()
 
-    mass = model.mass_dofs
-    combo = prob.force_scale * (dense(in_v) + prob.pos_coeff * dense(in_q))
-    if prob.mass_scaled:
-        jac = np.eye(m) - combo / mass[:, None]
-    else:
-        jac = np.diag(mass) - combo
+    combo = dense(in_v) + prob.c * dense(in_q)
+    jac = np.diag(model.mass_dofs) - prob.c * combo
     fixed = model.fixed_mask
     jac[fixed] = 0.0
     jac[fixed, fixed] = 1.0
@@ -176,7 +173,7 @@ def test_weights_act_linearly(stage):
     _, (prob, v) = stage
     model = prob.model
     args = (prob.positions(v), v, prob.t_eval, prob.contact)
-    c_q, c_v = prob.pos_coeff, 1.0
+    c_q, c_v = prob.c, 1.0
     data, rank1 = model.jacobians(*args, c_q, c_v, parts=prob.parts)
     data_q, rank1_q = model.jacobians(*args, 1.0, 0.0, parts=prob.parts)
     data_v, rank1_v = model.jacobians(*args, 0.0, 1.0, parts=prob.parts)
@@ -189,15 +186,20 @@ def test_weights_act_linearly(stage):
 
 
 def test_scene_coverage(stage):
-    name, (prob, _) = stage
+    name, (prob, v) = stage
     model = prob.model
     if name == "ball_drop":
-        assert prob.pos_coeff != prob.h  # BDF2 stage
+        assert prob.c != prob.h  # BDF2 stage
         assert np.all(model.mesh.beta > 0.0) and model.volume_penalties
     if name == "plate_squeeze":
         assert model.friction_mode == "implicit"
     if name == "slide":
-        assert prob.mass_scaled and model.friction_mode == "lagged"
+        # friction reads the lagged anchor, a snapshot of the candidate pairs
+        anchor = prob.contact.lagged
+        assert model.friction_mode == "lagged" and anchor is not None
+        assert np.array_equal(anchor.vertex, prob.contact.cset.vertex)
+        live = replace(prob, contact=replace(prob.contact, lagged=None))
+        assert not np.array_equal(prob.residual(v), live.residual(v))
     if name == "fixed_cube":
         assert model.fixed_mask.any()
 

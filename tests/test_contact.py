@@ -121,10 +121,10 @@ def test_sliding_basis_extracts_tangential():
     q, cs = _simple_set([0.0005])
     v = np.zeros_like(q)
     v[1] = 2.0                      # purely normal
-    assert np.allclose(tangential_velocity(cs, q, v, 0.0), 0.0)
+    assert np.allclose(tangential_velocity(cs, v, 0.0), 0.0)
     v = np.zeros_like(q)
     v[0], v[2] = 0.3, -0.4          # purely tangential, speed 0.5
-    vbar = tangential_velocity(cs, q, v, 0.0)
+    vbar = tangential_velocity(cs, v, 0.0)
     assert np.linalg.norm(vbar[0]) == pytest.approx(0.5)
 
 
@@ -135,7 +135,7 @@ def test_moving_obstacle_velocity_subtracted():
     cs = gaps([plane], q, 0.5, penalty=PEN)
     v = np.zeros(3)
     v[0] = 0.5  # vertex co-moving with the plane
-    vbar = tangential_velocity(cs, q, v, 0.5)
+    vbar = tangential_velocity(cs, v, 0.5)
     assert np.linalg.norm(vbar) == pytest.approx(0.0, abs=1e-12)
 
 

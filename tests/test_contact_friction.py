@@ -9,6 +9,7 @@ mixed state has a Stribeck half-space, a moving sphere, a frictionless
 rotating plane and a vertex touching two obstacles.
 """
 
+import json
 import os
 
 import numpy as np
@@ -16,11 +17,11 @@ import pytest
 
 from fricsim import dual as dm
 from fricsim.contact import (HalfSpace, PenaltyParams, RigidMotion, Sphere,
-                             gaps, penalty_lambda)
-from fricsim.friction import (FrictionParams, LaggedFrictionCache,
-                              contact_friction_blocks,
+                             gaps, penalty_lambda, snapshot)
+from fricsim.experiments import block_slide_scene
+from fricsim.friction import (FrictionParams, contact_friction_blocks,
                               contact_friction_forces, friction_magnitude_c)
-from fricsim.scene import load_scene_file
+from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation
 
 PEN = PenaltyParams(delta=1e-3, kappa=1e4)
@@ -91,7 +92,7 @@ def _friction_local(v, lam, normal, w, params):
     return -(friction_magnitude_c(speed, lam, params) / speed)[..., None] * vt
 
 
-def _oracle(cset, obstacles, q, v, cache, frozen):
+def _oracle(cset, obstacles, q, v, anchor_set, frozen):
     """(blocks (k, 6, 6), contact force, friction force), per obstacle."""
     x = q.reshape(-1, 3)[cset.vertex]
     vv = v.reshape(-1, 3)[cset.vertex]
@@ -108,9 +109,9 @@ def _oracle(cset, obstacles, q, v, cache, frozen):
             return penalty_lambda(d, PEN.delta, PEN.kappa)[..., None] * n
 
         def anchor(xd, obs=obs, m=m):
-            if cache is not None:
-                return (cache.lam0[m], cache.n0[m],
-                        obs.surface_velocity(cache.x0[m], T))
+            if anchor_set is not None:
+                return (anchor_set.lam[m], anchor_set.n[m],
+                        obs.surface_velocity(anchor_set.x[m], T))
             xg = dm.value(xd) if frozen else xd
             d, n = obs.gap_normal(xg, T)
             return (penalty_lambda(d, PEN.delta, PEN.kappa), n,
@@ -123,7 +124,7 @@ def _oracle(cset, obstacles, q, v, cache, frozen):
             return _friction_local(vm, *anchor(xd), params)
 
         blocks[m, :3, :3] = dm.jacobian_blocks(contact, x[m])
-        if cache is None and not frozen:  # else friction is constant in q
+        if anchor_set is None and not frozen:  # else constant in q
             blocks[m, 3:, :3] = dm.jacobian_blocks(friction_q, x[m], vv[m])
         blocks[m, 3:, 3:] = dm.jacobian_blocks(friction_v, vv[m],
                                                *anchor(x[m]))
@@ -146,16 +147,16 @@ def test_one_pass_matches_per_obstacle_oracle(mode, contains):
     corner = cset.vertex == len(q) // 3 - 1  # on the floor and the sphere
     assert np.array_equal(cset.obstacle[corner], [0, 1])
     assert np.all(cset.lam > 0.0)
-    cache = None
-    if mode == "lagged":
+    anchor = None
+    if mode == "lagged":  # the same pairs re-snapshotted elsewhere
         q0 = q + 1e-4 * np.random.default_rng(1).normal(size=q.size)
-        cache = LaggedFrictionCache.build(cset, obstacles, q0, 0.2, PEN)
+        anchor = snapshot(obstacles, cset.vertex, cset.obstacle, q0, 0.2, PEN)
     frozen = mode == "frozen_basis"
     blocks = contact_friction_blocks(cset, obstacles, q, v, T, PEN,
-                                     cache=cache, frozen_basis=frozen)
+                                     anchor=anchor, frozen_basis=frozen)
     f_c, f_f = contact_friction_forces(cset, obstacles, q, v, T, PEN,
-                                       frozen_basis=frozen, cache=cache)
-    want, want_c, want_f = _oracle(cset, obstacles, q, v, cache, frozen)
+                                       frozen_basis=frozen, anchor=anchor)
+    want, want_c, want_f = _oracle(cset, obstacles, q, v, anchor, frozen)
     _close(blocks[:, :3, :3], want[:, :3, :3])
     _close(blocks[:, 3:, 3:], want[:, 3:, 3:])
     _close(blocks[:, 3:, :3], want[:, 3:, :3])
@@ -189,6 +190,17 @@ def _stage():
     return seen[0]
 
 
+def _count_gap_normal(monkeypatch, obstacles):
+    """Per-obstacle ``gap_normal`` call counts, updated in place."""
+    calls = [0] * len(obstacles)
+    for i, obs in enumerate(obstacles):
+        def counted(x, t, real=obs.gap_normal, i=i):
+            calls[i] += 1
+            return real(x, t)
+        monkeypatch.setattr(obs, "gap_normal", counted)
+    return calls
+
+
 def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
     prob, v = _stage()
     model = prob.model
@@ -202,19 +214,40 @@ def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
         return real_blocks(*args, **kwargs)
 
     monkeypatch.setattr(dm, "jacobian_blocks", counted_blocks)
-    calls = [0] * len(model.obstacles)
-    for i, obs in enumerate(model.obstacles):
-        def counted(x, t, real=obs.gap_normal, i=i):
-            calls[i] += 1
-            return real(x, t)
-        monkeypatch.setattr(obs, "gap_normal", counted)
+    calls = _count_gap_normal(monkeypatch, model.obstacles)
     # frozen_basis takes friction's anchor from the same live geometry
     for frozen in (False, True):
         monkeypatch.setattr(model, "frozen_basis", frozen)
         passes.clear()
         model.jacobians(prob.positions(v), v, prob.t_eval, prob.contact,
-                        prob.pos_coeff, 1.0)
+                        prob.c, 1.0)
         assert len(passes) == 1, frozen
         calls[:] = [0] * len(calls)
         prob.residual(v)
         assert calls == [1, 1, 1], frozen
+
+
+def _advanced(scene, steps=60):
+    sim = Simulation(scene)
+    for _ in range(steps):
+        sim.advance()
+    return sim
+
+
+def test_candidate_snapshot_serves_the_anchor_and_the_record(monkeypatch):
+    """A lagged candidate build scans the gaps once and snapshots its pairs
+    once; it is its own anchor.  ``record`` adds one penetration scan and
+    reads energy and slide speed from the set's snapshot."""
+    slide = _advanced(load_scene(json.dumps(block_slide_scene(
+        0.01, "be", "lagged:4", solver_kind="iterative"))))
+    squeeze = _advanced(load_scene_file(os.path.join(SCENES,
+                                                     "plate_squeeze.json")))
+    model, st = slide.model, slide.state
+    calls = _count_gap_normal(monkeypatch, model.obstacles)
+    contact = model.build_contact_state(st.q, st.v, st.t, slide.h)
+    assert contact.cset.size and contact.lagged is contact.cset
+    assert calls == [2] * len(calls)
+    for sim in (slide, squeeze):
+        calls = _count_gap_normal(monkeypatch, sim.model.obstacles)
+        sim.record()
+        assert calls == [3] * len(calls)

@@ -107,15 +107,12 @@ def test_stage_jacobian_matches_jvp(scheme_name, mode, frozen):
                                              frozen_basis=frozen)
     h = 0.004
     st = SystemState(q, v, 0.0)
-    # representative stage: BE-like with the scheme's coefficients
-    coeff = {"be": (h, h), "tr": (0.5 * h, 0.5 * h),
-             "bdf2": (2 * h / 3, 2 * h / 3),
-             "sdirk2": ((1 - 1 / np.sqrt(2)) * h,) * 2,
-             "trbdf2": ((2 - np.sqrt(2)) * 0.5 * h,) * 2}[scheme_name]
+    # representative stage: BE-like with the scheme's coefficient
+    coeff = {"be": h, "tr": 0.5 * h, "bdf2": 2 * h / 3,
+             "sdirk2": (1 - 1 / np.sqrt(2)) * h,
+             "trbdf2": (2 - np.sqrt(2)) * 0.5 * h}[scheme_name]
     prob = StageProblem(model=model, contact=contact, v_lin=st.v, q_ref=st.q,
-                        pos_coeff=coeff[0], force_scale=coeff[1],
-                        t_eval=h, h=h,
-                        mass_scaled=(mode == "lagged" and scheme_name == "be"))
+                        c=coeff, t_eval=h, h=h)
     v_eval = v + 1e-3 * rng.normal(size=v.size)
     jac, rank1 = prob.jacobian(v_eval)
     for _ in range(4):
@@ -131,7 +128,7 @@ def test_full_residual_jvp_double_oracle():
     model, q, v, contact, rng = make_fixture(5)
     h = 0.004
     prob = StageProblem(model=model, contact=contact, v_lin=v, q_ref=q,
-                        pos_coeff=h, force_scale=h, t_eval=h, h=h)
+                        c=h, t_eval=h, h=h)
     jac, rank1 = prob.jacobian(v)
     hfd = 1e-7
     for _ in range(4):
@@ -165,7 +162,7 @@ def test_dirichlet_rows_replace_residual():
     model.fixed_velocity[:3] = [0.1, 0.0, 0.0]
     h = 0.01
     prob = StageProblem(model=model, contact=contact, v_lin=v, q_ref=q,
-                        pos_coeff=h, force_scale=h, t_eval=h, h=h)
+                        c=h, t_eval=h, h=h)
     r = prob.residual(v)
     np.testing.assert_allclose(r[:3], v[:3] - [0.1, 0.0, 0.0], atol=1e-14)
     jac, rank1 = prob.jacobian(v)

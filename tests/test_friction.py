@@ -3,9 +3,9 @@ import pytest
 
 from fricsim.contact import HalfSpace, PenaltyParams, Sphere, gaps
 from fricsim.dual import jvp
-from fricsim.friction import (FrictionParams, LaggedFrictionCache,
-                              contact_friction_blocks, friction_force,
-                              friction_magnitude_c, smooth_s, stribeck_g)
+from fricsim.friction import (FrictionParams, contact_friction_blocks,
+                              friction_force, friction_magnitude_c, smooth_s,
+                              stribeck_g)
 
 EPS = 1e-3
 PEN = PenaltyParams(delta=1e-3, kappa=1e4)
@@ -183,15 +183,13 @@ def test_friction_coulomb_consistency_as_eps_shrinks():
 
 def test_lagged_uses_frozen_lambda():
     plane, q, cs = _plane_setup(mu=0.5)
-    cache = LaggedFrictionCache.build(cs, [plane], q, 0.0, PEN)
     v = np.array([0.02, 0.0, 0.0])
-    f0 = friction_force(cs, [plane], q, v, 0.0, PEN, cache=cache)
+    f0 = friction_force(cs, [plane], q, v, 0.0, PEN, anchor=cs)
     assert np.any(f0 != 0.0)
     # moving the vertex away does not change the lagged force
     q_far = q + np.array([0.0, 10.0, 0.0])
-    cache_far_eval = friction_force(cs, [plane], q_far, v, 0.0, PEN,
-                                    cache=cache)
-    np.testing.assert_allclose(cache_far_eval, f0)
+    f_far = friction_force(cs, [plane], q_far, v, 0.0, PEN, anchor=cs)
+    np.testing.assert_allclose(f_far, f0)
     # implicit force at the separated state vanishes instead
     f_impl = friction_force(cs, [plane], q_far, v, 0.0, PEN)
     assert np.all(f_impl == 0.0)
@@ -262,12 +260,11 @@ def test_jacobian_blocks_nsd_while_sliding_coulomb():
 def test_frozen_basis_equals_full_on_plane_with_lagged_lambda():
     # plane normals are constant; with lambda lagged both jacobian details agree
     plane, q, cs = _plane_setup(mu=0.7)
-    cache = LaggedFrictionCache.build(cs, [plane], q, 0.0, PEN)
     v = np.array([0.002, 0.0, 0.001])
     blocks_l = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
-                                       cache=cache)
+                                       anchor=cs)
     blocks_f = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
-                                       cache=cache, frozen_basis=True)
+                                       anchor=cs, frozen_basis=True)
     dfdq_l, dfdv_l = blocks_l[:, 3:, :3], blocks_l[:, 3:, 3:]
     dfdq_f, dfdv_f = blocks_f[:, 3:, :3], blocks_f[:, 3:, 3:]
     np.testing.assert_allclose(dfdv_l, dfdv_f, atol=1e-15)

@@ -217,6 +217,42 @@ def test_lagged_equals_implicit_at_static_equilibrium():
     np.testing.assert_allclose(out["lagged"], out["implicit"], atol=1e-10)
 
 
+@pytest.mark.parametrize("lagged", [False, True])
+@pytest.mark.parametrize("name", ["be", "tr"])
+def test_stage_residual_has_one_form(name, lagged):
+    # implicit and lagged stages alike solve M (v - v_lin) - c f - f_const = 0
+    mat = MaterialParams(density=800.0, youngs_modulus=2e5, poisson_ratio=0.3)
+    mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)
+    plane = HalfSpace((0, 0, 0), (0, 1, 0),
+                      friction=FrictionParams(mu_d=0.5, epsilon=1e-3))
+    model = ForceModel(mesh, [plane], PenaltyParams(delta=1e-3, kappa=5e3),
+                       friction_mode="lagged" if lagged else "implicit")
+    q0 = mesh.rest_q().copy()
+    q0[1::3] += 0.0504  # the bottom face inside the penalty support
+    v0 = np.tile([0.05, -0.02, 0.0], mesh.n_verts)
+    st = SystemState(q0, v0, 0.0)
+    h = 0.01
+    contact = model.build_contact_state(st.q, st.v, st.t, h)
+    assert contact.cset.size and (contact.lagged is not None) == lagged
+    seen = []
+
+    def capture(problem, v_start):
+        seen.append(problem)
+        return _solve(problem, v_start)
+
+    make_scheme(name, lagged=lagged).step(model, contact, st, h, capture)
+    prob, = seen
+    assert prob.c == (h if name == "be" else 0.5 * h)
+    v = v0 + 1e-3 * np.random.default_rng(2).normal(size=v0.size)
+    force = model.force(prob.q_ref + prob.c * v, v, prob.t_eval, contact)
+    f_const = 0.0
+    if name == "tr":
+        f_const = 0.5 * h * model.force(st.q, st.v, st.t, contact)
+        assert np.array_equal(prob.f_const, f_const)
+    want = mesh.mass_dofs * (v - prob.v_lin) - prob.c * force - f_const
+    assert np.array_equal(prob.residual(v), want)
+
+
 def test_residual_roundtrip_consistency():
     # at the root, re-substituting the advanced state satisfies the update rule
     model = _tet_model()
