@@ -31,7 +31,7 @@ __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "gaps", "snapshot", "penalty_b", "penalty_db", "penalty_lambda",
     "per_obstacle", "contact_geometry", "surface_velocities", "contact_force",
-    "adaptive_stiffen", "StiffeningError", "AdaptDecision", "gap_matrix",
+    "adaptive_stiffen", "StiffeningError", "AdaptDecision",
 ]
 
 
@@ -236,6 +236,7 @@ class ContactSet:
     lam: np.ndarray                     # (k,) -b'(d)
     n: np.ndarray                       # (k, 3) unit normals at x
     obstacles: list = field(default_factory=list, repr=False)
+    deepest: float = np.inf             # least gap of the scan in gaps
 
     @property
     def size(self) -> int:
@@ -247,12 +248,6 @@ class ContactSet:
         as in ``friction.obstacle_coeffs``), gathered once per set."""
         from .friction import obstacle_coeffs  # friction imports this module
         return obstacle_coeffs(self.obstacles)[self.obstacle]
-
-
-def gap_matrix(obstacles, x, t: float) -> np.ndarray:
-    """Gaps (n_obstacles, k) of the positions x (k, 3) to every obstacle."""
-    return np.array([obs.gap(x, t) for obs in obstacles],
-                    float).reshape(len(obstacles), len(x))
 
 
 def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
@@ -271,12 +266,16 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
     x = np.asarray(q, float).reshape(-1, 3)
     cand = (np.arange(len(x)) if candidate_vertices is None
             else np.asarray(candidate_vertices, int))
-    obstacle, near = np.nonzero(gap_matrix(obstacles, x[cand], t) < activation)
+    g = np.array([obs.gap(x[cand], t) for obs in obstacles],
+                 float).reshape(len(obstacles), len(cand))
+    obstacle, near = np.nonzero(g < activation)
     pairs = np.stack([cand[near], obstacle], axis=1)
     if extra is not None:
         pairs = np.concatenate([pairs, extra])
     vertex, obstacle = np.unique(pairs, axis=0).T
-    return snapshot(obstacles, vertex, obstacle, q, t, penalty)
+    cset = snapshot(obstacles, vertex, obstacle, q, t, penalty)
+    cset.deepest = float(g.min(initial=np.inf))
+    return cset
 
 
 def snapshot(obstacles, vertex, obstacle, q, t: float,

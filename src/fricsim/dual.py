@@ -10,8 +10,7 @@ path therefore serves plain evaluation and Jacobian-vector products.
 
 Branching convention: comparisons look only at the real part, so a dual
 evaluation always takes the same branch as the real evaluation at the same
-point.  ``maximum``/``minimum`` break derivative ties toward their first
-argument.
+point.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Dual", "value", "tangent", "where", "maximum", "minimum",
+    "Dual", "value", "tangent", "where",
     "sqrt", "log", "asum", "dot_last", "stack_last", "concat", "matmul",
     "swap_last2", "det3", "inv3", "cross_last", "norm_last", "zeros",
     "scatter_add", "jvp", "jacobian_blocks", "derivative",
@@ -183,16 +182,6 @@ def where(cond, a, b):
     if isinstance(a, Dual):
         return Dual(np.where(cond, a.re, b.re), np.where(cond, a.eps, b.eps))
     return np.where(cond, a, b)
-
-
-def maximum(a, b):
-    """Elementwise max; derivative ties break toward the first argument."""
-    return where(value(b) > value(a), b, a)
-
-
-def minimum(a, b):
-    """Elementwise min; derivative ties break toward the first argument."""
-    return where(value(b) < value(a), b, a)
 
 
 def sqrt(x):

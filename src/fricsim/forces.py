@@ -26,13 +26,13 @@ evaluated live inside a solve.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import dual as dm
-from .contact import ContactSet, PenaltyParams, gap_matrix, gaps, snapshot
+from .contact import ContactSet, PenaltyParams, gaps, snapshot
 from .elasticity import (_element_stiffness, damping_force, damping_q_blocks,
                          elastic_force, element_kinematics)
 from .friction import contact_friction_blocks, contact_friction_forces
@@ -159,7 +159,7 @@ class ForceModel:
     def build_contact_state(self, q, v, t: float, h: float,
                             extra_candidates=None) -> ContactState:
         """Freeze the candidate set, which is also the lagged friction
-        anchor, from start-of-step positions.
+        anchor, of a step that starts at (q, v, t).
 
         The activation distance is 1.5*delta plus a per-vertex sweep margin
         h*(|v| + obstacle speed), where the obstacle speed is the largest
@@ -185,22 +185,11 @@ class ForceModel:
         return ContactState(
             cset=cset, lagged=cset if self.friction_mode == "lagged" else None)
 
-    def rebuild_lagged(self, state: ContactState, q_anchor, t: float):
-        """Re-snapshot the anchor's pairs at newer positions (fixed-point
-        iteration)."""
-        state.lagged = snapshot(self.obstacles, state.cset.vertex,
-                                state.cset.obstacle, q_anchor, t, self.penalty)
-
-    def penetration(self, q, t: float):
-        """(deepest gap, (n, 2) penetrating (vertex, obstacle) pairs) over
-        every surface vertex and obstacle; the deepest gap is inf without
-        obstacles."""
-        x = np.asarray(q, float).reshape(-1, 3)
-        surf = self.mesh.surface_vertices
-        g = gap_matrix(self.obstacles, x[surf], t)
-        obstacle, vertex = np.nonzero(g < 0.0)
-        return (float(g.min(initial=np.inf)),
-                np.stack([surf[vertex], obstacle], axis=1))
+    def rebuild_lagged(self, state: ContactState, q, t: float):
+        """A copy of ``state`` with its anchor re-snapshotted at (q, t)."""
+        return replace(state, lagged=snapshot(
+            self.obstacles, state.cset.vertex, state.cset.obstacle, q, t,
+            self.penalty))
 
     # -- forces ----------------------------------------------------------------
     def force(self, q, v, t: float, contact: ContactState,

@@ -1,12 +1,12 @@
 """Simulation driver: per-step solve, adaptive contact stiffening with
 retries, lagged fixed-point iterations, and trajectory recording.
 
-Each step freezes a contact candidate set, solves the scheme's stage
-residual(s), then checks end-of-step gaps over every surface vertex.  Any
-non-positive gap bumps kappa by b'(d_deepest)/b'(0.5 delta) and the same step
-is re-solved from the start-of-step state (positions and velocities both
-reset), with the offending pairs of every retry so far unioned into the
-candidate set.  kappa never decreases.
+Each step solves the scheme's stage residual(s) on a frozen contact candidate
+set, then builds the end state's set, whose gap scan covers every surface
+vertex.  Any non-positive gap bumps kappa by b'(d_deepest)/b'(0.5 delta) and
+the step re-runs from its start state with the offending pairs of every try
+unioned into the candidate set (kappa never decreases); an accepted end
+state's set is the next step's candidate set and what ``record`` reads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .contact import (StiffeningError, adaptive_stiffen, penalty_b,
                       tangential_velocity)
 from .elasticity import elastic_energy
-from .forces import ForceModel
+from .forces import ContactState, ForceModel
 from .integrators import Scheme, StageProblem, make_scheme
 from .mesh import SystemState
 from .scene import SceneConfig
@@ -102,6 +102,13 @@ class Simulation:
                            if o.friction is not None), default=1e-4)
             self.solver_cfg.v_tol = 0.1 * eps_min
         self.step_index = 0
+        self._contact: ContactState | None = None
+
+    def contact(self) -> ContactState:
+        """The contact state of :attr:`state`, built at its first use."""
+        self._contact = self._contact or self.model.build_contact_state(
+            self.state.q, self.state.v, self.state.t, self.h)
+        return self._contact
 
     # -- solving ----------------------------------------------------------------
     def _solve(self, problem: StageProblem, v0):
@@ -112,34 +119,33 @@ class Simulation:
         st = self.state
         h = self.h
         model = self.model
+        contact = self.contact()
         retries = 0
         extra = np.zeros((0, 2), int)  # penetrating pairs of earlier tries
         info = StepInfo(index=self.step_index, retries=0,
                         kappa=model.penalty.kappa if model.penalty else 0.0)
         while True:
-            contact = model.build_contact_state(st.q, st.v, st.t, h,
-                                                extra_candidates=extra)
             try:
                 result = self.scheme.step(model, contact, st, h, self._solve,
                                           prev=self.prev_state)
                 info.reports.extend(result.reports)
-                if (self.scene.friction_mode == "lagged"
-                        and self.scene.fixed_point_iters > 1
-                        and contact.cset.size):
-                    for _ in range(self.scene.fixed_point_iters - 1):
-                        model.rebuild_lagged(contact, result.q, st.t + h)
-                        result = self.scheme.step(model, contact, st, h,
-                                                  self._solve,
-                                                  prev=self.prev_state,
-                                                  v_guess=result.v)
-                        info.reports.extend(result.reports)
+                for _ in range(self.scene.fixed_point_iters - 1
+                               if contact.cset.size else 0):
+                    lagged = model.rebuild_lagged(contact, result.q, st.t + h)
+                    result = self.scheme.step(model, lagged, st, h,
+                                              self._solve,
+                                              prev=self.prev_state,
+                                              v_guess=result.v)
+                    info.reports.extend(result.reports)
+                    if not any(r.iterations for r in result.reports):
+                        break  # a fixed point: later passes repeat it
             except SolveFailure as exc:
                 raise StepFailure(self.step_index,
                                   f"{exc} [{exc.report.status}]",
                                   exc.report) from exc
-            deepest, penetrating = model.penetration(result.q, st.t + h)
+            end = model.build_contact_state(result.q, result.v, st.t + h, h)
             try:
-                decision = adaptive_stiffen(deepest, model.penalty)
+                decision = adaptive_stiffen(end.cset.deepest, model.penalty)
             except StiffeningError as exc:
                 raise StepFailure(self.step_index, str(exc)) from exc
             if decision.accept:
@@ -151,10 +157,14 @@ class Simulation:
                 raise StepFailure(self.step_index,
                                   f"contact not resolved after {MAX_RETRIES} "
                                   "kappa retries")
-            extra = np.concatenate([extra, penetrating])
+            pairs = np.stack([end.cset.vertex, end.cset.obstacle], axis=1)
+            extra = np.concatenate([extra, pairs[end.cset.d < 0.0]])
+            contact = model.build_contact_state(st.q, st.v, st.t, h,
+                                                extra_candidates=extra)
         info.retries = retries
         self.prev_state = st
         self.state = SystemState(result.q, result.v, st.t + h)
+        self._contact = end
         self.state.assert_finite()
         self.step_index += 1
         return info
@@ -172,14 +182,14 @@ class Simulation:
         kinetic = 0.5 * float(np.sum(mass[:, None] * v * v))
         elastic = float(elastic_energy(mesh, st.q))
         grav = -float(np.sum(mass[:, None] * model.gravity[None, :] * x))
-        # the set's snapshot is at (q, t): energy and slide speed read it
-        cset = model.build_contact_state(st.q, st.v, st.t, 0.0).cset
+        # the snapshot is at (q, t); energy sums the h = 0 set's pairs
+        cset = self.contact().cset
         pen = model.penalty
-        contact_e = float(np.sum(penalty_b(cset.d, pen.delta, pen.kappa)))
+        d = cset.d[cset.d < 1.5 * pen.delta]
+        contact_e = float(np.sum(penalty_b(d, pen.delta, pen.kappa)))
         vt = tangential_velocity(cset, st.v, st.t)
         max_slide = float(np.linalg.norm(vt[cset.lam > 0.0], axis=1)
                           .max(initial=0.0))
-        deepest, _ = model.penetration(st.q, st.t)
         vol_e = 0.0
         region_volumes = {}
         for vp in model.volume_penalties:
@@ -189,7 +199,7 @@ class Simulation:
         return TrajectoryRecord(
             time=st.t, com=com, kinetic=kinetic, elastic=elastic,
             contact=contact_e, gravity_potential=grav, volume=vol_e,
-            deepest_gap=deepest, max_slide_speed=max_slide,
+            deepest_gap=cset.deepest, max_slide_speed=max_slide,
             kappa=model.penalty.kappa if model.penalty else 0.0,
             region_volumes=region_volumes)
 

@@ -106,12 +106,19 @@ def test_extra_pairs_are_unioned_sorted_and_unique():
         assert cset.d[k] == d[0]
 
 
+def _penetration(cset):
+    """(least gap of the scan, the set's (n, 2) pairs with d < 0)."""
+    inside = cset.d < 0.0
+    return cset.deepest, np.stack([cset.vertex[inside],
+                                   cset.obstacle[inside]], axis=1)
+
+
 def test_penetration_is_minimum_and_exact_pairs():
-    model, q, _ = _model()
+    model, q, v = _model()
     q = q.copy()
     q[1::3] -= 1e-3  # sink the block into the floor
     t = 0.1
-    deepest, pairs = model.penetration(q, t)
+    deepest, pairs = _penetration(model.build_contact_state(q, v, t, H).cset)
     x = q.reshape(-1, 3)
     surf = model.mesh.surface_vertices
     gaps = [(int(vert), oi, obs.gap(x[vert][None], t)[0])
@@ -122,7 +129,8 @@ def test_penetration_is_minimum_and_exact_pairs():
 
 
 def test_penetration_without_obstacles():
-    model, q, _ = _model()
+    model, q, v = _model()
     model.obstacles = []
-    deepest, pairs = model.penetration(q, 0.0)
+    deepest, pairs = _penetration(model.build_contact_state(q, v, 0.0,
+                                                            H).cset)
     assert deepest == np.inf and pairs.shape == (0, 2)

@@ -229,19 +229,23 @@ def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
 
 def _advanced(scene, steps=60):
     sim = Simulation(scene)
-    for _ in range(steps):
-        sim.advance()
-    return sim
+    infos = [sim.advance() for _ in range(steps)]
+    return sim, infos
+
+
+def _lagged_slide():
+    return _advanced(load_scene(json.dumps(block_slide_scene(
+        0.01, "be", "lagged:4", solver_kind="iterative"))))
 
 
 def test_candidate_snapshot_serves_the_anchor_and_the_record(monkeypatch):
     """A lagged candidate build scans the gaps once and snapshots its pairs
-    once; it is its own anchor.  ``record`` adds one penetration scan and
-    reads energy and slide speed from the set's snapshot."""
-    slide = _advanced(load_scene(json.dumps(block_slide_scene(
-        0.01, "be", "lagged:4", solver_kind="iterative"))))
-    squeeze = _advanced(load_scene_file(os.path.join(SCENES,
-                                                     "plate_squeeze.json")))
+    once; it is its own anchor.  Outside its solves an accepted step makes
+    that one build of its end state (plus one snapshot per later lagged
+    pass), and ``record`` reads the build instead of scanning again."""
+    slide, _ = _lagged_slide()
+    squeeze, _ = _advanced(load_scene_file(os.path.join(
+        SCENES, "plate_squeeze.json")))
     model, st = slide.model, slide.state
     calls = _count_gap_normal(monkeypatch, model.obstacles)
     contact = model.build_contact_state(st.q, st.v, st.t, slide.h)
@@ -250,4 +254,39 @@ def test_candidate_snapshot_serves_the_anchor_and_the_record(monkeypatch):
     for sim in (slide, squeeze):
         calls = _count_gap_normal(monkeypatch, sim.model.obstacles)
         sim.record()
-        assert calls == [3] * len(calls)
+        assert calls == [0] * len(calls)
+
+        def solve(problem, v0, sim=sim, calls=calls):
+            before = list(calls)
+            out = Simulation._solve(sim, problem, v0)
+            calls[:] = before  # residual evaluations are not counted
+            return out
+
+        sim._solve = solve
+        info = sim.advance()
+        assert info.retries == 0
+        later_passes = len(info.reports) - 1 if sim is slide else 0
+        assert calls == [2 + later_passes] * len(calls)
+
+
+def test_held_contact_state_is_a_fresh_build_of_the_state():
+    sim, _ = _lagged_slide()
+    st = sim.state
+    held = sim.contact()
+    fresh = sim.model.build_contact_state(st.q, st.v, st.t, sim.h)
+    assert held.cset.size and held.lagged is held.cset
+    for name in ("vertex", "obstacle", "x", "d", "lam", "n"):
+        assert np.array_equal(getattr(held.cset, name),
+                              getattr(fresh.cset, name)), name
+    assert held.cset.deepest == fresh.cset.deepest
+
+
+def test_lagged_passes_stop_at_their_fixed_point():
+    """A later lagged pass whose solve takes no Newton iteration leaves the
+    anchor where it was, so no further pass follows it."""
+    _, infos = _lagged_slide()
+    # a retried step's reports run on over its tries
+    steps = [i for i in infos if not i.retries]
+    assert len(steps) > 50 and any(len(i.reports) < 4 for i in steps)
+    for info in steps:
+        assert all(r.iterations for r in info.reports[1:-1]), info.index

@@ -87,13 +87,6 @@ def test_branch_consistency_where():
     np.testing.assert_allclose(out, [1.0, 2.0, 2.0])
 
 
-def test_min_max_tie_toward_first():
-    a = Dual(np.array(1.0), np.array(5.0))
-    b = Dual(np.array(1.0), np.array(7.0))
-    assert dm.maximum(a, b).eps == 5.0
-    assert dm.minimum(a, b).eps == 5.0
-
-
 def test_det3_inv3_match_numpy():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(10, 3, 3)) + 3.0 * np.eye(3)

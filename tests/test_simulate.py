@@ -1,6 +1,7 @@
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,8 +97,7 @@ def test_kappa_retry_loop_terminates_and_raises_kappa():
     infos = [sim.advance() for _ in range(3)]
     assert sim.model.penalty.kappa >= k0
     assert all(i.retries <= 20 for i in infos)
-    deepest, _ = sim.model.penetration(sim.state.q, sim.state.t)
-    assert deepest > 0.0
+    assert sim.record().deepest_gap > 0.0
 
 
 def test_snapshots_and_sampling_rates():
@@ -209,23 +209,28 @@ def test_retry_candidate_sets_are_nested():
     scene.obstacles.append(HalfSpace(point=(5, 0, 0), normal=(-1, 0, 0)))
     sim = Simulation(scene)
     model = sim.model
-    build, penetration = model.build_contact_state, model.penetration
-    sets = []
+    build = model.build_contact_state
 
-    def build_spy(*args, **kwargs):
-        state = build(*args, **kwargs)
+    def pairs(cset):
+        return set(zip(cset.vertex.tolist(), cset.obstacle.tolist()))
+
+    sets = [pairs(sim.contact().cset)]  # the first try's candidates
+    faked = []
+
+    def build_spy(q, v, t, h, extra_candidates=None):
+        state = build(q, v, t, h, extra_candidates=extra_candidates)
         cset = state.cset
-        sets.append(set(zip(cset.vertex.tolist(), cset.obstacle.tolist())))
+        if t == sim.state.t:  # a retry's candidates
+            sets.append(pairs(cset))
+        elif not faked:  # the first try's end state: a fake penetrating pair
+            faked.append(t)
+            state = replace(state, cset=replace(
+                cset, vertex=np.append(cset.vertex, 0),
+                obstacle=np.append(cset.obstacle, 1),
+                d=np.append(cset.d, -1e-3)))
         return state
 
-    def penetration_spy(q, t):
-        deepest, pairs = penetration(q, t)
-        if len(sets) == 1:
-            pairs = np.concatenate([pairs, [[0, 1]]])
-        return deepest, pairs
-
     model.build_contact_state = build_spy
-    model.penetration = penetration_spy
     info = sim.advance()
     assert info.retries >= 2 and len(sets) == info.retries + 1
     assert (0, 1) not in sets[0]

@@ -1,0 +1,134 @@
+"""Trajectory equality between two source trees.
+
+Dump the six check scenes with the ``fricsim`` package of a given ``src``
+directory, then compare two dumps::
+
+    python tools/trajcheck.py dump SRC_DIR OUT.pkl
+    python tools/trajcheck.py compare A.pkl B.pkl
+
+A dump holds, per scene, every ``TrajectoryRecord.row`` (the initial state
+and the state after every step), the Newton count of every solve in step
+order, and the final q and v.  ``compare`` reports each scene as ``==`` when
+all of them are equal bit for bit; otherwise it names the first row that
+differs, the Newton totals and the largest final |dq| and |dv|.  Solve lists
+are compared as they are; with ``--collapse-zero-runs`` every run of
+zero-iteration solves within a step counts as one solve on both sides, so
+that a tree whose lagged passes stop at their fixed point compares against
+one that runs every pass.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pickle
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (label, scene file or None for the lagged block slide, steps)
+SCENES = (
+    ("plate_squeeze", "plate_squeeze.json", 400),
+    ("ball_drop", "ball_drop.json", 250),
+    ("ball_in_box", "ball_in_box.json", 200),
+    ("block_slide", "block_slide.json", 200),
+    ("tet_drop_min", "tet_drop_min.json", 100),
+    ("slide_lagged", None, 250),
+)
+
+
+def _scene(fs, name):
+    from fricsim.experiments import block_slide_scene
+    if name is None:
+        return fs.load_scene(json.dumps(block_slide_scene(
+            0.01, "be", "lagged:4", solver_kind="iterative")))
+    return fs.load_scene_file(os.path.join(ROOT, "scenes", name))
+
+
+def dump(src: str, out: str, only=None):
+    sys.path.insert(0, os.path.abspath(src))
+    import fricsim as fs
+    from fricsim.simulate import Simulation
+
+    data = {}
+    for label, name, steps in SCENES:
+        if only and label not in only:
+            continue
+        scene = _scene(fs, name)
+        sim = Simulation(scene)
+        rows = [sim.record().row(scene.region_names)]
+        newton = []
+        for _ in range(steps):
+            info = sim.advance()
+            newton.append([r.iterations for r in info.reports])
+            rows.append(sim.record().row(scene.region_names))
+        data[label] = {"rows": rows, "newton": newton,
+                       "q": sim.state.q.copy(), "v": sim.state.v.copy()}
+        total = sum(map(sum, newton))
+        print(f"{label}: {steps} steps, {total} Newton", flush=True)
+    with open(out, "wb") as fh:
+        pickle.dump(data, fh)
+
+
+def _collapse_zero_runs(steps):
+    return [[n for k, n in enumerate(step) if n or not k or step[k - 1]]
+            for step in steps]
+
+
+def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
+    with open(a, "rb") as fh:
+        da = pickle.load(fh)
+    with open(b, "rb") as fh:
+        db = pickle.load(fh)
+    same_all = True
+    for label in da:
+        if label not in db:
+            print(f"{label}: missing from {b}")
+            same_all = False
+            continue
+        ra, rb = da[label], db[label]
+        na, nb = ra["newton"], rb["newton"]
+        if collapse_zero_runs:
+            na, nb = _collapse_zero_runs(na), _collapse_zero_runs(nb)
+        bad_row = next((k for k, (x, y) in enumerate(zip(ra["rows"],
+                                                         rb["rows"]))
+                        if x != y), None)
+        same = (bad_row is None and len(ra["rows"]) == len(rb["rows"])
+                and na == nb and np.array_equal(ra["q"], rb["q"])
+                and np.array_equal(ra["v"], rb["v"]))
+        same_all &= same
+        solves = (sum(map(len, ra["newton"])), sum(map(len, rb["newton"])))
+        print(f"{label}: {'==' if same else '!='}  Newton "
+              f"{sum(map(sum, ra['newton']))} / {sum(map(sum, rb['newton']))}"
+              f"  solves {solves[0]} / {solves[1]}"
+              + ("" if same else
+                 f"  first differing row {bad_row}, final max |dq| "
+                 f"{np.abs(ra['q'] - rb['q']).max():.3e}, |dv| "
+                 f"{np.abs(ra['v'] - rb['v']).max():.3e}"))
+    return same_all
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump", help="simulate the check scenes and save")
+    d.add_argument("src", help="directory that holds the fricsim package")
+    d.add_argument("out", help="output pickle")
+    d.add_argument("--only", nargs="*", help="scene labels to run")
+    c = sub.add_parser("compare", help="compare two dumps")
+    c.add_argument("a")
+    c.add_argument("b")
+    c.add_argument("--collapse-zero-runs", action="store_true",
+                   help="count each run of zero-iteration solves as one")
+    args = ap.parse_args(argv)
+    if args.cmd == "dump":
+        dump(args.src, args.out, args.only)
+        return 0
+    return 0 if compare(args.a, args.b, args.collapse_zero_runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
