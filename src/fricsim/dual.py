@@ -20,7 +20,7 @@ import numpy as np
 __all__ = [
     "Dual", "value", "tangent", "where",
     "sqrt", "log", "asum", "dot_last", "stack_last", "concat", "matmul",
-    "swap_last2", "det3", "inv3", "cross_last", "norm_last", "zeros",
+    "swap_last2", "det3", "cross_last", "norm_last", "zeros",
     "scatter_add", "jvp", "jacobian_blocks", "derivative",
 ]
 
@@ -251,28 +251,6 @@ def det3(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def inv3(m):
-    """Inverse of (..., 3, 3) via the adjugate; generic over Dual."""
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # Columns of the adjugate; stack_last([c0, c1, c2])[..., i, j] = c_j[..., i].
-    cols = [
-        stack_last([e * i - f * h, f * g - d * i, d * h - e * g]),
-        stack_last([c * h - b * i, a * i - c * g, b * g - a * h]),
-        stack_last([b * f - c * e, c * d - a * f, a * e - b * d]),
-    ]
-    adj = stack_last(cols)
-    if isinstance(adj, Dual):
-        det = det if isinstance(det, Dual) else Dual(det, np.zeros_like(det))
-        return Dual(adj.re / det.re[..., None, None],
-                    (adj.eps * det.re[..., None, None]
-                     - adj.re * det.eps[..., None, None])
-                    / det.re[..., None, None] ** 2)
-    return adj / det[..., None, None]
-
-
 def cross_last(a, b):
     """Cross product over the last axis (length 3); generic over Dual."""
     ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
@@ -294,13 +272,23 @@ def zeros(shape, like):
 
 
 def scatter_add(target, index, values):
-    """Unbuffered ``target[index] += values`` over the first axis."""
+    """Unbuffered ``target[index] += values`` over the first axis, in place,
+    for values of shape ``index.shape + target.shape[1:]``.
+
+    One ``np.bincount`` per real/tangent part over the flattened (row,
+    trailing) slots.  The target's own entries are counted first and then
+    the values in index order, which is ``np.add.at``'s order of summation,
+    so the result is bitwise the same.
+    """
     target, values = _coerce_pair(target, values)
-    if isinstance(target, Dual):
-        np.add.at(target.re, index, values.re)
-        np.add.at(target.eps, index, values.eps)
-    else:
-        np.add.at(target, index, values)
+    width = int(np.prod(target.shape[1:]))
+    slots = np.concatenate([np.arange(target.size), np.ravel(
+        np.asarray(index)[..., None] * width + np.arange(width))])
+    parts = ([(target.re, values.re), (target.eps, values.eps)]
+             if isinstance(target, Dual) else [(target, values)])
+    for t, vals in parts:
+        weights = np.concatenate([t.ravel(), np.ravel(vals)])
+        t[...] = np.bincount(slots, weights, t.size).reshape(t.shape)
     return target
 
 

@@ -7,15 +7,25 @@ Energy density per element (Lame mu, lambda; J = det F):
 which is zero with zero slope at F = I and rotation invariant.  Inverted
 elements (J <= 0) evaluate to +inf so the line search rejects such states.
 
-All kernels are generic over ndarray-vs-Dual input, so the same code path
-produces values and Jacobian-vector products.  The Jacobian blocks are closed
-form and take one ``element_kinematics`` evaluation, made once per assembly:
-the stiffness blocks K_e (``_element_stiffness``) and the damping blocks
-d(beta K_e v_e)/dq_e (``damping_q_blocks``, the q-derivative of the stiffness
-product).
+Every kernel takes G = F^{-T} and J from the cofactor columns of F
+(``_kinematics``).  The residual's elastic and Rayleigh-stiffness forces are
+one pass, ``element_forces``, generic over ndarray-vs-Dual input, so the same
+code path produces values and Jacobian-vector products.  The Jacobian blocks
+are closed form and take one ``element_kinematics`` evaluation, made once per
+assembly.  With the flattened element rows r = vec(N G^T) and
+s = vec(N (G A^T G)^T) (N the shape gradients, A = dF(v)), O = r r^T,
+X = s r^T + r s^T and the index swap swap(Y)[(a,i),(b,j)] = Y[(a,j),(b,i)],
+they are (n_e, 12, 12) outer products:
+
+  * the stiffness blocks K_e = -df_e/dq_e (``_element_stiffness``)
+      K = vol (lam O + swap((mu - lam ln J) O)) + mu vol (N N^T kron I_3);
+  * the damping blocks d(beta K_e v_e)/dq_e (``damping_q_blocks``)
+      D = -beta vol (lam X + swap((mu - lam ln J) X + lam <G, A> O)).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -27,35 +37,37 @@ class ElasticScratch:
     """Per-element rest inverses, volumes and shape gradients (cached)."""
 
     def __init__(self, mesh: TetMeshModel):
-        x = mesh.rest_positions
-        t = mesh.tets
-        d1 = x[t[:, 1]] - x[t[:, 0]]
-        d2 = x[t[:, 2]] - x[t[:, 0]]
-        d3 = x[t[:, 3]] - x[t[:, 0]]
-        dm_rest = np.stack([d1, d2, d3], axis=-1)          # (n_e, 3, 3)
-        self.rest_inv = np.linalg.inv(dm_rest)             # Bm
+        x = mesh.rest_positions[mesh.tets]
+        edges = np.swapaxes(x[:, 1:] - x[:, :1], -1, -2)   # columns x_k - x0
+        self.rest_inv = np.linalg.inv(edges)               # Bm
         self.volumes = mesh.rest_volumes
         # Shape gradients N (n_e, 4, 3): dF[i, j]/dx[a, c] = delta_ic N[a, j].
-        n = np.empty((len(t), 4, 3))
+        n = np.empty((len(x), 4, 3))
         n[:, 1:, :] = self.rest_inv
         n[:, 0, :] = -self.rest_inv.sum(axis=1)
         self.shape_grad = n
 
+    @cached_property
+    def nnt(self) -> np.ndarray:
+        """N N^T (n_e, 4, 4), built at the first assembly."""
+        return self.shape_grad @ np.swapaxes(self.shape_grad, -1, -2)
+
 
 def _deformation_gradient(rest_inv, x_elem):
-    d1 = x_elem[:, 1, :] - x_elem[:, 0, :]
-    d2 = x_elem[:, 2, :] - x_elem[:, 0, :]
-    d3 = x_elem[:, 3, :] - x_elem[:, 0, :]
-    ds = dm.stack_last([d1, d2, d3])  # columns d1, d2, d3
-    return dm.matmul(ds, rest_inv)
+    edges = dm.swap_last2(x_elem[:, 1:] - x_elem[:, :1])  # columns x_k - x0
+    return dm.matmul(edges, rest_inv)
 
 
-def _first_piola(f, mu, lam):
-    """P = mu F + (lambda ln J - mu) F^{-T}."""
-    j = dm.det3(f)
-    finv_t = dm.swap_last2(dm.inv3(f))
-    logj = dm.log(j)
-    return mu[:, None, None] * f + (lam * logj - mu)[:, None, None] * finv_t
+def _kinematics(rest_inv, x_elem):
+    """(F, G = F^{-T}, J) per element; generic.  G is taken from the cofactor
+    columns of F = [f0, f1, f2]: G = [f1 x f2, f2 x f0, f0 x f1] / J with
+    J = f0 . (f1 x f2)."""
+    f = _deformation_gradient(rest_inv, x_elem)
+    f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
+    c0 = dm.cross_last(f1, f2)
+    j = dm.dot_last(f0, c0)
+    g = dm.stack_last([c0, dm.cross_last(f2, f0), dm.cross_last(f0, f1)])
+    return f, g / j[:, None, None], j
 
 
 def elastic_energy(mesh: TetMeshModel, q):
@@ -75,31 +87,72 @@ def elastic_energy(mesh: TetMeshModel, q):
     return dm.asum(s.volumes * psi)
 
 
-def _element_forces(mesh, s, x_elem):
-    """Per-element corner forces (n_e, 4, 3) = -vol * N P^T."""
-    f = _deformation_gradient(s.rest_inv, x_elem)
-    p = _first_piola(f, mesh.mu, mesh.lam)
-    npt = dm.matmul(s.shape_grad, dm.swap_last2(p))
-    return -s.volumes[:, None, None] * npt
+def element_forces(mesh: TetMeshModel, q, v, elastic: bool, damping: bool):
+    """Elastic and/or Rayleigh damping force as a flat (m,) vector, in one
+    element pass; generic over Dual q/v.
+
+    Each element's stress is [elastic] P + [damping] beta dP, with
+      P  = mu F + (lam ln J - mu) G,
+      dP = mu A + (mu - lam ln J) G A^T G + lam <G, A> G,
+    G = F^{-T} and A = dF(v); dP is the directional derivative of P, so its
+    corner forces are K_e v_e.  The corner forces -vol N stress^T take one
+    scatter, and damping adds -alpha M v.
+    """
+    stiff = damping and bool(np.any(mesh.beta > 0.0))
+    out = -(mesh.alpha * (mesh.mass_dofs * v)) if damping else 0.0 * q
+    if not (elastic or stiff):
+        return out
+    s = mesh.scratch()
+    f, g, j = _kinematics(s.rest_inv, q.reshape(-1, 3)[mesh.tets])
+    logj = dm.log(j)[:, None, None]
+    mu, lam = mesh.mu[:, None, None], mesh.lam[:, None, None]
+    stress = mu * f + (lam * logj - mu) * g if elastic else 0.0
+    if stiff:
+        a = _deformation_gradient(s.rest_inv, v.reshape(-1, 3)[mesh.tets])
+        trace = (g * a).sum(axis=(-2, -1))[:, None, None]
+        dp = (mu * a + (mu - lam * logj)
+              * dm.matmul(dm.matmul(g, dm.swap_last2(a)), g)
+              + lam * trace * g)
+        stress = stress + mesh.beta[:, None, None] * dp
+    corner = dm.matmul(s.shape_grad, dm.swap_last2(stress))
+    per_vertex = dm.zeros((mesh.n_verts, 3), like=corner)
+    dm.scatter_add(per_vertex, mesh.tets, s.volumes[:, None, None] * corner)
+    return out - per_vertex.reshape(-1)
 
 
 def elastic_force(mesh: TetMeshModel, q):
     """f_e = -dW/dq as a flat (m,) vector; zero at rest."""
-    s = mesh.scratch()
-    x = q.reshape(-1, 3)
-    return _scatter(mesh, _element_forces(mesh, s, x[mesh.tets]))
+    return element_forces(mesh, q, None, elastic=True, damping=False)
+
+
+def damping_force(mesh: TetMeshModel, q, v):
+    """Rayleigh damping  f_d = -(alpha M + beta K(q)) v  (generic); beta is
+    per element, so it scales each element's stress before the scatter."""
+    return element_forces(mesh, q, v, elastic=False, damping=True)
 
 
 def element_kinematics(mesh: TetMeshModel, q):
-    """Per element at real q: (G = F^{-T}, ln J, R = N G^T (n_e, 4, 3)),
-    R[a,c] = N[a,:].G[c,:]; shared by the stiffness and damping-dq blocks."""
+    """Per element at real q: (G = F^{-T}, ln J, r), with r (n_e, 12) the
+    flattened R = N G^T, r[3a + c] = R[a,c] = N[a,:].G[c,:]; shared by the
+    stiffness and damping-dq blocks."""
     s = mesh.scratch()
     x = np.asarray(q, float).reshape(-1, 3)
-    f = _deformation_gradient(s.rest_inv, x[mesh.tets])
-    g = np.swapaxes(np.linalg.inv(f), -1, -2)
-    logj = np.log(np.linalg.det(f))
+    _, g, j = _kinematics(s.rest_inv, x[mesh.tets])
     r = s.shape_grad @ np.swapaxes(g, -1, -2)
-    return g, logj, r
+    return g, np.log(j), r.reshape(len(g), 12)
+
+
+def _outer(r, out=None):
+    """O = r r^T per element, (n_e, 12, 12)."""
+    return np.einsum("ni,nj->nij", r, r, out=out)
+
+
+def _add_swap(out, y):
+    """out += swap(y) in place, for (n_e, 12, 12) blocks, where
+    swap(Y)[(a,i),(b,j)] = Y[(a,j),(b,i)] (a reshaped, transposed view)."""
+    n = len(y)
+    view = out.reshape(n, 4, 3, 4, 3)
+    view += y.reshape(n, 4, 3, 4, 3).transpose(0, 1, 4, 3, 2)
 
 
 def _element_stiffness(mesh, kin):
@@ -109,92 +162,52 @@ def _element_stiffness(mesh, kin):
     With N the shape gradients, G = F^{-T} and R = N G^T:
       K[(a,c),(b,e)] = vol * ( mu d_ce (N N^T)[a,b]
                                + (mu - lam ln J) R[a,e] R[b,c]
-                               + lam R[a,c] R[b,e] ).
+                               + lam R[a,c] R[b,e] ),
+    i.e. vol (lam O + swap((mu - lam ln J) O)) plus mu vol N N^T on the
+    three (c, c) diagonals, with O = r r^T.
     """
     s = mesh.scratch()
     _, logj, r = kin
-    n = s.shape_grad
-    nnt = n @ np.swapaxes(n, -1, -2)                # (n_e, 4, 4)
-    w = lambda a: a[:, None, None, None, None]
-    eye3 = np.eye(3)[None, None, :, None, :]        # delta_ce
-    k = (w(mesh.mu) * nnt[:, :, None, :, None] * eye3
-         + w(mesh.mu - mesh.lam * logj)
-         * r[:, :, None, None, :] * np.swapaxes(r, 1, 2)[:, None, :, :, None]
-         + w(mesh.lam) * r[:, :, :, None, None] * r[:, None, None, :, :])
-    k *= w(s.volumes)
-    return k.reshape(len(mesh.tets), 12, 12)
-
-
-def _element_stiffness_product(mesh, s, x_elem, w_elem):
-    """K_e(x) w_e per element, (n_e, 4, 3); generic over Dual inputs.
-
-    Directional derivative of the first Piola stress:
-      dP = mu dF + (mu - lam ln J) G dF^T G + lam tr(F^{-1} dF) G,  G = F^{-T}.
-    """
-    mu, lam = mesh.mu, mesh.lam
-    f = _deformation_gradient(s.rest_inv, x_elem)
-    df = _deformation_gradient(s.rest_inv, w_elem)
-    j = dm.det3(f)
-    finv = dm.inv3(f)
-    g = dm.swap_last2(finv)
-    logj = dm.log(j)
-    trace = (finv * dm.swap_last2(df)).sum(axis=(-2, -1))
-    dp = (mu[:, None, None] * df
-          + (mu - lam * logj)[:, None, None]
-          * dm.matmul(dm.matmul(g, dm.swap_last2(df)), g)
-          + (lam * trace)[:, None, None] * g)
-    out = dm.matmul(s.shape_grad, dm.swap_last2(dp))
-    return s.volumes[:, None, None] * out
-
-
-def _scatter(mesh, per_elem):
-    """Sum per-element corner vectors (n_e, 4, 3) into a flat (m,) vector."""
-    out = dm.zeros((mesh.n_verts, 3), like=per_elem)
-    dm.scatter_add(out, mesh.tets, per_elem)
-    return out.reshape(-1)
-
-
-def damping_force(mesh: TetMeshModel, q, v):
-    """Rayleigh damping  f_d = -(alpha M + beta K(q)) v  (generic); beta is
-    per element, so it scales each element's product before the scatter."""
-    fd = -(mesh.alpha * (mesh.mass_dofs * v))
-    if np.any(mesh.beta > 0.0):
-        x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
-        kv = _element_stiffness_product(mesh, mesh.scratch(), x[mesh.tets],
-                                        vv[mesh.tets])
-        fd = fd - _scatter(mesh, mesh.beta[:, None, None] * kv)
-    return fd
+    vol = s.volumes[:, None, None]
+    o = _outer(r)
+    k = (vol * mesh.lam[:, None, None]) * o
+    o *= vol * (mesh.mu - mesh.lam * logj)[:, None, None]
+    _add_swap(k, o)
+    mu_nnt = (s.volumes * mesh.mu)[:, None, None] * s.nnt
+    for c in range(3):
+        k[:, c::3, c::3] += mu_nnt
+    return k
 
 
 def damping_q_blocks(mesh: TetMeshModel, kin, v) -> np.ndarray:
     """Element blocks (n_e, 12, 12) of d(beta K_e(q) v_e)/dq_e, closed form,
     from the :func:`element_kinematics` ``kin`` at q.
 
-    The q-derivative of the ``dP`` in :func:`_element_stiffness_product`.
+    The q-derivative of the ``beta dP`` in :func:`element_forces`.
     With A = dF(v), G = F^{-T}, R = N G^T, S = N (G A^T G)^T,
     t = <G, A> and c = mu - lam ln J:
       D[(a,i),(b,j)] = beta vol ( -lam (S[a,i] R[b,j] + R[a,i] S[b,j])
                                   - c (S[a,j] R[b,i] + R[a,j] S[b,i])
-                                  - lam t R[a,j] R[b,i] ).
-    The damping force contribution is the negative of these blocks.
+                                  - lam t R[a,j] R[b,i] ),
+    i.e. -beta vol (lam X + swap(c X + lam t O)) with O = r r^T and X the
+    rank-2 product [s r] [r s]^T = s r^T + r s^T.  The damping force
+    contribution is the negative of these blocks.
     """
     s = mesh.scratch()
     g, logj, r = kin
     v_elem = np.asarray(v, float).reshape(-1, 3)[mesh.tets]
     a = _deformation_gradient(s.rest_inv, v_elem)
     gt = np.swapaxes(g, -1, -2)
-    sv = s.shape_grad @ (gt @ a @ gt)               # S = N (G A^T G)^T
+    sv = (s.shape_grad @ (gt @ a @ gt)).reshape(len(g), 12)
     t = (g * a).sum(axis=(-2, -1))
-    scale = mesh.beta * s.volumes
+    scale = -(mesh.beta * s.volumes)
     lam = (scale * mesh.lam)[:, None, None]
     c = (scale * (mesh.mu - mesh.lam * logj))[:, None, None]
-    rt = np.swapaxes(r, 1, 2)                       # R[b,i] at (i, b)
-    st = np.swapaxes(sv, 1, 2)
-    # Terms in (a, i, b, j): S_ai R_bj + R_ai S_bj, then the index-swapped
-    # S_aj R_bi and R_aj (c S_bi + lam t R_bi).
-    d = -(lam * sv)[:, :, :, None, None] * r[:, None, None, :, :]
-    d -= (lam * r)[:, :, :, None, None] * sv[:, None, None, :, :]
-    d -= (c * sv)[:, :, None, None, :] * rt[:, None, :, :, None]
-    d -= r[:, :, None, None, :] * (c * st + lam * t[:, None, None] * rt
-                                   )[:, None, :, :, None]
-    return d.reshape(len(mesh.tets), 12, 12)
+    x = np.stack([sv, r], axis=-1) @ np.stack([r, sv], axis=1)
+    d = lam * x
+    x *= c
+    _add_swap(d, x)
+    o = _outer(r, out=x)  # into X's buffer: two (n_e, 12, 12) arrays live
+    o *= lam * t[:, None, None]
+    _add_swap(d, o)
+    return d

@@ -33,8 +33,8 @@ import scipy.sparse as sp
 
 from . import dual as dm
 from .contact import ContactSet, PenaltyParams, gaps, snapshot
-from .elasticity import (_element_stiffness, damping_force, damping_q_blocks,
-                         elastic_force, element_kinematics)
+from .elasticity import (_element_stiffness, damping_q_blocks, element_forces,
+                         element_kinematics)
 from .friction import contact_friction_blocks, contact_friction_forces
 from .mesh import TetMeshModel
 from .volume import (_d2wdv2, _dwdv, enclosed_volume, volume_force,
@@ -196,10 +196,9 @@ class ForceModel:
               parts: frozenset = ALL_PARTS):
         """Total generalized force (m,), generic over Dual q/v."""
         total = 0.0 * q + 0.0 * v  # promotes to Dual if either input is
-        if "elastic" in parts:
-            total = total + elastic_force(self.mesh, q)
-        if "damping" in parts:
-            total = total + damping_force(self.mesh, q, v)
+        if parts & {"elastic", "damping"}:
+            total = total + element_forces(self.mesh, q, v, "elastic" in parts,
+                                           "damping" in parts)
         if "gravity" in parts:
             total = total + self.gravity_force
         if (self.penalty is not None and contact.cset.size

@@ -87,21 +87,10 @@ def test_branch_consistency_where():
     np.testing.assert_allclose(out, [1.0, 2.0, 2.0])
 
 
-def test_det3_inv3_match_numpy():
+def test_det3_matches_numpy():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(10, 3, 3)) + 3.0 * np.eye(3)
     np.testing.assert_allclose(dm.det3(m), np.linalg.det(m), rtol=1e-12)
-    np.testing.assert_allclose(dm.inv3(m), np.linalg.inv(m), rtol=1e-10)
-
-
-def test_inv3_dual_derivative():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(1, 3, 3)) + 3.0 * np.eye(3)
-    d = rng.normal(size=(1, 3, 3))
-    out = dm.inv3(Dual(m, d))
-    # d(M^{-1}) = -M^{-1} dM M^{-1}
-    expect = -np.linalg.inv(m) @ d @ np.linalg.inv(m)
-    np.testing.assert_allclose(out.eps, expect, rtol=1e-10, atol=1e-12)
 
 
 def test_cross_and_norm():
@@ -121,6 +110,28 @@ def test_scatter_add_dual():
                    Dual(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])))
     np.testing.assert_allclose(acc.re, [3.0, 0.0, 3.0])
     np.testing.assert_allclose(acc.eps, [0.3, 0.0, 0.3])
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["real", "dual"])
+@pytest.mark.parametrize("index_shape", [(40,), (12, 4)],
+                         ids=["k", "elements"])
+def test_scatter_add_matches_sequential_add_at(index_shape, dual):
+    # repeated indices into a non-zero target: the same sums, in the same
+    # order, as np.add.at
+    rng = np.random.default_rng(11)
+    index = rng.integers(0, 7, size=index_shape)
+    target = [rng.normal(size=(7, 3)) for _ in range(2)]
+    values = [rng.normal(size=index_shape + (3,)) for _ in range(2)]
+    expect = [t.copy() for t in target]
+    for e, val in zip(expect, values):
+        np.add.at(e, index, val)
+    if dual:
+        dm.scatter_add(Dual(*target), index, Dual(*values))
+    else:
+        dm.scatter_add(target[0], index, values[0])
+        target, expect = target[:1], expect[:1]
+    for got, e in zip(target, expect):  # written in place
+        assert np.array_equal(got, e)
 
 
 def test_jacobian_blocks_match_per_seed_jvp():

@@ -4,10 +4,10 @@ import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 from hypothesis import given, settings, strategies as st
 
-from fricsim.dual import jvp
-from fricsim.elasticity import (damping_force, damping_q_blocks,
-                                elastic_energy, elastic_force,
-                                element_kinematics)
+from fricsim.dual import Dual, jvp
+from fricsim.elasticity import (_element_stiffness, _kinematics, damping_force,
+                                damping_q_blocks, elastic_energy,
+                                elastic_force, element_kinematics)
 from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams, TetMeshModel
 from fricsim.meshgen import box_mesh
@@ -93,6 +93,27 @@ def test_inverted_element_infinite_energy():
     x = UNIT_TET.copy()
     x[3, 2] = -1.0  # flip through the base plane
     assert elastic_energy(tet, x.ravel()) == np.inf
+
+
+def test_cofactor_kinematics_match_numpy():
+    # G = F^{-T} and J from F's cofactor columns, and their tangents
+    # dG = -G dF^T G and dJ = J <G, dF>
+    rng = np.random.default_rng(2)
+    f = rng.normal(size=(10, 3, 3)) + 3.0 * np.eye(3)
+    df = rng.normal(size=(10, 3, 3))
+
+    def corners(m):  # a tet whose edges x_k - x0 are the columns of m
+        return np.concatenate([np.zeros((10, 1, 3)), np.swapaxes(m, 1, 2)],
+                              axis=1)
+
+    _, g, j = _kinematics(np.eye(3), Dual(corners(f), corners(df)))
+    np.testing.assert_allclose(g.re, np.linalg.inv(f).swapaxes(1, 2),
+                               rtol=1e-10)
+    np.testing.assert_allclose(j.re, np.linalg.det(f), rtol=1e-12)
+    np.testing.assert_allclose(
+        g.eps, -g.re @ df.swapaxes(1, 2) @ g.re, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(j.eps, j.re * (g.re * df).sum(axis=(1, 2)),
+                               rtol=1e-10)
 
 
 def test_force_zero_at_rest(mesh):
@@ -197,14 +218,9 @@ angle = st.floats(min_value=-np.pi, max_value=np.pi)
 stretch = st.floats(min_value=0.5, max_value=2.0)
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(r1=st.tuples(angle, angle, angle), r2=st.tuples(angle, angle, angle),
-       s1=stretch, s2=stretch,
-       log_j=st.floats(min_value=-3.0, max_value=1.0),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_damping_q_blocks_match_jvp_near_inversion(r1, r2, s1, s2, log_j,
-                                                   seed):
-    # F = R1 diag(s1, s2, J/(s1 s2)) R2^T, so det F = J in [1e-3, 10]
+def _near_inversion_states(r1, r2, s1, s2, log_j, seed):
+    """(mesh, q, v) on both test meshes, at F = R1 diag(s1, s2, J/(s1 s2))
+    R2^T (so det F = J in [1e-3, 10]) applied to a jittered rest shape."""
     sigma = np.diag([s1, s2, 10.0 ** log_j / (s1 * s2)])
     f = (Rotation.from_euler("zyx", r1).as_matrix() @ sigma
          @ Rotation.from_euler("zyx", r2).as_matrix().T)
@@ -213,14 +229,43 @@ def test_damping_q_blocks_match_jvp_near_inversion(r1, r2, s1, s2, log_j,
         edge = np.cbrt(mesh.rest_volumes.min())
         x = mesh.rest_positions + 0.02 * edge * rng.normal(
             size=mesh.rest_positions.shape)
-        q = (x @ f.T).ravel()
-        v = rng.normal(size=mesh.n_dofs)
+        yield mesh, (x @ f.T).ravel(), rng.normal(size=mesh.n_dofs)
+
+
+def _assert_blocks_match_jvp(mesh, blocks, force, q):
+    """Each column of the assembled -blocks matches the JVP of ``force``
+    at q to 1e-10 of the largest entry."""
+    dfdq = -sp.coo_matrix((blocks.ravel(), element_block_indices(mesh)),
+                          shape=(mesh.n_dofs, mesh.n_dofs)).toarray()
+    scale = np.max(np.abs(dfdq))
+    assert scale > 0.0
+    for k in range(mesh.n_dofs):
+        col = jvp(force, q, np.eye(mesh.n_dofs)[k])
+        assert np.max(np.abs(dfdq[:, k] - col)) <= 1e-10 * scale
+
+
+near_inversion = given(
+    r1=st.tuples(angle, angle, angle), r2=st.tuples(angle, angle, angle),
+    s1=stretch, s2=stretch, log_j=st.floats(min_value=-3.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@near_inversion
+def test_damping_q_blocks_match_jvp_near_inversion(r1, r2, s1, s2, log_j,
+                                                   seed):
+    for mesh, q, v in _near_inversion_states(r1, r2, s1, s2, log_j, seed):
         blocks = damping_q_blocks(mesh, element_kinematics(mesh, q), v)
-        dfdq = -sp.coo_matrix((blocks.ravel(), element_block_indices(mesh)),
-                              shape=(mesh.n_dofs, mesh.n_dofs)).toarray()
-        scale = np.max(np.abs(dfdq))
-        assert scale > 0.0
-        for k in range(mesh.n_dofs):
-            col = jvp(lambda qq: damping_force(mesh, qq, v), q,
-                      np.eye(mesh.n_dofs)[k])
-            assert np.max(np.abs(dfdq[:, k] - col)) <= 1e-10 * scale
+        _assert_blocks_match_jvp(
+            mesh, blocks, lambda qq: damping_force(mesh, qq, v), q)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@near_inversion
+def test_element_stiffness_matches_jvp_near_inversion(r1, r2, s1, s2, log_j,
+                                                      seed):
+    # the cofactor G = F^{-T} stays exact as det F falls to 1e-3
+    for mesh, q, _ in _near_inversion_states(r1, r2, s1, s2, log_j, seed):
+        blocks = _element_stiffness(mesh, element_kinematics(mesh, q))
+        _assert_blocks_match_jvp(
+            mesh, blocks, lambda qq: elastic_force(mesh, qq), q)

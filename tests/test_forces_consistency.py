@@ -12,8 +12,11 @@ residuals of every scheme.
 import numpy as np
 import pytest
 
+from fricsim import dual as dm
 from fricsim.contact import HalfSpace, PenaltyParams, Sphere
-from fricsim.forces import ALL_PARTS, ForceModel
+from fricsim.dual import Dual
+from fricsim.elasticity import damping_force, elastic_force
+from fricsim.forces import ALL_PARTS, NON_CONTACT_PARTS, ForceModel
 from fricsim.friction import FrictionParams
 from fricsim.integrators import StageProblem
 from fricsim.mesh import MaterialParams, SystemState
@@ -146,6 +149,33 @@ def test_parts_sum_to_total():
     parts = sum(model.force(q, v, 0.0, contact, parts=frozenset({p}))
                 for p in ALL_PARTS)
     np.testing.assert_allclose(total, parts, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("parts", [frozenset({"elastic"}),
+                                   frozenset({"damping"}),
+                                   frozenset({"elastic", "damping"}),
+                                   NON_CONTACT_PARTS, ALL_PARTS],
+                         ids=["elastic", "damping", "elastic+damping",
+                              "non_contact", "all"])
+def test_shared_element_pass_matches_the_selected_terms(parts):
+    # one element pass serves "elastic" and "damping"; it must give the
+    # elastic_force/damping_force terms the part set selects, also for the
+    # Dual inputs of a JVP in q and in v
+    model, q, v, contact, rng = make_fixture(24)
+    mesh = model.mesh
+    p, w = rng.normal(size=q.size), rng.normal(size=v.size)
+    rest = parts - {"elastic", "damping"}
+    for qq, vv in ((q, v), (Dual(q, p), v), (q, Dual(v, w))):
+        got = model.force(qq, vv, 0.0, contact, parts=parts)
+        expect = model.force(qq, vv, 0.0, contact, parts=rest)
+        if "elastic" in parts:
+            expect = expect + elastic_force(mesh, qq)
+        if "damping" in parts:
+            expect = expect + damping_force(mesh, qq, vv)
+        for part in (dm.value, dm.tangent):
+            scale = np.max(np.abs(part(expect)))
+            np.testing.assert_allclose(part(got), part(expect), rtol=0.0,
+                                       atol=1e-13 * scale)
 
 
 def test_gravity_force_is_mass_times_g():

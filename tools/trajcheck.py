@@ -8,13 +8,14 @@ directory, then compare two dumps::
 
 A dump holds, per scene, every ``TrajectoryRecord.row`` (the initial state
 and the state after every step), the Newton count of every solve in step
-order, and the final q and v.  ``compare`` reports each scene as ``==`` when
-all of them are equal bit for bit; otherwise it names the first row that
-differs, the Newton totals and the largest final |dq| and |dv|.  Solve lists
-are compared as they are; with ``--collapse-zero-runs`` every run of
-zero-iteration solves within a step counts as one solve on both sides, so
-that a tree whose lagged passes stop at their fixed point compares against
-one that runs every pass.
+order, and the final q and v.  ``compare`` prints each scene's Newton and
+solve totals and reports the scene as ``==`` when all of them are equal bit
+for bit; otherwise it says whether every solve's Newton count is equal (or
+the first step where one differs), and names the first row that differs and
+the largest final |dq| and |dv|.  Solve lists are compared as they are;
+with ``--collapse-zero-runs`` every run of zero-iteration solves within a
+step counts as one solve on both sides, so that a tree whose lagged passes
+stop at their fixed point compares against one that runs every pass.
 """
 
 from __future__ import annotations
@@ -101,11 +102,16 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
                 and np.array_equal(ra["v"], rb["v"]))
         same_all &= same
         solves = (sum(map(len, ra["newton"])), sum(map(len, rb["newton"])))
+        bad_step = next((k for k, (x, y) in enumerate(zip(na, nb)) if x != y),
+                        None if len(na) == len(nb) else min(len(na), len(nb)))
         print(f"{label}: {'==' if same else '!='}  Newton "
               f"{sum(map(sum, ra['newton']))} / {sum(map(sum, rb['newton']))}"
               f"  solves {solves[0]} / {solves[1]}"
               + ("" if same else
-                 f"  first differing row {bad_row}, final max |dq| "
+                 "  per-solve Newton "
+                 + ("equal" if bad_step is None
+                    else f"differs from step {bad_step}")
+                 + f", first differing row {bad_row}, final max |dq| "
                  f"{np.abs(ra['q'] - rb['q']).max():.3e}, |dv| "
                  f"{np.abs(ra['v'] - rb['v']).max():.3e}"))
     return same_all
