@@ -11,11 +11,11 @@ whose value, first and second derivatives all vanish at x = delta.  The
 contact force magnitude is lambda = -b'(d) >= 0, applied along the gap
 gradient.  kappa is raised adaptively until end-of-step gaps are positive.
 
-A :class:`ContactSet` carries its pairs' geometry at its build positions
-(:func:`snapshot`, one ``gap_normal`` call per obstacle); lagged friction's
-anchor is such a set.  :func:`contact_geometry` evaluates each obstacle's
-gap, normal and surface velocity once for all of its contacts at live
-positions, for the residual's contact-and-friction kernel.
+A model's obstacles are one :class:`ObstacleTable`, whose frames are moved
+once per distinct time.  The scan of :func:`gaps`, a :class:`ContactSet`'s
+snapshot at its build positions (:func:`snapshot`; lagged friction's anchor
+is such a set) and :func:`contact_geometry` at live positions, for the
+residual's kernel, gather their contacts' frame rows from it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from . import dual as dm
 
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
-    "gaps", "snapshot", "penalty_b", "penalty_db", "penalty_lambda",
-    "per_obstacle", "contact_geometry", "surface_velocities", "contact_force",
+    "ObstacleTable", "gaps", "snapshot", "penalty_b", "penalty_db",
+    "penalty_lambda", "contact_geometry", "contact_force",
     "adaptive_stiffen", "StiffeningError", "AdaptDecision",
 ]
 
@@ -98,10 +98,10 @@ class RigidMotion:
         self.rotation_pivot = np.asarray(self.rotation_pivot, float)
 
     @staticmethod
-    def _interp(keys, t):
-        """Piecewise-linear value and slope at t; holds outside the range."""
+    def _interp(keys, t, default):
+        """Piecewise-linear value and slope at t (``default`` if no keys)."""
         if not keys:
-            return None, None
+            return default, default * 0.0
         times = [k[0] for k in keys]
         if t <= times[0]:
             return keys[0][1], keys[0][1] * 0.0
@@ -114,38 +114,23 @@ class RigidMotion:
         slope = (v1 - v0) / (t1 - t0)
         return v0 + w * (v1 - v0), slope
 
-    def offset(self, t: float) -> np.ndarray:
-        val, _ = self._interp(self.translation, t)
-        return np.zeros(3) if val is None else val
-
-    def linear_velocity(self, t: float) -> np.ndarray:
-        _, slope = self._interp(self.translation, t)
-        return np.zeros(3) if slope is None else slope
-
-    def angle(self, t: float) -> float:
-        val, _ = self._interp(self.rotation_angles, t)
-        return 0.0 if val is None else val
-
-    def angular_velocity(self, t: float) -> np.ndarray:
+    def frame(self, t: float):
+        """(rotation (3, 3), offset, linear and angular velocity) at t."""
+        off, vlin = self._interp(self.translation, t, np.zeros(3))
         if self.rotation_axis is None:
-            return np.zeros(3)
-        _, slope = self._interp(self.rotation_angles, t)
-        return self.rotation_axis * (0.0 if slope is None else slope)
-
-    def rotation(self, t: float) -> np.ndarray:
-        if self.rotation_axis is None:
-            return np.eye(3)
-        ang = self.angle(t)
+            return np.eye(3), off, vlin, np.zeros(3)
+        ang, rate = self._interp(self.rotation_angles, t, 0.0)
         k = self.rotation_axis
         kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-        return np.eye(3) + np.sin(ang) * kx + (1 - np.cos(ang)) * (kx @ kx)
+        return (np.eye(3) + np.sin(ang) * kx + (1 - np.cos(ang)) * (kx @ kx),
+                off, vlin, k * rate)
 
 
 _STATIC = RigidMotion()
 
 
 class _ObstacleBase:
-    """Shared scripted-motion plumbing; subclasses provide base geometry."""
+    """Scripted-motion plumbing; geometry queries wrap an ObstacleTable."""
 
     def __init__(self, friction=None, motion: RigidMotion | None = None,
                  name: str = ""):
@@ -153,24 +138,16 @@ class _ObstacleBase:
         self.motion = motion or _STATIC
         self.name = name
 
-    def _frame(self, t: float):
-        r = self.motion.rotation(t)
-        off = self.motion.offset(t)
-        return r, off
+    def gap_normal(self, x, t: float):
+        """(gap (k,), unit normal (k, 3)) at x (k, 3); generic over Dual x."""
+        return ObstacleTable([self]).gap_normal(np.zeros(len(x), int), x, t)
 
     def gap(self, x, t: float):
         return self.gap_normal(x, t)[0]
 
     def surface_velocity(self, x, t: float):
-        """Material velocity of the obstacle point currently at x (generic)."""
-        vlin = self.motion.linear_velocity(t)
-        omega = self.motion.angular_velocity(t)
-        if np.all(omega == 0.0):
-            return vlin + 0.0 * x
-        center = self.motion.rotation_pivot + self.motion.offset(t)
-        arm = x - center
-        w = np.broadcast_to(omega, np.shape(dm.value(x)))
-        return vlin + dm.cross_last(w, arm)
+        """Material velocity (k, 3) of the obstacle points currently at x."""
+        return ObstacleTable([self]).velocity(np.zeros(len(x), int), x, t)
 
 
 class HalfSpace(_ObstacleBase):
@@ -184,15 +161,6 @@ class HalfSpace(_ObstacleBase):
         if nrm == 0:
             raise ValueError("half-space normal must be nonzero")
         self.normal = normal / nrm
-
-    def gap_normal(self, x, t: float):
-        """(gap, unit gradient of gap) — generic over Dual x."""
-        r, off = self._frame(t)
-        n = r @ self.normal
-        p = r @ (self.point - self.motion.rotation_pivot) \
-            + self.motion.rotation_pivot + off
-        nb = np.broadcast_to(n, np.shape(dm.value(x)))
-        return dm.dot_last(x - p, nb), np.array(nb)
 
 
 class Sphere(_ObstacleBase):
@@ -208,17 +176,75 @@ class Sphere(_ObstacleBase):
         self.radius = float(radius)
         self.contains = bool(contains)
 
-    def _center(self, t: float):
-        r, off = self._frame(t)
-        return r @ (self.center - self.motion.rotation_pivot) \
-            + self.motion.rotation_pivot + off
 
-    def gap_normal(self, x, t: float):
-        rel = x - self._center(t)
-        dist = dm.norm_last(rel)
-        unit = rel / dist[..., None]
-        d = (self.radius - dist) if self.contains else (dist - self.radius)
-        return d, (-unit if self.contains else unit)
+class ObstacleTable:
+    """Obstacles as arrays: per obstacle its kind ``sign`` (0 half-space, +1
+    ball, -1 container), ``base`` point or centre, ``normal``, ``radius`` and
+    ``pivot``, and its :meth:`frames`.  Each model owns its table, so models
+    sharing one scene's obstacles share no frames."""
+
+    def __init__(self, obstacles):
+        self.obstacles = list(obstacles)
+        rows = [(*o.point, *o.normal, 0.0, 0.0) if isinstance(o, HalfSpace)
+                else (*o.center, 0.0, 0.0, 0.0, o.radius,
+                      -1.0 if o.contains else 1.0) for o in self.obstacles]
+        static = np.array(rows, float).reshape(len(rows), 8)
+        self.base, self.normal = static[:, :3], static[:, 3:6]
+        self.radius, self.sign = static[:, 6], static[:, 7]
+        self.pivot = np.array([o.motion.rotation_pivot
+                               for o in self.obstacles]).reshape(-1, 3)
+        self._memo = None  # (t, frames at t)
+
+    @staticmethod
+    def of(obstacles) -> ObstacleTable:
+        """``obstacles`` itself if it is a table, else a table of the list."""
+        return (obstacles if isinstance(obstacles, ObstacleTable)
+                else ObstacleTable(obstacles))
+
+    def frames(self, t: float) -> np.ndarray:
+        """(5, n_obs, 3) point or centre, normal, linear and angular velocity
+        and rotation centre moved to t, evaluated once per distinct t."""
+        memo = self._memo
+        if memo is None or memo[0] != t:
+            rows = []
+            for o, base, normal, pivot in zip(self.obstacles, self.base,
+                                              self.normal, self.pivot):
+                r, off, vlin, omega = o.motion.frame(t)
+                rows.append((r @ (base - pivot) + pivot + off, r @ normal,
+                             vlin, omega, pivot + off))
+            moved = np.array(rows, float).reshape(len(rows), 5, 3)
+            memo = self._memo = (t, np.swapaxes(moved, 0, 1))
+        return memo[1]
+
+    def gap_normal(self, obstacle, x, t: float):
+        """(gap (k,), unit gap gradient (k, 3)) of the positions x (k, 3)
+        against the obstacles ``obstacle`` (k,): one expression per obstacle
+        kind present, joined on the kind mask.  Generic over Dual x."""
+        point, normal = self.frames(t)[:2]
+        sign = self.sign[obstacle]
+        ball = sign != 0.0
+        rel = x - point[obstacle]
+        if not ball.all():  # half-spaces: the plane distance
+            n = normal[obstacle]
+            d = dm.dot_last(rel, n)
+            if not ball.any():
+                return d, n
+        dist = dm.norm_last(rel)  # spheres: the signed centre distance
+        d_ball = (dist - self.radius[obstacle]) * sign
+        n_ball = rel / dist[..., None] * sign[:, None]
+        if ball.all():
+            return d_ball, n_ball
+        return dm.where(ball, d_ball, d), dm.where(ball[:, None], n_ball, n)
+
+    def velocity(self, obstacle, x, t: float):
+        """Surface velocities (k, 3) of the obstacles ``obstacle`` (k,) at
+        the positions x (k, 3): the linear velocity, plus omega x (x - c)
+        when some obstacle rotates at t.  Generic over Dual x."""
+        _, _, vlin, omega, center = self.frames(t)
+        w = vlin[obstacle]
+        if np.any(omega != 0.0):
+            w = w + dm.cross_last(omega[obstacle], x - center[obstacle])
+        return w
 
 
 @dataclass
@@ -235,7 +261,7 @@ class ContactSet:
     d: np.ndarray                       # (k,) gaps at x
     lam: np.ndarray                     # (k,) -b'(d)
     n: np.ndarray                       # (k, 3) unit normals at x
-    obstacles: list = field(default_factory=list, repr=False)
+    table: ObstacleTable = field(repr=False)
     deepest: float = np.inf             # least gap of the scan in gaps
 
     @property
@@ -247,7 +273,7 @@ class ContactSet:
         """(k, 5) friction coefficients of each contact's obstacle (columns
         as in ``friction.obstacle_coeffs``), gathered once per set."""
         from .friction import obstacle_coeffs  # friction imports this module
-        return obstacle_coeffs(self.obstacles)[self.obstacle]
+        return obstacle_coeffs(self.table.obstacles)[self.obstacle]
 
 
 def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
@@ -263,17 +289,20 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
     """
     if activation is None:
         activation = 1.5 * penalty.delta
+    table = ObstacleTable.of(obstacles)
     x = np.asarray(q, float).reshape(-1, 3)
     cand = (np.arange(len(x)) if candidate_vertices is None
             else np.asarray(candidate_vertices, int))
-    g = np.array([obs.gap(x[cand], t) for obs in obstacles],
-                 float).reshape(len(obstacles), len(cand))
+    n_obs = len(table.obstacles)
+    g = table.gap_normal(np.repeat(np.arange(n_obs), len(cand)),
+                         np.tile(x[cand], (n_obs, 1)), t)[0]
+    g = g.reshape(n_obs, len(cand))
     obstacle, near = np.nonzero(g < activation)
     pairs = np.stack([cand[near], obstacle], axis=1)
     if extra is not None:
         pairs = np.concatenate([pairs, extra])
     vertex, obstacle = np.unique(pairs, axis=0).T
-    cset = snapshot(obstacles, vertex, obstacle, q, t, penalty)
+    cset = snapshot(table, vertex, obstacle, q, t, penalty)
     cset.deepest = float(g.min(initial=np.inf))
     return cset
 
@@ -281,43 +310,23 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
 def snapshot(obstacles, vertex, obstacle, q, t: float,
              penalty: PenaltyParams) -> ContactSet:
     """The pairs of ``vertex`` (k,) and ``obstacles[obstacle]`` (k,) as a
-    set whose snapshot is taken at (q, t), with one ``gap_normal`` call per
-    obstacle.  ``penalty`` may be None when there are no pairs."""
+    set whose snapshot is taken at (q, t), gathered from the table's frames
+    at t.  ``penalty`` may be None when there are no pairs."""
+    table = ObstacleTable.of(obstacles)
     x = np.asarray(q, float).reshape(-1, 3)[vertex]
-    d, n = np.zeros(0), np.zeros((0, 3))
-    if len(vertex):
-        d, n = per_obstacle(lambda obs, xo: obs.gap_normal(xo, t),
-                            obstacles, obstacle, x)
+    d, n = table.gap_normal(obstacle, x, t)
     lam = penalty_lambda(d, penalty.delta, penalty.kappa) if len(d) else d
     return ContactSet(vertex=vertex, obstacle=obstacle, x=x, d=d, lam=lam,
-                      n=n, obstacles=list(obstacles))
-
-
-def per_obstacle(fn, obstacles, obstacle, x):
-    """The outputs of ``fn(obs, x_o)``, a tuple of per-row arrays, for the
-    rows of x (k, 3) in contact with ``obstacles[obstacle]`` (k,): one call
-    per obstacle on its own rows x_o, results back in the row order of x.
-    Generic over Dual x."""
-    present = np.unique(obstacle)
-    if len(present) == 1:
-        return fn(obstacles[present[0]], x)
-    rows = [np.nonzero(obstacle == oi)[0] for oi in present]
-    outs = [fn(obstacles[oi], x[r]) for oi, r in zip(present, rows)]
-    order = np.argsort(np.concatenate(rows))
-    return tuple(dm.concat(part)[order] for part in zip(*outs))
+                      n=n, table=table)
 
 
 def contact_geometry(obstacles, obstacle, x, t: float):
     """(gap (k,), unit normal (k, 3), obstacle surface velocity (k, 3)) of
-    the positions x (k, 3) against ``obstacles[obstacle]``, with one
-    ``gap_normal`` and one ``surface_velocity`` call per obstacle; generic
-    over Dual x.  Without rows (perhaps without obstacles) it gives empty
-    real arrays."""
-    if not len(obstacle):
-        return np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3))
-    return per_obstacle(lambda obs, xo: (*obs.gap_normal(xo, t),
-                                         obs.surface_velocity(xo, t)),
-                        obstacles, obstacle, x)
+    the positions x (k, 3) against ``obstacles[obstacle]`` (a list or its
+    :class:`ObstacleTable`) at t; generic over Dual x."""
+    table = ObstacleTable.of(obstacles)
+    return (*table.gap_normal(obstacle, x, t),
+            table.velocity(obstacle, x, t))
 
 
 def contact_force(cset: ContactSet, obstacles, q, t: float,
@@ -334,15 +343,6 @@ def contact_force(cset: ContactSet, obstacles, q, t: float,
                           f).reshape(-1)
 
 
-def surface_velocities(obstacles, obstacle, x, t: float) -> np.ndarray:
-    """Surface velocities (k, 3) of ``obstacles[obstacle]`` at the positions
-    x (k, 3), with one ``surface_velocity`` call per obstacle."""
-    if not len(obstacle):
-        return np.zeros((0, 3))
-    return per_obstacle(lambda obs, xo: (obs.surface_velocity(xo, t),),
-                        obstacles, obstacle, x)[0]
-
-
 def contact_energy(cset: ContactSet, obstacles, q, t: float,
                    penalty: PenaltyParams):
     """Aggregate penalty energy W_c at q for the frozen set."""
@@ -355,7 +355,7 @@ def tangential_velocity(cset: ContactSet, v, t: float) -> np.ndarray:
     """Relative tangential velocities (k, 3) at the set's snapshot: v minus
     the obstacle surface motion at each build position x, projected onto
     the tangent plane of the snapshot normal; t is the snapshot's time."""
-    w = surface_velocities(cset.obstacles, cset.obstacle, cset.x, t)
+    w = cset.table.velocity(cset.obstacle, cset.x, t)
     rel = np.asarray(v, float).reshape(-1, 3)[cset.vertex] - w
     return rel - dm.dot_last(rel, cset.n)[:, None] * cset.n
 

@@ -1,7 +1,7 @@
 """Aggregate force model: f = f_e + f_d + f_c + f_f + f_v + f_g.
 
-One ForceModel owns the (merged) mesh, obstacles, penalty/friction/volume
-parameters and Dirichlet constraints, and provides
+One ForceModel owns the (merged) mesh, an obstacle table, penalty/friction/
+volume parameters and Dirichlet constraints, and provides
 
   * ``force`` — generic total force, evaluable with Dual q/v for JVPs,
     with part selection (used by the mis-split TR diagnostic) and lagged
@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dual as dm
-from .contact import ContactSet, PenaltyParams, gaps, snapshot
+from .contact import ContactSet, ObstacleTable, PenaltyParams, gaps, snapshot
 from .elasticity import (_element_stiffness, damping_q_blocks, element_forces,
                          element_kinematics)
 from .friction import contact_friction_blocks, contact_friction_forces
@@ -129,7 +129,8 @@ class ForceModel:
                  frozen_basis: bool = False,
                  fixed_vertices=(), fixed_velocity=(0.0, 0.0, 0.0)):
         self.mesh = mesh
-        self.obstacles = list(obstacles)
+        self.table = ObstacleTable(obstacles)  # owns the frame memo
+        self.obstacles = self.table.obstacles
         self.penalty = penalty
         self.gravity = np.asarray(gravity, float)
         # own copies: the measured rest volume is run state, not scene config
@@ -174,12 +175,12 @@ class ForceModel:
         x = np.asarray(q, float).reshape(-1, 3)[surf]
         vv = np.asarray(v, float).reshape(-1, 3)
         speed = np.linalg.norm(vv[surf], axis=1)
-        obs_speed = np.zeros(len(surf))
-        for o in self.obstacles:
-            obs_speed = np.maximum(
-                obs_speed, np.linalg.norm(o.surface_velocity(x, t), axis=1))
-        margin = h * (speed + obs_speed)
-        cset = gaps(self.obstacles, q, t, self.penalty, candidate_vertices=surf,
+        n_obs = len(self.table.obstacles)
+        w = self.table.velocity(np.repeat(np.arange(n_obs), len(surf)),
+                                np.tile(x, (n_obs, 1)), t)
+        obs_speed = np.linalg.norm(w, axis=1).reshape(n_obs, len(surf))
+        margin = h * (speed + obs_speed.max(axis=0, initial=0.0))
+        cset = gaps(self.table, q, t, self.penalty, candidate_vertices=surf,
                     activation=1.5 * self.penalty.delta + margin,
                     extra=extra_candidates)
         return ContactState(
@@ -188,7 +189,7 @@ class ForceModel:
     def rebuild_lagged(self, state: ContactState, q, t: float):
         """A copy of ``state`` with its anchor re-snapshotted at (q, t)."""
         return replace(state, lagged=snapshot(
-            self.obstacles, state.cset.vertex, state.cset.obstacle, q, t,
+            self.table, state.cset.vertex, state.cset.obstacle, q, t,
             self.penalty))
 
     # -- forces ----------------------------------------------------------------
@@ -204,7 +205,7 @@ class ForceModel:
         if (self.penalty is not None and contact.cset.size
                 and parts & CONTACT_PARTS):
             f_c, f_f = contact_friction_forces(
-                contact.cset, self.obstacles, q, v, t, self.penalty,
+                contact.cset, self.table, q, v, t, self.penalty,
                 frozen_basis=self.frozen_basis, anchor=contact.lagged)
             if "contact" in parts:
                 total = total + f_c
@@ -267,7 +268,7 @@ class ForceModel:
         cset = contact.cset
         if self.penalty is not None and cset.size and parts & CONTACT_PARTS:
             cf = contact_friction_blocks(
-                cset, self.obstacles, q, v, t, self.penalty,
+                cset, self.table, q, v, t, self.penalty,
                 anchor=contact.lagged, frozen_basis=self.frozen_basis)
             blocks = 0.0
             if "contact" in parts:

@@ -15,13 +15,13 @@ The kernel uses the tangent-plane projector (I - n n^T), which equals the
 sliding-basis form -T H(T^T v) c for any orthonormal tangent pair and has no
 reference-axis degeneracy.  Fully implicit evaluation takes the contact
 geometry at the live (end-of-step) positions; lagged evaluation takes lambda,
-the normal and the obstacle velocity at the snapshot of an anchor set (see
+the normal and the obstacle velocity at the positions of an anchor set (see
 ``ForceModel.rebuild_lagged``) while the velocity stays implicit; under
 ``frozen_basis`` friction takes the real part of the live geometry, so its
 positional derivative is dropped without a second geometry evaluation.
 
 One kernel gives the contact and the friction force of every contact from
-one geometry evaluation per obstacle (:func:`contact.contact_geometry`), with
+one gathered geometry evaluation (:func:`contact.contact_geometry`), with
 the friction coefficients gathered per contact.  The residual calls it once;
 :func:`contact_friction_blocks` makes one ``dual.jacobian_blocks`` pass of it
 over all contacts, seeding each contact's 6 (q, v) directions, for the
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import dual as dm
 from .contact import (ContactSet, PenaltyParams, contact_geometry,
-                      penalty_lambda, surface_velocities)
+                      penalty_lambda)
 
 __all__ = [
     "FrictionParams", "smooth_s", "stribeck_g", "friction_magnitude_c",
@@ -141,21 +141,20 @@ def _contact_friction_local(x, v, obstacle, coeffs, *anchor, obstacles,
     return lam[..., None] * normal, -ratio[..., None] * vt
 
 
-def _lagged_anchor(obstacles, t: float, anchor: ContactSet | None):
+def _lagged_anchor(t: float, anchor: ContactSet | None):
     """The (lambda, normal, w) lagged friction takes in place of the live
-    geometry: the anchor's snapshot, with w at its positions; none when
-    there is no anchor."""
+    geometry: the anchor's snapshot, with w at its positions, if any."""
     if anchor is None:
         return ()
-    return anchor.lam, anchor.n, surface_velocities(
-        obstacles, anchor.obstacle, anchor.x, t)
+    return anchor.lam, anchor.n, anchor.table.velocity(anchor.obstacle,
+                                                       anchor.x, t)
 
 
 def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
                             penalty: PenaltyParams, frozen_basis: bool = False,
                             anchor: ContactSet | None = None):
     """(contact force, friction force), each (m,), of the frozen set from one
-    geometry evaluation per obstacle.
+    gathered geometry evaluation over all its contacts.
 
     The friction force is -T(q) H(T^T v) c with lambda(q).  With a lagged
     ``anchor`` set, its T and lambda come from the anchor's snapshot and
@@ -168,7 +167,7 @@ def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
     vv = v.reshape(-1, 3)
     fc, ff = _contact_friction_local(
         x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
-        *_lagged_anchor(obstacles, t, anchor), obstacles=obstacles, t=t,
+        *_lagged_anchor(t, anchor), obstacles=obstacles, t=t,
         penalty=penalty, frozen_basis=frozen_basis)
     return (dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
                            fc).reshape(-1),
@@ -212,4 +211,4 @@ def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
 
     return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),
                               cset.obstacle, cset.friction_coeffs,
-                              *_lagged_anchor(obstacles, t, anchor))
+                              *_lagged_anchor(t, anchor))

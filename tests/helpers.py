@@ -1,10 +1,14 @@
 """Shared test helpers: element block indices, df/dq and df/dv from the
-weighted assembly, linear force models and bare nonlinear problems."""
+weighted assembly, obstacle frame counts, linear force models and bare
+nonlinear problems."""
+
+from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
 
 from fricsim import dual as dm
+from fricsim.contact import RigidMotion
 from fricsim.forces import ALL_PARTS, CsrPattern
 
 
@@ -23,6 +27,27 @@ def split_jacobians(model, q, v, t, contact, parts=ALL_PARTS):
     data_q, rank1 = model.jacobians(q, v, t, contact, 1.0, 0.0, parts=parts)
     data_v, _ = model.jacobians(q, v, t, contact, 0.0, 1.0, parts=parts)
     return pat.matrix(data_q), pat.matrix(data_v), rank1
+
+
+def count_frames(monkeypatch):
+    """Obstacle frame evaluations so far, per obstacle: a function of a
+    list of obstacles, counting each obstacle's ``RigidMotion.frame``
+    calls; the obstacles need distinct motions."""
+    calls = Counter()
+    frame = RigidMotion.frame
+
+    def counted(self, t):
+        calls[id(self)] += 1
+        return frame(self, t)
+
+    monkeypatch.setattr(RigidMotion, "frame", counted)
+
+    def per_obstacle(obstacles):
+        motions = [id(o.motion) for o in obstacles]
+        assert len(set(motions)) == len(motions)
+        return [calls[m] for m in motions]
+
+    return per_obstacle
 
 
 class LinearForceModel:

@@ -6,8 +6,8 @@ import os
 
 import numpy as np
 
-from fricsim.contact import (HalfSpace, PenaltyParams, RigidMotion,
-                             penalty_lambda)
+from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams,
+                             RigidMotion, penalty_lambda)
 from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams
 from fricsim.meshgen import box_mesh
@@ -80,7 +80,7 @@ def test_rotating_obstacle_sweeps_candidates_in():
     bottom = np.nonzero(gap < 0.01)[0]
     assert len(bottom) == 4
     linear_band = 1.5 * model.penalty.delta \
-        + h * np.linalg.norm(motion.linear_velocity(t))
+        + h * np.linalg.norm(motion.frame(t)[2])
     swept_band = 1.5 * model.penalty.delta + h * np.linalg.norm(
         floor.surface_velocity(x[bottom], t), axis=1)
     assert np.all((gap[bottom] > linear_band) & (gap[bottom] < swept_band))
@@ -130,7 +130,7 @@ def test_penetration_is_minimum_and_exact_pairs():
 
 def test_penetration_without_obstacles():
     model, q, v = _model()
-    model.obstacles = []
+    model.table = ObstacleTable([])
     deepest, pairs = _penetration(model.build_contact_state(q, v, 0.0,
                                                             H).cset)
     assert deepest == np.inf and pairs.shape == (0, 2)

@@ -10,6 +10,7 @@ from fricsim.contact import HalfSpace
 from fricsim.experiments import block_slide_scene
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, StepFailure, run_simulation
+from helpers import count_frames
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -261,3 +262,28 @@ def test_threaded_runs_match_serial():
         return [r.row(scene.region_names) for r in records]
 
     assert rows(threaded[0]) == rows(serial) == rows(threaded[1])
+
+
+def test_interleaved_simulations_keep_their_own_frame_memo(monkeypatch):
+    # two simulations of one scene share its obstacle objects; stepped in
+    # turns at different times, each gives the rows of a run alone and
+    # evaluates each obstacle's frame as often per step as alone, so
+    # neither reads frames the other evaluated
+    scene = load_scene_file(os.path.join(SCENES, "plate_squeeze.json"))
+    frames = count_frames(monkeypatch)
+
+    def steps(sim, n, rows, counts):
+        for _ in range(n):
+            before = frames(scene.obstacles)
+            sim.advance()
+            counts.append([a - b for a, b in
+                           zip(frames(scene.obstacles), before)])
+            rows.append(sim.record().row(scene.region_names))
+
+    alone = [], []
+    steps(Simulation(scene), 6, *alone)
+    a, b = Simulation(scene), Simulation(scene)
+    runs = {a: ([], []), b: ([], [])}
+    for sim, n in ((a, 1), (b, 2), (a, 2), (b, 1), (a, 3), (b, 3)):
+        steps(sim, n, *runs[sim])
+    assert runs[a] == alone and runs[b] == alone
