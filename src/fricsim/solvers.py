@@ -1,5 +1,6 @@
 """One damped-Newton loop whose ``SolverConfig.kind`` picks the direction:
-sparse LU with the rank-1 volume terms applied by the Woodbury identity
+an exact LU solve (dense LAPACK up to ``DENSE_LU_MAX`` rows, SuperLU above)
+with the rank-1 volume terms applied by the Woodbury identity
 (``"direct"``) or BiCGSTAB right-preconditioned by that same solve, made
 from the first Newton iteration's Jacobian and kept for the whole solve
 (``"iterative"``).
@@ -20,12 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 C1 = 1e-4          # sufficient-decrease constant
 SIGMA = 0.01       # first and largest forcing term
 RHO = 0.5          # backtracking factor
 ALPHA_MIN = 1e-12  # smallest step before the line search fails
+DENSE_LU_MAX = 500  # largest Jacobian factored densely (see ``_factor``)
 
 
 @dataclass
@@ -115,17 +118,43 @@ def _factor(jac, rank1):
 
     With no rank-1 terms this is the plain LU solve.  A singular A or C
     raises ``RuntimeError`` or ``LinAlgError``, as does a non-finite x.
+
+    Up to ``DENSE_LU_MAX`` rows A is factored densely (LAPACK ``getrf``;
+    ``info > 0`` raises like SuperLU's exactly singular factor), above that
+    by SuperLU, the only one that scales (at 2187 dofs dense LU takes 137
+    against 36 ms).  The crossover is measured: dense over SuperLU time of
+    factor plus one solve, best of timeit, one BLAS thread, step-60 stage
+    Jacobians of re-meshed scenes, median of two or three sweeps (single
+    sweeps spread by up to 0.3 between 480 and 540 dofs):
+
+        dofs           192   375   450   480   504   525   540   648
+        plate_squeeze  0.41  0.76  0.84  1.19  0.93  1.11  1.18  1.19
+        ball_drop            0.82  0.93  1.11  1.20  1.03  1.08  1.20
+
+    (``ball_drop`` re-meshed as a box between 375 and 648 dofs).  Dense LU
+    pivots in another order than SuperLU, so results move by rounding only,
+    and its bits depend on the BLAS thread count from about 142 rows, where
+    OpenBLAS threads ``getrf``.
     """
-    lu = spla.splu(jac.tocsc())
+    if jac.shape[0] <= DENSE_LU_MAX:
+        lu, piv, info = lapack.dgetrf(jac.toarray(order="F"),
+                                      overwrite_a=True)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+        def lu_solve(b):
+            return lapack.dgetrs(lu, piv, b)[0]
+    else:
+        lu_solve = spla.splu(jac.tocsc()).solve
     if rank1:
         u = np.column_stack([t.u for t in rank1])
         w = np.column_stack([t.w for t in rank1])
         s = np.array([t.scale for t in rank1])
-        z = lu.solve(u)
+        z = lu_solve(u)
         cap = np.eye(len(rank1)) + s[:, None] * (w.T @ z)
 
     def solve(b):
-        x = lu.solve(b)
+        x = lu_solve(b)
         if rank1:
             x = x - z @ np.linalg.solve(cap, s * (w.T @ x))
         if not np.all(np.isfinite(x)):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
 
 ITERATIVE = SolverConfig(kind="iterative")
+
+
+def _lu_branches(monkeypatch):
+    """Yield "dense" (the shipped crossover), then "sparse" with the
+    crossover forced to 0, so one test body runs on both factor branches."""
+    assert solvers.DENSE_LU_MAX > 0
+    yield "dense"
+    monkeypatch.setattr(solvers, "DENSE_LU_MAX", 0)
+    yield "sparse"
 
 
 def _linear_spd_problem(n=8, seed=0):
@@ -265,13 +275,19 @@ def test_unknown_kind_rejected():
         SolverConfig(kind="bogus")
 
 
-def test_direct_singular_jacobian_fails():
+def test_direct_singular_jacobian_fails(monkeypatch):
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 0.0])
     prob = BareProblem(lambda v: a @ v - b, lambda v: a)
-    with pytest.raises(SolveFailure) as exc:
-        damped_newton(prob, np.zeros(2))
-    assert exc.value.report.status == "LinearSolveFailed"
+    for branch in _lu_branches(monkeypatch):
+        # the singular factor raises when it is made; it does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="singular"):
+                solvers._factor(sp.csr_matrix(a), [])
+            with pytest.raises(SolveFailure) as exc:
+                damped_newton(prob, np.zeros(2))
+        assert exc.value.report.status == "LinearSolveFailed", branch
 
 
 class _SplitColumn(BareProblem):
@@ -299,21 +315,23 @@ def _skew_shifted(sign):
     return _SplitColumn(a, b), a, b
 
 
-def test_iterative_falls_back_to_minus_r():
+def test_iterative_falls_back_to_minus_r(monkeypatch):
     prob, a, b = _skew_shifted(1.0)
     cfg = SolverConfig(kind="iterative", r_tol_rel=1e-10, v_tol=1e-14)
-    v, rep = damped_newton(prob, np.zeros(4), cfg)
-    assert rep.status == "Converged"
-    # no factor, so no BiCGSTAB iteration: every step is along -r
-    assert set(rep.linear_iters) == {0} and max(rep.alphas) < 1.0
-    np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
+    for branch in _lu_branches(monkeypatch):
+        v, rep = damped_newton(prob, np.zeros(4), cfg)
+        assert rep.status == "Converged", branch
+        # no factor, so no BiCGSTAB iteration: every step is along -r
+        assert set(rep.linear_iters) == {0} and max(rep.alphas) < 1.0
+        np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
 
 
-def test_iterative_fallback_ascent_fails():
+def test_iterative_fallback_ascent_fails(monkeypatch):
     prob, _, _ = _skew_shifted(-1.0)
-    with pytest.raises(SolveFailure, match="-r fallback") as exc:
-        damped_newton(prob, np.zeros(4), ITERATIVE)
-    assert exc.value.report.status == "LinearSolveFailed"
+    for branch in _lu_branches(monkeypatch):
+        with pytest.raises(SolveFailure, match="-r fallback") as exc:
+            damped_newton(prob, np.zeros(4), ITERATIVE)
+        assert exc.value.report.status == "LinearSolveFailed", branch
 
 
 class _DirectionFound(Exception):
@@ -380,10 +398,11 @@ def test_direct_direction_is_exact_newton(make_scene, k, monkeypatch):
     # J p = -r with J the full Jacobian, rank-1 volume terms included
     problem, v0 = _first_stage(make_scene())
     assert len(problem.jacobian(v0)[1]) == k
-    p = _first_direction(problem, v0, monkeypatch)
     r = np.asarray(problem.residual(v0), float)
-    err = np.max(np.abs(problem.jvp(v0, p) + r)) / np.max(np.abs(r))
-    assert err <= 1e-10
+    for branch in _lu_branches(monkeypatch):
+        p = _first_direction(problem, v0, monkeypatch)
+        err = np.max(np.abs(problem.jvp(v0, p) + r)) / np.max(np.abs(r))
+        assert err <= 1e-10, branch
 
 
 class _SingularCapacitance(BareProblem):
@@ -395,12 +414,25 @@ class _SingularCapacitance(BareProblem):
         return sp.eye(n, format="csr"), [Rank1(-1.0, e1, e1)]
 
 
-def test_direct_singular_capacitance_fails():
+def test_direct_singular_capacitance_fails(monkeypatch):
     b = np.array([1.0, 2.0])
     prob = _SingularCapacitance(lambda v: v - b)
-    with pytest.raises(SolveFailure) as exc:
-        damped_newton(prob, np.zeros(2))
-    assert exc.value.report.status == "LinearSolveFailed"
+    for branch in _lu_branches(monkeypatch):
+        with pytest.raises(SolveFailure) as exc:
+            damped_newton(prob, np.zeros(2))
+        assert exc.value.report.status == "LinearSolveFailed", branch
+
+
+def test_dense_and_sparse_factors_agree(monkeypatch):
+    # the Woodbury solve on LAPACK's dense LU and on SuperLU, one rank-1 term
+    problem, v0 = _first_stage(_squeezed_ball_drop())
+    jac, rank1 = problem.jacobian(v0)
+    assert jac.shape[0] == 375 <= solvers.DENSE_LU_MAX and len(rank1) == 1
+    r = np.asarray(problem.residual(v0), float)
+    x = {branch: solvers._factor(jac, rank1)(r)
+         for branch in _lu_branches(monkeypatch)}
+    err = np.linalg.norm(x["dense"] - x["sparse"])
+    assert err <= 1e-12 * np.linalg.norm(x["sparse"])
 
 
 def test_iterative_first_direction_matches_direct(monkeypatch):
@@ -420,13 +452,13 @@ def test_iterative_factors_once_per_solve(monkeypatch):
     c = np.array([2.0, -5.0, 0.3])
     prob = BareProblem(lambda v: v * v * v + v - c)
     calls = []
-    splu = solvers.spla.splu
+    factor = solvers._factor
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return splu(a, *args, **kwargs)
+    def counting(jac, rank1):
+        calls.append(jac.shape)
+        return factor(jac, rank1)
 
-    monkeypatch.setattr(solvers.spla, "splu", counting)
+    monkeypatch.setattr(solvers, "_factor", counting)
     cfg = SolverConfig(kind="iterative", r_tol_rel=1e-14, r_tol_abs=1e-13,
                        v_tol=1e-14)
     v, rep = damped_newton(prob, np.zeros(3), cfg)
