@@ -73,7 +73,7 @@ def export(records, snapshots, out_dir: str, scene=None, surface_tris=None,
     write_trajectory_csv(csv_path, records, region_names)
     written = [csv_path]
     if snapshots and surface_tris is None and scene is not None:
-        surface_tris = scene.merged_mesh().surface_tris
+        surface_tris = scene.mesh.surface_tris
     for step, positions in snapshots or []:
         path = os.path.join(out_dir, f"frame_{step:06d}.obj")
         write_snapshot_obj(path, positions, surface_tris)

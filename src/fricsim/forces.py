@@ -37,8 +37,8 @@ from .elasticity import (_element_stiffness, damping_q_blocks, element_forces,
                          element_kinematics)
 from .friction import contact_friction_blocks, contact_friction_forces
 from .mesh import TetMeshModel
-from .volume import (_d2wdv2, _dwdv, enclosed_volume, volume_force,
-                     volume_hessian_blocks, volume_hessian_pairs)
+from .volume import (enclosed_volume, volume_force, volume_hessian_blocks,
+                     volume_hessian_pairs, volume_law)
 
 ALL_PARTS = frozenset({"elastic", "damping", "gravity", "contact", "friction",
                        "volume"})
@@ -281,8 +281,7 @@ class ForceModel:
         if "volume" in parts:
             for vp, slots in zip(self.volume_penalties, regions):
                 vvol, g = enclosed_volume(vp.region, q)
-                w1 = float(_dwdv(vvol, vp, vp.rest_volume))
-                w2 = _d2wdv2(float(vvol), vp, vp.rest_volume)
+                _, w1, w2 = volume_law(vvol, vp, strict=False)
                 hv = volume_hessian_blocks(vp.region, q)
                 data -= pat.scatter(slots, (c_q * w1) * hv.ravel())
                 rank1.append(Rank1(scale=-c_q * w2, u=g, w=g))

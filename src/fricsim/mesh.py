@@ -158,7 +158,6 @@ class TetMeshModel:
             raise MeshConstructionError("rest_positions must be (n, 3)")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
             raise MeshConstructionError("tets must be (n_e, 4)")
-        self.material = material
         self.rest_volumes = tet_volumes(self.rest_positions, self.tets)
         bad = np.nonzero(self.rest_volumes <= 0.0)[0]
         if bad.size:
@@ -235,7 +234,6 @@ def merge_meshes(meshes: list[TetMeshModel]) -> TetMeshModel:
     merged = TetMeshModel.__new__(TetMeshModel)
     merged.rest_positions = np.concatenate(rest)
     merged.tets = np.concatenate(tets)
-    merged.material = meshes[0].material
     merged.rest_volumes = np.concatenate([m.rest_volumes for m in meshes])
     merged.vertex_mass = np.concatenate([m.vertex_mass for m in meshes])
     merged.surface_tris = np.concatenate(tris)

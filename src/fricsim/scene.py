@@ -9,6 +9,7 @@ keys and invariant violations are reported with their field paths.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -17,16 +18,16 @@ import numpy as np
 from .contact import HalfSpace, PenaltyParams, RigidMotion, Sphere
 from .forces import ForceModel
 from .friction import FrictionParams
+from .integrators import make_scheme
 from .mesh import MaterialParams, TetMeshModel, merge_meshes
 from .meshgen import ball_grid, box_grid
+from .solvers import SolverConfig
 from .volume import VolumePenaltyParams
 
 
 class SceneError(ValueError):
     pass
 
-
-_INTEGRATORS = ("be", "tr", "bdf2", "trbdf2", "sdirk2", "tr_missplit")
 
 _DEFAULTS = {
     "gravity": [0.0, -9.8, 0.0],
@@ -88,6 +89,16 @@ def _vec3(x, path: str):
     return v
 
 
+def _number(x, path: str, kind=float):
+    try:
+        v = kind(x)
+    except (TypeError, ValueError, OverflowError):
+        raise SceneError(f"{path} must be a number, got {x!r}") from None
+    if not math.isfinite(v):
+        raise SceneError(f"{path} must be finite, got {x!r}")
+    return v
+
+
 def _merged(defaults: dict, given: dict, path: str) -> dict:
     _check_keys(given, defaults.keys(), path)
     out = dict(defaults)
@@ -97,11 +108,11 @@ def _merged(defaults: dict, given: dict, path: str) -> dict:
 
 @dataclass
 class SceneConfig:
-    """Validated scene: normalized dict plus constructed runtime objects."""
+    """Validated scene: normalized dict plus runtime objects.  Every
+    ``Simulation`` of it shares the merged mesh and ``solver`` read-only."""
 
     normalized: dict
-    meshes: list
-    mesh_slices: list                    # per-mesh vertex index ranges
+    mesh: TetMeshModel                   # all meshes merged, one q vector
     obstacles: list
     penalty: PenaltyParams
     volume_penalties: list
@@ -112,7 +123,7 @@ class SceneConfig:
     friction_mode: str                   # implicit | lagged
     fixed_point_iters: int
     frozen_basis: bool
-    solver: dict
+    solver: SolverConfig
     output: dict
     initial_q: np.ndarray
     initial_v: np.ndarray
@@ -120,14 +131,10 @@ class SceneConfig:
     fixed_velocity: np.ndarray
     region_names: list
 
-    def merged_mesh(self) -> TetMeshModel:
-        return merge_meshes(self.meshes)
-
     def build_model(self) -> ForceModel:
         """A model with its own copy of the penalty parameters: adaptive
         stiffening raises the model's kappa, never the scene's."""
-        mesh = self.merged_mesh()
-        return ForceModel(mesh, self.obstacles, replace(self.penalty),
+        return ForceModel(self.mesh, self.obstacles, replace(self.penalty),
                           gravity=self.gravity,
                           volume_penalties=self.volume_penalties,
                           friction_mode=self.friction_mode,
@@ -228,7 +235,7 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
         rspec = spec["rotate"]
         _check_keys(rspec, {"axis", "angle"}, f"{path}.rotate")
         rot = _rotation_matrix(_vec3(rspec["axis"], f"{path}.rotate.axis"),
-                               float(rspec["angle"]))
+                               _number(rspec["angle"], f"{path}.rotate.angle"))
         verts = verts @ rot.T
     translate = np.asarray(_vec3(spec.get("translate", [0, 0, 0]),
                                  f"{path}.translate"))
@@ -325,8 +332,8 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     cfg["output"] = _merged(_DEFAULTS["output"], raw.get("output", {}),
                             "output")
 
-    duration = float(cfg["duration"])
-    step = float(cfg["step"])
+    duration = _number(cfg["duration"], "duration")
+    step = _number(cfg["step"], "step")
     if duration <= 0:
         raise SceneError("duration must be positive")
     if step <= 0:
@@ -334,90 +341,80 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     gravity = np.asarray(_vec3(cfg["gravity"], "gravity"))
 
     integrator = str(cfg["integrator"]).lower()
-    if integrator not in _INTEGRATORS:
-        raise SceneError(f"integrator must be one of {_INTEGRATORS}, "
-                         f"got {cfg['integrator']!r}")
     friction_mode, fp_iters = _parse_friction_mode(str(cfg["friction_mode"]))
-    if friction_mode == "lagged" and integrator not in ("be", "tr"):
-        raise SceneError("friction_mode 'lagged' is defined for integrators "
-                         "'be' and 'tr' only")
+    try:
+        make_scheme(integrator, lagged=friction_mode == "lagged")
+    except ValueError as exc:
+        raise SceneError(f"integrator: {exc}") from None
     fj = cfg["friction_jacobian"]
     if fj not in ("with_sliding_basis", "frozen_basis"):
         raise SceneError("friction_jacobian must be 'with_sliding_basis' or "
                          f"'frozen_basis', got {fj!r}")
-    solver = cfg["solver"]
-    if solver["kind"] not in ("direct", "iterative"):
-        raise SceneError(
-            f"solver.kind must be 'direct' or 'iterative', got "
-            f"{solver['kind']!r}")
 
     mesh_specs = raw.get("meshes", [])
     if not mesh_specs:
         raise SceneError("scene needs at least one mesh")
-    meshes, vels, names, groups_all = [], [], [], []
-    fixed_vertices = []
+    meshes, vels, fixed_vertices, volume_penalties = [], [], [], []
     fixed_velocity = np.zeros(3)
     offset = 0
-    mesh_slices = []
     for i, spec in enumerate(mesh_specs):
         mesh, v0, groups = _load_mesh_spec(spec, i, base_dir)
         meshes.append(mesh)
         vels.append(v0)
-        names.append(spec.get("name", f"mesh{i}"))
-        groups_all.append(groups)
-        fv = spec.get("fixed_vertices", [])
-        fixed_vertices.extend(int(j) + offset for j in fv)
+        for j in spec.get("fixed_vertices", []):
+            j = _number(j, f"meshes[{i}].fixed_vertices", int)
+            if not 0 <= j < mesh.n_verts:
+                raise SceneError(f"meshes[{i}].fixed_vertices: no vertex {j}")
+            fixed_vertices.append(j + offset)
         if "fixed_velocity" in spec:
             fixed_velocity = np.asarray(_vec3(spec["fixed_velocity"],
                                               f"meshes[{i}].fixed_velocity"))
-        mesh_slices.append((offset, offset + mesh.n_verts))
+        if "volume_region" in spec:
+            volume_penalties.append(_volume_region(spec, i, mesh.surface_tris,
+                                                   groups, offset))
         offset += mesh.n_verts
 
     obstacles = [_build_obstacle(s, i)
                  for i, s in enumerate(raw.get("obstacles", []))]
 
     contact = cfg["contact"]
-    delta = float(contact["delta"])
-    kappa_max = float(contact["kappa_max"])
+    delta = _number(contact["delta"], "contact.delta")
+    kappa_max = _number(contact["kappa_max"], "contact.kappa_max")
     kappa = contact["kappa"]
-    merged = merge_meshes(list(meshes))
+    mesh = merge_meshes(meshes)
     if kappa is None:
         # lambda at d = 0.5*delta balances gravity on the average contact
         # vertex: 3 kappa delta / 4 = m_avg g  =>  kappa = 4 m_avg g / (3 d)
         g_eff = np.linalg.norm(gravity) or 9.8
-        m_avg = float(np.mean(merged.vertex_mass[merged.surface_vertices]))
-        kappa = 4.0 * m_avg * g_eff / (3.0 * delta)
-    penalty = PenaltyParams(delta=delta, kappa=float(kappa),
-                            kappa_max=kappa_max)
+        m_avg = float(np.mean(mesh.vertex_mass[mesh.surface_vertices]))
+        # delta <= 0 is rejected below, before kappa is looked at
+        kappa = 4.0 * m_avg * g_eff / (3.0 * delta) if delta > 0 else 1.0
+    kappa = _number(kappa, "contact.kappa")
+    try:
+        penalty = PenaltyParams(delta=delta, kappa=kappa, kappa_max=kappa_max)
+    except ValueError as exc:
+        raise SceneError(f"contact: {exc}") from None
 
-    volume_penalties = []
-    region_names = []
-    for i, (spec, mesh, (lo, hi)) in enumerate(zip(mesh_specs, meshes,
-                                                   mesh_slices)):
-        if "volume_region" not in spec:
-            continue
-        vspec = spec["volume_region"]
-        _check_keys(vspec, {"model", "kappa_v_atm", "p0_atm", "group", "name"},
-                    f"meshes[{i}].volume_region")
-        region = mesh.surface_tris + lo
-        group = vspec.get("group", "surface")
-        if group != "surface":
-            gmap = groups_all[i]
-            if group not in gmap:
-                raise SceneError(f"meshes[{i}].volume_region.group: no surface "
-                                 f"group named {group!r}")
-            region = mesh.surface_tris[gmap[group]] + lo
-        name = vspec.get("name", f"{names[i]}_volume")
-        try:
-            volume_penalties.append(VolumePenaltyParams(
-                region=region,
-                model=vspec.get("model", "quadratic"),
-                kappa_v_atm=float(vspec.get("kappa_v_atm", 1.0)),
-                p0_atm=float(vspec.get("p0_atm", 1.0)),
-                name=name))
-        except ValueError as exc:
-            raise SceneError(f"meshes[{i}].volume_region: {exc}") from None
-        region_names.append(name)
+    sv = cfg["solver"]
+    v_tol = sv["v_tol"]
+    if v_tol is None:  # a tenth of the smallest friction epsilon
+        v_tol = 0.1 * min((o.friction.epsilon for o in obstacles),
+                          default=1e-4)
+    # numbers are converted outside the try: a SceneError is a ValueError
+    settings = dict(
+        kind=sv["kind"], k_max=_number(sv["k_max"], "solver.k_max", int),
+        r_tol_abs=None if sv["r_tol_abs"] is None
+        else _number(sv["r_tol_abs"], "solver.r_tol_abs"),
+        r_tol_rel=_number(sv["r_tol_rel"], "solver.r_tol_rel"),
+        v_tol=_number(v_tol, "solver.v_tol"),
+        max_krylov_iters=_number(sv["max_krylov_iters"],
+                                 "solver.max_krylov_iters", int))
+    try:
+        solver = SolverConfig(**settings)
+    except ValueError as exc:
+        raise SceneError(f"solver: {exc}") from None
+    output = {k: _number(cfg["output"][k], f"output.{k}", int)
+              for k in _DEFAULTS["output"]}
 
     normalized = {
         "gravity": list(gravity),
@@ -426,18 +423,16 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         "integrator": integrator,
         "friction_mode": cfg["friction_mode"],
         "friction_jacobian": fj,
-        "solver": {k: solver[k] for k in _DEFAULTS["solver"]},
-        "contact": {"delta": delta, "kappa": float(kappa),
-                    "kappa_max": kappa_max},
-        "output": {k: int(cfg["output"][k]) for k in _DEFAULTS["output"]},
+        "solver": {k: sv[k] for k in _DEFAULTS["solver"]},
+        "contact": {"delta": delta, "kappa": kappa, "kappa_max": kappa_max},
+        "output": dict(output),
         "meshes": _normalize_mesh_specs(mesh_specs),
         "obstacles": raw.get("obstacles", []),
     }
 
     return SceneConfig(
         normalized=normalized,
-        meshes=meshes,
-        mesh_slices=mesh_slices,
+        mesh=mesh,
         obstacles=obstacles,
         penalty=penalty,
         volume_penalties=volume_penalties,
@@ -449,13 +444,37 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         fixed_point_iters=fp_iters,
         frozen_basis=(fj == "frozen_basis"),
         solver=solver,
-        output=cfg["output"],
-        initial_q=merged.rest_q().copy(),
+        output=output,
+        initial_q=mesh.rest_q().copy(),
         initial_v=np.concatenate(vels),
         fixed_vertices=np.asarray(fixed_vertices, int),
         fixed_velocity=fixed_velocity,
-        region_names=region_names,
+        region_names=[vp.name for vp in volume_penalties],
     )
+
+
+def _volume_region(spec: dict, idx: int, tris, groups: dict, offset: int):
+    """Mesh ``idx``'s volume penalty, on the merged vertex numbering."""
+    path = f"meshes[{idx}].volume_region"
+    vspec = spec["volume_region"]
+    _check_keys(vspec, {"model", "kappa_v_atm", "p0_atm", "group", "name"},
+                path)
+    group = vspec.get("group", "surface")
+    if group != "surface":
+        if group not in groups:
+            raise SceneError(f"{path}.group: no surface group named "
+                             f"{group!r}")
+        tris = tris[groups[group]]
+    mesh_name = spec.get("name", f"mesh{idx}")
+    try:
+        return VolumePenaltyParams(
+            region=tris + offset,
+            model=vspec.get("model", "quadratic"),
+            kappa_v_atm=float(vspec.get("kappa_v_atm", 1.0)),
+            p0_atm=float(vspec.get("p0_atm", 1.0)),
+            name=vspec.get("name", f"{mesh_name}_volume"))
+    except ValueError as exc:
+        raise SceneError(f"{path}: {exc}") from None
 
 
 def _normalize_mesh_specs(mesh_specs):

@@ -22,7 +22,7 @@ from .forces import ContactState, ForceModel
 from .integrators import Scheme, StageProblem, make_scheme
 from .mesh import SystemState
 from .scene import SceneConfig
-from .solvers import SolveFailure, SolverConfig, damped_newton
+from .solvers import SolveFailure, damped_newton
 from .volume import volume_energy, enclosed_volume
 
 MAX_RETRIES = 20
@@ -89,18 +89,8 @@ class Simulation:
                                  scene.initial_v.copy(), 0.0)
         self.prev_state: SystemState | None = None
         self.h = scene.step
-        self.scheme: Scheme = make_scheme(scene.integrator,
-                                          lagged=(scene.friction_mode
-                                                  == "lagged"))
-        sv = scene.solver
-        self.solver_cfg = SolverConfig(
-            kind=sv["kind"], k_max=int(sv["k_max"]),
-            r_tol_abs=sv["r_tol_abs"], r_tol_rel=float(sv["r_tol_rel"]),
-            v_tol=sv["v_tol"], max_krylov_iters=int(sv["max_krylov_iters"]))
-        if self.solver_cfg.v_tol is None:
-            eps_min = min((o.friction.epsilon for o in scene.obstacles
-                           if o.friction is not None), default=1e-4)
-            self.solver_cfg.v_tol = 0.1 * eps_min
+        self.scheme: Scheme = make_scheme(
+            scene.integrator, lagged=scene.friction_mode == "lagged")
         self.step_index = 0
         self._contact: ContactState | None = None
 
@@ -112,7 +102,7 @@ class Simulation:
 
     # -- solving ----------------------------------------------------------------
     def _solve(self, problem: StageProblem, v0):
-        return damped_newton(problem, v0, self.solver_cfg)
+        return damped_newton(problem, v0, self.scene.solver)
 
     def advance(self) -> StepInfo:
         """One accepted step, including kappa retries and lagged iterations."""
@@ -215,8 +205,8 @@ def run_simulation(scene: SceneConfig, duration: float | None = None,
     sim = Simulation(scene)
     duration = scene.duration if duration is None else duration
     n_steps = int(round(duration / scene.step))
-    every = max(int(scene.output["trajectory_every"]), 1)
-    snap_every = int(scene.output["snapshot_every"])
+    every = max(scene.output["trajectory_every"], 1)
+    snap_every = scene.output["snapshot_every"]
     records = [sim.record()]
     snapshots = []
     infos = []

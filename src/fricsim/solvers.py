@@ -31,13 +31,13 @@ ALPHA_MIN = 1e-12  # smallest step before the line search fails
 DENSE_LU_MAX = 500  # largest Jacobian factored densely (see ``_factor``)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     kind: str = "direct"          # direct | iterative
     k_max: int = 100
     r_tol_abs: float | None = None   # default: problem.default_abs_tol()
     r_tol_rel: float = 1e-6
-    v_tol: float | None = None       # default: 0.1 * friction epsilon
+    v_tol: float | None = None       # None: 1e-5; scenes: 0.1 * min eps
     max_krylov_iters: int = 200
 
     def __post_init__(self):
@@ -46,6 +46,8 @@ class SolverConfig:
                 f"kind must be 'direct' or 'iterative', got {self.kind!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if self.max_krylov_iters < 1:
+            raise ValueError("max_krylov_iters must be >= 1")
 
 
 @dataclass

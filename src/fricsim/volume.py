@@ -27,7 +27,7 @@ from .mesh import check_closed_oriented
 ATM = 101325.0  # Pa
 
 __all__ = ["ATM", "VolumePenaltyParams", "VolumeDomainError",
-           "enclosed_volume", "volume_energy", "volume_force",
+           "enclosed_volume", "volume_energy", "volume_force", "volume_law",
            "volume_hessian_blocks", "volume_hessian_pairs"]
 
 
@@ -69,90 +69,53 @@ class VolumePenaltyParams:
 
 
 def enclosed_volume(region: np.ndarray, q):
-    """(V, dV/dq): signed enclosed volume and its exact gradient.
-
-    Generic over Dual q; the gradient output is real (taken at value(q)) and
-    is what force assembly consumes.
-    """
+    """(V, dV/dq): signed enclosed volume and its exact gradient, both
+    generic over Dual q; the gradient's first term shares p2 x p3 with V."""
     tris = np.asarray(region, int)
     x = q.reshape(-1, 3)
     p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
-    v = dm.asum(dm.dot_last(p1, dm.cross_last(p2, p3))) / 6.0
-    xr = dm.value(q).reshape(-1, 3)
-    r1, r2, r3 = xr[tris[:, 0]], xr[tris[:, 1]], xr[tris[:, 2]]
-    grad = np.zeros_like(xr)
-    np.add.at(grad, tris[:, 0], np.cross(r2, r3) / 6.0)
-    np.add.at(grad, tris[:, 1], np.cross(r3, r1) / 6.0)
-    np.add.at(grad, tris[:, 2], np.cross(r1, r2) / 6.0)
+    c23 = dm.cross_last(p2, p3)
+    v = dm.asum(dm.dot_last(p1, c23)) / 6.0
+    grad = dm.zeros(x.shape, like=c23)
+    dm.scatter_add(grad, tris[:, 0], c23 / 6.0)
+    dm.scatter_add(grad, tris[:, 1], dm.cross_last(p3, p1) / 6.0)
+    dm.scatter_add(grad, tris[:, 2], dm.cross_last(p1, p2) / 6.0)
     return v, grad.reshape(-1)
 
 
-def _volume_gradient(region, x):
-    """dV/dq as a generic (n, 3) array (Dual-aware), for live JVPs."""
-    tris = np.asarray(region, int)
-    p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
-    grad = dm.zeros((x.shape[0], 3), like=p1)
-    dm.scatter_add(grad, tris[:, 0], dm.cross_last(p2, p3) / 6.0)
-    dm.scatter_add(grad, tris[:, 1], dm.cross_last(p3, p1) / 6.0)
-    dm.scatter_add(grad, tris[:, 2], dm.cross_last(p1, p2) / 6.0)
-    return grad
-
-
-def volume_energy(v, params: VolumePenaltyParams, v0: float | None = None,
-                  strict: bool = True):
-    """Penalty energy (J) at volume v (m^3); zero with zero slope at V0."""
-    v0 = params.rest_volume if v0 is None else v0
+def volume_law(v, params: VolumePenaltyParams, strict: bool = True):
+    """(W, dW/dV, d2W/dV2) of the params' model at volume v (m^3), with
+    V0 = ``params.rest_volume``; generic over Dual v.  With ``strict`` the
+    log models reject V <= 0, otherwise they give NaN there."""
+    v0 = params.rest_volume
     if v0 is None or v0 <= 0:
         raise VolumeDomainError("rest volume V0 must be positive")
+    kv = params.kappa_v
     if params.model == "quadratic":
-        return (v - v0) ** 2 / (2.0 * v0 * params.kappa_v)
+        return ((v - v0) ** 2 / (2.0 * v0 * kv), (v - v0) / (v0 * kv),
+                1.0 / (v0 * kv))
     if strict and np.any(dm.value(v) <= 0.0):
         raise VolumeDomainError(
             f"{params.model} volume penalty undefined for V <= 0 "
             "(use the quadratic model or a smaller time step)")
     ratio = dm.log(v / v0)
     if params.model == "ideal_gas":
-        return params.p0 * (v - v0 * (1.0 + ratio))
-    return (v0 - v * (1.0 - ratio)) / params.kappa_v
-
-
-def _dwdv(v, params: VolumePenaltyParams, v0: float):
-    """dW/dV for the selected model (generic; NaN outside the log domain)."""
-    if params.model == "quadratic":
-        return (v - v0) / (v0 * params.kappa_v)
-    ratio = dm.log(v / v0)
-    if params.model == "ideal_gas":
         # d/dV [P0 (V - V0 - V0 ln(V/V0))] = P0 (1 - V0/V)
-        return params.p0 * (1.0 - v0 / v)
+        return (params.p0 * (v - v0 * (1.0 + ratio)),
+                params.p0 * (1.0 - v0 / v), params.p0 * v0 / v ** 2)
     # d/dV [(V0 - V + V ln(V/V0))/kv] = ln(V/V0)/kv
-    return ratio / params.kappa_v
+    return (v0 - v * (1.0 - ratio)) / kv, ratio / kv, 1.0 / (v * kv)
 
 
-def _d2wdv2(v: float, params: VolumePenaltyParams, v0: float) -> float:
-    if params.model == "quadratic":
-        return 1.0 / (v0 * params.kappa_v)
-    if params.model == "ideal_gas":
-        return params.p0 * v0 / v ** 2
-    return 1.0 / (v * params.kappa_v)
+def volume_energy(v, params: VolumePenaltyParams, strict: bool = True):
+    """Penalty energy (J) at volume v (m^3); zero with zero slope at V0."""
+    return volume_law(v, params, strict)[0]
 
 
-def volume_force(region, q, params: VolumePenaltyParams,
-                 v0: float | None = None, strict: bool = True):
+def volume_force(region, q, params: VolumePenaltyParams, strict: bool = True):
     """f_v = -dW/dV * dV/dq; expansive when compressed.  Generic over Dual q."""
-    v0 = params.rest_volume if v0 is None else v0
-    if v0 is None or v0 <= 0:
-        raise VolumeDomainError("rest volume V0 must be positive")
-    x = q.reshape(-1, 3)
-    tris = np.asarray(region, int)
-    p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
-    v = dm.asum(dm.dot_last(p1, dm.cross_last(p2, p3))) / 6.0
-    if strict and params.model != "quadratic" and dm.value(v) <= 0.0:
-        raise VolumeDomainError(
-            f"{params.model} volume penalty undefined for V <= 0 "
-            "(use the quadratic model or a smaller time step)")
-    grad = _volume_gradient(region, x)
-    scale = _dwdv(v, params, v0)
-    return (-(scale * grad)).reshape(-1)
+    v, grad = enclosed_volume(region, q)
+    return -(volume_law(v, params, strict)[1] * grad)
 
 
 # Vertex pairs of the six off-diagonal d2V/dp dp blocks of every triangle,

@@ -25,8 +25,8 @@ from fricsim.forces import CsrPattern
 from fricsim.friction import contact_friction_blocks
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation
-from fricsim.volume import (_dwdv, enclosed_volume, volume_hessian_blocks,
-                            volume_hessian_pairs)
+from fricsim.volume import (enclosed_volume, volume_hessian_blocks,
+                            volume_hessian_pairs, volume_law)
 
 from helpers import element_block_indices
 
@@ -120,7 +120,7 @@ def coo_oracle(prob, v):
     if "volume" in parts:
         for vp in model.volume_penalties:
             vol, _ = enclosed_volume(vp.region, q)
-            w1 = float(_dwdv(vol, vp, vp.rest_volume))
+            w1 = float(volume_law(vol, vp)[1])
             in_q.append(_triplets(*_pair_blocks(*volume_hessian_pairs(
                                       vp.region)),
                                   -w1 * volume_hessian_blocks(vp.region, q)))

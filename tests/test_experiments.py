@@ -80,6 +80,15 @@ def test_cli_check_and_run(tmp_path):
     assert out.returncode == 2
     assert "duratio" in out.stderr
 
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["solver"] = {"k_max": "abc"}
+    bad.write_text(json.dumps(doc))
+    out = subprocess.run([sys.executable, "-m", "fricsim.cli", "check",
+                          str(bad)], capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert "solver.k_max" in out.stderr and "Traceback" not in out.stderr
+
     short = tmp_path / "short.json"
     with open(cfg) as fh:
         doc = json.load(fh)

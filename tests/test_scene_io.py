@@ -77,7 +77,7 @@ def test_mesh_file_loading(tmp_path):
     del cfg["meshes"][0]["generator"]
     cfg["meshes"][0]["file"] = "tet.json"
     scene = load_scene(json.dumps(cfg), base_dir=str(tmp_path))
-    assert scene.meshes[0].n_verts == 4
+    assert scene.mesh.n_verts == 4
 
 
 def test_lagged_mode_parsing_and_validation():
@@ -93,6 +93,42 @@ def test_lagged_mode_parsing_and_validation():
     cfg["friction_mode"] = "sticky"
     with pytest.raises(SceneError, match="friction_mode"):
         load_scene(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("path,value,match", [
+    ("duration", "x", "duration"),
+    ("step", None, "step"),
+    ("contact.delta", "x", "contact.delta"),
+    ("contact.delta", 0.0, "contact: delta"),
+    ("contact.kappa", -1, "contact: kappa"),
+    ("output.trajectory_every", "x", "output.trajectory_every"),
+    ("solver.kind", "lu", "solver: kind"),
+    ("solver.k_max", 0, "solver: k_max"),
+    ("solver.k_max", "abc", "solver.k_max"),
+    ("solver.r_tol_rel", "x", "solver.r_tol_rel"),
+    ("solver.v_tol", "x", "solver.v_tol"),
+    ("solver.max_krylov_iters", -3, "solver: max_krylov_iters"),
+    ("meshes.0.rotate", {"axis": [0, 1, 0], "angle": "x"},
+     r"meshes\[0\].rotate.angle"),
+    ("meshes.0.fixed_vertices", ["a"], r"meshes\[0\].fixed_vertices"),
+    ("meshes.0.fixed_vertices", [8], r"meshes\[0\].fixed_vertices: no vertex"),
+])
+def test_bad_value_named(path, value, match):
+    cfg = json.loads(json.dumps(MINIMAL))
+    *head, key = path.split(".")
+    target = cfg
+    for k in head:
+        target = target[int(k)] if k.isdigit() else target.setdefault(k, {})
+    target[key] = value
+    with pytest.raises(SceneError, match=match):
+        load_scene(json.dumps(cfg))
+
+
+def test_solver_config_built_once():
+    scene = load_scene(json.dumps(MINIMAL))
+    assert scene.solver.kind == "direct" and scene.solver.k_max == 100
+    assert scene.solver.v_tol == 0.1 * 1e-4  # the obstacle's friction eps
+    assert scene.normalized["solver"]["v_tol"] is None  # echoed as given
 
 
 def test_unknown_integrator_rejected():
@@ -139,7 +175,7 @@ def test_export_snapshots_and_manifest(tmp_path):
     written = export(records, snaps, out, scene=scene)
     objs = [w for w in written if w.endswith(".obj")]
     assert len(objs) == len(snaps)
-    n_verts = scene.merged_mesh().n_verts
+    n_verts = scene.mesh.n_verts
     for path in objs:
         with open(path) as fh:
             vlines = [ln for ln in fh if ln.startswith("v ")]

@@ -79,7 +79,7 @@ def test_energy_nonincreasing_contact_free_be():
     # squashed cube oscillating freely under BE: total mechanical energy
     # decays monotonically (no contact, no friction)
     cfg_scene = _scene(duration=0.2, obstacles=[])
-    mesh = cfg_scene.merged_mesh()
+    mesh = cfg_scene.mesh
     x = mesh.rest_positions.copy()
     com = x.mean(axis=0)
     cfg_scene.initial_q = (((x - com) * np.array([1.05, 0.95, 1.0])) + com) \
@@ -127,7 +127,7 @@ def test_dirichlet_fixed_vertex_holds():
         "obstacles": [],
     }
     scene = load_scene(json.dumps(cfg))
-    top = np.nonzero(scene.merged_mesh().rest_positions[:, 1] > 0.2)[0]
+    top = np.nonzero(scene.mesh.rest_positions[:, 1] > 0.2)[0]
     records, _, _ = run_simulation(scene)
     sim = Simulation(scene)
     q0 = sim.state.positions()[scene.fixed_vertices].copy()

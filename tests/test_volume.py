@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fricsim.dual import jvp
+from fricsim.dual import Dual, jvp
 from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams
 from fricsim.meshgen import box_mesh
@@ -48,6 +48,25 @@ def test_volume_gradient_matches_fd(cube):
         vm, _ = enclosed_volume(cube.surface_tris, q - h * p)
         fd = (vp - vm) / (2 * h)
         assert g @ p == pytest.approx(fd, rel=1e-6)
+
+
+def test_generic_volume_path_matches_real_and_old_oracle(cube):
+    rng = np.random.default_rng(6)
+    region = cube.surface_tris
+    q = cube.rest_q() + 0.02 * rng.normal(size=cube.n_dofs)
+    p = rng.normal(size=q.size)
+    v, g = enclosed_volume(region, q)
+    vd, gd = enclosed_volume(region, Dual(q, p))
+    assert vd.re == v and np.array_equal(gd.re, g)
+    assert vd.eps == pytest.approx(g @ p, rel=1e-12)
+    # the gradient as np.add.at of np.cross terms, bit for bit
+    x = q.reshape(-1, 3)
+    p1, p2, p3 = x[region[:, 0]], x[region[:, 1]], x[region[:, 2]]
+    oracle = np.zeros_like(x)
+    np.add.at(oracle, region[:, 0], np.cross(p2, p3) / 6.0)
+    np.add.at(oracle, region[:, 1], np.cross(p3, p1) / 6.0)
+    np.add.at(oracle, region[:, 2], np.cross(p1, p2) / 6.0)
+    assert np.array_equal(g, oracle.ravel())
 
 
 def test_open_region_rejected(cube):
