@@ -71,6 +71,21 @@ def penalty_lambda(d, delta: float, kappa: float):
     return -penalty_db(d, delta, kappa)
 
 
+def unit(v, what: str) -> np.ndarray:
+    """``v`` over its length; ValueError naming ``what`` if ``v`` is zero."""
+    v = np.asarray(v, float)
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise ValueError(f"{what} must be nonzero")
+    return v / nrm
+
+
+def rotation(k, angle) -> np.ndarray:
+    """Rodrigues rotation (3, 3) by ``angle`` about the unit axis k."""
+    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    return np.eye(3) + np.sin(angle) * kx + (1 - np.cos(angle)) * (kx @ kx)
+
+
 @dataclass
 class RigidMotion:
     """Scripted rigid trajectory: piecewise-linear translation keyframes plus
@@ -93,8 +108,7 @@ class RigidMotion:
                                 for t, a in self.rotation_angles]
         self.rotation_angles.sort(key=lambda p: p[0])
         if self.rotation_axis is not None:
-            axis = np.asarray(self.rotation_axis, float)
-            self.rotation_axis = axis / np.linalg.norm(axis)
+            self.rotation_axis = unit(self.rotation_axis, "rotation axis")
         self.rotation_pivot = np.asarray(self.rotation_pivot, float)
 
     @staticmethod
@@ -121,9 +135,7 @@ class RigidMotion:
             return np.eye(3), off, vlin, np.zeros(3)
         ang, rate = self._interp(self.rotation_angles, t, 0.0)
         k = self.rotation_axis
-        kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-        return (np.eye(3) + np.sin(ang) * kx + (1 - np.cos(ang)) * (kx @ kx),
-                off, vlin, k * rate)
+        return rotation(k, ang), off, vlin, k * rate
 
 
 _STATIC = RigidMotion()
@@ -156,11 +168,7 @@ class HalfSpace(_ObstacleBase):
     def __init__(self, point, normal, friction=None, motion=None, name=""):
         super().__init__(friction, motion, name)
         self.point = np.asarray(point, float)
-        normal = np.asarray(normal, float)
-        nrm = np.linalg.norm(normal)
-        if nrm == 0:
-            raise ValueError("half-space normal must be nonzero")
-        self.normal = normal / nrm
+        self.normal = unit(normal, "half-space normal")
 
 
 class Sphere(_ObstacleBase):

@@ -9,13 +9,15 @@ keys and invariant violations are reported with their field paths.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contact import HalfSpace, PenaltyParams, RigidMotion, Sphere
+from .contact import (HalfSpace, PenaltyParams, RigidMotion, Sphere, rotation,
+                      unit)
 from .forces import ForceModel
 from .friction import FrictionParams
 from .integrators import make_scheme
@@ -72,37 +74,66 @@ _FRICTION_DEFAULTS = {
 }
 
 
+@contextmanager
+def _at(path: str):
+    """Report a constructor's or a file read's ValueError, LookupError,
+    TypeError or OSError as a SceneError naming ``path``; a SceneError
+    raised inside passes as is."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except (ValueError, LookupError, TypeError, OSError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise SceneError(f"{path}: {why}") from None
+
+
+def _object(x, path: str) -> dict:
+    if not isinstance(x, dict):
+        raise SceneError(f"{path or 'scene'} must be a JSON object, "
+                         f"got {x!r}")
+    return x
+
+
+def _list(x, path: str) -> list:
+    if not isinstance(x, list):
+        raise SceneError(f"{path} must be a JSON list, got {x!r}")
+    return x
+
+
 def _check_keys(d: dict, allowed, path: str):
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(set(_object(d, path)) - set(allowed))
     if unknown:
         raise SceneError(f"unknown keys at {path or 'top level'}: "
                          + ", ".join(unknown))
 
 
-def _vec3(x, path: str):
-    try:
-        v = [float(c) for c in x]
-    except (TypeError, ValueError):
-        raise SceneError(f"{path} must be a 3-vector") from None
-    if len(v) != 3:
-        raise SceneError(f"{path} must have exactly 3 components")
-    return v
-
-
 def _number(x, path: str, kind=float):
-    try:
-        v = kind(x)
-    except (TypeError, ValueError, OverflowError):
-        raise SceneError(f"{path} must be a number, got {x!r}") from None
-    if not math.isfinite(v):
+    """A JSON number as a finite float, or as an int when ``kind`` is int,
+    which takes integral values only."""
+    if type(x) not in (int, float):  # a JSON true or false is a bool
+        raise SceneError(f"{path} must be a number, got {x!r}")
+    if not abs(x) <= sys.float_info.max:  # NaN, inf or an int beyond float
         raise SceneError(f"{path} must be finite, got {x!r}")
-    return v
+    if kind is int and x != int(x):
+        raise SceneError(f"{path} must be an integer, got {x!r}")
+    return kind(x)
 
 
-def _merged(defaults: dict, given: dict, path: str) -> dict:
-    _check_keys(given, defaults.keys(), path)
-    out = dict(defaults)
-    out.update(given)
+def _vec3(x, path: str, kind=float) -> list:
+    if len(_list(x, path)) != 3:
+        raise SceneError(f"{path} must have exactly 3 components")
+    return [_number(c, f"{path}[{i}]", kind) for i, c in enumerate(x)]
+
+
+def _merged(defaults: dict, given, path: str, kind=None) -> dict:
+    """``given`` over ``defaults``; with ``kind``, every value read by
+    :func:`_number`, except a null where the default is null."""
+    _check_keys(given, defaults, path)
+    out = {**defaults, **given}
+    if kind is not None:
+        out = {k: v if v is None and defaults[k] is None
+               else _number(v, f"{path}.{k}", kind) for k, v in out.items()}
     return out
 
 
@@ -146,33 +177,15 @@ class SceneConfig:
         return json.dumps(self.normalized, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_friction_mode(txt: str):
-    if txt == "implicit":
-        return "implicit", 1
-    if txt.startswith("lagged"):
-        iters = 1
-        if ":" in txt:
-            try:
-                iters = int(txt.split(":", 1)[1])
-            except ValueError:
-                raise SceneError(
-                    f"friction_mode {txt!r}: iteration count must be an "
-                    "integer") from None
-        if iters < 1:
-            raise SceneError("friction_mode lagged:N needs N >= 1")
-        return "lagged", iters
-    raise SceneError(f"friction_mode must be 'implicit' or 'lagged:N', "
-                     f"got {txt!r}")
-
-
-def _rotation_matrix(axis, angle):
-    axis = np.asarray(axis, float)
-    nrm = np.linalg.norm(axis)
-    if nrm == 0:
-        raise SceneError("rotation axis must be nonzero")
-    k = axis / nrm
-    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + np.sin(angle) * kx + (1 - np.cos(angle)) * (kx @ kx)
+def _parse_friction_mode(txt) -> tuple[str, int]:
+    """``implicit``, ``lagged`` or ``lagged:N``, N >= 1 fixed-point passes."""
+    if txt in ("implicit", "lagged"):
+        return txt, 1
+    head, _, n = str(txt).partition(":")
+    if head != "lagged" or not n.isdecimal() or int(n) < 1:
+        raise SceneError("friction_mode must be 'implicit', 'lagged' or "
+                         f"'lagged:N' with an integer N >= 1, got {txt!r}")
+    return "lagged", int(n)
 
 
 def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
@@ -182,69 +195,62 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
                "fixed_velocity", "volume_region"}
     _check_keys(spec, allowed, path)
     mat_spec = _merged(_MATERIAL_DEFAULTS, spec.get("material", {}),
-                       f"{path}.material")
-    try:
-        material = MaterialParams(
-            density=float(mat_spec["density"]),
-            youngs_modulus=float(mat_spec["youngs_modulus"]),
-            poisson_ratio=float(mat_spec["poisson_ratio"]),
-            rayleigh_alpha=float(mat_spec["rayleigh_alpha"]),
-            rayleigh_beta=float(mat_spec["rayleigh_beta"]))
-    except ValueError as exc:
-        raise SceneError(f"{path}.material: {exc}") from None
+                       f"{path}.material", float)
+    with _at(f"{path}.material"):
+        material = MaterialParams(**mat_spec)
 
     groups = {}
     if "file" in spec and "generator" in spec:
         raise SceneError(f"{path}: give either 'file' or 'generator', not both")
     if "file" in spec:
-        fpath = spec["file"]
-        if not os.path.isabs(fpath):
-            fpath = os.path.join(base_dir, fpath)
-        if not os.path.exists(fpath):
-            raise SceneError(f"{path}.file: mesh file not found: {fpath}")
-        with open(fpath) as fh:
-            data = json.load(fh)
-        _check_keys(data, {"vertices", "tets", "surface_groups"},
-                    f"{path}.file contents")
-        verts = np.asarray(data["vertices"], float)
-        tets = np.asarray(data["tets"], int)
-        groups = {k: np.asarray(vv, int)
-                  for k, vv in data.get("surface_groups", {}).items()}
+        with _at(f"{path}.file"):
+            fpath = os.path.join(base_dir, spec["file"])  # absolute: as is
+            with open(fpath) as fh:
+                data = json.load(fh)
+            _check_keys(data, {"vertices", "tets", "surface_groups"},
+                        f"{path}.file contents")
+            verts = np.asarray(data["vertices"], float)
+            tets = np.asarray(data["tets"], int)
+            groups = {k: np.asarray(vv, int) for k, vv in _object(
+                data.get("surface_groups", {}),
+                f"{path}.file surface_groups").items()}
     elif "generator" in spec:
-        gen = spec["generator"]
-        kind = gen.get("kind")
+        gen, gpath = spec["generator"], f"{path}.generator"
+        kind = _object(gen, gpath).get("kind")
         if kind == "box":
-            _check_keys(gen, {"kind", "size", "divisions", "taper"},
-                        f"{path}.generator")
-            verts, tets = box_grid(_vec3(gen.get("size", [0.1, 0.1, 0.1]),
-                                         f"{path}.generator.size"),
-                                   gen.get("divisions", [2, 2, 2]),
-                                   taper=float(gen.get("taper", 0.0)))
+            _check_keys(gen, {"kind", "size", "divisions", "taper"}, gpath)
+            with _at(gpath):
+                verts, tets = box_grid(
+                    _vec3(gen.get("size", [0.1, 0.1, 0.1]), f"{gpath}.size"),
+                    _vec3(gen.get("divisions", [2, 2, 2]),
+                          f"{gpath}.divisions", int),
+                    taper=_number(gen.get("taper", 0.0), f"{gpath}.taper"))
         elif kind == "ball":
-            _check_keys(gen, {"kind", "radius", "divisions"},
-                        f"{path}.generator")
-            verts, tets = ball_grid(float(gen.get("radius", 0.05)),
-                                    int(gen.get("divisions", 4)))
+            _check_keys(gen, {"kind", "radius", "divisions"}, gpath)
+            with _at(gpath):
+                verts, tets = ball_grid(
+                    _number(gen.get("radius", 0.05), f"{gpath}.radius"),
+                    _number(gen.get("divisions", 4), f"{gpath}.divisions",
+                            int))
         else:
             raise SceneError(
-                f"{path}.generator.kind must be 'box' or 'ball', got {kind!r}")
+                f"{gpath}.kind must be 'box' or 'ball', got {kind!r}")
     else:
         raise SceneError(f"{path}: needs a 'file' or 'generator'")
 
     if "rotate" in spec:
         rspec = spec["rotate"]
         _check_keys(rspec, {"axis", "angle"}, f"{path}.rotate")
-        rot = _rotation_matrix(_vec3(rspec["axis"], f"{path}.rotate.axis"),
-                               _number(rspec["angle"], f"{path}.rotate.angle"))
+        with _at(f"{path}.rotate"):
+            rot = rotation(unit(_vec3(rspec["axis"], f"{path}.rotate.axis"),
+                                "rotation axis"),
+                           _number(rspec["angle"], f"{path}.rotate.angle"))
         verts = verts @ rot.T
-    translate = np.asarray(_vec3(spec.get("translate", [0, 0, 0]),
-                                 f"{path}.translate"))
-    verts = verts + translate
+    verts = verts + _vec3(spec.get("translate", [0, 0, 0]),
+                          f"{path}.translate")
 
-    try:
+    with _at(path):
         mesh = TetMeshModel(verts, tets, material)
-    except Exception as exc:
-        raise SceneError(f"{path}: {exc}") from None
 
     vel = np.asarray(_vec3(spec.get("velocity", [0, 0, 0]),
                            f"{path}.velocity"))
@@ -259,59 +265,53 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
 
 def _build_obstacle(spec: dict, idx: int):
     path = f"obstacles[{idx}]"
-    kind = spec.get("kind")
-    common = {"kind", "friction", "motion", "name"}
-    fr_spec = _merged(_FRICTION_DEFAULTS, spec.get("friction", {}),
-                      f"{path}.friction")
-    try:
-        friction = FrictionParams(
-            mu_d=float(fr_spec["mu_d"]),
-            mu_s=None if fr_spec["mu_s"] is None else float(fr_spec["mu_s"]),
-            mu_v=float(fr_spec["mu_v"]),
-            epsilon=float(fr_spec["epsilon"]),
-            v_s=None if fr_spec["stribeck_velocity"] is None
-            else float(fr_spec["stribeck_velocity"]))
-    except ValueError as exc:
-        raise SceneError(f"{path}.friction: {exc}") from None
-    motion = RigidMotion()
-    if "motion" in spec:
-        mspec = spec["motion"]
-        _check_keys(mspec, {"translation", "rotation"}, f"{path}.motion")
-        translation = [(float(t), _vec3(off, f"{path}.motion.translation"))
-                       for t, off in mspec.get("translation", [])]
-        rot = mspec.get("rotation", {})
-        if rot:
-            _check_keys(rot, {"axis", "pivot", "angles"},
-                        f"{path}.motion.rotation")
-            motion = RigidMotion(
-                translation=translation,
-                rotation_axis=_vec3(rot["axis"], f"{path}.motion.rotation.axis"),
-                rotation_pivot=_vec3(rot.get("pivot", [0, 0, 0]),
-                                     f"{path}.motion.rotation.pivot"),
-                rotation_angles=[(float(t), float(a))
-                                 for t, a in rot.get("angles", [])])
-        else:
-            motion = RigidMotion(translation=translation)
-    name = spec.get("name", f"obstacle{idx}")
+    kind = _object(spec, path).get("kind")
     if kind == "half_space":
-        _check_keys(spec, common | {"point", "normal"}, path)
-        try:
+        shape = {"point", "normal"}
+    elif kind == "sphere":
+        shape = {"center", "radius", "contains"}
+    else:
+        raise SceneError(f"{path}.kind must be 'half_space' or 'sphere', "
+                         f"got {kind!r}")
+    _check_keys(spec, {"kind", "friction", "motion", "name"} | shape, path)
+    fr_spec = _merged(_FRICTION_DEFAULTS, spec.get("friction", {}),
+                      f"{path}.friction", float)
+    fr_spec["v_s"] = fr_spec.pop("stribeck_velocity")
+    with _at(f"{path}.friction"):
+        friction = FrictionParams(**fr_spec)
+    mpath = f"{path}.motion"
+    mspec = spec.get("motion", {})
+    _check_keys(mspec, {"translation", "rotation"}, mpath)
+    rot = mspec.get("rotation", {})
+    _check_keys(rot, {"axis", "pivot", "angles"}, f"{mpath}.rotation")
+    with _at(mpath):
+        motion = RigidMotion(
+            translation=[(_number(t, f"{mpath}.translation"),
+                          _vec3(off, f"{mpath}.translation"))
+                         for t, off in _list(mspec.get("translation", []),
+                                             f"{mpath}.translation")],
+            rotation_axis=(_vec3(rot["axis"], f"{mpath}.rotation.axis")
+                           if rot else None),
+            rotation_pivot=_vec3(rot.get("pivot", [0, 0, 0]),
+                                 f"{mpath}.rotation.pivot"),
+            rotation_angles=[(_number(t, f"{mpath}.rotation.angles"),
+                              _number(a, f"{mpath}.rotation.angles"))
+                             for t, a in _list(rot.get("angles", []),
+                                               f"{mpath}.rotation.angles")])
+    name = spec.get("name", f"obstacle{idx}")
+    with _at(path):
+        if kind == "half_space":
             return HalfSpace(point=_vec3(spec["point"], f"{path}.point"),
                              normal=_vec3(spec["normal"], f"{path}.normal"),
                              friction=friction, motion=motion, name=name)
-        except (KeyError, ValueError) as exc:
-            raise SceneError(f"{path}: {exc}") from None
-    if kind == "sphere":
-        _check_keys(spec, common | {"center", "radius", "contains"}, path)
-        try:
-            return Sphere(center=_vec3(spec["center"], f"{path}.center"),
-                          radius=float(spec["radius"]),
-                          contains=bool(spec.get("contains", False)),
-                          friction=friction, motion=motion, name=name)
-        except (KeyError, ValueError) as exc:
-            raise SceneError(f"{path}: {exc}") from None
-    raise SceneError(f"{path}.kind must be 'half_space' or 'sphere', "
-                     f"got {kind!r}")
+        contains = spec.get("contains", False)
+        if not isinstance(contains, bool):
+            raise SceneError(f"{path}.contains must be true or false, "
+                             f"got {contains!r}")
+        return Sphere(center=_vec3(spec["center"], f"{path}.center"),
+                      radius=_number(spec["radius"], f"{path}.radius"),
+                      contains=contains, friction=friction, motion=motion,
+                      name=name)
 
 
 def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
@@ -320,17 +320,11 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SceneError("scene must be a JSON object")
-    top_allowed = set(_DEFAULTS) | {"meshes", "obstacles"}
-    _check_keys(raw, top_allowed, "")
+    _check_keys(raw, set(_DEFAULTS) | {"meshes", "obstacles"}, "")
     cfg = {k: raw.get(k, v) for k, v in _DEFAULTS.items()}
-    cfg["solver"] = _merged(_DEFAULTS["solver"], raw.get("solver", {}),
-                            "solver")
-    cfg["contact"] = _merged(_DEFAULTS["contact"], raw.get("contact", {}),
-                             "contact")
-    cfg["output"] = _merged(_DEFAULTS["output"], raw.get("output", {}),
-                            "output")
+    sv = _merged(_DEFAULTS["solver"], cfg["solver"], "solver")
+    contact = _merged(_DEFAULTS["contact"], cfg["contact"], "contact", float)
+    output = _merged(_DEFAULTS["output"], cfg["output"], "output", int)
 
     duration = _number(cfg["duration"], "duration")
     step = _number(cfg["step"], "step")
@@ -341,17 +335,15 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     gravity = np.asarray(_vec3(cfg["gravity"], "gravity"))
 
     integrator = str(cfg["integrator"]).lower()
-    friction_mode, fp_iters = _parse_friction_mode(str(cfg["friction_mode"]))
-    try:
+    friction_mode, fp_iters = _parse_friction_mode(cfg["friction_mode"])
+    with _at("integrator"):
         make_scheme(integrator, lagged=friction_mode == "lagged")
-    except ValueError as exc:
-        raise SceneError(f"integrator: {exc}") from None
     fj = cfg["friction_jacobian"]
     if fj not in ("with_sliding_basis", "frozen_basis"):
         raise SceneError("friction_jacobian must be 'with_sliding_basis' or "
                          f"'frozen_basis', got {fj!r}")
 
-    mesh_specs = raw.get("meshes", [])
+    mesh_specs = _list(raw.get("meshes", []), "meshes")
     if not mesh_specs:
         raise SceneError("scene needs at least one mesh")
     meshes, vels, fixed_vertices, volume_penalties = [], [], [], []
@@ -361,10 +353,11 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         mesh, v0, groups = _load_mesh_spec(spec, i, base_dir)
         meshes.append(mesh)
         vels.append(v0)
-        for j in spec.get("fixed_vertices", []):
-            j = _number(j, f"meshes[{i}].fixed_vertices", int)
+        fpath = f"meshes[{i}].fixed_vertices"
+        for j in _list(spec.get("fixed_vertices", []), fpath):
+            j = _number(j, fpath, int)
             if not 0 <= j < mesh.n_verts:
-                raise SceneError(f"meshes[{i}].fixed_vertices: no vertex {j}")
+                raise SceneError(f"{fpath}: no vertex {j}")
             fixed_vertices.append(j + offset)
         if "fixed_velocity" in spec:
             fixed_velocity = np.asarray(_vec3(spec["fixed_velocity"],
@@ -374,47 +367,35 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
                                                    groups, offset))
         offset += mesh.n_verts
 
-    obstacles = [_build_obstacle(s, i)
-                 for i, s in enumerate(raw.get("obstacles", []))]
+    obstacles = [_build_obstacle(s, i) for i, s in
+                 enumerate(_list(raw.get("obstacles", []), "obstacles"))]
 
-    contact = cfg["contact"]
-    delta = _number(contact["delta"], "contact.delta")
-    kappa_max = _number(contact["kappa_max"], "contact.kappa_max")
-    kappa = contact["kappa"]
+    delta = contact["delta"]
     mesh = merge_meshes(meshes)
-    if kappa is None:
+    if contact["kappa"] is None:
         # lambda at d = 0.5*delta balances gravity on the average contact
         # vertex: 3 kappa delta / 4 = m_avg g  =>  kappa = 4 m_avg g / (3 d)
         g_eff = np.linalg.norm(gravity) or 9.8
         m_avg = float(np.mean(mesh.vertex_mass[mesh.surface_vertices]))
         # delta <= 0 is rejected below, before kappa is looked at
-        kappa = 4.0 * m_avg * g_eff / (3.0 * delta) if delta > 0 else 1.0
-    kappa = _number(kappa, "contact.kappa")
-    try:
-        penalty = PenaltyParams(delta=delta, kappa=kappa, kappa_max=kappa_max)
-    except ValueError as exc:
-        raise SceneError(f"contact: {exc}") from None
+        contact["kappa"] = (float(4.0 * m_avg * g_eff / (3.0 * delta))
+                            if delta > 0 else 1.0)
+    with _at("contact"):
+        penalty = PenaltyParams(**contact)
 
-    sv = cfg["solver"]
     v_tol = sv["v_tol"]
     if v_tol is None:  # a tenth of the smallest friction epsilon
         v_tol = 0.1 * min((o.friction.epsilon for o in obstacles),
                           default=1e-4)
-    # numbers are converted outside the try: a SceneError is a ValueError
-    settings = dict(
-        kind=sv["kind"], k_max=_number(sv["k_max"], "solver.k_max", int),
-        r_tol_abs=None if sv["r_tol_abs"] is None
-        else _number(sv["r_tol_abs"], "solver.r_tol_abs"),
-        r_tol_rel=_number(sv["r_tol_rel"], "solver.r_tol_rel"),
-        v_tol=_number(v_tol, "solver.v_tol"),
-        max_krylov_iters=_number(sv["max_krylov_iters"],
-                                 "solver.max_krylov_iters", int))
-    try:
-        solver = SolverConfig(**settings)
-    except ValueError as exc:
-        raise SceneError(f"solver: {exc}") from None
-    output = {k: _number(cfg["output"][k], f"output.{k}", int)
-              for k in _DEFAULTS["output"]}
+    with _at("solver"):
+        solver = SolverConfig(
+            kind=sv["kind"], k_max=_number(sv["k_max"], "solver.k_max", int),
+            r_tol_abs=None if sv["r_tol_abs"] is None
+            else _number(sv["r_tol_abs"], "solver.r_tol_abs"),
+            r_tol_rel=_number(sv["r_tol_rel"], "solver.r_tol_rel"),
+            v_tol=_number(v_tol, "solver.v_tol"),
+            max_krylov_iters=_number(sv["max_krylov_iters"],
+                                     "solver.max_krylov_iters", int))
 
     normalized = {
         "gravity": list(gravity),
@@ -423,10 +404,13 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         "integrator": integrator,
         "friction_mode": cfg["friction_mode"],
         "friction_jacobian": fj,
-        "solver": {k: sv[k] for k in _DEFAULTS["solver"]},
-        "contact": {"delta": delta, "kappa": kappa, "kappa_max": kappa_max},
+        "solver": sv,
+        "contact": contact,
         "output": dict(output),
-        "meshes": _normalize_mesh_specs(mesh_specs),
+        "meshes": [{**s, "name": s.get("name", f"mesh{i}"),
+                    "material": _merged(_MATERIAL_DEFAULTS,
+                                        s.get("material", {}), "material")}
+                   for i, s in enumerate(mesh_specs)],
         "obstacles": raw.get("obstacles", []),
     }
 
@@ -460,36 +444,20 @@ def _volume_region(spec: dict, idx: int, tris, groups: dict, offset: int):
     _check_keys(vspec, {"model", "kappa_v_atm", "p0_atm", "group", "name"},
                 path)
     group = vspec.get("group", "surface")
-    if group != "surface":
-        if group not in groups:
-            raise SceneError(f"{path}.group: no surface group named "
-                             f"{group!r}")
-        tris = tris[groups[group]]
     mesh_name = spec.get("name", f"mesh{idx}")
-    try:
+    with _at(path):
+        if group != "surface":
+            if group not in groups:
+                raise SceneError(f"{path}.group: no surface group named "
+                                 f"{group!r}")
+            tris = tris[groups[group]]
         return VolumePenaltyParams(
             region=tris + offset,
             model=vspec.get("model", "quadratic"),
-            kappa_v_atm=float(vspec.get("kappa_v_atm", 1.0)),
-            p0_atm=float(vspec.get("p0_atm", 1.0)),
+            kappa_v_atm=_number(vspec.get("kappa_v_atm", 1.0),
+                                f"{path}.kappa_v_atm"),
+            p0_atm=_number(vspec.get("p0_atm", 1.0), f"{path}.p0_atm"),
             name=vspec.get("name", f"{mesh_name}_volume"))
-    except ValueError as exc:
-        raise SceneError(f"{path}: {exc}") from None
-
-
-def _normalize_mesh_specs(mesh_specs):
-    out = []
-    for i, spec in enumerate(mesh_specs):
-        entry = {"name": spec.get("name", f"mesh{i}")}
-        for key in ("file", "generator", "material", "translate", "rotate",
-                    "velocity", "angular_velocity", "fixed_vertices",
-                    "fixed_velocity", "volume_region"):
-            if key in spec:
-                entry[key] = spec[key]
-        entry["material"] = _merged(_MATERIAL_DEFAULTS,
-                                    spec.get("material", {}), "material")
-        out.append(entry)
-    return out
 
 
 def load_scene_file(path: str) -> SceneConfig:

@@ -165,6 +165,12 @@ def test_rotating_obstacle_surface_velocity():
     np.testing.assert_allclose(w, [[0.0, np.pi, 0.0]], atol=1e-12)
 
 
+def test_zero_rotation_axis_rejected():
+    with pytest.raises(ValueError, match="rotation axis must be nonzero"):
+        RigidMotion(rotation_axis=(0, 0, 0),
+                    rotation_angles=[(0.0, 0.0), (1.0, 1.0)])
+
+
 @pytest.mark.parametrize("contains", [True, False])
 def test_sphere_contact_blocks_match_fd(contains):
     # vertices inside the penalty support of a sphere wall, from inside a

@@ -89,6 +89,24 @@ def test_cli_check_and_run(tmp_path):
     assert out.returncode == 2
     assert "solver.k_max" in out.stderr and "Traceback" not in out.stderr
 
+    # a constructor's error and a broken mesh file: one JSON line, exit 2
+    (tmp_path / "mesh.json").write_text('{"vertices": []}')
+    gen_doc = json.loads(json.dumps(doc))
+    gen_doc["meshes"][0]["generator"]["divisions"] = [0, 1, 1]
+    file_doc = json.loads(json.dumps(doc))
+    del file_doc["meshes"][0]["generator"]
+    file_doc["meshes"][0]["file"] = "mesh.json"
+    for bad_doc, where in ((gen_doc, "meshes[0].generator"),
+                           (file_doc, "meshes[0].file")):
+        bad.write_text(json.dumps(bad_doc))
+        out = subprocess.run([sys.executable, "-m", "fricsim.cli", "check",
+                              str(bad)], capture_output=True, text=True,
+                             env=env)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and where in json.loads(lines[0])["message"]
+
     short = tmp_path / "short.json"
     with open(cfg) as fh:
         doc = json.load(fh)

@@ -112,16 +112,52 @@ def test_lagged_mode_parsing_and_validation():
      r"meshes\[0\].rotate.angle"),
     ("meshes.0.fixed_vertices", ["a"], r"meshes\[0\].fixed_vertices"),
     ("meshes.0.fixed_vertices", [8], r"meshes\[0\].fixed_vertices: no vertex"),
+    ("meshes.0.generator.divisions", [0, 1, 1], r"meshes\[0\].generator"),
+    ("meshes.0.generator.divisions", ["x", 1, 1],
+     r"meshes\[0\].generator.divisions"),
+    ("meshes.0.generator.taper", -100, r"meshes\[0\].generator: taper"),
+    ("meshes.0.generator.taper", "x", r"meshes\[0\].generator.taper"),
+    ("meshes.0.generator", {"kind": "ball", "radius": 0},
+     r"meshes\[0\].generator"),
+    ("meshes.0.material.density", [1], r"meshes\[0\].material.density"),
+    ("meshes.0.material.density", float("nan"),
+     r"meshes\[0\].material.density"),
+    ("obstacles.0.friction.mu_d", [1], r"obstacles\[0\].friction.mu_d"),
+    ("obstacles.0.friction.mu_d", None, r"obstacles\[0\].friction.mu_d"),
+    ("solver", 5, "solver"),
+    ("obstacles", [3], r"obstacles\[0\]"),
+    ("obstacles", {"a": 1}, "obstacles"),
+    ("meshes.0.fixed_vertices", 3, r"meshes\[0\].fixed_vertices"),
+    ("contact", [], "contact"),
+    ("meshes.0.file", "bad_json.json", r"meshes\[0\].file"),
+    ("meshes.0.file", "no_tets.json", r"meshes\[0\].file"),
+    ("meshes.0.file", ".", r"meshes\[0\].file: .*directory"),
+    ("obstacles.0.motion", {"translation": [["x", [0, 0, 0]]]},
+     r"obstacles\[0\].motion.translation"),
+    ("obstacles.0.motion", {"rotation": {"axis": [0, 0, 0]}},
+     r"obstacles\[0\].motion: rotation axis"),
+    ("solver.k_max", 2.5, "solver.k_max"),
+    ("meshes.0.fixed_vertices", [0.7], r"meshes\[0\].fixed_vertices"),
+    ("output.trajectory_every", 1.9, "output.trajectory_every"),
+    ("gravity", [0, float("nan"), 0], r"gravity\[1\]"),
+    ("friction_mode", "lagged4", "friction_mode"),
+    ("friction_mode", "laggedy", "friction_mode"),
+    ("obstacles", [{"kind": "sphere", "center": [0, 0, 0], "radius": 1.0,
+                    "contains": "false"}], r"obstacles\[0\].contains"),
 ])
-def test_bad_value_named(path, value, match):
+def test_bad_value_named(path, value, match, tmp_path):
+    (tmp_path / "bad_json.json").write_text('{"vertices": [[0, 0, 0]], ')
+    (tmp_path / "no_tets.json").write_text('{"vertices": [[0, 0, 0]]}')
     cfg = json.loads(json.dumps(MINIMAL))
     *head, key = path.split(".")
     target = cfg
     for k in head:
         target = target[int(k)] if k.isdigit() else target.setdefault(k, {})
     target[key] = value
+    if key == "file":
+        del target["generator"]
     with pytest.raises(SceneError, match=match):
-        load_scene(json.dumps(cfg))
+        load_scene(json.dumps(cfg), base_dir=str(tmp_path))
 
 
 def test_solver_config_built_once():

@@ -26,7 +26,12 @@ import os
 import pickle
 import sys
 
-import numpy as np
+# Pin the BLAS/OpenMP pools before numpy loads: the dense LU's rounding, and
+# so a dump's bits, depend on the BLAS thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
