@@ -13,8 +13,8 @@ from .dual import Dual, jvp
 from .mesh import MaterialParams, SystemState, TetMeshModel, build_lumped_mass
 from .contact import (ContactSet, HalfSpace, PenaltyParams, RigidMotion, Sphere,
                       adaptive_stiffen, contact_force, gaps, penalty_b)
-from .friction import (FrictionParams, friction_force, friction_magnitude_c,
-                       smooth_s, stribeck_g)
+from .friction import (FrictionParams, friction_magnitude_c, smooth_s,
+                       stribeck_g)
 from .volume import (VolumePenaltyParams, enclosed_volume, volume_energy,
                      volume_force)
 from .elasticity import damping_force, elastic_energy, elastic_force
@@ -33,8 +33,7 @@ __all__ = [
     "MaterialParams", "SystemState", "TetMeshModel", "build_lumped_mass",
     "ContactSet", "HalfSpace", "PenaltyParams", "RigidMotion", "Sphere",
     "adaptive_stiffen", "contact_force", "gaps", "penalty_b",
-    "FrictionParams", "friction_force", "friction_magnitude_c", "smooth_s",
-    "stribeck_g",
+    "FrictionParams", "friction_magnitude_c", "smooth_s", "stribeck_g",
     "VolumePenaltyParams", "enclosed_volume", "volume_energy", "volume_force",
     "damping_force", "elastic_energy", "elastic_force",
     "ForceModel", "StageProblem", "make_scheme",

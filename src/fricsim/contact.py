@@ -15,7 +15,8 @@ A model's obstacles are one :class:`ObstacleTable`, whose frames are moved
 once per distinct time.  The scan of :func:`gaps`, a :class:`ContactSet`'s
 snapshot at its build positions (:func:`snapshot`; lagged friction's anchor
 is such a set) and :func:`contact_geometry` at live positions, for the
-residual's kernel, gather their contacts' frame rows from it.
+residual's kernel, gather their contacts' frame rows from it.  A set
+carries the table it was built from, and every query of the set reads it.
 """
 
 from __future__ import annotations
@@ -142,24 +143,14 @@ _STATIC = RigidMotion()
 
 
 class _ObstacleBase:
-    """Scripted-motion plumbing; geometry queries wrap an ObstacleTable."""
+    """Friction, scripted motion and name; the geometry of obstacles is
+    queried through their :class:`ObstacleTable`."""
 
     def __init__(self, friction=None, motion: RigidMotion | None = None,
                  name: str = ""):
         self.friction = friction
         self.motion = motion or _STATIC
         self.name = name
-
-    def gap_normal(self, x, t: float):
-        """(gap (k,), unit normal (k, 3)) at x (k, 3); generic over Dual x."""
-        return ObstacleTable([self]).gap_normal(np.zeros(len(x), int), x, t)
-
-    def gap(self, x, t: float):
-        return self.gap_normal(x, t)[0]
-
-    def surface_velocity(self, x, t: float):
-        """Material velocity (k, 3) of the obstacle points currently at x."""
-        return ObstacleTable([self]).velocity(np.zeros(len(x), int), x, t)
 
 
 class HalfSpace(_ObstacleBase):
@@ -202,12 +193,6 @@ class ObstacleTable:
         self.pivot = np.array([o.motion.rotation_pivot
                                for o in self.obstacles]).reshape(-1, 3)
         self._memo = None  # (t, frames at t)
-
-    @staticmethod
-    def of(obstacles) -> ObstacleTable:
-        """``obstacles`` itself if it is a table, else a table of the list."""
-        return (obstacles if isinstance(obstacles, ObstacleTable)
-                else ObstacleTable(obstacles))
 
     def frames(self, t: float) -> np.ndarray:
         """(5, n_obs, 3) point or centre, normal, linear and angular velocity
@@ -284,9 +269,10 @@ class ContactSet:
         return obstacle_coeffs(self.table.obstacles)[self.obstacle]
 
 
-def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
+def gaps(table: ObstacleTable, q, t: float, penalty: PenaltyParams,
          candidate_vertices=None, activation=None, extra=None) -> ContactSet:
-    """Build the contact candidate set from current positions.
+    """Build the contact candidate set of the table's obstacles from current
+    positions.
 
     Candidates are the (vertex, obstacle) pairs with gap below
     ``activation`` (a scalar or one value per candidate vertex; default
@@ -297,7 +283,6 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
     """
     if activation is None:
         activation = 1.5 * penalty.delta
-    table = ObstacleTable.of(obstacles)
     x = np.asarray(q, float).reshape(-1, 3)
     cand = (np.arange(len(x)) if candidate_vertices is None
             else np.asarray(candidate_vertices, int))
@@ -315,12 +300,11 @@ def gaps(obstacles: list, q, t: float, penalty: PenaltyParams,
     return cset
 
 
-def snapshot(obstacles, vertex, obstacle, q, t: float,
+def snapshot(table: ObstacleTable, vertex, obstacle, q, t: float,
              penalty: PenaltyParams) -> ContactSet:
-    """The pairs of ``vertex`` (k,) and ``obstacles[obstacle]`` (k,) as a
-    set whose snapshot is taken at (q, t), gathered from the table's frames
-    at t.  ``penalty`` may be None when there are no pairs."""
-    table = ObstacleTable.of(obstacles)
+    """The pairs of ``vertex`` (k,) and the table's obstacles ``obstacle``
+    (k,) as a set whose snapshot is taken at (q, t), gathered from the
+    table's frames at t.  ``penalty`` may be None when there are no pairs."""
     x = np.asarray(q, float).reshape(-1, 3)[vertex]
     d, n = table.gap_normal(obstacle, x, t)
     lam = penalty_lambda(d, penalty.delta, penalty.kappa) if len(d) else d
@@ -328,33 +312,30 @@ def snapshot(obstacles, vertex, obstacle, q, t: float,
                       n=n, table=table)
 
 
-def contact_geometry(obstacles, obstacle, x, t: float):
+def contact_geometry(table: ObstacleTable, obstacle, x, t: float):
     """(gap (k,), unit normal (k, 3), obstacle surface velocity (k, 3)) of
-    the positions x (k, 3) against ``obstacles[obstacle]`` (a list or its
-    :class:`ObstacleTable`) at t; generic over Dual x."""
-    table = ObstacleTable.of(obstacles)
+    the positions x (k, 3) against the table's obstacles ``obstacle`` (k,)
+    at t; generic over Dual x."""
     return (*table.gap_normal(obstacle, x, t),
             table.velocity(obstacle, x, t))
 
 
-def contact_force(cset: ContactSet, obstacles, q, t: float,
-                  penalty: PenaltyParams):
+def contact_force(cset: ContactSet, q, t: float, penalty: PenaltyParams):
     """Generalized penalty force f_c (m,) of the frozen set: lambda(d) grad d
     at each contact.
 
     Generic over Dual q; geometry is evaluated live at q for the frozen set.
     """
     x = q.reshape(-1, 3)
-    d, n, _ = contact_geometry(obstacles, cset.obstacle, x[cset.vertex], t)
+    d, n, _ = contact_geometry(cset.table, cset.obstacle, x[cset.vertex], t)
     f = penalty_lambda(d, penalty.delta, penalty.kappa)[..., None] * n
     return dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
                           f).reshape(-1)
 
 
-def contact_energy(cset: ContactSet, obstacles, q, t: float,
-                   penalty: PenaltyParams):
+def contact_energy(cset: ContactSet, q, t: float, penalty: PenaltyParams):
     """Aggregate penalty energy W_c at q for the frozen set."""
-    d = snapshot(obstacles, cset.vertex, cset.obstacle, dm.value(q), t,
+    d = snapshot(cset.table, cset.vertex, cset.obstacle, dm.value(q), t,
                  penalty).d
     return float(np.sum(penalty_b(d, penalty.delta, penalty.kappa)))
 

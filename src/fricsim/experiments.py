@@ -24,6 +24,7 @@ THETA_DEG = 10.0
 MU = 0.177
 V0 = 0.1
 GRAVITY = 9.8
+EPSILON = 1e-4  # m/s, the incline's friction tolerance
 STOP_WINDOW = 1.0  # s below tolerance before the block counts as stopped
 
 
@@ -36,8 +37,7 @@ def analytic_stop(gravity: float = GRAVITY):
 
 def block_slide_scene(h: float, integrator: str = "be",
                       friction_mode: str = "implicit", mu: float = MU,
-                      duration: float = 40.0, size=(0.2, 0.08, 0.12),
-                      divisions=(3, 2, 2), epsilon: float = 1e-4,
+                      duration: float = 40.0, divisions=(3, 2, 2),
                       solver_kind: str = "direct",
                       start: str = "touch") -> dict:
     """Scene dict for one block-slide variant (JSON-serializable).
@@ -57,7 +57,7 @@ def block_slide_scene(h: float, integrator: str = "be",
     downhill = np.array([-np.cos(th), -np.sin(th), 0.0])
     nx, ny, nz = divisions
     n_bottom = (nx + 1) * (nz + 1)
-    rho, e_mod = 1000.0, 1e7
+    size, rho, e_mod = (0.2, 0.08, 0.12), 1000.0, 1e7
     mass = rho * size[0] * size[1] * size[2]
     delta = 1e-3
     g_n = mass * GRAVITY * np.cos(th)
@@ -93,7 +93,7 @@ def block_slide_scene(h: float, integrator: str = "be",
         }],
         "obstacles": [{
             "kind": "half_space", "point": [0.0, 0.0, 0.0], "normal": normal,
-            "friction": {"mu_d": mu, "epsilon": epsilon},
+            "friction": {"mu_d": mu, "epsilon": EPSILON},
             "name": "incline",
         }],
         "output": {"trajectory_every": 1},
@@ -142,12 +142,10 @@ def detect_stop(records, epsilon: float, window: float = STOP_WINDOW):
 
 def run_block_slide_variant(integrator: str, friction_mode: str, h: float,
                             mu: float = MU, duration: float = 40.0,
-                            epsilon: float = 1e-4, divisions=(3, 2, 2),
-                            solver_kind: str = "direct",
+                            divisions=(3, 2, 2), solver_kind: str = "direct",
                             start: str = "touch") -> SlideResult:
     scene_dict = block_slide_scene(h, integrator, friction_mode, mu=mu,
-                                   duration=duration, epsilon=epsilon,
-                                   divisions=divisions,
+                                   duration=duration, divisions=divisions,
                                    solver_kind=solver_kind, start=start)
     scene = load_scene(json.dumps(scene_dict))
     x_ref, t_ref = analytic_stop()
@@ -158,7 +156,7 @@ def run_block_slide_variant(integrator: str, friction_mode: str, h: float,
                            distance=np.nan, stop_time=np.nan,
                            distance_error=np.nan, time_error=np.nan,
                            failure=str(exc))
-    stopped, dist, t_stop = detect_stop(records, epsilon)
+    stopped, dist, t_stop = detect_stop(records, EPSILON)
     return SlideResult(
         integrator, friction_mode, h, stopped=stopped, distance=dist,
         stop_time=t_stop,
@@ -169,10 +167,7 @@ def run_block_slide_variant(integrator: str, friction_mode: str, h: float,
 PLATE_RELEASE_TIME = 0.55  # floor fully away; grasp-height reference time
 
 
-def plate_squeeze_scene(h: float, friction_mode: str = "implicit",
-                        duration: float = 2.0, mu: float = 0.65,
-                        push: float = 6e-4, e_mod: float = 2.5e4,
-                        nu: float = 0.49, size: float = 0.06) -> dict:
+def plate_squeeze_scene(h: float, friction_mode: str = "implicit") -> dict:
     """A soft cube gripped between two scripted pressing plates, hanging by
     friction once a supporting floor retreats (grasp fixture).
 
@@ -185,7 +180,7 @@ def plate_squeeze_scene(h: float, friction_mode: str = "implicit",
     time-shifted by one step, and state-feedback channels are damped by the
     pre-sliding transition's slope (~2 mu lambda / eps at v=0).
     """
-    delta = 1e-3
+    delta, size, push = 1e-3, 0.06, 6e-4
     half = size / 2.0
 
     def plate(sign, name):
@@ -193,7 +188,7 @@ def plate_squeeze_scene(h: float, friction_mode: str = "implicit",
             "kind": "half_space",
             "point": [sign * (half + delta), 0.0, 0.0],
             "normal": [-sign, 0.0, 0.0],
-            "friction": {"mu_d": mu, "epsilon": 1e-4},
+            "friction": {"mu_d": 0.65, "epsilon": 1e-4},
             "motion": {"translation": [[0.0, [0.0, 0.0, 0.0]],
                                        [0.3, [-sign * push, 0.0, 0.0]]]},
             "name": name,
@@ -211,7 +206,7 @@ def plate_squeeze_scene(h: float, friction_mode: str = "implicit",
     }
     return {
         "gravity": [0.0, -GRAVITY, 0.0],
-        "duration": duration,
+        "duration": 2.0,
         "step": h,
         "integrator": "be",
         "friction_mode": friction_mode,
@@ -220,8 +215,8 @@ def plate_squeeze_scene(h: float, friction_mode: str = "implicit",
             "name": "block",
             "generator": {"kind": "box", "size": [size, size, size],
                           "divisions": [3, 3, 3]},
-            "material": {"density": 1000.0, "youngs_modulus": e_mod,
-                         "poisson_ratio": nu, "rayleigh_alpha": 0.05},
+            "material": {"density": 1000.0, "youngs_modulus": 2.5e4,
+                         "poisson_ratio": 0.49, "rayleigh_alpha": 0.05},
         }],
         "obstacles": [plate(+1, "right_plate"), plate(-1, "left_plate"),
                       floor],
@@ -229,12 +224,10 @@ def plate_squeeze_scene(h: float, friction_mode: str = "implicit",
     }
 
 
-def run_plate_squeeze(h: float, friction_mode: str, duration: float = 2.0,
-                      **kw):
+def run_plate_squeeze(h: float, friction_mode: str):
     """(grasp drop in meters, records): centroid fall between the moment the
     floor is fully away and the end of the run; (nan, None) on failure."""
-    scene = load_scene(json.dumps(plate_squeeze_scene(
-        h, friction_mode, duration=duration, **kw)))
+    scene = load_scene(json.dumps(plate_squeeze_scene(h, friction_mode)))
     try:
         records, _, _ = run_simulation(scene)
     except StepFailure:
@@ -277,27 +270,25 @@ def experiment_block_slide(variants=DEFAULT_MATRIX, threads: int = 1,
     return results
 
 
-def ball_drop_scene(h: float, integrator: str, drop: float = 0.08,
-                    radius: float = 0.05, divisions: int = 4,
-                    duration: float = 0.5, kappa_v_atm: float = 1.0) -> dict:
-    """A soft ball with a quadratic volume penalty dropped on the ground;
-    used for the bounce-height integrator comparison (BE damps the impact
-    deformation modes hardest, SDIRK2 the least)."""
+def ball_drop_scene(h: float, integrator: str) -> dict:
+    """A soft ball of radius 0.05 m with a quadratic volume penalty dropped
+    from 0.08 m onto the ground; used for the bounce-height integrator
+    comparison (BE damps the impact deformation modes hardest, SDIRK2 the
+    least)."""
     return {
         "gravity": [0.0, -GRAVITY, 0.0],
-        "duration": duration,
+        "duration": 0.5,
         "step": h,
         "integrator": integrator,
         "meshes": [{
             "name": "ball",
-            "generator": {"kind": "ball", "radius": radius,
-                          "divisions": divisions},
+            "generator": {"kind": "ball", "radius": 0.05, "divisions": 4},
             "material": {"density": 500.0, "youngs_modulus": 4e5,
                          "poisson_ratio": 0.35, "rayleigh_alpha": 0.0,
                          "rayleigh_beta": 1e-5},
-            "translate": [0.0, radius + drop, 0.0],
-            "volume_region": {"model": "quadratic",
-                              "kappa_v_atm": kappa_v_atm, "name": "cavity"},
+            "translate": [0.0, 0.13, 0.0],
+            "volume_region": {"model": "quadratic", "kappa_v_atm": 1.0,
+                              "name": "cavity"},
         }],
         "obstacles": [{
             "kind": "half_space", "point": [0.0, 0.0, 0.0],
@@ -315,8 +306,8 @@ def bounce_apex(records) -> float:
     return float(com_y[k_bottom:].max())
 
 
-def run_ball_drop(h: float, integrator: str, **kw):
-    scene = load_scene(json.dumps(ball_drop_scene(h, integrator, **kw)))
+def run_ball_drop(h: float, integrator: str):
+    scene = load_scene(json.dumps(ball_drop_scene(h, integrator)))
     records, _, _ = run_simulation(scene)
     return bounce_apex(records), records
 

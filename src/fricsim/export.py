@@ -10,6 +10,7 @@ import json
 import os
 import platform
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,16 +25,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_trajectory_csv(path: str, records, region_names):
-    cols = TrajectoryRecord.columns(region_names)
+@contextmanager
+def _writing(path: str, what: str):
+    """``path`` open for writing; an OSError becomes an ExportError naming
+    ``what`` and ``path``."""
     try:
         with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for rec in records:
-                fh.write(",".join(_fmt(v) for v in rec.row(region_names))
-                         + "\n")
+            yield fh
     except OSError as exc:
-        raise ExportError(f"cannot write trajectory {path}: {exc}") from exc
+        raise ExportError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_trajectory_csv(path: str, records, region_names):
+    with _writing(path, "trajectory") as fh:
+        fh.write(",".join(TrajectoryRecord.columns(region_names)) + "\n")
+        for rec in records:
+            fh.write(",".join(_fmt(v) for v in rec.row(region_names)) + "\n")
 
 
 def read_trajectory_csv(path: str):
@@ -50,36 +57,28 @@ def read_trajectory_csv(path: str):
 def write_snapshot_obj(path: str, positions: np.ndarray, tris: np.ndarray):
     """Wavefront-style text mesh: v lines for every vertex, f lines (1-based)
     for the surface triangles."""
-    try:
-        with open(path, "w") as fh:
-            for p in positions:
-                fh.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-            for t in tris:
-                fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
-    except OSError as exc:
-        raise ExportError(f"cannot write snapshot {path}: {exc}") from exc
+    with _writing(path, "snapshot") as fh:
+        for p in positions:
+            fh.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        for t in tris:
+            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
 
 
-def export(records, snapshots, out_dir: str, scene=None, surface_tris=None,
-           region_names=()):
+def export(records, snapshots, out_dir: str, scene):
     """Write trajectory.csv, frame_%06d snapshots and manifest.json."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ExportError(f"cannot create {out_dir}: {exc}") from exc
-    region_names = list(region_names) if region_names else \
-        (scene.region_names if scene is not None else [])
     csv_path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(csv_path, records, region_names)
+    write_trajectory_csv(csv_path, records, scene.region_names)
     written = [csv_path]
-    if snapshots and surface_tris is None and scene is not None:
-        surface_tris = scene.mesh.surface_tris
-    for step, positions in snapshots or []:
+    for step, positions in snapshots:
         path = os.path.join(out_dir, f"frame_{step:06d}.obj")
-        write_snapshot_obj(path, positions, surface_tris)
+        write_snapshot_obj(path, positions, scene.mesh.surface_tris)
         written.append(path)
     manifest = {
-        "config": scene.normalized if scene is not None else None,
+        "config": scene.normalized,
         "versions": {
             "package": _pkg_version(),
             "python": sys.version.split()[0],
@@ -88,10 +87,10 @@ def export(records, snapshots, out_dir: str, scene=None, surface_tris=None,
             "platform": platform.platform(),
         },
         "samples": len(records),
-        "snapshots": len(snapshots or []),
+        "snapshots": len(snapshots),
     }
     man_path = os.path.join(out_dir, "manifest.json")
-    with open(man_path, "w") as fh:
+    with _writing(man_path, "manifest") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append(man_path)

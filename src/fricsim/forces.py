@@ -130,7 +130,6 @@ class ForceModel:
                  fixed_vertices=(), fixed_velocity=(0.0, 0.0, 0.0)):
         self.mesh = mesh
         self.table = ObstacleTable(obstacles)  # owns the frame memo
-        self.obstacles = self.table.obstacles
         self.penalty = penalty
         self.gravity = np.asarray(gravity, float)
         # own copies: the measured rest volume is run state, not scene config
@@ -170,7 +169,8 @@ class ForceModel:
         (vertex, obstacle) pairs unioned in by the kappa-retry loop.
         """
         if self.penalty is None:  # no contact law, so no candidates
-            return ContactState(cset=gaps([], q, t, None, activation=0.0))
+            return ContactState(cset=gaps(ObstacleTable([]), q, t, None,
+                                          activation=0.0))
         surf = self.mesh.surface_vertices
         x = np.asarray(q, float).reshape(-1, 3)[surf]
         vv = np.asarray(v, float).reshape(-1, 3)
@@ -205,7 +205,7 @@ class ForceModel:
         if (self.penalty is not None and contact.cset.size
                 and parts & CONTACT_PARTS):
             f_c, f_f = contact_friction_forces(
-                contact.cset, self.table, q, v, t, self.penalty,
+                contact.cset, q, v, t, self.penalty,
                 frozen_basis=self.frozen_basis, anchor=contact.lagged)
             if "contact" in parts:
                 total = total + f_c
@@ -268,8 +268,8 @@ class ForceModel:
         cset = contact.cset
         if self.penalty is not None and cset.size and parts & CONTACT_PARTS:
             cf = contact_friction_blocks(
-                cset, self.table, q, v, t, self.penalty,
-                anchor=contact.lagged, frozen_basis=self.frozen_basis)
+                cset, q, v, t, self.penalty, anchor=contact.lagged,
+                frozen_basis=self.frozen_basis)
             blocks = 0.0
             if "contact" in parts:
                 blocks += c_q * cf[:, :3, :3]

@@ -37,13 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dual as dm
-from .contact import (ContactSet, PenaltyParams, contact_geometry,
-                      penalty_lambda)
+from .contact import (ContactSet, ObstacleTable, PenaltyParams,
+                      contact_geometry, penalty_lambda)
 
 __all__ = [
     "FrictionParams", "smooth_s", "stribeck_g", "friction_magnitude_c",
-    "contact_friction_forces", "friction_force", "contact_friction_blocks",
-    "obstacle_coeffs",
+    "contact_friction_forces", "contact_friction_blocks", "obstacle_coeffs",
 ]
 
 
@@ -117,12 +116,12 @@ def friction_magnitude_c(v, lam, params: FrictionParams):
     return mu_eff * smooth_s(v, params.epsilon) * lam + params.mu_v * v
 
 
-def _contact_friction_local(x, v, obstacle, coeffs, *anchor, obstacles,
-                            t: float, penalty: PenaltyParams,
-                            frozen_basis: bool):
+def _contact_friction_local(x, v, obstacle, coeffs, *anchor,
+                            table: ObstacleTable, t: float,
+                            penalty: PenaltyParams, frozen_basis: bool):
     """Per-contact (contact force, friction force), (k, 3) each, of the
-    positions x and velocities v (k, 3) of contacts against
-    ``obstacles[obstacle]`` with friction coefficients ``coeffs`` (k, 5)
+    positions x and velocities v (k, 3) of contacts against the table's
+    obstacles ``obstacle`` (k,) with friction coefficients ``coeffs`` (k, 5)
     (columns as in :func:`obstacle_coeffs`).
 
     Friction takes its (lambda, normal, obstacle surface velocity) from the
@@ -130,7 +129,7 @@ def _contact_friction_local(x, v, obstacle, coeffs, *anchor, obstacles,
     detached to its real part under ``frozen_basis``.  Generic over Dual x
     and v.
     """
-    d, normal, w = contact_geometry(obstacles, obstacle, x, t)
+    d, normal, w = contact_geometry(table, obstacle, x, t)
     lam = penalty_lambda(d, penalty.delta, penalty.kappa)
     lam_f, n_f, w_f = anchor or [dm.value(a) if frozen_basis else a
                                  for a in (lam, normal, w)]
@@ -150,7 +149,7 @@ def _lagged_anchor(t: float, anchor: ContactSet | None):
                                                        anchor.x, t)
 
 
-def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
+def contact_friction_forces(cset: ContactSet, q, v, t: float,
                             penalty: PenaltyParams, frozen_basis: bool = False,
                             anchor: ContactSet | None = None):
     """(contact force, friction force), each (m,), of the frozen set from one
@@ -167,24 +166,15 @@ def contact_friction_forces(cset: ContactSet, obstacles, q, v, t: float,
     vv = v.reshape(-1, 3)
     fc, ff = _contact_friction_local(
         x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
-        *_lagged_anchor(t, anchor), obstacles=obstacles, t=t,
-        penalty=penalty, frozen_basis=frozen_basis)
+        *_lagged_anchor(t, anchor), table=cset.table, t=t, penalty=penalty,
+        frozen_basis=frozen_basis)
     return (dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
                            fc).reshape(-1),
             dm.scatter_add(dm.zeros(vv.shape, like=v), cset.vertex,
                            ff).reshape(-1))
 
 
-def friction_force(cset: ContactSet, obstacles, q, v, t: float,
-                   penalty: PenaltyParams, frozen_basis: bool = False,
-                   anchor: ContactSet | None = None):
-    """Total friction force (m,), the second of
-    :func:`contact_friction_forces`."""
-    return contact_friction_forces(cset, obstacles, q, v, t, penalty,
-                                   frozen_basis, anchor)[1]
-
-
-def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
+def contact_friction_blocks(cset: ContactSet, q, v, t: float,
                             penalty: PenaltyParams,
                             anchor: ContactSet | None = None,
                             frozen_basis: bool = False) -> np.ndarray:
@@ -206,7 +196,7 @@ def contact_friction_blocks(cset: ContactSet, obstacles, q, v, t: float,
 
     def kernel(y, *per_item):
         return dm.concat(_contact_friction_local(
-            y[:, :3], y[:, 3:], *per_item, obstacles=obstacles, t=t,
+            y[:, :3], y[:, 3:], *per_item, table=cset.table, t=t,
             penalty=penalty, frozen_basis=frozen_basis), axis=-1)
 
     return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),

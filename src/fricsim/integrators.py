@@ -80,12 +80,12 @@ class StageProblem:
         scaled = [replace(r, scale=-self.c * r.scale) for r in rank1]
         return jac, self.model.constrain_rank1(scaled)
 
-    def default_abs_tol(self, rel_factor: float = 1e-6) -> float:
-        """Residual-scale absolute tolerance: rel_factor * h * |M g|_inf
-        (momentum scale)."""
+    def default_abs_tol(self) -> float:
+        """Residual-scale absolute tolerance: 1e-6 h |M g|_inf (momentum
+        scale)."""
         gnorm = np.linalg.norm(self.model.gravity)
         gscale = gnorm if gnorm > 0 else 9.8
-        return rel_factor * self.h * float(np.max(self.model.mass_dofs)) * gscale
+        return 1e-6 * self.h * float(np.max(self.model.mass_dofs)) * gscale
 
 
 @dataclass

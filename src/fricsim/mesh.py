@@ -150,8 +150,7 @@ class TetMeshModel:
     vertex-major: q[3i:3i+3] is vertex i.
     """
 
-    def __init__(self, rest_positions, tets, material: MaterialParams,
-                 surface_tris=None):
+    def __init__(self, rest_positions, tets, material: MaterialParams):
         self.rest_positions = np.array(rest_positions, dtype=float)
         self.tets = np.array(tets, dtype=int)
         if self.rest_positions.ndim != 2 or self.rest_positions.shape[1] != 3:
@@ -172,9 +171,7 @@ class TetMeshModel:
             self.vertex_mass = np.concatenate([self.vertex_mass, np.zeros(pad)])
         if np.any(self.vertex_mass <= 0.0):
             raise MeshConstructionError("every vertex must carry positive mass")
-        if surface_tris is None:
-            surface_tris = surface_triangles(self.tets)
-        self.surface_tris = np.array(surface_tris, dtype=int)
+        self.surface_tris = surface_triangles(self.tets)
         self.surface_vertices = np.unique(self.surface_tris)
         # Per-element material arrays (uniform here; kept per-element so a
         # merged multi-mesh model can vary them).

@@ -46,6 +46,8 @@ def box_grid(size, divisions, taper: float = 0.0) -> tuple[np.ndarray,
     """
     sx, sy, sz = (float(s) for s in size)
     nx, ny, nz = (int(d) for d in divisions)
+    if min(sx, sy, sz) <= 0.0:
+        raise ValueError("size must be positive along every axis")
     if min(nx, ny, nz) < 1:
         raise ValueError("divisions must be >= 1 along every axis")
     xs = np.linspace(-sx / 2, sx / 2, nx + 1)
@@ -92,6 +94,8 @@ def ball_grid(radius: float, divisions: int) -> tuple[np.ndarray, np.ndarray]:
     The map p -> p * (|p|_inf / |p|_2) sends nested cube shells to nested
     spherical shells and is a homeomorphism, so the lattice stays valid.
     """
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
     verts, tets = box_grid((2.0, 2.0, 2.0), (divisions,) * 3)
     sup = np.max(np.abs(verts), axis=1)
     eu = np.linalg.norm(verts, axis=1)

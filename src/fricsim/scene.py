@@ -120,6 +120,15 @@ def _number(x, path: str, kind=float):
     return kind(x)
 
 
+def _indices(x, path: str) -> np.ndarray:
+    """An int array of a JSON list of indices, which takes integral values
+    only, as :func:`_number` does."""
+    a = np.asarray(x, float)
+    if not np.all(np.isfinite(a) & (a == np.trunc(a))):
+        raise SceneError(f"{path} must hold integers only")
+    return a.astype(int)
+
+
 def _vec3(x, path: str, kind=float) -> list:
     if len(_list(x, path)) != 3:
         raise SceneError(f"{path} must have exactly 3 components")
@@ -210,10 +219,11 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
             _check_keys(data, {"vertices", "tets", "surface_groups"},
                         f"{path}.file contents")
             verts = np.asarray(data["vertices"], float)
-            tets = np.asarray(data["tets"], int)
-            groups = {k: np.asarray(vv, int) for k, vv in _object(
-                data.get("surface_groups", {}),
-                f"{path}.file surface_groups").items()}
+            tets = _indices(data["tets"], f"{path}.file tets")
+            groups = _object(data.get("surface_groups", {}),
+                             f"{path}.file surface_groups")
+            groups = {k: _indices(g, f"{path}.file surface_groups.{k}")
+                      for k, g in groups.items()}
     elif "generator" in spec:
         gen, gpath = spec["generator"], f"{path}.generator"
         kind = _object(gen, gpath).get("kind")
@@ -461,7 +471,6 @@ def _volume_region(spec: dict, idx: int, tris, groups: dict, offset: int):
 
 
 def load_scene_file(path: str) -> SceneConfig:
-    if not os.path.exists(path):
-        raise SceneError(f"scene file not found: {path}")
-    with open(path) as fh:
-        return load_scene(fh.read(), base_dir=os.path.dirname(path) or ".")
+    with _at(path), open(path) as fh:
+        text = fh.read()
+    return load_scene(text, base_dir=os.path.dirname(path) or ".")

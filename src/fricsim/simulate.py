@@ -194,8 +194,7 @@ class Simulation:
             region_volumes=region_volumes)
 
 
-def run_simulation(scene: SceneConfig, duration: float | None = None,
-                   progress=None):
+def run_simulation(scene: SceneConfig, duration: float | None = None):
     """Run a scene; returns (records, snapshots, infos).
 
     Records are sampled every ``output.trajectory_every`` steps (always
@@ -219,6 +218,4 @@ def run_simulation(scene: SceneConfig, duration: float | None = None,
             records.append(sim.record())
         if snap_every > 0 and ((k + 1) % snap_every == 0 or k == n_steps - 1):
             snapshots.append((k + 1, sim.state.positions().copy()))
-        if progress is not None:
-            progress(k + 1, n_steps, sim)
     return records, snapshots, infos

@@ -1,6 +1,6 @@
 """Shared test helpers: element block indices, df/dq and df/dv from the
-weighted assembly, obstacle frame counts, linear force models and bare
-nonlinear problems."""
+weighted assembly, one obstacle's geometry queries, obstacle frame counts,
+linear force models and bare nonlinear problems."""
 
 from collections import Counter
 
@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fricsim import dual as dm
-from fricsim.contact import RigidMotion
+from fricsim.contact import ObstacleTable, RigidMotion
 from fricsim.forces import ALL_PARTS, CsrPattern
 
 
@@ -27,6 +27,21 @@ def split_jacobians(model, q, v, t, contact, parts=ALL_PARTS):
     data_q, rank1 = model.jacobians(q, v, t, contact, 1.0, 0.0, parts=parts)
     data_v, _ = model.jacobians(q, v, t, contact, 0.0, 1.0, parts=parts)
     return pat.matrix(data_q), pat.matrix(data_v), rank1
+
+
+def gap_normal(obstacle, x, t):
+    """(gap (k,), unit normal (k, 3)) of the positions x (k, 3) against one
+    obstacle, through a table of it alone."""
+    return ObstacleTable([obstacle]).gap_normal(np.zeros(len(x), int), x, t)
+
+
+def gap(obstacle, x, t):
+    return gap_normal(obstacle, x, t)[0]
+
+
+def surface_velocity(obstacle, x, t):
+    """Velocity (k, 3) of one obstacle's material points at x (k, 3)."""
+    return ObstacleTable([obstacle]).velocity(np.zeros(len(x), int), x, t)
 
 
 def count_frames(monkeypatch):

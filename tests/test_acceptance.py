@@ -227,8 +227,8 @@ def test_criterion_7_friction_units_and_mdp():
                   < 1e-12)
 
     # MDP brute force on 100 random contacts
-    from fricsim.contact import HalfSpace, PenaltyParams, gaps
-    from fricsim.friction import friction_force
+    from fricsim.contact import HalfSpace, ObstacleTable, PenaltyParams, gaps
+    from fricsim.friction import contact_friction_forces
     rng = np.random.default_rng(77)
     pen = PenaltyParams(delta=1e-3, kappa=1e4)
     mdp_ok = True
@@ -238,12 +238,12 @@ def test_criterion_7_friction_units_and_mdp():
         plane = HalfSpace((0, 0, 0), (0, 1, 0), friction=fr)
         height = rng.uniform(-2e-4, 8e-4)
         q = np.array([0.0, height, 0.0])
-        cs = gaps([plane], q, 0.0, penalty=pen)
+        cs = gaps(ObstacleTable([plane]), q, 0.0, penalty=pen)
         lam = cs.lam[0]
         ang = rng.uniform(0, 2 * np.pi)
         speed = rng.uniform(eps, 100 * eps)
         v = np.array([speed * np.cos(ang), 0.0, speed * np.sin(ang)])
-        f = friction_force(cs, [plane], q, v, 0.0, pen).reshape(-1, 3)[0]
+        f = contact_friction_forces(cs, q, v, 0.0, pen)[1].reshape(-1, 3)[0]
         vbar = np.array([v[0], v[2]])
         fbar = np.array([f[0], f[2]])
         best = -vbar @ fbar

@@ -110,7 +110,7 @@ def coo_oracle(prob, v):
     if cset.size:
         rc = _pair_blocks(cset.vertex, cset.vertex)
         blocks = contact_friction_blocks(
-            cset, model.obstacles, q, v, prob.t_eval, model.penalty,
+            cset, q, v, prob.t_eval, model.penalty,
             anchor=prob.contact.lagged, frozen_basis=model.frozen_basis)
         if "contact" in parts:
             in_q.append(_triplets(*rc, blocks[:, :3, :3]))

@@ -12,6 +12,7 @@ from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams
 from fricsim.meshgen import box_mesh
 from fricsim.scene import load_scene_file
+from helpers import gap, gap_normal, surface_velocity
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 H = 0.005
@@ -32,12 +33,12 @@ def _brute_force(model, q, v, t, h):
     x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
     rows = []
     for vert in model.mesh.surface_vertices:
-        obs_speed = max(np.linalg.norm(o.surface_velocity(x[vert], t))
-                        for o in model.obstacles)
+        obs_speed = max(np.linalg.norm(surface_velocity(o, x[vert][None], t))
+                        for o in model.table.obstacles)
         reach = 1.5 * model.penalty.delta \
             + h * (np.linalg.norm(vv[vert]) + obs_speed)
-        for oi, obs in enumerate(model.obstacles):
-            d, n = obs.gap_normal(x[vert][None], t)
+        for oi, obs in enumerate(model.table.obstacles):
+            d, n = gap_normal(obs, x[vert][None], t)
             if d[0] < reach:
                 rows.append((vert, oi, d[0], n[0]))
     return rows
@@ -76,14 +77,14 @@ def test_rotating_obstacle_sweeps_candidates_in():
     x = mesh.rest_positions.copy()
     x[:, 1] += 0.003 - x[:, 1].min()
     t, h = 0.1, 0.01
-    gap = floor.gap(x, t)
-    bottom = np.nonzero(gap < 0.01)[0]
+    d = gap(floor, x, t)
+    bottom = np.nonzero(d < 0.01)[0]
     assert len(bottom) == 4
     linear_band = 1.5 * model.penalty.delta \
         + h * np.linalg.norm(motion.frame(t)[2])
     swept_band = 1.5 * model.penalty.delta + h * np.linalg.norm(
-        floor.surface_velocity(x[bottom], t), axis=1)
-    assert np.all((gap[bottom] > linear_band) & (gap[bottom] < swept_band))
+        surface_velocity(floor, x[bottom], t), axis=1)
+    assert np.all((d[bottom] > linear_band) & (d[bottom] < swept_band))
     cset = model.build_contact_state(x.ravel(), np.zeros(x.size), t, h).cset
     np.testing.assert_array_equal(cset.vertex, bottom)
 
@@ -102,7 +103,7 @@ def test_extra_pairs_are_unioned_sorted_and_unique():
     assert got == sorted(pairs | set(far))
     x = q.reshape(-1, 3)
     for k, (vert, oi) in enumerate(got):
-        d, _ = model.obstacles[oi].gap_normal(x[vert][None], 0.0)
+        d, _ = gap_normal(model.table.obstacles[oi], x[vert][None], 0.0)
         assert cset.d[k] == d[0]
 
 
@@ -121,8 +122,8 @@ def test_penetration_is_minimum_and_exact_pairs():
     deepest, pairs = _penetration(model.build_contact_state(q, v, t, H).cset)
     x = q.reshape(-1, 3)
     surf = model.mesh.surface_vertices
-    gaps = [(int(vert), oi, obs.gap(x[vert][None], t)[0])
-            for vert in surf for oi, obs in enumerate(model.obstacles)]
+    gaps = [(int(vert), oi, gap(obs, x[vert][None], t)[0])
+            for vert in surf for oi, obs in enumerate(model.table.obstacles)]
     assert deepest == min(g for _, _, g in gaps) < 0.0
     assert sorted(map(tuple, pairs.tolist())) \
         == [(vert, oi) for vert, oi, g in gaps if g < 0.0]

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fricsim.contact import (HalfSpace, PenaltyParams, RigidMotion, Sphere,
-                             StiffeningError, adaptive_stiffen, contact_energy,
-                             contact_force, gaps, penalty_b, penalty_db,
-                             penalty_lambda, tangential_velocity)
+from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams,
+                             RigidMotion, Sphere, StiffeningError,
+                             adaptive_stiffen, contact_energy, contact_force,
+                             gaps, penalty_b, penalty_db, penalty_lambda,
+                             tangential_velocity)
 from fricsim.friction import contact_friction_blocks
+from helpers import gap, surface_velocity
 
 DELTA = 1e-3
 KAPPA = 1e4
@@ -16,18 +18,19 @@ GROUND = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0))
 
 def test_plane_gap_values():
     x = np.array([[0.2, 0.3, -0.1]])
-    d = GROUND.gap(x, 0.0)
+    d = gap(GROUND, x, 0.0)
     assert d[0] == pytest.approx(0.3)
     x2 = np.array([[0.0, -0.01, 0.0]])
-    assert GROUND.gap(x2, 0.0)[0] == pytest.approx(-0.01)
+    assert gap(GROUND, x2, 0.0)[0] == pytest.approx(-0.01)
 
 
 def test_sphere_gap_zero_on_surface():
     s = Sphere(center=(0, 0, 0), radius=0.5)
     x = np.array([[0.5, 0.0, 0.0]])
-    assert s.gap(x, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert gap(s, x, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
     inside = Sphere(center=(0, 0, 0), radius=0.5, contains=True)
-    assert inside.gap(np.array([[0.2, 0.0, 0.0]]), 0.0)[0] == pytest.approx(0.3)
+    assert gap(inside, np.array([[0.2, 0.0, 0.0]]), 0.0)[0] == \
+        pytest.approx(0.3)
 
 
 def test_penalty_support_boundary():
@@ -65,7 +68,7 @@ def test_lambda_at_touch():
 
 def _simple_set(heights):
     q = np.array([[0.0, h, 0.0] for h in heights]).ravel()
-    cs = gaps([GROUND], q, 0.0, penalty=PEN)
+    cs = gaps(ObstacleTable([GROUND]), q, 0.0, penalty=PEN)
     return q, cs
 
 
@@ -79,13 +82,13 @@ def test_gaps_candidate_selection():
 
 def test_contact_force_zero_when_separated():
     q, cs = _simple_set([0.3, 0.2, 5.0])
-    f = contact_force(cs, [GROUND], q, 0.0, PEN)
+    f = contact_force(cs, q, 0.0, PEN)
     assert np.all(f == 0.0) and cs.size == 0
 
 
 def test_contact_force_along_normal_and_fd():
     q, cs = _simple_set([0.0005, 0.0002, -0.0001])
-    f = contact_force(cs, [GROUND], q, 0.0, PEN)
+    f = contact_force(cs, q, 0.0, PEN)
     fmat = f.reshape(-1, 3)
     assert np.all(fmat[:, 1] >= 0.0)       # pushes along +n
     assert np.allclose(fmat[:, [0, 2]], 0.0)
@@ -96,8 +99,8 @@ def test_contact_force_along_normal_and_fd():
         qp, qm = q.copy(), q.copy()
         qp[i] += h
         qm[i] -= h
-        fd[i] = -(contact_energy(cs, [GROUND], qp, 0.0, PEN)
-                  - contact_energy(cs, [GROUND], qm, 0.0, PEN)) / (2 * h)
+        fd[i] = -(contact_energy(cs, qp, 0.0, PEN)
+                  - contact_energy(cs, qm, 0.0, PEN)) / (2 * h)
     assert np.max(np.abs(f - fd)) <= 1e-5 * max(np.max(np.abs(f)), 1.0)
 
 
@@ -112,7 +115,7 @@ def test_contact_force_conservative_loop():
     work = 0.0
     for k in range(len(theta) - 1):
         mid = 0.5 * (path[k] + path[k + 1])
-        f = contact_force(cs, [GROUND], mid.ravel(), 0.0, PEN)
+        f = contact_force(cs, mid.ravel(), 0.0, PEN)
         work += f @ (path[k + 1] - path[k])
     assert abs(work) < 1e-8 * KAPPA * DELTA**2
 
@@ -132,7 +135,7 @@ def test_moving_obstacle_velocity_subtracted():
     motion = RigidMotion(translation=[(0.0, (0, 0, 0)), (1.0, (0.5, 0, 0))])
     plane = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), motion=motion)
     q = np.array([0.0, 0.0005, 0.0])
-    cs = gaps([plane], q, 0.5, penalty=PEN)
+    cs = gaps(ObstacleTable([plane]), q, 0.5, penalty=PEN)
     v = np.zeros(3)
     v[0] = 0.5  # vertex co-moving with the plane
     vbar = tangential_velocity(cs, v, 0.5)
@@ -160,7 +163,7 @@ def test_rotating_obstacle_surface_velocity():
                          rotation_angles=[(0.0, 0.0), (1.0, np.pi)])
     plane = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), motion=motion)
     x = np.array([[1.0, 0.0, 0.0]])
-    w = plane.surface_velocity(x, 0.5)
+    w = surface_velocity(plane, x, 0.5)
     # omega = pi rad/s about z, at (1,0,0) -> v = (0, pi, 0)
     np.testing.assert_allclose(w, [[0.0, np.pi, 0.0]], atol=1e-12)
 
@@ -181,16 +184,16 @@ def test_sphere_contact_blocks_match_fd(contains):
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     x = dirs * (0.1 + (-0.0004 if contains else 0.0004))
     q = x.ravel()
-    cs = gaps([sph], q, 0.0, PEN)
+    cs = gaps(ObstacleTable([sph]), q, 0.0, PEN)
     assert cs.size == 4
-    blocks = contact_friction_blocks(cs, [sph], q, np.zeros_like(q), 0.0,
+    blocks = contact_friction_blocks(cs, q, np.zeros_like(q), 0.0,
                                      PEN)[:, :3, :3]
     h = 1e-7
     for c in range(3):
         step = np.zeros_like(x)
         step[:, c] = h
-        fd = (contact_force(cs, [sph], q + step.ravel(), 0.0, PEN)
-              - contact_force(cs, [sph], q - step.ravel(), 0.0, PEN)) / (2 * h)
+        fd = (contact_force(cs, q + step.ravel(), 0.0, PEN)
+              - contact_force(cs, q - step.ravel(), 0.0, PEN)) / (2 * h)
         np.testing.assert_allclose(blocks[:, :, c], fd.reshape(-1, 3),
                                    rtol=0, atol=1e-6 * np.abs(blocks).max())
     # along a tangent only the curvature term lambda * Hess(d) acts:

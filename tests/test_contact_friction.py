@@ -191,7 +191,7 @@ def _close(got, want):
 @pytest.mark.parametrize("mode", ["implicit", "lagged", "frozen_basis"])
 def test_one_pass_matches_per_obstacle_oracle(mode, contains):
     obstacles, q, v = _state(contains)
-    cset = gaps(obstacles, q, T, PEN)
+    cset = gaps(ObstacleTable(obstacles), q, T, PEN)
     assert np.array_equal(np.bincount(cset.obstacle), [5, 5, 4, 4])
     corner = cset.vertex == len(q) // 3 - 1  # on the floor and the sphere
     assert np.array_equal(cset.obstacle[corner], [0, 1])
@@ -199,11 +199,12 @@ def test_one_pass_matches_per_obstacle_oracle(mode, contains):
     anchor = None
     if mode == "lagged":  # the same pairs re-snapshotted elsewhere
         q0 = q + 1e-4 * np.random.default_rng(1).normal(size=q.size)
-        anchor = snapshot(obstacles, cset.vertex, cset.obstacle, q0, 0.2, PEN)
+        anchor = snapshot(cset.table, cset.vertex, cset.obstacle, q0, 0.2,
+                          PEN)
     frozen = mode == "frozen_basis"
-    blocks = contact_friction_blocks(cset, obstacles, q, v, T, PEN,
-                                     anchor=anchor, frozen_basis=frozen)
-    f_c, f_f = contact_friction_forces(cset, obstacles, q, v, T, PEN,
+    blocks = contact_friction_blocks(cset, q, v, T, PEN, anchor=anchor,
+                                     frozen_basis=frozen)
+    f_c, f_f = contact_friction_forces(cset, q, v, T, PEN,
                                        frozen_basis=frozen, anchor=anchor)
     want, want_c, want_f = _oracle(cset, obstacles, q, v, anchor, frozen)
     _close(blocks[:, :3, :3], want[:, :3, :3])
@@ -240,7 +241,7 @@ def test_half_space_geometry_is_the_plane_distance_bitwise():
     x = rng.normal(size=(15, 3))
     obstacle = rng.permutation(np.arange(15) % 3)
     for xq in (x, dm.Dual(x, rng.normal(size=x.shape))):
-        d, n, w = contact_geometry(obstacles, obstacle, xq, T)
+        d, n, w = contact_geometry(ObstacleTable(obstacles), obstacle, xq, T)
         for oi, obs in enumerate(obstacles):
             rows = np.nonzero(obstacle == oi)[0]
             nb = np.broadcast_to(obs.motion.frame(T)[0] @ obs.normal,
@@ -288,7 +289,7 @@ def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
     and stage time."""
     prob, v = _stage()
     model = prob.model
-    assert len(model.obstacles) == 3
+    assert len(model.table.obstacles) == 3
     assert len(np.unique(prob.contact.cset.obstacle)) == 3
     passes = _count_calls(monkeypatch, dm, "jacobian_blocks")
     geometry = _count_calls(monkeypatch, friction, "contact_geometry")
@@ -305,12 +306,12 @@ def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
         prob.residual(v)
         assert len(geometry) == 1, frozen
     # the stage's frames were evaluated in its solve, before the count
-    assert frames(model.obstacles) == [0, 0, 0]
+    assert frames(model.table.obstacles) == [0, 0, 0]
     later = replace(prob, t_eval=prob.t_eval + prob.h)
     for _ in range(2):
         later.residual(v)
         later.jacobian(v)
-    assert frames(model.obstacles) == [1, 1, 1]
+    assert frames(model.table.obstacles) == [1, 1, 1]
 
 
 def _advanced(scene, steps=60):
@@ -335,7 +336,7 @@ def test_candidate_snapshot_serves_the_anchor_and_the_record(monkeypatch):
     squeeze, _ = _advanced(load_scene_file(os.path.join(
         SCENES, "plate_squeeze.json")))
     model, st = slide.model, slide.state
-    every = len(model.obstacles) * len(model.mesh.surface_vertices)
+    every = len(model.table.obstacles) * len(model.mesh.surface_vertices)
     evaluated = _count_calls(monkeypatch, ObstacleTable, "gap_normal")
     frames = count_frames(monkeypatch)
 
@@ -346,7 +347,7 @@ def test_candidate_snapshot_serves_the_anchor_and_the_record(monkeypatch):
     assert contact.cset.size and contact.lagged is contact.cset
     assert rows() == [every, contact.cset.size]
     for sim in (slide, squeeze):
-        obstacles = sim.model.obstacles
+        obstacles = sim.model.table.obstacles
         every = len(obstacles) * len(sim.model.mesh.surface_vertices)
         held = sim.contact().cset.size
         evaluated.clear()

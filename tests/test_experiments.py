@@ -107,6 +107,14 @@ def test_cli_check_and_run(tmp_path):
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and where in json.loads(lines[0])["message"]
 
+    # a directory as the scene file: one JSON line, exit 2
+    out = subprocess.run([sys.executable, "-m", "fricsim.cli", "check",
+                          str(tmp_path)], capture_output=True, text=True,
+                         env=env)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+
     short = tmp_path / "short.json"
     with open(cfg) as fh:
         doc = json.load(fh)
@@ -133,3 +141,14 @@ def test_cli_check_and_run(tmp_path):
     krylov = sum(sum(r.linear_iters) for r in reports)
     assert krylov > 0
     assert f", {krylov} Krylov iterations," in out.stdout, out.stdout
+
+    # the manifest cannot be written: one JSON line, exit 4
+    blocked = tmp_path / "blocked"
+    (blocked / "manifest.json").mkdir(parents=True)
+    out = subprocess.run([sys.executable, "-m", "fricsim.cli", "run",
+                          str(short), "--out", str(blocked)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 4 and "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "io"
+    assert "manifest" in json.loads(lines[0])["message"]

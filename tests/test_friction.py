@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fricsim.contact import HalfSpace, PenaltyParams, Sphere, gaps
+from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams, Sphere,
+                             gaps)
 from fricsim.dual import jvp
 from fricsim.friction import (FrictionParams, contact_friction_blocks,
-                              friction_force, friction_magnitude_c, smooth_s,
-                              stribeck_g)
+                              contact_friction_forces, friction_magnitude_c,
+                              smooth_s, stribeck_g)
 
 EPS = 1e-3
 PEN = PenaltyParams(delta=1e-3, kappa=1e4)
@@ -81,24 +82,30 @@ def test_vs_below_eps_warns():
         FrictionParams(mu_d=0.5, epsilon=1e-2, v_s=1e-3)
 
 
+def _friction(cs, q, v, **kw):
+    """The set's friction force (m,) at t = 0, the second of
+    ``contact_friction_forces``."""
+    return contact_friction_forces(cs, q, v, 0.0, PEN, **kw)[1]
+
+
 def _plane_setup(mu=0.5, mu_s=None, height=0.0005, n_verts=1):
     fr = FrictionParams(mu_d=mu, mu_s=mu_s, epsilon=EPS)
     plane = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), friction=fr)
     q = np.array([[0.1 * i, height, 0.0] for i in range(n_verts)]).ravel()
-    cs = gaps([plane], q, 0.0, penalty=PEN)
+    cs = gaps(ObstacleTable([plane]), q, 0.0, penalty=PEN)
     return plane, q, cs
 
 
 def test_friction_zero_velocity():
     plane, q, cs = _plane_setup()
-    f = friction_force(cs, [plane], q, np.zeros_like(q), 0.0, PEN)
+    f = _friction(cs, q, np.zeros_like(q))
     assert np.all(f == 0.0)
 
 
 def test_friction_coulomb_limit_direction():
     plane, q, cs = _plane_setup(mu=0.5)
     v = np.array([0.03, 0.0, 0.04])  # tangential, speed >> eps
-    f = friction_force(cs, [plane], q, v, 0.0, PEN).reshape(-1, 3)[0]
+    f = _friction(cs, q, v).reshape(-1, 3)[0]
     lam = cs.lam[0]
     assert np.linalg.norm(f) == pytest.approx(0.5 * lam, rel=1e-9)
     direction = f / np.linalg.norm(f)
@@ -116,7 +123,7 @@ def test_friction_mdp_brute_force():
         ang = rng.uniform(0, 2 * np.pi)
         speed = rng.uniform(EPS, 50 * EPS)
         v = np.array([speed * np.cos(ang), 0.0, speed * np.sin(ang)])
-        f = friction_force(cs, [plane], q, v, 0.0, PEN).reshape(-1, 3)[0]
+        f = _friction(cs, q, v).reshape(-1, 3)[0]
         vbar = np.array([v[0], v[2]])
         fbar = np.array([f[0], f[2]])
         best = -vbar @ fbar
@@ -132,7 +139,7 @@ def test_friction_dissipative_all_speeds():
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = rng.normal(size=3) * 10 ** rng.uniform(-6, 1)
-        f = friction_force(cs, [plane], q, v, 0.0, PEN)
+        f = _friction(cs, q, v)
         assert v @ f <= 1e-18
 
 
@@ -150,15 +157,15 @@ def test_friction_frame_equivariance():
                       friction=fr)
     q = np.array([0.02, 0.0004, -0.01])
     v = np.array([0.05, -0.001, 0.02])
-    cs = gaps([plane], q, 0.0, penalty=PEN)
-    f = friction_force(cs, [plane], q, v, 0.0, PEN)
+    cs = gaps(ObstacleTable([plane]), q, 0.0, penalty=PEN)
+    f = _friction(cs, q, v)
 
     plane_r = HalfSpace(point=rot @ plane.point, normal=rot @ plane.normal,
                         friction=fr)
     q_r = rot @ q
     v_r = rot @ v
-    cs_r = gaps([plane_r], q_r, 0.0, penalty=PEN)
-    f_r = friction_force(cs_r, [plane_r], q_r, v_r, 0.0, PEN)
+    cs_r = gaps(ObstacleTable([plane_r]), q_r, 0.0, penalty=PEN)
+    f_r = _friction(cs_r, q_r, v_r)
     np.testing.assert_allclose(f_r, rot @ f, rtol=1e-10, atol=1e-14)
 
 
@@ -170,8 +177,8 @@ def test_friction_coulomb_consistency_as_eps_shrinks():
         fr = FrictionParams(mu_d=mu, epsilon=eps)
         plane = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), friction=fr)
         q = np.array([0.0, lam_height, 0.0])
-        cs = gaps([plane], q, 0.0, penalty=PEN)
-        f = friction_force(cs, [plane], q, v, 0.0, PEN)
+        cs = gaps(ObstacleTable([plane]), q, 0.0, penalty=PEN)
+        f = _friction(cs, q, v)
         lam = cs.lam[0]
         target = -mu * lam * v / np.linalg.norm(v)
         err = np.linalg.norm(f - target)
@@ -184,14 +191,14 @@ def test_friction_coulomb_consistency_as_eps_shrinks():
 def test_lagged_uses_frozen_lambda():
     plane, q, cs = _plane_setup(mu=0.5)
     v = np.array([0.02, 0.0, 0.0])
-    f0 = friction_force(cs, [plane], q, v, 0.0, PEN, anchor=cs)
+    f0 = _friction(cs, q, v, anchor=cs)
     assert np.any(f0 != 0.0)
     # moving the vertex away does not change the lagged force
     q_far = q + np.array([0.0, 10.0, 0.0])
-    f_far = friction_force(cs, [plane], q_far, v, 0.0, PEN, anchor=cs)
+    f_far = _friction(cs, q_far, v, anchor=cs)
     np.testing.assert_allclose(f_far, f0)
     # implicit force at the separated state vanishes instead
-    f_impl = friction_force(cs, [plane], q_far, v, 0.0, PEN)
+    f_impl = _friction(cs, q_far, v)
     assert np.all(f_impl == 0.0)
 
 
@@ -201,9 +208,8 @@ def test_friction_jvp_matches_fd_in_v():
     v = np.array([2 * EPS, 0.0, -0.5 * EPS])
     p = rng.normal(size=3)
     h = 1e-8
-    fd = (friction_force(cs, [plane], q, v + h * p, 0.0, PEN)
-          - friction_force(cs, [plane], q, v - h * p, 0.0, PEN)) / (2 * h)
-    ad = jvp(lambda vv: friction_force(cs, [plane], q, vv, 0.0, PEN), v, p)
+    fd = (_friction(cs, q, v + h * p) - _friction(cs, q, v - h * p)) / (2 * h)
+    ad = jvp(lambda vv: _friction(cs, q, vv), v, p)
     denom = max(np.max(np.abs(fd)), 1e-30)
     assert np.max(np.abs(ad - fd)) / denom <= 1e-4
 
@@ -214,18 +220,16 @@ def test_friction_jvp_matches_fd_in_q_sphere():
     sph = Sphere(center=(0.0, 0.0, 0.0), radius=0.1, friction=fr)
     x = np.array([0.1 + 0.0004, 0.0, 0.0])
     q = x.copy()
-    cs = gaps([sph], q, 0.0, penalty=PEN)
+    cs = gaps(ObstacleTable([sph]), q, 0.0, penalty=PEN)
     assert cs.size == 1
     v = np.array([0.0, 0.01, 0.003])
     rng = np.random.default_rng(13)
     p = rng.normal(size=3)
     h = 1e-8
-    fd = (friction_force(cs, [sph], q + h * p, v, 0.0, PEN)
-          - friction_force(cs, [sph], q - h * p, v, 0.0, PEN)) \
-        / (2 * h)
+    fd = (_friction(cs, q + h * p, v) - _friction(cs, q - h * p, v)) / (2 * h)
 
     def f_of_q(qq):
-        return friction_force(cs, [sph], qq, v, 0.0, PEN)
+        return _friction(cs, qq, v)
 
     ad = jvp(f_of_q, q, p)
     denom = max(np.max(np.abs(fd)), 1e-30)
@@ -236,8 +240,7 @@ def test_jacobian_blocks_negative_semidefinite_at_rest():
     # at vbar = 0 the velocity Jacobian is pure tangential damping with
     # slope c'(0+) = 2 mu_s lambda / eps (+ mu_v); NSD for any tangential v
     plane, q, cs = _plane_setup(mu=0.9, mu_s=1.5)
-    dfdv = contact_friction_blocks(cs, [plane], q, np.zeros(3), 0.0,
-                                   PEN)[:, 3:, 3:]
+    dfdv = contact_friction_blocks(cs, q, np.zeros(3), 0.0, PEN)[:, 3:, 3:]
     sym = 0.5 * (dfdv[0] + dfdv[0].T)
     w = np.linalg.eigvalsh(sym)
     assert w.max() <= 1e-9 * max(1.0, -w.min())
@@ -251,7 +254,7 @@ def test_jacobian_blocks_nsd_while_sliding_coulomb():
     # without Stribeck decay (mu_s = mu_d) the sliding branch stays NSD
     plane, q, cs = _plane_setup(mu=0.9)
     for v in (np.array([0.5 * EPS, 0.0, 0.0]), np.array([5 * EPS, 0.0, 2 * EPS])):
-        dfdv = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN)[:, 3:, 3:]
+        dfdv = contact_friction_blocks(cs, q, v, 0.0, PEN)[:, 3:, 3:]
         sym = 0.5 * (dfdv[0] + dfdv[0].T)
         w = np.linalg.eigvalsh(sym)
         assert w.max() <= 1e-9 * max(1.0, -w.min())
@@ -261,10 +264,9 @@ def test_frozen_basis_equals_full_on_plane_with_lagged_lambda():
     # plane normals are constant; with lambda lagged both jacobian details agree
     plane, q, cs = _plane_setup(mu=0.7)
     v = np.array([0.002, 0.0, 0.001])
-    blocks_l = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
-                                       anchor=cs)
-    blocks_f = contact_friction_blocks(cs, [plane], q, v, 0.0, PEN,
-                                       anchor=cs, frozen_basis=True)
+    blocks_l = contact_friction_blocks(cs, q, v, 0.0, PEN, anchor=cs)
+    blocks_f = contact_friction_blocks(cs, q, v, 0.0, PEN, anchor=cs,
+                                       frozen_basis=True)
     dfdq_l, dfdv_l = blocks_l[:, 3:, :3], blocks_l[:, 3:, 3:]
     dfdq_f, dfdv_f = blocks_f[:, 3:, :3], blocks_f[:, 3:, 3:]
     np.testing.assert_allclose(dfdv_l, dfdv_f, atol=1e-15)

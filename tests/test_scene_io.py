@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from fricsim.experiments import (ball_drop_scene, block_slide_scene,
+                                 plate_squeeze_scene)
 from fricsim.export import export, read_trajectory_csv, write_trajectory_csv
 from fricsim.scene import SceneError, load_scene, load_scene_file
 from fricsim.simulate import run_simulation
@@ -144,10 +146,19 @@ def test_lagged_mode_parsing_and_validation():
     ("friction_mode", "laggedy", "friction_mode"),
     ("obstacles", [{"kind": "sphere", "center": [0, 0, 0], "radius": 1.0,
                     "contains": "false"}], r"obstacles\[0\].contains"),
+    ("meshes.0.generator", {"kind": "ball", "radius": -0.05, "divisions": 2},
+     r"meshes\[0\].generator: radius must be positive"),
+    ("meshes.0.generator.size", [-0.1, 0.1, 0.1],
+     r"meshes\[0\].generator: size must be positive"),
+    ("meshes.0.file", "frac_tets.json",
+     r"meshes\[0\].file tets must hold integers"),
 ])
 def test_bad_value_named(path, value, match, tmp_path):
     (tmp_path / "bad_json.json").write_text('{"vertices": [[0, 0, 0]], ')
     (tmp_path / "no_tets.json").write_text('{"vertices": [[0, 0, 0]]}')
+    (tmp_path / "frac_tets.json").write_text(json.dumps({
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "tets": [[0, 1, 2, 3.7]]}))
     cfg = json.loads(json.dumps(MINIMAL))
     *head, key = path.split(".")
     target = cfg
@@ -158,6 +169,17 @@ def test_bad_value_named(path, value, match, tmp_path):
         del target["generator"]
     with pytest.raises(SceneError, match=match):
         load_scene(json.dumps(cfg), base_dir=str(tmp_path))
+
+
+def test_shipped_scenes_are_the_experiment_builders():
+    """The benchmark and CLI read the scene files; the acceptance criteria
+    build the same scenes in ``experiments``."""
+    built = {"plate_squeeze.json": plate_squeeze_scene(0.005),
+             "ball_drop.json": ball_drop_scene(0.002, "bdf2"),
+             "block_slide.json": block_slide_scene(0.01, duration=2.0)}
+    for name, doc in built.items():
+        with open(os.path.join(SCENES, name)) as fh:
+            assert json.load(fh) == json.loads(json.dumps(doc)), name
 
 
 def test_solver_config_built_once():

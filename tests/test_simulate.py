@@ -10,7 +10,7 @@ from fricsim.contact import HalfSpace
 from fricsim.experiments import block_slide_scene
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, StepFailure, run_simulation
-from helpers import count_frames
+from helpers import count_frames, gap
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -61,7 +61,8 @@ def test_resting_box_reaches_equilibrium():
     from fricsim.contact import penalty_lambda
     model = sim.model
     x = sim.state.positions()
-    d = model.obstacles[0].gap(x[model.mesh.surface_vertices], sim.state.t)
+    d = gap(model.table.obstacles[0], x[model.mesh.surface_vertices],
+            sim.state.t)
     lam = penalty_lambda(d, model.penalty.delta, model.penalty.kappa)
     mg = model.mesh.total_mass() * 9.8
     assert float(lam.sum()) == pytest.approx(mg, rel=1e-6)
