@@ -12,7 +12,7 @@ direction on assembled Jacobians that match dual-number JVPs.
 from .dual import Dual, jvp
 from .mesh import MaterialParams, SystemState, TetMeshModel, build_lumped_mass
 from .contact import (ContactSet, HalfSpace, PenaltyParams, RigidMotion, Sphere,
-                      adaptive_stiffen, contact_force, gaps, penalty_b)
+                      adaptive_stiffen, gaps, penalty_b)
 from .friction import (FrictionParams, friction_magnitude_c, smooth_s,
                        stribeck_g)
 from .volume import (VolumePenaltyParams, enclosed_volume, volume_energy,
@@ -32,7 +32,7 @@ __all__ = [
     "Dual", "jvp",
     "MaterialParams", "SystemState", "TetMeshModel", "build_lumped_mass",
     "ContactSet", "HalfSpace", "PenaltyParams", "RigidMotion", "Sphere",
-    "adaptive_stiffen", "contact_force", "gaps", "penalty_b",
+    "adaptive_stiffen", "gaps", "penalty_b",
     "FrictionParams", "friction_magnitude_c", "smooth_s", "stribeck_g",
     "VolumePenaltyParams", "enclosed_volume", "volume_energy", "volume_force",
     "damping_force", "elastic_energy", "elastic_force",

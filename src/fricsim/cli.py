@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 
@@ -67,8 +68,7 @@ def cmd_block_slide(args) -> int:
                          if h >= 0.05)
     else:
         variants = DEFAULT_MATRIX
-    results = experiment_block_slide(variants, threads=args.threads,
-                                     duration=args.duration)
+    results = experiment_block_slide(variants, duration=args.duration)
     report = format_report(results)
     print(report)
     if args.out:
@@ -78,8 +78,11 @@ def cmd_block_slide(args) -> int:
             with open(f"{args.out}/block_slide.txt", "w") as fh:
                 fh.write(report + "\n")
             with open(f"{args.out}/block_slide.json", "w") as fh:
-                json.dump([r.__dict__ for r in results], fh, indent=2,
-                          default=float)
+                # strict JSON: a failed row's non-finite floats are null
+                json.dump([{k: None if isinstance(v, float)
+                            and not math.isfinite(v) else v
+                            for k, v in r.__dict__.items()}
+                           for r in results], fh, indent=2, allow_nan=False)
                 fh.write("\n")
         except OSError as exc:
             return _fail("io", str(exc), 4)
@@ -93,8 +96,6 @@ def main(argv=None) -> int:
         prog="fricsim",
         description="Implicit FEM elastodynamics with smoothed frictional "
                     "contact")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for experiment matrices")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate a scene config")

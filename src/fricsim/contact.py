@@ -31,8 +31,8 @@ from . import dual as dm
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "ObstacleTable", "gaps", "snapshot", "penalty_b", "penalty_db",
-    "penalty_lambda", "contact_geometry", "contact_force",
-    "adaptive_stiffen", "StiffeningError", "AdaptDecision",
+    "penalty_lambda", "contact_geometry", "adaptive_stiffen",
+    "StiffeningError", "AdaptDecision",
 ]
 
 
@@ -318,19 +318,6 @@ def contact_geometry(table: ObstacleTable, obstacle, x, t: float):
     at t; generic over Dual x."""
     return (*table.gap_normal(obstacle, x, t),
             table.velocity(obstacle, x, t))
-
-
-def contact_force(cset: ContactSet, q, t: float, penalty: PenaltyParams):
-    """Generalized penalty force f_c (m,) of the frozen set: lambda(d) grad d
-    at each contact.
-
-    Generic over Dual q; geometry is evaluated live at q for the frozen set.
-    """
-    x = q.reshape(-1, 3)
-    d, n, _ = contact_geometry(cset.table, cset.obstacle, x[cset.vertex], t)
-    f = penalty_lambda(d, penalty.delta, penalty.kappa)[..., None] * n
-    return dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
-                          f).reshape(-1)
 
 
 def contact_energy(cset: ContactSet, q, t: float, penalty: PenaltyParams):

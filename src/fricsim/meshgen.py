@@ -36,14 +36,8 @@ def _kuhn_tets():
 _KUHN = _kuhn_tets()
 
 
-def box_grid(size, divisions, taper: float = 0.0) -> tuple[np.ndarray,
-                                                           np.ndarray]:
-    """Vertices and tets of an axis-aligned box centered at the origin.
-
-    ``taper`` scales x by (1 + taper*y), turning the box into a trapezoidal
-    prism with planar side faces (used by the wedge-grip fixtures); the taper
-    must keep 1 + taper*y positive over the height.
-    """
+def box_grid(size, divisions) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and tets of an axis-aligned box centered at the origin."""
     sx, sy, sz = (float(s) for s in size)
     nx, ny, nz = (int(d) for d in divisions)
     if min(sx, sy, sz) <= 0.0:
@@ -55,11 +49,6 @@ def box_grid(size, divisions, taper: float = 0.0) -> tuple[np.ndarray,
     zs = np.linspace(-sz / 2, sz / 2, nz + 1)
     gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
     verts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    if taper != 0.0:
-        scale = 1.0 + taper * verts[:, 1]
-        if np.any(scale <= 0.0):
-            raise ValueError("taper inverts the box")
-        verts[:, 0] *= scale
 
     def vid(i, j, k):
         return (i * (ny + 1) + j) * (nz + 1) + k

@@ -228,13 +228,12 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
         gen, gpath = spec["generator"], f"{path}.generator"
         kind = _object(gen, gpath).get("kind")
         if kind == "box":
-            _check_keys(gen, {"kind", "size", "divisions", "taper"}, gpath)
+            _check_keys(gen, {"kind", "size", "divisions"}, gpath)
             with _at(gpath):
                 verts, tets = box_grid(
                     _vec3(gen.get("size", [0.1, 0.1, 0.1]), f"{gpath}.size"),
                     _vec3(gen.get("divisions", [2, 2, 2]),
-                          f"{gpath}.divisions", int),
-                    taper=_number(gen.get("taper", 0.0), f"{gpath}.taper"))
+                          f"{gpath}.divisions", int))
         elif kind == "ball":
             _check_keys(gen, {"kind", "radius", "divisions"}, gpath)
             with _at(gpath):

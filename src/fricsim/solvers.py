@@ -37,7 +37,7 @@ class SolverConfig:
     k_max: int = 100
     r_tol_abs: float | None = None   # default: problem.default_abs_tol()
     r_tol_rel: float = 1e-6
-    v_tol: float | None = None       # None: 1e-5; scenes: 0.1 * min eps
+    v_tol: float = 1e-5              # scenes: 0.1 * min friction eps
     max_krylov_iters: int = 200
 
     def __post_init__(self):
@@ -86,7 +86,7 @@ def should_stop(r, v_k, v_prev, cfg: SolverConfig, r0_inf: float,
         return "residual"
     if v_prev is not None:
         dv = float(np.max(np.abs(v_k - v_prev)))
-        if dv <= (1e-5 if cfg.v_tol is None else cfg.v_tol):
+        if dv <= cfg.v_tol:
             return "step"
     return None
 
@@ -181,6 +181,9 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
     norms = report.residual_norms
     v = np.asarray(v0, float).copy()
     r = np.asarray(problem.residual(v), float)
+    if not np.all(np.isfinite(r)):
+        raise SolveFailure(report, "NonFiniteResidual",
+                           "the residual at the start iterate is not finite")
     abs_tol = cfg.r_tol_abs if cfg.r_tol_abs is not None \
         else problem.default_abs_tol()
     v_prev = precond = None

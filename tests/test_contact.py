@@ -4,16 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams,
                              RigidMotion, Sphere, StiffeningError,
-                             adaptive_stiffen, contact_energy, contact_force,
-                             gaps, penalty_b, penalty_db, penalty_lambda,
+                             adaptive_stiffen, contact_energy, gaps,
+                             penalty_b, penalty_db, penalty_lambda,
                              tangential_velocity)
-from fricsim.friction import contact_friction_blocks
+from fricsim.friction import contact_friction_blocks, contact_friction_forces
 from helpers import gap, surface_velocity
 
 DELTA = 1e-3
 KAPPA = 1e4
 PEN = PenaltyParams(delta=DELTA, kappa=KAPPA)
 GROUND = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0))
+
+
+def _contact_force(cs, q, t, pen):
+    """The residual kernel's contact force of the frozen set, at rest."""
+    return contact_friction_forces(cs, q, np.zeros_like(q), t, pen)[0]
 
 
 def test_plane_gap_values():
@@ -82,13 +87,13 @@ def test_gaps_candidate_selection():
 
 def test_contact_force_zero_when_separated():
     q, cs = _simple_set([0.3, 0.2, 5.0])
-    f = contact_force(cs, q, 0.0, PEN)
+    f = _contact_force(cs, q, 0.0, PEN)
     assert np.all(f == 0.0) and cs.size == 0
 
 
 def test_contact_force_along_normal_and_fd():
     q, cs = _simple_set([0.0005, 0.0002, -0.0001])
-    f = contact_force(cs, q, 0.0, PEN)
+    f = _contact_force(cs, q, 0.0, PEN)
     fmat = f.reshape(-1, 3)
     assert np.all(fmat[:, 1] >= 0.0)       # pushes along +n
     assert np.allclose(fmat[:, [0, 2]], 0.0)
@@ -115,7 +120,7 @@ def test_contact_force_conservative_loop():
     work = 0.0
     for k in range(len(theta) - 1):
         mid = 0.5 * (path[k] + path[k + 1])
-        f = contact_force(cs, mid.ravel(), 0.0, PEN)
+        f = _contact_force(cs, mid.ravel(), 0.0, PEN)
         work += f @ (path[k + 1] - path[k])
     assert abs(work) < 1e-8 * KAPPA * DELTA**2
 
@@ -192,8 +197,8 @@ def test_sphere_contact_blocks_match_fd(contains):
     for c in range(3):
         step = np.zeros_like(x)
         step[:, c] = h
-        fd = (contact_force(cs, q + step.ravel(), 0.0, PEN)
-              - contact_force(cs, q - step.ravel(), 0.0, PEN)) / (2 * h)
+        fd = (_contact_force(cs, q + step.ravel(), 0.0, PEN)
+              - _contact_force(cs, q - step.ravel(), 0.0, PEN)) / (2 * h)
         np.testing.assert_allclose(blocks[:, :, c], fd.reshape(-1, 3),
                                    rtol=0, atol=1e-6 * np.abs(blocks).max())
     # along a tangent only the curvature term lambda * Hess(d) acts:

@@ -7,8 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fricsim.experiments import (analytic_stop, block_slide_scene,
-                                 detect_stop, run_block_slide_variant)
+from fricsim import cli
+from fricsim.experiments import (SlideResult, analytic_stop,
+                                 block_slide_scene, detect_stop,
+                                 format_report, run_block_slide_variant)
 from fricsim.scene import load_scene
 from fricsim.simulate import run_simulation
 
@@ -62,6 +64,32 @@ def test_block_size_independence():
                                  divisions=(2, 1, 2))
     assert r1.stopped and r2.stopped
     assert r1.distance == pytest.approx(r2.distance, rel=0.02)
+
+
+def test_cli_block_slide_writes_strict_json(tmp_path, monkeypatch):
+    # one stopped and one failed row: exit 3, the table as printed, and a
+    # failed row's non-finite floats written as null, not NaN
+    nan = float("nan")
+    rows = [SlideResult("be", "implicit", 0.05, stopped=True, distance=0.77,
+                        stop_time=15.4, distance_error=1e-3, time_error=2e-3),
+            SlideResult("tr", "lagged:4", 0.1, stopped=False, distance=nan,
+                        stop_time=nan, distance_error=nan, time_error=nan,
+                        failure="step 39 failed")]
+    monkeypatch.setattr(cli, "experiment_block_slide",
+                        lambda variants, duration: rows)
+    out = tmp_path / "bs"
+    assert cli.main(["block-slide", "--out", str(out)]) == 3
+    assert (out / "block_slide.txt").read_text() == format_report(rows) + "\n"
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    doc = json.loads((out / "block_slide.json").read_text(),
+                     parse_constant=reject)
+    assert doc[0] == rows[0].__dict__
+    assert doc[1] == {**rows[1].__dict__, "distance": None,
+                      "stop_time": None, "distance_error": None,
+                      "time_error": None}
 
 
 def test_cli_check_and_run(tmp_path):

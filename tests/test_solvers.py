@@ -270,6 +270,21 @@ def test_report_failure_stop():
     assert exc.value.report.status == "LinearSolveFailed"
 
 
+@pytest.mark.parametrize("kind", ["direct", "iterative"])
+def test_non_finite_start_residual_fails_before_assembly(kind):
+    # r(v) = log(v) - 1 is NaN at v0 = -1: the solve stops there with its
+    # own status instead of factoring a Jacobian at that start
+    def jacobian(v):
+        raise AssertionError("assembled at a non-finite start")
+
+    prob = BareProblem(lambda v: np.log(v) - 1.0, jacobian)
+    with np.errstate(invalid="ignore"), pytest.raises(SolveFailure) as exc:
+        damped_newton(prob, np.array([-1.0]), SolverConfig(kind=kind))
+    assert exc.value.report.status == "NonFiniteResidual"
+    assert exc.value.report.stop == "NonFiniteResidual"
+    assert "not finite" in str(exc.value)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         SolverConfig(kind="bogus")
