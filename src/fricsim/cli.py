@@ -42,12 +42,14 @@ def cmd_run(args) -> int:
     retries = sum(i.retries for i in infos)
     reports = [r for i in infos for r in i.reports]
     newton = sum(r.iterations for r in reports)
+    extrapolated = sum(r.start == "extrapolated" for r in reports)
     krylov = sum(sum(r.linear_iters) for r in reports)
     stops = ", ".join(f"{n} {why}" for why, n in
                       sorted(Counter(r.stop for r in reports).items()))
     print(f"{len(infos)} steps, {len(records)} samples, "
           f"{len(reports)} solves, {newton} Newton iterations "
-          f"(stops: {stops}), {krylov} Krylov iterations, "
+          f"(stops: {stops}), {extrapolated} started from the "
+          f"extrapolation, {krylov} Krylov iterations, "
           f"{retries} contact retries, final kappa "
           f"{records[-1].kappa:.4g}; results in {args.out}")
     return 0

@@ -111,6 +111,8 @@ class SlideResult:
     distance_error: float
     time_error: float
     failure: str = ""
+    solves: int | None = None   # solver work of the run; None if it failed
+    newton: int | None = None
 
     def label(self) -> str:
         return f"{self.integrator}/{self.friction_mode}/h={self.h:g}"
@@ -150,18 +152,20 @@ def run_block_slide_variant(integrator: str, friction_mode: str, h: float,
     scene = load_scene(json.dumps(scene_dict))
     x_ref, t_ref = analytic_stop()
     try:
-        records, _, _ = run_simulation(scene)
+        records, _, infos = run_simulation(scene)
     except StepFailure as exc:
         return SlideResult(integrator, friction_mode, h, stopped=False,
                            distance=np.nan, stop_time=np.nan,
                            distance_error=np.nan, time_error=np.nan,
                            failure=str(exc))
     stopped, dist, t_stop = detect_stop(records, EPSILON)
+    reports = [r for i in infos for r in i.reports]
     return SlideResult(
         integrator, friction_mode, h, stopped=stopped, distance=dist,
         stop_time=t_stop,
         distance_error=(dist - x_ref) / x_ref,
-        time_error=(t_stop - t_ref) / t_ref)
+        time_error=(t_stop - t_ref) / t_ref, solves=len(reports),
+        newton=sum(r.iterations for r in reports))
 
 
 PLATE_RELEASE_TIME = 0.55  # floor fully away; grasp-height reference time
@@ -307,7 +311,7 @@ def format_report(results) -> str:
     x_ref, t_ref = analytic_stop()
     lines = [f"analytic: distance {x_ref:.4f} m, time {t_ref:.3f} s",
              f"{'variant':<28}{'stopped':<9}{'dist (m)':<12}"
-             f"{'err%':<9}{'time (s)':<11}{'err%':<9}"]
+             f"{'err%':<9}{'time (s)':<11}{'err%':<9}{'solves':<8}Newton"]
     for r in results:
         if r.failure:
             lines.append(f"{r.label():<28}FAILED   {r.failure}")
@@ -315,5 +319,5 @@ def format_report(results) -> str:
         lines.append(
             f"{r.label():<28}{str(r.stopped):<9}{r.distance:<12.4f}"
             f"{100 * r.distance_error:<9.2f}{r.stop_time:<11.3f}"
-            f"{100 * r.time_error:<9.2f}")
+            f"{100 * r.time_error:<9.2f}{r.solves:<8}{r.newton}")
     return "\n".join(lines)

@@ -102,7 +102,14 @@ class Simulation:
 
     # -- solving ----------------------------------------------------------------
     def _solve(self, problem: StageProblem, v0):
-        return damped_newton(problem, v0, self.scene.solver)
+        """Solve one stage from ``v0``.  The schemes pass ``state.v`` itself
+        only to a step's first stage, and not on a lagged pass (its start is
+        the previous pass's result); after the first step such a solve is
+        also offered the extrapolation 2v - v_prev (``damped_newton``)."""
+        guess = None
+        if v0 is self.state.v and self.prev_state is not None:
+            guess = 2.0 * v0 - self.prev_state.v
+        return damped_newton(problem, v0, self.scene.solver, guess=guess)
 
     def advance(self) -> StepInfo:
         """One accepted step, including kappa retries and lagged iterations."""

@@ -63,6 +63,7 @@ class SolveReport:
     # (|dv|_inf <= v_tol) or the failure status
     stop: str = ""
     tol: float = float("nan")                 # residual tolerance applied
+    start: str = "v"              # "extrapolated" when the guess was taken
 
     def ok(self) -> bool:
         return self.status == "Converged"
@@ -93,6 +94,11 @@ def should_stop(r, v_k, v_prev, cfg: SolverConfig, r0_inf: float,
 
 def _norm(r) -> float:
     return float(np.linalg.norm(r))
+
+
+def _finite_norm(r) -> float:
+    """|r|, or inf when r is not finite (a NaN norm never compares)."""
+    return _norm(r) if np.all(np.isfinite(r)) else np.inf
 
 
 def _backtrack(residual_fn, v, p, r_norm, sigma_k):
@@ -166,8 +172,15 @@ def _factor(jac, rank1):
     return solve
 
 
-def damped_newton(problem, v0, cfg: SolverConfig | None = None):
+def damped_newton(problem, v0, cfg: SolverConfig | None = None, guess=None):
     """Damped Newton with residual backtracking; the residual is always exact.
+
+    With a ``guess`` (a predicted root, such as the extrapolation
+    2v - v_prev of a step), the solve starts from whichever of ``v0`` and
+    ``guess`` has the smaller finite residual norm, ``v0`` on a tie, and
+    ``report.start`` says which.  That costs one residual; the chosen
+    start's residual is the solve's first, so the relative tolerance is
+    taken from it.
 
     Each iteration assembles the exact Jacobian once, ``problem.jacobian``'s
     sparse part plus its rank-1 volume terms.  ``cfg.kind == "direct"``
@@ -181,6 +194,11 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None):
     norms = report.residual_norms
     v = np.asarray(v0, float).copy()
     r = np.asarray(problem.residual(v), float)
+    if guess is not None:
+        g = np.asarray(guess, float).copy()
+        r_g = np.asarray(problem.residual(g), float)
+        if _finite_norm(r_g) < _finite_norm(r):
+            v, r, report.start = g, r_g, "extrapolated"
     if not np.all(np.isfinite(r)):
         raise SolveFailure(report, "NonFiniteResidual",
                            "the residual at the start iterate is not finite")

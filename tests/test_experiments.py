@@ -14,6 +14,8 @@ from fricsim.experiments import (SlideResult, analytic_stop,
 from fricsim.scene import load_scene
 from fricsim.simulate import run_simulation
 
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
+
 
 def test_analytic_oracle_values():
     # closed-form kinematics: a = g (mu cos t - sin t), x = v0^2/2a, T = v0/a
@@ -71,7 +73,8 @@ def test_cli_block_slide_writes_strict_json(tmp_path, monkeypatch):
     # failed row's non-finite floats written as null, not NaN
     nan = float("nan")
     rows = [SlideResult("be", "implicit", 0.05, stopped=True, distance=0.77,
-                        stop_time=15.4, distance_error=1e-3, time_error=2e-3),
+                        stop_time=15.4, distance_error=1e-3, time_error=2e-3,
+                        solves=800, newton=1234),
             SlideResult("tr", "lagged:4", 0.1, stopped=False, distance=nan,
                         stop_time=nan, distance_error=nan, time_error=nan,
                         failure="step 39 failed")]
@@ -90,6 +93,31 @@ def test_cli_block_slide_writes_strict_json(tmp_path, monkeypatch):
     assert doc[1] == {**rows[1].__dict__, "distance": None,
                       "stop_time": None, "distance_error": None,
                       "time_error": None}
+    # a finished row carries its solver work; a failed row its failure text
+    # and null totals
+    assert (doc[0]["solves"], doc[0]["newton"]) == (800, 1234)
+    assert (doc[1]["solves"], doc[1]["newton"]) == (None, None)
+    table = (out / "block_slide.txt").read_text().splitlines()
+    assert table[1].split()[-2:] == ["solves", "Newton"]
+    assert table[2].split()[-2:] == ["800", "1234"]
+    assert table[3].endswith("FAILED   step 39 failed")
+
+
+def test_cli_run_counts_solves_started_from_the_extrapolation(tmp_path,
+                                                             capsys):
+    # a short ball_drop run: BDF2 in free fall, where 2v - v_prev is the
+    # next velocity, so every solve after the first step starts there
+    with open(os.path.join(SCENES, "ball_drop.json")) as fh:
+        doc = json.load(fh)
+    doc["duration"] = 0.02
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(doc))
+    _, _, infos = run_simulation(load_scene(json.dumps(doc), SCENES))
+    starts = [r.start for i in infos for r in i.reports]
+    assert starts == ["v"] + ["extrapolated"] * (len(infos) - 1)
+    assert cli.main(["run", str(short), "--out", str(tmp_path / "o")]) == 0
+    assert (f"), {len(infos) - 1} started from the extrapolation, "
+            in capsys.readouterr().out)
 
 
 def test_cli_check_and_run(tmp_path):

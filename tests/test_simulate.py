@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fricsim import simulate
 from fricsim.contact import HalfSpace
 from fricsim.experiments import block_slide_scene
 from fricsim.scene import load_scene, load_scene_file
@@ -165,6 +166,50 @@ def test_step_reports_cover_every_lagged_pass():
     assert len(seen) > len(infos)       # lagged passes ran
     assert len(reports) == len(seen)
     assert sum(r.iterations for r in reports) == sum(seen)
+
+
+@pytest.mark.parametrize("integrator, mode", [
+    ("be", "implicit"), ("bdf2", "implicit"), ("sdirk2", "implicit"),
+    ("trbdf2", "implicit"), ("be", "lagged:4")])
+def test_only_first_stages_after_the_first_step_get_a_guess(
+        monkeypatch, integrator, mode):
+    # every try of a step after the first (kappa retries included) offers
+    # its first stage 2v - v_prev; the first step, the second stages and
+    # the lagged passes start where they did without a guess
+    calls = []
+    solve = simulate.damped_newton
+
+    def recording(problem, v0, cfg, guess=None):
+        calls.append((v0, guess))
+        return solve(problem, v0, cfg, guess=guess)
+
+    monkeypatch.setattr(simulate, "damped_newton", recording)
+    if mode == "implicit":
+        scene = _scene(step=0.005, integrator=integrator)
+        scene.initial_q[1::3] -= 0.2 - 0.07  # lands on step 1 with a retry
+        scene.initial_v[1::3] = -3.0
+    else:
+        scene = load_scene(json.dumps(block_slide_scene(
+            0.01, integrator, mode, duration=0.2)))
+    sim = Simulation(scene)
+    retried = False
+    for k in range(6):
+        st, prev = sim.state, sim.prev_state
+        calls.clear()
+        info = sim.advance()
+        firsts = [g for v0, g in calls if v0 is st.v]
+        later = [g for v0, g in calls if v0 is not st.v]
+        assert len(firsts) == info.retries + 1
+        assert bool(later) == (integrator in ("sdirk2", "trbdf2")
+                               or mode != "implicit")
+        assert all(g is None for g in later)
+        for g in firsts:
+            assert (g is None if k == 0
+                    else np.array_equal(g, 2.0 * st.v - prev.v))
+        assert all(g is not None or r.start == "v"
+                   for (_, g), r in zip(calls, info.reports, strict=True))
+        retried |= k > 0 and info.retries > 0
+    assert retried or mode != "implicit"
 
 
 def test_newton_budget_exhausted_fails_step():

@@ -273,16 +273,55 @@ def test_report_failure_stop():
 @pytest.mark.parametrize("kind", ["direct", "iterative"])
 def test_non_finite_start_residual_fails_before_assembly(kind):
     # r(v) = log(v) - 1 is NaN at v0 = -1: the solve stops there with its
-    # own status instead of factoring a Jacobian at that start
+    # own status instead of factoring a Jacobian at that start, also when
+    # a guess's residual is not finite either (NaN at -2, inf at inf)
     def jacobian(v):
         raise AssertionError("assembled at a non-finite start")
 
     prob = BareProblem(lambda v: np.log(v) - 1.0, jacobian)
-    with np.errstate(invalid="ignore"), pytest.raises(SolveFailure) as exc:
-        damped_newton(prob, np.array([-1.0]), SolverConfig(kind=kind))
-    assert exc.value.report.status == "NonFiniteResidual"
-    assert exc.value.report.stop == "NonFiniteResidual"
-    assert "not finite" in str(exc.value)
+    for guess in (None, np.array([-2.0]), np.array([np.inf])):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(SolveFailure) as exc:
+            damped_newton(prob, np.array([-1.0]), SolverConfig(kind=kind),
+                          guess=guess)
+        assert exc.value.report.status == "NonFiniteResidual"
+        assert exc.value.report.stop == "NonFiniteResidual"
+        assert "not finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("v0, guess, start", [
+    (1.0, -1.0, "v"),              # the guess's residual is NaN
+    (1.0, np.inf, "v"),            # ... or inf
+    (1.0, 0.5, "v"),               # |r| 1.69 at the guess against 1 at v0
+    (1.0, 1.0, "v"),               # a tie keeps v0
+    (1.0, 3.0, "extrapolated"),    # |r| 0.0986 at the guess
+    (-1.0, 2.0, "extrapolated"),   # v0's residual is NaN, the guess's not
+])
+def test_guess_starts_only_with_the_smaller_finite_residual(v0, guess, start):
+    # r(v) = log(v) - 1, root e; the chosen start's residual is the solve's
+    # first, and a guess costs exactly one residual more
+    calls = []
+
+    def residual(v):
+        calls.append(v)
+        return np.log(v) - 1.0
+
+    prob = BareProblem(residual, lambda v: np.diag(1.0 / v))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v, rep = damped_newton(prob, np.array([v0]),
+                               guess=np.array([guess]))
+    assert rep.start == start and rep.ok()
+    np.testing.assert_allclose(v, [np.e], rtol=1e-6)
+    first = v0 if start == "v" else guess
+    assert rep.residual_norms[0] == abs(np.log(first) - 1.0)
+    assert rep.tol == max(1e-14, 1e-6 * rep.residual_inf_norms[0])
+    with_guess = len(calls)
+    calls.clear()
+    with np.errstate(invalid="ignore"):
+        _, plain = damped_newton(prob, np.array([first]))
+    assert plain.start == "v"
+    assert plain.residual_norms == rep.residual_norms
+    assert with_guess == len(calls) + 1
 
 
 def test_unknown_kind_rejected():

@@ -12,7 +12,8 @@ order, and the final q and v.  ``compare`` prints each scene's Newton and
 solve totals and reports the scene as ``==`` when all of them are equal bit
 for bit; otherwise it says whether every solve's Newton count is equal (or
 the first step where one differs), and names the first row that differs and
-the largest final |dq| and |dv|.  Solve lists are compared as they are;
+the largest final |dq| and |dv|.  A last line sums the totals over the
+scenes both dumps hold.  Solve lists are compared as they are;
 with ``--collapse-zero-runs`` every run of zero-iteration solves within a
 step counts as one solve on both sides, so that a tree whose lagged passes
 stop at their fixed point compares against one that runs every pass.
@@ -90,6 +91,7 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
     with open(b, "rb") as fh:
         db = pickle.load(fh)
     same_all = True
+    sums = np.zeros((2, 2), int)  # (Newton, solves) x (a, b)
     for label in da:
         if label not in db:
             print(f"{label}: missing from {b}")
@@ -107,11 +109,12 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
                 and np.array_equal(ra["v"], rb["v"]))
         same_all &= same
         solves = (sum(map(len, ra["newton"])), sum(map(len, rb["newton"])))
+        newton = (sum(map(sum, ra["newton"])), sum(map(sum, rb["newton"])))
+        sums += [newton, solves]
         bad_step = next((k for k, (x, y) in enumerate(zip(na, nb)) if x != y),
                         None if len(na) == len(nb) else min(len(na), len(nb)))
         print(f"{label}: {'==' if same else '!='}  Newton "
-              f"{sum(map(sum, ra['newton']))} / {sum(map(sum, rb['newton']))}"
-              f"  solves {solves[0]} / {solves[1]}"
+              f"{newton[0]} / {newton[1]}  solves {solves[0]} / {solves[1]}"
               + ("" if same else
                  "  per-solve Newton "
                  + ("equal" if bad_step is None
@@ -119,6 +122,8 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
                  + f", first differing row {bad_row}, final max |dq| "
                  f"{np.abs(ra['q'] - rb['q']).max():.3e}, |dv| "
                  f"{np.abs(ra['v'] - rb['v']).max():.3e}"))
+    print(f"total: Newton {sums[0, 0]} / {sums[0, 1]}  "
+          f"solves {sums[1, 0]} / {sums[1, 1]}")
     return same_all
 
 
