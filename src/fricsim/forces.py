@@ -126,7 +126,6 @@ class ForceModel:
                  gravity=(0.0, -9.8, 0.0),
                  volume_penalties=(),
                  friction_mode: str = "implicit",
-                 frozen_basis: bool = False,
                  fixed_vertices=(), fixed_velocity=(0.0, 0.0, 0.0)):
         self.mesh = mesh
         self.table = ObstacleTable(obstacles)  # owns the frame memo
@@ -139,7 +138,6 @@ class ForceModel:
                 v0, _ = enclosed_volume(vp.region, mesh.rest_q())
                 vp.rest_volume = float(v0)
         self.friction_mode = friction_mode
-        self.frozen_basis = frozen_basis
         self.gravity_force = (mesh.vertex_mass[:, None]
                               * self.gravity[None, :]).reshape(-1)
         self.fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)
@@ -205,8 +203,7 @@ class ForceModel:
         if (self.penalty is not None and contact.cset.size
                 and parts & CONTACT_PARTS):
             f_c, f_f = contact_friction_forces(
-                contact.cset, q, v, t, self.penalty,
-                frozen_basis=self.frozen_basis, anchor=contact.lagged)
+                contact.cset, q, v, t, self.penalty, anchor=contact.lagged)
             if "contact" in parts:
                 total = total + f_c
             if "friction" in parts:
@@ -268,8 +265,7 @@ class ForceModel:
         cset = contact.cset
         if self.penalty is not None and cset.size and parts & CONTACT_PARTS:
             cf = contact_friction_blocks(
-                cset, q, v, t, self.penalty, anchor=contact.lagged,
-                frozen_basis=self.frozen_basis)
+                cset, q, v, t, self.penalty, anchor=contact.lagged)
             blocks = 0.0
             if "contact" in parts:
                 blocks += c_q * cf[:, :3, :3]

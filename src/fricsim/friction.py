@@ -16,9 +16,7 @@ sliding-basis form -T H(T^T v) c for any orthonormal tangent pair and has no
 reference-axis degeneracy.  Fully implicit evaluation takes the contact
 geometry at the live (end-of-step) positions; lagged evaluation takes lambda,
 the normal and the obstacle velocity at the positions of an anchor set (see
-``ForceModel.rebuild_lagged``) while the velocity stays implicit; under
-``frozen_basis`` friction takes the real part of the live geometry, so its
-positional derivative is dropped without a second geometry evaluation.
+``ForceModel.rebuild_lagged``) while the velocity stays implicit.
 
 One kernel gives the contact and the friction force of every contact from
 one gathered geometry evaluation (:func:`contact.contact_geometry`), with
@@ -118,21 +116,19 @@ def friction_magnitude_c(v, lam, params: FrictionParams):
 
 def _contact_friction_local(x, v, obstacle, coeffs, *anchor,
                             table: ObstacleTable, t: float,
-                            penalty: PenaltyParams, frozen_basis: bool):
+                            penalty: PenaltyParams):
     """Per-contact (contact force, friction force), (k, 3) each, of the
     positions x and velocities v (k, 3) of contacts against the table's
     obstacles ``obstacle`` (k,) with friction coefficients ``coeffs`` (k, 5)
     (columns as in :func:`obstacle_coeffs`).
 
     Friction takes its (lambda, normal, obstacle surface velocity) from the
-    constant arrays ``anchor`` when given, else from the live geometry at x,
-    detached to its real part under ``frozen_basis``.  Generic over Dual x
-    and v.
+    constant arrays ``anchor`` when given, else from the live geometry at
+    x.  Generic over Dual x and v.
     """
     d, normal, w = contact_geometry(table, obstacle, x, t)
     lam = penalty_lambda(d, penalty.delta, penalty.kappa)
-    lam_f, n_f, w_f = anchor or [dm.value(a) if frozen_basis else a
-                                 for a in (lam, normal, w)]
+    lam_f, n_f, w_f = anchor or (lam, normal, w)
     rel = v - w_f
     vt = rel - dm.dot_last(rel, n_f)[..., None] * n_f
     speed = dm.norm_last(vt)
@@ -150,24 +146,20 @@ def _lagged_anchor(t: float, anchor: ContactSet | None):
 
 
 def contact_friction_forces(cset: ContactSet, q, v, t: float,
-                            penalty: PenaltyParams, frozen_basis: bool = False,
+                            penalty: PenaltyParams,
                             anchor: ContactSet | None = None):
     """(contact force, friction force), each (m,), of the frozen set from one
     gathered geometry evaluation over all its contacts.
 
     The friction force is -T(q) H(T^T v) c with lambda(q).  With a lagged
     ``anchor`` set, its T and lambda come from the anchor's snapshot and
-    only the velocity is live.  ``frozen_basis`` detaches its positional
-    dependence (friction takes the real part of the live geometry), giving
-    the cheaper Jacobian variant's force a matching dual oracle.  Generic
-    over Dual q/v.
+    only the velocity is live.  Generic over Dual q/v.
     """
     x = q.reshape(-1, 3)
     vv = v.reshape(-1, 3)
     fc, ff = _contact_friction_local(
         x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
-        *_lagged_anchor(t, anchor), table=cset.table, t=t, penalty=penalty,
-        frozen_basis=frozen_basis)
+        *_lagged_anchor(t, anchor), table=cset.table, t=t, penalty=penalty)
     return (dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
                            fc).reshape(-1),
             dm.scatter_add(dm.zeros(vv.shape, like=v), cset.vertex,
@@ -176,20 +168,19 @@ def contact_friction_forces(cset: ContactSet, q, v, t: float,
 
 def contact_friction_blocks(cset: ContactSet, q, v, t: float,
                             penalty: PenaltyParams,
-                            anchor: ContactSet | None = None,
-                            frozen_basis: bool = False) -> np.ndarray:
+                            anchor: ContactSet | None = None) -> np.ndarray:
     """Per-contact Jacobian blocks (k, 6, 6) of the contact and friction
     forces with respect to the contact vertex's (q, v).
 
     Rows 0-2 are the contact force and rows 3-5 the friction force; columns
     0-2 are q and 3-5 are v.  So ``[:, :3, :3]`` is the contact dq block,
-    ``[:, 3:, :3]`` the friction dq block (exactly zero when lagged or under
-    ``frozen_basis``, whose anchors are constant) and ``[:, 3:, 3:]`` the
-    friction dv block; ``[:, :3, 3:]`` is zero.  All come from one
-    ``dual.jacobian_blocks`` pass over every contact of the kernel the
-    residual uses, so assembled products match the dual JVP to machine
-    precision.  Each contact touches exactly one vertex in this
-    obstacle-only setting, so the blocks are diagonal in the contact index.
+    ``[:, 3:, :3]`` the friction dq block (exactly zero when lagged, whose
+    anchor is constant) and ``[:, 3:, 3:]`` the friction dv block;
+    ``[:, :3, 3:]`` is zero.  All come from one ``dual.jacobian_blocks``
+    pass over every contact of the kernel the residual uses, so assembled
+    products match the dual JVP to machine precision.  Each contact touches
+    exactly one vertex in this obstacle-only setting, so the blocks are
+    diagonal in the contact index.
     """
     x = np.asarray(q, float).reshape(-1, 3)[cset.vertex]
     vv = np.asarray(v, float).reshape(-1, 3)[cset.vertex]
@@ -197,7 +188,7 @@ def contact_friction_blocks(cset: ContactSet, q, v, t: float,
     def kernel(y, *per_item):
         return dm.concat(_contact_friction_local(
             y[:, :3], y[:, 3:], *per_item, table=cset.table, t=t,
-            penalty=penalty, frozen_basis=frozen_basis), axis=-1)
+            penalty=penalty), axis=-1)
 
     return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),
                               cset.obstacle, cset.friction_coeffs,

@@ -37,7 +37,6 @@ _DEFAULTS = {
     "step": 0.01,
     "integrator": "be",
     "friction_mode": "implicit",
-    "friction_jacobian": "with_sliding_basis",
     "solver": {
         "kind": "direct",
         "k_max": 100,
@@ -162,7 +161,6 @@ class SceneConfig:
     integrator: str
     friction_mode: str                   # implicit | lagged
     fixed_point_iters: int
-    frozen_basis: bool
     solver: SolverConfig
     output: dict
     initial_q: np.ndarray
@@ -178,7 +176,6 @@ class SceneConfig:
                           gravity=self.gravity,
                           volume_penalties=self.volume_penalties,
                           friction_mode=self.friction_mode,
-                          frozen_basis=self.frozen_basis,
                           fixed_vertices=self.fixed_vertices,
                           fixed_velocity=self.fixed_velocity)
 
@@ -347,10 +344,6 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     friction_mode, fp_iters = _parse_friction_mode(cfg["friction_mode"])
     with _at("integrator"):
         make_scheme(integrator, lagged=friction_mode == "lagged")
-    fj = cfg["friction_jacobian"]
-    if fj not in ("with_sliding_basis", "frozen_basis"):
-        raise SceneError("friction_jacobian must be 'with_sliding_basis' or "
-                         f"'frozen_basis', got {fj!r}")
 
     mesh_specs = _list(raw.get("meshes", []), "meshes")
     if not mesh_specs:
@@ -412,7 +405,6 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         "step": step,
         "integrator": integrator,
         "friction_mode": cfg["friction_mode"],
-        "friction_jacobian": fj,
         "solver": sv,
         "contact": contact,
         "output": dict(output),
@@ -435,7 +427,6 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         integrator=integrator,
         friction_mode=friction_mode,
         fixed_point_iters=fp_iters,
-        frozen_basis=(fj == "frozen_basis"),
         solver=solver,
         output=output,
         initial_q=mesh.rest_q().copy(),

@@ -105,9 +105,13 @@ class Simulation:
         """Solve one stage from ``v0``.  The schemes pass ``state.v`` itself
         only to a step's first stage, and not on a lagged pass (its start is
         the previous pass's result); after the first step such a solve is
-        also offered the extrapolation 2v - v_prev (``damped_newton``)."""
+        also offered the extrapolation 2v - v_prev (``damped_newton``) when
+        it solves for the velocity at t + h, the time that guess predicts
+        (BE, TR and BDF2, not the t + gamma h first stages of SDIRK2 and
+        TR-BDF2)."""
         guess = None
-        if v0 is self.state.v and self.prev_state is not None:
+        if (v0 is self.state.v and self.prev_state is not None
+                and problem.t_eval == self.state.t + self.h):
             guess = 2.0 * v0 - self.prev_state.v
         return damped_newton(problem, v0, self.scene.solver, guess=guess)
 

@@ -111,7 +111,7 @@ def coo_oracle(prob, v):
         rc = _pair_blocks(cset.vertex, cset.vertex)
         blocks = contact_friction_blocks(
             cset, q, v, prob.t_eval, model.penalty,
-            anchor=prob.contact.lagged, frozen_basis=model.frozen_basis)
+            anchor=prob.contact.lagged)
         if "contact" in parts:
             in_q.append(_triplets(*rc, blocks[:, :3, :3]))
         if "friction" in parts:

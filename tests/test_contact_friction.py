@@ -141,7 +141,7 @@ def _friction_local(v, lam, normal, w, params):
     return -(friction_magnitude_c(speed, lam, params) / speed)[..., None] * vt
 
 
-def _oracle(cset, obstacles, q, v, anchor_set, frozen):
+def _oracle(cset, obstacles, q, v, anchor_set):
     """(blocks (k, 6, 6), contact force, friction force), per obstacle."""
     x = q.reshape(-1, 3)[cset.vertex]
     vv = v.reshape(-1, 3)[cset.vertex]
@@ -161,10 +161,9 @@ def _oracle(cset, obstacles, q, v, anchor_set, frozen):
             if anchor_set is not None:
                 return (anchor_set.lam[m], anchor_set.n[m],
                         _surface_velocity(obs, anchor_set.x[m], T))
-            xg = dm.value(xd) if frozen else xd
-            d, n = _gap_normal(obs, xg, T)
+            d, n = _gap_normal(obs, xd, T)
             return (penalty_lambda(d, PEN.delta, PEN.kappa), n,
-                    _surface_velocity(obs, xg, T))
+                    _surface_velocity(obs, xd, T))
 
         def friction_v(vd, *anc, params=params):
             return _friction_local(vd, *anc, params)
@@ -173,7 +172,7 @@ def _oracle(cset, obstacles, q, v, anchor_set, frozen):
             return _friction_local(vm, *anchor(xd), params)
 
         blocks[m, :3, :3] = dm.jacobian_blocks(contact, x[m])
-        if anchor_set is None and not frozen:  # else constant in q
+        if anchor_set is None:  # else constant in q
             blocks[m, 3:, :3] = dm.jacobian_blocks(friction_q, x[m], vv[m])
         blocks[m, 3:, 3:] = dm.jacobian_blocks(friction_v, vv[m],
                                                *anchor(x[m]))
@@ -188,7 +187,7 @@ def _close(got, want):
 
 
 @pytest.mark.parametrize("contains", [False, True])
-@pytest.mark.parametrize("mode", ["implicit", "lagged", "frozen_basis"])
+@pytest.mark.parametrize("mode", ["implicit", "lagged"])
 def test_one_pass_matches_per_obstacle_oracle(mode, contains):
     obstacles, q, v = _state(contains)
     cset = gaps(ObstacleTable(obstacles), q, T, PEN)
@@ -201,12 +200,9 @@ def test_one_pass_matches_per_obstacle_oracle(mode, contains):
         q0 = q + 1e-4 * np.random.default_rng(1).normal(size=q.size)
         anchor = snapshot(cset.table, cset.vertex, cset.obstacle, q0, 0.2,
                           PEN)
-    frozen = mode == "frozen_basis"
-    blocks = contact_friction_blocks(cset, q, v, T, PEN, anchor=anchor,
-                                     frozen_basis=frozen)
-    f_c, f_f = contact_friction_forces(cset, q, v, T, PEN,
-                                       frozen_basis=frozen, anchor=anchor)
-    want, want_c, want_f = _oracle(cset, obstacles, q, v, anchor, frozen)
+    blocks = contact_friction_blocks(cset, q, v, T, PEN, anchor=anchor)
+    f_c, f_f = contact_friction_forces(cset, q, v, T, PEN, anchor=anchor)
+    want, want_c, want_f = _oracle(cset, obstacles, q, v, anchor)
     _close(blocks[:, :3, :3], want[:, :3, :3])
     _close(blocks[:, 3:, 3:], want[:, 3:, 3:])
     _close(blocks[:, 3:, :3], want[:, 3:, :3])
@@ -294,17 +290,12 @@ def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
     passes = _count_calls(monkeypatch, dm, "jacobian_blocks")
     geometry = _count_calls(monkeypatch, friction, "contact_geometry")
     frames = count_frames(monkeypatch)
-    # frozen_basis takes friction's anchor from the same live geometry
-    for frozen in (False, True):
-        monkeypatch.setattr(model, "frozen_basis", frozen)
-        passes.clear()
-        geometry.clear()
-        model.jacobians(prob.positions(v), v, prob.t_eval, prob.contact,
-                        prob.c, 1.0)
-        assert len(passes) == len(geometry) == 1, frozen
-        geometry.clear()
-        prob.residual(v)
-        assert len(geometry) == 1, frozen
+    model.jacobians(prob.positions(v), v, prob.t_eval, prob.contact,
+                    prob.c, 1.0)
+    assert len(passes) == len(geometry) == 1
+    geometry.clear()
+    prob.residual(v)
+    assert len(geometry) == 1
     # the stage's frames were evaluated in its solve, before the count
     assert frames(model.table.obstacles) == [0, 0, 0]
     later = replace(prob, t_eval=prob.t_eval + prob.h)

@@ -5,8 +5,7 @@ obstacle, optional volume penalty, Stribeck friction.  Checks
   * forces against central finite differences (rel err <= 1e-4),
   * assembled Jacobian products (sparse + low-rank) against dual-number JVPs
     (rel err <= 1e-10),
-for both friction modes and the frozen-basis variant, and for the stage
-residuals of every scheme.
+for both friction modes, and for the stage residuals of every scheme.
 """
 
 import numpy as np
@@ -25,8 +24,8 @@ from fricsim.meshgen import box_mesh
 from helpers import split_jacobians
 
 
-def make_fixture(seed: int, friction_mode="implicit", frozen_basis=False,
-                 with_volume=True, beta=1e-3):
+def make_fixture(seed: int, friction_mode="implicit", with_volume=True,
+                 beta=1e-3):
     rng = np.random.default_rng(seed)
     mat = MaterialParams(density=rng.uniform(300, 2000),
                          youngs_modulus=rng.uniform(5e4, 5e5),
@@ -52,13 +51,17 @@ def make_fixture(seed: int, friction_mode="implicit", frozen_basis=False,
                                                      "nearly_incompressible"]),
                                    kappa_v_atm=rng.uniform(0.5, 2.0))]
     model = ForceModel(mesh, [plane, sphere], pen, gravity=(0, -9.8, 0),
-                       volume_penalties=vps, friction_mode=friction_mode,
-                       frozen_basis=frozen_basis)
+                       volume_penalties=vps, friction_mode=friction_mode)
     q = mesh.rest_q() + 1e-3 * rng.normal(size=mesh.n_dofs)
     v = 2e-3 * rng.normal(size=mesh.n_dofs)
     contact = model.build_contact_state(q, v, 0.0, 0.01)
     assert contact.cset.size > 0, "fixture must have active contacts"
     return model, q, v, contact, rng
+
+
+# the ids are fixed: these test names are tracked across versions of the suite
+FRICTION_MODES = [pytest.param("implicit", id="implicit-False"),
+                  pytest.param("lagged", id="lagged-False")]
 
 
 def rel_err(a, b):
@@ -73,23 +76,16 @@ def apply_full(dfdx, rank1, p):
     return out
 
 
-@pytest.mark.parametrize("mode,frozen", [("implicit", False),
-                                         ("implicit", True),
-                                         ("lagged", False)])
-def test_force_jacobians_match_fd(mode, frozen):
+@pytest.mark.parametrize("mode", FRICTION_MODES)
+def test_force_jacobians_match_fd(mode):
     for seed in range(3):
-        model, q, v, contact, rng = make_fixture(seed, friction_mode=mode,
-                                                 frozen_basis=frozen)
+        model, q, v, contact, rng = make_fixture(seed, friction_mode=mode)
         dfdq, dfdv, rank1 = split_jacobians(model, q, v, 0.0, contact)
-        # the frozen-basis (and lagged) q-Jacobian deliberately omits the
-        # friction sliding-basis derivatives: its FD oracle excludes friction
-        q_parts = ALL_PARTS - {"friction"} if (frozen or mode == "lagged") \
-            else ALL_PARTS
         hq = 1e-6 * 0.1
         for _ in range(3):
             p = rng.normal(size=q.size)
-            fp = model.force(q + hq * p, v, 0.0, contact, parts=q_parts)
-            fm = model.force(q - hq * p, v, 0.0, contact, parts=q_parts)
+            fp = model.force(q + hq * p, v, 0.0, contact)
+            fm = model.force(q - hq * p, v, 0.0, contact)
             fd = (fp - fm) / (2 * hq)
             assert rel_err(apply_full(dfdq, rank1, p), fd) <= 1e-4
             fpv = model.force(q, v + hq * p, 0.0, contact)
@@ -98,16 +94,13 @@ def test_force_jacobians_match_fd(mode, frozen):
             assert rel_err(dfdv @ p, fdv) <= 1e-4
 
 
-@pytest.mark.parametrize("mode,frozen", [("implicit", False),
-                                         ("implicit", True),
-                                         ("lagged", False)])
+@pytest.mark.parametrize("mode", FRICTION_MODES)
 @pytest.mark.parametrize("scheme_name", ["be", "tr", "bdf2", "sdirk2",
                                          "trbdf2"])
-def test_stage_jacobian_matches_jvp(scheme_name, mode, frozen):
+def test_stage_jacobian_matches_jvp(scheme_name, mode):
     if mode == "lagged" and scheme_name not in ("be", "tr"):
         pytest.skip("lagged is defined for be/tr only")
-    model, q, v, contact, rng = make_fixture(11, friction_mode=mode,
-                                             frozen_basis=frozen)
+    model, q, v, contact, rng = make_fixture(11, friction_mode=mode)
     h = 0.004
     st = SystemState(q, v, 0.0)
     # representative stage: BE-like with the scheme's coefficient

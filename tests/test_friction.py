@@ -259,16 +259,3 @@ def test_jacobian_blocks_nsd_while_sliding_coulomb():
         w = np.linalg.eigvalsh(sym)
         assert w.max() <= 1e-9 * max(1.0, -w.min())
 
-
-def test_frozen_basis_equals_full_on_plane_with_lagged_lambda():
-    # plane normals are constant; with lambda lagged both jacobian details agree
-    plane, q, cs = _plane_setup(mu=0.7)
-    v = np.array([0.002, 0.0, 0.001])
-    blocks_l = contact_friction_blocks(cs, q, v, 0.0, PEN, anchor=cs)
-    blocks_f = contact_friction_blocks(cs, q, v, 0.0, PEN, anchor=cs,
-                                       frozen_basis=True)
-    dfdq_l, dfdv_l = blocks_l[:, 3:, :3], blocks_l[:, 3:, 3:]
-    dfdq_f, dfdv_f = blocks_f[:, 3:, :3], blocks_f[:, 3:, 3:]
-    np.testing.assert_allclose(dfdv_l, dfdv_f, atol=1e-15)
-    np.testing.assert_allclose(dfdq_l, 0.0, atol=1e-15)
-    np.testing.assert_allclose(dfdq_f, 0.0, atol=1e-15)

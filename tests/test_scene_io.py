@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from fricsim.experiments import (ball_drop_scene, block_slide_scene,
                                  plate_squeeze_scene)
 from fricsim.export import export, read_trajectory_csv, write_trajectory_csv
-from fricsim.scene import SceneError, load_scene, load_scene_file
+from fricsim.scene import _DEFAULTS, SceneError, load_scene, load_scene_file
 from fricsim.simulate import run_simulation
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -160,6 +161,8 @@ _UNKNOWN_TAPER = r"unknown keys at meshes\[0\].generator: taper$"
      r"meshes\[0\].generator: size must be positive"),
     ("meshes.0.file", "frac_tets.json",
      r"meshes\[0\].file tets must hold integers"),
+    ("friction_jacobian", "with_sliding_basis",
+     "unknown keys at top level: friction_jacobian$"),
 ])
 def test_bad_value_named(path, value, match, tmp_path):
     (tmp_path / "bad_json.json").write_text('{"vertices": [[0, 0, 0]], ')
@@ -177,6 +180,17 @@ def test_bad_value_named(path, value, match, tmp_path):
         del target["generator"]
     with pytest.raises(SceneError, match=match):
         load_scene(json.dumps(cfg), base_dir=str(tmp_path))
+
+
+def test_readme_scene_example_loads():
+    """The README's schema example, its ``//`` comments stripped, is a
+    valid scene that names every top-level key."""
+    with open(os.path.join(os.path.dirname(__file__), "..",
+                           "README.md")) as fh:
+        block = re.search(r"```jsonc\n(.*?)```", fh.read(), re.S).group(1)
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    load_scene(json.dumps(doc))
+    assert set(doc) == set(_DEFAULTS) | {"meshes", "obstacles"}
 
 
 def test_shipped_scenes_are_the_experiment_builders():

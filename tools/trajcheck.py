@@ -1,7 +1,8 @@
 """Trajectory equality between two source trees.
 
-Dump the six check scenes with the ``fricsim`` package of a given ``src``
-directory, then compare two dumps::
+Dump the eight check scenes (the five in ``scenes/``, the lagged block slide
+and the ball drop on SDIRK2 and on TR-BDF2) with the ``fricsim`` package of a
+given ``src`` directory, then compare two dumps::
 
     python tools/trajcheck.py dump SRC_DIR OUT.pkl
     python tools/trajcheck.py compare A.pkl B.pkl
@@ -36,23 +37,26 @@ import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (label, scene file or None for the lagged block slide, steps)
+# (label, scene file or a builder of a scene dict from fricsim.experiments,
+# steps)
 SCENES = (
     ("plate_squeeze", "plate_squeeze.json", 400),
     ("ball_drop", "ball_drop.json", 250),
     ("ball_in_box", "ball_in_box.json", 200),
     ("block_slide", "block_slide.json", 200),
     ("tet_drop_min", "tet_drop_min.json", 100),
-    ("slide_lagged", None, 250),
+    ("slide_lagged", lambda ex: ex.block_slide_scene(
+        0.01, "be", "lagged:4", solver_kind="iterative"), 250),
+    ("ball_sdirk2", lambda ex: ex.ball_drop_scene(0.002, "sdirk2"), 150),
+    ("ball_trbdf2", lambda ex: ex.ball_drop_scene(0.002, "trbdf2"), 150),
 )
 
 
-def _scene(fs, name):
-    from fricsim.experiments import block_slide_scene
-    if name is None:
-        return fs.load_scene(json.dumps(block_slide_scene(
-            0.01, "be", "lagged:4", solver_kind="iterative")))
-    return fs.load_scene_file(os.path.join(ROOT, "scenes", name))
+def _scene(fs, spec):
+    if callable(spec):
+        from fricsim import experiments
+        return fs.load_scene(json.dumps(spec(experiments)))
+    return fs.load_scene_file(os.path.join(ROOT, "scenes", spec))
 
 
 def dump(src: str, out: str, only=None):
@@ -61,10 +65,10 @@ def dump(src: str, out: str, only=None):
     from fricsim.simulate import Simulation
 
     data = {}
-    for label, name, steps in SCENES:
+    for label, spec, steps in SCENES:
         if only and label not in only:
             continue
-        scene = _scene(fs, name)
+        scene = _scene(fs, spec)
         sim = Simulation(scene)
         rows = [sim.record().row(scene.region_names)]
         newton = []
