@@ -27,10 +27,10 @@ EPSILON = 1e-4  # m/s, the incline's friction tolerance
 STOP_WINDOW = 1.0  # s below tolerance before the block counts as stopped
 
 
-def analytic_stop(gravity: float = GRAVITY):
+def analytic_stop():
     """(distance, time) for the rigid block; a = g (mu cos t - sin t)."""
     th = np.radians(THETA_DEG)
-    a = gravity * (MU * np.cos(th) - np.sin(th))
+    a = GRAVITY * (MU * np.cos(th) - np.sin(th))
     return V0**2 / (2.0 * a), V0 / a
 
 
@@ -61,7 +61,9 @@ def block_slide_scene(h: float, integrator: str = "be",
     mass = rho * size[0] * size[1] * size[2]
     delta = 1e-3
     g_n = mass * GRAVITY * np.cos(th)
-    # scene-default kappa: balances the average contact vertex at 0.5*delta
+    # kappa = 4 m g / (3 delta) balances a vertex of the mean mass over all
+    # vertices at 0.5*delta (696.89 at the default divisions); the scene
+    # default averages the surface vertices' lumped masses instead (614.90)
     n_verts = (nx + 1) * (ny + 1) * (nz + 1)
     m_avg = mass / n_verts
     kappa = 4.0 * m_avg * GRAVITY / (3.0 * delta)

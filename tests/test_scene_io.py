@@ -9,7 +9,7 @@ from fricsim.experiments import (ball_drop_scene, block_slide_scene,
                                  plate_squeeze_scene)
 from fricsim.export import export, read_trajectory_csv, write_trajectory_csv
 from fricsim.scene import _DEFAULTS, SceneError, load_scene, load_scene_file
-from fricsim.simulate import run_simulation
+from fricsim.simulate import Simulation, run_simulation
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -202,6 +202,51 @@ def test_shipped_scenes_are_the_experiment_builders():
     for name, doc in built.items():
         with open(os.path.join(SCENES, name)) as fh:
             assert json.load(fh) == json.loads(json.dumps(doc)), name
+
+
+def _two_cubes():
+    """``tet_drop_min``'s scene, its cube alone, and the scene with a second
+    cube beside it: own density and Rayleigh alpha/beta, a volume region
+    and one fixed vertex."""
+    with open(os.path.join(SCENES, "tet_drop_min.json")) as fh:
+        doc = json.load(fh)
+    cube = doc["meshes"][0]
+    second = {**cube, "name": "cube2", "translate": [0.3, 0.08, 0.0],
+              "material": {**cube["material"], "density": 1200.0,
+                           "rayleigh_alpha": 0.1, "rayleigh_beta": 0.002},
+              "volume_region": {"model": "quadratic"},
+              "fixed_vertices": [2]}
+    return ({**doc, "meshes": [cube]}, {**doc, "meshes": [second]},
+            {**doc, "meshes": [cube, second]})
+
+
+def test_two_meshes_merge_on_one_numbering():
+    first, second, both = (load_scene(json.dumps(d)) for d in _two_cubes())
+    m1, m2, mesh = first.mesh, second.mesh, both.mesh
+    n1 = m1.n_verts
+    assert n1 == 8
+    for name in ("vertex_mass", "mu", "lam", "alpha", "beta"):
+        np.testing.assert_array_equal(
+            getattr(mesh, name),
+            np.concatenate([getattr(m1, name), getattr(m2, name)]), name)
+    assert not np.array_equal(m1.vertex_mass, m2.vertex_mass)
+    assert not np.array_equal(m1.alpha, m2.alpha)
+    np.testing.assert_array_equal(mesh.surface_tris[len(m1.surface_tris):],
+                                  m2.surface_tris + n1)
+    assert list(both.fixed_vertices) == [2 + n1]
+    (region,) = both.volume_penalties
+    np.testing.assert_array_equal(region.region,
+                                  second.volume_penalties[0].region + n1)
+
+    sim = Simulation(both)
+    v0 = sim.model.volume_penalties[0].rest_volume
+    assert v0 == Simulation(second).model.volume_penalties[0].rest_volume
+    assert v0 == pytest.approx(0.001, rel=1e-12)
+    for _ in range(20):
+        sim.advance()
+    assert sim.record().deepest_gap > 0.0
+    fixed = 3 * both.fixed_vertices[0]
+    assert np.all(sim.state.v[fixed:fixed + 3] == 0.0)
 
 
 def test_solver_config_built_once():

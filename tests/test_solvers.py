@@ -204,7 +204,7 @@ def test_bicgstab_2x2_nonsymmetric():
     a = np.array([[2.0, 1.0], [0.0, 3.0]])
     b = np.array([1.0, 1.0])
     x, iters, ok = bicgstab(lambda p: a @ p, b, tol=1e-12)
-    assert ok
+    assert ok and iters == 1
     np.testing.assert_allclose(x, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-10)
 
 
@@ -215,19 +215,18 @@ def test_bicgstab_random_diag_dominant():
     a += np.diag(np.abs(a).sum(axis=1) + 1.0)
     b = rng.normal(size=n)
     x, iters, ok = bicgstab(lambda p: a @ p, b, tol=1e-9, max_iters=500)
-    assert ok
+    assert ok and iters == 7
     assert np.linalg.norm(b - a @ x) <= 1e-9 * np.linalg.norm(b) * (1 + 1e-9)
 
 
-def test_bicgstab_restarts_on_zero_denominator():
-    # r_hat = b = e1 and A e1 = e2, so r_hat . A p = 0 on the first iteration
+def test_bicgstab_breakdown_does_not_converge():
+    # the shadow residual is b = e1 and A e1 = e2, so the first iteration's
+    # denominator e1 . A p is 0 after one product
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     b = np.array([1.0, 0.0])
     x, iters, ok = bicgstab(lambda p: a @ p, b, tol=1e-12)
-    assert ok and iters == 2
-    np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
-    x2, iters2, ok2 = bicgstab(lambda p: a @ p, b, tol=1e-12)
-    assert np.array_equal(x, x2) and (iters2, ok2) == (iters, ok)
+    assert not ok and iters == 1
+    assert np.all(np.isfinite(x))
 
 
 def test_newton_max_iters_failure():
@@ -378,6 +377,37 @@ def test_iterative_falls_back_to_minus_r(monkeypatch):
         # no factor, so no BiCGSTAB iteration: every step is along -r
         assert set(rep.linear_iters) == {0} and max(rep.alphas) < 1.0
         np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
+
+
+def test_iterative_krylov_breakdown_steps_along_minus_r(monkeypatch):
+    # the factor succeeds, so BiCGSTAB runs, and it reports a breakdown
+    n = 4
+    skew = np.triu(np.full((n, n), 0.25), 1)
+    a = 3.0 * np.eye(n) + skew - skew.T
+    b = np.arange(1.0, n + 1.0)
+    trials = []
+
+    def residual(v):
+        if not hasattr(v, "re"):
+            trials.append(np.array(v, float))
+        return _lin(a, v, b)
+
+    tols = []
+
+    def broken(apply_j, rhs, tol, max_iters=200, precond=None):
+        tols.append(tol)
+        return np.zeros_like(rhs), 1, False
+
+    monkeypatch.setattr(solvers, "bicgstab", broken)
+    cfg = SolverConfig(kind="iterative", r_tol_rel=1e-10, v_tol=1e-14)
+    v, rep = damped_newton(BareProblem(residual, lambda v: a), np.zeros(n),
+                           cfg)
+    assert rep.status == "Converged"
+    # the first trial of the line search is v0 + p with p = -r(v0) = b
+    np.testing.assert_array_equal(trials[1], b)
+    assert tols == rep.sigmas and tols[0] == SIGMA
+    assert rep.linear_iters == [1] * rep.iterations
+    np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
 
 
 def test_iterative_fallback_ascent_fails(monkeypatch):

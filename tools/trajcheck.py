@@ -1,19 +1,21 @@
 """Trajectory equality between two source trees.
 
-Dump the eight check scenes (the five in ``scenes/``, the lagged block slide
-and the ball drop on SDIRK2 and on TR-BDF2) with the ``fricsim`` package of a
-given ``src`` directory, then compare two dumps::
+Dump the nine check scenes (the five in ``scenes/``, the lagged block slide,
+the ball drop on SDIRK2 and on TR-BDF2, and the plate squeeze on the
+iterative solver) with the ``fricsim`` package of a given ``src`` directory,
+then compare two dumps::
 
     python tools/trajcheck.py dump SRC_DIR OUT.pkl
     python tools/trajcheck.py compare A.pkl B.pkl
 
 A dump holds, per scene, every ``TrajectoryRecord.row`` (the initial state
-and the state after every step), the Newton count of every solve in step
-order, and the final q and v.  ``compare`` prints each scene's Newton and
-solve totals and reports the scene as ``==`` when all of them are equal bit
-for bit; otherwise it says whether every solve's Newton count is equal (or
-the first step where one differs), and names the first row that differs and
-the largest final |dq| and |dv|.  A last line sums the totals over the
+and the state after every step), the Newton count and the Krylov counts
+(``SolveReport.linear_iters``) of every solve in step order, and the final q
+and v.  ``compare`` prints each scene's Newton, solve and Krylov totals and
+reports the scene as ``==`` when all of them are equal bit for bit;
+otherwise it says whether every solve's Newton and Krylov counts are equal
+(or the first step where one differs), and names the first row that differs
+and the largest final |dq| and |dv|.  A last line sums the totals over the
 scenes both dumps hold.  Solve lists are compared as they are;
 with ``--collapse-zero-runs`` every run of zero-iteration solves within a
 step counts as one solve on both sides, so that a tree whose lagged passes
@@ -49,6 +51,8 @@ SCENES = (
         0.01, "be", "lagged:4", solver_kind="iterative"), 250),
     ("ball_sdirk2", lambda ex: ex.ball_drop_scene(0.002, "sdirk2"), 150),
     ("ball_trbdf2", lambda ex: ex.ball_drop_scene(0.002, "trbdf2"), 150),
+    ("plate_iterative", lambda ex: dict(ex.plate_squeeze_scene(0.005),
+                                        solver={"kind": "iterative"}), 200),
 )
 
 
@@ -71,22 +75,32 @@ def dump(src: str, out: str, only=None):
         scene = _scene(fs, spec)
         sim = Simulation(scene)
         rows = [sim.record().row(scene.region_names)]
-        newton = []
+        newton, krylov = [], []
         for _ in range(steps):
             info = sim.advance()
             newton.append([r.iterations for r in info.reports])
+            krylov.append([list(r.linear_iters) for r in info.reports])
             rows.append(sim.record().row(scene.region_names))
-        data[label] = {"rows": rows, "newton": newton,
+        data[label] = {"rows": rows, "newton": newton, "krylov": krylov,
                        "q": sim.state.q.copy(), "v": sim.state.v.copy()}
-        total = sum(map(sum, newton))
-        print(f"{label}: {steps} steps, {total} Newton", flush=True)
+        print(f"{label}: {steps} steps, {sum(map(sum, newton))} Newton, "
+              f"{_krylov_total(krylov)} Krylov", flush=True)
     with open(out, "wb") as fh:
         pickle.dump(data, fh)
 
 
-def _collapse_zero_runs(steps):
-    return [[n for k, n in enumerate(step) if n or not k or step[k - 1]]
-            for step in steps]
+def _krylov_total(krylov):
+    return sum(sum(map(sum, step)) for step in krylov)
+
+
+def _collapse_zero_runs(steps, values=None):
+    """Drop each zero-iteration solve that follows one, from ``values``
+    (per-step lists parallel to the Newton counts ``steps``; default
+    ``steps`` itself)."""
+    values = steps if values is None else values
+    return [[x for k, (n, x) in enumerate(zip(step, vals))
+             if n or not k or step[k - 1]]
+            for step, vals in zip(steps, values)]
 
 
 def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
@@ -95,7 +109,7 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
     with open(b, "rb") as fh:
         db = pickle.load(fh)
     same_all = True
-    sums = np.zeros((2, 2), int)  # (Newton, solves) x (a, b)
+    sums = np.zeros((3, 2), int)  # (Newton, solves, Krylov) x (a, b)
     for label in da:
         if label not in db:
             print(f"{label}: missing from {b}")
@@ -103,31 +117,39 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
             continue
         ra, rb = da[label], db[label]
         na, nb = ra["newton"], rb["newton"]
+        ka, kb = ra["krylov"], rb["krylov"]
         if collapse_zero_runs:
+            ka, kb = _collapse_zero_runs(na, ka), _collapse_zero_runs(nb, kb)
             na, nb = _collapse_zero_runs(na), _collapse_zero_runs(nb)
         bad_row = next((k for k, (x, y) in enumerate(zip(ra["rows"],
                                                          rb["rows"]))
                         if x != y), None)
         same = (bad_row is None and len(ra["rows"]) == len(rb["rows"])
-                and na == nb and np.array_equal(ra["q"], rb["q"])
+                and na == nb and ka == kb
+                and np.array_equal(ra["q"], rb["q"])
                 and np.array_equal(ra["v"], rb["v"]))
         same_all &= same
         solves = (sum(map(len, ra["newton"])), sum(map(len, rb["newton"])))
         newton = (sum(map(sum, ra["newton"])), sum(map(sum, rb["newton"])))
-        sums += [newton, solves]
-        bad_step = next((k for k, (x, y) in enumerate(zip(na, nb)) if x != y),
+        krylov = (_krylov_total(ra["krylov"]), _krylov_total(rb["krylov"]))
+        sums += [newton, solves, krylov]
+        bad_step = next((k for k, (x, y) in enumerate(zip(zip(na, ka),
+                                                          zip(nb, kb)))
+                         if x != y),
                         None if len(na) == len(nb) else min(len(na), len(nb)))
         print(f"{label}: {'==' if same else '!='}  Newton "
               f"{newton[0]} / {newton[1]}  solves {solves[0]} / {solves[1]}"
+              f"  Krylov {krylov[0]} / {krylov[1]}"
               + ("" if same else
-                 "  per-solve Newton "
+                 "  per-solve Newton and Krylov "
                  + ("equal" if bad_step is None
                     else f"differs from step {bad_step}")
                  + f", first differing row {bad_row}, final max |dq| "
                  f"{np.abs(ra['q'] - rb['q']).max():.3e}, |dv| "
                  f"{np.abs(ra['v'] - rb['v']).max():.3e}"))
     print(f"total: Newton {sums[0, 0]} / {sums[0, 1]}  "
-          f"solves {sums[1, 0]} / {sums[1, 1]}")
+          f"solves {sums[1, 0]} / {sums[1, 1]}  "
+          f"Krylov {sums[2, 0]} / {sums[2, 1]}")
     return same_all
 
 
