@@ -145,8 +145,9 @@ class ForceModel:
         if fixed_vertices.size:
             dofs = (3 * fixed_vertices[:, None] + np.arange(3)).ravel()
             self.fixed_mask[dofs] = True
-        self.fixed_velocity = np.tile(np.asarray(fixed_velocity, float),
-                                      mesh.n_verts)
+        # one (3,) velocity for every vertex, or an (n_verts, 3) array
+        self.fixed_velocity = np.broadcast_to(
+            np.asarray(fixed_velocity, float), (mesh.n_verts, 3)).flatten()
         self._pattern = None
 
     @property
@@ -210,7 +211,7 @@ class ForceModel:
                 total = total + f_f
         if "volume" in parts:
             for vp in self.volume_penalties:
-                total = total + volume_force(vp.region, q, vp, strict=False)
+                total = total + volume_force(vp.region, q, vp)
         return total
 
     # -- assembled jacobians -----------------------------------------------------
@@ -277,7 +278,7 @@ class ForceModel:
         if "volume" in parts:
             for vp, slots in zip(self.volume_penalties, regions):
                 vvol, g = enclosed_volume(vp.region, q)
-                _, w1, w2 = volume_law(vvol, vp, strict=False)
+                _, w1, w2 = volume_law(vvol, vp)
                 hv = volume_hessian_blocks(vp.region, q)
                 data -= pat.scatter(slots, (c_q * w1) * hv.ravel())
                 rank1.append(Rank1(scale=-c_q * w2, u=g, w=g))

@@ -39,16 +39,10 @@ _DEFAULTS = {
     "friction_mode": "implicit",
     "solver": {
         "kind": "direct",
-        "k_max": 100,
-        "r_tol_rel": 1e-6,
-        "r_tol_abs": None,
-        "v_tol": None,
-        "max_krylov_iters": 200,
     },
     "contact": {
         "delta": 1e-3,
         "kappa": None,          # None: balance gravity at 0.5*delta
-        "kappa_max": 1e16,
     },
     "output": {
         "trajectory_every": 1,
@@ -166,7 +160,7 @@ class SceneConfig:
     initial_q: np.ndarray
     initial_v: np.ndarray
     fixed_vertices: np.ndarray
-    fixed_velocity: np.ndarray
+    fixed_velocity: np.ndarray           # (n_verts, 3), per mesh
     region_names: list
 
     def build_model(self) -> ForceModel:
@@ -197,8 +191,8 @@ def _parse_friction_mode(txt) -> tuple[str, int]:
 def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
     path = f"meshes[{idx}]"
     allowed = {"name", "file", "generator", "material", "translate", "rotate",
-               "velocity", "angular_velocity", "fixed_vertices",
-               "fixed_velocity", "volume_region"}
+               "velocity", "fixed_vertices", "fixed_velocity",
+               "volume_region"}
     _check_keys(spec, allowed, path)
     mat_spec = _merged(_MATERIAL_DEFAULTS, spec.get("material", {}),
                        f"{path}.material", float)
@@ -260,13 +254,7 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
 
     vel = np.asarray(_vec3(spec.get("velocity", [0, 0, 0]),
                            f"{path}.velocity"))
-    omega = np.asarray(_vec3(spec.get("angular_velocity", [0, 0, 0]),
-                             f"{path}.angular_velocity"))
-    v0 = np.tile(vel, mesh.n_verts).reshape(-1, 3)
-    if np.any(omega != 0.0):
-        com = mesh.rest_positions.mean(axis=0)
-        v0 = v0 + np.cross(omega, mesh.rest_positions - com)
-    return mesh, v0.ravel(), groups
+    return mesh, np.tile(vel, mesh.n_verts), groups
 
 
 def _build_obstacle(spec: dict, idx: int):
@@ -338,6 +326,9 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         raise SceneError("duration must be positive")
     if step <= 0:
         raise SceneError("step must be positive")
+    if step > duration:
+        raise SceneError(f"step {step!r} is longer than duration "
+                         f"{duration!r}")
     gravity = np.asarray(_vec3(cfg["gravity"], "gravity"))
 
     integrator = str(cfg["integrator"]).lower()
@@ -349,7 +340,7 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     if not mesh_specs:
         raise SceneError("scene needs at least one mesh")
     meshes, vels, fixed_vertices, volume_penalties = [], [], [], []
-    fixed_velocity = np.zeros(3)
+    fixed_velocity = []  # per vertex: its own mesh's, zero if not given
     offset = 0
     for i, spec in enumerate(mesh_specs):
         mesh, v0, groups = _load_mesh_spec(spec, i, base_dir)
@@ -361,9 +352,9 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
             if not 0 <= j < mesh.n_verts:
                 raise SceneError(f"{fpath}: no vertex {j}")
             fixed_vertices.append(j + offset)
-        if "fixed_velocity" in spec:
-            fixed_velocity = np.asarray(_vec3(spec["fixed_velocity"],
-                                              f"meshes[{i}].fixed_velocity"))
+        fixed_velocity.append(np.tile(
+            _vec3(spec.get("fixed_velocity", [0, 0, 0]),
+                  f"meshes[{i}].fixed_velocity"), (mesh.n_verts, 1)))
         if "volume_region" in spec:
             volume_penalties.append(_volume_region(spec, i, mesh.surface_tris,
                                                    groups, offset))
@@ -385,19 +376,11 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     with _at("contact"):
         penalty = PenaltyParams(**contact)
 
-    v_tol = sv["v_tol"]
-    if v_tol is None:  # a tenth of the smallest friction epsilon
-        v_tol = 0.1 * min((o.friction.epsilon for o in obstacles),
-                          default=1e-4)
     with _at("solver"):
-        solver = SolverConfig(
-            kind=sv["kind"], k_max=_number(sv["k_max"], "solver.k_max", int),
-            r_tol_abs=None if sv["r_tol_abs"] is None
-            else _number(sv["r_tol_abs"], "solver.r_tol_abs"),
-            r_tol_rel=_number(sv["r_tol_rel"], "solver.r_tol_rel"),
-            v_tol=_number(v_tol, "solver.v_tol"),
-            max_krylov_iters=_number(sv["max_krylov_iters"],
-                                     "solver.max_krylov_iters", int))
+        solver = SolverConfig(  # v_tol: a tenth of the smallest friction eps
+            kind=sv["kind"],
+            v_tol=0.1 * min((o.friction.epsilon for o in obstacles),
+                            default=1e-4))
 
     normalized = {
         "gravity": list(gravity),
@@ -432,7 +415,7 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         initial_q=mesh.rest_q().copy(),
         initial_v=np.concatenate(vels),
         fixed_vertices=np.asarray(fixed_vertices, int),
-        fixed_velocity=fixed_velocity,
+        fixed_velocity=np.concatenate(fixed_velocity),
         region_names=[vp.name for vp in volume_penalties],
     )
 

@@ -124,7 +124,7 @@ class Simulation:
         retries = 0
         extra = np.zeros((0, 2), int)  # penetrating pairs of earlier tries
         info = StepInfo(index=self.step_index, retries=0,
-                        kappa=model.penalty.kappa if model.penalty else 0.0)
+                        kappa=model.penalty.kappa)
         while True:
             try:
                 result = self.scheme.step(model, contact, st, h, self._solve,
@@ -196,12 +196,12 @@ class Simulation:
         for vp in model.volume_penalties:
             vcur, _ = enclosed_volume(vp.region, st.q)
             region_volumes[vp.name] = float(vcur)
-            vol_e += float(volume_energy(vcur, vp, strict=False))
+            vol_e += float(volume_energy(vcur, vp))
         return TrajectoryRecord(
             time=st.t, com=com, kinetic=kinetic, elastic=elastic,
             contact=contact_e, gravity_potential=grav, volume=vol_e,
             deepest_gap=cset.deepest, max_slide_speed=max_slide,
-            kappa=model.penalty.kappa if model.penalty else 0.0,
+            kappa=model.penalty.kappa,
             region_volumes=region_volumes)
 
 

@@ -83,10 +83,10 @@ def enclosed_volume(region: np.ndarray, q):
     return v, grad.reshape(-1)
 
 
-def volume_law(v, params: VolumePenaltyParams, strict: bool = True):
+def volume_law(v, params: VolumePenaltyParams):
     """(W, dW/dV, d2W/dV2) of the params' model at volume v (m^3), with
-    V0 = ``params.rest_volume``; generic over Dual v.  With ``strict`` the
-    log models reject V <= 0, otherwise they give NaN there."""
+    V0 = ``params.rest_volume``; generic over Dual v.  Nothing here checks
+    V > 0: the log models' W is not finite there."""
     v0 = params.rest_volume
     if v0 is None or v0 <= 0:
         raise VolumeDomainError("rest volume V0 must be positive")
@@ -94,10 +94,6 @@ def volume_law(v, params: VolumePenaltyParams, strict: bool = True):
     if params.model == "quadratic":
         return ((v - v0) ** 2 / (2.0 * v0 * kv), (v - v0) / (v0 * kv),
                 1.0 / (v0 * kv))
-    if strict and np.any(dm.value(v) <= 0.0):
-        raise VolumeDomainError(
-            f"{params.model} volume penalty undefined for V <= 0 "
-            "(use the quadratic model or a smaller time step)")
     ratio = dm.log(v / v0)
     if params.model == "ideal_gas":
         # d/dV [P0 (V - V0 - V0 ln(V/V0))] = P0 (1 - V0/V)
@@ -107,15 +103,15 @@ def volume_law(v, params: VolumePenaltyParams, strict: bool = True):
     return (v0 - v * (1.0 - ratio)) / kv, ratio / kv, 1.0 / (v * kv)
 
 
-def volume_energy(v, params: VolumePenaltyParams, strict: bool = True):
+def volume_energy(v, params: VolumePenaltyParams):
     """Penalty energy (J) at volume v (m^3); zero with zero slope at V0."""
-    return volume_law(v, params, strict)[0]
+    return volume_law(v, params)[0]
 
 
-def volume_force(region, q, params: VolumePenaltyParams, strict: bool = True):
+def volume_force(region, q, params: VolumePenaltyParams):
     """f_v = -dW/dV * dV/dq; expansive when compressed.  Generic over Dual q."""
     v, grad = enclosed_volume(region, q)
-    return -(volume_law(v, params, strict)[1] * grad)
+    return -(volume_law(v, params)[1] * grad)
 
 
 # Vertex pairs of the six off-diagonal d2V/dp dp blocks of every triangle,

@@ -138,12 +138,12 @@ def test_cli_check_and_run(tmp_path):
 
     with open(cfg) as fh:
         doc = json.load(fh)
-    doc["solver"] = {"k_max": "abc"}
+    doc["solver"] = {"kind": "lu"}
     bad.write_text(json.dumps(doc))
     out = subprocess.run([sys.executable, "-m", "fricsim.cli", "check",
                           str(bad)], capture_output=True, text=True, env=env)
     assert out.returncode == 2
-    assert "solver.k_max" in out.stderr and "Traceback" not in out.stderr
+    assert "solver: kind" in out.stderr and "Traceback" not in out.stderr
 
     # a constructor's error and a broken mesh file: one JSON line, exit 2
     (tmp_path / "mesh.json").write_text('{"vertices": []}')

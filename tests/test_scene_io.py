@@ -10,6 +10,7 @@ from fricsim.experiments import (ball_drop_scene, block_slide_scene,
 from fricsim.export import export, read_trajectory_csv, write_trajectory_csv
 from fricsim.scene import _DEFAULTS, SceneError, load_scene, load_scene_file
 from fricsim.simulate import Simulation, run_simulation
+from fricsim.solvers import SolverConfig
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -101,6 +102,13 @@ def test_lagged_mode_parsing_and_validation():
 _UNKNOWN_TAPER = r"unknown keys at meshes\[0\].generator: taper$"
 
 
+def _unknown_solver_key(key, value, old_match):
+    """A removed ``solver`` key's case, under its old id."""
+    return pytest.param(f"solver.{key}", value,
+                        f"unknown keys at solver: {key}$",
+                        id=f"solver.{key}-{value}-{old_match}")
+
+
 @pytest.mark.parametrize("path,value,match", [
     ("duration", "x", "duration"),
     ("step", None, "step"),
@@ -109,11 +117,12 @@ _UNKNOWN_TAPER = r"unknown keys at meshes\[0\].generator: taper$"
     ("contact.kappa", -1, "contact: kappa"),
     ("output.trajectory_every", "x", "output.trajectory_every"),
     ("solver.kind", "lu", "solver: kind"),
-    ("solver.k_max", 0, "solver: k_max"),
-    ("solver.k_max", "abc", "solver.k_max"),
-    ("solver.r_tol_rel", "x", "solver.r_tol_rel"),
-    ("solver.v_tol", "x", "solver.v_tol"),
-    ("solver.max_krylov_iters", -3, "solver: max_krylov_iters"),
+    # the solver block has ``kind`` alone; these cases keep their ids
+    _unknown_solver_key("k_max", 0, "solver: k_max"),
+    _unknown_solver_key("k_max", "abc", "solver.k_max"),
+    _unknown_solver_key("r_tol_rel", "x", "solver.r_tol_rel"),
+    _unknown_solver_key("v_tol", "x", "solver.v_tol"),
+    _unknown_solver_key("max_krylov_iters", -3, "solver: max_krylov_iters"),
     ("meshes.0.rotate", {"axis": [0, 1, 0], "angle": "x"},
      r"meshes\[0\].rotate.angle"),
     ("meshes.0.fixed_vertices", ["a"], r"meshes\[0\].fixed_vertices"),
@@ -147,7 +156,7 @@ _UNKNOWN_TAPER = r"unknown keys at meshes\[0\].generator: taper$"
      r"obstacles\[0\].motion.translation"),
     ("obstacles.0.motion", {"rotation": {"axis": [0, 0, 0]}},
      r"obstacles\[0\].motion: rotation axis"),
-    ("solver.k_max", 2.5, "solver.k_max"),
+    _unknown_solver_key("k_max", 2.5, "solver.k_max"),
     ("meshes.0.fixed_vertices", [0.7], r"meshes\[0\].fixed_vertices"),
     ("output.trajectory_every", 1.9, "output.trajectory_every"),
     ("gravity", [0, float("nan"), 0], r"gravity\[1\]"),
@@ -163,6 +172,10 @@ _UNKNOWN_TAPER = r"unknown keys at meshes\[0\].generator: taper$"
      r"meshes\[0\].file tets must hold integers"),
     ("friction_jacobian", "with_sliding_basis",
      "unknown keys at top level: friction_jacobian$"),
+    ("contact.kappa_max", 1e16, "unknown keys at contact: kappa_max$"),
+    ("meshes.0.angular_velocity", [0, 1, 0],
+     r"unknown keys at meshes\[0\]: angular_velocity$"),
+    ("step", 1e308, "step 1e\\+308 is longer than duration 0.02$"),
 ])
 def test_bad_value_named(path, value, match, tmp_path):
     (tmp_path / "bad_json.json").write_text('{"vertices": [[0, 0, 0]], ')
@@ -249,11 +262,27 @@ def test_two_meshes_merge_on_one_numbering():
     assert np.all(sim.state.v[fixed:fixed + 3] == 0.0)
 
 
+def test_fixed_velocity_is_per_mesh():
+    """A fixed vertex moves at its own mesh's ``fixed_velocity``, and at
+    zero when its mesh gives none."""
+    _, _, both = _two_cubes()
+    a, b = both["meshes"]
+    both["meshes"] = [{**a, "fixed_vertices": [0],
+                       "fixed_velocity": [1, 0, 0]},
+                      {**b, "fixed_vertices": [0]}]
+    scene = load_scene(json.dumps(both))
+    sim = Simulation(scene)
+    sim.advance()
+    v = sim.state.v.reshape(-1, 3)
+    np.testing.assert_array_equal(scene.fixed_vertices, [0, 8])
+    np.testing.assert_array_equal(v[0], [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(v[8], [0.0, 0.0, 0.0])
+
+
 def test_solver_config_built_once():
     scene = load_scene(json.dumps(MINIMAL))
-    assert scene.solver.kind == "direct" and scene.solver.k_max == 100
-    assert scene.solver.v_tol == 0.1 * 1e-4  # the obstacle's friction eps
-    assert scene.normalized["solver"]["v_tol"] is None  # echoed as given
+    assert scene.solver == SolverConfig(v_tol=0.1 * 1e-4)  # friction eps
+    assert scene.normalized["solver"] == {"kind": "direct"}
 
 
 def test_unknown_integrator_rejected():

@@ -11,6 +11,7 @@ from fricsim.contact import HalfSpace
 from fricsim.experiments import block_slide_scene
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, StepFailure, run_simulation
+from fricsim.solvers import SolverConfig
 from helpers import count_frames, gap
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -214,8 +215,8 @@ def test_only_first_stages_after_the_first_step_get_a_guess(
 
 
 def test_newton_budget_exhausted_fails_step():
-    scene = _scene(solver={"k_max": 1, "r_tol_rel": 1e-14,
-                           "r_tol_abs": 1e-14, "v_tol": 1e-14})
+    scene = replace(_scene(), solver=SolverConfig(
+        k_max=1, r_tol_rel=1e-14, r_tol_abs=1e-14, v_tol=1e-14))
     scene.initial_q[1::3] += -0.2 + 0.049  # starts in contact
     sim = Simulation(scene)
     with pytest.raises(StepFailure) as exc:

@@ -116,12 +116,24 @@ def test_shared_curvature_at_rest(cube):
 
 
 def test_log_models_reject_nonpositive_volume(cube):
-    for model in ("ideal_gas", "nearly_incompressible"):
-        p = _params(cube.surface_tris, model, v0=1.0)
-        with pytest.raises(VolumeDomainError, match="quadratic"):
-            volume_energy(-0.5, p)
-    pq = _params(cube.surface_tris, "quadratic", v0=1.0)
-    assert np.isfinite(volume_energy(-0.5, pq))
+    # the unit cube turned inside out (V = -1) and flattened (V = 0); the
+    # ideal gas's dW/dV = P0 (1 - V0/V) is finite at V < 0
+    region = cube.surface_tris
+    q0 = cube.rest_q().reshape(-1, 3)
+    for q, vol in (((2.0 * q0.mean(0) - q0).ravel(), -1.0),
+                   ((q0 * [1.0, 0.0, 1.0]).ravel(), 0.0)):
+        v, _ = enclosed_volume(region, q)
+        assert v == pytest.approx(vol, abs=1e-12)
+        for model in ("ideal_gas", "nearly_incompressible"):
+            p = _params(region, model, v0=1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert not np.isfinite(volume_energy(v, p))
+                f = volume_force(region, q, p)
+            assert np.all(np.isfinite(f)) == (model == "ideal_gas"
+                                              and vol < 0.0)
+        pq = _params(region, "quadratic", v0=1.0)
+        assert np.isfinite(volume_energy(v, pq))
+        assert np.all(np.isfinite(volume_force(region, q, pq)))
 
 
 def test_force_zero_at_rest_and_expansive_when_compressed(cube):
@@ -179,8 +191,7 @@ def test_jacobian_apply_matches_force_jvp(cube):
         for _ in range(3):
             d = rng.normal(size=q.size)
             assembled = dfdq @ d + rank1[0].apply(d)
-            ad = jvp(lambda qq: volume_force(region, qq, p, strict=False),
-                     q, d)
+            ad = jvp(lambda qq: volume_force(region, qq, p), q, d)
             denom = max(np.max(np.abs(ad)), 1e-30)
             assert np.max(np.abs(assembled - ad)) / denom <= 1e-10
 
