@@ -32,8 +32,10 @@ __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "ObstacleTable", "gaps", "snapshot", "penalty_b", "penalty_db",
     "penalty_lambda", "contact_geometry", "adaptive_stiffen",
-    "StiffeningError", "AdaptDecision",
+    "StiffeningError", "AdaptDecision", "KAPPA_MAX",
 ]
+
+KAPPA_MAX = 1e16  # cap on the contact stiffness kappa (N/m^2)
 
 
 class StiffeningError(RuntimeError):
@@ -46,13 +48,12 @@ class PenaltyParams:
 
     delta: float                 # thickness tolerance (m)
     kappa: float                 # contact stiffness (N/m^2)
-    kappa_max: float = 1e16      # safety cap
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if not 0 < self.kappa <= self.kappa_max:
-            raise ValueError("kappa must satisfy 0 < kappa <= kappa_max")
+        if not 0 < self.kappa <= KAPPA_MAX:
+            raise ValueError("kappa must satisfy 0 < kappa <= KAPPA_MAX")
 
 
 def penalty_b(x, delta: float, kappa: float):
@@ -279,7 +280,7 @@ def gaps(table: ObstacleTable, q, t: float, penalty: PenaltyParams,
     1.5*delta, the penalty support plus a margin for set stability across
     one solve), unioned with the ``extra`` (n, 2) array of (vertex,
     obstacle) pairs.  Pairs come out sorted by vertex, then obstacle, without
-    repeats.  ``penalty`` may be None when there are no pairs.
+    repeats.
     """
     if activation is None:
         activation = 1.5 * penalty.delta
@@ -304,10 +305,10 @@ def snapshot(table: ObstacleTable, vertex, obstacle, q, t: float,
              penalty: PenaltyParams) -> ContactSet:
     """The pairs of ``vertex`` (k,) and the table's obstacles ``obstacle``
     (k,) as a set whose snapshot is taken at (q, t), gathered from the
-    table's frames at t.  ``penalty`` may be None when there are no pairs."""
+    table's frames at t."""
     x = np.asarray(q, float).reshape(-1, 3)[vertex]
     d, n = table.gap_normal(obstacle, x, t)
-    lam = penalty_lambda(d, penalty.delta, penalty.kappa) if len(d) else d
+    lam = penalty_lambda(d, penalty.delta, penalty.kappa)
     return ContactSet(vertex=vertex, obstacle=obstacle, x=x, d=d, lam=lam,
                       n=n, table=table)
 
@@ -345,7 +346,7 @@ class AdaptDecision:
 
 def adaptive_stiffen(d_deepest: float, penalty: PenaltyParams) -> AdaptDecision:
     """Accept the step, or bump kappa by b'(d_deepest)/b'(0.5 delta) and
-    signal a retry.  kappa never decreases; exceeding kappa_max is an error
+    signal a retry.  kappa never decreases; exceeding KAPPA_MAX is an error
     (the step size is too large for the contact to resolve).
 
     Acceptance requires strictly positive gaps, so an exact zero still bumps
@@ -358,9 +359,9 @@ def adaptive_stiffen(d_deepest: float, penalty: PenaltyParams) -> AdaptDecision:
     factor = (penalty_db(d_deepest, delta, kappa)
               / penalty_db(0.5 * delta, delta, kappa))
     new_kappa = kappa * factor
-    if new_kappa > penalty.kappa_max:
+    if new_kappa > KAPPA_MAX:
         raise StiffeningError(
             f"contact stiffness {new_kappa:.3e} would exceed the cap "
-            f"{penalty.kappa_max:.3e}; reduce the time step h")
+            f"{KAPPA_MAX:.3e}; reduce the time step h")
     return AdaptDecision(accept=False, kappa=float(new_kappa),
                          factor=float(factor))

@@ -4,8 +4,7 @@ One ForceModel owns the (merged) mesh, an obstacle table, penalty/friction/
 volume parameters and Dirichlet constraints, and provides
 
   * ``force`` — generic total force, evaluable with Dual q/v for JVPs,
-    with part selection (used by the mis-split TR diagnostic) and lagged
-    friction anchoring;
+    with lagged friction anchoring;
   * ``jacobians`` — the sparse c_q df/dq + c_v df/dv, as ``data`` on one
     fixed CSR pattern per model (:class:`CsrPattern`, built at the first
     assembly), plus the exact rank-1 volume terms of c_q df/dq, kept
@@ -39,12 +38,6 @@ from .friction import contact_friction_blocks, contact_friction_forces
 from .mesh import TetMeshModel
 from .volume import (enclosed_volume, volume_force, volume_hessian_blocks,
                      volume_hessian_pairs, volume_law)
-
-ALL_PARTS = frozenset({"elastic", "damping", "gravity", "contact", "friction",
-                       "volume"})
-CONTACT_PARTS = frozenset({"contact", "friction"})
-NON_CONTACT_PARTS = ALL_PARTS - CONTACT_PARTS
-
 
 @dataclass
 class Rank1:
@@ -119,6 +112,14 @@ class ContactState:
     cset: ContactSet
     lagged: ContactSet | None = None
 
+    @classmethod
+    def empty(cls, table: ObstacleTable) -> ContactState:
+        """A state with no pairs, so contact and friction add nothing."""
+        none = np.zeros(0, int)
+        return cls(cset=ContactSet(
+            vertex=none, obstacle=none, x=np.zeros((0, 3)), d=np.zeros(0),
+            lam=np.zeros(0), n=np.zeros((0, 3)), table=table))
+
 
 class ForceModel:
     def __init__(self, mesh: TetMeshModel, obstacles=(),
@@ -168,8 +169,7 @@ class ForceModel:
         (vertex, obstacle) pairs unioned in by the kappa-retry loop.
         """
         if self.penalty is None:  # no contact law, so no candidates
-            return ContactState(cset=gaps(ObstacleTable([]), q, t, None,
-                                          activation=0.0))
+            return ContactState.empty(self.table)
         surf = self.mesh.surface_vertices
         x = np.asarray(q, float).reshape(-1, 3)[surf]
         vv = np.asarray(v, float).reshape(-1, 3)
@@ -192,26 +192,18 @@ class ForceModel:
             self.penalty))
 
     # -- forces ----------------------------------------------------------------
-    def force(self, q, v, t: float, contact: ContactState,
-              parts: frozenset = ALL_PARTS):
+    def force(self, q, v, t: float, contact: ContactState):
         """Total generalized force (m,), generic over Dual q/v."""
         total = 0.0 * q + 0.0 * v  # promotes to Dual if either input is
-        if parts & {"elastic", "damping"}:
-            total = total + element_forces(self.mesh, q, v, "elastic" in parts,
-                                           "damping" in parts)
-        if "gravity" in parts:
-            total = total + self.gravity_force
-        if (self.penalty is not None and contact.cset.size
-                and parts & CONTACT_PARTS):
+        total = total + element_forces(self.mesh, q, v, True, True)
+        total = total + self.gravity_force
+        if contact.cset.size:
             f_c, f_f = contact_friction_forces(
                 contact.cset, q, v, t, self.penalty, anchor=contact.lagged)
-            if "contact" in parts:
-                total = total + f_c
-            if "friction" in parts:
-                total = total + f_f
-        if "volume" in parts:
-            for vp in self.volume_penalties:
-                total = total + volume_force(vp.region, q, vp)
+            total = total + f_c
+            total = total + f_f
+        for vp in self.volume_penalties:
+            total = total + volume_force(vp.region, q, vp)
         return total
 
     # -- assembled jacobians -----------------------------------------------------
@@ -239,7 +231,7 @@ class ForceModel:
         return self._pattern
 
     def jacobians(self, q, v, t: float, contact: ContactState, c_q: float,
-                  c_v: float, parts: frozenset = ALL_PARTS):
+                  c_v: float):
         """(data, rank1 list) at real (q, v): ``data`` holds
         c_q df/dq + c_v df/dv on :meth:`pattern`, and the rank-1 volume
         terms are those of df/dq scaled by c_q."""
@@ -250,38 +242,30 @@ class ForceModel:
         data = np.zeros(pat.nnz)
         rank1: list[Rank1] = []
         mesh = self.mesh
-        elastic, damping = "elastic" in parts, "damping" in parts
-        has_beta = damping and bool(np.any(mesh.beta > 0.0))
 
-        if elastic or has_beta:
-            kin = element_kinematics(mesh, q)
-            weight = c_q * elastic + c_v * damping * mesh.beta
-            blocks = _element_stiffness(mesh, kin) * weight[:, None, None]
-            if has_beta:
-                blocks += c_q * damping_q_blocks(mesh, kin, v)
-            data -= pat.scatter(elem, blocks.ravel())
-        if damping:
-            data[pat.diag] -= c_v * mesh.alpha * mesh.mass_dofs
+        kin = element_kinematics(mesh, q)
+        weight = c_q + c_v * mesh.beta
+        blocks = _element_stiffness(mesh, kin) * weight[:, None, None]
+        if np.any(mesh.beta > 0.0):
+            blocks += c_q * damping_q_blocks(mesh, kin, v)
+        data -= pat.scatter(elem, blocks.ravel())
+        data[pat.diag] -= c_v * mesh.alpha * mesh.mass_dofs
 
         cset = contact.cset
-        if self.penalty is not None and cset.size and parts & CONTACT_PARTS:
+        if cset.size:
             cf = contact_friction_blocks(
                 cset, q, v, t, self.penalty, anchor=contact.lagged)
-            blocks = 0.0
-            if "contact" in parts:
-                blocks += c_q * cf[:, :3, :3]
-            if "friction" in parts:
-                blocks += c_q * cf[:, 3:, :3] + c_v * cf[:, 3:, 3:]
+            blocks = c_q * cf[:, :3, :3]
+            blocks += c_q * cf[:, 3:, :3] + c_v * cf[:, 3:, 3:]
             data += pat.scatter(pat.vertex[cset.vertex].ravel(),
                                 blocks.ravel())
 
-        if "volume" in parts:
-            for vp, slots in zip(self.volume_penalties, regions):
-                vvol, g = enclosed_volume(vp.region, q)
-                _, w1, w2 = volume_law(vvol, vp)
-                hv = volume_hessian_blocks(vp.region, q)
-                data -= pat.scatter(slots, (c_q * w1) * hv.ravel())
-                rank1.append(Rank1(scale=-c_q * w2, u=g, w=g))
+        for vp, slots in zip(self.volume_penalties, regions):
+            vvol, g = enclosed_volume(vp.region, q)
+            _, w1, w2 = volume_law(vvol, vp)
+            hv = volume_hessian_blocks(vp.region, q)
+            data -= pat.scatter(slots, (c_q * w1) * hv.ravel())
+            rank1.append(Rank1(scale=-c_q * w2, u=g, w=g))
 
         return data, rank1
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dual as dm
-from .forces import ALL_PARTS, NON_CONTACT_PARTS, ContactState, ForceModel
+from .forces import ContactState, ForceModel
 from .mesh import SystemState
 
 
@@ -43,7 +43,6 @@ class StageProblem:
     t_eval: float
     h: float
     f_const: np.ndarray | None = None
-    parts: frozenset = ALL_PARTS
 
     def positions(self, v):
         return self.q_ref + self.c * v
@@ -51,7 +50,7 @@ class StageProblem:
     def residual(self, v):
         """Stage residual, generic over Dual v."""
         q = self.positions(v)
-        f = self.model.force(q, v, self.t_eval, self.contact, parts=self.parts)
+        f = self.model.force(q, v, self.t_eval, self.contact)
         r = self.model.mass_dofs * (v - self.v_lin) - self.c * f
         if self.f_const is not None:
             r = r - self.f_const
@@ -72,7 +71,7 @@ class StageProblem:
         """
         q = self.positions(np.asarray(v, float))
         data, rank1 = self.model.jacobians(q, v, self.t_eval, self.contact,
-                                           self.c, 1.0, parts=self.parts)
+                                           self.c, 1.0)
         pat = self.model.pattern()
         data *= -self.c
         data[pat.diag] += self.model.mass_dofs
@@ -115,30 +114,38 @@ class BackwardEuler(Scheme):
 
 
 class TrapezoidalRule(Scheme):
-    """Fully coupled TR: every force enters both halves.  The explicit half
-    is evaluated at each call, so each ``lagged:N`` pass uses its anchor."""
+    """Fully coupled TR: both halves evaluate the force on the step's
+    contact state.  The explicit half is evaluated at each call, so each
+    ``lagged:N`` pass uses its anchor."""
 
     name = "tr"
-    implicit_parts = ALL_PARTS
 
     def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
         f0 = model.force(state.q, state.v, state.t, contact)
-        prob = StageProblem(model=model, contact=contact, v_lin=state.v,
-                            q_ref=state.q + 0.5 * h * state.v, c=0.5 * h,
-                            t_eval=state.t + h, h=h, f_const=(0.5 * h) * f0,
-                            parts=self.implicit_parts)
+        prob = StageProblem(model=model,
+                            contact=self.implicit_contact(model, contact),
+                            v_lin=state.v, q_ref=state.q + 0.5 * h * state.v,
+                            c=0.5 * h, t_eval=state.t + h, h=h,
+                            f_const=(0.5 * h) * f0)
         v1, rep = solve(prob, state.v if v_guess is None else v_guess)
         return StepResult(q=state.q + 0.5 * h * (state.v + v1), v=v1,
                           reports=[rep])
 
+    def implicit_contact(self, model, contact):
+        """The contact state of the implicit half."""
+        return contact
+
 
 class TrapezoidalMissplit(TrapezoidalRule):
-    """Deliberately mis-split TR: contact and friction are excluded from the
-    implicit half and enter only through the explicit start-of-step force.
-    Diagnostic scheme; expected to go unstable on bouncing scenes."""
+    """Deliberately mis-split TR: the explicit half f0 evaluates the force
+    on the step's contact state, the implicit half on a state with no
+    pairs, so contact and friction enter only through f0.  Diagnostic
+    scheme; expected to go unstable on bouncing scenes."""
 
     name = "tr_missplit"
-    implicit_parts = NON_CONTACT_PARTS
+
+    def implicit_contact(self, model, contact):
+        return ContactState.empty(model.table)
 
 
 class BDF2(Scheme):

@@ -86,7 +86,7 @@ def enclosed_volume(region: np.ndarray, q):
 def volume_law(v, params: VolumePenaltyParams):
     """(W, dW/dV, d2W/dV2) of the params' model at volume v (m^3), with
     V0 = ``params.rest_volume``; generic over Dual v.  Nothing here checks
-    V > 0: the log models' W is not finite there."""
+    V > 0: the log models' W, W' and W'' are not finite there."""
     v0 = params.rest_volume
     if v0 is None or v0 <= 0:
         raise VolumeDomainError("rest volume V0 must be positive")
@@ -95,12 +95,14 @@ def volume_law(v, params: VolumePenaltyParams):
         return ((v - v0) ** 2 / (2.0 * v0 * kv), (v - v0) / (v0 * kv),
                 1.0 / (v0 * kv))
     ratio = dm.log(v / v0)
+    off = 0.0 * ratio  # NaN at V <= 0: W' + off and W'' + off are not finite
     if params.model == "ideal_gas":
         # d/dV [P0 (V - V0 - V0 ln(V/V0))] = P0 (1 - V0/V)
         return (params.p0 * (v - v0 * (1.0 + ratio)),
-                params.p0 * (1.0 - v0 / v), params.p0 * v0 / v ** 2)
+                params.p0 * (1.0 - v0 / v) + off,
+                params.p0 * v0 / v ** 2 + off)
     # d/dV [(V0 - V + V ln(V/V0))/kv] = ln(V/V0)/kv
-    return (v0 - v * (1.0 - ratio)) / kv, ratio / kv, 1.0 / (v * kv)
+    return (v0 - v * (1.0 - ratio)) / kv, ratio / kv, 1.0 / (v * kv) + off
 
 
 def volume_energy(v, params: VolumePenaltyParams):

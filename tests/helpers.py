@@ -1,6 +1,7 @@
 """Shared test helpers: element block indices, df/dq and df/dv from the
-weighted assembly, one obstacle's geometry queries, obstacle frame counts,
-linear force models and bare nonlinear problems."""
+weighted assembly, the force's terms and their Jacobians from their own
+kernels, one obstacle's geometry queries, obstacle frame counts, linear
+force models and bare nonlinear problems."""
 
 from collections import Counter
 
@@ -9,7 +10,14 @@ import scipy.sparse as sp
 
 from fricsim import dual as dm
 from fricsim.contact import ObstacleTable, RigidMotion
-from fricsim.forces import ALL_PARTS, CsrPattern
+from fricsim.elasticity import (_element_stiffness, damping_force,
+                                damping_q_blocks, elastic_force,
+                                element_kinematics)
+from fricsim.forces import CsrPattern
+from fricsim.friction import contact_friction_blocks, contact_friction_forces
+from fricsim.volume import (enclosed_volume, volume_force,
+                            volume_hessian_blocks, volume_hessian_pairs,
+                            volume_law)
 
 
 def element_block_indices(mesh):
@@ -20,13 +28,85 @@ def element_block_indices(mesh):
             np.tile(dofs, (1, 12)).ravel())
 
 
-def split_jacobians(model, q, v, t, contact, parts=ALL_PARTS):
+def split_jacobians(model, q, v, t, contact):
     """(df/dq, df/dv, rank1 list of df/dq) as CSR matrices on the model's
     pattern, from its weighted assembly with weights (1, 0) and (0, 1)."""
     pat = model.pattern()
-    data_q, rank1 = model.jacobians(q, v, t, contact, 1.0, 0.0, parts=parts)
-    data_v, _ = model.jacobians(q, v, t, contact, 0.0, 1.0, parts=parts)
+    data_q, rank1 = model.jacobians(q, v, t, contact, 1.0, 0.0)
+    data_v, _ = model.jacobians(q, v, t, contact, 0.0, 1.0)
     return pat.matrix(data_q), pat.matrix(data_v), rank1
+
+
+def term_forces(model, q, v, t, contact):
+    """The six terms of ``model.force`` (name -> (m,) force), each from its
+    own kernel; generic over Dual q/v."""
+    mesh = model.mesh
+    f_c = f_f = 0.0 * q
+    if contact.cset.size:
+        f_c, f_f = contact_friction_forces(contact.cset, q, v, t,
+                                           model.penalty,
+                                           anchor=contact.lagged)
+    f_v = 0.0 * q
+    for vp in model.volume_penalties:
+        f_v = f_v + volume_force(vp.region, q, vp)
+    return {"elastic": elastic_force(mesh, q),
+            "damping": damping_force(mesh, q, v),
+            "gravity": np.tile(model.gravity, mesh.n_verts) * mesh.mass_dofs,
+            "contact": f_c, "friction": f_f, "volume": f_v}
+
+
+def _pair_blocks(vi, vj):
+    """(rows, cols) of the 3x3 blocks of vertex pairs (vi, vj)."""
+    shape = (len(vi), 3, 3)
+    return (np.broadcast_to(3 * vi[:, None, None] + np.arange(3)[:, None],
+                            shape),
+            np.broadcast_to(3 * vj[:, None, None] + np.arange(3), shape))
+
+
+def term_jacobians(model, q, v, t, contact):
+    """(df/dq, df/dv) of each term of ``model.force`` (name -> pair of
+    dense arrays) at real (q, v), from its own kernel's blocks assembled
+    through ``scipy.sparse.coo_matrix`` (duplicates summed).  The volume
+    df/dq includes its dense rank-1 part -W'' g g^T."""
+    mesh = model.mesh
+    m = mesh.n_dofs
+
+    def dense(*trips):
+        out = np.zeros((m, m))
+        for rows, cols, vals in trips:
+            out += sp.coo_matrix((np.ravel(vals), (np.ravel(rows),
+                                                   np.ravel(cols))),
+                                 shape=(m, m)).toarray()
+        return out
+
+    kin = element_kinematics(mesh, q)
+    kblocks = _element_stiffness(mesh, kin)
+    elem = element_block_indices(mesh)
+    diag = np.arange(m)
+    terms = {
+        "elastic": (dense((*elem, -kblocks)), dense()),
+        "damping": (dense((*elem, -damping_q_blocks(mesh, kin, v))),
+                    dense((diag, diag, -mesh.alpha * mesh.mass_dofs),
+                          (*elem, -kblocks * mesh.beta[:, None, None]))),
+        "gravity": (dense(), dense()),
+        "contact": (dense(), dense()), "friction": (dense(), dense())}
+    cset = contact.cset
+    if cset.size:
+        pairs = _pair_blocks(cset.vertex, cset.vertex)
+        blocks = contact_friction_blocks(cset, q, v, t, model.penalty,
+                                         anchor=contact.lagged)
+        terms["contact"] = (dense((*pairs, blocks[:, :3, :3])), dense())
+        terms["friction"] = (dense((*pairs, blocks[:, 3:, :3])),
+                             dense((*pairs, blocks[:, 3:, 3:])))
+    vol = dense()
+    for vp in model.volume_penalties:
+        volume, g = enclosed_volume(vp.region, q)
+        _, w1, w2 = volume_law(volume, vp)
+        pairs = _pair_blocks(*volume_hessian_pairs(vp.region))
+        vol += dense((*pairs, -w1 * volume_hessian_blocks(vp.region, q)))
+        vol -= w2 * np.outer(g, g)
+    terms["volume"] = (vol, dense())
+    return terms
 
 
 def gap_normal(obstacle, x, t):
@@ -86,21 +166,15 @@ class LinearForceModel:
     def mass_dofs(self):
         return self.mass
 
-    def force(self, q, v, t, contact, parts=ALL_PARTS):
-        fq = dm.matmul(self.a_q, q) if "elastic" in parts else 0.0 * q
-        fv = dm.matmul(self.a_v, v) if "damping" in parts else 0.0 * v
-        out = fq + fv
-        if "gravity" in parts:
-            out = out + self.const
-        return out
+    def force(self, q, v, t, contact):
+        return dm.matmul(self.a_q, q) + dm.matmul(self.a_v, v) + self.const
 
     def pattern(self):
         """Dense n x n pattern."""
         return self._pattern
 
-    def jacobians(self, q, v, t, contact, c_q, c_v, parts=ALL_PARTS):
-        dfdx = (c_q * ("elastic" in parts) * self.a_q
-                + c_v * ("damping" in parts) * self.a_v)
+    def jacobians(self, q, v, t, contact, c_q, c_v):
+        dfdx = c_q * self.a_q + c_v * self.a_v
         return self._pattern.scatter(self._slots, dfdx.ravel()), []
 
     def apply_velocity_constraints(self, r, v):

@@ -24,7 +24,7 @@ from fricsim.simulate import Simulation, StepFailure, run_simulation
 from fricsim.solvers import PHI, SolverConfig, damped_newton
 from fricsim.volume import VolumePenaltyParams, volume_energy
 
-from helpers import split_jacobians
+from helpers import split_jacobians, term_forces, term_jacobians
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 X_REF, T_REF = 0.769, 15.38
@@ -161,31 +161,39 @@ def test_criterion_6_derivative_consistency():
     trials = 0
     worst_fd = 0.0
     worst_jvp = 0.0
-    part_sets = [frozenset({p}) for p in
-                 ("elastic", "damping", "contact", "friction", "volume")]
+    # each term's kernel Jacobian against its kernel force, and the model's
+    # assembled Jacobian against its total force
+    names = ("elastic", "damping", "contact", "friction", "volume", "total")
     for seed in range(16):
         mode = ("implicit", "lagged")[seed % 2]
         model, q, v, contact, rng = make_fixture(seed, friction_mode=mode)
         hq = 1e-7
-        for parts in part_sets:
-            dfdq, dfdv, rank1 = split_jacobians(model, q, v, 0.0, contact,
-                                                parts=parts)
+
+        def forces(qq, vv):
+            out = term_forces(model, qq, vv, 0.0, contact)
+            out["total"] = model.force(qq, vv, 0.0, contact)
+            return out
+
+        jacs = term_jacobians(model, q, v, 0.0, contact)
+        dfdq, dfdv, rank1 = split_jacobians(model, q, v, 0.0, contact)
+        jacs["total"] = (dfdq.toarray() + sum(r.scale * np.outer(r.u, r.w)
+                                              for r in rank1), dfdv)
+        for name in names:
+            dq, dv = jacs[name]
             for _ in range(4):
                 p = rng.normal(size=q.size)
-                if not (mode == "lagged" and parts == {"friction"}):
-                    fd = (model.force(q + hq * p, v, 0.0, contact, parts=parts)
-                          - model.force(q - hq * p, v, 0.0, contact,
-                                        parts=parts)) / (2 * hq)
-                    err = rel_err(apply_full(dfdq, rank1, p), fd)
+                if not (mode == "lagged" and name == "friction"):
+                    fd = (forces(q + hq * p, v)[name]
+                          - forces(q - hq * p, v)[name]) / (2 * hq)
+                    err = rel_err(dq @ p, fd)
                     worst_fd = max(worst_fd, err)
-                    assert err <= 1e-4, (parts, seed, err)
+                    assert err <= 1e-4, (name, seed, err)
                     trials += 1
-                fdv = (model.force(q, v + hq * p, 0.0, contact, parts=parts)
-                       - model.force(q, v - hq * p, 0.0, contact,
-                                     parts=parts)) / (2 * hq)
-                errv = rel_err(dfdv @ p, fdv)
+                fdv = (forces(q, v + hq * p)[name]
+                       - forces(q, v - hq * p)[name]) / (2 * hq)
+                errv = rel_err(dv @ p, fdv)
                 worst_fd = max(worst_fd, errv)
-                assert errv <= 1e-4, (parts, seed, errv)
+                assert errv <= 1e-4, (name, seed, errv)
                 trials += 1
         # assembled stage Jacobian vs dual JVP
         h = 0.004

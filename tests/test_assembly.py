@@ -2,10 +2,10 @@
 
 ``StageProblem.jacobian`` has the model assemble df/dv + c df/dq in one
 weighted pass, one scatter per part into one precomputed pattern, and forms
-J on its ``data``.  The oracle here assembles df/dq and df/dv block by block
-with ``scipy.sparse.coo_matrix`` (duplicates summed), combines them densely
-and applies the Dirichlet rows by hand; the two must agree to 1e-14
-relative.  On the same stage states the weights must act linearly, and the
+J on its ``data``.  The oracle here assembles each force term's df/dq and
+df/dv block by block with ``scipy.sparse.coo_matrix`` (duplicates summed),
+combines them densely, rank-1 volume terms included, and applies the
+Dirichlet rows by hand; the two must agree to 1e-14 relative.  On the same stage states the weights must act linearly, and the
 real part of a dual residual evaluation must be the residual bit for bit.
 """
 
@@ -15,20 +15,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from fricsim.dual import Dual
-from fricsim.elasticity import (_element_stiffness, damping_q_blocks,
-                                element_kinematics)
 from fricsim.experiments import block_slide_scene
 from fricsim.forces import CsrPattern
-from fricsim.friction import contact_friction_blocks
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation
-from fricsim.volume import (enclosed_volume, volume_hessian_blocks,
-                            volume_hessian_pairs, volume_law)
 
-from helpers import element_block_indices
+from helpers import term_jacobians
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
@@ -75,62 +69,14 @@ def _stage(name, steps):
     return seen[0]
 
 
-def _triplets(rows, cols, vals):
-    return np.ravel(rows), np.ravel(cols), np.ravel(vals)
-
-
-def _pair_blocks(vi, vj):
-    """(rows, cols) of the 3x3 blocks of vertex pairs (vi, vj)."""
-    shape = (len(vi), 3, 3)
-    return (np.broadcast_to(3 * vi[:, None, None] + np.arange(3)[:, None],
-                            shape),
-            np.broadcast_to(3 * vj[:, None, None] + np.arange(3), shape))
-
-
 def coo_oracle(prob, v):
-    """Dense sparse part of J(v), assembled block by block through COO."""
-    model, mesh = prob.model, prob.model.mesh
-    q = prob.positions(v)
-    m = mesh.n_dofs
-    parts = prob.parts
-    in_q, in_v = [], []
-    kblocks = _element_stiffness(mesh, element_kinematics(mesh, q))
-    elem = element_block_indices(mesh)
-    if "elastic" in parts:
-        in_q.append(_triplets(*elem, -kblocks))
-    if "damping" in parts:
-        diag = np.arange(m)
-        in_v.append(_triplets(diag, diag, -mesh.alpha * mesh.mass_dofs))
-        if np.any(mesh.beta > 0.0):
-            in_v.append(_triplets(*elem,
-                                  -kblocks * mesh.beta[:, None, None]))
-            d = damping_q_blocks(mesh, element_kinematics(mesh, q), v)
-            in_q.append(_triplets(*elem, -d))
-    cset = prob.contact.cset
-    if cset.size:
-        rc = _pair_blocks(cset.vertex, cset.vertex)
-        blocks = contact_friction_blocks(
-            cset, q, v, prob.t_eval, model.penalty,
-            anchor=prob.contact.lagged)
-        if "contact" in parts:
-            in_q.append(_triplets(*rc, blocks[:, :3, :3]))
-        if "friction" in parts:
-            in_v.append(_triplets(*rc, blocks[:, 3:, 3:]))
-            in_q.append(_triplets(*rc, blocks[:, 3:, :3]))
-    if "volume" in parts:
-        for vp in model.volume_penalties:
-            vol, _ = enclosed_volume(vp.region, q)
-            w1 = float(volume_law(vol, vp)[1])
-            in_q.append(_triplets(*_pair_blocks(*volume_hessian_pairs(
-                                      vp.region)),
-                                  -w1 * volume_hessian_blocks(vp.region, q)))
-
-    def dense(trips):
-        rows, cols, vals = (np.concatenate(x) for x in zip(*trips))
-        return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).toarray()
-
-    combo = dense(in_v) + prob.c * dense(in_q)
-    jac = np.diag(model.mass_dofs) - prob.c * combo
+    """Dense J(v), its rank-1 volume terms included, from every force
+    term's df/dq and df/dv assembled block by block through COO."""
+    model = prob.model
+    terms = term_jacobians(model, prob.positions(v), v, prob.t_eval,
+                           prob.contact).values()
+    dfdq, dfdv = (sum(x) for x in zip(*terms))
+    jac = np.diag(model.mass_dofs) - prob.c * (dfdv + prob.c * dfdq)
     fixed = model.fixed_mask
     jac[fixed] = 0.0
     jac[fixed, fixed] = 1.0
@@ -148,10 +94,13 @@ def test_jacobian_matches_coo_oracle(stage):
     name, (prob, v) = stage
     assert prob.contact.cset.size > 0, "the state must have contacts"
     jac, rank1 = prob.jacobian(v)
-    oracle = coo_oracle(prob, v)
-    err = np.max(np.abs(jac.toarray() - oracle))
-    assert err <= 1e-14 * np.max(np.abs(oracle)), name
     assert len(rank1) == len(prob.model.volume_penalties)
+    jac = jac.toarray()
+    for r in rank1:
+        jac += r.scale * np.outer(r.u, r.w)
+    oracle = coo_oracle(prob, v)
+    err = np.max(np.abs(jac - oracle))
+    assert err <= 1e-14 * np.max(np.abs(oracle)), name
 
 
 def test_one_scatter_per_part(stage, monkeypatch):
@@ -174,9 +123,9 @@ def test_weights_act_linearly(stage):
     model = prob.model
     args = (prob.positions(v), v, prob.t_eval, prob.contact)
     c_q, c_v = prob.c, 1.0
-    data, rank1 = model.jacobians(*args, c_q, c_v, parts=prob.parts)
-    data_q, rank1_q = model.jacobians(*args, 1.0, 0.0, parts=prob.parts)
-    data_v, rank1_v = model.jacobians(*args, 0.0, 1.0, parts=prob.parts)
+    data, rank1 = model.jacobians(*args, c_q, c_v)
+    data_q, rank1_q = model.jacobians(*args, 1.0, 0.0)
+    data_v, rank1_v = model.jacobians(*args, 0.0, 1.0)
     want = c_q * data_q + c_v * data_v
     assert np.max(np.abs(data - want)) <= 1e-14 * np.max(np.abs(want))
     for r, r_q, r_v in zip(rank1, rank1_q, rank1_v, strict=True):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams,
-                             RigidMotion, Sphere, StiffeningError,
-                             adaptive_stiffen, contact_energy, gaps,
-                             penalty_b, penalty_db, penalty_lambda,
-                             tangential_velocity)
+from fricsim.contact import (KAPPA_MAX, HalfSpace, ObstacleTable,
+                             PenaltyParams, RigidMotion, Sphere,
+                             StiffeningError, adaptive_stiffen,
+                             contact_energy, gaps, penalty_b, penalty_db,
+                             penalty_lambda, tangential_velocity)
 from fricsim.friction import contact_friction_blocks, contact_friction_forces
 from helpers import gap, surface_velocity
 
@@ -158,9 +158,17 @@ def test_adaptive_stiffen_factors():
 
 
 def test_adaptive_stiffen_cap():
-    pen = PenaltyParams(delta=DELTA, kappa=KAPPA, kappa_max=2 * KAPPA)
-    with pytest.raises(StiffeningError, match="time step"):
+    # a gap of -delta bumps kappa 16-fold: from KAPPA_MAX / 8 that passes
+    # the cap, from KAPPA_MAX / 32 it stays below
+    pen = PenaltyParams(delta=DELTA, kappa=KAPPA_MAX / 8)
+    with pytest.raises(StiffeningError,
+                       match=r"2\.000e\+16 would exceed the cap 1\.000e\+16; "
+                             "reduce the time step"):
         adaptive_stiffen(-DELTA, pen)
+    pen = PenaltyParams(delta=DELTA, kappa=KAPPA_MAX / 32)
+    assert adaptive_stiffen(-DELTA, pen).kappa == pytest.approx(KAPPA_MAX / 2)
+    with pytest.raises(ValueError, match="KAPPA_MAX"):
+        PenaltyParams(delta=DELTA, kappa=2 * KAPPA_MAX)
 
 
 def test_rotating_obstacle_surface_velocity():

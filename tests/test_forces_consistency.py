@@ -14,14 +14,13 @@ import pytest
 from fricsim import dual as dm
 from fricsim.contact import HalfSpace, PenaltyParams, Sphere
 from fricsim.dual import Dual
-from fricsim.elasticity import damping_force, elastic_force
-from fricsim.forces import ALL_PARTS, NON_CONTACT_PARTS, ForceModel
+from fricsim.forces import ForceModel
 from fricsim.friction import FrictionParams
 from fricsim.integrators import StageProblem
 from fricsim.mesh import MaterialParams, SystemState
 from fricsim.meshgen import box_mesh
 
-from helpers import split_jacobians
+from helpers import split_jacobians, term_forces
 
 
 def make_fixture(seed: int, friction_mode="implicit", with_volume=True,
@@ -137,46 +136,20 @@ def test_full_residual_jvp_double_oracle():
 
 
 def test_parts_sum_to_total():
-    model, q, v, contact, rng = make_fixture(21)
-    total = model.force(q, v, 0.0, contact)
-    parts = sum(model.force(q, v, 0.0, contact, parts=frozenset({p}))
-                for p in ALL_PARTS)
-    np.testing.assert_allclose(total, parts, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("parts", [frozenset({"elastic"}),
-                                   frozenset({"damping"}),
-                                   frozenset({"elastic", "damping"}),
-                                   NON_CONTACT_PARTS, ALL_PARTS],
-                         ids=["elastic", "damping", "elastic+damping",
-                              "non_contact", "all"])
-def test_shared_element_pass_matches_the_selected_terms(parts):
-    # one element pass serves "elastic" and "damping"; it must give the
-    # elastic_force/damping_force terms the part set selects, also for the
+    # the force is the sum of its six terms (elastic, damping, gravity,
+    # contact, friction, volume), each from its own kernel, also for the
     # Dual inputs of a JVP in q and in v
     model, q, v, contact, rng = make_fixture(24)
-    mesh = model.mesh
     p, w = rng.normal(size=q.size), rng.normal(size=v.size)
-    rest = parts - {"elastic", "damping"}
     for qq, vv in ((q, v), (Dual(q, p), v), (q, Dual(v, w))):
-        got = model.force(qq, vv, 0.0, contact, parts=parts)
-        expect = model.force(qq, vv, 0.0, contact, parts=rest)
-        if "elastic" in parts:
-            expect = expect + elastic_force(mesh, qq)
-        if "damping" in parts:
-            expect = expect + damping_force(mesh, qq, vv)
+        got = model.force(qq, vv, 0.0, contact)
+        t = term_forces(model, qq, vv, 0.0, contact)
+        expect = (t["elastic"] + t["damping"] + t["gravity"] + t["contact"]
+                  + t["friction"] + t["volume"])
         for part in (dm.value, dm.tangent):
             scale = np.max(np.abs(part(expect)))
             np.testing.assert_allclose(part(got), part(expect), rtol=0.0,
                                        atol=1e-13 * scale)
-
-
-def test_gravity_force_is_mass_times_g():
-    model, q, v, contact, rng = make_fixture(22, with_volume=False)
-    f = model.force(q, v, 0.0, contact, parts=frozenset({"gravity"}))
-    expect = np.tile([0.0, -9.8, 0.0], model.mesh.n_verts) \
-        * model.mesh.mass_dofs
-    np.testing.assert_allclose(f, expect, rtol=1e-14)
 
 
 def test_dirichlet_rows_replace_residual():

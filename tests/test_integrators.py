@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fricsim.contact import HalfSpace, PenaltyParams
-from fricsim.forces import ForceModel
+from fricsim.forces import ContactState, ForceModel
 from fricsim.friction import FrictionParams
 from fricsim.integrators import make_scheme
 from fricsim.mesh import MaterialParams, SystemState
@@ -217,10 +217,9 @@ def test_lagged_equals_implicit_at_static_equilibrium():
     np.testing.assert_allclose(out["lagged"], out["implicit"], atol=1e-10)
 
 
-@pytest.mark.parametrize("lagged", [False, True])
-@pytest.mark.parametrize("name", ["be", "tr"])
-def test_stage_residual_has_one_form(name, lagged):
-    # implicit and lagged stages alike solve M (v - v_lin) - c f - f_const = 0
+def _sliding_cube(h, lagged=False):
+    """(model, start state, contact state) of a cube sliding on a plane
+    with its bottom face inside the penalty support."""
     mat = MaterialParams(density=800.0, youngs_modulus=2e5, poisson_ratio=0.3)
     mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)
     plane = HalfSpace((0, 0, 0), (0, 1, 0),
@@ -228,12 +227,21 @@ def test_stage_residual_has_one_form(name, lagged):
     model = ForceModel(mesh, [plane], PenaltyParams(delta=1e-3, kappa=5e3),
                        friction_mode="lagged" if lagged else "implicit")
     q0 = mesh.rest_q().copy()
-    q0[1::3] += 0.0504  # the bottom face inside the penalty support
+    q0[1::3] += 0.0504
     v0 = np.tile([0.05, -0.02, 0.0], mesh.n_verts)
     st = SystemState(q0, v0, 0.0)
-    h = 0.01
     contact = model.build_contact_state(st.q, st.v, st.t, h)
     assert contact.cset.size and (contact.lagged is not None) == lagged
+    return model, st, contact
+
+
+@pytest.mark.parametrize("lagged", [False, True])
+@pytest.mark.parametrize("name", ["be", "tr"])
+def test_stage_residual_has_one_form(name, lagged):
+    # implicit and lagged stages alike solve M (v - v_lin) - c f - f_const = 0
+    h = 0.01
+    model, st, contact = _sliding_cube(h, lagged)
+    mesh, v0 = model.mesh, st.v
     seen = []
 
     def capture(problem, v_start):
@@ -251,6 +259,42 @@ def test_stage_residual_has_one_form(name, lagged):
         assert np.array_equal(prob.f_const, f_const)
     want = mesh.mass_dofs * (v - prob.v_lin) - prob.c * force - f_const
     assert np.array_equal(prob.residual(v), want)
+
+
+def test_missplit_stage_solves_against_no_pairs():
+    # tr_missplit's explicit half sees the step's contact pairs and its
+    # implicit half none: M (v - v0) = h/2 (f(q0, v0) + f_0(q1, v)) with
+    # q1 = q0 + h/2 (v0 + v) and f_0 the force on a state with no pairs
+    h = 0.01
+    model, st, contact = _sliding_cube(h)
+    no_pairs = ContactState.empty(model.table)
+    seen = []
+
+    def capture(problem, v_start):
+        v, rep = _solve(problem, v_start)
+        seen.append((problem, rep))
+        return v, rep
+
+    res = make_scheme("tr_missplit").step(model, contact, st, h, capture)
+    (prob, rep), = seen
+    assert prob.contact.cset.size == 0 and rep.stop == "residual"
+    f0 = model.force(st.q, st.v, st.t, contact)
+    f1 = model.force(res.q, res.v, st.t + h, no_pairs)
+    # the contact pairs act at both ends of the step
+    assert not np.allclose(f0, model.force(st.q, st.v, st.t, no_pairs))
+    assert not np.allclose(f1, model.force(res.q, res.v, st.t + h, contact))
+    r = model.mass_dofs * (res.v - st.v) - 0.5 * h * (f0 + f1)
+    assert np.max(np.abs(r)) <= rep.tol
+    # the stage's assembled Jacobian against its dual JVP
+    rng = np.random.default_rng(5)
+    v_eval = res.v + 1e-3 * rng.normal(size=res.v.size)
+    jac, rank1 = prob.jacobian(v_eval)
+    for _ in range(4):
+        p = rng.normal(size=v_eval.size)
+        assembled = jac @ p + sum(r1.apply(p) for r1 in rank1)
+        ad = prob.jvp(v_eval, p)
+        err = np.max(np.abs(assembled - ad)) / np.max(np.abs(ad))
+        assert err <= 1e-10
 
 
 def test_residual_roundtrip_consistency():

@@ -6,7 +6,8 @@ from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams
 from fricsim.meshgen import box_mesh
 from fricsim.volume import (ATM, VolumeDomainError, VolumePenaltyParams,
-                            enclosed_volume, volume_energy, volume_force)
+                            enclosed_volume, volume_energy, volume_force,
+                            volume_law)
 
 from helpers import split_jacobians
 
@@ -116,8 +117,8 @@ def test_shared_curvature_at_rest(cube):
 
 
 def test_log_models_reject_nonpositive_volume(cube):
-    # the unit cube turned inside out (V = -1) and flattened (V = 0); the
-    # ideal gas's dW/dV = P0 (1 - V0/V) is finite at V < 0
+    # the unit cube turned inside out (V = -1) and flattened (V = 0): the
+    # log laws' W, W' and W'' and so their force are not finite there
     region = cube.surface_tris
     q0 = cube.rest_q().reshape(-1, 3)
     for q, vol in (((2.0 * q0.mean(0) - q0).ravel(), -1.0),
@@ -127,12 +128,12 @@ def test_log_models_reject_nonpositive_volume(cube):
         for model in ("ideal_gas", "nearly_incompressible"):
             p = _params(region, model, v0=1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                assert not np.isfinite(volume_energy(v, p))
+                law = volume_law(v, p)
                 f = volume_force(region, q, p)
-            assert np.all(np.isfinite(f)) == (model == "ideal_gas"
-                                              and vol < 0.0)
+            assert not np.any(np.isfinite(law)), (model, vol)
+            assert not np.any(np.isfinite(f)), (model, vol)
         pq = _params(region, "quadratic", v0=1.0)
-        assert np.isfinite(volume_energy(v, pq))
+        assert np.all(np.isfinite(volume_law(v, pq)))
         assert np.all(np.isfinite(volume_force(region, q, pq)))
 
 
@@ -170,14 +171,17 @@ def test_force_matches_energy_fd(cube):
 
 def _volume_jacobians(cube, params, q):
     """(sparse volume block of df/dq, Rank1 list) from ForceModel.jacobians
-    with weights (1, 0)."""
-    model = ForceModel(cube, gravity=(0.0, 0.0, 0.0),
-                       volume_penalties=[params])
+    with weights (1, 0): the sparse df/dq less that of the same model
+    without the volume term."""
     v = np.zeros_like(q)
-    contact = model.build_contact_state(q, v, 0.0, 0.01)
-    dfdq, _, rank1 = split_jacobians(model, q, v, 0.0, contact,
-                                     parts=frozenset({"volume"}))
-    return dfdq, rank1
+    split = []
+    for vps in ([params], []):
+        model = ForceModel(cube, gravity=(0.0, 0.0, 0.0),
+                           volume_penalties=vps)
+        contact = model.build_contact_state(q, v, 0.0, 0.01)
+        split.append(split_jacobians(model, q, v, 0.0, contact))
+    (dfdq, _, rank1), (dfdq_bare, _, _) = split
+    return dfdq - dfdq_bare, rank1
 
 
 def test_jacobian_apply_matches_force_jvp(cube):

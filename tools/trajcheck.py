@@ -1,25 +1,28 @@
 """Trajectory equality between two source trees.
 
-Dump the nine check scenes (the five in ``scenes/``, the lagged block slide,
-the ball drop on SDIRK2 and on TR-BDF2, and the plate squeeze on the
-iterative solver) with the ``fricsim`` package of a given ``src`` directory,
-then compare two dumps::
+Dump the eleven check scenes (the five in ``scenes/``, the lagged block
+slide, the ball drop on SDIRK2 and on TR-BDF2, the plate squeeze on the
+iterative solver, and the ball in the box and the plate squeeze on the
+mis-split TR, each up to its failure) with the ``fricsim`` package of a
+given ``src`` directory, then compare two dumps::
 
     python tools/trajcheck.py dump SRC_DIR OUT.pkl
     python tools/trajcheck.py compare A.pkl B.pkl
 
 A dump holds, per scene, every ``TrajectoryRecord.row`` (the initial state
 and the state after every step), the Newton count and the Krylov counts
-(``SolveReport.linear_iters``) of every solve in step order, and the final q
-and v.  ``compare`` prints each scene's Newton, solve and Krylov totals and
-reports the scene as ``==`` when all of them are equal bit for bit;
-otherwise it says whether every solve's Newton and Krylov counts are equal
-(or the first step where one differs), and names the first row that differs
-and the largest final |dq| and |dv|.  A last line sums the totals over the
-scenes both dumps hold.  Solve lists are compared as they are;
-with ``--collapse-zero-runs`` every run of zero-iteration solves within a
-step counts as one solve on both sides, so that a tree whose lagged passes
-stop at their fixed point compares against one that runs every pass.
+(``SolveReport.linear_iters``) of every solve in step order, the final q
+and v, and, for a scene that ends in a ``StepFailure``, its message and the
+last kappa reached.  ``compare`` prints each scene's Newton, solve and
+Krylov totals and reports the scene as ``==`` when all of them are equal
+bit for bit; otherwise it says whether every solve's Newton and Krylov
+counts are equal (or the first step where one differs), and names the
+first row that differs, the largest final |dq| and |dv| and any differing
+failures.  A last line sums the totals over the scenes both dumps hold.
+Solve lists are compared as they are; with ``--collapse-zero-runs`` every
+run of zero-iteration solves within a step counts as one solve on both
+sides, so that a tree whose lagged passes stop at their fixed point
+compares against one that runs every pass.
 """
 
 from __future__ import annotations
@@ -39,7 +42,13 @@ import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (label, scene file or a builder of a scene dict from fricsim.experiments,
+
+def _scene_doc(name):
+    with open(os.path.join(ROOT, "scenes", name)) as fh:
+        return json.load(fh)
+
+
+# (label, scene file or a builder of a scene dict, given fricsim.experiments,
 # steps)
 SCENES = (
     ("plate_squeeze", "plate_squeeze.json", 400),
@@ -53,6 +62,13 @@ SCENES = (
     ("ball_trbdf2", lambda ex: ex.ball_drop_scene(0.002, "trbdf2"), 150),
     ("plate_iterative", lambda ex: dict(ex.plate_squeeze_scene(0.005),
                                         solver={"kind": "iterative"}), 200),
+    # the mis-split TR fails at step 11 of the ball, which meets a wall
+    # within a step and so never feels contact at a step start, and at
+    # step 3 of the plates, whose contact enters every step's explicit half
+    ("ball_missplit", lambda ex: dict(_scene_doc("ball_in_box.json"),
+                                      integrator="tr_missplit"), 12),
+    ("plate_missplit", lambda ex: dict(_scene_doc("plate_squeeze.json"),
+                                       integrator="tr_missplit"), 4),
 )
 
 
@@ -66,7 +82,7 @@ def _scene(fs, spec):
 def dump(src: str, out: str, only=None):
     sys.path.insert(0, os.path.abspath(src))
     import fricsim as fs
-    from fricsim.simulate import Simulation
+    from fricsim.simulate import Simulation, StepFailure
 
     data = {}
     for label, spec, steps in SCENES:
@@ -76,15 +92,22 @@ def dump(src: str, out: str, only=None):
         sim = Simulation(scene)
         rows = [sim.record().row(scene.region_names)]
         newton, krylov = [], []
+        failure = None
         for _ in range(steps):
-            info = sim.advance()
+            try:
+                info = sim.advance()
+            except StepFailure as exc:
+                failure = f"{exc} (kappa {sim.model.penalty.kappa!r})"
+                break
             newton.append([r.iterations for r in info.reports])
             krylov.append([list(r.linear_iters) for r in info.reports])
             rows.append(sim.record().row(scene.region_names))
         data[label] = {"rows": rows, "newton": newton, "krylov": krylov,
-                       "q": sim.state.q.copy(), "v": sim.state.v.copy()}
-        print(f"{label}: {steps} steps, {sum(map(sum, newton))} Newton, "
-              f"{_krylov_total(krylov)} Krylov", flush=True)
+                       "q": sim.state.q.copy(), "v": sim.state.v.copy(),
+                       "failure": failure}
+        print(f"{label}: {len(newton)} steps, {sum(map(sum, newton))} "
+              f"Newton, {_krylov_total(krylov)} Krylov"
+              + (f", then {failure}" if failure else ""), flush=True)
     with open(out, "wb") as fh:
         pickle.dump(data, fh)
 
@@ -127,7 +150,8 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
         same = (bad_row is None and len(ra["rows"]) == len(rb["rows"])
                 and na == nb and ka == kb
                 and np.array_equal(ra["q"], rb["q"])
-                and np.array_equal(ra["v"], rb["v"]))
+                and np.array_equal(ra["v"], rb["v"])
+                and ra.get("failure") == rb.get("failure"))
         same_all &= same
         solves = (sum(map(len, ra["newton"])), sum(map(len, rb["newton"])))
         newton = (sum(map(sum, ra["newton"])), sum(map(sum, rb["newton"])))
@@ -146,7 +170,10 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
                     else f"differs from step {bad_step}")
                  + f", first differing row {bad_row}, final max |dq| "
                  f"{np.abs(ra['q'] - rb['q']).max():.3e}, |dv| "
-                 f"{np.abs(ra['v'] - rb['v']).max():.3e}"))
+                 f"{np.abs(ra['v'] - rb['v']).max():.3e}"
+                 + ("" if ra.get("failure") == rb.get("failure") else
+                    f", failures {ra.get('failure')!r} / "
+                    f"{rb.get('failure')!r}")))
     print(f"total: Newton {sums[0, 0]} / {sums[0, 1]}  "
           f"solves {sums[1, 0]} / {sums[1, 1]}  "
           f"Krylov {sums[2, 0]} / {sums[2, 1]}")
