@@ -14,7 +14,8 @@ import pytest
 from fricsim import dual as dm
 from fricsim.contact import HalfSpace, PenaltyParams, Sphere
 from fricsim.dual import Dual
-from fricsim.forces import ForceModel
+from fricsim.elasticity import element_forces
+from fricsim.forces import ContactState, ForceModel
 from fricsim.friction import FrictionParams
 from fricsim.integrators import StageProblem
 from fricsim.mesh import MaterialParams, SystemState
@@ -137,19 +138,56 @@ def test_full_residual_jvp_double_oracle():
 
 def test_parts_sum_to_total():
     # the force is the sum of its six terms (elastic, damping, gravity,
-    # contact, friction, volume), each from its own kernel, also for the
-    # Dual inputs of a JVP in q and in v
+    # contact, friction, volume), each from its own kernel
+    model, q, v, contact, rng = make_fixture(21)
+    total = model.force(q, v, 0.0, contact)
+    parts = sum(term_forces(model, q, v, 0.0, contact).values())
+    np.testing.assert_allclose(total, parts, rtol=1e-12, atol=1e-12)
+
+
+NON_CONTACT_TERMS = frozenset({"elastic", "damping", "gravity", "volume"})
+ALL_TERMS = NON_CONTACT_TERMS | {"contact", "friction"}
+
+
+@pytest.mark.parametrize("terms", [frozenset({"elastic"}),
+                                   frozenset({"damping"}),
+                                   frozenset({"elastic", "damping"}),
+                                   NON_CONTACT_TERMS, ALL_TERMS],
+                         ids=["elastic", "damping", "elastic+damping",
+                              "non_contact", "all"])
+def test_shared_element_pass_matches_the_selected_terms(terms):
+    # one element pass (element_forces) serves "elastic" and "damping"; it
+    # must give the elastic_force/damping_force terms its flags select, and
+    # the force must give the non-contact terms with the no-pair contact
+    # state and all six with the real one, also for the Dual inputs of a
+    # JVP in q and in v
     model, q, v, contact, rng = make_fixture(24)
     p, w = rng.normal(size=q.size), rng.normal(size=v.size)
     for qq, vv in ((q, v), (Dual(q, p), v), (q, Dual(v, w))):
-        got = model.force(qq, vv, 0.0, contact)
+        if terms == ALL_TERMS:
+            got = model.force(qq, vv, 0.0, contact)
+        elif terms == NON_CONTACT_TERMS:
+            got = model.force(qq, vv, 0.0, ContactState.empty(model.table))
+        else:
+            got = element_forces(model.mesh, qq, vv, "elastic" in terms,
+                                 "damping" in terms)
         t = term_forces(model, qq, vv, 0.0, contact)
-        expect = (t["elastic"] + t["damping"] + t["gravity"] + t["contact"]
-                  + t["friction"] + t["volume"])
+        expect = 0.0 * qq + 0.0 * vv
+        for name in ("elastic", "damping", "gravity", "contact", "friction",
+                     "volume"):
+            if name in terms:
+                expect = expect + t[name]
         for part in (dm.value, dm.tangent):
             scale = np.max(np.abs(part(expect)))
             np.testing.assert_allclose(part(got), part(expect), rtol=0.0,
                                        atol=1e-13 * scale)
+
+
+def test_gravity_force_is_mass_times_g():
+    model, q, v, contact, rng = make_fixture(22, with_volume=False)
+    expect = np.tile([0.0, -9.8, 0.0], model.mesh.n_verts) \
+        * model.mesh.mass_dofs
+    np.testing.assert_allclose(model.gravity_force, expect, rtol=1e-14)
 
 
 def test_dirichlet_rows_replace_residual():
