@@ -99,17 +99,22 @@ class Scheme:
 
     def step(self, model: ForceModel, contact: ContactState,
              state: SystemState, h: float, solve, prev: SystemState | None
-             = None, v_guess=None) -> StepResult:
+             = None, v0=None, guess=None) -> StepResult:
+        """One step from ``state``; ``solve(problem, v0, guess=None)``
+        solves a stage.  The first stage starts from ``v0`` (default
+        ``state.v``); BE, TR and BDF2 offer their one stage ``guess``, a
+        prediction of v at t + h, and SDIRK2 and TR-BDF2 offer it to none."""
         raise NotImplementedError
 
 
 class BackwardEuler(Scheme):
     name = "be"
 
-    def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
+    def step(self, model, contact, state, h, solve, prev=None, v0=None,
+             guess=None):
         prob = StageProblem(model=model, contact=contact, v_lin=state.v,
                             q_ref=state.q, c=h, t_eval=state.t + h, h=h)
-        v1, rep = solve(prob, state.v if v_guess is None else v_guess)
+        v1, rep = solve(prob, state.v if v0 is None else v0, guess)
         return StepResult(q=state.q + h * v1, v=v1, reports=[rep])
 
 
@@ -120,14 +125,15 @@ class TrapezoidalRule(Scheme):
 
     name = "tr"
 
-    def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
+    def step(self, model, contact, state, h, solve, prev=None, v0=None,
+             guess=None):
         f0 = model.force(state.q, state.v, state.t, contact)
         prob = StageProblem(model=model,
                             contact=self.implicit_contact(model, contact),
                             v_lin=state.v, q_ref=state.q + 0.5 * h * state.v,
                             c=0.5 * h, t_eval=state.t + h, h=h,
                             f_const=(0.5 * h) * f0)
-        v1, rep = solve(prob, state.v if v_guess is None else v_guess)
+        v1, rep = solve(prob, state.v if v0 is None else v0, guess)
         return StepResult(q=state.q + 0.5 * h * (state.v + v1), v=v1,
                           reports=[rep])
 
@@ -137,10 +143,10 @@ class TrapezoidalRule(Scheme):
 
 
 class TrapezoidalMissplit(TrapezoidalRule):
-    """Deliberately mis-split TR: the explicit half f0 evaluates the force
-    on the step's contact state, the implicit half on a state with no
-    pairs, so contact and friction enter only through f0.  Diagnostic
-    scheme; expected to go unstable on bouncing scenes."""
+    """Deliberately mis-split TR: contact and friction enter only through
+    the explicit half f0; the implicit half sees no pairs.  A foil: on
+    ``ball_in_box`` its kappa retries re-solve one contact-free stage
+    until the stiffness cap trips (step 11)."""
 
     name = "tr_missplit"
 
@@ -151,16 +157,16 @@ class TrapezoidalMissplit(TrapezoidalRule):
 class BDF2(Scheme):
     name = "bdf2"
 
-    def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
+    def step(self, model, contact, state, h, solve, prev=None, v0=None,
+             guess=None):
         if prev is None:
-            return BackwardEuler().step(model, contact, state, h, solve,
-                                        v_guess=v_guess)
+            return BackwardEuler().step(model, contact, state, h, solve, v0=v0)
         v_lin = (4.0 * state.v - prev.v) / 3.0
         q_ref = (4.0 * state.q - prev.q) / 3.0
         prob = StageProblem(model=model, contact=contact, v_lin=v_lin,
                             q_ref=q_ref, c=2.0 * h / 3.0, t_eval=state.t + h,
                             h=h)
-        v1, rep = solve(prob, state.v if v_guess is None else v_guess)
+        v1, rep = solve(prob, state.v if v0 is None else v0, guess)
         return StepResult(q=q_ref + (2.0 * h / 3.0) * v1, v=v1, reports=[rep])
 
 
@@ -168,11 +174,12 @@ class SDIRK2(Scheme):
     name = "sdirk2"
     gamma = 1.0 - 1.0 / np.sqrt(2.0)
 
-    def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
+    def step(self, model, contact, state, h, solve, prev=None, v0=None,
+             guess=None):
         g = self.gamma
         s1 = StageProblem(model=model, contact=contact, v_lin=state.v,
                           q_ref=state.q, c=g * h, t_eval=state.t + g * h, h=h)
-        v_s1, rep1 = solve(s1, state.v if v_guess is None else v_guess)
+        v_s1, rep1 = solve(s1, state.v if v0 is None else v0)
         k1v = (v_s1 - state.v) / (g * h)
         s2 = StageProblem(model=model, contact=contact,
                           v_lin=state.v + (1.0 - g) * h * k1v,
@@ -186,14 +193,15 @@ class TRBDF2(Scheme):
     name = "trbdf2"
     gamma = 2.0 - np.sqrt(2.0)
 
-    def step(self, model, contact, state, h, solve, prev=None, v_guess=None):
+    def step(self, model, contact, state, h, solve, prev=None, v0=None,
+             guess=None):
         g = self.gamma
         f0 = model.force(state.q, state.v, state.t, contact)
         s1 = StageProblem(model=model, contact=contact, v_lin=state.v,
                           q_ref=state.q + 0.5 * g * h * state.v,
                           c=0.5 * g * h, t_eval=state.t + g * h, h=h,
                           f_const=(0.5 * g * h) * f0)
-        v_g, rep1 = solve(s1, state.v if v_guess is None else v_guess)
+        v_g, rep1 = solve(s1, state.v if v0 is None else v0)
         q_g = state.q + 0.5 * g * h * (state.v + v_g)
         a_g = 1.0 / (g * (2.0 - g))
         a_0 = -(1.0 - g) ** 2 / (g * (2.0 - g))

@@ -113,12 +113,16 @@ def _number(x, path: str, kind=float):
     return kind(x)
 
 
-def _indices(x, path: str) -> np.ndarray:
-    """An int array of a JSON list of indices, which takes integral values
-    only, as :func:`_number` does."""
+def _indices(x, path: str, size: int) -> np.ndarray:
+    """An int array of a JSON list of indices into ``size`` items, which
+    takes integral values in [0, size) only, as :func:`_number` does."""
     a = np.asarray(x, float)
     if not np.all(np.isfinite(a) & (a == np.trunc(a))):
         raise SceneError(f"{path} must hold integers only")
+    outside = a[(a < 0) | (a >= size)]
+    if outside.size:
+        raise SceneError(f"{path}: index {int(outside[0])} is outside "
+                         f"[0, {size})")
     return a.astype(int)
 
 
@@ -210,11 +214,9 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
             _check_keys(data, {"vertices", "tets", "surface_groups"},
                         f"{path}.file contents")
             verts = np.asarray(data["vertices"], float)
-            tets = _indices(data["tets"], f"{path}.file tets")
+            tets = _indices(data["tets"], f"{path}.file tets", len(verts))
             groups = _object(data.get("surface_groups", {}),
                              f"{path}.file surface_groups")
-            groups = {k: _indices(g, f"{path}.file surface_groups.{k}")
-                      for k, g in groups.items()}
     elif "generator" in spec:
         gen, gpath = spec["generator"], f"{path}.generator"
         kind = _object(gen, gpath).get("kind")
@@ -251,6 +253,10 @@ def _load_mesh_spec(spec: dict, idx: int, base_dir: str):
 
     with _at(path):
         mesh = TetMeshModel(verts, tets, material)
+    with _at(f"{path}.file surface_groups"):
+        groups = {k: _indices(g, f"{path}.file surface_groups.{k}",
+                              len(mesh.surface_tris))
+                  for k, g in groups.items()}
 
     vel = np.asarray(_vec3(spec.get("velocity", [0, 0, 0]),
                            f"{path}.velocity"))

@@ -101,18 +101,7 @@ class Simulation:
         return self._contact
 
     # -- solving ----------------------------------------------------------------
-    def _solve(self, problem: StageProblem, v0):
-        """Solve one stage from ``v0``.  The schemes pass ``state.v`` itself
-        only to a step's first stage, and not on a lagged pass (its start is
-        the previous pass's result); after the first step such a solve is
-        also offered the extrapolation 2v - v_prev (``damped_newton``) when
-        it solves for the velocity at t + h, the time that guess predicts
-        (BE, TR and BDF2, not the t + gamma h first stages of SDIRK2 and
-        TR-BDF2)."""
-        guess = None
-        if (v0 is self.state.v and self.prev_state is not None
-                and problem.t_eval == self.state.t + self.h):
-            guess = 2.0 * v0 - self.prev_state.v
+    def _solve(self, problem: StageProblem, v0, guess=None):
         return damped_newton(problem, v0, self.scene.solver, guess=guess)
 
     def advance(self) -> StepInfo:
@@ -125,18 +114,19 @@ class Simulation:
         extra = np.zeros((0, 2), int)  # penetrating pairs of earlier tries
         info = StepInfo(index=self.step_index, retries=0,
                         kappa=model.penalty.kappa)
+        prev = self.prev_state
+        guess = None if prev is None else 2.0 * st.v - prev.v
         while True:
             try:
                 result = self.scheme.step(model, contact, st, h, self._solve,
-                                          prev=self.prev_state)
+                                          prev=prev, guess=guess)
                 info.reports.extend(result.reports)
                 for _ in range(self.scene.fixed_point_iters - 1
                                if contact.cset.size else 0):
                     lagged = model.rebuild_lagged(contact, result.q, st.t + h)
                     result = self.scheme.step(model, lagged, st, h,
-                                              self._solve,
-                                              prev=self.prev_state,
-                                              v_guess=result.v)
+                                              self._solve, prev=prev,
+                                              v0=result.v)
                     info.reports.extend(result.reports)
                     if not any(r.iterations for r in result.reports):
                         break  # a fixed point: later passes repeat it

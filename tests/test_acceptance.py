@@ -271,8 +271,8 @@ def test_criterion_8_integrator_orders():
 
     cfg = SolverConfig(r_tol_rel=1e-12, r_tol_abs=1e-14, v_tol=1e-13)
 
-    def solve(problem, v0):
-        return damped_newton(problem, v0, cfg)
+    def solve(problem, v0, guess=None):
+        return damped_newton(problem, v0, cfg, guess=guess)
 
     mat = MaterialParams(density=500.0, youngs_modulus=5e4, poisson_ratio=0.3)
     mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)

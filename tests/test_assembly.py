@@ -60,9 +60,9 @@ def _stage(name, steps):
         sim.advance()
     seen = []
 
-    def capture(problem, v0):
+    def capture(problem, v0, guess=None):
         seen.append((problem, np.asarray(v0, float).copy()))
-        return Simulation._solve(sim, problem, v0)
+        return Simulation._solve(sim, problem, v0, guess)
 
     sim._solve = capture
     sim.advance()

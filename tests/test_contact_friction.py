@@ -256,9 +256,9 @@ def _stage():
         sim.advance()
     seen = []
 
-    def capture(problem, v0):
+    def capture(problem, v0, guess=None):
         seen.append((problem, np.asarray(v0, float).copy()))
-        return Simulation._solve(sim, problem, v0)
+        return Simulation._solve(sim, problem, v0, guess)
 
     sim._solve = capture
     sim.advance()
@@ -346,9 +346,9 @@ def test_candidate_snapshot_serves_the_anchor_and_the_record(monkeypatch):
         sim.record()
         assert rows() == [] and frames(obstacles) == before
 
-        def solve(problem, v0, sim=sim):
+        def solve(problem, v0, guess=None, sim=sim):
             done = len(evaluated)
-            out = Simulation._solve(sim, problem, v0)
+            out = Simulation._solve(sim, problem, v0, guess)
             del evaluated[done:]  # residual evaluations are not counted
             return out
 

@@ -14,8 +14,8 @@ from helpers import LinearForceModel
 TIGHT = SolverConfig(r_tol_rel=1e-12, r_tol_abs=1e-14, v_tol=1e-13)
 
 
-def _solve(problem, v0):
-    return damped_newton(problem, v0, TIGHT)
+def _solve(problem, v0, guess=None):
+    return damped_newton(problem, v0, TIGHT, guess=guess)
 
 
 def _free_state(n=2):
@@ -244,9 +244,9 @@ def test_stage_residual_has_one_form(name, lagged):
     mesh, v0 = model.mesh, st.v
     seen = []
 
-    def capture(problem, v_start):
+    def capture(problem, v_start, guess=None):
         seen.append(problem)
-        return _solve(problem, v_start)
+        return _solve(problem, v_start, guess)
 
     make_scheme(name, lagged=lagged).step(model, contact, st, h, capture)
     prob, = seen
@@ -270,8 +270,8 @@ def test_missplit_stage_solves_against_no_pairs():
     no_pairs = ContactState.empty(model.table)
     seen = []
 
-    def capture(problem, v_start):
-        v, rep = _solve(problem, v_start)
+    def capture(problem, v_start, guess=None):
+        v, rep = _solve(problem, v_start, guess)
         seen.append((problem, rep))
         return v, rep
 
@@ -295,6 +295,38 @@ def test_missplit_stage_solves_against_no_pairs():
         ad = prob.jvp(v_eval, p)
         err = np.max(np.abs(assembled - ad)) / np.max(np.abs(ad))
         assert err <= 1e-10
+
+
+@pytest.mark.parametrize("name, with_prev, offered, stages", [
+    ("be", True, True, 1), ("tr", True, True, 1),
+    ("tr_missplit", True, True, 1), ("bdf2", True, True, 1),
+    ("bdf2", False, False, 1), ("sdirk2", True, False, 2),
+    ("trbdf2", True, False, 2)])
+def test_schemes_say_which_stage_takes_the_guess(name, with_prev, offered,
+                                                 stages):
+    # the first stage starts from v0; BE, TR, tr_missplit and BDF2 (with a
+    # history) offer their one stage the guess, BDF2's BE bootstrap and
+    # every stage of SDIRK2 and TR-BDF2 none, and a second stage starts
+    # from the first stage's result
+    h = 0.01
+    model, st, contact = _sliding_cube(h)
+    prev = SystemState(st.q - h * st.v, st.v.copy(), -h) if with_prev \
+        else None
+    v0, prediction = st.v + 1e-3, 2.0 * st.v
+    calls = []
+
+    def recording(problem, v_start, guess=None):
+        v, rep = _solve(problem, v_start, guess)
+        calls.append((v_start, guess, v))
+        return v, rep
+
+    make_scheme(name).step(model, contact, st, h, recording, prev=prev,
+                           v0=v0, guess=prediction)
+    assert len(calls) == stages
+    (v_start, guess, _), *later = calls
+    assert v_start is v0 and guess is (prediction if offered else None)
+    for (v_start, guess, _), (_, _, v_before) in zip(later, calls):
+        assert v_start is v_before and guess is None
 
 
 def test_residual_roundtrip_consistency():

@@ -176,6 +176,12 @@ def _unknown_solver_key(key, value, old_match):
     ("meshes.0.angular_velocity", [0, 1, 0],
      r"unknown keys at meshes\[0\]: angular_velocity$"),
     ("step", 1e308, "step 1e\\+308 is longer than duration 0.02$"),
+    ("meshes.0.file", "neg_tet.json",
+     r"meshes\[0\].file tets: index -2 is outside \[0, 5\)$"),
+    ("meshes.0.file", "big_tet.json",
+     r"meshes\[0\].file tets: index 7 is outside \[0, 4\)$"),
+    ("meshes", [{"file": "neg_group.json", "volume_region": {"group": "lid"}}],
+     r"meshes\[0\].file surface_groups.lid: index -1 is outside \[0, 4\)$"),
 ])
 def test_bad_value_named(path, value, match, tmp_path):
     (tmp_path / "bad_json.json").write_text('{"vertices": [[0, 0, 0]], ')
@@ -183,6 +189,15 @@ def test_bad_value_named(path, value, match, tmp_path):
     (tmp_path / "frac_tets.json").write_text(json.dumps({
         "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "tets": [[0, 1, 2, 3.7]]}))
+    tet = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    (tmp_path / "neg_tet.json").write_text(json.dumps({
+        "vertices": tet + [[1, 1, 1]],
+        "tets": [[0, 1, 2, 3], [1, 2, 3, 4], [2, 1, 4, -2]]}))
+    (tmp_path / "big_tet.json").write_text(json.dumps({
+        "vertices": tet, "tets": [[0, 1, 2, 7]]}))
+    (tmp_path / "neg_group.json").write_text(json.dumps({
+        "vertices": tet, "tets": [[0, 1, 2, 3]],
+        "surface_groups": {"lid": [0, -1]}}))
     cfg = json.loads(json.dumps(MINIMAL))
     *head, key = path.split(".")
     target = cfg

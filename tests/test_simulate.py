@@ -156,8 +156,8 @@ def test_step_reports_cover_every_lagged_pass():
     seen = []
     solve = sim._solve
 
-    def counting_solve(problem, v0):
-        result = solve(problem, v0)
+    def counting_solve(problem, v0, guess=None):
+        result = solve(problem, v0, guess)
         seen.append(result[1].iterations)
         return result
 

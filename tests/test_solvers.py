@@ -428,9 +428,9 @@ def _first_stage(scene):
     seen = []
     solve = sim._solve
 
-    def spy(problem, v0):
+    def spy(problem, v0, guess=None):
         seen.append((problem, v0))
-        return solve(problem, v0)
+        return solve(problem, v0, guess)
 
     sim._solve = spy
     sim.advance()

@@ -19,10 +19,6 @@ bit for bit; otherwise it says whether every solve's Newton and Krylov
 counts are equal (or the first step where one differs), and names the
 first row that differs, the largest final |dq| and |dv| and any differing
 failures.  A last line sums the totals over the scenes both dumps hold.
-Solve lists are compared as they are; with ``--collapse-zero-runs`` every
-run of zero-iteration solves within a step counts as one solve on both
-sides, so that a tree whose lagged passes stop at their fixed point
-compares against one that runs every pass.
 """
 
 from __future__ import annotations
@@ -116,17 +112,7 @@ def _krylov_total(krylov):
     return sum(sum(map(sum, step)) for step in krylov)
 
 
-def _collapse_zero_runs(steps, values=None):
-    """Drop each zero-iteration solve that follows one, from ``values``
-    (per-step lists parallel to the Newton counts ``steps``; default
-    ``steps`` itself)."""
-    values = steps if values is None else values
-    return [[x for k, (n, x) in enumerate(zip(step, vals))
-             if n or not k or step[k - 1]]
-            for step, vals in zip(steps, values)]
-
-
-def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
+def compare(a: str, b: str) -> bool:
     with open(a, "rb") as fh:
         da = pickle.load(fh)
     with open(b, "rb") as fh:
@@ -141,9 +127,6 @@ def compare(a: str, b: str, collapse_zero_runs: bool = False) -> bool:
         ra, rb = da[label], db[label]
         na, nb = ra["newton"], rb["newton"]
         ka, kb = ra["krylov"], rb["krylov"]
-        if collapse_zero_runs:
-            ka, kb = _collapse_zero_runs(na, ka), _collapse_zero_runs(nb, kb)
-            na, nb = _collapse_zero_runs(na), _collapse_zero_runs(nb)
         bad_row = next((k for k, (x, y) in enumerate(zip(ra["rows"],
                                                          rb["rows"]))
                         if x != y), None)
@@ -190,13 +173,11 @@ def main(argv=None):
     c = sub.add_parser("compare", help="compare two dumps")
     c.add_argument("a")
     c.add_argument("b")
-    c.add_argument("--collapse-zero-runs", action="store_true",
-                   help="count each run of zero-iteration solves as one")
     args = ap.parse_args(argv)
     if args.cmd == "dump":
         dump(args.src, args.out, args.only)
         return 0
-    return 0 if compare(args.a, args.b, args.collapse_zero_runs) else 1
+    return 0 if compare(args.a, args.b) else 1
 
 
 if __name__ == "__main__":
