@@ -5,8 +5,8 @@ Rayleigh damping, cubic-penalty contact against analytic obstacles with
 adaptive stiffening, smoothed Coulomb/Stribeck friction (fully implicit and
 lagged), physically-based volume-change penalties, first- and second-order
 implicit integrators, and one damped-Newton solver whose ``solver.kind``
-picks an exact LU (dense LAPACK to 500 dofs, SuperLU above) or a BiCGSTAB
-direction on assembled Jacobians that match dual-number JVPs.
+picks an exact LU (LAPACK's banded LU in reverse Cuthill-McKee order) or a
+BiCGSTAB direction on assembled Jacobians that match dual-number JVPs.
 """
 
 from .dual import Dual, jvp

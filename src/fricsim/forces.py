@@ -36,6 +36,7 @@ from .elasticity import (_element_stiffness, damping_q_blocks, element_forces,
                          element_kinematics)
 from .friction import contact_friction_blocks, contact_friction_forces
 from .mesh import TetMeshModel
+from .solvers import BandLayout
 from .volume import (enclosed_volume, volume_force, volume_hessian_blocks,
                      volume_hessian_pairs, volume_law)
 
@@ -60,7 +61,9 @@ class CsrPattern:
     ``data`` of each entry of each of its blocks; ``vertex`` (n, 9) holds
     the slots of each vertex's own block, ``diag`` the diagonal slots and
     ``rows`` the row of every slot.  Matrices on the pattern share its
-    ``indices`` and ``indptr`` and differ only in ``data``.
+    ``indices`` and ``indptr`` and differ only in ``data``; ``band`` is the
+    pattern's banded-LU layout (:class:`solvers.BandLayout`), built here
+    once and carried by every :meth:`matrix`.
     """
 
     def __init__(self, n: int, pieces):
@@ -95,14 +98,18 @@ class CsrPattern:
         self.diag = self.vertex[:, [0, 4, 8]].ravel()
         self.slots = [entries(b.reshape(np.shape(a)))
                       for b, (a, _) in zip(blocks, pieces)]
+        self.band = BandLayout(self.indptr, self.indices, self.m)
 
     def scatter(self, slots, weights) -> np.ndarray:
         """``data`` with the weights summed into their slots (both flat)."""
         return np.bincount(slots, weights, minlength=self.nnz)
 
     def matrix(self, data) -> sp.csr_matrix:
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.m, self.m))
+        """The CSR matrix with ``data`` on the pattern, carrying ``band``."""
+        mat = sp.csr_matrix((data, self.indices, self.indptr),
+                            shape=(self.m, self.m))
+        mat.band = self.band
+        return mat
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """One damped-Newton loop whose ``SolverConfig.kind`` picks the direction:
-an exact LU solve (dense LAPACK up to ``DENSE_LU_MAX`` rows, SuperLU above)
-with the rank-1 volume terms applied by the Woodbury identity
-(``"direct"``) or SciPy's BiCGSTAB right-preconditioned by that same solve,
-made from the first Newton iteration's Jacobian and kept for the whole solve
+an exact LU solve (LAPACK's banded LU in reverse Cuthill-McKee order) with
+the rank-1 volume terms applied by the Woodbury identity (``"direct"``) or
+SciPy's BiCGSTAB right-preconditioned by that same solve, made from the
+first Newton iteration's Jacobian and kept for the whole solve
 (``"iterative"``); a BiCGSTAB breakdown, like a missed tolerance, gives
 the step along -r.
 
@@ -21,15 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 C1 = 1e-4          # sufficient-decrease constant
 SIGMA = 0.01       # first and largest forcing term
 RHO = 0.5          # backtracking factor
 ALPHA_MIN = 1e-12  # smallest step before the line search fails
-DENSE_LU_MAX = 500  # largest Jacobian factored densely (see ``_factor``)
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,33 @@ def _backtrack(residual_fn, v, p, r_norm, sigma_k):
     return None
 
 
+class BandLayout:
+    """LAPACK band storage of an n x n CSR sparsity taken in reverse
+    Cuthill-McKee order (of A + A^T, so a structurally non-symmetric
+    pattern is ordered too).
+
+    ``order`` is the new row and column order, ``kl`` and ``ku`` the
+    sub- and superdiagonals of the reordered pattern and ``slots`` the
+    position of each stored entry in the column-major (2 kl + ku + 1, n)
+    array that ``dgbtrf`` factors.  All of it depends on the pattern
+    only, so a fixed pattern (``forces.CsrPattern``) builds it once.
+    """
+
+    def __init__(self, indptr, indices, n: int):
+        graph = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                              shape=(n, n))
+        self.order = reverse_cuthill_mckee(graph)
+        pos = np.empty(n, int)
+        pos[self.order] = np.arange(n)
+        rows = pos[np.repeat(np.arange(n), np.diff(indptr))]
+        cols = pos[indices]
+        # initial=0: a pattern with no stored entries has kl = ku = 0
+        self.kl = int(np.max(rows - cols, initial=0))
+        self.ku = int(np.max(cols - rows, initial=0))
+        self.ldab = 2 * self.kl + self.ku + 1
+        self.slots = self.kl + self.ku + rows - cols + self.ldab * cols
+
+
 def _factor(jac, rank1):
     """Solve b -> (A + U S W^T)^{-1} b for the sparse part A and the rank-1
     terms  scale * outer(u, w),  by the Woodbury identity on one LU factor
@@ -128,33 +156,29 @@ def _factor(jac, rank1):
     With no rank-1 terms this is the plain LU solve.  A singular A or C
     raises ``RuntimeError`` or ``LinAlgError``, as does a non-finite x.
 
-    Up to ``DENSE_LU_MAX`` rows A is factored densely (LAPACK ``getrf``;
-    ``info > 0`` raises like SuperLU's exactly singular factor), above that
-    by SuperLU, the only one that scales (at 2187 dofs dense LU takes 137
-    against 36 ms).  The crossover is measured: dense over SuperLU time of
-    factor plus one solve, best of timeit, one BLAS thread, step-60 stage
-    Jacobians of re-meshed scenes, median of two or three sweeps (single
-    sweeps spread by up to 0.3 between 480 and 540 dofs):
-
-        dofs           192   375   450   480   504   525   540   648
-        plate_squeeze  0.41  0.76  0.84  1.19  0.93  1.11  1.18  1.19
-        ball_drop            0.82  0.93  1.11  1.20  1.03  1.08  1.20
-
-    (``ball_drop`` re-meshed as a box between 375 and 648 dofs).  Dense LU
-    pivots in another order than SuperLU, so results move by rounding only,
-    and its bits depend on the BLAS thread count from about 142 rows, where
-    OpenBLAS threads ``getrf``.
+    A (CSR) is factored by LAPACK's banded LU with partial pivoting
+    (``dgbtrf``/``dgbtrs``) in the reverse Cuthill-McKee order of its
+    pattern, which narrows the band (``kl`` 80 / 53 / 38 at 375 / 192 /
+    108 dofs, against 95 / 65 / 41 in the generated numbering).  The
+    layout is the ``band`` that a matrix made on a fixed pattern carries
+    (``CsrPattern.matrix``); any other matrix gets one from its own CSR
+    arrays here.  ``info > 0`` (an exactly zero pivot) raises.
     """
-    if jac.shape[0] <= DENSE_LU_MAX:
-        lu, piv, info = lapack.dgetrf(jac.toarray(order="F"),
-                                      overwrite_a=True)
-        if info > 0:
-            raise RuntimeError("Factor is exactly singular")
+    n = jac.shape[0]
+    band = getattr(jac, "band", None) \
+        or BandLayout(jac.indptr, jac.indices, n)
+    ab = np.bincount(band.slots, jac.data, minlength=band.ldab * n)
+    lu, piv, info = lapack.dgbtrf(ab.reshape(band.ldab, n, order="F"),
+                                  band.kl, band.ku, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    order = band.order
 
-        def lu_solve(b):
-            return lapack.dgetrs(lu, piv, b)[0]
-    else:
-        lu_solve = spla.splu(jac.tocsc()).solve
+    def lu_solve(b):
+        x = np.empty(np.shape(b))
+        x[order] = lapack.dgbtrs(lu, band.kl, band.ku, b[order], piv)[0]
+        return x
+
     if rank1:
         u = np.column_stack([t.u for t in rank1])
         w = np.column_stack([t.w for t in rank1])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,15 +22,6 @@ SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
 
 ITERATIVE = SolverConfig(kind="iterative")
-
-
-def _lu_branches(monkeypatch):
-    """Yield "dense" (the shipped crossover), then "sparse" with the
-    crossover forced to 0, so one test body runs on both factor branches."""
-    assert solvers.DENSE_LU_MAX > 0
-    yield "dense"
-    monkeypatch.setattr(solvers, "DENSE_LU_MAX", 0)
-    yield "sparse"
 
 
 def _linear_spd_problem(n=8, seed=0):
@@ -328,19 +321,45 @@ def test_unknown_kind_rejected():
         SolverConfig(kind="bogus")
 
 
-def test_direct_singular_jacobian_fails(monkeypatch):
+def test_direct_singular_jacobian_fails():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 0.0])
     prob = BareProblem(lambda v: a @ v - b, lambda v: a)
-    for branch in _lu_branches(monkeypatch):
-        # the singular factor raises when it is made; it does not warn
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RuntimeError, match="singular"):
-                solvers._factor(sp.csr_matrix(a), [])
-            with pytest.raises(SolveFailure) as exc:
-                damped_newton(prob, np.zeros(2))
-        assert exc.value.report.status == "LinearSolveFailed", branch
+    # the singular factor raises when it is made; it does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="singular"):
+            solvers._factor(sp.csr_matrix(a), [])
+        with pytest.raises(SolveFailure) as exc:
+            damped_newton(prob, np.zeros(2))
+    assert exc.value.report.status == "LinearSolveFailed"
+
+
+def _tridiagonal_without_column(n=6, col=2):
+    a = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    a[:, col] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("a, band", [
+    # a zero column inside the band: an exactly zero pivot (the ordering
+    # starts at that column's vertex, the one of least degree, so the
+    # reordered band is 2 wide)
+    (_tridiagonal_without_column(), 2),
+    # 1 x 1 with no stored entry: kl = ku = 0, an empty band
+    (np.zeros((1, 1)), 0),
+], ids=["tridiagonal", "empty"])
+def test_exactly_singular_band_fails(a, band):
+    csr = sp.csr_matrix(a)
+    layout = solvers.BandLayout(csr.indptr, csr.indices, len(a))
+    assert max(layout.kl, layout.ku) == band
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        solvers._factor(csr, [])
+    b = np.ones(len(a))
+    with pytest.raises(SolveFailure) as exc:
+        damped_newton(BareProblem(lambda v: _lin(a, v, b), lambda v: a),
+                      np.zeros(len(a)))
+    assert exc.value.report.status == "LinearSolveFailed"
 
 
 class _SplitColumn(BareProblem):
@@ -368,15 +387,14 @@ def _skew_shifted(sign):
     return _SplitColumn(a, b), a, b
 
 
-def test_iterative_falls_back_to_minus_r(monkeypatch):
+def test_iterative_falls_back_to_minus_r():
     prob, a, b = _skew_shifted(1.0)
     cfg = SolverConfig(kind="iterative", r_tol_rel=1e-10, v_tol=1e-14)
-    for branch in _lu_branches(monkeypatch):
-        v, rep = damped_newton(prob, np.zeros(4), cfg)
-        assert rep.status == "Converged", branch
-        # no factor, so no BiCGSTAB iteration: every step is along -r
-        assert set(rep.linear_iters) == {0} and max(rep.alphas) < 1.0
-        np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
+    v, rep = damped_newton(prob, np.zeros(4), cfg)
+    assert rep.status == "Converged"
+    # no factor, so no BiCGSTAB iteration: every step is along -r
+    assert set(rep.linear_iters) == {0} and max(rep.alphas) < 1.0
+    np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
 
 
 def test_iterative_krylov_breakdown_steps_along_minus_r(monkeypatch):
@@ -410,12 +428,11 @@ def test_iterative_krylov_breakdown_steps_along_minus_r(monkeypatch):
     np.testing.assert_allclose(v, np.linalg.solve(a, b), rtol=1e-8)
 
 
-def test_iterative_fallback_ascent_fails(monkeypatch):
+def test_iterative_fallback_ascent_fails():
     prob, _, _ = _skew_shifted(-1.0)
-    for branch in _lu_branches(monkeypatch):
-        with pytest.raises(SolveFailure, match="-r fallback") as exc:
-            damped_newton(prob, np.zeros(4), ITERATIVE)
-        assert exc.value.report.status == "LinearSolveFailed", branch
+    with pytest.raises(SolveFailure, match="-r fallback") as exc:
+        damped_newton(prob, np.zeros(4), ITERATIVE)
+    assert exc.value.report.status == "LinearSolveFailed"
 
 
 class _DirectionFound(Exception):
@@ -483,10 +500,9 @@ def test_direct_direction_is_exact_newton(make_scene, k, monkeypatch):
     problem, v0 = _first_stage(make_scene())
     assert len(problem.jacobian(v0)[1]) == k
     r = np.asarray(problem.residual(v0), float)
-    for branch in _lu_branches(monkeypatch):
-        p = _first_direction(problem, v0, monkeypatch)
-        err = np.max(np.abs(problem.jvp(v0, p) + r)) / np.max(np.abs(r))
-        assert err <= 1e-10, branch
+    p = _first_direction(problem, v0, monkeypatch)
+    err = np.max(np.abs(problem.jvp(v0, p) + r)) / np.max(np.abs(r))
+    assert err <= 1e-10
 
 
 class _SingularCapacitance(BareProblem):
@@ -498,25 +514,136 @@ class _SingularCapacitance(BareProblem):
         return sp.eye(n, format="csr"), [Rank1(-1.0, e1, e1)]
 
 
-def test_direct_singular_capacitance_fails(monkeypatch):
+def test_direct_singular_capacitance_fails():
     b = np.array([1.0, 2.0])
     prob = _SingularCapacitance(lambda v: v - b)
-    for branch in _lu_branches(monkeypatch):
-        with pytest.raises(SolveFailure) as exc:
-            damped_newton(prob, np.zeros(2))
-        assert exc.value.report.status == "LinearSolveFailed", branch
+    with pytest.raises(SolveFailure) as exc:
+        damped_newton(prob, np.zeros(2))
+    assert exc.value.report.status == "LinearSolveFailed"
 
 
-def test_dense_and_sparse_factors_agree(monkeypatch):
-    # the Woodbury solve on LAPACK's dense LU and on SuperLU, one rank-1 term
-    problem, v0 = _first_stage(_squeezed_ball_drop())
+def _plate_squeeze():
+    return load_scene_file(os.path.join(SCENES, "plate_squeeze.json"))
+
+
+def _band(jac):
+    """The largest |i - j| over the stored entries of a square matrix."""
+    coo = jac.tocoo()
+    return int(np.max(np.abs(coo.row - coo.col), initial=0))
+
+
+# (scene, dofs, rank-1 terms, band of the generated numbering)
+STAGES = [(_plate_squeeze, 192, 0, 65), (_squeezed_ball_drop, 375, 1, 95)]
+
+
+@pytest.mark.parametrize("make_scene, n, k, natural", STAGES,
+                         ids=["plate_squeeze", "ball_drop"])
+def test_factor_matches_dense_solve(make_scene, n, k, natural):
+    # the banded Woodbury solve against numpy's dense solve of J + U S W^T
+    problem, v0 = _first_stage(make_scene())
     jac, rank1 = problem.jacobian(v0)
-    assert jac.shape[0] == 375 <= solvers.DENSE_LU_MAX and len(rank1) == 1
+    assert jac.shape[0] == n and len(rank1) == k
+    dense = jac.toarray() + sum(t.scale * np.outer(t.u, t.w) for t in rank1)
     r = np.asarray(problem.residual(v0), float)
-    x = {branch: solvers._factor(jac, rank1)(r)
-         for branch in _lu_branches(monkeypatch)}
-    err = np.linalg.norm(x["dense"] - x["sparse"])
-    assert err <= 1e-12 * np.linalg.norm(x["sparse"])
+    x = solvers._factor(jac, rank1)(r)
+    ref = np.linalg.solve(dense, r)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_factor_on_a_structurally_non_symmetric_pattern():
+    # two sub- and one superdiagonal in a shuffled numbering, as a
+    # BareProblem hands it over: the layout is made at the call, from
+    # reverse Cuthill-McKee on A + A^T, and keeps kl != ku
+    rng = np.random.default_rng(3)
+    n = 40
+    a = 4.0 * np.eye(n) + sum(rng.normal(size=(n, n)) * np.eye(n, k=k)
+                              for k in (-2, -1, 1))
+    shuffle = rng.permutation(n)
+    a = a[shuffle][:, shuffle]
+    b = rng.normal(size=n)
+    csr = sp.csr_matrix(a)
+    layout = solvers.BandLayout(csr.indptr, csr.indices, n)
+    assert layout.kl != layout.ku and max(layout.kl, layout.ku) <= 4
+    ref = np.linalg.solve(a, b)
+    x = solvers._factor(csr, [])(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    v, rep = damped_newton(BareProblem(lambda v: _lin(a, v, b), lambda v: a),
+                           np.zeros(n))
+    assert rep.ok() and rep.iterations == 1
+    np.testing.assert_allclose(v, ref, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("make_scene, n, k, natural", STAGES,
+                         ids=["plate_squeeze", "ball_drop"])
+def test_ordering_narrows_any_vertex_numbering(make_scene, n, k, natural):
+    # relabelling the vertices at random widens the band to about the
+    # whole matrix; reverse Cuthill-McKee brings it back within the
+    # generated numbering's band, and the pattern's own layout is as narrow
+    problem, v0 = _first_stage(make_scene())
+    jac, _ = problem.jacobian(v0)
+    assert _band(jac) == natural and jac.band.kl <= natural
+    for seed in range(5):
+        verts = np.random.default_rng(seed).permutation(n // 3)
+        dofs = (3 * verts[:, None] + np.arange(3)).ravel()
+        shuffled = jac[dofs][:, dofs]
+        assert _band(shuffled) > 2 * natural
+        layout = solvers.BandLayout(shuffled.indptr, shuffled.indices, n)
+        assert layout.kl <= natural and layout.ku <= natural
+
+
+def test_ordering_runs_once_per_model(monkeypatch):
+    # the order is a property of the model's fixed pattern, not of a factor
+    calls = []
+    rcm = solvers.reverse_cuthill_mckee
+
+    def counted(graph, *args, **kwargs):
+        calls.append(graph.shape)
+        return rcm(graph, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "reverse_cuthill_mckee", counted)
+    for make_scene in (_plate_squeeze, _squeezed_ball_drop):
+        calls.clear()
+        sim = Simulation(make_scene())
+        for _ in range(20):
+            sim.advance()
+        assert calls == [(sim.model.mesh.n_dofs,) * 2]
+
+
+_FACTOR_BITS = """
+import hashlib, json, sys
+from fricsim import solvers
+from fricsim.integrators import StageProblem
+from fricsim.scene import load_scene_file
+from fricsim.simulate import Simulation
+
+sim = Simulation(load_scene_file(sys.argv[1]))
+for _ in range(40):
+    sim.advance()
+st, h = sim.state, sim.h
+prob = StageProblem(model=sim.model,
+                    contact=sim.model.build_contact_state(st.q, st.v, st.t, h),
+                    v_lin=st.v, q_ref=st.q, c=h, t_eval=st.t + h, h=h)
+jac, rank1 = prob.jacobian(st.v)
+x = solvers._factor(jac, rank1)(prob.residual(st.v))
+print(jac.shape[0], hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_factor_bits_do_not_depend_on_the_blas_thread_count():
+    # one ~375-dof stage Jacobian factored in processes with 1 and 2 BLAS
+    # threads gives the same bits
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get(
+        "PYTHONPATH")] if p])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _FACTOR_BITS,
+             os.path.join(SCENES, "ball_drop.json")],
+            env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs[0].startswith("375 ") and outs[0] == outs[1]
 
 
 def test_iterative_first_direction_matches_direct(monkeypatch):
