@@ -7,20 +7,24 @@ Energy density per element (Lame mu, lambda; J = det F):
 which is zero with zero slope at F = I and rotation invariant.  Inverted
 elements (J <= 0) evaluate to +inf so the line search rejects such states.
 
-Every kernel takes G = F^{-T} and J from the cofactor columns of F
-(``_kinematics``).  The residual's elastic and Rayleigh-stiffness forces are
-one pass, ``element_forces``, generic over ndarray-vs-Dual input, so the same
-code path produces values and Jacobian-vector products.  The Jacobian blocks
-are closed form and take one ``element_kinematics`` evaluation, made once per
-assembly.  With the flattened element rows r = vec(N G^T) and
-s = vec(N (G A^T G)^T) (N the shape gradients, A = dF(v)), O = r r^T,
-X = s r^T + r s^T and the index swap swap(Y)[(a,i),(b,j)] = Y[(a,j),(b,i)],
-they are (n_e, 12, 12) outer products:
+F is linear in the positions, so each mesh owns one sparse gradient
+operator D (9 n_e x 3 n_v, ``ElasticScratch.grad``, built once) with
+vec F = D q and A = dF(v) = D v, and the corner forces of per-element
+stresses P are -D^T vec(vol P).  Every kernel takes G = F^{-T} and J from
+the cofactor columns of F (``_kinematics``).  The residual's elastic and
+Rayleigh-stiffness forces are one pass, ``element_forces``, generic over
+ndarray-vs-Dual input, so the same code path produces values and
+Jacobian-vector products.  The Jacobian blocks are closed form and take one
+``element_kinematics`` evaluation, made once per assembly.  With the
+flattened element rows r = vec(N G^T) and s = vec(N (G A^T G)^T) (N the
+shape gradients), O = r r^T, X = s r^T + r s^T and the index swap
+swap(Y)[(a,i),(b,j)] = Y[(a,j),(b,i)], they are (n_e, 12, 12) outer
+products:
 
   * the stiffness blocks K_e = -df_e/dq_e (``_element_stiffness``)
       K = vol (lam O + swap((mu - lam ln J) O)) + mu vol (N N^T kron I_3);
   * the damping blocks d(beta K_e v_e)/dq_e (``damping_q_blocks``)
-      D = -beta vol (lam X + swap((mu - lam ln J) X + lam <G, A> O)).
+      Q = -beta vol (lam X + swap((mu - lam ln J) X + lam <G, A> O)).
 """
 
 from __future__ import annotations
@@ -28,46 +32,60 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dual as dm
 from .mesh import TetMeshModel
 
 
 class ElasticScratch:
-    """Per-element rest inverses, volumes and shape gradients (cached)."""
+    """Per-element volumes and shape gradients and the mesh's gradient
+    operator, built at the mesh's first kernel call (cached)."""
 
     def __init__(self, mesh: TetMeshModel):
         x = mesh.rest_positions[mesh.tets]
         edges = np.swapaxes(x[:, 1:] - x[:, :1], -1, -2)   # columns x_k - x0
-        self.rest_inv = np.linalg.inv(edges)               # Bm
+        rest_inv = np.linalg.inv(edges)                    # Bm
         self.volumes = mesh.rest_volumes
         # Shape gradients N (n_e, 4, 3): dF[i, j]/dx[a, c] = delta_ic N[a, j].
-        n = np.empty((len(x), 4, 3))
-        n[:, 1:, :] = self.rest_inv
-        n[:, 0, :] = -self.rest_inv.sum(axis=1)
+        n_e = len(x)
+        n = np.empty((n_e, 4, 3))
+        n[:, 1:, :] = rest_inv
+        n[:, 0, :] = -rest_inv.sum(axis=1)
         self.shape_grad = n
+        # D (9 n_e, 3 n_v), vec F = D q: row 9e + 3c + j holds N[e, a, j] at
+        # column 3 tets[e, a] + c, four entries a = 0..3 per row.
+        cols = 3 * mesh.tets[:, None, None, :] + np.arange(3)[:, None, None]
+        vals = np.swapaxes(n, 1, 2)[:, None]
+        shape = (n_e, 3, 3, 4)
+        self.grad = sp.csr_matrix(
+            (np.broadcast_to(vals, shape).ravel(),
+             np.broadcast_to(cols, shape).ravel().astype(np.int32),
+             np.arange(0, 36 * n_e + 1, 4, dtype=np.int32)),
+            shape=(9 * n_e, mesh.n_dofs))
+        # D^T for the corner forces, kept: D.T builds a matrix on every call
+        self.grad_t = self.grad.T.tocsr()
 
     @cached_property
     def nnt(self) -> np.ndarray:
         """N N^T (n_e, 4, 4), built at the first assembly."""
         return self.shape_grad @ np.swapaxes(self.shape_grad, -1, -2)
 
+    def gradient(self, q):
+        """Per-element F = D q (n_e, 3, 3) of flat q; generic, and for a
+        velocity v the same product is A = dF(v)."""
+        return dm.matmul(self.grad, q).reshape(-1, 3, 3)
 
-def _deformation_gradient(rest_inv, x_elem):
-    edges = dm.swap_last2(x_elem[:, 1:] - x_elem[:, :1])  # columns x_k - x0
-    return dm.matmul(edges, rest_inv)
 
-
-def _kinematics(rest_inv, x_elem):
-    """(F, G = F^{-T}, J) per element; generic.  G is taken from the cofactor
+def _kinematics(f):
+    """(G = F^{-T}, J) per element F; generic.  G is taken from the cofactor
     columns of F = [f0, f1, f2]: G = [f1 x f2, f2 x f0, f0 x f1] / J with
     J = f0 . (f1 x f2)."""
-    f = _deformation_gradient(rest_inv, x_elem)
     f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
     c0 = dm.cross_last(f1, f2)
     j = dm.dot_last(f0, c0)
     g = dm.stack_last([c0, dm.cross_last(f2, f0), dm.cross_last(f0, f1)])
-    return f, g / j[:, None, None], j
+    return g / j[:, None, None], j
 
 
 def elastic_energy(mesh: TetMeshModel, q):
@@ -75,8 +93,7 @@ def elastic_energy(mesh: TetMeshModel, q):
     s = mesh.scratch()
     if not np.all(np.isfinite(dm.value(q))):
         raise ValueError("non-finite positions passed to elastic_energy")
-    x = q.reshape(-1, 3)
-    f = _deformation_gradient(s.rest_inv, x[mesh.tets])
+    f = s.gradient(q)
     j = dm.det3(f)
     if np.any(dm.value(j) <= 0.0):
         return np.inf
@@ -94,30 +111,29 @@ def element_forces(mesh: TetMeshModel, q, v, elastic: bool, damping: bool):
     Each element's stress is [elastic] P + [damping] beta dP, with
       P  = mu F + (lam ln J - mu) G,
       dP = mu A + (mu - lam ln J) G A^T G + lam <G, A> G,
-    G = F^{-T} and A = dF(v); dP is the directional derivative of P, so its
-    corner forces are K_e v_e.  The corner forces -vol N stress^T take one
-    scatter, and damping adds -alpha M v.
+    F = D q, G = F^{-T} and A = D v; dP is the directional derivative of P,
+    so its corner forces are K_e v_e.  The corner forces are
+    -D^T vec(vol stress), and damping adds -alpha M v.
     """
     stiff = damping and bool(np.any(mesh.beta > 0.0))
     out = -(mesh.alpha * (mesh.mass_dofs * v)) if damping else 0.0 * q
     if not (elastic or stiff):
         return out
     s = mesh.scratch()
-    f, g, j = _kinematics(s.rest_inv, q.reshape(-1, 3)[mesh.tets])
+    f = s.gradient(q)
+    g, j = _kinematics(f)
     logj = dm.log(j)[:, None, None]
     mu, lam = mesh.mu[:, None, None], mesh.lam[:, None, None]
     stress = mu * f + (lam * logj - mu) * g if elastic else 0.0
     if stiff:
-        a = _deformation_gradient(s.rest_inv, v.reshape(-1, 3)[mesh.tets])
+        a = s.gradient(v)
         trace = (g * a).sum(axis=(-2, -1))[:, None, None]
         dp = (mu * a + (mu - lam * logj)
               * dm.matmul(dm.matmul(g, dm.swap_last2(a)), g)
               + lam * trace * g)
         stress = stress + mesh.beta[:, None, None] * dp
-    corner = dm.matmul(s.shape_grad, dm.swap_last2(stress))
-    per_vertex = dm.zeros((mesh.n_verts, 3), like=corner)
-    dm.scatter_add(per_vertex, mesh.tets, s.volumes[:, None, None] * corner)
-    return out - per_vertex.reshape(-1)
+    weighted = s.volumes[:, None, None] * stress
+    return out - dm.matmul(s.grad_t, weighted.ravel())
 
 
 def elastic_force(mesh: TetMeshModel, q):
@@ -127,7 +143,7 @@ def elastic_force(mesh: TetMeshModel, q):
 
 def damping_force(mesh: TetMeshModel, q, v):
     """Rayleigh damping  f_d = -(alpha M + beta K(q)) v  (generic); beta is
-    per element, so it scales each element's stress before the scatter."""
+    per element, so it scales each element's stress before D^T."""
     return element_forces(mesh, q, v, elastic=False, damping=True)
 
 
@@ -136,8 +152,7 @@ def element_kinematics(mesh: TetMeshModel, q):
     flattened R = N G^T, r[3a + c] = R[a,c] = N[a,:].G[c,:]; shared by the
     stiffness and damping-dq blocks."""
     s = mesh.scratch()
-    x = np.asarray(q, float).reshape(-1, 3)
-    _, g, j = _kinematics(s.rest_inv, x[mesh.tets])
+    g, j = _kinematics(s.gradient(np.asarray(q, float)))
     r = s.shape_grad @ np.swapaxes(g, -1, -2)
     return g, np.log(j), r.reshape(len(g), 12)
 
@@ -186,7 +201,7 @@ def damping_q_blocks(mesh: TetMeshModel, kin, v) -> np.ndarray:
     The q-derivative of the ``beta dP`` in :func:`element_forces`.
     With A = dF(v), G = F^{-T}, R = N G^T, S = N (G A^T G)^T,
     t = <G, A> and c = mu - lam ln J:
-      D[(a,i),(b,j)] = beta vol ( -lam (S[a,i] R[b,j] + R[a,i] S[b,j])
+      Q[(a,i),(b,j)] = beta vol ( -lam (S[a,i] R[b,j] + R[a,i] S[b,j])
                                   - c (S[a,j] R[b,i] + R[a,j] S[b,i])
                                   - lam t R[a,j] R[b,i] ),
     i.e. -beta vol (lam X + swap(c X + lam t O)) with O = r r^T and X the
@@ -195,8 +210,7 @@ def damping_q_blocks(mesh: TetMeshModel, kin, v) -> np.ndarray:
     """
     s = mesh.scratch()
     g, logj, r = kin
-    v_elem = np.asarray(v, float).reshape(-1, 3)[mesh.tets]
-    a = _deformation_gradient(s.rest_inv, v_elem)
+    a = s.gradient(np.asarray(v, float))
     gt = np.swapaxes(g, -1, -2)
     sv = (s.shape_grad @ (gt @ a @ gt)).reshape(len(g), 12)
     t = (g * a).sum(axis=(-2, -1))

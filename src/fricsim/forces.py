@@ -11,7 +11,7 @@ volume parameters and Dirichlet constraints, and provides
     separate because they are dense; the solvers apply them without
     forming them (Woodbury on the LU factor, or a matvec).  Each part is
     one ``np.bincount`` scatter of its weighted blocks: the elements'
-    closed-form (c_q + c_v beta) K + c_q D (D the damping-dq blocks), the
+    closed-form (c_q + c_v beta) K + c_q Q (Q the damping-dq blocks), the
     contacts' contact dq, friction dq and friction dv blocks from one
     ``dual.jacobian_blocks`` pass over every contact of the
     contact-and-friction kernel the force uses

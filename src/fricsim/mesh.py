@@ -206,7 +206,8 @@ class TetMeshModel:
         return float(self.vertex_mass.sum())
 
     def scratch(self):
-        """Cached per-element rest inverses / shape gradients (see elasticity)."""
+        """Cached per-element volumes, shape gradients and the gradient
+        operator D, vec F = D q, built at the first call (see elasticity)."""
         if self._scratch is None:
             from .elasticity import ElasticScratch
             self._scratch = ElasticScratch(self)

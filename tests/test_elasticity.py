@@ -1,21 +1,28 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 from hypothesis import given, settings, strategies as st
 
+from fricsim import elasticity
 from fricsim.dual import Dual, jvp
 from fricsim.elasticity import (_element_stiffness, _kinematics, damping_force,
                                 damping_q_blocks, elastic_energy,
                                 elastic_force, element_kinematics)
 from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams, TetMeshModel
-from fricsim.meshgen import box_mesh
+from fricsim.meshgen import ball_mesh, box_mesh
+from fricsim.scene import load_scene_file
+from fricsim.simulate import Simulation
 
 from helpers import element_block_indices, split_jacobians
 
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3,
                      rayleigh_alpha=0.5, rayleigh_beta=1e-3)
+
+SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 
 UNIT_TET = np.array([[0.0, 0.0, 0.0],
                      [1.0, 0.0, 0.0],
@@ -102,12 +109,7 @@ def test_cofactor_kinematics_match_numpy():
     rng = np.random.default_rng(2)
     f = rng.normal(size=(10, 3, 3)) + 3.0 * np.eye(3)
     df = rng.normal(size=(10, 3, 3))
-
-    def corners(m):  # a tet whose edges x_k - x0 are the columns of m
-        return np.concatenate([np.zeros((10, 1, 3)), np.swapaxes(m, 1, 2)],
-                              axis=1)
-
-    _, g, j = _kinematics(np.eye(3), Dual(corners(f), corners(df)))
+    g, j = _kinematics(Dual(f, df))
     np.testing.assert_allclose(g.re, np.linalg.inv(f).swapaxes(1, 2),
                                rtol=1e-10)
     np.testing.assert_allclose(j.re, np.linalg.det(f), rtol=1e-12)
@@ -115,6 +117,84 @@ def test_cofactor_kinematics_match_numpy():
         g.eps, -g.re @ df.swapaxes(1, 2) @ g.re, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(j.eps, j.re * (g.re * df).sum(axis=(1, 2)),
                                rtol=1e-10)
+
+
+OPERATOR_MESHES = {
+    "box": lambda: box_mesh((0.1, 0.1, 0.1), (2, 2, 2), MAT),
+    "ball": lambda: ball_mesh(0.05, 3, MAT),
+}
+
+
+def _deformed(mesh, seed):
+    rng = np.random.default_rng(seed)
+    edge = np.cbrt(mesh.rest_volumes.min())
+    return mesh.rest_q() + 0.05 * edge * rng.normal(size=mesh.n_dofs)
+
+
+def _edge_matrix_f(mesh, q):
+    """F = [x_k - x0] Bm per element, from gathered corners."""
+    x = np.reshape(q, (-1, 3))[mesh.tets]
+    rest = mesh.rest_positions[mesh.tets]
+    bm = np.linalg.inv(np.swapaxes(rest[:, 1:] - rest[:, :1], 1, 2))
+    return np.swapaxes(x[:, 1:] - x[:, :1], 1, 2) @ bm
+
+
+def _scattered_corner_forces(mesh, stress):
+    """-vol N P^T per element corner, summed into the vertices by
+    np.add.at, as a flat (m,) vector."""
+    s = mesh.scratch()
+    corner = s.volumes[:, None, None] * (s.shape_grad @ stress.swapaxes(1, 2))
+    out = np.zeros((mesh.n_verts, 3))
+    np.add.at(out, mesh.tets, corner)
+    return -out.ravel()
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
+def test_gradient_operator_matches_edge_matrices(name):
+    mesh = OPERATOR_MESHES[name]()
+    s = mesh.scratch()
+    n_e = len(mesh.tets)
+    assert s.grad.shape == (9 * n_e, mesh.n_dofs) and s.grad.nnz == 36 * n_e
+    np.testing.assert_allclose(s.gradient(mesh.rest_q()),
+                               np.broadcast_to(np.eye(3), (n_e, 3, 3)),
+                               rtol=0.0, atol=1e-13)
+    q = _deformed(mesh, 11)
+    assert rel_err(s.gradient(q), _edge_matrix_f(mesh, q)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
+def test_gradient_transpose_matches_corner_scatter(name):
+    # -D^T vec(vol P), for a random P and for the elastic force's own P
+    mesh = OPERATOR_MESHES[name]()
+    s = mesh.scratch()
+    stress = np.random.default_rng(13).normal(size=(len(mesh.tets), 3, 3))
+    weighted = s.volumes[:, None, None] * stress
+    assert rel_err(-(s.grad_t @ weighted.ravel()),
+                   _scattered_corner_forces(mesh, stress)) <= 1e-12
+    q = _deformed(mesh, 12)
+    f = _edge_matrix_f(mesh, q)
+    logj = np.log(np.linalg.det(f))[:, None, None]
+    mu, lam = mesh.mu[:, None, None], mesh.lam[:, None, None]
+    p = mu * f + (lam * logj - mu) * np.linalg.inv(f).swapaxes(1, 2)
+    assert rel_err(elastic_force(mesh, q),
+                   _scattered_corner_forces(mesh, p)) <= 1e-12
+
+
+def test_gradient_operator_built_once_per_mesh(monkeypatch):
+    calls = []
+
+    class Counted(elasticity.ElasticScratch):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            calls.append(self.grad.shape)
+
+    monkeypatch.setattr(elasticity, "ElasticScratch", Counted)
+    sim = Simulation(load_scene_file(os.path.join(SCENES, "ball_drop.json")))
+    assert calls == []  # built at the first kernel call, not in set-up
+    for _ in range(20):
+        sim.advance()
+    mesh = sim.model.mesh
+    assert calls == [(9 * len(mesh.tets), mesh.n_dofs)]
 
 
 def test_force_zero_at_rest(mesh):

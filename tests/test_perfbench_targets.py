@@ -4,8 +4,9 @@
 and skips a target it cannot find, so a rename in ``src`` would silently
 drop a benchmark layer; a hook that meets a result of another shape is
 skipped the same way.  These tests load the tracer from its file, resolve
-every target (only the three known-stale targets may be missing) and run
-the candidate-build hook on a real lagged contact state.
+every target (only the three known-stale targets may be missing), run
+the candidate-build hook on a real lagged contact state and check that a
+wrapped layer is still called where its figure is read.
 """
 
 import importlib.util
@@ -15,10 +16,12 @@ import os
 import numpy as np
 
 from fricsim.experiments import block_slide_scene
-from fricsim.scene import load_scene
+from fricsim.integrators import StageProblem
+from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation
 
-SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SPANS = os.path.join(ROOT, "perfbench", "spans.py")
 STALE = {
     "fricsim.forces.ForceModel.all_gaps",
     "fricsim.forces.ForceModel.penetrating_candidates",
@@ -54,3 +57,23 @@ def test_after_build_hook_counts_a_lagged_contact_state():
     active = int(np.count_nonzero(contact.cset.lam > 0.0))
     assert tracer.counts["candidates"] == contact.cset.size > 0
     assert tracer.counts["active"] == active > 0
+
+
+def test_one_stage_jacobian_calls_the_damping_q_layer_once():
+    # ``elasticity.damping_q_ms`` times fricsim.forces.damping_q_blocks; if
+    # the assembly stopped calling that name the layer would read 0
+    spans = _spans()
+    sim = Simulation(load_scene_file(
+        os.path.join(ROOT, "scenes", "ball_drop.json")))
+    for _ in range(3):
+        sim.advance()
+    st, h = sim.state, sim.h
+    prob = StageProblem(
+        model=sim.model,
+        contact=sim.model.build_contact_state(st.q, st.v, st.t, h),
+        v_lin=st.v, q_ref=st.q, c=h, t_eval=st.t + h, h=h)
+    tracer = spans.Tracer(layers={"elasticity.damping_q"})
+    with tracer:
+        prob.jacobian(st.v)
+    assert tracer.missing == []
+    assert tracer.layer == ["elasticity.damping_q"]
