@@ -6,7 +6,10 @@ parts are numpy arrays of the same shape, so a single Dual propagates one
 directional derivative through vectorized physics kernels.  Every kernel in
 this package is written against the small generic-math API below (``where``,
 ``sqrt``, ``matmul``, ...) which dispatches on ndarray-vs-Dual; the same code
-path therefore serves plain evaluation and Jacobian-vector products.
+path therefore serves plain evaluation and Jacobian-vector products.  Every
+per-item sum onto rows (contact and friction forces, the volume gradient,
+the lumped mass) goes through the one accumulation primitive ``spread``,
+whose sums are bitwise ``numpy.add.at``'s.
 
 Branching convention: comparisons look only at the real part, so a dual
 evaluation always takes the same branch as the real evaluation at the same
@@ -20,8 +23,8 @@ import numpy as np
 __all__ = [
     "Dual", "value", "tangent", "where",
     "sqrt", "log", "asum", "dot_last", "stack_last", "concat", "matmul",
-    "swap_last2", "det3", "cross_last", "norm_last", "zeros",
-    "scatter_add", "jvp", "jacobian_blocks", "derivative",
+    "swap_last2", "det3", "cross_last", "norm_last", "spread",
+    "jvp", "jacobian_blocks", "derivative",
 ]
 
 _GUARD = 1e-300  # additive guard used by norm_last; below any physical scale
@@ -264,32 +267,27 @@ def norm_last(a):
     return sqrt(dot_last(a, a) + _GUARD)
 
 
-def zeros(shape, like):
-    """Zero array matching the scalar type of ``like`` (writable)."""
-    if isinstance(like, Dual):
-        return Dual(np.zeros(shape), np.zeros(shape))
-    return np.zeros(shape)
-
-
-def scatter_add(target, index, values):
-    """Unbuffered ``target[index] += values`` over the first axis, in place,
-    for values of shape ``index.shape + target.shape[1:]``.
+def spread(index, values, n):
+    """Sum per-item ``values`` into ``n`` rows: row i of the result, shape
+    ``(n,) + values.shape[index.ndim:]``, is the sum from zero, in index
+    order, of the values whose ``index`` is i.
 
     One ``np.bincount`` per real/tangent part over the flattened (row,
-    trailing) slots.  The target's own entries are counted first and then
-    the values in index order, which is ``np.add.at``'s order of summation,
-    so the result is bitwise the same.
+    trailing) slots; it adds in the same order as ``numpy.add.at`` into zeros,
+    so the sums are bitwise the same.
     """
-    target, values = _coerce_pair(target, values)
-    width = int(np.prod(target.shape[1:]))
-    slots = np.concatenate([np.arange(target.size), np.ravel(
-        np.asarray(index)[..., None] * width + np.arange(width))])
-    parts = ([(target.re, values.re), (target.eps, values.eps)]
-             if isinstance(target, Dual) else [(target, values)])
-    for t, vals in parts:
-        weights = np.concatenate([t.ravel(), np.ravel(vals)])
-        t[...] = np.bincount(slots, weights, t.size).reshape(t.shape)
-    return target
+    index = np.asarray(index)
+    tail = np.shape(values)[index.ndim:]
+    width = int(np.prod(tail))
+    slots = np.ravel(index[..., None] * width + np.arange(width))
+
+    def part(vals):
+        return np.bincount(slots, np.ravel(vals), n * width).reshape(
+            (n,) + tail)
+
+    if isinstance(values, Dual):
+        return Dual(part(values.re), part(values.eps))
+    return part(values)
 
 
 def jvp(fn, x, p):

@@ -210,7 +210,7 @@ class ForceModel:
             total = total + f_c
             total = total + f_f
         for vp in self.volume_penalties:
-            total = total + volume_force(vp.region, q, vp)
+            total = total + volume_force(q, vp)
         return total
 
     # -- assembled jacobians -----------------------------------------------------

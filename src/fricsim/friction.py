@@ -160,10 +160,8 @@ def contact_friction_forces(cset: ContactSet, q, v, t: float,
     fc, ff = _contact_friction_local(
         x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
         *_lagged_anchor(t, anchor), table=cset.table, t=t, penalty=penalty)
-    return (dm.scatter_add(dm.zeros(x.shape, like=q), cset.vertex,
-                           fc).reshape(-1),
-            dm.scatter_add(dm.zeros(vv.shape, like=v), cset.vertex,
-                           ff).reshape(-1))
+    return (dm.spread(cset.vertex, fc, len(x)).reshape(-1),
+            dm.spread(cset.vertex, ff, len(x)).reshape(-1))
 
 
 def contact_friction_blocks(cset: ContactSet, q, v, t: float,

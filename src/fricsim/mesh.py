@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual as dm
+
 
 class MeshConstructionError(ValueError):
     pass
@@ -93,7 +95,8 @@ def tet_volumes(rest_positions: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 
 def build_lumped_mass(rest_positions, tets, density) -> np.ndarray:
-    """Per-vertex lumped mass (kg): each tet spreads rho*vol/4 to its corners.
+    """Per-vertex lumped mass (kg), one entry per rest position: each tet
+    spreads rho*vol/4 to its corners, so a vertex in no tet gets 0.
 
     ``density`` may be a scalar or a per-element array.  Raises on degenerate
     (non-positive volume) elements, naming the offender.
@@ -104,13 +107,9 @@ def build_lumped_mass(rest_positions, tets, density) -> np.ndarray:
     if bad.size:
         raise MeshConstructionError(
             f"element {bad[0]} has non-positive rest volume {vols[bad[0]]:.3e}")
-    rho = np.broadcast_to(np.asarray(density, dtype=float), vols.shape)
-    n_verts = int(tets.max()) + 1
-    mass = np.zeros(n_verts)
-    share = rho * vols / 4.0
-    for k in range(4):
-        np.add.at(mass, tets[:, k], share)
-    return mass
+    share = np.broadcast_to(np.asarray(density, dtype=float), vols.shape) \
+        * vols / 4.0
+    return dm.spread(tets.T.ravel(), np.tile(share, 4), len(rest_positions))
 
 
 def surface_triangles(tets: np.ndarray) -> np.ndarray:
@@ -157,18 +156,9 @@ class TetMeshModel:
             raise MeshConstructionError("rest_positions must be (n, 3)")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
             raise MeshConstructionError("tets must be (n_e, 4)")
-        self.rest_volumes = tet_volumes(self.rest_positions, self.tets)
-        bad = np.nonzero(self.rest_volumes <= 0.0)[0]
-        if bad.size:
-            raise MeshConstructionError(
-                f"element {bad[0]} has non-positive rest volume "
-                f"{self.rest_volumes[bad[0]]:.3e}")
         self.vertex_mass = build_lumped_mass(self.rest_positions, self.tets,
                                              material.density)
-        if self.vertex_mass.size < len(self.rest_positions):
-            # vertices not referenced by any tet carry no mass
-            pad = len(self.rest_positions) - self.vertex_mass.size
-            self.vertex_mass = np.concatenate([self.vertex_mass, np.zeros(pad)])
+        self.rest_volumes = tet_volumes(self.rest_positions, self.tets)
         if np.any(self.vertex_mass <= 0.0):
             raise MeshConstructionError("every vertex must carry positive mass")
         self.surface_tris = surface_triangles(self.tets)

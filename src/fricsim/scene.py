@@ -325,6 +325,12 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     sv = _merged(_DEFAULTS["solver"], cfg["solver"], "solver")
     contact = _merged(_DEFAULTS["contact"], cfg["contact"], "contact", float)
     output = _merged(_DEFAULTS["output"], cfg["output"], "output", int)
+    if output["trajectory_every"] <= 0:
+        raise SceneError("output.trajectory_every must be positive, got "
+                         f"{output['trajectory_every']!r}")
+    if output["snapshot_every"] < 0:
+        raise SceneError("output.snapshot_every must be nonnegative, got "
+                         f"{output['snapshot_every']!r}")
 
     duration = _number(cfg["duration"], "duration")
     step = _number(cfg["step"], "step")

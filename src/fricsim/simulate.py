@@ -205,7 +205,7 @@ def run_simulation(scene: SceneConfig, duration: float | None = None):
     sim = Simulation(scene)
     duration = scene.duration if duration is None else duration
     n_steps = int(round(duration / scene.step))
-    every = max(scene.output["trajectory_every"], 1)
+    every = scene.output["trajectory_every"]
     snap_every = scene.output["snapshot_every"]
     records = [sim.record()]
     snapshots = []

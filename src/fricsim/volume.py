@@ -76,10 +76,9 @@ def enclosed_volume(region: np.ndarray, q):
     p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
     c23 = dm.cross_last(p2, p3)
     v = dm.asum(dm.dot_last(p1, c23)) / 6.0
-    grad = dm.zeros(x.shape, like=c23)
-    dm.scatter_add(grad, tris[:, 0], c23 / 6.0)
-    dm.scatter_add(grad, tris[:, 1], dm.cross_last(p3, p1) / 6.0)
-    dm.scatter_add(grad, tris[:, 2], dm.cross_last(p1, p2) / 6.0)
+    # corner terms in column order, the order of three per-column scatters
+    corners = dm.concat([c23, dm.cross_last(p3, p1), dm.cross_last(p1, p2)])
+    grad = dm.spread(tris.T.ravel(), corners / 6.0, len(x))
     return v, grad.reshape(-1)
 
 
@@ -110,9 +109,10 @@ def volume_energy(v, params: VolumePenaltyParams):
     return volume_law(v, params)[0]
 
 
-def volume_force(region, q, params: VolumePenaltyParams):
-    """f_v = -dW/dV * dV/dq; expansive when compressed.  Generic over Dual q."""
-    v, grad = enclosed_volume(region, q)
+def volume_force(q, params: VolumePenaltyParams):
+    """f_v = -dW/dV * dV/dq over ``params.region``; expansive when
+    compressed.  Generic over Dual q."""
+    v, grad = enclosed_volume(params.region, q)
     return -(volume_law(v, params)[1] * grad)
 
 

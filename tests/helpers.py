@@ -48,7 +48,7 @@ def term_forces(model, q, v, t, contact):
                                            anchor=contact.lagged)
     f_v = 0.0 * q
     for vp in model.volume_penalties:
-        f_v = f_v + volume_force(vp.region, q, vp)
+        f_v = f_v + volume_force(q, vp)
     return {"elastic": elastic_force(mesh, q),
             "damping": damping_force(mesh, q, v),
             "gravity": np.tile(model.gravity, mesh.n_verts) * mesh.mass_dofs,

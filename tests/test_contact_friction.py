@@ -219,6 +219,36 @@ def test_one_pass_matches_per_obstacle_oracle(mode, contains):
     _close(f_f, want_f)
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["real", "dual"])
+@pytest.mark.parametrize("mode", ["implicit", "lagged"])
+def test_forces_are_add_at_of_the_kernel_bitwise(mode, dual):
+    """Each force sums the kernel's per-contact outputs onto their vertices
+    bit for bit as np.add.at does into zeros, real parts and tangents, on
+    a set where one vertex meets two obstacles."""
+    obstacles, q, v = _state(False)
+    cset = gaps(ObstacleTable(obstacles), q, T, PEN)
+    assert np.bincount(cset.vertex).max() == 2
+    anchor = None
+    if mode == "lagged":
+        anchor = snapshot(cset.table, cset.vertex, cset.obstacle,
+                          q + 1e-4, 0.2, PEN)
+    if dual:
+        rng = np.random.default_rng(9)
+        q = dm.Dual(q, rng.normal(size=q.size))
+        v = dm.Dual(v, rng.normal(size=v.size))
+    x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
+    per_contact = friction._contact_friction_local(
+        x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
+        *friction._lagged_anchor(T, anchor), table=cset.table, t=T,
+        penalty=PEN)
+    got = contact_friction_forces(cset, q, v, T, PEN, anchor=anchor)
+    for force, per in zip(got, per_contact):
+        for part in (dm.value, dm.tangent):
+            want = np.zeros(x.shape)
+            np.add.at(want, cset.vertex, part(per))
+            assert np.array_equal(part(force), want.ravel())
+
+
 def _bits(got, want):
     """Bitwise equality of real parts and of tangents."""
     return (np.array_equal(dm.value(got), dm.value(want))

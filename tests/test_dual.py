@@ -104,34 +104,34 @@ def test_cross_and_norm():
     assert n.eps == pytest.approx(0.0)
 
 
-def test_scatter_add_dual():
-    acc = dm.zeros((3,), like=Dual(np.zeros(1), np.zeros(1)))
-    dm.scatter_add(acc, np.array([0, 0, 2]),
-                   Dual(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])))
+def test_spread_dual():
+    acc = dm.spread(np.array([0, 0, 2]),
+                    Dual(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])),
+                    3)
     np.testing.assert_allclose(acc.re, [3.0, 0.0, 3.0])
     np.testing.assert_allclose(acc.eps, [0.3, 0.0, 0.3])
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["real", "dual"])
-@pytest.mark.parametrize("index_shape", [(40,), (12, 4)],
-                         ids=["k", "elements"])
-def test_scatter_add_matches_sequential_add_at(index_shape, dual):
-    # repeated indices into a non-zero target: the same sums, in the same
-    # order, as np.add.at
+@pytest.mark.parametrize("index_shape,tail", [
+    ((40,), (3,)), ((12, 4), (3,)), ((40,), ()), ((0,), (3,))],
+    ids=["k", "elements", "k_scalar", "empty"])
+def test_spread_matches_sequential_add_at(index_shape, tail, dual):
+    # repeated indices: the same sums, in the same order, as np.add.at
+    # into zeros
     rng = np.random.default_rng(11)
     index = rng.integers(0, 7, size=index_shape)
-    target = [rng.normal(size=(7, 3)) for _ in range(2)]
-    values = [rng.normal(size=index_shape + (3,)) for _ in range(2)]
-    expect = [t.copy() for t in target]
+    values = [rng.normal(size=index_shape + tail) for _ in range(2)]
+    expect = [np.zeros((7,) + tail) for _ in range(2)]
     for e, val in zip(expect, values):
         np.add.at(e, index, val)
     if dual:
-        dm.scatter_add(Dual(*target), index, Dual(*values))
+        got = dm.spread(index, Dual(*values), 7)
+        got = [got.re, got.eps]
     else:
-        dm.scatter_add(target[0], index, values[0])
-        target, expect = target[:1], expect[:1]
-    for got, e in zip(target, expect):  # written in place
-        assert np.array_equal(got, e)
+        got = [dm.spread(index, values[0], 7)]
+    for g, e in zip(got, expect):
+        assert g.shape == e.shape and np.array_equal(g, e)
 
 
 def test_jacobian_blocks_match_per_seed_jvp():

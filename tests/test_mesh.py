@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fricsim.mesh import (MaterialParams, MeshConstructionError, SystemState,
-                          build_lumped_mass, check_closed_oriented)
+                          TetMeshModel, build_lumped_mass,
+                          check_closed_oriented, tet_volumes)
 from fricsim.meshgen import ball_mesh, box_mesh
 
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3)
@@ -24,7 +25,6 @@ def test_shared_vertex_mass_adds():
     tets = [[0, 1, 2, 3], [4, 1, 3, 2]]  # share face (1, 2, 3)
     mass = build_lumped_mass(verts, tets, 6.0)
     single = build_lumped_mass(UNIT_TET, [[0, 1, 2, 3]], 6.0)
-    from fricsim.mesh import tet_volumes
     vol2 = tet_volumes(verts, [tets[1]])[0]
     # shared vertices get the sum of both tets' contributions
     assert mass[1] == pytest.approx(single[1] + 6.0 * vol2 / 4.0)
@@ -47,6 +47,33 @@ def test_degenerate_element_error_names_element():
     verts = np.vstack([UNIT_TET, UNIT_TET[0]])  # duplicate -> zero volume
     with pytest.raises(MeshConstructionError, match="element 1"):
         build_lumped_mass(verts, [[0, 1, 2, 3], [0, 1, 2, 4]], 1.0)
+
+
+@pytest.mark.parametrize("per_element", [False, True],
+                         ids=["scalar", "per_element"])
+def test_lumped_mass_is_the_corner_add_at_bitwise(per_element):
+    # the ball's mass bit for bit as np.add.at of rho vol / 4, corner
+    # column by corner column, into zeros
+    ball = ball_mesh(0.05, 4, MAT)
+    rho = (np.random.default_rng(3).uniform(500.0, 2000.0, len(ball.tets))
+           if per_element else MAT.density)
+    share = np.broadcast_to(rho, len(ball.tets)) \
+        * tet_volumes(ball.rest_positions, ball.tets) / 4.0
+    want = np.zeros(ball.n_verts)
+    for k in range(4):
+        np.add.at(want, ball.tets[:, k], share)
+    got = build_lumped_mass(ball.rest_positions, ball.tets, rho)
+    assert np.array_equal(got, want)
+    if not per_element:
+        assert np.array_equal(ball.vertex_mass, want)
+
+
+def test_unreferenced_vertex_has_no_mass_and_is_rejected():
+    verts = np.vstack([UNIT_TET, [[2.0, 2.0, 2.0]]])
+    mass = build_lumped_mass(verts, [[0, 1, 2, 3]], 6.0)
+    assert mass.shape == (5,) and mass[4] == 0.0
+    with pytest.raises(MeshConstructionError, match="positive mass"):
+        TetMeshModel(verts, [[0, 1, 2, 3]], MAT)
 
 
 def test_state_validation():

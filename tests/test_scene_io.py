@@ -182,6 +182,12 @@ def _unknown_solver_key(key, value, old_match):
      r"meshes\[0\].file tets: index 7 is outside \[0, 4\)$"),
     ("meshes", [{"file": "neg_group.json", "volume_region": {"group": "lid"}}],
      r"meshes\[0\].file surface_groups.lid: index -1 is outside \[0, 4\)$"),
+    ("output.trajectory_every", -3,
+     "output.trajectory_every must be positive, got -3$"),
+    ("output.trajectory_every", 0,
+     "output.trajectory_every must be positive, got 0$"),
+    ("output.snapshot_every", -1,
+     "output.snapshot_every must be nonnegative, got -1$"),
 ])
 def test_bad_value_named(path, value, match, tmp_path):
     (tmp_path / "bad_json.json").write_text('{"vertices": [[0, 0, 0]], ')

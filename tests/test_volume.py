@@ -129,23 +129,23 @@ def test_log_models_reject_nonpositive_volume(cube):
             p = _params(region, model, v0=1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 law = volume_law(v, p)
-                f = volume_force(region, q, p)
+                f = volume_force(q, p)
             assert not np.any(np.isfinite(law)), (model, vol)
             assert not np.any(np.isfinite(f)), (model, vol)
         pq = _params(region, "quadratic", v0=1.0)
         assert np.all(np.isfinite(volume_law(v, pq)))
-        assert np.all(np.isfinite(volume_force(region, q, pq)))
+        assert np.all(np.isfinite(volume_force(q, pq)))
 
 
 def test_force_zero_at_rest_and_expansive_when_compressed(cube):
     region = cube.surface_tris
     p = _params(region, "quadratic", v0=None)
     p.rest_volume = 1.0
-    f = volume_force(region, cube.rest_q(), p)
+    f = volume_force(cube.rest_q(), p)
     assert np.max(np.abs(f)) < 1e-9
     q_comp = ((cube.rest_positions - cube.rest_positions.mean(0)) * 0.95
               + cube.rest_positions.mean(0)).ravel()
-    f = volume_force(region, q_comp, p)
+    f = volume_force(q_comp, p)
     _, g = enclosed_volume(region, q_comp)
     assert f @ g > 0.0  # points along +dV/dq
 
@@ -156,7 +156,7 @@ def test_force_matches_energy_fd(cube):
     q = cube.rest_q() + 0.01 * rng.normal(size=cube.n_dofs)
     for model in ("quadratic", "ideal_gas", "nearly_incompressible"):
         p = _params(region, model, kv=0.5, v0=1.0)
-        f = volume_force(region, q, p)
+        f = volume_force(q, p)
 
         def energy(qq):
             v, _ = enclosed_volume(region, qq)
@@ -195,7 +195,7 @@ def test_jacobian_apply_matches_force_jvp(cube):
         for _ in range(3):
             d = rng.normal(size=q.size)
             assembled = dfdq @ d + rank1[0].apply(d)
-            ad = jvp(lambda qq: volume_force(region, qq, p), q, d)
+            ad = jvp(lambda qq: volume_force(qq, p), q, d)
             denom = max(np.max(np.abs(ad)), 1e-30)
             assert np.max(np.abs(assembled - ad)) / denom <= 1e-10
 
@@ -237,7 +237,7 @@ def test_volume_force_conservative_loop(cube):
         qq = base + 0.01 * (np.cos(th) * d1 + np.sin(th) * d2)
         if prev is not None:
             mid = 0.5 * (qq + prev)
-            f = volume_force(region, mid, p)
+            f = volume_force(mid, p)
             work += f @ (qq - prev)
         prev = qq
     assert abs(work) < 1e-6 * ATM * 0.01

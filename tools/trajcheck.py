@@ -18,7 +18,9 @@ Krylov totals and reports the scene as ``==`` when all of them are equal
 bit for bit; otherwise it says whether every solve's Newton and Krylov
 counts are equal (or the first step where one differs), and names the
 first row that differs, the largest final |dq| and |dv| and any differing
-failures.  A last line sums the totals over the scenes both dumps hold.
+failures.  A scene that only one dump holds is reported as missing from
+the other and makes the dumps differ.  A last line sums the totals over the
+scenes both dumps hold; the exit code is 0 when the dumps are equal, else 1.
 """
 
 from __future__ import annotations
@@ -158,6 +160,10 @@ def compare(a: str, b: str) -> bool:
                  + ("" if ra.get("failure") == rb.get("failure") else
                     f", failures {ra.get('failure')!r} / "
                     f"{rb.get('failure')!r}")))
+    for label in db:
+        if label not in da:
+            print(f"{label}: missing from {a}")
+            same_all = False
     print(f"total: Newton {sums[0, 0]} / {sums[0, 1]}  "
           f"solves {sums[1, 0]} / {sums[1, 1]}  "
           f"Krylov {sums[2, 0]} / {sums[2, 1]}")
