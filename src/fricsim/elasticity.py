@@ -14,22 +14,26 @@ stresses P are -D^T vec(vol P).  Every kernel takes G = F^{-T} and J from
 the cofactor columns of F (``_kinematics``).  The residual's elastic and
 Rayleigh-stiffness forces are one pass, ``element_forces``, generic over
 ndarray-vs-Dual input, so the same code path produces values and
-Jacobian-vector products.  The Jacobian blocks are closed form and take one
-``element_kinematics`` evaluation, made once per assembly.  With the
-flattened element rows r = vec(N G^T) and s = vec(N (G A^T G)^T) (N the
-shape gradients), O = r r^T, X = s r^T + r s^T and the index swap
-swap(Y)[(a,i),(b,j)] = Y[(a,j),(b,i)], they are (n_e, 12, 12) outer
-products:
+Jacobian-vector products.  The Jacobian's element blocks are closed form,
+from one ``element_kinematics`` evaluation per assembly and one kernel,
+``element_blocks``.  With N the shape gradients, A = dF(v), the flattened
+element rows r = vec(N G^T) and s = vec(N (G A^T G)^T), t = <G, A>,
+c = mu - lam ln J, O = r r^T, X = s r^T + r s^T and the index swap
+swap(Y)[(a,i),(b,j)] = Y[(a,j),(b,i)], the stiffness blocks
+K_e = -df_e/dq_e and the damping-dq blocks Q_e = d(beta K_e v_e)/dq_e enter
+c_q df/dq + c_v df/dv as
 
-  * the stiffness blocks K_e = -df_e/dq_e (``_element_stiffness``)
-      K = vol (lam O + swap((mu - lam ln J) O)) + mu vol (N N^T kron I_3);
-  * the damping blocks d(beta K_e v_e)/dq_e (``damping_q_blocks``)
-      Q = -beta vol (lam X + swap((mu - lam ln J) X + lam <G, A> O)).
+    w K + c_q Q = vol [lam Y + swap(c Y - c_q beta lam t O)]
+                  + w mu vol (N N^T kron I_3),
+    Y = w O - c_q beta X,   w = c_q + c_v beta,
+
+where both bracketed terms are batched (12 x 2)(2 x 12) products of the
+columns [r, s].  s and t are the only per-element quantities that depend
+on v; ``damping_q_blocks`` makes them, and only where some element has
+beta > 0.  Elsewhere the products take the one column r.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +43,8 @@ from .mesh import TetMeshModel
 
 
 class ElasticScratch:
-    """Per-element volumes and shape gradients and the mesh's gradient
-    operator, built at the mesh's first kernel call (cached)."""
+    """Per-element volumes, shape gradients N and N N^T and the mesh's
+    gradient operator, built at the mesh's first kernel call (cached)."""
 
     def __init__(self, mesh: TetMeshModel):
         x = mesh.rest_positions[mesh.tets]
@@ -65,11 +69,7 @@ class ElasticScratch:
             shape=(9 * n_e, mesh.n_dofs))
         # D^T for the corner forces, kept: D.T builds a matrix on every call
         self.grad_t = self.grad.T.tocsr()
-
-    @cached_property
-    def nnt(self) -> np.ndarray:
-        """N N^T (n_e, 4, 4), built at the first assembly."""
-        return self.shape_grad @ np.swapaxes(self.shape_grad, -1, -2)
+        self.nnt = n @ np.swapaxes(n, -1, -2)  # N N^T (n_e, 4, 4)
 
     def gradient(self, q):
         """Per-element F = D q (n_e, 3, 3) of flat q; generic, and for a
@@ -149,79 +149,60 @@ def damping_force(mesh: TetMeshModel, q, v):
 
 def element_kinematics(mesh: TetMeshModel, q):
     """Per element at real q: (G = F^{-T}, ln J, r), with r (n_e, 12) the
-    flattened R = N G^T, r[3a + c] = R[a,c] = N[a,:].G[c,:]; shared by the
-    stiffness and damping-dq blocks."""
+    flattened R = N G^T, r[3a + c] = R[a,c] = N[a,:].G[c,:]; shared by
+    :func:`damping_q_blocks` and :func:`element_blocks`."""
     s = mesh.scratch()
     g, j = _kinematics(s.gradient(np.asarray(q, float)))
     r = s.shape_grad @ np.swapaxes(g, -1, -2)
     return g, np.log(j), r.reshape(len(g), 12)
 
 
-def _outer(r, out=None):
-    """O = r r^T per element, (n_e, 12, 12)."""
-    return np.einsum("ni,nj->nij", r, r, out=out)
-
-
-def _add_swap(out, y):
-    """out += swap(y) in place, for (n_e, 12, 12) blocks, where
-    swap(Y)[(a,i),(b,j)] = Y[(a,j),(b,i)] (a reshaped, transposed view)."""
-    n = len(y)
-    view = out.reshape(n, 4, 3, 4, 3)
-    view += y.reshape(n, 4, 3, 4, 3).transpose(0, 1, 4, 3, 2)
-
-
-def _element_stiffness(mesh, kin):
-    """Element blocks (n_e, 12, 12) of K = -df/dq via the analytic dP/dF,
-    from the :func:`element_kinematics` ``kin`` at q.
-
-    With N the shape gradients, G = F^{-T} and R = N G^T:
-      K[(a,c),(b,e)] = vol * ( mu d_ce (N N^T)[a,b]
-                               + (mu - lam ln J) R[a,e] R[b,c]
-                               + lam R[a,c] R[b,e] ),
-    i.e. vol (lam O + swap((mu - lam ln J) O)) plus mu vol N N^T on the
-    three (c, c) diagonals, with O = r r^T.
-    """
+def damping_q_blocks(mesh: TetMeshModel, kin, v):
+    """The damping-dq blocks d(beta K_e(q) v_e)/dq_e in factored form
+    (s, t), from the :func:`element_kinematics` ``kin`` at q: with
+    A = dF(v) and G = F^{-T}, s (n_e, 12) is the flattened
+    S = N (G A^T G)^T and t (n_e,) is <G, A>.  They are the only
+    per-element quantities of the blocks that depend on v;
+    :func:`element_blocks` takes them as ``damp``."""
     s = mesh.scratch()
-    _, logj, r = kin
-    vol = s.volumes[:, None, None]
-    o = _outer(r)
-    k = (vol * mesh.lam[:, None, None]) * o
-    o *= vol * (mesh.mu - mesh.lam * logj)[:, None, None]
-    _add_swap(k, o)
-    mu_nnt = (s.volumes * mesh.mu)[:, None, None] * s.nnt
-    for c in range(3):
-        k[:, c::3, c::3] += mu_nnt
-    return k
-
-
-def damping_q_blocks(mesh: TetMeshModel, kin, v) -> np.ndarray:
-    """Element blocks (n_e, 12, 12) of d(beta K_e(q) v_e)/dq_e, closed form,
-    from the :func:`element_kinematics` ``kin`` at q.
-
-    The q-derivative of the ``beta dP`` in :func:`element_forces`.
-    With A = dF(v), G = F^{-T}, R = N G^T, S = N (G A^T G)^T,
-    t = <G, A> and c = mu - lam ln J:
-      Q[(a,i),(b,j)] = beta vol ( -lam (S[a,i] R[b,j] + R[a,i] S[b,j])
-                                  - c (S[a,j] R[b,i] + R[a,j] S[b,i])
-                                  - lam t R[a,j] R[b,i] ),
-    i.e. -beta vol (lam X + swap(c X + lam t O)) with O = r r^T and X the
-    rank-2 product [s r] [r s]^T = s r^T + r s^T.  The damping force
-    contribution is the negative of these blocks.
-    """
-    s = mesh.scratch()
-    g, logj, r = kin
+    g = kin[0]
     a = s.gradient(np.asarray(v, float))
     gt = np.swapaxes(g, -1, -2)
     sv = (s.shape_grad @ (gt @ a @ gt)).reshape(len(g), 12)
-    t = (g * a).sum(axis=(-2, -1))
-    scale = -(mesh.beta * s.volumes)
-    lam = (scale * mesh.lam)[:, None, None]
-    c = (scale * (mesh.mu - mesh.lam * logj))[:, None, None]
-    x = np.stack([sv, r], axis=-1) @ np.stack([r, sv], axis=1)
-    d = lam * x
-    x *= c
-    _add_swap(d, x)
-    o = _outer(r, out=x)  # into X's buffer: two (n_e, 12, 12) arrays live
-    o *= lam * t[:, None, None]
-    _add_swap(d, o)
-    return d
+    return sv, (g * a).sum(axis=(-2, -1))
+
+
+def element_blocks(mesh: TetMeshModel, kin, c_q: float, c_v: float,
+                   damp=None) -> np.ndarray:
+    """Element blocks (n_e, 12, 12) of w K + c_q Q, w = c_q + c_v beta, by
+    the identity in the module docstring, from the
+    :func:`element_kinematics` ``kin`` at q and the
+    :func:`damping_q_blocks` ``damp`` = (s, t) at v.  Without ``damp`` Q is
+    left out and the products take the one column r.  K and Q are
+      K = vol (lam O + swap(c O)) + mu vol (N N^T kron I_3),
+      Q = -beta vol (lam X + swap(c X + lam t O)).
+    """
+    s = mesh.scratch()
+    _, logj, r = kin
+    w = (c_q + c_v * mesh.beta)[:, None]
+    lam = (s.volumes * mesh.lam)[:, None]
+    c = (s.volumes * (mesh.mu - mesh.lam * logj))[:, None]
+    if damp is None:  # Y = w O; einsum's outer beats a one-column matmul
+        k = np.einsum("ni,nj->nij", r, (lam * w) * r)
+        swapped = np.einsum("ni,nj->nij", r, (c * w) * r)
+    else:
+        sv, t = damp
+        b = (c_q * mesh.beta)[:, None]
+        cols = np.stack([r, sv], axis=-1)
+        y = np.stack([w * r - b * sv, -b * r], axis=1)  # Y = cols @ y
+        z = c[:, None] * y  # c Y - c_q beta lam t O = cols @ z
+        z[:, 0] -= (b * lam * t[:, None]) * r
+        k = cols @ (lam[:, None] * y)
+        swapped = cols @ z
+    n = len(r)
+    view = k.reshape(n, 4, 3, 4, 3)  # k += swap(swapped)
+    view += swapped.reshape(n, 4, 3, 4, 3).transpose(0, 1, 4, 3, 2)
+    mu_nnt = (w * (s.volumes * mesh.mu)[:, None])[:, :, None] * s.nnt
+    for i in range(3):
+        k[:, i::3, i::3] += mu_nnt
+    return k

@@ -11,7 +11,8 @@ volume parameters and Dirichlet constraints, and provides
     separate because they are dense; the solvers apply them without
     forming them (Woodbury on the LU factor, or a matvec).  Each part is
     one ``np.bincount`` scatter of its weighted blocks: the elements'
-    closed-form (c_q + c_v beta) K + c_q Q (Q the damping-dq blocks), the
+    closed-form (c_q + c_v beta) K + c_q Q (Q the damping-dq blocks) from
+    one kernel (``elasticity.element_blocks``), the
     contacts' contact dq, friction dq and friction dv blocks from one
     ``dual.jacobian_blocks`` pass over every contact of the
     contact-and-friction kernel the force uses
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 
 from . import dual as dm
 from .contact import ContactSet, ObstacleTable, PenaltyParams, gaps, snapshot
-from .elasticity import (_element_stiffness, damping_q_blocks, element_forces,
+from .elasticity import (damping_q_blocks, element_blocks, element_forces,
                          element_kinematics)
 from .friction import contact_friction_blocks, contact_friction_forces
 from .mesh import TetMeshModel
@@ -220,8 +221,8 @@ class ForceModel:
         Its pieces are the vertex pairs of the element blocks and of each
         volume region's triangle blocks; the contact and friction blocks
         use its ``vertex`` table.  The piece slots are kept flat in the
-        order of the blocks they receive: the (n_e, 12, 12) stiffness
-        blocks and the (6 n_t, 3, 3) volume Hessian blocks.
+        order of the blocks they receive: the (n_e, 12, 12) element blocks
+        and the (6 n_t, 3, 3) volume Hessian blocks.
         """
         if self._pattern is None:
             mesh = self.mesh
@@ -251,10 +252,9 @@ class ForceModel:
         mesh = self.mesh
 
         kin = element_kinematics(mesh, q)
-        weight = c_q + c_v * mesh.beta
-        blocks = _element_stiffness(mesh, kin) * weight[:, None, None]
-        if np.any(mesh.beta > 0.0):
-            blocks += c_q * damping_q_blocks(mesh, kin, v)
+        damp = (damping_q_blocks(mesh, kin, v)
+                if np.any(mesh.beta > 0.0) else None)
+        blocks = element_blocks(mesh, kin, c_q, c_v, damp)
         data -= pat.scatter(elem, blocks.ravel())
         data[pat.diag] -= c_v * mesh.alpha * mesh.mass_dofs
 

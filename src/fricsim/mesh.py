@@ -2,8 +2,9 @@
 
 Generalized coordinates are stacked vertex positions (SI meters), so a mesh
 with n vertices owns m = 3n degrees of freedom.  Mesh and material data are
-immutable after construction; :class:`SystemState` is owned by the stepping
-loop.
+immutable after construction, but for one lazily built cache
+(``TetMeshModel._scratch``) whose values are deterministic;
+:class:`SystemState` is owned by the stepping loop.
 """
 
 from __future__ import annotations
@@ -102,14 +103,19 @@ def build_lumped_mass(rest_positions, tets, density) -> np.ndarray:
     (non-positive volume) elements, naming the offender.
     """
     tets = np.asarray(tets, dtype=int)
-    vols = tet_volumes(rest_positions, tets)
+    return _lumped_mass(tet_volumes(rest_positions, tets), tets, density,
+                        len(rest_positions))
+
+
+def _lumped_mass(vols, tets, density, n_verts) -> np.ndarray:
+    """:func:`build_lumped_mass` from the tets' rest volumes ``vols``."""
     bad = np.nonzero(vols <= 0.0)[0]
     if bad.size:
         raise MeshConstructionError(
             f"element {bad[0]} has non-positive rest volume {vols[bad[0]]:.3e}")
     share = np.broadcast_to(np.asarray(density, dtype=float), vols.shape) \
         * vols / 4.0
-    return dm.spread(tets.T.ravel(), np.tile(share, 4), len(rest_positions))
+    return dm.spread(tets.T.ravel(), np.tile(share, 4), n_verts)
 
 
 def surface_triangles(tets: np.ndarray) -> np.ndarray:
@@ -145,7 +151,9 @@ def check_closed_oriented(tris: np.ndarray) -> bool:
 class TetMeshModel:
     """Tetrahedral mesh with rest shape, material, lumped mass and surface.
 
-    Immutable after construction and safe to share read-only.  Dof layout is
+    Immutable after construction but for one cache, ``_scratch``, which
+    :meth:`scratch` builds at the first kernel call with deterministic
+    values, so the mesh is safe to share read-only.  Dof layout is
     vertex-major: q[3i:3i+3] is vertex i.
     """
 
@@ -156,9 +164,9 @@ class TetMeshModel:
             raise MeshConstructionError("rest_positions must be (n, 3)")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
             raise MeshConstructionError("tets must be (n_e, 4)")
-        self.vertex_mass = build_lumped_mass(self.rest_positions, self.tets,
-                                             material.density)
         self.rest_volumes = tet_volumes(self.rest_positions, self.tets)
+        self.vertex_mass = _lumped_mass(self.rest_volumes, self.tets,
+                                        material.density, self.n_verts)
         if np.any(self.vertex_mass <= 0.0):
             raise MeshConstructionError("every vertex must carry positive mass")
         self.surface_tris = surface_triangles(self.tets)
@@ -196,8 +204,9 @@ class TetMeshModel:
         return float(self.vertex_mass.sum())
 
     def scratch(self):
-        """Cached per-element volumes, shape gradients and the gradient
-        operator D, vec F = D q, built at the first call (see elasticity)."""
+        """Cached per-element volumes, shape gradients, N N^T and the
+        gradient operator D, vec F = D q, built at the first call (see
+        elasticity)."""
         if self._scratch is None:
             from .elasticity import ElasticScratch
             self._scratch = ElasticScratch(self)

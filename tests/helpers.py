@@ -10,8 +10,8 @@ import scipy.sparse as sp
 
 from fricsim import dual as dm
 from fricsim.contact import ObstacleTable, RigidMotion
-from fricsim.elasticity import (_element_stiffness, damping_force,
-                                damping_q_blocks, elastic_force,
+from fricsim.elasticity import (damping_force, damping_q_blocks,
+                                elastic_force, element_blocks,
                                 element_kinematics)
 from fricsim.forces import CsrPattern
 from fricsim.friction import contact_friction_blocks, contact_friction_forces
@@ -80,12 +80,14 @@ def term_jacobians(model, q, v, t, contact):
         return out
 
     kin = element_kinematics(mesh, q)
-    kblocks = _element_stiffness(mesh, kin)
+    kblocks = element_blocks(mesh, kin, 1.0, 0.0)
+    qblocks = element_blocks(mesh, kin, 1.0, 0.0,
+                             damping_q_blocks(mesh, kin, v)) - kblocks
     elem = element_block_indices(mesh)
     diag = np.arange(m)
     terms = {
         "elastic": (dense((*elem, -kblocks)), dense()),
-        "damping": (dense((*elem, -damping_q_blocks(mesh, kin, v))),
+        "damping": (dense((*elem, -qblocks)),
                     dense((diag, diag, -mesh.alpha * mesh.mass_dofs),
                           (*elem, -kblocks * mesh.beta[:, None, None]))),
         "gravity": (dense(), dense()),

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from fricsim import elasticity
 from fricsim.dual import Dual, jvp
-from fricsim.elasticity import (_element_stiffness, _kinematics, damping_force,
-                                damping_q_blocks, elastic_energy,
-                                elastic_force, element_kinematics)
+from fricsim.elasticity import (_kinematics, damping_force, damping_q_blocks,
+                                elastic_energy, elastic_force, element_blocks,
+                                element_forces, element_kinematics)
 from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams, TetMeshModel
 from fricsim.meshgen import ball_mesh, box_mesh
@@ -335,8 +336,12 @@ near_inversion = given(
 @near_inversion
 def test_damping_q_blocks_match_jvp_near_inversion(r1, r2, s1, s2, log_j,
                                                    seed):
+    # Q is the kernel's K + Q at (c_q, c_v) = (1, 0) less its K
     for mesh, q, v in _near_inversion_states(r1, r2, s1, s2, log_j, seed):
-        blocks = damping_q_blocks(mesh, element_kinematics(mesh, q), v)
+        kin = element_kinematics(mesh, q)
+        blocks = (element_blocks(mesh, kin, 1.0, 0.0,
+                                 damping_q_blocks(mesh, kin, v))
+                  - element_blocks(mesh, kin, 1.0, 0.0))
         _assert_blocks_match_jvp(
             mesh, blocks, lambda qq: damping_force(mesh, qq, v), q)
 
@@ -347,6 +352,33 @@ def test_element_stiffness_matches_jvp_near_inversion(r1, r2, s1, s2, log_j,
                                                       seed):
     # the cofactor G = F^{-T} stays exact as det F falls to 1e-3
     for mesh, q, _ in _near_inversion_states(r1, r2, s1, s2, log_j, seed):
-        blocks = _element_stiffness(mesh, element_kinematics(mesh, q))
+        blocks = element_blocks(mesh, element_kinematics(mesh, q), 1.0, 0.0)
         _assert_blocks_match_jvp(
             mesh, blocks, lambda qq: elastic_force(mesh, qq), q)
+
+
+BETA0_BOX = box_mesh((0.1, 0.1, 0.1), (2, 1, 1),
+                     replace(MAT, rayleigh_beta=0.0))
+
+
+@pytest.mark.parametrize("mesh", [TWO_MATERIAL_BOX, BETA0_BOX],
+                         ids=["two_material_box", "beta0_box"])
+def test_element_blocks_match_jvp_at_both_weights(mesh):
+    # c_q K + c_v beta K + c_q Q against c_q df/dq + c_v df/dv of the
+    # element pass less its -alpha M v; on the beta = 0 box the kernel
+    # takes its one-column form
+    c_q, c_v = 0.7, 1.3
+    q = _deformed(mesh, 21)
+    v = np.random.default_rng(22).normal(size=mesh.n_dofs)
+    kin = element_kinematics(mesh, q)
+    damp = (damping_q_blocks(mesh, kin, v)
+            if np.any(mesh.beta > 0.0) else None)
+    assert (damp is None) == (mesh is BETA0_BOX)
+
+    def force(p):  # its JVP at p = 0 is c_q df/dq + c_v df/dv
+        qq, vv = q + c_q * p, v + c_v * p
+        return (element_forces(mesh, qq, vv, elastic=True, damping=True)
+                + mesh.alpha * mesh.mass_dofs * vv)
+
+    _assert_blocks_match_jvp(mesh, element_blocks(mesh, kin, c_q, c_v, damp),
+                             force, np.zeros(mesh.n_dofs))

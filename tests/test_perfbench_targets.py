@@ -14,6 +14,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from fricsim.experiments import block_slide_scene
 from fricsim.integrators import StageProblem
@@ -59,12 +60,15 @@ def test_after_build_hook_counts_a_lagged_contact_state():
     assert tracer.counts["active"] == active > 0
 
 
-def test_one_stage_jacobian_calls_the_damping_q_layer_once():
+@pytest.mark.parametrize("scene, calls", [("ball_drop.json", 1),
+                                          ("plate_squeeze.json", 0)])
+def test_one_stage_jacobian_calls_the_damping_q_layer_once(scene, calls):
     # ``elasticity.damping_q_ms`` times fricsim.forces.damping_q_blocks; if
-    # the assembly stopped calling that name the layer would read 0
+    # the assembly stopped calling that name the layer would read 0.  With
+    # no element's beta > 0 (the plates) it builds no damping direction.
     spans = _spans()
     sim = Simulation(load_scene_file(
-        os.path.join(ROOT, "scenes", "ball_drop.json")))
+        os.path.join(ROOT, "scenes", scene)))
     for _ in range(3):
         sim.advance()
     st, h = sim.state, sim.h
@@ -76,4 +80,4 @@ def test_one_stage_jacobian_calls_the_damping_q_layer_once():
     with tracer:
         prob.jacobian(st.v)
     assert tracer.missing == []
-    assert tracer.layer == ["elasticity.damping_q"]
+    assert tracer.layer == ["elasticity.damping_q"] * calls

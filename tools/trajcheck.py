@@ -13,19 +13,27 @@ A dump holds, per scene, every ``TrajectoryRecord.row`` (the initial state
 and the state after every step), the Newton count and the Krylov counts
 (``SolveReport.linear_iters``) of every solve in step order, the final q
 and v, and, for a scene that ends in a ``StepFailure``, its message and the
-last kappa reached.  ``compare`` prints each scene's Newton, solve and
-Krylov totals and reports the scene as ``==`` when all of them are equal
-bit for bit; otherwise it says whether every solve's Newton and Krylov
-counts are equal (or the first step where one differs), and names the
-first row that differs, the largest final |dq| and |dv| and any differing
-failures.  A scene that only one dump holds is reported as missing from
-the other and makes the dumps differ.  A last line sums the totals over the
-scenes both dumps hold; the exit code is 0 when the dumps are equal, else 1.
+last kappa reached.  ``dump`` also writes OUT.json, a summary small enough
+to commit (``tools/trajcheck.json`` is the summary at HEAD): per scene the
+steps taken, the Newton, solve and Krylov totals, the failure message and a
+SHA-256 of the final q and v bytes.
+
+``compare`` prints each scene's Newton, solve and Krylov totals and reports
+the scene as ``==`` when all of them are equal bit for bit; otherwise it
+says whether every solve's Newton and Krylov counts are equal (or the first
+step where one differs), and names the first row that differs, the largest
+final |dq| and |dv| and any differing failures.  Either side may be a
+``.json`` summary; then only what a summary holds is compared, and a
+differing scene names the summary fields that differ.  A scene that only
+one side holds is reported as missing from the other and makes the sides
+differ.  A last line sums the totals over the scenes both sides hold; the
+exit code is 0 when the sides are equal, else 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import pickle
@@ -109,59 +117,93 @@ def dump(src: str, out: str, only=None):
               + (f", then {failure}" if failure else ""), flush=True)
     with open(out, "wb") as fh:
         pickle.dump(data, fh)
+    with open(os.path.splitext(out)[0] + ".json", "w") as fh:
+        json.dump(summary(data), fh, indent=1)
+        fh.write("\n")
 
 
 def _krylov_total(krylov):
     return sum(sum(map(sum, step)) for step in krylov)
 
 
+def summary(data):
+    """Per scene of a dump: steps, Newton, solve and Krylov totals, the
+    failure message and a SHA-256 of the final q and v bytes (float64,
+    little-endian, q first)."""
+    return {label: {
+        "steps": len(d["newton"]),
+        "newton": sum(map(sum, d["newton"])),
+        "solves": sum(map(len, d["newton"])),
+        "krylov": _krylov_total(d["krylov"]),
+        "failure": d.get("failure"),
+        "state_sha256": hashlib.sha256(
+            np.asarray(d["q"], "<f8").tobytes()
+            + np.asarray(d["v"], "<f8").tobytes()).hexdigest()}
+        for label, d in data.items()}
+
+
+def _load(path):
+    if path.endswith(".json"):
+        with open(path) as fh:
+            return json.load(fh)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def _dump_difference(ra, rb):
+    """(same, what differs) of one scene in two full dumps."""
+    na, nb = ra["newton"], rb["newton"]
+    ka, kb = ra["krylov"], rb["krylov"]
+    bad_row = next((k for k, (x, y) in enumerate(zip(ra["rows"], rb["rows"]))
+                    if x != y), None)
+    same = (bad_row is None and len(ra["rows"]) == len(rb["rows"])
+            and na == nb and ka == kb
+            and np.array_equal(ra["q"], rb["q"])
+            and np.array_equal(ra["v"], rb["v"])
+            and ra.get("failure") == rb.get("failure"))
+    if same:
+        return True, ""
+    bad_step = next((k for k, (x, y) in enumerate(zip(zip(na, ka),
+                                                      zip(nb, kb)))
+                     if x != y),
+                    None if len(na) == len(nb) else min(len(na), len(nb)))
+    return False, (
+        "  per-solve Newton and Krylov "
+        + ("equal" if bad_step is None else f"differs from step {bad_step}")
+        + f", first differing row {bad_row}, final max |dq| "
+        f"{np.abs(ra['q'] - rb['q']).max():.3e}, |dv| "
+        f"{np.abs(ra['v'] - rb['v']).max():.3e}")
+
+
 def compare(a: str, b: str) -> bool:
-    with open(a, "rb") as fh:
-        da = pickle.load(fh)
-    with open(b, "rb") as fh:
-        db = pickle.load(fh)
+    da, db = _load(a), _load(b)
+    full = not (a.endswith(".json") or b.endswith(".json"))
+    sa, sb = (d if p.endswith(".json") else summary(d)
+              for d, p in ((da, a), (db, b)))
     same_all = True
     sums = np.zeros((3, 2), int)  # (Newton, solves, Krylov) x (a, b)
-    for label in da:
-        if label not in db:
+    for label in sa:
+        if label not in sb:
             print(f"{label}: missing from {b}")
             same_all = False
             continue
-        ra, rb = da[label], db[label]
-        na, nb = ra["newton"], rb["newton"]
-        ka, kb = ra["krylov"], rb["krylov"]
-        bad_row = next((k for k, (x, y) in enumerate(zip(ra["rows"],
-                                                         rb["rows"]))
-                        if x != y), None)
-        same = (bad_row is None and len(ra["rows"]) == len(rb["rows"])
-                and na == nb and ka == kb
-                and np.array_equal(ra["q"], rb["q"])
-                and np.array_equal(ra["v"], rb["v"])
-                and ra.get("failure") == rb.get("failure"))
+        xa, xb = sa[label], sb[label]
+        sums += [[xa[k], xb[k]] for k in ("newton", "solves", "krylov")]
+        if full:
+            same, detail = _dump_difference(da[label], db[label])
+        else:
+            same = xa == xb
+            detail = "" if same else "  differs in " + ", ".join(
+                k for k in xa if xa[k] != xb.get(k))
         same_all &= same
-        solves = (sum(map(len, ra["newton"])), sum(map(len, rb["newton"])))
-        newton = (sum(map(sum, ra["newton"])), sum(map(sum, rb["newton"])))
-        krylov = (_krylov_total(ra["krylov"]), _krylov_total(rb["krylov"]))
-        sums += [newton, solves, krylov]
-        bad_step = next((k for k, (x, y) in enumerate(zip(zip(na, ka),
-                                                          zip(nb, kb)))
-                         if x != y),
-                        None if len(na) == len(nb) else min(len(na), len(nb)))
         print(f"{label}: {'==' if same else '!='}  Newton "
-              f"{newton[0]} / {newton[1]}  solves {solves[0]} / {solves[1]}"
-              f"  Krylov {krylov[0]} / {krylov[1]}"
-              + ("" if same else
-                 "  per-solve Newton and Krylov "
-                 + ("equal" if bad_step is None
-                    else f"differs from step {bad_step}")
-                 + f", first differing row {bad_row}, final max |dq| "
-                 f"{np.abs(ra['q'] - rb['q']).max():.3e}, |dv| "
-                 f"{np.abs(ra['v'] - rb['v']).max():.3e}"
-                 + ("" if ra.get("failure") == rb.get("failure") else
-                    f", failures {ra.get('failure')!r} / "
-                    f"{rb.get('failure')!r}")))
-    for label in db:
-        if label not in da:
+              f"{xa['newton']} / {xb['newton']}  solves {xa['solves']} / "
+              f"{xb['solves']}  Krylov {xa['krylov']} / {xb['krylov']}"
+              + detail
+              + ("" if xa["failure"] == xb["failure"] else
+                 f", failures {xa['failure']!r} / {xb['failure']!r}"))
+    for label in sb:
+        if label not in sa:
             print(f"{label}: missing from {a}")
             same_all = False
     print(f"total: Newton {sums[0, 0]} / {sums[0, 1]}  "
@@ -175,13 +217,16 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="cmd", required=True)
     d = sub.add_parser("dump", help="simulate the check scenes and save")
     d.add_argument("src", help="directory that holds the fricsim package")
-    d.add_argument("out", help="output pickle")
+    d.add_argument("out", help="output pickle; the summary goes next to "
+                   "it, with the extension .json")
     d.add_argument("--only", nargs="*", help="scene labels to run")
-    c = sub.add_parser("compare", help="compare two dumps")
+    c = sub.add_parser("compare", help="compare two dumps or summaries")
     c.add_argument("a")
     c.add_argument("b")
     args = ap.parse_args(argv)
     if args.cmd == "dump":
+        if args.out.endswith(".json"):  # the summary would overwrite it
+            ap.error("the output pickle must not end in .json")
         dump(args.src, args.out, args.only)
         return 0
     return 0 if compare(args.a, args.b) else 1
