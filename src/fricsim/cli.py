@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -74,7 +75,6 @@ def cmd_block_slide(args) -> int:
     report = format_report(results)
     print(report)
     if args.out:
-        import os
         try:
             os.makedirs(args.out, exist_ok=True)
             with open(f"{args.out}/block_slide.txt", "w") as fh:

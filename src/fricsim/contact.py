@@ -11,18 +11,18 @@ whose value, first and second derivatives all vanish at x = delta.  The
 contact force magnitude is lambda = -b'(d) >= 0, applied along the gap
 gradient.  kappa is raised adaptively until end-of-step gaps are positive.
 
-A model's obstacles are one :class:`ObstacleTable`, whose frames are moved
-once per distinct time.  The scan of :func:`gaps`, a :class:`ContactSet`'s
-snapshot at its build positions (:func:`snapshot`; lagged friction's anchor
-is such a set) and :func:`contact_geometry` at live positions, for the
-residual's kernel, gather their contacts' frame rows from it.  A set
-carries the table it was built from, and every query of the set reads it.
+A model's obstacles are one :class:`ObstacleTable`: static rows of their
+geometry and friction coefficients, and frames moved once per distinct
+time.  The scan of :func:`gaps`, a :class:`ContactSet`'s snapshot at its
+build positions (:func:`snapshot`; lagged friction's anchor is such a set)
+and the residual's contact-and-friction kernel at live positions gather
+their contacts' rows from it by obstacle index.  A set carries the table it
+was built from, and every query of the set reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import dual as dm
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "ObstacleTable", "gaps", "snapshot", "penalty_b", "penalty_db",
-    "penalty_lambda", "contact_geometry", "adaptive_stiffen",
+    "penalty_lambda", "adaptive_stiffen",
     "StiffeningError", "AdaptDecision", "KAPPA_MAX",
 ]
 
@@ -53,7 +53,8 @@ class PenaltyParams:
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if not 0 < self.kappa <= KAPPA_MAX:
-            raise ValueError("kappa must satisfy 0 < kappa <= KAPPA_MAX")
+            raise ValueError(f"kappa must satisfy 0 < kappa <= KAPPA_MAX = "
+                             f"{KAPPA_MAX:.0e}, got {self.kappa!r}")
 
 
 def penalty_b(x, delta: float, kappa: float):
@@ -179,9 +180,9 @@ class Sphere(_ObstacleBase):
 
 class ObstacleTable:
     """Obstacles as arrays: per obstacle its kind ``sign`` (0 half-space, +1
-    ball, -1 container), ``base`` point or centre, ``normal``, ``radius`` and
-    ``pivot``, and its :meth:`frames`.  Each model owns its table, so models
-    sharing one scene's obstacles share no frames."""
+    ball, -1 container), ``base`` point or centre, ``normal``, ``radius``,
+    ``pivot`` and ``friction`` row, and its :meth:`frames`.  Each model owns
+    its table, so models sharing one scene's obstacles share no frames."""
 
     def __init__(self, obstacles):
         self.obstacles = list(obstacles)
@@ -193,6 +194,12 @@ class ObstacleTable:
         self.radius, self.sign = static[:, 6], static[:, 7]
         self.pivot = np.array([o.motion.rotation_pivot
                                for o in self.obstacles]).reshape(-1, 3)
+        # columns mu_d, mu_s, mu_v, epsilon, v_s; an obstacle without
+        # friction gets the row of FrictionParams(mu_d=0)
+        self.friction = np.array(
+            [(0.0, 0.0, 0.0, 1e-4, 1e-3) if (f := o.friction) is None
+             else (f.mu_d, f.mu_s, f.mu_v, f.epsilon, f.v_s)
+             for o in self.obstacles], float).reshape(-1, 5)
         self._memo = None  # (t, frames at t)
 
     def frames(self, t: float) -> np.ndarray:
@@ -262,13 +269,6 @@ class ContactSet:
     def size(self) -> int:
         return len(self.vertex)
 
-    @cached_property
-    def friction_coeffs(self) -> np.ndarray:
-        """(k, 5) friction coefficients of each contact's obstacle (columns
-        as in ``friction.obstacle_coeffs``), gathered once per set."""
-        from .friction import obstacle_coeffs  # friction imports this module
-        return obstacle_coeffs(self.table.obstacles)[self.obstacle]
-
 
 def gaps(table: ObstacleTable, q, t: float, penalty: PenaltyParams,
          candidate_vertices=None, activation=None, extra=None) -> ContactSet:
@@ -311,14 +311,6 @@ def snapshot(table: ObstacleTable, vertex, obstacle, q, t: float,
     lam = penalty_lambda(d, penalty.delta, penalty.kappa)
     return ContactSet(vertex=vertex, obstacle=obstacle, x=x, d=d, lam=lam,
                       n=n, table=table)
-
-
-def contact_geometry(table: ObstacleTable, obstacle, x, t: float):
-    """(gap (k,), unit normal (k, 3), obstacle surface velocity (k, 3)) of
-    the positions x (k, 3) against the table's obstacles ``obstacle`` (k,)
-    at t; generic over Dual x."""
-    return (*table.gap_normal(obstacle, x, t),
-            table.velocity(obstacle, x, t))
 
 
 def contact_energy(cset: ContactSet, q, t: float, penalty: PenaltyParams):

@@ -268,10 +268,10 @@ def experiment_block_slide(variants=DEFAULT_MATRIX, duration: float = 40.0):
 
 
 def ball_drop_scene(h: float, integrator: str) -> dict:
-    """A soft ball of radius 0.05 m with a quadratic volume penalty dropped
-    from 0.08 m onto the ground; used for the bounce-height integrator
-    comparison (BE damps the impact deformation modes hardest, SDIRK2 the
-    least)."""
+    """A soft ball of radius 0.05 m with a quadratic volume penalty,
+    dropped from 0.08 m onto the ground; used for the bounce-height
+    integrator comparison (BE damps the impact deformation modes hardest,
+    SDIRK2 the least)."""
     return {
         "gravity": [0.0, -GRAVITY, 0.0],
         "duration": 0.5,

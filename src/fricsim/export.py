@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
+import scipy
 
 from .simulate import TrajectoryRecord
 
@@ -83,7 +84,7 @@ def export(records, snapshots, out_dir: str, scene):
             "package": _pkg_version(),
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
+            "scipy": scipy.__version__,
             "platform": platform.platform(),
         },
         "samples": len(records),
@@ -98,10 +99,5 @@ def export(records, snapshots, out_dir: str, scene):
 
 
 def _pkg_version():
-    from . import __version__
+    from . import __version__  # the package __init__ imports this module
     return __version__
-
-
-def _scipy_version():
-    import scipy
-    return scipy.__version__

@@ -19,8 +19,9 @@ the normal and the obstacle velocity at the positions of an anchor set (see
 ``ForceModel.rebuild_lagged``) while the velocity stays implicit.
 
 One kernel gives the contact and the friction force of every contact from
-one gathered geometry evaluation (:func:`contact.contact_geometry`), with
-the friction coefficients gathered per contact.  The residual calls it once;
+one gathered evaluation: it gathers each contact's gap, normal, surface
+velocity and friction coefficients from the rows of its obstacle in the
+set's :class:`contact.ObstacleTable`.  The residual calls it once;
 :func:`contact_friction_blocks` makes one ``dual.jacobian_blocks`` pass of it
 over all contacts, seeding each contact's 6 (q, v) directions, for the
 contact dq, friction dq and friction dv blocks together.
@@ -35,12 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dual as dm
-from .contact import (ContactSet, ObstacleTable, PenaltyParams,
-                      contact_geometry, penalty_lambda)
+from .contact import ContactSet, ObstacleTable, PenaltyParams, penalty_lambda
 
 __all__ = [
     "FrictionParams", "smooth_s", "stribeck_g", "friction_magnitude_c",
-    "contact_friction_forces", "contact_friction_blocks", "obstacle_coeffs",
+    "contact_friction_forces", "contact_friction_blocks",
 ]
 
 
@@ -71,27 +71,15 @@ class FrictionParams:
                 "effective static friction", stacklevel=2)
 
 
-_NO_FRICTION = FrictionParams(mu_d=0.0)
-
-
 class _Coeffs(NamedTuple):
-    """The :class:`FrictionParams` coefficients as per-contact arrays."""
+    """The :class:`FrictionParams` coefficients as per-contact arrays, in
+    the column order of ``ObstacleTable.friction``."""
 
     mu_d: np.ndarray
     mu_s: np.ndarray
     mu_v: np.ndarray
     epsilon: np.ndarray
     v_s: np.ndarray
-
-
-def obstacle_coeffs(obstacles) -> np.ndarray:
-    """(n_obstacles, 5) friction coefficients, columns mu_d, mu_s, mu_v,
-    epsilon, v_s; an obstacle without friction parameters gets
-    mu_d = mu_s = mu_v = 0."""
-    params = [o.friction if o.friction is not None else _NO_FRICTION
-              for o in obstacles]
-    return np.array([[getattr(p, c) for c in _Coeffs._fields]
-                     for p in params], float).reshape(len(params), 5)
 
 
 def smooth_s(v, epsilon: float):
@@ -114,25 +102,24 @@ def friction_magnitude_c(v, lam, params: FrictionParams):
     return mu_eff * smooth_s(v, params.epsilon) * lam + params.mu_v * v
 
 
-def _contact_friction_local(x, v, obstacle, coeffs, *anchor,
-                            table: ObstacleTable, t: float,
-                            penalty: PenaltyParams):
+def _contact_friction_local(x, v, obstacle, *anchor, table: ObstacleTable,
+                            t: float, penalty: PenaltyParams):
     """Per-contact (contact force, friction force), (k, 3) each, of the
     positions x and velocities v (k, 3) of contacts against the table's
-    obstacles ``obstacle`` (k,) with friction coefficients ``coeffs`` (k, 5)
-    (columns as in :func:`obstacle_coeffs`).
+    obstacles ``obstacle`` (k,), with their obstacles' friction rows.
 
     Friction takes its (lambda, normal, obstacle surface velocity) from the
     constant arrays ``anchor`` when given, else from the live geometry at
     x.  Generic over Dual x and v.
     """
-    d, normal, w = contact_geometry(table, obstacle, x, t)
+    d, normal = table.gap_normal(obstacle, x, t)
     lam = penalty_lambda(d, penalty.delta, penalty.kappa)
-    lam_f, n_f, w_f = anchor or (lam, normal, w)
+    lam_f, n_f, w_f = anchor or (lam, normal, table.velocity(obstacle, x, t))
     rel = v - w_f
     vt = rel - dm.dot_last(rel, n_f)[..., None] * n_f
     speed = dm.norm_last(vt)
-    ratio = friction_magnitude_c(speed, lam_f, _Coeffs(*coeffs.T)) / speed
+    coeffs = _Coeffs(*table.friction[obstacle].T)
+    ratio = friction_magnitude_c(speed, lam_f, coeffs) / speed
     return lam[..., None] * normal, -ratio[..., None] * vt
 
 
@@ -158,7 +145,7 @@ def contact_friction_forces(cset: ContactSet, q, v, t: float,
     x = q.reshape(-1, 3)
     vv = v.reshape(-1, 3)
     fc, ff = _contact_friction_local(
-        x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
+        x[cset.vertex], vv[cset.vertex], cset.obstacle,
         *_lagged_anchor(t, anchor), table=cset.table, t=t, penalty=penalty)
     return (dm.spread(cset.vertex, fc, len(x)).reshape(-1),
             dm.spread(cset.vertex, ff, len(x)).reshape(-1))
@@ -189,5 +176,4 @@ def contact_friction_blocks(cset: ContactSet, q, v, t: float,
             penalty=penalty), axis=-1)
 
     return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),
-                              cset.obstacle, cset.friction_coeffs,
-                              *_lagged_anchor(t, anchor))
+                              cset.obstacle, *_lagged_anchor(t, anchor))

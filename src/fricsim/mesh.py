@@ -208,7 +208,7 @@ class TetMeshModel:
         gradient operator D, vec F = D q, built at the first call (see
         elasticity)."""
         if self._scratch is None:
-            from .elasticity import ElasticScratch
+            from .elasticity import ElasticScratch  # elasticity imports mesh
             self._scratch = ElasticScratch(self)
         return self._scratch
 

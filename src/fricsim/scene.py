@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contact import (HalfSpace, PenaltyParams, RigidMotion, Sphere, rotation,
-                      unit)
+from .contact import (KAPPA_MAX, HalfSpace, PenaltyParams, RigidMotion,
+                      Sphere, rotation, unit)
 from .forces import ForceModel
 from .friction import FrictionParams
 from .integrators import make_scheme
@@ -380,11 +380,19 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     if contact["kappa"] is None:
         # lambda at d = 0.5*delta balances gravity on the average contact
         # vertex: 3 kappa delta / 4 = m_avg g  =>  kappa = 4 m_avg g / (3 d)
-        g_eff = np.linalg.norm(gravity) or 9.8
         m_avg = float(np.mean(mesh.vertex_mass[mesh.surface_vertices]))
-        # delta <= 0 is rejected below, before kappa is looked at
-        contact["kappa"] = (float(4.0 * m_avg * g_eff / (3.0 * delta))
-                            if delta > 0 else 1.0)
+        with np.errstate(over="ignore"):  # |g| may overflow; named below
+            g_eff = np.linalg.norm(gravity) or 9.8
+            # delta <= 0 is rejected below, before kappa is looked at
+            kappa = (float(4.0 * m_avg * g_eff / (3.0 * delta))
+                     if delta > 0 else 1.0)
+        if not 0 < kappa <= KAPPA_MAX:
+            raise SceneError(
+                f"contact: the automatic kappa 4 m_avg |g| / (3 delta) = "
+                f"{kappa:.3e} is outside (0, KAPPA_MAX = {KAPPA_MAX:.0e}]; "
+                f"gravity {gravity.tolist()}, delta {delta!r}, m_avg "
+                f"{m_avg:.3e}: set contact.kappa or a smaller gravity")
+        contact["kappa"] = kappa
     with _at("contact"):
         penalty = PenaltyParams(**contact)
 

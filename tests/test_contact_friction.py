@@ -21,8 +21,8 @@ import pytest
 from fricsim import dual as dm
 from fricsim import friction
 from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams,
-                             RigidMotion, Sphere, contact_geometry, gaps,
-                             penalty_lambda, snapshot)
+                             RigidMotion, Sphere, gaps, penalty_lambda,
+                             snapshot)
 from fricsim.experiments import block_slide_scene
 from fricsim.friction import (FrictionParams, contact_friction_blocks,
                               contact_friction_forces, friction_magnitude_c)
@@ -238,7 +238,7 @@ def test_forces_are_add_at_of_the_kernel_bitwise(mode, dual):
         v = dm.Dual(v, rng.normal(size=v.size))
     x, vv = q.reshape(-1, 3), v.reshape(-1, 3)
     per_contact = friction._contact_friction_local(
-        x[cset.vertex], vv[cset.vertex], cset.obstacle, cset.friction_coeffs,
+        x[cset.vertex], vv[cset.vertex], cset.obstacle,
         *friction._lagged_anchor(T, anchor), table=cset.table, t=T,
         penalty=PEN)
     got = contact_friction_forces(cset, q, v, T, PEN, anchor=anchor)
@@ -266,8 +266,10 @@ def test_half_space_geometry_is_the_plane_distance_bitwise():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(15, 3))
     obstacle = rng.permutation(np.arange(15) % 3)
+    table = ObstacleTable(obstacles)
     for xq in (x, dm.Dual(x, rng.normal(size=x.shape))):
-        d, n, w = contact_geometry(ObstacleTable(obstacles), obstacle, xq, T)
+        d, n = table.gap_normal(obstacle, xq, T)
+        w = table.velocity(obstacle, xq, T)
         for oi, obs in enumerate(obstacles):
             rows = np.nonzero(obstacle == oi)[0]
             nb = np.broadcast_to(obs.motion.frame(T)[0] @ obs.normal,
@@ -310,15 +312,15 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
     """The residual gathers every contact's geometry in one
-    ``contact_geometry`` call, the Jacobian in one dual pass, and both read
-    the obstacle frames of their stage time, evaluated once per obstacle
-    and stage time."""
+    ``ObstacleTable.gap_normal`` call, the Jacobian in one dual pass, and
+    both read the obstacle frames of their stage time, evaluated once per
+    obstacle and stage time."""
     prob, v = _stage()
     model = prob.model
     assert len(model.table.obstacles) == 3
     assert len(np.unique(prob.contact.cset.obstacle)) == 3
     passes = _count_calls(monkeypatch, dm, "jacobian_blocks")
-    geometry = _count_calls(monkeypatch, friction, "contact_geometry")
+    geometry = _count_calls(monkeypatch, ObstacleTable, "gap_normal")
     frames = count_frames(monkeypatch)
     model.jacobians(prob.positions(v), v, prob.t_eval, prob.contact,
                     prob.c, 1.0)

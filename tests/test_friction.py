@@ -82,6 +82,36 @@ def test_vs_below_eps_warns():
         FrictionParams(mu_d=0.5, epsilon=1e-2, v_s=1e-3)
 
 
+def test_table_friction_rows_are_the_obstacles_params():
+    """``ObstacleTable.friction`` holds each obstacle's ``FrictionParams``
+    in the columns mu_d, mu_s, mu_v, epsilon, v_s, defaults included; an
+    obstacle without friction gets the row of ``FrictionParams(mu_d=0)``,
+    and a vertex sliding on it feels a bitwise zero friction force."""
+    stribeck = FrictionParams(mu_d=0.4, mu_s=0.9, mu_v=0.05, epsilon=1e-3,
+                              v_s=5e-3)
+    coulomb = FrictionParams(mu_d=0.5, epsilon=2e-3)
+    table = ObstacleTable([
+        HalfSpace((0, 0, 0), (0, 1, 0), friction=stribeck),
+        Sphere((0.3, 0.1, 0.0), 0.1, friction=coulomb),
+        HalfSpace((0, 0, 0.05), (0, 0, -1))])
+    assert table.friction.tolist() == [
+        [0.4, 0.9, 0.05, 1e-3, 5e-3],
+        [0.5, 0.5, 0.0, 2e-3, 10 * 2e-3],
+        [0.0, 0.0, 0.0, 1e-4, 1e-3]]
+    frictionless = FrictionParams(mu_d=0.0)
+    assert table.friction[2].tolist() == [
+        frictionless.mu_d, frictionless.mu_s, frictionless.mu_v,
+        frictionless.epsilon, frictionless.v_s]
+
+    q = np.array([0.0, 0.5, 0.0495])  # inside the wall's penalty support
+    cs = gaps(table, q, 0.0, penalty=PEN)
+    assert cs.obstacle.tolist() == [2] and cs.lam[0] > 0.0
+    v = np.array([0.03, -0.02, 0.01])
+    assert np.array_equal(_friction(cs, q, v), np.zeros(3))
+    blocks = contact_friction_blocks(cs, q, v, 0.0, PEN)
+    assert np.array_equal(blocks[:, 3:], np.zeros((1, 3, 6)))
+
+
 def _friction(cs, q, v, **kw):
     """The set's friction force (m,) at t = 0, the second of
     ``contact_friction_forces``."""

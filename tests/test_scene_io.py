@@ -188,7 +188,23 @@ def _unknown_solver_key(key, value, old_match):
      "output.trajectory_every must be positive, got 0$"),
     ("output.snapshot_every", -1,
      "output.snapshot_every must be nonnegative, got -1$"),
+    # an automatic kappa out of range names its inputs, not a scene kappa
+    ("gravity", [0, -1e20, 0],
+     r"contact: the automatic kappa 4 m_avg \|g\| / \(3 delta\) = "
+     r"1\.\d+e\+22 is outside .*gravity \[0\.0, -1e\+20, 0\.0\], "
+     r"delta 0\.001,"),
+    ("gravity", [0, -1e200, 0],
+     r"contact: the automatic kappa .* = inf is outside .*"
+     r"gravity \[0\.0, -1e\+200, 0\.0\]"),
+    ("gravity", [0, -1e300, 0],
+     r"contact: the automatic kappa .* = inf is outside .*"
+     r"gravity \[0\.0, -1e\+300, 0\.0\]"),
+    ("contact.kappa", 1e17,
+     r"contact: kappa must satisfy 0 < kappa <= KAPPA_MAX = 1e\+16, "
+     r"got 1e\+17$"),
+    ("contact.kappa", -2.0, "contact: kappa must satisfy .*, got -2.0$"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow warning
 def test_bad_value_named(path, value, match, tmp_path):
     (tmp_path / "bad_json.json").write_text('{"vertices": [[0, 0, 0]], ')
     (tmp_path / "no_tets.json").write_text('{"vertices": [[0, 0, 0]]}')

@@ -10,7 +10,8 @@ import sys
 
 import numpy as np
 
-TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "trajcheck.py")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+TOOL = os.path.join(ROOT, "tools", "trajcheck.py")
 
 
 def _scene(q0=0.1):
@@ -77,3 +78,26 @@ def test_summary_compares_with_its_own_dump(tmp_path):
     assert code == 1
     assert out.startswith("s: !=")
     assert "differs in state_sha256" in out
+
+
+def test_cheap_scenes_redump_to_the_committed_summary(tmp_path):
+    """``dump`` of the four cheapest check scenes from this tree's ``src``
+    compares equal with their rows of the committed ``tools/trajcheck.json``:
+    a change that moves one of their final states by one ulp, or one of
+    their step, Newton, solve or Krylov counts or failures, fails here until
+    the summary is dumped again."""
+    cheap = ["tet_drop_min", "block_slide", "ball_missplit", "plate_missplit"]
+    subprocess.run([sys.executable, TOOL, "dump", os.path.join(ROOT, "src"),
+                    str(tmp_path / "tree.pkl"), "--only", *cheap],
+                   check=True, capture_output=True)
+    with open(os.path.join(ROOT, "tools", "trajcheck.json")) as fh:
+        committed = json.load(fh)
+    with open(tmp_path / "committed.json", "w") as fh:
+        json.dump({label: committed[label] for label in cheap}, fh)
+    out = subprocess.run([sys.executable, TOOL, "compare",
+                          str(tmp_path / "committed.json"),
+                          str(tmp_path / "tree.json")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout
+    assert [line.split()[:2] for line in out.stdout.splitlines()[:-1]] \
+        == [[f"{label}:", "=="] for label in cheap]
