@@ -1,7 +1,9 @@
 """Aggregate force model: f = f_e + f_d + f_c + f_f + f_v + f_g.
 
-One ForceModel owns the (merged) mesh, an obstacle table, penalty/friction/
-volume parameters and Dirichlet constraints, and provides
+One ForceModel owns the (merged) mesh, an obstacle table and the penalty,
+friction and volume parameters.  It holds the fixed-dof mask and prescribed
+velocities as plain data (``fixed_mask``, ``fixed_velocity``), which the
+stage applies (:class:`integrators.StageProblem`), and provides
 
   * ``force`` — generic total force, evaluable with Dual q/v for JVPs,
     with lagged friction anchoring;
@@ -31,7 +33,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from . import dual as dm
 from .contact import ContactSet, ObstacleTable, PenaltyParams, gaps, snapshot
 from .elasticity import (damping_q_blocks, element_blocks, element_forces,
                          element_kinematics)
@@ -157,11 +158,8 @@ class ForceModel:
         # one (3,) velocity for every vertex, or an (n_verts, 3) array
         self.fixed_velocity = np.broadcast_to(
             np.asarray(fixed_velocity, float), (mesh.n_verts, 3)).flatten()
+        self.mass_dofs = mesh.mass_dofs
         self._pattern = None
-
-    @property
-    def mass_dofs(self) -> np.ndarray:
-        return self.mesh.mass_dofs
 
     # -- contact management ---------------------------------------------------
     def build_contact_state(self, q, v, t: float, h: float,
@@ -275,30 +273,3 @@ class ForceModel:
             rank1.append(Rank1(scale=-c_q * w2, u=g, w=g))
 
         return data, rank1
-
-    # -- constraints --------------------------------------------------------------
-    def apply_velocity_constraints(self, r, v):
-        """Replace fixed-dof rows of a residual with v - v_prescribed."""
-        if not self.fixed_mask.any():
-            return r
-        return dm.where(self.fixed_mask, v - self.fixed_velocity, r)
-
-    def constrain_rows(self, data: np.ndarray) -> np.ndarray:
-        """Zero the fixed rows of Jacobian ``data`` on :meth:`pattern` and
-        put 1 on their diagonal slots, in place."""
-        if self.fixed_mask.any():
-            pat = self.pattern()
-            data[self.fixed_mask[pat.rows]] = 0.0
-            data[pat.diag[self.fixed_mask]] = 1.0
-        return data
-
-    def constrain_rank1(self, rank1):
-        """Zero fixed rows of low-rank corrections."""
-        if not self.fixed_mask.any():
-            return rank1
-        out = []
-        for r in rank1:
-            u = r.u.copy()
-            u[self.fixed_mask] = 0.0
-            out.append(Rank1(scale=r.scale, u=u, w=r.w))
-        return out

@@ -22,18 +22,23 @@ Second-order schemes (standard stiffly-accurate forms; all L-stable):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dual as dm
-from .forces import ContactState, ForceModel
+from .forces import ContactState, ForceModel, Rank1
 from .mesh import SystemState
 
 
 @dataclass
 class StageProblem:
-    """One nonlinear stage r(v) = 0; provides residual, JVP and assembly."""
+    """One nonlinear stage r(v) = 0; provides residual, JVP and assembly.
+
+    The stage applies the model's fixed dofs (``fixed_mask``): each fixed
+    row of r is replaced with v - ``fixed_velocity``, and the same row of J
+    with the identity row, with u of each rank-1 term zeroed there.
+    """
 
     model: ForceModel
     contact: ContactState
@@ -54,7 +59,10 @@ class StageProblem:
         r = self.model.mass_dofs * (v - self.v_lin) - self.c * f
         if self.f_const is not None:
             r = r - self.f_const
-        return self.model.apply_velocity_constraints(r, v)
+        fixed = self.model.fixed_mask
+        if fixed.any():
+            r = dm.where(fixed, v - self.model.fixed_velocity, r)
+        return r
 
     def jvp(self, v, p):
         """Exact J(v) p through the dual-number path."""
@@ -75,9 +83,13 @@ class StageProblem:
         pat = self.model.pattern()
         data *= -self.c
         data[pat.diag] += self.model.mass_dofs
-        jac = pat.matrix(self.model.constrain_rows(data))
-        scaled = [replace(r, scale=-self.c * r.scale) for r in rank1]
-        return jac, self.model.constrain_rank1(scaled)
+        fixed = self.model.fixed_mask
+        if fixed.any():
+            data[fixed[pat.rows]] = 0.0
+            data[pat.diag[fixed]] = 1.0
+        return pat.matrix(data), [
+            Rank1(-self.c * r.scale, np.where(fixed, 0.0, r.u), r.w)
+            for r in rank1]
 
     def default_abs_tol(self) -> float:
         """Residual-scale absolute tolerance: 1e-6 h |M g|_inf (momentum

@@ -169,6 +169,7 @@ class TetMeshModel:
                                         material.density, self.n_verts)
         if np.any(self.vertex_mass <= 0.0):
             raise MeshConstructionError("every vertex must carry positive mass")
+        self.mass_dofs = np.repeat(self.vertex_mass, 3)  # diagonal of M
         self.surface_tris = surface_triangles(self.tets)
         self.surface_vertices = np.unique(self.surface_tris)
         # Per-element material arrays (uniform here; kept per-element so a
@@ -191,11 +192,6 @@ class TetMeshModel:
     @property
     def n_dofs(self) -> int:
         return 3 * self.n_verts
-
-    @property
-    def mass_dofs(self) -> np.ndarray:
-        """Diagonal of the (m x m) lumped mass matrix."""
-        return np.repeat(self.vertex_mass, 3)
 
     def rest_q(self) -> np.ndarray:
         return self.rest_positions.ravel()
@@ -233,6 +229,7 @@ def merge_meshes(meshes: list[TetMeshModel]) -> TetMeshModel:
     merged.tets = np.concatenate(tets)
     merged.rest_volumes = np.concatenate([m.rest_volumes for m in meshes])
     merged.vertex_mass = np.concatenate([m.vertex_mass for m in meshes])
+    merged.mass_dofs = np.concatenate([m.mass_dofs for m in meshes])
     merged.surface_tris = np.concatenate(tris)
     merged.surface_vertices = np.unique(merged.surface_tris)
     merged.mu = np.concatenate([m.mu for m in meshes])

@@ -151,22 +151,20 @@ class LinearForceModel:
     """f(q, v) = Aq q + Av v + c over a diagonal mass; no contact."""
 
     def __init__(self, mass, a_q=None, a_v=None, const=None):
-        self.mass = np.asarray(mass, float)
-        n = self.mass.size
+        self.mass_dofs = np.asarray(mass, float)
+        n = self.mass_dofs.size
         self.a_q = np.zeros((n, n)) if a_q is None else np.asarray(a_q, float)
         self.a_v = np.zeros((n, n)) if a_v is None else np.asarray(a_v, float)
         self.const = np.zeros(n) if const is None else np.asarray(const, float)
         self.gravity = np.zeros(3)
+        self.fixed_mask = np.zeros(n, bool)
+        self.fixed_velocity = np.zeros(n)
         k = n // 3
         idx = np.arange(k)
         self._pattern = CsrPattern(k, [(np.repeat(idx, k), np.tile(idx, k))])
         # slots of the dense matrix entries, row-major
         self._slots = (self._pattern.slots[0].reshape(k, k, 3, 3)
                        .transpose(0, 2, 1, 3).ravel())
-
-    @property
-    def mass_dofs(self):
-        return self.mass
 
     def force(self, q, v, t, contact):
         return dm.matmul(self.a_q, q) + dm.matmul(self.a_v, v) + self.const
@@ -178,15 +176,6 @@ class LinearForceModel:
     def jacobians(self, q, v, t, contact, c_q, c_v):
         dfdx = c_q * self.a_q + c_v * self.a_v
         return self._pattern.scatter(self._slots, dfdx.ravel()), []
-
-    def apply_velocity_constraints(self, r, v):
-        return r
-
-    def constrain_rows(self, data):
-        return data
-
-    def constrain_rank1(self, r):
-        return r
 
 
 class BareProblem:

@@ -12,11 +12,13 @@ from fricsim.dual import Dual, jvp
 from fricsim.elasticity import (_kinematics, damping_force, damping_q_blocks,
                                 elastic_energy, elastic_force, element_blocks,
                                 element_forces, element_kinematics)
-from fricsim.forces import ForceModel
+from fricsim.forces import ContactState, ForceModel
+from fricsim.integrators import StageProblem
 from fricsim.mesh import MaterialParams, TetMeshModel
 from fricsim.meshgen import ball_mesh, box_mesh
 from fricsim.scene import load_scene_file
 from fricsim.simulate import Simulation
+from fricsim.solvers import SolveFailure, damped_newton
 
 from helpers import element_block_indices, split_jacobians
 
@@ -355,6 +357,44 @@ def test_element_stiffness_matches_jvp_near_inversion(r1, r2, s1, s2, log_j,
         blocks = element_blocks(mesh, element_kinematics(mesh, q), 1.0, 0.0)
         _assert_blocks_match_jvp(
             mesh, blocks, lambda qq: elastic_force(mesh, qq), q)
+
+
+def test_line_search_never_accepts_a_non_finite_state_near_inversion():
+    # BE stages of a contact-free tet whose inertia alone would carry it
+    # through inversion within the step (q_ref + h v_lin mirrors it through
+    # its centroid at half size), so full Newton steps often reach
+    # det F <= 0, where the residual is not finite
+    model = ForceModel(SINGLE_TET)
+    h = 0.01
+    non_finite = []  # per residual call
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @near_inversion
+    def solve_stage(r1, r2, s1, s2, log_j, seed):
+        mesh, q, v = next(_near_inversion_states(r1, r2, s1, s2, log_j, seed))
+        x = q.reshape(-1, 3)
+        prob = StageProblem(
+            model=model, contact=ContactState.empty(model.table),
+            v_lin=v - (1.5 / h) * (x - x.mean(axis=0)).ravel(), q_ref=q,
+            c=h, t_eval=h, h=h)
+        stage_residual = prob.residual
+
+        def residual(vv):
+            r = stage_residual(vv)
+            non_finite.append(not np.all(np.isfinite(r)))
+            return r
+
+        prob.residual = residual
+        try:
+            vv, rep = damped_newton(prob, np.zeros(mesh.n_dofs))
+        except SolveFailure as exc:
+            rep = exc.report
+        else:
+            assert np.isfinite(elastic_energy(mesh, prob.positions(vv)))
+        assert np.all(np.isfinite(rep.residual_norms))
+
+    solve_stage()
+    assert any(non_finite)  # some trials were non-finite, and none was taken
 
 
 BETA0_BOX = box_mesh((0.1, 0.1, 0.1), (2, 1, 1),

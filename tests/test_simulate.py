@@ -9,9 +9,10 @@ import pytest
 from fricsim import simulate
 from fricsim.contact import HalfSpace
 from fricsim.experiments import block_slide_scene
+from fricsim.integrators import StageProblem
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, StepFailure, run_simulation
-from fricsim.solvers import SolverConfig
+from fricsim.solvers import SolveFailure, SolverConfig
 from helpers import count_frames, gap
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
@@ -222,6 +223,51 @@ def test_newton_budget_exhausted_fails_step():
     with pytest.raises(StepFailure) as exc:
         sim.advance()
     assert exc.value.report.status == "MaxIters"
+
+
+def test_line_search_underflow_fails_the_step_with_its_report():
+    # the stage's Jacobian negated makes every Newton direction an ascent
+    sim = Simulation(_scene())
+    st, index = sim.state, sim.step_index
+    reports = []
+
+    def negated(problem, v0, guess=None):
+        def jacobian(v):
+            jac, rank1 = StageProblem.jacobian(problem, v)
+            jac.data *= -1.0
+            return jac, [replace(r, scale=-r.scale) for r in rank1]
+
+        problem.jacobian = jacobian
+        try:
+            return Simulation._solve(sim, problem, v0, guess)
+        except SolveFailure as exc:
+            reports.append(exc.report)
+            raise
+
+    sim._solve = negated
+    with pytest.raises(StepFailure) as exc:
+        sim.advance()
+    assert str(exc.value).endswith("[LineSearchFailed]")
+    assert len(reports) == 1 and exc.value.report is reports[0]
+    assert sim.step_index == index and sim.state is st
+
+
+def test_kappa_retries_exhausted_fail_the_step(monkeypatch):
+    # tet_drop_min first retries at step 10 (one retry, kappa -> 20227.34)
+    sim = Simulation(load_scene_file(os.path.join(SCENES,
+                                                  "tet_drop_min.json")))
+    for _ in range(10):
+        sim.advance()
+    st, kappa = sim.state, sim.model.penalty.kappa
+    monkeypatch.setattr(simulate, "MAX_RETRIES", 0)
+    with pytest.raises(StepFailure, match="^step 10: contact not resolved "
+                       "after 0 kappa retries$") as exc:
+        sim.advance()
+    assert exc.value.step_index == 10 and sim.step_index == 10
+    assert sim.state is st and st.t == pytest.approx(10 * sim.h)
+    # the raised kappa is kept though the step failed
+    assert sim.model.penalty.kappa == pytest.approx(20227.34, rel=1e-6)
+    assert sim.model.penalty.kappa > kappa
 
 
 def test_tet_drop_scene_file():

@@ -262,6 +262,22 @@ def test_report_failure_stop():
     assert exc.value.report.status == "LinearSolveFailed"
 
 
+@pytest.mark.parametrize("kind, krylov", [("direct", 0), ("iterative", 1)])
+def test_line_search_underflow_fails_with_its_report(kind, krylov):
+    # J = -I for r = v: the exact direction is an ascent one, so every
+    # trial grows |r| until alpha underflows
+    prob = BareProblem(lambda v: v, jac_fn=lambda v: -np.eye(len(v)))
+    with pytest.raises(SolveFailure,
+                       match=r"^line search underflow \(alpha < 1e-12\)$") \
+            as exc:
+        damped_newton(prob, np.array([1.0, -2.0]), SolverConfig(kind=kind))
+    rep = exc.value.report
+    assert rep.status == rep.stop == "LineSearchFailed"
+    assert rep.iterations == 0 and rep.alphas == []
+    assert rep.residual_norms == [np.sqrt(5.0)]
+    assert rep.linear_iters == [krylov]
+
+
 @pytest.mark.parametrize("kind", ["direct", "iterative"])
 def test_non_finite_start_residual_fails_before_assembly(kind):
     # r(v) = log(v) - 1 is NaN at v0 = -1: the solve stops there with its
