@@ -31,15 +31,10 @@ from . import dual as dm
 __all__ = [
     "PenaltyParams", "RigidMotion", "HalfSpace", "Sphere", "ContactSet",
     "ObstacleTable", "gaps", "snapshot", "penalty_b", "penalty_db",
-    "penalty_lambda", "adaptive_stiffen",
-    "StiffeningError", "AdaptDecision", "KAPPA_MAX",
+    "penalty_lambda", "adaptive_stiffen", "KAPPA_MAX",
 ]
 
 KAPPA_MAX = 1e16  # cap on the contact stiffness kappa (N/m^2)
-
-
-class StiffeningError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -329,31 +324,11 @@ def tangential_velocity(cset: ContactSet, v, t: float) -> np.ndarray:
     return rel - dm.dot_last(rel, cset.n)[:, None] * cset.n
 
 
-@dataclass
-class AdaptDecision:
-    accept: bool
-    kappa: float
-    factor: float = 1.0
-
-
-def adaptive_stiffen(d_deepest: float, penalty: PenaltyParams) -> AdaptDecision:
-    """Accept the step, or bump kappa by b'(d_deepest)/b'(0.5 delta) and
-    signal a retry.  kappa never decreases; exceeding KAPPA_MAX is an error
-    (the step size is too large for the contact to resolve).
-
-    Acceptance requires strictly positive gaps, so an exact zero still bumps
-    (factor 4); for any d < 0 the ratio of squared cubic derivatives gives a
-    factor > 4.
-    """
-    if d_deepest > 0.0:
-        return AdaptDecision(accept=True, kappa=penalty.kappa)
+def adaptive_stiffen(d_deepest: float, penalty: PenaltyParams) -> float:
+    """kappa bumped by b'(d_deepest)/b'(0.5 delta) for a deepest end gap
+    that is not positive: 4-fold at an exact zero, more for any d < 0.
+    ``Simulation.advance`` decides when to bump and checks KAPPA_MAX."""
     delta, kappa = penalty.delta, penalty.kappa
     factor = (penalty_db(d_deepest, delta, kappa)
               / penalty_db(0.5 * delta, delta, kappa))
-    new_kappa = kappa * factor
-    if new_kappa > KAPPA_MAX:
-        raise StiffeningError(
-            f"contact stiffness {new_kappa:.3e} would exceed the cap "
-            f"{KAPPA_MAX:.3e}; reduce the time step h")
-    return AdaptDecision(accept=False, kappa=float(new_kappa),
-                         factor=float(factor))
+    return float(kappa * factor)

@@ -7,6 +7,9 @@ vertex.  Any non-positive gap bumps kappa by b'(d_deepest)/b'(0.5 delta) and
 the step re-runs from its start state with the offending pairs of every try
 unioned into the candidate set (kappa never decreases); an accepted end
 state's set is the next step's candidate set and what ``record`` reads.
+A solver failure in any try, a bump past ``KAPPA_MAX`` or ``MAX_RETRIES``
+retries fail the step with a ``StepFailure`` that holds the kappa reached;
+the state, the step index and kappa stay as the step found them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import (StiffeningError, adaptive_stiffen, penalty_b,
+from .contact import (KAPPA_MAX, adaptive_stiffen, penalty_b,
                       tangential_velocity)
 from .elasticity import elastic_energy
 from .forces import ContactState, ForceModel
@@ -29,9 +32,13 @@ MAX_RETRIES = 20
 
 
 class StepFailure(RuntimeError):
-    def __init__(self, step_index: int, message: str, report=None):
+    """A step that gave up; ``kappa`` is the contact stiffness it reached."""
+
+    def __init__(self, step_index: int, message: str, kappa: float,
+                 report=None):
         super().__init__(f"step {step_index}: {message}")
         self.step_index = step_index
+        self.kappa = kappa
         self.report = report
 
 
@@ -73,9 +80,11 @@ class TrajectoryRecord:
 
 @dataclass
 class StepInfo:
+    """What an accepted step did: its kappa retries and the solver report of
+    every solve, retries and lagged passes included, in order."""
+
     index: int
     retries: int
-    kappa: float
     reports: list = field(default_factory=list)
 
 
@@ -105,17 +114,24 @@ class Simulation:
         return damped_newton(problem, v0, self.scene.solver, guess=guess)
 
     def advance(self) -> StepInfo:
-        """One accepted step, including kappa retries and lagged iterations."""
+        """One accepted step, including kappa retries and lagged iterations;
+        a failed step raises and leaves the simulation as it found it."""
         st = self.state
         h = self.h
         model = self.model
+        pen = model.penalty
+        kappa0 = pen.kappa
         contact = self.contact()
-        retries = 0
         extra = np.zeros((0, 2), int)  # penetrating pairs of earlier tries
-        info = StepInfo(index=self.step_index, retries=0,
-                        kappa=model.penalty.kappa)
+        info = StepInfo(index=self.step_index, retries=0)
         prev = self.prev_state
         guess = None if prev is None else 2.0 * st.v - prev.v
+
+        def fail(message, report=None):
+            exc = StepFailure(self.step_index, message, pen.kappa, report)
+            pen.kappa = kappa0  # the step's start kappa
+            return exc
+
         while True:
             try:
                 result = self.scheme.step(model, contact, st, h, self._solve,
@@ -131,28 +147,23 @@ class Simulation:
                     if not any(r.iterations for r in result.reports):
                         break  # a fixed point: later passes repeat it
             except SolveFailure as exc:
-                raise StepFailure(self.step_index,
-                                  f"{exc} [{exc.report.status}]",
-                                  exc.report) from exc
+                raise fail(f"{exc} [{exc.report.status}]", exc.report) from exc
             end = model.build_contact_state(result.q, result.v, st.t + h, h)
-            try:
-                decision = adaptive_stiffen(end.cset.deepest, model.penalty)
-            except StiffeningError as exc:
-                raise StepFailure(self.step_index, str(exc)) from exc
-            if decision.accept:
+            if end.cset.deepest > 0.0:
                 break
-            model.penalty.kappa = decision.kappa
-            retries += 1
-            info.kappa = decision.kappa
-            if retries > MAX_RETRIES:
-                raise StepFailure(self.step_index,
-                                  f"contact not resolved after {MAX_RETRIES} "
-                                  "kappa retries")
+            kappa = adaptive_stiffen(end.cset.deepest, pen)
+            if kappa > KAPPA_MAX:
+                raise fail(f"contact stiffness {kappa:.3e} would exceed the "
+                           f"cap {KAPPA_MAX:.3e}; reduce the time step h")
+            pen.kappa = kappa
+            info.retries += 1
+            if info.retries > MAX_RETRIES:
+                raise fail(f"contact not resolved after {MAX_RETRIES} kappa "
+                           "retries")
             pairs = np.stack([end.cset.vertex, end.cset.obstacle], axis=1)
             extra = np.concatenate([extra, pairs[end.cset.d < 0.0]])
             contact = model.build_contact_state(st.q, st.v, st.t, h,
                                                 extra_candidates=extra)
-        info.retries = retries
         self.prev_state = st
         self.state = SystemState(result.q, result.v, st.t + h)
         self._contact = end

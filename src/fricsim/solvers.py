@@ -78,18 +78,17 @@ class SolveFailure(RuntimeError):
         self.report = report
 
 
-def should_stop(r, v_k, v_prev, cfg: SolverConfig, r0_inf: float,
-                abs_tol: float) -> str | None:
-    """Why to stop, or None: ``"residual"`` iff
-    |r|_inf <= max(abs, rel*|r0|_inf), else ``"step"`` iff |dv|_inf <= v_tol."""
-    r_inf = float(np.max(np.abs(r))) if np.size(r) else 0.0
+def should_stop(r_inf: float, v_k, v_prev, tol: float,
+                v_tol: float) -> str | None:
+    """Why to stop, or None: ``"residual"`` iff |r|_inf <= tol, else
+    ``"step"`` iff |dv|_inf <= v_tol."""
     if not np.isfinite(r_inf):
         return None
-    if r_inf <= max(abs_tol, cfg.r_tol_rel * r0_inf):
+    if r_inf <= tol:
         return "residual"
     if v_prev is not None:
         dv = float(np.max(np.abs(v_k - v_prev)))
-        if dv <= cfg.v_tol:
+        if dv <= v_tol:
             return "step"
     return None
 
@@ -230,16 +229,17 @@ def damped_newton(problem, v0, cfg: SolverConfig | None = None, guess=None):
                            "the residual at the start iterate is not finite")
     abs_tol = cfg.r_tol_abs if cfg.r_tol_abs is not None \
         else problem.default_abs_tol()
+    r0_inf = float(np.max(np.abs(r))) if r.size else 0.0
+    report.tol = max(abs_tol, cfg.r_tol_rel * r0_inf)
     v_prev = precond = None
     for k in range(cfg.k_max + 1):
         report.iterations = k
         r_norm = _norm(r)
         norms.append(r_norm)
-        report.residual_inf_norms.append(
-            float(np.max(np.abs(r))) if r.size else 0.0)
-        r0_inf = report.residual_inf_norms[0]
-        report.tol = max(abs_tol, cfg.r_tol_rel * r0_inf)
-        report.stop = should_stop(r, v, v_prev, cfg, r0_inf, abs_tol) or ""
+        r_inf = float(np.max(np.abs(r))) if r.size else 0.0
+        report.residual_inf_norms.append(r_inf)
+        report.stop = should_stop(r_inf, v, v_prev, report.tol,
+                                  cfg.v_tol) or ""
         if report.stop:
             return v, report
         if k == cfg.k_max:

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from fricsim.contact import (KAPPA_MAX, HalfSpace, ObstacleTable,
                              PenaltyParams, RigidMotion, Sphere,
-                             StiffeningError, adaptive_stiffen,
-                             contact_energy, gaps, penalty_b, penalty_db,
-                             penalty_lambda, tangential_velocity)
+                             adaptive_stiffen, contact_energy, gaps,
+                             penalty_b, penalty_db, penalty_lambda,
+                             tangential_velocity)
 from fricsim.friction import contact_friction_blocks, contact_friction_forces
 from helpers import gap, surface_velocity
 
@@ -149,24 +149,14 @@ def test_moving_obstacle_velocity_subtracted():
 
 def test_adaptive_stiffen_factors():
     pen = PenaltyParams(delta=DELTA, kappa=KAPPA)
-    dec = adaptive_stiffen(0.0, pen)
-    assert not dec.accept and dec.factor == pytest.approx(4.0)
-    dec = adaptive_stiffen(-DELTA, pen)
-    assert dec.factor == pytest.approx(16.0)
-    dec = adaptive_stiffen(0.1 * DELTA, pen)
-    assert dec.accept and dec.kappa == KAPPA
+    assert adaptive_stiffen(0.0, pen) == pytest.approx(4.0 * KAPPA)
+    assert adaptive_stiffen(-DELTA, pen) == pytest.approx(16.0 * KAPPA)
+    assert pen.kappa == KAPPA
 
 
 def test_adaptive_stiffen_cap():
-    # a gap of -delta bumps kappa 16-fold: from KAPPA_MAX / 8 that passes
-    # the cap, from KAPPA_MAX / 32 it stays below
-    pen = PenaltyParams(delta=DELTA, kappa=KAPPA_MAX / 8)
-    with pytest.raises(StiffeningError,
-                       match=r"2\.000e\+16 would exceed the cap 1\.000e\+16; "
-                             "reduce the time step"):
-        adaptive_stiffen(-DELTA, pen)
-    pen = PenaltyParams(delta=DELTA, kappa=KAPPA_MAX / 32)
-    assert adaptive_stiffen(-DELTA, pen).kappa == pytest.approx(KAPPA_MAX / 2)
+    # the bump past KAPPA_MAX is a StepFailure of the step
+    # (tests/test_simulate.py); kappa itself may not start past it
     with pytest.raises(ValueError, match="KAPPA_MAX"):
         PenaltyParams(delta=DELTA, kappa=2 * KAPPA_MAX)
 

@@ -265,9 +265,46 @@ def test_kappa_retries_exhausted_fail_the_step(monkeypatch):
         sim.advance()
     assert exc.value.step_index == 10 and sim.step_index == 10
     assert sim.state is st and st.t == pytest.approx(10 * sim.h)
-    # the raised kappa is kept though the step failed
-    assert sim.model.penalty.kappa == pytest.approx(20227.34, rel=1e-6)
-    assert sim.model.penalty.kappa > kappa
+    # the failure holds the raised kappa; the model is back at the start's
+    assert exc.value.kappa == pytest.approx(20227.34, rel=1e-6)
+    assert sim.model.penalty.kappa == kappa
+
+
+def _scene_file(name, **top):
+    with open(os.path.join(SCENES, name)) as fh:
+        return load_scene(json.dumps(dict(json.load(fh), **top)))
+
+
+@pytest.mark.parametrize("name, top, max_retries, steps, kappa, reached, "
+                         "message", [
+    # MAX_RETRIES exhausted at the first retry
+    ("tet_drop_min.json", {}, 0, 10, 1306.666666666667, 20227.336649488363,
+     r"contact not resolved after 0 kappa retries$"),
+    # a bump past KAPPA_MAX
+    ("ball_in_box.json", {"integrator": "tr_missplit"},
+     simulate.MAX_RETRIES, 11, 18.10521155300851, 5532736849695291.0,
+     r"contact stiffness 4\.365e\+18 would exceed the cap 1\.000e\+16; "
+     r"reduce the time step h$"),
+    # a solver failure inside a kappa retry
+    ("plate_squeeze.json", {"integrator": "tr_missplit"},
+     simulate.MAX_RETRIES, 3, 275.1459351404705, 9181532.193715656,
+     r".* \[\w+\]$"),
+], ids=["retries", "cap", "solve"])
+def test_failed_step_leaves_the_simulation_as_it_found_it(
+        monkeypatch, name, top, max_retries, steps, kappa, reached, message):
+    scene = _scene_file(name, **top)
+    sim = Simulation(scene)
+    for _ in range(steps):
+        sim.advance()
+    row = sim.record().row(scene.region_names)
+    st = sim.state
+    monkeypatch.setattr(simulate, "MAX_RETRIES", max_retries)
+    with pytest.raises(StepFailure, match=f"^step {steps}: {message}") as exc:
+        sim.advance()
+    assert exc.value.kappa == reached
+    assert sim.model.penalty.kappa == kappa
+    assert sim.step_index == steps and sim.state is st
+    assert sim.record().row(scene.region_names) == row
 
 
 def test_tet_drop_scene_file():

@@ -176,14 +176,13 @@ def test_determinism():
 
 def test_should_stop_cases():
     cfg = SolverConfig(r_tol_abs=1e-8, r_tol_rel=1e-6, v_tol=1e-5)
-    r0 = 1.0
-    assert should_stop(np.zeros(3), np.zeros(3), None, cfg, r0,
-                       1e-8) == "residual"
-    big_r = np.full(3, 1e-5)
-    assert should_stop(big_r, np.ones(3), np.zeros(3), cfg, r0, 1e-8) is None
+    tol = max(cfg.r_tol_abs, cfg.r_tol_rel * 1.0)  # |r0|_inf = 1
+    assert should_stop(0.0, np.zeros(3), None, tol, cfg.v_tol) == "residual"
+    big_r = 1e-5
+    assert should_stop(big_r, np.ones(3), np.zeros(3), tol, cfg.v_tol) is None
     # velocity stagnation exits even with a large residual
     v = np.ones(3)
-    assert should_stop(big_r, v, v + 1e-7, cfg, r0, 1e-8) == "step"
+    assert should_stop(big_r, v, v + 1e-7, tol, cfg.v_tol) == "step"
 
 
 def test_bicgstab_identity():
