@@ -53,15 +53,17 @@ class PenaltyParams:
 
 
 def penalty_b(x, delta: float, kappa: float):
-    """Cubic contact penalty energy (J); zero for x >= delta."""
+    """Cubic contact penalty energy (J); the constant 0 for x >= delta, so
+    a NaN or +inf gap (which fails x < delta) gives 0, not NaN."""
     shifted = x - delta
-    return dm.where(x < delta, (-kappa / delta) * shifted ** 3, 0.0 * shifted)
+    return dm.where(x < delta, (-kappa / delta) * shifted ** 3, 0.0)
 
 
 def penalty_db(x, delta: float, kappa: float):
+    """b'(x): -3 kappa/delta (x - delta)^2 for x < delta, else the constant
+    0, so a NaN or +inf gap (which fails x < delta) gives 0, not NaN."""
     shifted = x - delta
-    return dm.where(x < delta, (-3.0 * kappa / delta) * shifted ** 2,
-                    0.0 * shifted)
+    return dm.where(x < delta, (-3.0 * kappa / delta) * shifted ** 2, 0.0)
 
 
 def penalty_lambda(d, delta: float, kappa: float):
@@ -177,7 +179,13 @@ class ObstacleTable:
     """Obstacles as arrays: per obstacle its kind ``sign`` (0 half-space, +1
     ball, -1 container), ``base`` point or centre, ``normal``, ``radius``,
     ``pivot`` and ``friction`` row, and its :meth:`frames`.  Each model owns
-    its table, so models sharing one scene's obstacles share no frames."""
+    its table, so models sharing one scene's obstacles share no frames.
+
+    Two flags spare the queries per-call mask reductions: ``spheres``, set
+    once, says whether any obstacle is a sphere (without one,
+    :meth:`gap_normal` is the plane distance alone), and the frame memo
+    records whether any obstacle rotates at its t (without rotation,
+    :meth:`velocity` is the linear velocity alone)."""
 
     def __init__(self, obstacles):
         self.obstacles = list(obstacles)
@@ -195,11 +203,13 @@ class ObstacleTable:
             [(0.0, 0.0, 0.0, 1e-4, 1e-3) if (f := o.friction) is None
              else (f.mu_d, f.mu_s, f.mu_v, f.epsilon, f.v_s)
              for o in self.obstacles], float).reshape(-1, 5)
-        self._memo = None  # (t, frames at t)
+        self.spheres = bool(np.any(self.sign != 0.0))
+        self._memo = None  # (t, frames at t, whether any obstacle rotates)
 
-    def frames(self, t: float) -> np.ndarray:
-        """(5, n_obs, 3) point or centre, normal, linear and angular velocity
-        and rotation centre moved to t, evaluated once per distinct t."""
+    def frames(self, t: float):
+        """((5, n_obs, 3) point or centre, normal, linear and angular
+        velocity and rotation centre moved to t, whether any obstacle
+        rotates at t), evaluated once per distinct t."""
         memo = self._memo
         if memo is None or memo[0] != t:
             rows = []
@@ -208,18 +218,22 @@ class ObstacleTable:
                 r, off, vlin, omega = o.motion.frame(t)
                 rows.append((r @ (base - pivot) + pivot + off, r @ normal,
                              vlin, omega, pivot + off))
-            moved = np.array(rows, float).reshape(len(rows), 5, 3)
-            memo = self._memo = (t, np.swapaxes(moved, 0, 1))
-        return memo[1]
+            moved = np.swapaxes(
+                np.array(rows, float).reshape(len(rows), 5, 3), 0, 1)
+            memo = self._memo = (t, moved, bool(np.any(moved[3] != 0.0)))
+        return memo[1], memo[2]
 
     def gap_normal(self, obstacle, x, t: float):
         """(gap (k,), unit gap gradient (k, 3)) of the positions x (k, 3)
         against the obstacles ``obstacle`` (k,): one expression per obstacle
         kind present, joined on the kind mask.  Generic over Dual x."""
-        point, normal = self.frames(t)[:2]
+        point, normal = self.frames(t)[0][:2]
+        rel = x - point[obstacle]
+        if not self.spheres:  # half-spaces only: the plane distance
+            n = normal[obstacle]
+            return dm.dot_last(rel, n), n
         sign = self.sign[obstacle]
         ball = sign != 0.0
-        rel = x - point[obstacle]
         if not ball.all():  # half-spaces: the plane distance
             n = normal[obstacle]
             d = dm.dot_last(rel, n)
@@ -236,9 +250,9 @@ class ObstacleTable:
         """Surface velocities (k, 3) of the obstacles ``obstacle`` (k,) at
         the positions x (k, 3): the linear velocity, plus omega x (x - c)
         when some obstacle rotates at t.  Generic over Dual x."""
-        _, _, vlin, omega, center = self.frames(t)
+        (_, _, vlin, omega, center), rotates = self.frames(t)
         w = vlin[obstacle]
-        if np.any(omega != 0.0):
+        if rotates:
             w = w + dm.cross_last(omega[obstacle], x - center[obstacle])
         return w
 
@@ -287,10 +301,11 @@ def gaps(table: ObstacleTable, q, t: float, penalty: PenaltyParams,
                          np.tile(x[cand], (n_obs, 1)), t)[0]
     g = g.reshape(n_obs, len(cand))
     obstacle, near = np.nonzero(g < activation)
-    pairs = np.stack([cand[near], obstacle], axis=1)
+    # one key per pair, vertex * n_obs + obstacle, sorts as (vertex, obstacle)
+    keys = cand[near] * n_obs + obstacle
     if extra is not None:
-        pairs = np.concatenate([pairs, extra])
-    vertex, obstacle = np.unique(pairs, axis=0).T
+        keys = np.concatenate([keys, extra[:, 0] * n_obs + extra[:, 1]])
+    vertex, obstacle = np.divmod(np.unique(keys), n_obs)
     cset = snapshot(table, vertex, obstacle, q, t, penalty)
     cset.deepest = float(g.min(initial=np.inf))
     return cset

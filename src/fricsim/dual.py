@@ -14,9 +14,17 @@ whose sums are bitwise ``numpy.add.at``'s.
 Branching convention: comparisons look only at the real part, so a dual
 evaluation always takes the same branch as the real evaluation at the same
 point.
+
+Real-operand rule: a real operand's tangent is zero and is never built.
+``Dual`` plus or minus a real keeps (or negates) ``eps``, broadcast to the
+result's shape when the real operand is larger, and ``where`` takes a real
+branch's tangent as the scalar 0.  Only ``concat`` makes zeros, for a real
+part joined to dual ones.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +36,7 @@ __all__ = [
 ]
 
 _GUARD = 1e-300  # additive guard used by norm_last; below any physical scale
+_FLOAT = np.dtype(float)
 
 
 def _arr(x):
@@ -43,8 +52,11 @@ class Dual:
     __array_ufunc__ = None
 
     def __init__(self, re, eps):
-        re = _arr(re)
-        eps = _arr(eps)
+        # float ndarrays, what every operator passes, are kept as they are
+        if type(re) is not np.ndarray or re.dtype is not _FLOAT:
+            re = np.asarray(re, dtype=float)
+        if type(eps) is not np.ndarray or eps.dtype is not _FLOAT:
+            eps = np.asarray(eps, dtype=float)
         if eps.shape != re.shape:
             eps = np.broadcast_to(eps, re.shape)
         self.re = re
@@ -85,23 +97,22 @@ class Dual:
     def __add__(self, other):
         if isinstance(other, Dual):
             return Dual(self.re + other.re, self.eps + other.eps)
-        return Dual(self.re + other, self.eps + np.zeros_like(_arr(other)))
+        return Dual(self.re + other, self.eps)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
             return Dual(self.re - other.re, self.eps - other.eps)
-        return Dual(self.re - other, self.eps + np.zeros_like(_arr(other)))
+        return Dual(self.re - other, self.eps)
 
     def __rsub__(self, other):
-        return Dual(other - self.re, np.zeros_like(_arr(other)) - self.eps)
+        return Dual(other - self.re, -self.eps)
 
     def __mul__(self, other):
         if isinstance(other, Dual):
             return Dual(self.re * other.re,
                         self.eps * other.re + self.re * other.eps)
-        other = _arr(other)
         return Dual(self.re * other, self.eps * other)
 
     __rmul__ = __mul__
@@ -165,26 +176,18 @@ def value(x):
 def tangent(x):
     """Tangent part of ``x`` (zeros for plain arrays)."""
     if isinstance(x, Dual):
-        return np.broadcast_to(x.eps, x.re.shape)
+        return x.eps
     return np.zeros_like(_arr(x))
 
 
-def _coerce_pair(a, b):
-    """Promote a real operand to a zero-tangent Dual when the other is Dual."""
-    da, db = isinstance(a, Dual), isinstance(b, Dual)
-    if da and not db:
-        b = Dual(_arr(b), np.zeros_like(_arr(b)))
-    elif db and not da:
-        a = Dual(_arr(a), np.zeros_like(_arr(a)))
-    return a, b
-
-
 def where(cond, a, b):
-    cond = np.asarray(cond)
-    a, b = _coerce_pair(a, b)
-    if isinstance(a, Dual):
-        return Dual(np.where(cond, a.re, b.re), np.where(cond, a.eps, b.eps))
-    return np.where(cond, a, b)
+    """``np.where`` on real parts and on tangents; a real branch's tangent
+    is the scalar 0."""
+    da, db = isinstance(a, Dual), isinstance(b, Dual)
+    if not (da or db):
+        return np.where(cond, a, b)
+    return Dual(np.where(cond, a.re if da else a, b.re if db else b),
+                np.where(cond, a.eps if da else 0.0, b.eps if db else 0.0))
 
 
 def sqrt(x):
@@ -203,9 +206,7 @@ def log(x):
 
 
 def asum(x, axis=None):
-    if isinstance(x, Dual):
-        return x.sum(axis=axis)
-    return np.sum(x, axis=axis)
+    return x.sum(axis=axis)
 
 
 def dot_last(a, b):
@@ -277,12 +278,12 @@ def spread(index, values, n):
     so the sums are bitwise the same.
     """
     index = np.asarray(index)
-    tail = np.shape(values)[index.ndim:]
-    width = int(np.prod(tail))
-    slots = np.ravel(index[..., None] * width + np.arange(width))
+    tail = values.shape[index.ndim:]
+    width = math.prod(tail)
+    slots = (index[..., None] * width + np.arange(width)).ravel()
 
     def part(vals):
-        return np.bincount(slots, np.ravel(vals), n * width).reshape(
+        return np.bincount(slots, vals.ravel(), n * width).reshape(
             (n,) + tail)
 
     if isinstance(values, Dual):
@@ -297,11 +298,9 @@ def jvp(fn, x, p):
     tangent part of ``fn(x + eps*p)``, exact to machine precision on smooth
     branches.
     """
-    x = _arr(x)
-    p = np.broadcast_to(_arr(p), x.shape)
     out = fn(Dual(x, p))
     if isinstance(out, Dual):
-        return np.array(np.broadcast_to(out.eps, np.shape(out.re)), dtype=float)
+        return np.array(out.eps)
     return np.zeros_like(_arr(out))
 
 
@@ -311,21 +310,18 @@ def jacobian_blocks(fn, x, *per_item):
     ``fn(x, *per_item)`` maps k independent items ``x`` (k, ...) to outputs
     (k, ...), output item i depending only on ``x[i]`` and on item i of each
     ``per_item`` array, which are held constant.  One dual pass gives every
-    block: the n_in unit seeds are stacked along the item axis and each
-    ``per_item`` array is tiled to match, so
+    block: n_in copies of x and of each ``per_item`` array are stacked
+    along the item axis, copy c seeded with unit direction c, so
     ``blocks[i, :, c] = d fn(x)[i].ravel() / d x[i].ravel()[c]``.
     """
     x = _arr(x)
     k, item = len(x), x.shape[1:]
-    n_in = int(np.prod(item))
-    seeds = np.eye(n_in).reshape((n_in, 1) + item)
-    stacked = (n_in * k,) + item
-    xs = np.broadcast_to(x, (n_in,) + x.shape).reshape(stacked)
-    eps = np.broadcast_to(seeds, (n_in,) + x.shape).reshape(stacked)
-    tiled = [np.tile(a, (n_in,) + (1,) * (np.ndim(a) - 1)) for a in per_item]
-    out = tangent(fn(Dual(xs, eps), *tiled))
-    n_out = int(np.prod(out.shape[1:]))
-    return np.moveaxis(out.reshape(n_in, k, n_out), 0, -1)
+    n_in = math.prod(item)
+    eps = np.eye(n_in).repeat(k, axis=0).reshape((n_in * k,) + item)
+    xs, *stacked = [np.concatenate((a,) * n_in) for a in (x, *per_item)]
+    out = tangent(fn(Dual(xs, eps), *stacked))
+    n_out = math.prod(out.shape[1:])
+    return out.reshape(n_in, k, n_out).transpose(1, 2, 0)
 
 
 def derivative(fn, x: float) -> float:

@@ -200,8 +200,7 @@ class ForceModel:
     # -- forces ----------------------------------------------------------------
     def force(self, q, v, t: float, contact: ContactState):
         """Total generalized force (m,), generic over Dual q/v."""
-        total = 0.0 * q + 0.0 * v  # promotes to Dual if either input is
-        total = total + element_forces(self.mesh, q, v, True, True)
+        total = element_forces(self.mesh, q, v, True, True)
         total = total + self.gravity_force
         if contact.cset.size:
             f_c, f_f = contact_friction_forces(

@@ -85,14 +85,19 @@ class _Coeffs(NamedTuple):
 def smooth_s(v, epsilon: float):
     """Pre-sliding transition: 2v/eps - v^2/eps^2 for v < eps, else 1.
 
-    C^1 at v = eps, monotone nondecreasing on [0, inf)."""
+    C^1 at v = eps, monotone nondecreasing on [0, inf).  The else branch is
+    the constant 1, so a NaN or +inf v (which fails v < eps) gives 1, not
+    NaN; the caller's other terms in v carry the non-finite value."""
     return dm.where(v < epsilon, (2.0 / epsilon) * v - v ** 2 / epsilon ** 2,
-                    1.0 + 0.0 * v)
+                    1.0)
 
 
 def stribeck_g(x):
-    """Compact decay bump: (2x+1)(x-1)^2 for x < 1, else 0; g(0)=1, C^1 at 1."""
-    return dm.where(x < 1.0, (2.0 * x + 1.0) * (x - 1.0) ** 2, 0.0 * x)
+    """Compact decay bump: (2x+1)(x-1)^2 for x < 1, else 0; g(0)=1, C^1 at 1.
+
+    The else branch is the constant 0, so a NaN or +inf x gives 0, not
+    NaN."""
+    return dm.where(x < 1.0, (2.0 * x + 1.0) * (x - 1.0) ** 2, 0.0)
 
 
 def friction_magnitude_c(v, lam, params: FrictionParams):
@@ -144,11 +149,11 @@ def contact_friction_forces(cset: ContactSet, q, v, t: float,
     """
     x = q.reshape(-1, 3)
     vv = v.reshape(-1, 3)
-    fc, ff = _contact_friction_local(
+    local = _contact_friction_local(
         x[cset.vertex], vv[cset.vertex], cset.obstacle,
         *_lagged_anchor(t, anchor), table=cset.table, t=t, penalty=penalty)
-    return (dm.spread(cset.vertex, fc, len(x)).reshape(-1),
-            dm.spread(cset.vertex, ff, len(x)).reshape(-1))
+    both = dm.spread(cset.vertex, dm.concat(local, axis=-1), len(x))
+    return both[:, :3].reshape(-1), both[:, 3:].reshape(-1)
 
 
 def contact_friction_blocks(cset: ContactSet, q, v, t: float,

@@ -1,7 +1,8 @@
 """Shared test helpers: element block indices, df/dq and df/dv from the
 weighted assembly, the force's terms and their Jacobians from their own
-kernels, one obstacle's geometry queries, obstacle frame counts, linear
-force models and bare nonlinear problems."""
+kernels, bitwise equality of real parts and tangents, one obstacle's
+geometry queries, obstacle frame counts, linear force models and bare
+nonlinear problems."""
 
 from collections import Counter
 
@@ -109,6 +110,12 @@ def term_jacobians(model, q, v, t, contact):
         vol -= w2 * np.outer(g, g)
     terms["volume"] = (vol, dense())
     return terms
+
+
+def bits_equal(got, want):
+    """Bitwise equality of real parts and of tangents."""
+    return (np.array_equal(dm.value(got), dm.value(want))
+            and np.array_equal(dm.tangent(got), dm.tangent(want)))
 
 
 def gap_normal(obstacle, x, t):

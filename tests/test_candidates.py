@@ -1,18 +1,20 @@
 """The contact-candidate path against a brute-force scan of every
 (surface vertex, obstacle) pair, on the three-obstacle plate_squeeze scene,
-and the sweep margin of a rotating obstacle."""
+the sweep margin of a rotating obstacle, and the table's per-kind gap
+shortcut against its general path."""
 
 import os
 
 import numpy as np
 
+from fricsim import dual as dm
 from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams,
-                             RigidMotion, penalty_lambda)
+                             RigidMotion, Sphere, gaps, penalty_lambda)
 from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams
 from fricsim.meshgen import box_mesh
 from fricsim.scene import load_scene_file
-from helpers import gap, gap_normal, surface_velocity
+from helpers import bits_equal, gap, gap_normal, surface_velocity
 
 SCENES = os.path.join(os.path.dirname(__file__), "..", "scenes")
 H = 0.005
@@ -105,6 +107,56 @@ def test_extra_pairs_are_unioned_sorted_and_unique():
     for k, (vert, oi) in enumerate(got):
         d, _ = gap_normal(model.table.obstacles[oi], x[vert][None], 0.0)
         assert cset.d[k] == d[0]
+
+
+def test_extra_pairs_union_is_unique_pairs_order():
+    """The scanned pairs plus ``extra`` pairs that repeat scanned and
+    unscanned ones come out as the rows of ``np.unique(pairs, axis=0)``."""
+    model, q, v = _model()
+    table, pen = model.table, model.penalty
+    n_obs = len(table.obstacles)
+    assert n_obs >= 3
+    surf = model.mesh.surface_vertices
+    scanned = gaps(table, q, 0.1, pen, candidate_vertices=surf)
+    pairs = np.stack([scanned.vertex, scanned.obstacle], axis=1)
+    rng = np.random.default_rng(8)
+    far = np.stack([rng.choice(surf, 12), rng.integers(0, n_obs, 12)], axis=1)
+    extra = np.concatenate([far, pairs[::3], far[:5], pairs[:2]])
+    cset = gaps(table, q, 0.1, pen, candidate_vertices=surf, extra=extra)
+    want = np.unique(np.concatenate([pairs, extra]), axis=0)
+    assert len(want) > len(pairs)
+    assert np.array_equal(np.stack([cset.vertex, cset.obstacle], axis=1),
+                          want)
+
+
+def test_table_kind_shortcut_is_the_general_path_bitwise():
+    """A half-space-only table takes the plane distance without the
+    per-contact kind mask, and a mixed table joins both kinds on it; both
+    give bitwise the gap and normal of the general path: the mask path of
+    a table flagged as holding spheres, and each kind's rows alone."""
+    moving = RigidMotion(translation=[(0.0, (0, 0, 0)), (1.0, (0.1, 0, 0))])
+    planes = [HalfSpace((0, 0, 0), (0, 1, 0)),
+              HalfSpace((0, 0.1, 0), (1, 2, 0), motion=moving)]
+    ball = Sphere((0.3, 0.1, 0.0), 0.2, motion=moving)
+    plane_only, general = ObstacleTable(planes), ObstacleTable(planes)
+    general.spheres = True
+    mixed, ball_only = ObstacleTable(planes + [ball]), ObstacleTable([ball])
+    assert mixed.spheres and not plane_only.spheres
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(12, 3))
+    t = 0.25
+    for xq in (x, dm.Dual(x, rng.normal(size=x.shape))):
+        obstacle = np.arange(12) % 2
+        for got, want in zip(plane_only.gap_normal(obstacle, xq, t),
+                             general.gap_normal(obstacle, xq, t)):
+            assert bits_equal(got, want)
+        obstacle = np.arange(12) % 3
+        d, n = mixed.gap_normal(obstacle, xq, t)
+        plane = obstacle < 2
+        d_p, n_p = plane_only.gap_normal(obstacle[plane], xq[plane], t)
+        d_b, n_b = ball_only.gap_normal(np.zeros(4, int), xq[~plane], t)
+        assert bits_equal(d[plane], d_p) and bits_equal(n[plane], n_p)
+        assert bits_equal(d[~plane], d_b) and bits_equal(n[~plane], n_b)
 
 
 def _penetration(cset):

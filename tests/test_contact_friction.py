@@ -28,7 +28,7 @@ from fricsim.friction import (FrictionParams, contact_friction_blocks,
                               contact_friction_forces, friction_magnitude_c)
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation
-from helpers import count_frames
+from helpers import bits_equal, count_frames
 
 PEN = PenaltyParams(delta=1e-3, kappa=1e4)
 T = 0.25
@@ -249,12 +249,6 @@ def test_forces_are_add_at_of_the_kernel_bitwise(mode, dual):
             assert np.array_equal(part(force), want.ravel())
 
 
-def _bits(got, want):
-    """Bitwise equality of real parts and of tangents."""
-    return (np.array_equal(dm.value(got), dm.value(want))
-            and np.array_equal(dm.tangent(got), dm.tangent(want)))
-
-
 def test_half_space_geometry_is_the_plane_distance_bitwise():
     """On a set of half-spaces only, the gathered gap is bitwise each
     obstacle's plane distance dot_last(x - p, n) on its own rows, real and
@@ -275,9 +269,9 @@ def test_half_space_geometry_is_the_plane_distance_bitwise():
             nb = np.broadcast_to(obs.motion.frame(T)[0] @ obs.normal,
                                  (len(rows), 3))
             p = _moved(obs, obs.point, T)
-            assert _bits(d[rows], dm.dot_last(xq[rows] - p, nb)), oi
+            assert bits_equal(d[rows], dm.dot_last(xq[rows] - p, nb)), oi
             assert np.array_equal(n[rows], nb), oi
-            assert _bits(w[rows], _surface_velocity(obs, xq[rows], T)), oi
+            assert bits_equal(w[rows], _surface_velocity(obs, xq[rows], T)), oi
 
 
 def _stage():
@@ -335,6 +329,23 @@ def test_one_dual_pass_and_one_geometry_evaluation(monkeypatch):
         later.residual(v)
         later.jacobian(v)
     assert frames(model.table.obstacles) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_contact_velocity_gives_a_non_finite_residual(bad):
+    """A NaN or inf in v on a contact vertex makes the stage residual
+    non-finite on all three of that vertex's rows, although the penalty,
+    pre-sliding and Stribeck functions give their constant branch (0 or 1)
+    for a non-finite argument."""
+    prob, v = _stage()
+    cset = prob.contact.cset
+    vertex = cset.vertex[np.argmax(cset.lam)]
+    assert np.all(np.isfinite(prob.residual(v)))
+    v = v.copy()
+    v[3 * vertex + 1] = bad
+    with np.errstate(invalid="ignore"):
+        r = prob.residual(v)
+    assert not np.any(np.isfinite(r[3 * vertex:3 * vertex + 3]))
 
 
 def _advanced(scene, steps=60):

@@ -155,3 +155,59 @@ def test_jacobian_blocks_match_per_seed_jvp():
         p = np.broadcast_to(seed.reshape(2, 3), x.shape)
         assert np.array_equal(blocks[:, :, col],
                               jvp(lambda xx: fn(xx, c), x, p))
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 != 0.0)."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_real_operand_leaves_the_tangent_bitwise():
+    # a real operand's zero tangent is never added: -0.0 stays -0.0
+    eps = np.array([-0.0, 1.5, -2.25e-300, 0.0])
+    x = Dual(np.array([1.0, -2.0, 3.0, 4.0]), eps)
+    r = np.array([0.5, 0.25, -1.0, 2.0])
+    for out in (x + r, r + x, x - r, x + 2.0, x - 2.0):
+        assert _same_bits(out.eps, eps)
+    for out in (r - x, 2.0 - x):
+        assert _same_bits(out.eps, -eps)
+
+
+def test_larger_real_operand_broadcasts_the_tangent():
+    x = Dual(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 2.0]))
+    big = np.arange(12.0).reshape(4, 3)
+    for out in (x + big, big - x):
+        assert out.re.shape == out.eps.shape == (4, 3)
+    out = x + big
+    assert _same_bits(out.eps, np.tile(x.eps, (4, 1)))
+    # the broadcast (read-only) tangent is read, never written, downstream
+    index = np.array([0, 2, 0, 1])
+    got = dm.spread(index, out, 3)
+    want = dm.spread(index, Dual(out.re, np.tile(x.eps, (4, 1))), 3)
+    assert _same_bits(got.re, want.re) and _same_bits(got.eps, want.eps)
+    # items (1,) plus a per-item (3,) constant: d out / d x = ones
+    blocks = dm.jacobian_blocks(lambda y, c: y + c,
+                                np.array([[1.0], [2.0]]), np.ones((2, 3)))
+    assert blocks.shape == (2, 3, 1) and np.all(blocks == 1.0)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_where_real_scalar_branch_has_zero_tangent(side):
+    x = Dual(np.array([-1.0, 2.0, -3.0]), np.array([4.0, 5.0, 6.0]))
+    cond = np.array([True, False, True])
+    if side == "a":
+        out, real_rows = dm.where(cond, 7.0, x), cond
+    else:
+        out, real_rows = dm.where(cond, x, 7.0), ~cond
+    assert np.all(out.re[real_rows] == 7.0)
+    assert _same_bits(out.eps[real_rows], np.zeros(real_rows.sum()))
+    assert np.array_equal(out.eps[~real_rows], x.eps[~real_rows])
+    assert np.array_equal(out.re[~real_rows], x.re[~real_rows])
+
+
+def test_jacobian_blocks_of_a_kernel_ignoring_x_are_zero():
+    x = np.arange(10.0).reshape(5, 2)
+    blocks = dm.jacobian_blocks(lambda y, c: 2.0 * c, x, np.ones((5, 3)))
+    assert blocks.shape == (5, 3, 2) and np.all(blocks == 0.0)
