@@ -185,7 +185,8 @@ class ObstacleTable:
     once, says whether any obstacle is a sphere (without one,
     :meth:`gap_normal` is the plane distance alone), and the frame memo
     records whether any obstacle rotates at its t (without rotation,
-    :meth:`velocity` is the linear velocity alone)."""
+    :meth:`velocity` is the linear velocity alone) and whether any moves
+    at all (without motion, :meth:`speed` is 0)."""
 
     def __init__(self, obstacles):
         self.obstacles = list(obstacles)
@@ -204,7 +205,8 @@ class ObstacleTable:
              else (f.mu_d, f.mu_s, f.mu_v, f.epsilon, f.v_s)
              for o in self.obstacles], float).reshape(-1, 5)
         self.spheres = bool(np.any(self.sign != 0.0))
-        self._memo = None  # (t, frames at t, whether any obstacle rotates)
+        # (t, frames at t, whether any obstacle rotates, whether any moves)
+        self._memo = None
 
     def frames(self, t: float):
         """((5, n_obs, 3) point or centre, normal, linear and angular
@@ -220,7 +222,8 @@ class ObstacleTable:
                              vlin, omega, pivot + off))
             moved = np.swapaxes(
                 np.array(rows, float).reshape(len(rows), 5, 3), 0, 1)
-            memo = self._memo = (t, moved, bool(np.any(moved[3] != 0.0)))
+            memo = self._memo = (t, moved, bool(np.any(moved[3] != 0.0)),
+                                 bool(np.any(moved[2:4] != 0.0)))
         return memo[1], memo[2]
 
     def gap_normal(self, obstacle, x, t: float):
@@ -255,6 +258,18 @@ class ObstacleTable:
         if rotates:
             w = w + dm.cross_last(omega[obstacle], x - center[obstacle])
         return w
+
+    def speed(self, x, t: float):
+        """Largest |surface velocity| (k,) over the obstacles at the real
+        positions x (k, 3), or the scalar 0.0 when no obstacle moves at t,
+        the exact value of the norms it spares."""
+        self.frames(t)
+        if not self._memo[3]:
+            return 0.0
+        n_obs = len(self.obstacles)
+        w = self.velocity(np.repeat(np.arange(n_obs), len(x)),
+                          np.tile(x, (n_obs, 1)), t)
+        return np.linalg.norm(w, axis=1).reshape(n_obs, len(x)).max(axis=0)
 
 
 @dataclass

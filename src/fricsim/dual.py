@@ -31,7 +31,7 @@ import numpy as np
 __all__ = [
     "Dual", "value", "tangent", "where",
     "sqrt", "log", "asum", "dot_last", "stack_last", "concat", "matmul",
-    "swap_last2", "det3", "cross_last", "norm_last", "spread",
+    "einsum", "cross_last", "norm_last", "spread",
     "jvp", "jacobian_blocks", "derivative",
 ]
 
@@ -241,18 +241,18 @@ def matmul(a, b):
     return Dual(a @ b.re, a @ b.eps)
 
 
-def swap_last2(a):
-    if isinstance(a, Dual):
-        return Dual(np.swapaxes(a.re, -1, -2), np.swapaxes(a.eps, -1, -2))
-    return np.swapaxes(a, -1, -2)
-
-
-def det3(m):
-    """Determinant of (..., 3, 3) via cofactors; generic over Dual."""
-    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def einsum(subscripts, *operands):
+    """``np.einsum`` of a product linear in each operand; the tangent is the
+    sum, over the dual operands, of the product with that operand's tangent
+    in its place (a real operand's is zero and not built)."""
+    re = [x.re if isinstance(x, Dual) else x for x in operands]
+    out = np.einsum(subscripts, *re)
+    eps = None
+    for i, x in enumerate(operands):
+        if isinstance(x, Dual):
+            term = np.einsum(subscripts, *re[:i], x.eps, *re[i + 1:])
+            eps = term if eps is None else eps + term
+    return out if eps is None else Dual(out, eps)
 
 
 def cross_last(a, b):

@@ -10,8 +10,14 @@ elements (J <= 0) evaluate to +inf so the line search rejects such states.
 F is linear in the positions, so each mesh owns one sparse gradient
 operator D (9 n_e x 3 n_v, ``ElasticScratch.grad``, built once) with
 vec F = D q and A = dF(v) = D v, and the corner forces of per-element
-stresses P are -D^T vec(vol P).  Every kernel takes G = F^{-T} and J from
-the cofactor columns of F (``_kinematics``).  The residual's elastic and
+stresses P are -D^T vec(vol P).  D's rows are component-major: row
+(3c + j) n_e + e is F_e[c, j], so D q is, with no copy, (3, 3, n_e)
+columns, one contiguous row of n_e values per component, and every element
+kernel works on that layout, with per-element scalars broadcast along its
+last axis.  The shape gradients N are kept as (4, 3, n_e) columns too.
+J and G = F^{-T} are arithmetic on the rows of F's cofactors
+(``_kinematics``), and the contractions G A^T G, <G, A> and N G^T are
+einsums over the component axes.  The residual's elastic and
 Rayleigh-stiffness forces are one pass, ``element_forces``, generic over
 ndarray-vs-Dual input, so the same code path produces values and
 Jacobian-vector products.  The Jacobian's element blocks are closed form,
@@ -42,9 +48,17 @@ from . import dual as dm
 from .mesh import TetMeshModel
 
 
+# Flat indices into a (3, 3) F of the four factors of its cofactors,
+# cof[i, j] = F[i+1, j+1] F[i+2, j+2] - F[i+1, j+2] F[i+2, j+1] (mod 3).
+_COFACTOR = np.array([3 * ((i + di) % 3) + (j + dj) % 3
+                      for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))
+                      for i in range(3) for j in range(3)])
+
+
 class ElasticScratch:
-    """Per-element volumes, shape gradients N and N N^T and the mesh's
-    gradient operator, built at the mesh's first kernel call (cached)."""
+    """Per-element volumes, shape gradients N ((4, 3, n_e) columns) and
+    N N^T and the mesh's gradient operator, built at the mesh's first
+    kernel call (cached)."""
 
     def __init__(self, mesh: TetMeshModel):
         x = mesh.rest_positions[mesh.tets]
@@ -56,12 +70,12 @@ class ElasticScratch:
         n = np.empty((n_e, 4, 3))
         n[:, 1:, :] = rest_inv
         n[:, 0, :] = -rest_inv.sum(axis=1)
-        self.shape_grad = n
-        # D (9 n_e, 3 n_v), vec F = D q: row 9e + 3c + j holds N[e, a, j] at
-        # column 3 tets[e, a] + c, four entries a = 0..3 per row.
-        cols = 3 * mesh.tets[:, None, None, :] + np.arange(3)[:, None, None]
-        vals = np.swapaxes(n, 1, 2)[:, None]
-        shape = (n_e, 3, 3, 4)
+        self.shape_grad = np.ascontiguousarray(n.transpose(1, 2, 0))  # columns
+        # D (9 n_e, 3 n_v), vec F = D q: row (3c + j) n_e + e holds N[e, a, j]
+        # at column 3 tets[e, a] + c, four entries a = 0..3 per row.
+        cols = 3 * mesh.tets + np.arange(3)[:, None, None, None]
+        vals = n.transpose(2, 0, 1)[None]
+        shape = (3, 3, n_e, 4)
         self.grad = sp.csr_matrix(
             (np.broadcast_to(vals, shape).ravel(),
              np.broadcast_to(cols, shape).ravel().astype(np.int32),
@@ -72,20 +86,32 @@ class ElasticScratch:
         self.nnt = n @ np.swapaxes(n, -1, -2)  # N N^T (n_e, 4, 4)
 
     def gradient(self, q):
-        """Per-element F = D q (n_e, 3, 3) of flat q; generic, and for a
-        velocity v the same product is A = dF(v)."""
-        return dm.matmul(self.grad, q).reshape(-1, 3, 3)
+        """Per-element F = D q as (3, 3, n_e) columns of flat q; generic,
+        and for a velocity v the same product is A = dF(v)."""
+        return dm.matmul(self.grad, q).reshape(3, 3, -1)
 
 
 def _kinematics(f):
-    """(G = F^{-T}, J) per element F; generic.  G is taken from the cofactor
-    columns of F = [f0, f1, f2]: G = [f1 x f2, f2 x f0, f0 x f1] / J with
-    J = f0 . (f1 x f2)."""
-    f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
-    c0 = dm.cross_last(f1, f2)
-    j = dm.dot_last(f0, c0)
-    g = dm.stack_last([c0, dm.cross_last(f2, f0), dm.cross_last(f0, f1)])
-    return g / j[:, None, None], j
+    """(G = F^{-T}, J) of (3, 3, n_e) columns F; generic.  G is F's
+    cofactor matrix over J, the dot of F's and the cofactors' first
+    columns."""
+    c = f.reshape(9, -1)[_COFACTOR].reshape(4, 3, 3, -1)
+    cof = c[0] * c[1] - c[2] * c[3]
+    j = dm.einsum("ie,ie->e", f[:, 0], cof[:, 0])
+    return cof / j, j
+
+
+def _gatg(g, a):
+    """G A^T G of (3, 3, n_e) columns; generic."""
+    return dm.einsum("ije,kje,kle->ile", g, a, g)
+
+
+def _rows(n, m):
+    """(n_e, 12) rows, the flattened N M^T, of (4, 3, n_e) columns N and
+    (3, 3, n_e) columns M; einsum keeps its operands' memory order, so the
+    rows are made contiguous after."""
+    return np.ascontiguousarray(np.einsum("aje,cje->eac", n, m)
+                                .reshape(-1, 12))
 
 
 def elastic_energy(mesh: TetMeshModel, q):
@@ -94,10 +120,10 @@ def elastic_energy(mesh: TetMeshModel, q):
     if not np.all(np.isfinite(dm.value(q))):
         raise ValueError("non-finite positions passed to elastic_energy")
     f = s.gradient(q)
-    j = dm.det3(f)
+    _, j = _kinematics(f)
     if np.any(dm.value(j) <= 0.0):
         return np.inf
-    tr_c = (f * f).sum(axis=(-2, -1))
+    tr_c = dm.einsum("ije,ije->e", f, f)
     logj = dm.log(j)
     psi = 0.5 * mesh.mu * (tr_c - 3.0) - mesh.mu * logj \
         + 0.5 * mesh.lam * logj ** 2
@@ -122,18 +148,16 @@ def element_forces(mesh: TetMeshModel, q, v, elastic: bool, damping: bool):
     s = mesh.scratch()
     f = s.gradient(q)
     g, j = _kinematics(f)
-    logj = dm.log(j)[:, None, None]
-    mu, lam = mesh.mu[:, None, None], mesh.lam[:, None, None]
+    logj = dm.log(j)
+    mu, lam = mesh.mu, mesh.lam
     stress = mu * f + (lam * logj - mu) * g if elastic else 0.0
     if stiff:
         a = s.gradient(v)
-        trace = (g * a).sum(axis=(-2, -1))[:, None, None]
-        dp = (mu * a + (mu - lam * logj)
-              * dm.matmul(dm.matmul(g, dm.swap_last2(a)), g)
-              + lam * trace * g)
-        stress = stress + mesh.beta[:, None, None] * dp
-    weighted = s.volumes[:, None, None] * stress
-    return out - dm.matmul(s.grad_t, weighted.ravel())
+        trace = dm.einsum("ije,ije->e", g, a)
+        dp = (mu * a + (mu - lam * logj) * _gatg(g, a)
+              + (lam * trace) * g)
+        stress = stress + mesh.beta * dp
+    return out - dm.matmul(s.grad_t, (s.volumes * stress).ravel())
 
 
 def elastic_force(mesh: TetMeshModel, q):
@@ -148,13 +172,13 @@ def damping_force(mesh: TetMeshModel, q, v):
 
 
 def element_kinematics(mesh: TetMeshModel, q):
-    """Per element at real q: (G = F^{-T}, ln J, r), with r (n_e, 12) the
-    flattened R = N G^T, r[3a + c] = R[a,c] = N[a,:].G[c,:]; shared by
-    :func:`damping_q_blocks` and :func:`element_blocks`."""
+    """Per element at real q: (G = F^{-T} as (3, 3, n_e) columns, ln J, r),
+    with r (n_e, 12) the flattened R = N G^T, r[3a + c] = R[a,c] =
+    N[a,:].G[c,:]; shared by :func:`damping_q_blocks` and
+    :func:`element_blocks`."""
     s = mesh.scratch()
     g, j = _kinematics(s.gradient(np.asarray(q, float)))
-    r = s.shape_grad @ np.swapaxes(g, -1, -2)
-    return g, np.log(j), r.reshape(len(g), 12)
+    return g, np.log(j), _rows(s.shape_grad, g)
 
 
 def damping_q_blocks(mesh: TetMeshModel, kin, v):
@@ -167,9 +191,7 @@ def damping_q_blocks(mesh: TetMeshModel, kin, v):
     s = mesh.scratch()
     g = kin[0]
     a = s.gradient(np.asarray(v, float))
-    gt = np.swapaxes(g, -1, -2)
-    sv = (s.shape_grad @ (gt @ a @ gt)).reshape(len(g), 12)
-    return sv, (g * a).sum(axis=(-2, -1))
+    return _rows(s.shape_grad, _gatg(g, a)), np.einsum("ije,ije->e", g, a)
 
 
 def element_blocks(mesh: TetMeshModel, kin, c_q: float, c_v: float,

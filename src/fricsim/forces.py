@@ -180,11 +180,7 @@ class ForceModel:
         x = np.asarray(q, float).reshape(-1, 3)[surf]
         vv = np.asarray(v, float).reshape(-1, 3)
         speed = np.linalg.norm(vv[surf], axis=1)
-        n_obs = len(self.table.obstacles)
-        w = self.table.velocity(np.repeat(np.arange(n_obs), len(surf)),
-                                np.tile(x, (n_obs, 1)), t)
-        obs_speed = np.linalg.norm(w, axis=1).reshape(n_obs, len(surf))
-        margin = h * (speed + obs_speed.max(axis=0, initial=0.0))
+        margin = h * (speed + self.table.speed(x, t))
         cset = gaps(self.table, q, t, self.penalty, candidate_vertices=surf,
                     activation=1.5 * self.penalty.delta + margin,
                     extra=extra_candidates)

@@ -1,7 +1,7 @@
 """The contact-candidate path against a brute-force scan of every
 (surface vertex, obstacle) pair, on the three-obstacle plate_squeeze scene,
-the sweep margin of a rotating obstacle, and the table's per-kind gap
-shortcut against its general path."""
+the sweep margin of a rotating or resting obstacle, and the table's
+per-kind gap shortcut against its general path."""
 
 import os
 
@@ -89,6 +89,25 @@ def test_rotating_obstacle_sweeps_candidates_in():
     assert np.all((d[bottom] > linear_band) & (d[bottom] < swept_band))
     cset = model.build_contact_state(x.ravel(), np.zeros(x.size), t, h).cset
     np.testing.assert_array_equal(cset.vertex, bottom)
+
+
+def test_obstacle_speed_is_an_exact_zero_when_nothing_moves(monkeypatch):
+    # a plate that slides until t = 0.5 and then holds, and a fixed ball:
+    # while the plate moves the speed is the largest surface-velocity norm
+    # at each position; after, it is the scalar 0.0 with no evaluation
+    plate = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), motion=RigidMotion(
+        translation=[(0.0, (0, 0, 0)), (0.5, (0.1, 0.2, 0))]))
+    table = ObstacleTable([plate, Sphere(center=(0, 1, 0), radius=0.1)])
+    x = np.random.default_rng(4).normal(size=(6, 3))
+    np.testing.assert_allclose(table.speed(x, 0.25),
+                               np.full(6, np.hypot(0.2, 0.4)), rtol=1e-15)
+
+    def no_velocity(*args):
+        raise AssertionError("velocity evaluated with no obstacle moving")
+
+    monkeypatch.setattr(ObstacleTable, "velocity", no_velocity)
+    assert table.speed(x, 0.75) == 0.0 and isinstance(
+        table.speed(x, 0.75), float)
 
 
 def test_extra_pairs_are_unioned_sorted_and_unique():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,10 +89,33 @@ def test_branch_consistency_where():
     np.testing.assert_allclose(out, [1.0, 2.0, 2.0])
 
 
-def test_det3_matches_numpy():
-    rng = np.random.default_rng(2)
-    m = rng.normal(size=(10, 3, 3)) + 3.0 * np.eye(3)
-    np.testing.assert_allclose(dm.det3(m), np.linalg.det(m), rtol=1e-12)
+@pytest.mark.parametrize("duals", [
+    d for d in itertools.product([False, True], repeat=3) if any(d)],
+    ids=lambda d: "".join("d" if x else "r" for x in d))
+def test_einsum_tangent_is_the_product_rule(duals):
+    # G A^T G's subscripts on (3, 3, n) columns, against the same product
+    # as batched dual matmuls of the (n, 3, 3) matrices, with each operand
+    # dual or real in its position
+    rng = np.random.default_rng(9)
+    ops = [rng.normal(size=(3, 3, 5)) for _ in range(3)]
+    tans = [rng.normal(size=(3, 3, 5)) for _ in range(3)]
+    args = [Dual(o, t) if d else o for o, t, d in zip(ops, tans, duals)]
+
+    def mats(x, transpose=False):  # (n, 3, 3) matrices of columns x
+        axes = (2, 1, 0) if transpose else (2, 0, 1)
+        if isinstance(x, Dual):
+            return Dual(x.re.transpose(axes), x.eps.transpose(axes))
+        return x.transpose(axes)
+
+    got = dm.einsum("ije,kje,kle->ile", *args)
+    want = dm.matmul(dm.matmul(mats(args[0]), mats(args[1], True)),
+                     mats(args[2]))
+    np.testing.assert_allclose(got.re, want.re.transpose(1, 2, 0),
+                               rtol=1e-12)
+    np.testing.assert_allclose(got.eps, want.eps.transpose(1, 2, 0),
+                               rtol=1e-12, atol=1e-12)
+    real = dm.einsum("ije,kje,kle->ile", *ops)
+    assert type(real) is np.ndarray and np.array_equal(real, got.re)
 
 
 def test_cross_and_norm():

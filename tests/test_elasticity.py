@@ -109,16 +109,19 @@ def test_inverted_element_infinite_energy():
 def test_cofactor_kinematics_match_numpy():
     # G = F^{-T} and J from F's cofactor columns, and their tangents
     # dG = -G dF^T G and dJ = J <G, dF>
+    # on (3, 3, n_e) columns
     rng = np.random.default_rng(2)
     f = rng.normal(size=(10, 3, 3)) + 3.0 * np.eye(3)
     df = rng.normal(size=(10, 3, 3))
-    g, j = _kinematics(Dual(f, df))
-    np.testing.assert_allclose(g.re, np.linalg.inv(f).swapaxes(1, 2),
+    g, j = _kinematics(Dual(_columns(f), _columns(df)))
+    assert g.shape == (3, 3, 10) and j.shape == (10,)
+    g_re, g_eps = (x.transpose(2, 0, 1) for x in (g.re, g.eps))
+    np.testing.assert_allclose(g_re, np.linalg.inv(f).swapaxes(1, 2),
                                rtol=1e-10)
     np.testing.assert_allclose(j.re, np.linalg.det(f), rtol=1e-12)
     np.testing.assert_allclose(
-        g.eps, -g.re @ df.swapaxes(1, 2) @ g.re, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(j.eps, j.re * (g.re * df).sum(axis=(1, 2)),
+        g_eps, -g_re @ df.swapaxes(1, 2) @ g_re, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(j.eps, j.re * (g_re * df).sum(axis=(1, 2)),
                                rtol=1e-10)
 
 
@@ -126,6 +129,11 @@ OPERATOR_MESHES = {
     "box": lambda: box_mesh((0.1, 0.1, 0.1), (2, 2, 2), MAT),
     "ball": lambda: ball_mesh(0.05, 3, MAT),
 }
+
+
+def _columns(m):
+    """(3, 3, n_e) component columns of (n_e, 3, 3) matrices."""
+    return np.ascontiguousarray(m.transpose(1, 2, 0))
 
 
 def _deformed(mesh, seed):
@@ -146,7 +154,8 @@ def _scattered_corner_forces(mesh, stress):
     """-vol N P^T per element corner, summed into the vertices by
     np.add.at, as a flat (m,) vector."""
     s = mesh.scratch()
-    corner = s.volumes[:, None, None] * (s.shape_grad @ stress.swapaxes(1, 2))
+    n = s.shape_grad.transpose(2, 0, 1)  # (n_e, 4, 3)
+    corner = s.volumes[:, None, None] * (n @ stress.swapaxes(1, 2))
     out = np.zeros((mesh.n_verts, 3))
     np.add.at(out, mesh.tets, corner)
     return -out.ravel()
@@ -159,10 +168,14 @@ def test_gradient_operator_matches_edge_matrices(name):
     n_e = len(mesh.tets)
     assert s.grad.shape == (9 * n_e, mesh.n_dofs) and s.grad.nnz == 36 * n_e
     np.testing.assert_allclose(s.gradient(mesh.rest_q()),
-                               np.broadcast_to(np.eye(3), (n_e, 3, 3)),
+                               np.broadcast_to(np.eye(3)[..., None],
+                                               (3, 3, n_e)),
                                rtol=0.0, atol=1e-13)
+    # row (3c + j) n_e + e of D q is F[e, c, j]: component-major columns
     q = _deformed(mesh, 11)
-    assert rel_err(s.gradient(q), _edge_matrix_f(mesh, q)) <= 1e-13
+    f = _edge_matrix_f(mesh, q)
+    assert rel_err(s.gradient(q), _columns(f)) <= 1e-13
+    assert rel_err((s.grad @ q).reshape(9, n_e), f.reshape(n_e, 9).T) <= 1e-13
 
 
 @pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
@@ -171,7 +184,7 @@ def test_gradient_transpose_matches_corner_scatter(name):
     mesh = OPERATOR_MESHES[name]()
     s = mesh.scratch()
     stress = np.random.default_rng(13).normal(size=(len(mesh.tets), 3, 3))
-    weighted = s.volumes[:, None, None] * stress
+    weighted = s.volumes * _columns(stress)
     assert rel_err(-(s.grad_t @ weighted.ravel()),
                    _scattered_corner_forces(mesh, stress)) <= 1e-12
     q = _deformed(mesh, 12)
@@ -181,6 +194,20 @@ def test_gradient_transpose_matches_corner_scatter(name):
     p = mu * f + (lam * logj - mu) * np.linalg.inv(f).swapaxes(1, 2)
     assert rel_err(elastic_force(mesh, q),
                    _scattered_corner_forces(mesh, p)) <= 1e-12
+
+
+def test_dual_element_forces_real_part_is_the_real_pass():
+    # the bitwise real part of a dual residual rests on this: every
+    # product and quotient of the element pass, einsum included, takes its
+    # real part exactly as the real pass does
+    mesh = OPERATOR_MESHES["ball"]()
+    assert np.all(mesh.beta > 0.0)
+    rng = np.random.default_rng(14)
+    q = _deformed(mesh, 15)
+    v, p, u = (rng.normal(size=mesh.n_dofs) for _ in range(3))
+    dual = element_forces(mesh, Dual(q, p), Dual(v, u), True, True)
+    real = element_forces(mesh, q, v, True, True)
+    assert dual.re.tobytes() == real.tobytes()
 
 
 def test_gradient_operator_built_once_per_mesh(monkeypatch):
