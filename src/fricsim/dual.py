@@ -9,7 +9,8 @@ this package is written against the small generic-math API below (``where``,
 path therefore serves plain evaluation and Jacobian-vector products.  Every
 per-item sum onto rows (contact and friction forces, the volume gradient,
 the lumped mass) goes through the one accumulation primitive ``spread``,
-whose sums are bitwise ``numpy.add.at``'s.
+whose sums are bitwise ``numpy.add.at``'s; ``bincount`` is its last step,
+for callers that keep their flat slots.
 
 Branching convention: comparisons look only at the real part, so a dual
 evaluation always takes the same branch as the real evaluation at the same
@@ -31,7 +32,7 @@ import numpy as np
 __all__ = [
     "Dual", "value", "tangent", "where",
     "sqrt", "log", "asum", "dot_last", "stack_last", "concat", "matmul",
-    "einsum", "cross_last", "norm_last", "spread",
+    "einsum", "cross_last", "norm_last", "spread", "bincount",
     "jvp", "jacobian_blocks", "derivative",
 ]
 
@@ -281,14 +282,17 @@ def spread(index, values, n):
     tail = values.shape[index.ndim:]
     width = math.prod(tail)
     slots = (index[..., None] * width + np.arange(width)).ravel()
+    return bincount(slots, values, n * width).reshape((n,) + tail)
 
-    def part(vals):
-        return np.bincount(slots, vals.ravel(), n * width).reshape(
-            (n,) + tail)
 
+def bincount(slots, values, n):
+    """Flat sums of n bins: bin i is the sum from zero, in order, of the
+    flattened ``values`` whose flat ``slots`` entry is i; one
+    ``np.bincount`` per real/tangent part."""
     if isinstance(values, Dual):
-        return Dual(part(values.re), part(values.eps))
-    return part(values)
+        return Dual(np.bincount(slots, values.re.ravel(), n),
+                    np.bincount(slots, values.eps.ravel(), n))
+    return np.bincount(slots, values.ravel(), n)
 
 
 def jvp(fn, x, p):

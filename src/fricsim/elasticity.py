@@ -53,6 +53,8 @@ from .mesh import TetMeshModel
 _COFACTOR = np.array([3 * ((i + di) % 3) + (j + dj) % 3
                       for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))
                       for i in range(3) for j in range(3)])
+# the same factors of the cofactors' first column alone, (4, 3)
+_COFACTOR_COLUMN0 = _COFACTOR.reshape(4, 3, 3)[:, :, 0]
 
 
 class ElasticScratch:
@@ -93,12 +95,17 @@ class ElasticScratch:
 
 def _kinematics(f):
     """(G = F^{-T}, J) of (3, 3, n_e) columns F; generic.  G is F's
-    cofactor matrix over J, the dot of F's and the cofactors' first
-    columns."""
+    cofactor matrix over J."""
     c = f.reshape(9, -1)[_COFACTOR].reshape(4, 3, 3, -1)
     cof = c[0] * c[1] - c[2] * c[3]
-    j = dm.einsum("ie,ie->e", f[:, 0], cof[:, 0])
+    j = _det(f, cof[:, 0])
     return cof / j, j
+
+
+def _det(f, cof0):
+    """J = det F of (3, 3, n_e) columns F and the first column cof0 of its
+    cofactors: their dot; generic."""
+    return dm.einsum("ie,ie->e", f[:, 0], cof0)
 
 
 def _gatg(g, a):
@@ -120,7 +127,8 @@ def elastic_energy(mesh: TetMeshModel, q):
     if not np.all(np.isfinite(dm.value(q))):
         raise ValueError("non-finite positions passed to elastic_energy")
     f = s.gradient(q)
-    _, j = _kinematics(f)
+    c = f.reshape(9, -1)[_COFACTOR_COLUMN0]   # (4, 3, n_e)
+    j = _det(f, c[0] * c[1] - c[2] * c[3])
     if np.any(dm.value(j) <= 0.0):
         return np.inf
     tr_c = dm.einsum("ije,ije->e", f, f)

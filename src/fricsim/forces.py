@@ -145,7 +145,7 @@ class ForceModel:
         self.volume_penalties = [copy.copy(vp) for vp in volume_penalties]
         for vp in self.volume_penalties:
             if vp.rest_volume is None:
-                v0, _ = enclosed_volume(vp.region, mesh.rest_q())
+                v0, _ = enclosed_volume(vp.tables(), mesh.rest_q())
                 vp.rest_volume = float(v0)
         self.friction_mode = friction_mode
         self.gravity_force = (mesh.vertex_mass[:, None]
@@ -261,9 +261,9 @@ class ForceModel:
                                 blocks.ravel())
 
         for vp, slots in zip(self.volume_penalties, regions):
-            vvol, g = enclosed_volume(vp.region, q)
+            vvol, g = enclosed_volume(vp.tables(), q)
             _, w1, w2 = volume_law(vvol, vp)
-            hv = volume_hessian_blocks(vp.region, q)
+            hv = volume_hessian_blocks(vp.tables(), q)
             data -= pat.scatter(slots, (c_q * w1) * hv.ravel())
             rank1.append(Rank1(scale=-c_q * w2, u=g, w=g))
 

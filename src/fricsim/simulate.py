@@ -195,7 +195,7 @@ class Simulation:
         vol_e = 0.0
         region_volumes = {}
         for vp in model.volume_penalties:
-            vcur, _ = enclosed_volume(vp.region, st.q)
+            vcur, _ = enclosed_volume(vp.tables(), st.q)
             region_volumes[vp.name] = float(vcur)
             vol_e += float(volume_energy(vcur, vp))
         return TrajectoryRecord(

@@ -13,11 +13,23 @@ All three vanish with zero slope at V = V0 and share the curvature
 1/(V0 kappa_v) there (for the ideal gas when kappa_v = 1/P0).  The log models
 are undefined for V <= 0; the quadratic model is the safe default, and the
 ideal-gas model is recommended when |V - V0|/V0 may exceed ~0.2.
+
+V, g = dV/dq and the Hessian blocks are gathers of flat q over index
+tables (:class:`RegionTables`) that depend only on the region's triangles;
+each region builds them once, at its first evaluation, and keeps them
+(:meth:`VolumePenaltyParams.tables`).  Corner k's cross product
+c_k = p_{k+1} x p_{k+2} is q[a1] q[b2] - q[a2] q[b1] for all corners at
+once, with (3 n_t, 3) corner-major rows: the same products, in the same
+order, as a per-corner cross product, so V = sum p_0 . c_0 / 6 and g, the
+per-slot sum of c_k / 6 in corner order, keep their bits.  The Hessian
+blocks are q / 6 gathered into the -skew / skew pattern and signed; since
+(-p) / 6 = -(p / 6) exactly, they keep their bits too, signed zeros
+included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +38,7 @@ from .mesh import check_closed_oriented
 
 ATM = 101325.0  # Pa
 
-__all__ = ["ATM", "VolumePenaltyParams", "VolumeDomainError",
+__all__ = ["ATM", "VolumePenaltyParams", "VolumeDomainError", "RegionTables",
            "enclosed_volume", "volume_energy", "volume_force", "volume_law",
            "volume_hessian_blocks", "volume_hessian_pairs"]
 
@@ -45,6 +57,8 @@ class VolumePenaltyParams:
     p0_atm: float = 1.0                 # initial pressure (atm)
     rest_volume: float | None = None    # V0 (m^3); measured at rest if None
     name: str = "volume"
+    _tables: RegionTables | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         self.region = np.asarray(self.region, int)
@@ -67,19 +81,74 @@ class VolumePenaltyParams:
         """Initial pressure in Pa."""
         return self.p0_atm * ATM
 
+    def tables(self) -> RegionTables:
+        """The region's :class:`RegionTables`, built at the first call
+        (cached; they depend only on ``region``)."""
+        if self._tables is None:
+            self._tables = RegionTables(self.region)
+        return self._tables
 
-def enclosed_volume(region: np.ndarray, q):
+
+# Vertex pairs of the six off-diagonal d2V/dp dp blocks of every triangle,
+# as columns of the region; no diagonal blocks.  The block of pair (a, b)
+# is +-skew(p_c) / 6 of the third corner c (_THIRD_CORNER), and skew(p)
+# has entry (r, s) +-p[_SKEW_COMPONENT[r, s]] off its diagonal.
+# _BLOCK_SIGN holds the product of both signs off the diagonal and the
+# block's sign on it, so a -skew block's diagonal is -0.0.
+_HESSIAN_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
+_THIRD_CORNER = np.array([2, 2, 0, 0, 1, 1])
+_SKEW_COMPONENT = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_OFF_DIAGONAL = 1 - np.eye(3, dtype=int)
+_BLOCK_SIGN = (np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, None, None, None]
+               * np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0],
+                           [-1.0, 1.0, 1.0]]))
+_COMPONENT = np.arange(3)
+_NEXT = np.array([[1, 2, 0], [2, 0, 1]])   # i + 1 and i + 2, mod 3
+
+
+class RegionTables:
+    """Index tables of one closed triangle region into flat q; they depend
+    only on the triangles, and :meth:`VolumePenaltyParams.tables` builds
+    them once per region.
+
+    Rows are corner-major: row k n_t + t is corner k of triangle t, whose
+    cross product c_k = p_{k+1} x p_{k+2} (corners mod 3) has component i
+    a_{i+1} b_{i+2} - a_{i+2} b_{i+1} with a = p_{k+1}, b = p_{k+2}.  So
+    ``a1``, ``a2``, ``b1`` and ``b2`` are (3 n_t, 3) gathers of those
+    factors, ``first`` (n_t, 3) gathers corner 0's position and ``slots``
+    are the flat dofs that corner k's c_k / 6 adds into, in ``dm.spread``'s
+    order.  ``index`` (6, n_t, 3, 3) gathers the Hessian blocks' entries
+    from x = [0, q / 6]: entry (r, s) of a block of third corner c is
+    p_c[_SKEW_COMPONENT[r, s]] / 6, and its diagonal is the leading 0.
+    """
+
+    def __init__(self, region):
+        tris = np.asarray(region, int)
+        self.n_t = len(tris)
+        dof = np.ascontiguousarray(3 * tris.T)             # (3, n_t) corners
+        pos = dof[:, :, None] + _COMPONENT                 # (3, n_t, 3)
+        self.first, self.slots = pos[0], pos.ravel()
+        # [u, w, k, t, i]: component i + 1 + w of corner k + 1 + u
+        factors = dof[_NEXT][:, None, :, :, None] + _NEXT[:, None, None]
+        self.a1, self.a2, self.b1, self.b2 = factors.reshape(4, -1, 3)
+        third = dof[_THIRD_CORNER][:, :, None, None]
+        self.index = (1 + third + _SKEW_COMPONENT) * _OFF_DIAGONAL
+
+
+def _tables(region) -> RegionTables:
+    """``region``'s tables: as given, or built from an (n_t, 3) array."""
+    return region if isinstance(region, RegionTables) else RegionTables(region)
+
+
+def enclosed_volume(region, q):
     """(V, dV/dq): signed enclosed volume and its exact gradient, both
-    generic over Dual q; the gradient's first term shares p2 x p3 with V."""
-    tris = np.asarray(region, int)
-    x = q.reshape(-1, 3)
-    p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
-    c23 = dm.cross_last(p2, p3)
-    v = dm.asum(dm.dot_last(p1, c23)) / 6.0
-    # corner terms in column order, the order of three per-column scatters
-    corners = dm.concat([c23, dm.cross_last(p3, p1), dm.cross_last(p1, p2)])
-    grad = dm.spread(tris.T.ravel(), corners / 6.0, len(x))
-    return v, grad.reshape(-1)
+    generic over Dual q, from ``region``'s :class:`RegionTables` (or its
+    (n_t, 3) triangles); V and the gradient share the corner products."""
+    tab = _tables(region)
+    q = q.reshape(-1)
+    c = q[tab.a1] * q[tab.b2] - q[tab.a2] * q[tab.b1]
+    v = dm.asum(dm.dot_last(q[tab.first], c[:tab.n_t])) / 6.0
+    return v, dm.bincount(tab.slots, c / 6.0, len(q))
 
 
 def volume_law(v, params: VolumePenaltyParams):
@@ -112,13 +181,8 @@ def volume_energy(v, params: VolumePenaltyParams):
 def volume_force(q, params: VolumePenaltyParams):
     """f_v = -dW/dV * dV/dq over ``params.region``; expansive when
     compressed.  Generic over Dual q."""
-    v, grad = enclosed_volume(params.region, q)
+    v, grad = enclosed_volume(params.tables(), q)
     return -(volume_law(v, params)[1] * grad)
-
-
-# Vertex pairs of the six off-diagonal d2V/dp dp blocks of every triangle,
-# as columns of the region; no diagonal blocks.
-_HESSIAN_PAIRS = ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2))
 
 
 def volume_hessian_pairs(region):
@@ -130,22 +194,19 @@ def volume_hessian_pairs(region):
 
 
 def volume_hessian_blocks(region, q):
-    """3x3 blocks (6 n_t, 3, 3) of d2V/dq2, at :func:`volume_hessian_pairs`.
+    """3x3 blocks (6 n_t, 3, 3) of d2V/dq2 at real q, at
+    :func:`volume_hessian_pairs`, from ``region``'s :class:`RegionTables`
+    (or its (n_t, 3) triangles).
 
-    Per triangle (a, b, c): d2 det/dp_a dp_b = -skew(p_c) etc.; six off-diagonal
-    blocks per triangle, no diagonal blocks.
+    Per triangle (a, b, c): d2 det/dp_a dp_b = -skew(p_c) etc.; six
+    off-diagonal blocks per triangle, no diagonal blocks.  The diagonal
+    entries gather the leading zero, so they are +0.0 or -0.0 by sign.
     """
-    tris = np.asarray(region, int)
-    x = np.asarray(q, float).reshape(-1, 3)
-    pa, pb, pc = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
-
-    def skew(v):
-        k = np.zeros((len(v), 3, 3))
-        k[:, 0, 1], k[:, 0, 2] = -v[:, 2], v[:, 1]
-        k[:, 1, 0], k[:, 1, 2] = v[:, 2], -v[:, 0]
-        k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
-        return k / 6.0
-
-    # in _HESSIAN_PAIRS order: d2/dpa dpb = -skew(pc)/6, and so on
-    kc, ka, kb = skew(pc), skew(pa), skew(pb)
-    return np.concatenate([-kc, kc, -ka, ka, -kb, kb])
+    tab = _tables(region)
+    q = np.asarray(q, float).reshape(-1)
+    x = np.empty(len(q) + 1)
+    x[0] = 0.0
+    np.divide(q, 6.0, out=x[1:])
+    blocks = x[tab.index]
+    blocks *= _BLOCK_SIGN
+    return blocks.reshape(-1, 3, 3)

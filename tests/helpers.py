@@ -1,6 +1,7 @@
 """Shared test helpers: element block indices, df/dq and df/dv from the
 weighted assembly, the force's terms and their Jacobians from their own
-kernels, bitwise equality of real parts and tangents, one obstacle's
+kernels, the volume formulas the region tables replaced, bitwise
+equality of real parts and tangents, one obstacle's
 geometry queries, obstacle frame counts, linear force models and bare
 nonlinear problems."""
 
@@ -110,6 +111,37 @@ def term_jacobians(model, q, v, t, contact):
         vol -= w2 * np.outer(g, g)
     terms["volume"] = (vol, dense())
     return terms
+
+
+def reference_enclosed_volume(region, q):
+    """(V, dV/dq) from per-triangle cross products, the formula the
+    region tables replaced; generic over Dual q."""
+    tris = np.asarray(region, int)
+    x = q.reshape(-1, 3)
+    p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
+    c23 = dm.cross_last(p2, p3)
+    v = dm.asum(dm.dot_last(p1, c23)) / 6.0
+    corners = dm.concat([c23, dm.cross_last(p3, p1), dm.cross_last(p1, p2)])
+    grad = dm.spread(tris.T.ravel(), corners / 6.0, len(x))
+    return v, grad.reshape(-1)
+
+
+def reference_volume_hessian_blocks(region, q):
+    """(6 n_t, 3, 3) d2V/dq2 blocks as -skew / skew of each third corner,
+    the formula the region tables replaced."""
+    tris = np.asarray(region, int)
+    x = np.asarray(q, float).reshape(-1, 3)
+    pa, pb, pc = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
+
+    def skew(v):
+        k = np.zeros((len(v), 3, 3))
+        k[:, 0, 1], k[:, 0, 2] = -v[:, 2], v[:, 1]
+        k[:, 1, 0], k[:, 1, 2] = v[:, 2], -v[:, 0]
+        k[:, 2, 0], k[:, 2, 1] = -v[:, 1], v[:, 0]
+        return k / 6.0
+
+    kc, ka, kb = skew(pc), skew(pa), skew(pb)
+    return np.concatenate([-kc, kc, -ka, ka, -kb, kb])
 
 
 def bits_equal(got, want):

@@ -81,3 +81,26 @@ def test_one_stage_jacobian_calls_the_damping_q_layer_once(scene, calls):
         prob.jacobian(st.v)
     assert tracer.missing == []
     assert tracer.layer == ["elasticity.damping_q"] * calls
+
+
+@pytest.mark.parametrize("scene, calls", [("ball_drop.json", 1),
+                                          ("plate_squeeze.json", 0)])
+def test_one_stage_jacobian_calls_the_volume_hessian_layer_once(scene, calls):
+    # ``volume.hessian_ms`` times fricsim.forces.volume_hessian_blocks,
+    # once per volume region (the ball has one, the plates none); if the
+    # assembly stopped calling that name the layer would read 0.
+    spans = _spans()
+    sim = Simulation(load_scene_file(
+        os.path.join(ROOT, "scenes", scene)))
+    for _ in range(3):
+        sim.advance()
+    st, h = sim.state, sim.h
+    prob = StageProblem(
+        model=sim.model,
+        contact=sim.model.build_contact_state(st.q, st.v, st.t, h),
+        v_lin=st.v, q_ref=st.q, c=h, t_eval=st.t + h, h=h)
+    tracer = spans.Tracer(layers={"volume.hessian"})
+    with tracer:
+        prob.jacobian(st.v)
+    assert tracer.missing == []
+    assert tracer.layer == ["volume.hessian"] * calls

@@ -1,17 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
+from fricsim import volume
 from fricsim.dual import Dual, jvp
 from fricsim.forces import ForceModel
 from fricsim.mesh import MaterialParams
 from fricsim.meshgen import box_mesh
+from fricsim.scene import load_scene_file
+from fricsim.simulate import Simulation
 from fricsim.volume import (ATM, VolumeDomainError, VolumePenaltyParams,
                             enclosed_volume, volume_energy, volume_force,
-                            volume_law)
+                            volume_hessian_blocks, volume_law)
 
-from helpers import split_jacobians
+from helpers import (reference_enclosed_volume,
+                     reference_volume_hessian_blocks, split_jacobians)
 
 MAT = MaterialParams(density=1000.0, youngs_modulus=1e6, poisson_ratio=0.3)
+BALL_DROP = os.path.join(os.path.dirname(__file__), "..", "scenes",
+                         "ball_drop.json")
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +76,86 @@ def test_generic_volume_path_matches_real_and_old_oracle(cube):
     np.add.at(oracle, region[:, 1], np.cross(p3, p1) / 6.0)
     np.add.at(oracle, region[:, 2], np.cross(p1, p2) / 6.0)
     assert np.array_equal(g, oracle.ravel())
+
+
+def _bits(x):
+    """The int64 bit patterns of a real array or scalar, so that -0.0 and
+    +0.0 differ."""
+    return np.asarray(x, float).view(np.int64)
+
+
+def _same_bits(got, want):
+    return (np.array_equal(_bits(got), _bits(want))
+            and np.shape(got) == np.shape(want))
+
+
+def _regions(cube):
+    """(name, triangles, positions, tables) of the cube and of the
+    ``ball_drop`` region, each at a deformed q."""
+    rng = np.random.default_rng(8)
+    ball = load_scene_file(BALL_DROP).build_model()
+    vp = ball.volume_penalties[0]
+    out = []
+    for name, tris, q0, tables in (
+            ("cube", cube.surface_tris, cube.rest_q(),
+             volume.RegionTables(cube.surface_tris)),
+            ("ball", vp.region, ball.mesh.rest_q(), vp.tables())):
+        scale = np.ptp(q0.reshape(-1, 3), axis=0).max()
+        out.append((name, tris, q0 + 0.03 * scale * rng.normal(size=q0.size),
+                    tables))
+    return out
+
+
+def test_table_path_is_the_cross_product_formula_bitwise(cube):
+    # V, dV/dq and the Hessian blocks from the region tables against the
+    # per-triangle cross products they replaced, bit for bit (signed zeros
+    # included), for a real q, both parts of a dual q, and for the tables
+    # built once or from the plain (n_t, 3) triangles
+    rng = np.random.default_rng(9)
+    for name, tris, q, tables in _regions(cube):
+        p = rng.normal(size=q.size)
+        want_v, want_g = reference_enclosed_volume(tris, q)
+        want_vd, want_gd = reference_enclosed_volume(tris, Dual(q, p))
+        want_h = reference_volume_hessian_blocks(tris, q)
+        for region in (tables, tris):
+            v, g = enclosed_volume(region, q)
+            assert _same_bits(v, want_v) and _same_bits(g, want_g), name
+            vd, gd = enclosed_volume(region, Dual(q, p))
+            for got, want in ((vd, want_vd), (gd, want_gd)):
+                assert _same_bits(got.re, want.re), name
+                assert _same_bits(got.eps, want.eps), name
+            h = volume_hessian_blocks(region, q)
+            assert _same_bits(h, want_h), name
+
+
+def test_one_table_build_per_simulation(monkeypatch):
+    # the tables are built once per model, at set-up, and kept for every
+    # later step, and two simulations of one SceneConfig each build their
+    # own and run bit for bit the same
+    builds = []
+
+    class Counted(volume.RegionTables):
+        def __init__(self, region):
+            builds.append(len(region))
+            super().__init__(region)
+
+    monkeypatch.setattr(volume, "RegionTables", Counted)
+    scene = load_scene_file(BALL_DROP)
+    runs = []
+    for _ in range(2):
+        sim = Simulation(scene)
+        assert len(builds) == len(runs) + 1
+        records = [sim.record()]
+        for _ in range(20):
+            sim.advance()
+            records.append(sim.record())
+        assert len(builds) == len(runs) + 1
+        runs.append((sim.state, records))
+    (a, rec_a), (b, rec_b) = runs
+    assert _same_bits(a.q, b.q) and _same_bits(a.v, b.v)
+    assert [r.region_volumes for r in rec_a] == [r.region_volumes
+                                                 for r in rec_b]
+    assert rec_a[-1].volume == rec_b[-1].volume
 
 
 def test_open_region_rejected(cube):
