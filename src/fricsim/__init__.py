@@ -10,7 +10,7 @@ BiCGSTAB direction on assembled Jacobians that match dual-number JVPs.
 """
 
 from .dual import Dual, jvp
-from .mesh import MaterialParams, SystemState, TetMeshModel, build_lumped_mass
+from .mesh import MaterialParams, SystemState, TetMeshModel, lumped_mass
 from .contact import (ContactSet, HalfSpace, PenaltyParams, RigidMotion, Sphere,
                       adaptive_stiffen, gaps, penalty_b)
 from .friction import (FrictionParams, friction_magnitude_c, smooth_s,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dual", "jvp",
-    "MaterialParams", "SystemState", "TetMeshModel", "build_lumped_mass",
+    "MaterialParams", "SystemState", "TetMeshModel", "lumped_mass",
     "ContactSet", "HalfSpace", "PenaltyParams", "RigidMotion", "Sphere",
     "adaptive_stiffen", "gaps", "penalty_b",
     "FrictionParams", "friction_magnitude_c", "smooth_s", "stribeck_g",

@@ -28,10 +28,7 @@ def _fail(category: str, message: str, code: int) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        scene = load_scene_file(args.config)
-    except SceneError as exc:
-        return _fail("config", str(exc), 2)
+    scene = load_scene_file(args.config)
     try:
         records, snapshots, infos = run_simulation(scene)
     except StepFailure as exc:
@@ -57,11 +54,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        scene = load_scene_file(args.config)
-    except SceneError as exc:
-        return _fail("config", str(exc), 2)
-    sys.stdout.write(scene.normalized_dump())
+    sys.stdout.write(load_scene_file(args.config).normalized_dump())
     return 0
 
 
@@ -120,7 +113,10 @@ def main(argv=None) -> int:
     p_bs.set_defaults(func=cmd_block_slide)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SceneError as exc:  # every command's config error
+        return _fail("config", str(exc), 2)
 
 
 if __name__ == "__main__":

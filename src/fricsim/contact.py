@@ -142,21 +142,19 @@ _STATIC = RigidMotion()
 
 
 class _ObstacleBase:
-    """Friction, scripted motion and name; the geometry of obstacles is
-    queried through their :class:`ObstacleTable`."""
+    """Friction and scripted motion; the geometry of obstacles is queried
+    through their :class:`ObstacleTable`."""
 
-    def __init__(self, friction=None, motion: RigidMotion | None = None,
-                 name: str = ""):
+    def __init__(self, friction=None, motion: RigidMotion | None = None):
         self.friction = friction
         self.motion = motion or _STATIC
-        self.name = name
 
 
 class HalfSpace(_ObstacleBase):
     """Allowed region {x : n.(x - p) >= 0}; gap is the plane distance."""
 
-    def __init__(self, point, normal, friction=None, motion=None, name=""):
-        super().__init__(friction, motion, name)
+    def __init__(self, point, normal, friction=None, motion=None):
+        super().__init__(friction, motion)
         self.point = np.asarray(point, float)
         self.normal = unit(normal, "half-space normal")
 
@@ -166,8 +164,8 @@ class Sphere(_ObstacleBase):
     ``contains=True`` makes it a container keeping vertices inside."""
 
     def __init__(self, center, radius, contains=False, friction=None,
-                 motion=None, name=""):
-        super().__init__(friction, motion, name)
+                 motion=None):
+        super().__init__(friction, motion)
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
         self.center = np.asarray(center, float)
@@ -211,7 +209,7 @@ class ObstacleTable:
     def frames(self, t: float):
         """((5, n_obs, 3) point or centre, normal, linear and angular
         velocity and rotation centre moved to t, whether any obstacle
-        rotates at t), evaluated once per distinct t."""
+        rotates and whether any moves at t), once per distinct t."""
         memo = self._memo
         if memo is None or memo[0] != t:
             rows = []
@@ -224,36 +222,30 @@ class ObstacleTable:
                 np.array(rows, float).reshape(len(rows), 5, 3), 0, 1)
             memo = self._memo = (t, moved, bool(np.any(moved[3] != 0.0)),
                                  bool(np.any(moved[2:4] != 0.0)))
-        return memo[1], memo[2]
+        return memo[1:]
 
     def gap_normal(self, obstacle, x, t: float):
         """(gap (k,), unit gap gradient (k, 3)) of the positions x (k, 3)
-        against the obstacles ``obstacle`` (k,): one expression per obstacle
-        kind present, joined on the kind mask.  Generic over Dual x."""
+        against the obstacles ``obstacle`` (k,): the plane distance, with
+        spheres' distances joined on the kind mask.  Generic over Dual x."""
         point, normal = self.frames(t)[0][:2]
         rel = x - point[obstacle]
-        if not self.spheres:  # half-spaces only: the plane distance
-            n = normal[obstacle]
-            return dm.dot_last(rel, n), n
+        n = normal[obstacle]
+        d = dm.dot_last(rel, n)  # half-spaces: the plane distance
+        if not self.spheres:
+            return d, n
         sign = self.sign[obstacle]
         ball = sign != 0.0
-        if not ball.all():  # half-spaces: the plane distance
-            n = normal[obstacle]
-            d = dm.dot_last(rel, n)
-            if not ball.any():
-                return d, n
         dist = dm.norm_last(rel)  # spheres: the signed centre distance
         d_ball = (dist - self.radius[obstacle]) * sign
         n_ball = rel / dist[..., None] * sign[:, None]
-        if ball.all():
-            return d_ball, n_ball
         return dm.where(ball, d_ball, d), dm.where(ball[:, None], n_ball, n)
 
     def velocity(self, obstacle, x, t: float):
         """Surface velocities (k, 3) of the obstacles ``obstacle`` (k,) at
         the positions x (k, 3): the linear velocity, plus omega x (x - c)
         when some obstacle rotates at t.  Generic over Dual x."""
-        (_, _, vlin, omega, center), rotates = self.frames(t)
+        (_, _, vlin, omega, center), rotates, _ = self.frames(t)
         w = vlin[obstacle]
         if rotates:
             w = w + dm.cross_last(omega[obstacle], x - center[obstacle])
@@ -263,8 +255,7 @@ class ObstacleTable:
         """Largest |surface velocity| (k,) over the obstacles at the real
         positions x (k, 3), or the scalar 0.0 when no obstacle moves at t,
         the exact value of the norms it spares."""
-        self.frames(t)
-        if not self._memo[3]:
+        if not self.frames(t)[2]:
             return 0.0
         n_obs = len(self.obstacles)
         w = self.velocity(np.repeat(np.arange(n_obs), len(x)),

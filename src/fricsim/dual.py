@@ -31,9 +31,9 @@ import numpy as np
 
 __all__ = [
     "Dual", "value", "tangent", "where",
-    "sqrt", "log", "asum", "dot_last", "stack_last", "concat", "matmul",
+    "sqrt", "log", "dot_last", "stack_last", "concat", "matmul",
     "einsum", "cross_last", "norm_last", "spread", "bincount",
-    "jvp", "jacobian_blocks", "derivative",
+    "jvp", "jacobian_blocks",
 ]
 
 _GUARD = 1e-300  # additive guard used by norm_last; below any physical scale
@@ -206,13 +206,9 @@ def log(x):
         return np.log(x)
 
 
-def asum(x, axis=None):
-    return x.sum(axis=axis)
-
-
 def dot_last(a, b):
     """Inner product over the last axis."""
-    return asum(a * b, axis=-1)
+    return (a * b).sum(axis=-1)
 
 
 def concat(parts, axis=0):
@@ -326,9 +322,3 @@ def jacobian_blocks(fn, x, *per_item):
     out = tangent(fn(Dual(xs, eps), *stacked))
     n_out = math.prod(out.shape[1:])
     return out.reshape(n_in, k, n_out).transpose(1, 2, 0)
-
-
-def derivative(fn, x: float) -> float:
-    """Scalar derivative d fn / dx via a unit-tangent dual."""
-    out = fn(Dual(np.asarray(float(x)), np.asarray(1.0)))
-    return float(out.eps) if isinstance(out, Dual) else 0.0

@@ -135,7 +135,7 @@ def elastic_energy(mesh: TetMeshModel, q):
     logj = dm.log(j)
     psi = 0.5 * mesh.mu * (tr_c - 3.0) - mesh.mu * logj \
         + 0.5 * mesh.lam * logj ** 2
-    return dm.asum(s.volumes * psi)
+    return (s.volumes * psi).sum()
 
 
 def element_forces(mesh: TetMeshModel, q, v, elastic: bool, damping: bool):

@@ -1,4 +1,4 @@
-"""State, mesh, material and lumped-mass types shared by the physics modules.
+"""Shared state, mesh and material types and the lumped mass.
 
 Generalized coordinates are stacked vertex positions (SI meters), so a mesh
 with n vertices owns m = 3n degrees of freedom.  Mesh and material data are
@@ -77,9 +77,6 @@ class SystemState:
     def velocities(self) -> np.ndarray:
         return self.v.reshape(-1, 3)
 
-    def copy(self) -> "SystemState":
-        return SystemState(self.q.copy(), self.v.copy(), self.t)
-
     def assert_finite(self):
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.v))):
             raise FloatingPointError("state contains non-finite components")
@@ -95,20 +92,14 @@ def tet_volumes(rest_positions: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d1, np.cross(d2, d3)) / 6.0
 
 
-def build_lumped_mass(rest_positions, tets, density) -> np.ndarray:
-    """Per-vertex lumped mass (kg), one entry per rest position: each tet
-    spreads rho*vol/4 to its corners, so a vertex in no tet gets 0.
+def lumped_mass(vols, tets, density, n_verts) -> np.ndarray:
+    """Per-vertex lumped mass (kg) of ``n_verts`` vertices from the (n_e, 4)
+    tets' rest volumes ``vols``: each tet spreads rho*vol/4 to its corners,
+    so a vertex in no tet gets 0.
 
     ``density`` may be a scalar or a per-element array.  Raises on degenerate
     (non-positive volume) elements, naming the offender.
     """
-    tets = np.asarray(tets, dtype=int)
-    return _lumped_mass(tet_volumes(rest_positions, tets), tets, density,
-                        len(rest_positions))
-
-
-def _lumped_mass(vols, tets, density, n_verts) -> np.ndarray:
-    """:func:`build_lumped_mass` from the tets' rest volumes ``vols``."""
     bad = np.nonzero(vols <= 0.0)[0]
     if bad.size:
         raise MeshConstructionError(
@@ -165,8 +156,8 @@ class TetMeshModel:
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
             raise MeshConstructionError("tets must be (n_e, 4)")
         self.rest_volumes = tet_volumes(self.rest_positions, self.tets)
-        self.vertex_mass = _lumped_mass(self.rest_volumes, self.tets,
-                                        material.density, self.n_verts)
+        self.vertex_mass = lumped_mass(self.rest_volumes, self.tets,
+                                       material.density, self.n_verts)
         if np.any(self.vertex_mass <= 0.0):
             raise MeshConstructionError("every vertex must carry positive mass")
         self.mass_dofs = np.repeat(self.vertex_mass, 3)  # diagonal of M
@@ -195,9 +186,6 @@ class TetMeshModel:
 
     def rest_q(self) -> np.ndarray:
         return self.rest_positions.ravel()
-
-    def total_mass(self) -> float:
-        return float(self.vertex_mass.sum())
 
     def scratch(self):
         """Cached per-element volumes, shape gradients, N N^T and the

@@ -1,4 +1,5 @@
-"""Procedural tetrahedral meshes for boxes and balls.
+"""Procedural tetrahedral meshes for boxes and balls: the vertices and tets
+of :func:`box_grid` and :func:`ball_grid`, which ``TetMeshModel`` takes.
 
 Boxes use the Kuhn 6-tet cube subdivision (conforming without parity games);
 balls map the box lattice radially onto the sphere, which preserves positive
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MaterialParams, TetMeshModel, tet_volumes
+from .mesh import tet_volumes
 
 # Vertex paths 0 -> diagonal corner for the 6 Kuhn tets of a unit cube,
 # indexed into the (dx, dy, dz) corner lattice below.
@@ -94,14 +95,3 @@ def ball_grid(radius: float, divisions: int) -> tuple[np.ndarray, np.ndarray]:
     verts = verts * scale[:, None] * float(radius)
     tets = _orient_positive(verts, tets)
     return verts, tets
-
-
-def box_mesh(size, divisions, material: MaterialParams) -> TetMeshModel:
-    verts, tets = box_grid(size, divisions)
-    return TetMeshModel(verts, tets, material)
-
-
-def ball_mesh(radius: float, divisions: int,
-              material: MaterialParams) -> TetMeshModel:
-    verts, tets = ball_grid(radius, divisions)
-    return TetMeshModel(verts, tets, material)

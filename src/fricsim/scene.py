@@ -298,20 +298,18 @@ def _build_obstacle(spec: dict, idx: int):
                               _number(a, f"{mpath}.rotation.angles"))
                              for t, a in _list(rot.get("angles", []),
                                                f"{mpath}.rotation.angles")])
-    name = spec.get("name", f"obstacle{idx}")
     with _at(path):
         if kind == "half_space":
             return HalfSpace(point=_vec3(spec["point"], f"{path}.point"),
                              normal=_vec3(spec["normal"], f"{path}.normal"),
-                             friction=friction, motion=motion, name=name)
+                             friction=friction, motion=motion)
         contains = spec.get("contains", False)
         if not isinstance(contains, bool):
             raise SceneError(f"{path}.contains must be true or false, "
                              f"got {contains!r}")
         return Sphere(center=_vec3(spec["center"], f"{path}.center"),
                       radius=_number(spec["radius"], f"{path}.radius"),
-                      contains=contains, friction=friction, motion=motion,
-                      name=name)
+                      contains=contains, friction=friction, motion=motion)
 
 
 def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
@@ -353,6 +351,7 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
         raise SceneError("scene needs at least one mesh")
     meshes, vels, fixed_vertices, volume_penalties = [], [], [], []
     fixed_velocity = []  # per vertex: its own mesh's, zero if not given
+    region_mesh = {}  # volume-region name -> index of the mesh that has it
     offset = 0
     for i, spec in enumerate(mesh_specs):
         mesh, v0, groups = _load_mesh_spec(spec, i, base_dir)
@@ -368,8 +367,13 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
             _vec3(spec.get("fixed_velocity", [0, 0, 0]),
                   f"meshes[{i}].fixed_velocity"), (mesh.n_verts, 1)))
         if "volume_region" in spec:
-            volume_penalties.append(_volume_region(spec, i, mesh.surface_tris,
-                                                   groups, offset))
+            vp = _volume_region(spec, i, mesh.surface_tris, groups, offset)
+            if vp.name in region_mesh:  # one vol_<name> column per region
+                raise SceneError(
+                    f"meshes[{i}].volume_region.name {vp.name!r} is also the "
+                    f"region name of meshes[{region_mesh[vp.name]}]")
+            region_mesh[vp.name] = i
+            volume_penalties.append(vp)
         offset += mesh.n_verts
 
     obstacles = [_build_obstacle(s, i) for i, s in
@@ -448,6 +452,10 @@ def _volume_region(spec: dict, idx: int, tris, groups: dict, offset: int):
                 path)
     group = vspec.get("group", "surface")
     mesh_name = spec.get("name", f"mesh{idx}")
+    name = vspec.get("name", f"{mesh_name}_volume")
+    if not isinstance(name, str) or any(c in name for c in ",\r\n"):
+        raise SceneError(f"{path}.name must be a string with no comma or "
+                         f"line break (it heads a CSV column), got {name!r}")
     with _at(path):
         if group != "surface":
             if group not in groups:
@@ -460,7 +468,7 @@ def _volume_region(spec: dict, idx: int, tris, groups: dict, offset: int):
             kappa_v_atm=_number(vspec.get("kappa_v_atm", 1.0),
                                 f"{path}.kappa_v_atm"),
             p0_atm=_number(vspec.get("p0_atm", 1.0), f"{path}.p0_atm"),
-            name=vspec.get("name", f"{mesh_name}_volume"))
+            name=name)
 
 
 def load_scene_file(path: str) -> SceneConfig:

@@ -179,8 +179,7 @@ class Simulation:
         mass = mesh.vertex_mass
         x = st.positions()
         v = st.velocities()
-        total_mass = mass.sum()
-        com = (mass[:, None] * x).sum(axis=0) / total_mass
+        com = (mass[:, None] * x).sum(axis=0) / mass.sum()
         kinetic = 0.5 * float(np.sum(mass[:, None] * v * v))
         elastic = float(elastic_energy(mesh, st.q))
         grav = -float(np.sum(mass[:, None] * model.gravity[None, :] * x))

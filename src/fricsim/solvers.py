@@ -67,9 +67,6 @@ class SolveReport:
     tol: float = float("nan")                 # residual tolerance applied
     start: str = "v"              # "extrapolated" when the guess was taken
 
-    def ok(self) -> bool:
-        return self.status == "Converged"
-
 
 class SolveFailure(RuntimeError):
     def __init__(self, report: SolveReport, status: str, message: str):

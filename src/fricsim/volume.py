@@ -147,7 +147,7 @@ def enclosed_volume(region, q):
     tab = _tables(region)
     q = q.reshape(-1)
     c = q[tab.a1] * q[tab.b2] - q[tab.a2] * q[tab.b1]
-    v = dm.asum(dm.dot_last(q[tab.first], c[:tab.n_t])) / 6.0
+    v = dm.dot_last(q[tab.first], c[:tab.n_t]).sum() / 6.0
     return v, dm.bincount(tab.slots, c / 6.0, len(q))
 
 

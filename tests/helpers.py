@@ -120,7 +120,7 @@ def reference_enclosed_volume(region, q):
     x = q.reshape(-1, 3)
     p1, p2, p3 = x[tris[:, 0]], x[tris[:, 1]], x[tris[:, 2]]
     c23 = dm.cross_last(p2, p3)
-    v = dm.asum(dm.dot_last(p1, c23)) / 6.0
+    v = dm.dot_last(p1, c23).sum() / 6.0
     corners = dm.concat([c23, dm.cross_last(p3, p1), dm.cross_last(p1, p2)])
     grad = dm.spread(tris.T.ravel(), corners / 6.0, len(x))
     return v, grad.reshape(-1)

@@ -17,8 +17,8 @@ from fricsim.experiments import (run_ball_drop, run_block_slide_variant,
 from fricsim.friction import (FrictionParams, friction_magnitude_c, smooth_s,
                               stribeck_g)
 from fricsim.integrators import StageProblem, make_scheme
-from fricsim.mesh import MaterialParams, SystemState
-from fricsim.meshgen import box_mesh
+from fricsim.mesh import MaterialParams, SystemState, TetMeshModel
+from fricsim.meshgen import box_grid
 from fricsim.scene import load_scene, load_scene_file
 from fricsim.simulate import Simulation, StepFailure, run_simulation
 from fricsim.solvers import PHI, SolverConfig, damped_newton
@@ -129,8 +129,8 @@ def test_criterion_4_lagged_grasp_slips():
 
 # -- 5: volume-penalty Taylor property ------------------------------------------
 def test_criterion_5_volume_taylor():
-    mesh = box_mesh((1.0, 1.0, 1.0), (1, 1, 1),
-                    MaterialParams(1000.0, 1e6, 0.3))
+    mesh = TetMeshModel(*box_grid((1.0, 1.0, 1.0), (1, 1, 1)),
+                        MaterialParams(1000.0, 1e6, 0.3))
     region = mesh.surface_tris
     v0 = 1.0
     models = {}
@@ -218,17 +218,17 @@ def test_criterion_6_derivative_consistency():
 
 # -- 7: friction-model unit suite -------------------------------------------------
 def test_criterion_7_friction_units_and_mdp():
-    from fricsim.dual import derivative
+    from fricsim.dual import jvp
     eps = 1e-3
     checks = [
         abs(smooth_s(0.0, eps)) < 1e-15,
         abs(smooth_s(eps, eps) - 1.0) < 1e-15,
-        abs(derivative(lambda v: smooth_s(v, eps), eps * (1 - 1e-12))
-            - derivative(lambda v: smooth_s(v, eps), eps * (1 + 1e-12)))
+        abs(float(jvp(lambda v: smooth_s(v, eps), eps * (1 - 1e-12), 1.0))
+            - float(jvp(lambda v: smooth_s(v, eps), eps * (1 + 1e-12), 1.0)))
         <= 1e-8,
         abs(stribeck_g(0.0) - 1.0) < 1e-15,
         abs(stribeck_g(1.0)) < 1e-15,
-        abs(derivative(stribeck_g, 1.0 - 1e-12)) <= 1e-8,
+        abs(float(jvp(stribeck_g, 1.0 - 1e-12, 1.0))) <= 1e-8,
     ]
     p = FrictionParams(mu_d=0.4, epsilon=eps)
     checks.append(abs(friction_magnitude_c(5 * eps, 2.0, p) - 0.4 * 2.0)
@@ -275,7 +275,7 @@ def test_criterion_8_integrator_orders():
         return damped_newton(problem, v0, cfg, guess=guess)
 
     mat = MaterialParams(density=500.0, youngs_modulus=5e4, poisson_ratio=0.3)
-    mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)
+    mesh = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (1, 1, 1)), mat)
     model = ForceModel(mesh, gravity=(0.0, -9.8, 0.0))
     com = mesh.rest_positions.mean(axis=0)
     q0 = (((mesh.rest_positions - com) * np.array([1.06, 0.92, 1.03])) + com) \

@@ -11,8 +11,8 @@ from fricsim import dual as dm
 from fricsim.contact import (HalfSpace, ObstacleTable, PenaltyParams,
                              RigidMotion, Sphere, gaps, penalty_lambda)
 from fricsim.forces import ForceModel
-from fricsim.mesh import MaterialParams
-from fricsim.meshgen import box_mesh
+from fricsim.mesh import MaterialParams, TetMeshModel
+from fricsim.meshgen import box_grid
 from fricsim.scene import load_scene_file
 from helpers import bits_equal, gap, gap_normal, surface_velocity
 
@@ -72,9 +72,9 @@ def test_rotating_obstacle_sweeps_candidates_in():
     motion = RigidMotion(rotation_axis=(0, 0, 1), rotation_pivot=(-1, 0, 0),
                          rotation_angles=[(0.0, -0.05), (1.0, 0.45)])
     floor = HalfSpace(point=(0, 0, 0), normal=(0, 1, 0), motion=motion)
-    mesh = box_mesh((0.02, 0.02, 0.02), (1, 1, 1),
-                    MaterialParams(density=1000.0, youngs_modulus=1e5,
-                                   poisson_ratio=0.3))
+    mesh = TetMeshModel(*box_grid((0.02, 0.02, 0.02), (1, 1, 1)),
+                        MaterialParams(density=1000.0, youngs_modulus=1e5,
+                                       poisson_ratio=0.3))
     model = ForceModel(mesh, [floor], PenaltyParams(delta=1e-3, kappa=1e4))
     x = mesh.rest_positions.copy()
     x[:, 1] += 0.003 - x[:, 1].min()

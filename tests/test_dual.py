@@ -167,7 +167,7 @@ def test_jacobian_blocks_match_per_seed_jvp():
 
     def fn(xx, cc):
         a = dm.dot_last(xx, xx) * cc
-        r = dm.sqrt(dm.asum(xx * xx, axis=(-2, -1)))
+        r = dm.sqrt((xx * xx).sum(axis=(-2, -1)))
         return dm.stack_last([a[:, 0], a[:, 1] * xx[:, 0, 2], dm.log(r),
                               dm.where(xx[:, 1, 0] > 0.0, xx[:, 1, 0], r)
                               / cc[:, 1]])

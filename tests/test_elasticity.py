@@ -15,7 +15,7 @@ from fricsim.elasticity import (_kinematics, damping_force, damping_q_blocks,
 from fricsim.forces import ContactState, ForceModel
 from fricsim.integrators import StageProblem
 from fricsim.mesh import MaterialParams, TetMeshModel
-from fricsim.meshgen import ball_mesh, box_mesh
+from fricsim.meshgen import ball_grid, box_grid
 from fricsim.scene import load_scene_file
 from fricsim.simulate import Simulation
 from fricsim.solvers import SolveFailure, damped_newton
@@ -35,7 +35,7 @@ UNIT_TET = np.array([[0.0, 0.0, 0.0],
 
 @pytest.fixture(scope="module")
 def mesh():
-    return box_mesh((0.1, 0.1, 0.1), (2, 2, 2), MAT)
+    return TetMeshModel(*box_grid((0.1, 0.1, 0.1), (2, 2, 2)), MAT)
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +126,8 @@ def test_cofactor_kinematics_match_numpy():
 
 
 OPERATOR_MESHES = {
-    "box": lambda: box_mesh((0.1, 0.1, 0.1), (2, 2, 2), MAT),
-    "ball": lambda: ball_mesh(0.05, 3, MAT),
+    "box": lambda: TetMeshModel(*box_grid((0.1, 0.1, 0.1), (2, 2, 2)), MAT),
+    "ball": lambda: TetMeshModel(*ball_grid(0.05, 3), MAT),
 }
 
 
@@ -288,8 +288,8 @@ def test_damping_zero_velocity(mesh, perturbed):
 
 
 def test_damping_mass_proportional_limit(mesh, perturbed):
-    m2 = box_mesh((0.1, 0.1, 0.1), (2, 2, 2),
-                  MaterialParams(1000.0, 1e6, 0.3, rayleigh_alpha=1.0))
+    m2 = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (2, 2, 2)),
+                      MaterialParams(1000.0, 1e6, 0.3, rayleigh_alpha=1.0))
     rng = np.random.default_rng(5)
     v = rng.normal(size=m2.n_dofs)
     np.testing.assert_allclose(damping_force(m2, m2.rest_q(), v),
@@ -315,7 +315,7 @@ def test_damping_jvp_matches_fd(mesh, perturbed):
 
 
 def _two_material_box():
-    box = box_mesh((0.1, 0.1, 0.1), (2, 1, 1), MAT)
+    box = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (2, 1, 1)), MAT)
     right = box.rest_positions[box.tets].mean(axis=1)[:, 0] > 0.0
     box.mu = np.where(right, 3.0 * box.mu, box.mu)
     box.lam = np.where(right, 0.2 * box.lam, box.lam)
@@ -424,8 +424,8 @@ def test_line_search_never_accepts_a_non_finite_state_near_inversion():
     assert any(non_finite)  # some trials were non-finite, and none was taken
 
 
-BETA0_BOX = box_mesh((0.1, 0.1, 0.1), (2, 1, 1),
-                     replace(MAT, rayleigh_beta=0.0))
+BETA0_BOX = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (2, 1, 1)),
+                         replace(MAT, rayleigh_beta=0.0))
 
 
 @pytest.mark.parametrize("mesh", [TWO_MATERIAL_BOX, BETA0_BOX],

@@ -103,6 +103,15 @@ def test_cli_block_slide_writes_strict_json(tmp_path, monkeypatch):
     assert table[3].endswith("FAILED   step 39 failed")
 
 
+def test_cli_block_slide_config_error_exits_2(capsys):
+    # a duration shorter than the quick matrix's steps is a config error:
+    # exit 2 and one JSON line on stderr, not a traceback
+    assert cli.main(["block-slide", "--quick", "--duration", "0.01"]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "config",
+                   "message": "step 0.1 is longer than duration 0.01"}
+
+
 def test_cli_run_counts_solves_started_from_the_extrapolation(tmp_path,
                                                              capsys):
     # a short ball_drop run: BDF2 in free fall, where 2v - v_prev is the

@@ -18,8 +18,8 @@ from fricsim.elasticity import element_forces
 from fricsim.forces import ContactState, ForceModel
 from fricsim.friction import FrictionParams
 from fricsim.integrators import StageProblem
-from fricsim.mesh import MaterialParams, SystemState
-from fricsim.meshgen import box_mesh
+from fricsim.mesh import MaterialParams, SystemState, TetMeshModel
+from fricsim.meshgen import box_grid
 
 from helpers import split_jacobians, term_forces
 
@@ -32,7 +32,8 @@ def make_fixture(seed: int, friction_mode="implicit", with_volume=True,
                          poisson_ratio=rng.uniform(0.1, 0.45),
                          rayleigh_alpha=rng.uniform(0, 2),
                          rayleigh_beta=beta)
-    mesh = box_mesh((0.1, 0.08, 0.12), (2, 1, 2), mat)  # 18 vertices
+    mesh = TetMeshModel(*box_grid((0.1, 0.08, 0.12), (2, 1, 2)),
+                        mat)  # 18 vertices
     fr = FrictionParams(mu_d=rng.uniform(0.2, 0.8),
                         mu_s=rng.uniform(0.8, 1.5),
                         mu_v=rng.uniform(0.0, 0.1),

@@ -5,8 +5,8 @@ from fricsim.contact import HalfSpace, PenaltyParams
 from fricsim.forces import ContactState, ForceModel
 from fricsim.friction import FrictionParams
 from fricsim.integrators import make_scheme
-from fricsim.mesh import MaterialParams, SystemState
-from fricsim.meshgen import box_mesh
+from fricsim.mesh import MaterialParams, SystemState, TetMeshModel
+from fricsim.meshgen import box_grid
 from fricsim.solvers import SolverConfig, damped_newton
 
 from helpers import LinearForceModel
@@ -60,7 +60,7 @@ def _scalar_amplification(name, z, steps=1):
     model = LinearForceModel(mass=np.ones(3), a_v=a * np.eye(3))
     st = SystemState(np.zeros(3), np.ones(3))
     scheme = make_scheme(name)
-    prev = st.copy()
+    prev = SystemState(st.q.copy(), st.v.copy(), st.t)
     for _ in range(steps):
         res = scheme.step(model, None, st, 1.0, _solve, prev=prev)
         prev = st
@@ -118,7 +118,7 @@ def test_second_order_accuracy_scalar():
 def _tet_model(**kw):
     mat = MaterialParams(density=500.0, youngs_modulus=5e4, poisson_ratio=0.3,
                          **kw)
-    mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)
+    mesh = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (1, 1, 1)), mat)
     return ForceModel(mesh, gravity=(0.0, -9.8, 0.0))
 
 
@@ -162,7 +162,7 @@ def test_richardson_orders_fem_fixture():
 
 def test_lagged_equals_implicit_without_friction():
     mat = MaterialParams(density=800.0, youngs_modulus=2e5, poisson_ratio=0.3)
-    mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)
+    mesh = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (1, 1, 1)), mat)
     plane = HalfSpace((0, 0, 0), (0, 1, 0), friction=FrictionParams(mu_d=0.0))
     pen = PenaltyParams(delta=1e-3, kappa=5e3)
     q0 = mesh.rest_q().copy()
@@ -186,14 +186,14 @@ def test_lagged_equals_implicit_at_static_equilibrium():
     # equilibrium: q^{t+h} = q^t so the lagged anchors coincide with implicit
     mat = MaterialParams(density=800.0, youngs_modulus=1e6, poisson_ratio=0.3,
                          rayleigh_alpha=5.0)
-    mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)
+    mesh = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (1, 1, 1)), mat)
     mu = FrictionParams(mu_d=0.5, epsilon=1e-4)
     plane = HalfSpace((0, 0, 0), (0, 1, 0), friction=mu)
     pen = PenaltyParams(delta=1e-3, kappa=2e5)
     h = 0.01
     model = ForceModel(mesh, [plane], pen, friction_mode="implicit")
     # drop in at the rigid-balance depth and settle with implicit BE steps
-    lam_each = mesh.total_mass() * 9.8 / 4.0
+    lam_each = mesh.vertex_mass.sum() * 9.8 / 4.0
     d0 = pen.delta - np.sqrt(lam_each * pen.delta / (3.0 * pen.kappa))
     q = mesh.rest_q().copy()
     q[1::3] += 0.05 + d0
@@ -221,7 +221,7 @@ def _sliding_cube(h, lagged=False):
     """(model, start state, contact state) of a cube sliding on a plane
     with its bottom face inside the penalty support."""
     mat = MaterialParams(density=800.0, youngs_modulus=2e5, poisson_ratio=0.3)
-    mesh = box_mesh((0.1, 0.1, 0.1), (1, 1, 1), mat)
+    mesh = TetMeshModel(*box_grid((0.1, 0.1, 0.1), (1, 1, 1)), mat)
     plane = HalfSpace((0, 0, 0), (0, 1, 0),
                       friction=FrictionParams(mu_d=0.5, epsilon=1e-3))
     model = ForceModel(mesh, [plane], PenaltyParams(delta=1e-3, kappa=5e3),
@@ -338,7 +338,8 @@ def test_residual_roundtrip_consistency():
     contact = model.build_contact_state(st.q, st.v, 0.0, h)
     for name in ("be", "tr", "bdf2", "trbdf2", "sdirk2"):
         scheme = make_scheme(name)
-        res = scheme.step(model, contact, st, h, _solve, prev=st.copy())
+        prev = SystemState(st.q.copy(), st.v.copy(), st.t)
+        res = scheme.step(model, contact, st, h, _solve, prev=prev)
         if name == "be":
             f = model.force(res.q, res.v, h, contact)
             lhs = mesh.mass_dofs * (res.v - st.v)

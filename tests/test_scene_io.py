@@ -203,6 +203,14 @@ def _unknown_solver_key(key, value, old_match):
      r"contact: kappa must satisfy 0 < kappa <= KAPPA_MAX = 1e\+16, "
      r"got 1e\+17$"),
     ("contact.kappa", -2.0, "contact: kappa must satisfy .*, got -2.0$"),
+    # a volume region's name heads its vol_<name> CSV column
+    ("meshes.0.volume_region", {"name": "p,q"},
+     r"meshes\[0\]\.volume_region\.name must be a string with no comma or "
+     r"line break \(it heads a CSV column\), got 'p,q'$"),
+    ("meshes.0.volume_region", {"name": "p\nq"},
+     r"meshes\[0\]\.volume_region\.name must be .*, got 'p\\nq'$"),
+    ("meshes.0.volume_region", {"name": ["p", "q"]},
+     r"meshes\[0\]\.volume_region\.name must be .*, got \['p', 'q'\]$"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow warning
 def test_bad_value_named(path, value, match, tmp_path):
@@ -314,6 +322,47 @@ def test_fixed_velocity_is_per_mesh():
     np.testing.assert_array_equal(scene.fixed_vertices, [0, 8])
     np.testing.assert_array_equal(v[0], [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(v[8], [0.0, 0.0, 0.0])
+
+
+def _region_cubes(first, second, *, names=("a", "b")):
+    """``tet_drop_min`` with a 0.1 m and a 0.2 m cube, named ``names``,
+    whose ``volume_region`` specs are ``first`` and ``second``."""
+    with open(os.path.join(SCENES, "tet_drop_min.json")) as fh:
+        doc = json.load(fh)
+    cube = doc["meshes"][0]
+    big = {**cube, "translate": [0.5, 0.2, 0.0],
+           "generator": {**cube["generator"], "size": [0.2, 0.2, 0.2]}}
+    doc["meshes"] = [{**cube, "name": names[0], "volume_region": first},
+                     {**big, "name": names[1], "volume_region": second}]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("first,second,names,match", [
+    ({"name": "cavity"}, {"name": "cavity"}, ("a", "b"),
+     r"^meshes\[1\]\.volume_region\.name 'cavity' is also the region name "
+     r"of meshes\[0\]$"),
+    ({}, {}, ("cube", "cube"),  # default names from one mesh name
+     r"^meshes\[1\]\.volume_region\.name 'cube_volume' is also .* "
+     r"meshes\[0\]$"),
+    ({}, {}, ("a", "b\rc"),
+     r"^meshes\[1\]\.volume_region\.name must be .* 'b\\rc_volume'$"),
+], ids=["duplicate", "duplicate_default", "mesh_name_line_break"])
+def test_volume_region_name_heads_one_csv_column(first, second, names,
+                                                 match):
+    """Region names become ``vol_<name>`` CSV columns, so a duplicate (which
+    kept only the last region's volume in both columns) and a default name
+    that would split the header are config errors; the single-mesh cases
+    are in :func:`test_bad_value_named`."""
+    with pytest.raises(SceneError, match=match):
+        load_scene(_region_cubes(first, second, names=names))
+
+
+def test_distinct_region_names_record_their_own_volumes():
+    scene = load_scene(_region_cubes({"name": "small"}, {}))
+    assert scene.region_names == ["small", "b_volume"]
+    rec = Simulation(scene).record()
+    assert rec.region_volumes["small"] == pytest.approx(0.001, rel=1e-12)
+    assert rec.region_volumes["b_volume"] == pytest.approx(0.008, rel=1e-12)
 
 
 def test_solver_config_built_once():

@@ -317,7 +317,7 @@ def test_guess_starts_only_with_the_smaller_finite_residual(v0, guess, start):
     with np.errstate(invalid="ignore", divide="ignore"):
         v, rep = damped_newton(prob, np.array([v0]),
                                guess=np.array([guess]))
-    assert rep.start == start and rep.ok()
+    assert rep.start == start and rep.status == "Converged"
     np.testing.assert_allclose(v, [np.e], rtol=1e-6)
     first = v0 if start == "v" else guess
     assert rep.residual_norms[0] == abs(np.log(first) - 1.0)
@@ -584,7 +584,7 @@ def test_factor_on_a_structurally_non_symmetric_pattern():
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
     v, rep = damped_newton(BareProblem(lambda v: _lin(a, v, b), lambda v: a),
                            np.zeros(n))
-    assert rep.ok() and rep.iterations == 1
+    assert rep.status == "Converged" and rep.iterations == 1
     np.testing.assert_allclose(v, ref, rtol=1e-12, atol=1e-14)
 
 
@@ -688,7 +688,7 @@ def test_iterative_factors_once_per_solve(monkeypatch):
     cfg = SolverConfig(kind="iterative", r_tol_rel=1e-14, r_tol_abs=1e-13,
                        v_tol=1e-14)
     v, rep = damped_newton(prob, np.zeros(3), cfg)
-    assert rep.ok() and rep.iterations >= 4
+    assert rep.status == "Converged" and rep.iterations >= 4
     assert len(calls) == 1
     np.testing.assert_allclose(v**3 + v, c, rtol=1e-10)
 

@@ -6,8 +6,8 @@ import pytest
 from fricsim import volume
 from fricsim.dual import Dual, jvp
 from fricsim.forces import ForceModel
-from fricsim.mesh import MaterialParams
-from fricsim.meshgen import box_mesh
+from fricsim.mesh import MaterialParams, TetMeshModel
+from fricsim.meshgen import box_grid
 from fricsim.scene import load_scene_file
 from fricsim.simulate import Simulation
 from fricsim.volume import (ATM, VolumeDomainError, VolumePenaltyParams,
@@ -24,7 +24,7 @@ BALL_DROP = os.path.join(os.path.dirname(__file__), "..", "scenes",
 
 @pytest.fixture(scope="module")
 def cube():
-    m = box_mesh((1.0, 1.0, 1.0), (2, 2, 2), MAT)
+    m = TetMeshModel(*box_grid((1.0, 1.0, 1.0), (2, 2, 2)), MAT)
     return m
 
 
