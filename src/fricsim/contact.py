@@ -179,12 +179,15 @@ class ObstacleTable:
     ``pivot`` and ``friction`` row, and its :meth:`frames`.  Each model owns
     its table, so models sharing one scene's obstacles share no frames.
 
-    Two flags spare the queries per-call mask reductions: ``spheres``, set
-    once, says whether any obstacle is a sphere (without one,
-    :meth:`gap_normal` is the plane distance alone), and the frame memo
-    records whether any obstacle rotates at its t (without rotation,
-    :meth:`velocity` is the linear velocity alone) and whether any moves
-    at all (without motion, :meth:`speed` is 0)."""
+    Flags spare the queries per-call mask reductions.  Two are set once:
+    ``spheres`` says whether any obstacle is a sphere (without one,
+    :meth:`gap_normal` is the plane distance alone), and ``coulomb``
+    whether every friction row is plain Coulomb, mu_s = mu_d and mu_v = 0
+    (then the friction kernel leaves out the Stribeck and viscous terms,
+    which add exact zeros).  The frame memo records whether any obstacle
+    rotates at its t (without rotation, :meth:`velocity` is the linear
+    velocity alone) and whether any moves at all (without motion,
+    :meth:`speed` is 0)."""
 
     def __init__(self, obstacles):
         self.obstacles = list(obstacles)
@@ -203,6 +206,8 @@ class ObstacleTable:
              else (f.mu_d, f.mu_s, f.mu_v, f.epsilon, f.v_s)
              for o in self.obstacles], float).reshape(-1, 5)
         self.spheres = bool(np.any(self.sign != 0.0))
+        mu_d, mu_s, mu_v = self.friction[:, :3].T
+        self.coulomb = not np.any((mu_s > mu_d) | (mu_v > 0.0))
         # (t, frames at t, whether any obstacle rotates, whether any moves)
         self._memo = None
 
@@ -251,16 +256,17 @@ class ObstacleTable:
             w = w + dm.cross_last(omega[obstacle], x - center[obstacle])
         return w
 
-    def speed(self, x, t: float):
-        """Largest |surface velocity| (k,) over the obstacles at the real
-        positions x (k, 3), or the scalar 0.0 when no obstacle moves at t,
-        the exact value of the norms it spares."""
+    def speed(self, obstacle, x, t: float):
+        """Largest |surface velocity| (n,) over the obstacles at n real
+        positions, from the pairs of every position with every obstacle,
+        obstacle-major as :func:`gaps` scans them: ``obstacle`` (n_obs n,)
+        and their positions x (n_obs n, 3).  The scalar 0.0 when no
+        obstacle moves at t, the exact value of the norms it spares."""
         if not self.frames(t)[2]:
             return 0.0
-        n_obs = len(self.obstacles)
-        w = self.velocity(np.repeat(np.arange(n_obs), len(x)),
-                          np.tile(x, (n_obs, 1)), t)
-        return np.linalg.norm(w, axis=1).reshape(n_obs, len(x)).max(axis=0)
+        w = self.velocity(obstacle, x, t)
+        return np.linalg.norm(w, axis=1).reshape(len(self.obstacles),
+                                                 -1).max(axis=0)
 
 
 @dataclass
@@ -286,26 +292,37 @@ class ContactSet:
 
 
 def gaps(table: ObstacleTable, q, t: float, penalty: PenaltyParams,
-         candidate_vertices=None, activation=None, extra=None) -> ContactSet:
+         candidate_vertices=None, extra=None, v=None,
+         h: float = 0.0) -> ContactSet:
     """Build the contact candidate set of the table's obstacles from current
     positions.
 
-    Candidates are the (vertex, obstacle) pairs with gap below
-    ``activation`` (a scalar or one value per candidate vertex; default
-    1.5*delta, the penalty support plus a margin for set stability across
-    one solve), unioned with the ``extra`` (n, 2) array of (vertex,
-    obstacle) pairs.  Pairs come out sorted by vertex, then obstacle, without
-    repeats.
+    Candidates are the (vertex, obstacle) pairs with gap below the
+    activation distance, unioned with the ``extra`` (n, 2) array of
+    (vertex, obstacle) pairs.  The activation distance is 1.5*delta, the
+    penalty support plus a margin for set stability across one solve;
+    given velocities ``v`` it adds a per-vertex sweep margin
+    h*(|v| + obstacle speed), the obstacle speed being the largest
+    |surface velocity| over the obstacles at the vertex (rotation
+    included), so vertices cannot cross the penalty support undetected
+    within a step of length h.  The scan and the obstacle speed read one
+    tiling of the (obstacle, vertex) pairs.  Pairs come out sorted by
+    vertex, then obstacle, without repeats.
     """
-    if activation is None:
-        activation = 1.5 * penalty.delta
     x = np.asarray(q, float).reshape(-1, 3)
     cand = (np.arange(len(x)) if candidate_vertices is None
             else np.asarray(candidate_vertices, int))
     n_obs = len(table.obstacles)
-    g = table.gap_normal(np.repeat(np.arange(n_obs), len(cand)),
-                         np.tile(x[cand], (n_obs, 1)), t)[0]
+    pair_obstacle = np.repeat(np.arange(n_obs), len(cand))
+    pair_x = np.tile(x[cand], (n_obs, 1))
+    g = table.gap_normal(pair_obstacle, pair_x, t)[0]
     g = g.reshape(n_obs, len(cand))
+    activation = 1.5 * penalty.delta
+    if v is not None:
+        speed = np.linalg.norm(np.asarray(v, float).reshape(-1, 3)[cand],
+                               axis=1)
+        activation = activation + h * (
+            speed + table.speed(pair_obstacle, pair_x, t))
     obstacle, near = np.nonzero(g < activation)
     # one key per pair, vertex * n_obs + obstacle, sorts as (vertex, obstacle)
     keys = cand[near] * n_obs + obstacle

@@ -15,9 +15,10 @@ stage applies (:class:`integrators.StageProblem`), and provides
     one ``np.bincount`` scatter of its weighted blocks: the elements'
     closed-form (c_q + c_v beta) K + c_q Q (Q the damping-dq blocks) from
     one kernel (``elasticity.element_blocks``), the
-    contacts' contact dq, friction dq and friction dv blocks from one
+    contacts' stage-weighted contact and friction blocks from one
     ``dual.jacobian_blocks`` pass over every contact of the
-    contact-and-friction kernel the force uses
+    contact-and-friction kernel the force uses, with three seeds per
+    contact along the stage direction (c_q e_i, c_v e_i)
     (``friction.contact_friction_blocks``), so no obstacle curvature is
     coded here, and each volume region's closed-form Hessian.
 
@@ -165,25 +166,17 @@ class ForceModel:
     def build_contact_state(self, q, v, t: float, h: float,
                             extra_candidates=None) -> ContactState:
         """Freeze the candidate set, which is also the lagged friction
-        anchor, of a step that starts at (q, v, t).
+        anchor, of a step of length h that starts at (q, v, t).
 
-        The activation distance is 1.5*delta plus a per-vertex sweep margin
-        h*(|v| + obstacle speed), where the obstacle speed is the largest
-        |surface velocity| over the obstacles at the vertex (rotation
-        included), so vertices cannot cross the penalty support undetected
-        within one step.  ``extra_candidates`` is an (n, 2) array of
+        The surface vertices are scanned with the sweep margin of
+        :func:`contact.gaps`.  ``extra_candidates`` is an (n, 2) array of
         (vertex, obstacle) pairs unioned in by the kappa-retry loop.
         """
         if self.penalty is None:  # no contact law, so no candidates
             return ContactState.empty(self.table)
-        surf = self.mesh.surface_vertices
-        x = np.asarray(q, float).reshape(-1, 3)[surf]
-        vv = np.asarray(v, float).reshape(-1, 3)
-        speed = np.linalg.norm(vv[surf], axis=1)
-        margin = h * (speed + self.table.speed(x, t))
-        cset = gaps(self.table, q, t, self.penalty, candidate_vertices=surf,
-                    activation=1.5 * self.penalty.delta + margin,
-                    extra=extra_candidates)
+        cset = gaps(self.table, q, t, self.penalty,
+                    candidate_vertices=self.mesh.surface_vertices,
+                    extra=extra_candidates, v=v, h=h)
         return ContactState(
             cset=cset, lagged=cset if self.friction_mode == "lagged" else None)
 
@@ -253,12 +246,10 @@ class ForceModel:
 
         cset = contact.cset
         if cset.size:
-            cf = contact_friction_blocks(
-                cset, q, v, t, self.penalty, anchor=contact.lagged)
-            blocks = c_q * cf[:, :3, :3]
-            blocks += c_q * cf[:, 3:, :3] + c_v * cf[:, 3:, 3:]
+            cf = contact_friction_blocks(cset, q, v, t, self.penalty, c_q,
+                                         c_v, anchor=contact.lagged)
             data += pat.scatter(pat.vertex[cset.vertex].ravel(),
-                                blocks.ravel())
+                                (cf[:, :3] + cf[:, 3:]).ravel())
 
         for vp, slots in zip(self.volume_penalties, regions):
             vvol, g = enclosed_volume(vp.tables(), q)

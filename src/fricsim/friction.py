@@ -21,10 +21,15 @@ the normal and the obstacle velocity at the positions of an anchor set (see
 One kernel gives the contact and the friction force of every contact from
 one gathered evaluation: it gathers each contact's gap, normal, surface
 velocity and friction coefficients from the rows of its obstacle in the
-set's :class:`contact.ObstacleTable`.  The residual calls it once;
-:func:`contact_friction_blocks` makes one ``dual.jacobian_blocks`` pass of it
-over all contacts, seeding each contact's 6 (q, v) directions, for the
-contact dq, friction dq and friction dv blocks together.
+set's :class:`contact.ObstacleTable`.  When the table records that every
+friction row is plain Coulomb (mu_s = mu_d, mu_v = 0), the kernel takes
+c = mu_d s(v; eps) lambda, the same values bit for bit, since the Stribeck
+and viscous terms would add exact zeros.  The residual calls the kernel
+once; :func:`contact_friction_blocks` makes one ``dual.jacobian_blocks``
+pass of it over all contacts for the stage's c_q d/dq + c_v d/dv.  Since
+the stage moves q and v together (q = q_ref + c v), three seeds per contact
+suffice: seed i moves the contact's position by c_q e_i and its velocity by
+c_v e_i, and gives column i of the contact and friction blocks at once.
 """
 
 from __future__ import annotations
@@ -124,7 +129,11 @@ def _contact_friction_local(x, v, obstacle, *anchor, table: ObstacleTable,
     vt = rel - dm.dot_last(rel, n_f)[..., None] * n_f
     speed = dm.norm_last(vt)
     coeffs = _Coeffs(*table.friction[obstacle].T)
-    ratio = friction_magnitude_c(speed, lam_f, coeffs) / speed
+    if table.coulomb:
+        c = coeffs.mu_d * smooth_s(speed, coeffs.epsilon) * lam_f
+    else:
+        c = friction_magnitude_c(speed, lam_f, coeffs)
+    ratio = c / speed
     return lam[..., None] * normal, -ratio[..., None] * vt
 
 
@@ -157,28 +166,31 @@ def contact_friction_forces(cset: ContactSet, q, v, t: float,
 
 
 def contact_friction_blocks(cset: ContactSet, q, v, t: float,
-                            penalty: PenaltyParams,
+                            penalty: PenaltyParams, c_q: float, c_v: float,
                             anchor: ContactSet | None = None) -> np.ndarray:
-    """Per-contact Jacobian blocks (k, 6, 6) of the contact and friction
-    forces with respect to the contact vertex's (q, v).
+    """Per-contact stage-weighted Jacobian blocks (k, 6, 3),
+    c_q d/dq + c_v d/dv of the contact and friction forces with respect to
+    the contact vertex's (q, v).
 
-    Rows 0-2 are the contact force and rows 3-5 the friction force; columns
-    0-2 are q and 3-5 are v.  So ``[:, :3, :3]`` is the contact dq block,
-    ``[:, 3:, :3]`` the friction dq block (exactly zero when lagged, whose
-    anchor is constant) and ``[:, 3:, 3:]`` the friction dv block;
-    ``[:, :3, 3:]`` is zero.  All come from one ``dual.jacobian_blocks``
-    pass over every contact of the kernel the residual uses, so assembled
-    products match the dual JVP to machine precision.  Each contact touches
-    exactly one vertex in this obstacle-only setting, so the blocks are
-    diagonal in the contact index.
+    Rows 0-2 are the contact force and rows 3-5 the friction force, so
+    their sum is the contact's block of the stage Jacobian.  Weights (1, 0)
+    give the dq blocks (the friction rows exactly zero when lagged, whose
+    anchor is constant) and (0, 1) the dv blocks (the contact rows zero).
+    All come from one ``dual.jacobian_blocks`` pass, with three seeds per
+    contact, of the kernel the residual uses: seed i moves the contact's
+    position by c_q e_i and its velocity by c_v e_i.  So assembled products
+    match the dual JVP to machine precision.  Each contact touches exactly
+    one vertex in this obstacle-only setting, so the blocks are diagonal in
+    the contact index.
     """
     x = np.asarray(q, float).reshape(-1, 3)[cset.vertex]
     vv = np.asarray(v, float).reshape(-1, 3)[cset.vertex]
 
-    def kernel(y, *per_item):
+    def kernel(y, at_x, at_v, *per_item):
         return dm.concat(_contact_friction_local(
-            y[:, :3], y[:, 3:], *per_item, table=cset.table, t=t,
-            penalty=penalty), axis=-1)
+            at_x + c_q * y, at_v + c_v * y, *per_item, table=cset.table,
+            t=t, penalty=penalty), axis=-1)
 
-    return dm.jacobian_blocks(kernel, np.concatenate([x, vv], axis=1),
-                              cset.obstacle, *_lagged_anchor(t, anchor))
+    # seeded at y = 0, so the kernel is evaluated at (x, v)
+    return dm.jacobian_blocks(kernel, np.zeros_like(x), x, vv, cset.obstacle,
+                              *_lagged_anchor(t, anchor))

@@ -97,11 +97,12 @@ def term_jacobians(model, q, v, t, contact):
     cset = contact.cset
     if cset.size:
         pairs = _pair_blocks(cset.vertex, cset.vertex)
-        blocks = contact_friction_blocks(cset, q, v, t, model.penalty,
-                                         anchor=contact.lagged)
-        terms["contact"] = (dense((*pairs, blocks[:, :3, :3])), dense())
-        terms["friction"] = (dense((*pairs, blocks[:, 3:, :3])),
-                             dense((*pairs, blocks[:, 3:, 3:])))
+        dq, dv = (contact_friction_blocks(cset, q, v, t, model.penalty,
+                                          *weights, anchor=contact.lagged)
+                  for weights in ((1.0, 0.0), (0.0, 1.0)))
+        terms["contact"] = (dense((*pairs, dq[:, :3])), dense())
+        terms["friction"] = (dense((*pairs, dq[:, 3:])),
+                             dense((*pairs, dv[:, 3:])))
     vol = dense()
     for vp in model.volume_penalties:
         volume, g = enclosed_volume(vp.region, q)

@@ -99,15 +99,16 @@ def test_obstacle_speed_is_an_exact_zero_when_nothing_moves(monkeypatch):
         translation=[(0.0, (0, 0, 0)), (0.5, (0.1, 0.2, 0))]))
     table = ObstacleTable([plate, Sphere(center=(0, 1, 0), radius=0.1)])
     x = np.random.default_rng(4).normal(size=(6, 3))
-    np.testing.assert_allclose(table.speed(x, 0.25),
+    pairs = np.repeat([0, 1], 6), np.tile(x, (2, 1))  # as gaps scans them
+    np.testing.assert_allclose(table.speed(*pairs, 0.25),
                                np.full(6, np.hypot(0.2, 0.4)), rtol=1e-15)
 
     def no_velocity(*args):
         raise AssertionError("velocity evaluated with no obstacle moving")
 
     monkeypatch.setattr(ObstacleTable, "velocity", no_velocity)
-    assert table.speed(x, 0.75) == 0.0 and isinstance(
-        table.speed(x, 0.75), float)
+    assert table.speed(*pairs, 0.75) == 0.0 and isinstance(
+        table.speed(*pairs, 0.75), float)
 
 
 def test_extra_pairs_are_unioned_sorted_and_unique():

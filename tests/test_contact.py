@@ -189,8 +189,8 @@ def test_sphere_contact_blocks_match_fd(contains):
     q = x.ravel()
     cs = gaps(ObstacleTable([sph]), q, 0.0, PEN)
     assert cs.size == 4
-    blocks = contact_friction_blocks(cs, q, np.zeros_like(q), 0.0,
-                                     PEN)[:, :3, :3]
+    blocks = contact_friction_blocks(cs, q, np.zeros_like(q), 0.0, PEN,
+                                     1.0, 0.0)[:, :3]
     h = 1e-7
     for c in range(3):
         step = np.zeros_like(x)

@@ -1,12 +1,13 @@
 """The one contact-and-friction pass against a per-obstacle oracle.
 
-``contact_friction_blocks`` seeds the 6 (q, v) directions of every contact in
-one ``dual.jacobian_blocks`` pass, and ``contact_friction_forces`` gathers
-every contact's geometry from the obstacle table in one evaluation.  The
-oracle here does it the long way: per obstacle and per block kind, one
-``jacobian_blocks`` pass of a kernel written with that obstacle's scalar
-``FrictionParams`` and its gap, normal and surface velocity in closed form.
-The mixed state has a Stribeck half-space, a moving sphere, a frictionless
+``contact_friction_blocks`` seeds three stage directions (c_q e_i, c_v e_i)
+per contact in one ``dual.jacobian_blocks`` pass, and
+``contact_friction_forces`` gathers every contact's geometry from the
+obstacle table in one evaluation.  The oracle here does it the long way:
+per obstacle and per block kind, one ``jacobian_blocks`` pass of a kernel
+written with that obstacle's scalar ``FrictionParams`` and its gap, normal
+and surface velocity in closed form, for the dq and dv blocks apart.  The
+mixed state has a Stribeck half-space, a moving sphere, a frictionless
 rotating plane, a sphere spinning about an off-centre pivot and a vertex
 touching two obstacles.
 """
@@ -186,9 +187,9 @@ def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
 
-@pytest.mark.parametrize("contains", [False, True])
-@pytest.mark.parametrize("mode", ["implicit", "lagged"])
-def test_one_pass_matches_per_obstacle_oracle(mode, contains):
+def _mixed_set(mode, contains):
+    """(obstacles, cset, q, v, anchor) of the mixed state: the lagged
+    anchor is the same pairs re-snapshotted elsewhere."""
     obstacles, q, v = _state(contains)
     cset = gaps(ObstacleTable(obstacles), q, T, PEN)
     assert np.array_equal(np.bincount(cset.obstacle), [5, 5, 4, 4])
@@ -196,25 +197,114 @@ def test_one_pass_matches_per_obstacle_oracle(mode, contains):
     assert np.array_equal(cset.obstacle[corner], [0, 1])
     assert np.all(cset.lam > 0.0)
     anchor = None
-    if mode == "lagged":  # the same pairs re-snapshotted elsewhere
+    if mode == "lagged":
         q0 = q + 1e-4 * np.random.default_rng(1).normal(size=q.size)
         anchor = snapshot(cset.table, cset.vertex, cset.obstacle, q0, 0.2,
                           PEN)
-    blocks = contact_friction_blocks(cset, q, v, T, PEN, anchor=anchor)
+    return obstacles, cset, q, v, anchor
+
+
+@pytest.mark.parametrize("contains", [False, True])
+@pytest.mark.parametrize("mode", ["implicit", "lagged"])
+def test_one_pass_matches_per_obstacle_oracle(mode, contains):
+    obstacles, cset, q, v, anchor = _mixed_set(mode, contains)
+    dq, dv = (contact_friction_blocks(cset, q, v, T, PEN, *weights,
+                                      anchor=anchor)
+              for weights in ((1.0, 0.0), (0.0, 1.0)))
     f_c, f_f = contact_friction_forces(cset, q, v, T, PEN, anchor=anchor)
     want, want_c, want_f = _oracle(cset, obstacles, q, v, anchor)
-    _close(blocks[:, :3, :3], want[:, :3, :3])
-    _close(blocks[:, 3:, 3:], want[:, 3:, 3:])
-    _close(blocks[:, 3:, :3], want[:, 3:, :3])
-    assert np.all(blocks[:, :3, 3:] == 0.0)
+    _close(dq[:, :3], want[:, :3, :3])
+    _close(dv[:, 3:], want[:, 3:, 3:])
+    _close(dq[:, 3:], want[:, 3:, :3])
+    assert np.all(dv[:, :3] == 0.0)
     if mode != "implicit":
-        assert np.all(blocks[:, 3:, :3] == 0.0)
+        assert np.all(dq[:, 3:] == 0.0)
     else:
-        assert np.abs(blocks[:, 3:, :3]).max() > 0.0
+        assert np.abs(dq[:, 3:]).max() > 0.0
     # the frictionless wall's contacts carry no friction
     wall = cset.obstacle == 2
-    assert np.all(blocks[wall, 3:] == 0.0)
-    assert np.abs(blocks[~wall, 3:, 3:]).max() > 0.0
+    assert np.all(dq[wall, 3:] == 0.0) and np.all(dv[wall, 3:] == 0.0)
+    assert np.abs(dv[~wall, 3:]).max() > 0.0
+    _close(f_c, want_c)
+    _close(f_f, want_f)
+
+
+_RNG_WEIGHTS = np.random.default_rng(17)
+
+
+@pytest.mark.parametrize("c_q,c_v", [
+    (1.0, 0.0), (0.0, 1.0),
+    *(tuple(_RNG_WEIGHTS.uniform(-2.0, 2.0, size=2)) for _ in range(2)),
+    (0.0037, 1.0)], ids=["dq", "dv", "random0", "random1", "stage"])
+@pytest.mark.parametrize("contains", [False, True])
+@pytest.mark.parametrize("mode", ["implicit", "lagged"])
+def test_stage_weighted_blocks_match_the_oracle(mode, contains, c_q, c_v):
+    """The three-seed pass gives c_q df/dq + c_v df/dv of both forces, on
+    half-spaces and a sphere, in both friction modes; at weights (1, 0) a
+    lagged contact's friction rows are exactly zero."""
+    obstacles, cset, q, v, anchor = _mixed_set(mode, contains)
+    blocks = contact_friction_blocks(cset, q, v, T, PEN, c_q, c_v,
+                                     anchor=anchor)
+    assert blocks.shape == (cset.size, 6, 3)
+    want = _oracle(cset, obstacles, q, v, anchor)[0]
+    want = c_q * want[:, :, :3] + c_v * want[:, :, 3:]
+    _close(blocks[:, :3], want[:, :3])
+    _close(blocks[:, 3:], want[:, 3:])
+    if mode == "lagged" and (c_q, c_v) == (1.0, 0.0):
+        assert np.all(blocks[:, 3:] == 0.0)
+
+
+@pytest.mark.parametrize("mode", ["implicit", "lagged"])
+def test_plain_coulomb_table_gives_the_full_law_bitwise(mode, monkeypatch):
+    """On a table whose friction rows are all plain Coulomb the kernel
+    skips the Stribeck and viscous terms, and its forces and blocks equal
+    the full law's bit for bit (the skipped terms are exact zeros)."""
+    obstacles, q, v = _state(True)
+    floor, sphere = obstacles[:2]
+    floor.friction = FrictionParams(mu_d=0.4, epsilon=1e-3)
+    sphere.friction = FrictionParams(mu_d=0.7, epsilon=2e-3)
+    table = ObstacleTable(obstacles)
+    assert table.coulomb
+    cset = gaps(table, q, T, PEN)
+    anchor = None
+    if mode == "lagged":
+        anchor = snapshot(table, cset.vertex, cset.obstacle, q + 1e-4, 0.2,
+                          PEN)
+    full = _count_calls(monkeypatch, friction, "friction_magnitude_c")
+
+    def evaluate():
+        return (*contact_friction_forces(cset, q, v, T, PEN, anchor=anchor),
+                contact_friction_blocks(cset, q, v, T, PEN, 0.0037, 1.0,
+                                        anchor=anchor))
+
+    plain = evaluate()
+    assert not full
+    table.coulomb = False
+    law = evaluate()
+    assert len(full) == 2
+    assert np.abs(plain[1]).max() > 0.0
+    for got, want in zip(plain, law):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("params", [
+    FrictionParams(mu_d=0.4, mu_s=0.41, epsilon=1e-3),
+    FrictionParams(mu_d=0.4, mu_v=1e-3, epsilon=1e-3)],
+    ids=["stribeck", "viscous"])
+def test_one_stribeck_or_viscous_row_takes_the_full_law(params, monkeypatch):
+    """One row with mu_s > mu_d or mu_v > 0 among plain Coulomb ones makes
+    the table take the full law, which the oracle's forces match."""
+    obstacles, q, v = _state(False)
+    floor, sphere = obstacles[:2]
+    floor.friction = params
+    sphere.friction = FrictionParams(mu_d=0.7, epsilon=2e-3)
+    table = ObstacleTable(obstacles)
+    assert not table.coulomb
+    cset = gaps(table, q, T, PEN)
+    full = _count_calls(monkeypatch, friction, "friction_magnitude_c")
+    f_c, f_f = contact_friction_forces(cset, q, v, T, PEN)
+    assert len(full) == 1
+    _, want_c, want_f = _oracle(cset, obstacles, q, v, None)
     _close(f_c, want_c)
     _close(f_f, want_f)
 

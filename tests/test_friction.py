@@ -108,8 +108,9 @@ def test_table_friction_rows_are_the_obstacles_params():
     assert cs.obstacle.tolist() == [2] and cs.lam[0] > 0.0
     v = np.array([0.03, -0.02, 0.01])
     assert np.array_equal(_friction(cs, q, v), np.zeros(3))
-    blocks = contact_friction_blocks(cs, q, v, 0.0, PEN)
-    assert np.array_equal(blocks[:, 3:], np.zeros((1, 3, 6)))
+    for weights in ((1.0, 0.0), (0.0, 1.0)):
+        blocks = contact_friction_blocks(cs, q, v, 0.0, PEN, *weights)
+        assert np.array_equal(blocks[:, 3:], np.zeros((1, 3, 3)))
 
 
 def _friction(cs, q, v, **kw):
@@ -270,7 +271,8 @@ def test_jacobian_blocks_negative_semidefinite_at_rest():
     # at vbar = 0 the velocity Jacobian is pure tangential damping with
     # slope c'(0+) = 2 mu_s lambda / eps (+ mu_v); NSD for any tangential v
     plane, q, cs = _plane_setup(mu=0.9, mu_s=1.5)
-    dfdv = contact_friction_blocks(cs, q, np.zeros(3), 0.0, PEN)[:, 3:, 3:]
+    dfdv = contact_friction_blocks(cs, q, np.zeros(3), 0.0, PEN, 0.0,
+                                   1.0)[:, 3:]
     sym = 0.5 * (dfdv[0] + dfdv[0].T)
     w = np.linalg.eigvalsh(sym)
     assert w.max() <= 1e-9 * max(1.0, -w.min())
@@ -284,7 +286,7 @@ def test_jacobian_blocks_nsd_while_sliding_coulomb():
     # without Stribeck decay (mu_s = mu_d) the sliding branch stays NSD
     plane, q, cs = _plane_setup(mu=0.9)
     for v in (np.array([0.5 * EPS, 0.0, 0.0]), np.array([5 * EPS, 0.0, 2 * EPS])):
-        dfdv = contact_friction_blocks(cs, q, v, 0.0, PEN)[:, 3:, 3:]
+        dfdv = contact_friction_blocks(cs, q, v, 0.0, PEN, 0.0, 1.0)[:, 3:]
         sym = 0.5 * (dfdv[0] + dfdv[0].T)
         w = np.linalg.eigvalsh(sym)
         assert w.max() <= 1e-9 * max(1.0, -w.min())

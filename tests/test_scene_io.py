@@ -102,6 +102,16 @@ def test_lagged_mode_parsing_and_validation():
 _UNKNOWN_TAPER = r"unknown keys at meshes\[0\].generator: taper$"
 
 
+def _case(path, value, match, label=None):
+    """One case under the explicit id ``path-label-match``, so that adding
+    a case renames no other.  ``label`` defaults to the value, as pytest
+    writes a scalar; a list or dict case keeps the positional label
+    (``valueN``) pytest gave it before its id was explicit."""
+    return pytest.param(path, value, match,
+                        id=f"{path}-{value if label is None else label}-"
+                           f"{match}")
+
+
 def _unknown_solver_key(key, value, old_match):
     """A removed ``solver`` key's case, under its old id."""
     return pytest.param(f"solver.{key}", value,
@@ -110,26 +120,29 @@ def _unknown_solver_key(key, value, old_match):
 
 
 @pytest.mark.parametrize("path,value,match", [
-    ("duration", "x", "duration"),
-    ("step", None, "step"),
-    ("contact.delta", "x", "contact.delta"),
-    ("contact.delta", 0.0, "contact: delta"),
-    ("contact.kappa", -1, "contact: kappa"),
-    ("output.trajectory_every", "x", "output.trajectory_every"),
-    ("solver.kind", "lu", "solver: kind"),
+    _case("duration", "x", "duration"),
+    _case("step", None, "step"),
+    _case("contact.delta", "x", "contact.delta"),
+    _case("contact.delta", 0.0, "contact: delta"),
+    _case("contact.kappa", -1, "contact: kappa"),
+    _case("output.trajectory_every", "x", "output.trajectory_every"),
+    _case("solver.kind", "lu", "solver: kind"),
     # the solver block has ``kind`` alone; these cases keep their ids
     _unknown_solver_key("k_max", 0, "solver: k_max"),
     _unknown_solver_key("k_max", "abc", "solver.k_max"),
     _unknown_solver_key("r_tol_rel", "x", "solver.r_tol_rel"),
     _unknown_solver_key("v_tol", "x", "solver.v_tol"),
     _unknown_solver_key("max_krylov_iters", -3, "solver: max_krylov_iters"),
-    ("meshes.0.rotate", {"axis": [0, 1, 0], "angle": "x"},
-     r"meshes\[0\].rotate.angle"),
-    ("meshes.0.fixed_vertices", ["a"], r"meshes\[0\].fixed_vertices"),
-    ("meshes.0.fixed_vertices", [8], r"meshes\[0\].fixed_vertices: no vertex"),
-    ("meshes.0.generator.divisions", [0, 1, 1], r"meshes\[0\].generator"),
-    ("meshes.0.generator.divisions", ["x", 1, 1],
-     r"meshes\[0\].generator.divisions"),
+    _case("meshes.0.rotate", {"axis": [0, 1, 0], "angle": "x"},
+          r"meshes\[0\].rotate.angle", "value12"),
+    _case("meshes.0.fixed_vertices", ["a"], r"meshes\[0\].fixed_vertices",
+          "value13"),
+    _case("meshes.0.fixed_vertices", [8],
+          r"meshes\[0\].fixed_vertices: no vertex", "value14"),
+    _case("meshes.0.generator.divisions", [0, 1, 1],
+          r"meshes\[0\].generator", "value15"),
+    _case("meshes.0.generator.divisions", ["x", 1, 1],
+          r"meshes\[0\].generator.divisions", "value16"),
     # a box generator has no ``taper`` key; both cases keep their ids
     pytest.param(
         "meshes.0.generator.taper", -100, _UNKNOWN_TAPER,
@@ -137,80 +150,90 @@ def _unknown_solver_key(key, value, old_match):
     pytest.param(
         "meshes.0.generator.taper", "x", _UNKNOWN_TAPER,
         id=r"meshes.0.generator.taper-x-meshes\[0\].generator.taper"),
-    ("meshes.0.generator", {"kind": "ball", "radius": 0},
-     r"meshes\[0\].generator"),
-    ("meshes.0.material.density", [1], r"meshes\[0\].material.density"),
-    ("meshes.0.material.density", float("nan"),
-     r"meshes\[0\].material.density"),
-    ("obstacles.0.friction.mu_d", [1], r"obstacles\[0\].friction.mu_d"),
-    ("obstacles.0.friction.mu_d", None, r"obstacles\[0\].friction.mu_d"),
-    ("solver", 5, "solver"),
-    ("obstacles", [3], r"obstacles\[0\]"),
-    ("obstacles", {"a": 1}, "obstacles"),
-    ("meshes.0.fixed_vertices", 3, r"meshes\[0\].fixed_vertices"),
-    ("contact", [], "contact"),
-    ("meshes.0.file", "bad_json.json", r"meshes\[0\].file"),
-    ("meshes.0.file", "no_tets.json", r"meshes\[0\].file"),
-    ("meshes.0.file", ".", r"meshes\[0\].file: .*directory"),
-    ("obstacles.0.motion", {"translation": [["x", [0, 0, 0]]]},
-     r"obstacles\[0\].motion.translation"),
-    ("obstacles.0.motion", {"rotation": {"axis": [0, 0, 0]}},
-     r"obstacles\[0\].motion: rotation axis"),
+    _case("meshes.0.generator", {"kind": "ball", "radius": 0},
+          r"meshes\[0\].generator", "value19"),
+    _case("meshes.0.material.density", [1],
+          r"meshes\[0\].material.density", "value20"),
+    _case("meshes.0.material.density", float("nan"),
+          r"meshes\[0\].material.density"),
+    _case("obstacles.0.friction.mu_d", [1],
+          r"obstacles\[0\].friction.mu_d", "value22"),
+    _case("obstacles.0.friction.mu_d", None, r"obstacles\[0\].friction.mu_d"),
+    _case("solver", 5, "solver"),
+    _case("obstacles", [3], r"obstacles\[0\]", "value25"),
+    _case("obstacles", {"a": 1}, "obstacles", "value26"),
+    _case("meshes.0.fixed_vertices", 3, r"meshes\[0\].fixed_vertices"),
+    _case("contact", [], "contact", "value28"),
+    _case("meshes.0.file", "bad_json.json", r"meshes\[0\].file"),
+    _case("meshes.0.file", "no_tets.json", r"meshes\[0\].file"),
+    _case("meshes.0.file", ".", r"meshes\[0\].file: .*directory"),
+    _case("obstacles.0.motion", {"translation": [["x", [0, 0, 0]]]},
+          r"obstacles\[0\].motion.translation", "value32"),
+    _case("obstacles.0.motion", {"rotation": {"axis": [0, 0, 0]}},
+          r"obstacles\[0\].motion: rotation axis", "value33"),
     _unknown_solver_key("k_max", 2.5, "solver.k_max"),
-    ("meshes.0.fixed_vertices", [0.7], r"meshes\[0\].fixed_vertices"),
-    ("output.trajectory_every", 1.9, "output.trajectory_every"),
-    ("gravity", [0, float("nan"), 0], r"gravity\[1\]"),
-    ("friction_mode", "lagged4", "friction_mode"),
-    ("friction_mode", "laggedy", "friction_mode"),
-    ("obstacles", [{"kind": "sphere", "center": [0, 0, 0], "radius": 1.0,
-                    "contains": "false"}], r"obstacles\[0\].contains"),
-    ("meshes.0.generator", {"kind": "ball", "radius": -0.05, "divisions": 2},
-     r"meshes\[0\].generator: radius must be positive"),
-    ("meshes.0.generator.size", [-0.1, 0.1, 0.1],
-     r"meshes\[0\].generator: size must be positive"),
-    ("meshes.0.file", "frac_tets.json",
-     r"meshes\[0\].file tets must hold integers"),
-    ("friction_jacobian", "with_sliding_basis",
-     "unknown keys at top level: friction_jacobian$"),
-    ("contact.kappa_max", 1e16, "unknown keys at contact: kappa_max$"),
-    ("meshes.0.angular_velocity", [0, 1, 0],
-     r"unknown keys at meshes\[0\]: angular_velocity$"),
-    ("step", 1e308, "step 1e\\+308 is longer than duration 0.02$"),
-    ("meshes.0.file", "neg_tet.json",
-     r"meshes\[0\].file tets: index -2 is outside \[0, 5\)$"),
-    ("meshes.0.file", "big_tet.json",
-     r"meshes\[0\].file tets: index 7 is outside \[0, 4\)$"),
-    ("meshes", [{"file": "neg_group.json", "volume_region": {"group": "lid"}}],
-     r"meshes\[0\].file surface_groups.lid: index -1 is outside \[0, 4\)$"),
-    ("output.trajectory_every", -3,
-     "output.trajectory_every must be positive, got -3$"),
-    ("output.trajectory_every", 0,
-     "output.trajectory_every must be positive, got 0$"),
-    ("output.snapshot_every", -1,
-     "output.snapshot_every must be nonnegative, got -1$"),
+    _case("meshes.0.fixed_vertices", [0.7], r"meshes\[0\].fixed_vertices",
+          "value35"),
+    _case("output.trajectory_every", 1.9, "output.trajectory_every"),
+    _case("gravity", [0, float("nan"), 0], r"gravity\[1\]", "value37"),
+    _case("friction_mode", "lagged4", "friction_mode"),
+    _case("friction_mode", "laggedy", "friction_mode"),
+    _case("obstacles", [{"kind": "sphere", "center": [0, 0, 0], "radius": 1.0,
+                         "contains": "false"}],
+          r"obstacles\[0\].contains", "value40"),
+    _case("meshes.0.generator",
+          {"kind": "ball", "radius": -0.05, "divisions": 2},
+          r"meshes\[0\].generator: radius must be positive", "value41"),
+    _case("meshes.0.generator.size", [-0.1, 0.1, 0.1],
+          r"meshes\[0\].generator: size must be positive", "value42"),
+    _case("meshes.0.file", "frac_tets.json",
+          r"meshes\[0\].file tets must hold integers"),
+    _case("friction_jacobian", "with_sliding_basis",
+          "unknown keys at top level: friction_jacobian$"),
+    _case("contact.kappa_max", 1e16, "unknown keys at contact: kappa_max$"),
+    _case("meshes.0.angular_velocity", [0, 1, 0],
+          r"unknown keys at meshes\[0\]: angular_velocity$", "value46"),
+    _case("step", 1e308, "step 1e\\+308 is longer than duration 0.02$"),
+    _case("meshes.0.file", "neg_tet.json",
+          r"meshes\[0\].file tets: index -2 is outside \[0, 5\)$"),
+    _case("meshes.0.file", "big_tet.json",
+          r"meshes\[0\].file tets: index 7 is outside \[0, 4\)$"),
+    _case("meshes",
+          [{"file": "neg_group.json", "volume_region": {"group": "lid"}}],
+          r"meshes\[0\].file surface_groups.lid: index -1 is outside "
+          r"\[0, 4\)$", "value50"),
+    _case("output.trajectory_every", -3,
+          "output.trajectory_every must be positive, got -3$"),
+    _case("output.trajectory_every", 0,
+          "output.trajectory_every must be positive, got 0$"),
+    _case("output.snapshot_every", -1,
+          "output.snapshot_every must be nonnegative, got -1$"),
     # an automatic kappa out of range names its inputs, not a scene kappa
-    ("gravity", [0, -1e20, 0],
-     r"contact: the automatic kappa 4 m_avg \|g\| / \(3 delta\) = "
-     r"1\.\d+e\+22 is outside .*gravity \[0\.0, -1e\+20, 0\.0\], "
-     r"delta 0\.001,"),
-    ("gravity", [0, -1e200, 0],
-     r"contact: the automatic kappa .* = inf is outside .*"
-     r"gravity \[0\.0, -1e\+200, 0\.0\]"),
-    ("gravity", [0, -1e300, 0],
-     r"contact: the automatic kappa .* = inf is outside .*"
-     r"gravity \[0\.0, -1e\+300, 0\.0\]"),
-    ("contact.kappa", 1e17,
-     r"contact: kappa must satisfy 0 < kappa <= KAPPA_MAX = 1e\+16, "
-     r"got 1e\+17$"),
-    ("contact.kappa", -2.0, "contact: kappa must satisfy .*, got -2.0$"),
+    _case("gravity", [0, -1e20, 0],
+          r"contact: the automatic kappa 4 m_avg \|g\| / \(3 delta\) = "
+          r"1\.\d+e\+22 is outside .*gravity \[0\.0, -1e\+20, 0\.0\], "
+          r"delta 0\.001,", "value54"),
+    _case("gravity", [0, -1e200, 0],
+          r"contact: the automatic kappa .* = inf is outside .*"
+          r"gravity \[0\.0, -1e\+200, 0\.0\]", "value55"),
+    _case("gravity", [0, -1e300, 0],
+          r"contact: the automatic kappa .* = inf is outside .*"
+          r"gravity \[0\.0, -1e\+300, 0\.0\]", "value56"),
+    _case("contact.kappa", 1e17,
+          r"contact: kappa must satisfy 0 < kappa <= KAPPA_MAX = 1e\+16, "
+          r"got 1e\+17$"),
+    _case("contact.kappa", -2.0, "contact: kappa must satisfy .*, got -2.0$"),
     # a volume region's name heads its vol_<name> CSV column
-    ("meshes.0.volume_region", {"name": "p,q"},
-     r"meshes\[0\]\.volume_region\.name must be a string with no comma or "
-     r"line break \(it heads a CSV column\), got 'p,q'$"),
-    ("meshes.0.volume_region", {"name": "p\nq"},
-     r"meshes\[0\]\.volume_region\.name must be .*, got 'p\\nq'$"),
-    ("meshes.0.volume_region", {"name": ["p", "q"]},
-     r"meshes\[0\]\.volume_region\.name must be .*, got \['p', 'q'\]$"),
+    _case("meshes.0.volume_region", {"name": "p,q"},
+          r"meshes\[0\]\.volume_region\.name must be a string with no "
+          r"comma or line break \(it heads a CSV column\), got 'p,q'$",
+          "value59"),
+    _case("meshes.0.volume_region", {"name": "p\nq"},
+          r"meshes\[0\]\.volume_region\.name must be .*, got 'p\\nq'$",
+          "value60"),
+    _case("meshes.0.volume_region", {"name": ["p", "q"]},
+          r"meshes\[0\]\.volume_region\.name must be .*, "
+          r"got \['p', 'q'\]$", "value61"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow warning
 def test_bad_value_named(path, value, match, tmp_path):
