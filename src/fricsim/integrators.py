@@ -1,14 +1,24 @@
-"""Time-integration residuals: BE, TR, BDF2, TR-BDF2, SDIRK2, plus a
+"""Time-integration stages: BE, TR, BDF2, TR-BDF2, SDIRK2, plus a
 deliberately mis-split TR used as a stability foil.
 
 Every stage solves r(v) = 0 for the stage velocity with one coefficient c:
 
-    r(v) = M (v - v_lin) - c f(q_ref + c v, v, t_eval) - f_const
+    r(v) = M (v - v_lin) - c f(q_ref + c v, v, t + theta h) - f_const
 
 Position updates are linear in the stage velocity, so df/dq enters the
 velocity Jacobian through the chain factor c.  Lagged friction (BE and TR
 only) uses the same stages; only friction's anchor in the contact state
 differs (:mod:`fricsim.friction`).
+
+A scheme is its stage function, which yields each stage's (v_lin, q_ref, c,
+theta, f_const, contact).  One stage runner, :meth:`Scheme.step`, builds
+every scheme's ``StageProblem`` and holds the two rules of a step:
+  start  the first stage starts from ``v0`` (default the step's v), and it
+         is offered the prediction 2 v - v_prev only when it ends at t + h
+         (theta = 1), the step has a previous state and no ``v0`` was given
+         (a lagged pass gives one); every later stage starts from the
+         stage before it;
+  end    the step ends at the last stage's positions(v) and v.
 
 Second-order schemes (standard stiffly-accurate forms; all L-stable):
   BDF2     v_lin = 4/3 v^t - 1/3 v^{t-h}, q_ref likewise, c = 2h/3;
@@ -23,6 +33,7 @@ Second-order schemes (standard stiffly-accurate forms; all L-stable):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -106,124 +117,99 @@ class StepResult:
     reports: list = field(default_factory=list)
 
 
+@dataclass(frozen=True)
 class Scheme:
-    name = ""
+    """A scheme is its stage function; :meth:`step` is the one stage
+    runner."""
+
+    stages: Callable
 
     def step(self, model: ForceModel, contact: ContactState,
-             state: SystemState, h: float, solve, prev: SystemState | None
-             = None, v0=None, guess=None) -> StepResult:
+             state: SystemState, h: float, solve,
+             prev: SystemState | None = None, v0=None) -> StepResult:
         """One step from ``state``; ``solve(problem, v0, guess=None)``
         solves a stage.  The first stage starts from ``v0`` (default
-        ``state.v``); BE, TR and BDF2 offer their one stage ``guess``, a
-        prediction of v at t + h, and SDIRK2 and TR-BDF2 offer it to none."""
-        raise NotImplementedError
+        ``state.v``) and is offered the prediction 2 v - v_prev only when it
+        ends at t + h, ``prev`` is given and ``v0`` is not; every later
+        stage starts from the stage before it.  The step ends at the last
+        stage's ``positions(v)`` and v."""
+        stages = self.stages(model, contact, state, h, prev)
+        v = state.v if v0 is None else v0
+        end, reports = None, []
+        while True:
+            try:
+                stage = stages.send(end)
+            except StopIteration:
+                return StepResult(*end, reports)
+            v_lin, q_ref, c, theta, f_const, stage_contact = stage
+            prob = StageProblem(model, stage_contact, v_lin, q_ref, c,
+                                state.t + theta * h, h, f_const)
+            predict = (theta == 1.0 and not reports and prev is not None
+                       and v0 is None)
+            v, rep = solve(prob, v,
+                           2.0 * state.v - prev.v if predict else None)
+            reports.append(rep)
+            end = prob.positions(v), v
 
 
-class BackwardEuler(Scheme):
-    name = "be"
+# Stage functions: (model, contact, state, h, prev) -> a generator that
+# yields each stage's (v_lin, q_ref, c, theta, f_const, contact) and is sent
+# the stage's end (q, v).
 
-    def step(self, model, contact, state, h, solve, prev=None, v0=None,
-             guess=None):
-        prob = StageProblem(model=model, contact=contact, v_lin=state.v,
-                            q_ref=state.q, c=h, t_eval=state.t + h, h=h)
-        v1, rep = solve(prob, state.v if v0 is None else v0, guess)
-        return StepResult(q=state.q + h * v1, v=v1, reports=[rep])
+def _be(model, contact, state, h, prev):
+    yield state.v, state.q, h, 1.0, None, contact
 
 
-class TrapezoidalRule(Scheme):
+def _tr(model, contact, state, h, prev, implicit=None):
     """Fully coupled TR: both halves evaluate the force on the step's
-    contact state.  The explicit half is evaluated at each call, so each
+    contact state, unless an ``implicit`` one is given for the implicit
+    half.  The explicit half is evaluated at each call, so each
     ``lagged:N`` pass uses its anchor."""
-
-    name = "tr"
-
-    def step(self, model, contact, state, h, solve, prev=None, v0=None,
-             guess=None):
-        f0 = model.force(state.q, state.v, state.t, contact)
-        prob = StageProblem(model=model,
-                            contact=self.implicit_contact(model, contact),
-                            v_lin=state.v, q_ref=state.q + 0.5 * h * state.v,
-                            c=0.5 * h, t_eval=state.t + h, h=h,
-                            f_const=(0.5 * h) * f0)
-        v1, rep = solve(prob, state.v if v0 is None else v0, guess)
-        return StepResult(q=state.q + 0.5 * h * (state.v + v1), v=v1,
-                          reports=[rep])
-
-    def implicit_contact(self, model, contact):
-        """The contact state of the implicit half."""
-        return contact
+    f0 = model.force(state.q, state.v, state.t, contact)
+    yield (state.v, state.q + 0.5 * h * state.v, 0.5 * h, 1.0,
+           (0.5 * h) * f0, contact if implicit is None else implicit)
 
 
-class TrapezoidalMissplit(TrapezoidalRule):
+def _tr_missplit(model, contact, state, h, prev):
     """Deliberately mis-split TR: contact and friction enter only through
     the explicit half f0; the implicit half sees no pairs.  A foil: on
     ``ball_in_box`` its kappa retries re-solve one contact-free stage
     until the stiffness cap trips (step 11)."""
-
-    name = "tr_missplit"
-
-    def implicit_contact(self, model, contact):
-        return ContactState.empty(model.table)
+    return _tr(model, contact, state, h, prev,
+               ContactState.empty(model.table))
 
 
-class BDF2(Scheme):
-    name = "bdf2"
-
-    def step(self, model, contact, state, h, solve, prev=None, v0=None,
-             guess=None):
-        if prev is None:
-            return BackwardEuler().step(model, contact, state, h, solve, v0=v0)
-        v_lin = (4.0 * state.v - prev.v) / 3.0
-        q_ref = (4.0 * state.q - prev.q) / 3.0
-        prob = StageProblem(model=model, contact=contact, v_lin=v_lin,
-                            q_ref=q_ref, c=2.0 * h / 3.0, t_eval=state.t + h,
-                            h=h)
-        v1, rep = solve(prob, state.v if v0 is None else v0, guess)
-        return StepResult(q=q_ref + (2.0 * h / 3.0) * v1, v=v1, reports=[rep])
+def _bdf2(model, contact, state, h, prev):
+    if prev is None:  # the first step bootstraps with BE
+        yield from _be(model, contact, state, h, prev)
+    else:
+        yield ((4.0 * state.v - prev.v) / 3.0,
+               (4.0 * state.q - prev.q) / 3.0, 2.0 * h / 3.0, 1.0, None,
+               contact)
 
 
-class SDIRK2(Scheme):
-    name = "sdirk2"
-    gamma = 1.0 - 1.0 / np.sqrt(2.0)
-
-    def step(self, model, contact, state, h, solve, prev=None, v0=None,
-             guess=None):
-        g = self.gamma
-        s1 = StageProblem(model=model, contact=contact, v_lin=state.v,
-                          q_ref=state.q, c=g * h, t_eval=state.t + g * h, h=h)
-        v_s1, rep1 = solve(s1, state.v if v0 is None else v0)
-        k1v = (v_s1 - state.v) / (g * h)
-        s2 = StageProblem(model=model, contact=contact,
-                          v_lin=state.v + (1.0 - g) * h * k1v,
-                          q_ref=state.q + (1.0 - g) * h * v_s1, c=g * h,
-                          t_eval=state.t + h, h=h)
-        v1, rep2 = solve(s2, v_s1)
-        return StepResult(q=s2.q_ref + g * h * v1, v=v1, reports=[rep1, rep2])
+def _sdirk2(model, contact, state, h, prev):
+    g = 1.0 - 1.0 / np.sqrt(2.0)
+    _, v_s1 = yield state.v, state.q, g * h, g, None, contact
+    k1v = (v_s1 - state.v) / (g * h)
+    yield (state.v + (1.0 - g) * h * k1v, state.q + (1.0 - g) * h * v_s1,
+           g * h, 1.0, None, contact)
 
 
-class TRBDF2(Scheme):
-    name = "trbdf2"
-    gamma = 2.0 - np.sqrt(2.0)
+def _trbdf2(model, contact, state, h, prev):
+    g = 2.0 - np.sqrt(2.0)
+    f0 = model.force(state.q, state.v, state.t, contact)
+    q_g, v_g = yield (state.v, state.q + 0.5 * g * h * state.v, 0.5 * g * h,
+                      g, (0.5 * g * h) * f0, contact)
+    a_g = 1.0 / (g * (2.0 - g))
+    a_0 = -(1.0 - g) ** 2 / (g * (2.0 - g))
+    b = (1.0 - g) / (2.0 - g)
+    yield (a_g * v_g + a_0 * state.v, a_g * q_g + a_0 * state.q, b * h, 1.0,
+           None, contact)
 
-    def step(self, model, contact, state, h, solve, prev=None, v0=None,
-             guess=None):
-        g = self.gamma
-        f0 = model.force(state.q, state.v, state.t, contact)
-        s1 = StageProblem(model=model, contact=contact, v_lin=state.v,
-                          q_ref=state.q + 0.5 * g * h * state.v,
-                          c=0.5 * g * h, t_eval=state.t + g * h, h=h,
-                          f_const=(0.5 * g * h) * f0)
-        v_g, rep1 = solve(s1, state.v if v0 is None else v0)
-        q_g = state.q + 0.5 * g * h * (state.v + v_g)
-        a_g = 1.0 / (g * (2.0 - g))
-        a_0 = -(1.0 - g) ** 2 / (g * (2.0 - g))
-        b = (1.0 - g) / (2.0 - g)
-        s2 = StageProblem(model=model, contact=contact,
-                          v_lin=a_g * v_g + a_0 * state.v,
-                          q_ref=a_g * q_g + a_0 * state.q, c=b * h,
-                          t_eval=state.t + h, h=h)
-        v1, rep2 = solve(s2, v_g)
-        return StepResult(q=s2.q_ref + b * h * v1, v=v1, reports=[rep1, rep2])
+
+_SCHEMES = {"be": _be, "tr": _tr, "tr_missplit": _tr_missplit,
+            "bdf2": _bdf2, "sdirk2": _sdirk2, "trbdf2": _trbdf2}
 
 
 def make_scheme(name: str, lagged: bool = False) -> Scheme:
@@ -233,10 +219,7 @@ def make_scheme(name: str, lagged: bool = False) -> Scheme:
     if lagged and name not in ("be", "tr"):
         raise ValueError(
             f"lagged friction is defined for be/tr only, not {name!r}")
-    schemes = {"be": BackwardEuler, "tr": TrapezoidalRule, "bdf2": BDF2,
-               "trbdf2": TRBDF2, "sdirk2": SDIRK2,
-               "tr_missplit": TrapezoidalMissplit}
-    if name not in schemes:
+    if name not in _SCHEMES:
         raise ValueError(f"unknown integrator {name!r}; "
-                         f"expected one of {sorted(schemes)}")
-    return schemes[name]()
+                         f"expected one of {sorted(_SCHEMES)}")
+    return Scheme(_SCHEMES[name])

@@ -367,7 +367,7 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
             _vec3(spec.get("fixed_velocity", [0, 0, 0]),
                   f"meshes[{i}].fixed_velocity"), (mesh.n_verts, 1)))
         if "volume_region" in spec:
-            vp = _volume_region(spec, i, mesh.surface_tris, groups, offset)
+            vp = _volume_region(spec, i, mesh, groups, offset)
             if vp.name in region_mesh:  # one vol_<name> column per region
                 raise SceneError(
                     f"meshes[{i}].volume_region.name {vp.name!r} is also the "
@@ -444,8 +444,11 @@ def load_scene(text: str, base_dir: str = ".") -> SceneConfig:
     )
 
 
-def _volume_region(spec: dict, idx: int, tris, groups: dict, offset: int):
-    """Mesh ``idx``'s volume penalty, on the merged vertex numbering."""
+def _volume_region(spec: dict, idx: int, mesh, groups: dict, offset: int):
+    """Mesh ``idx``'s volume penalty, on the merged vertex numbering.  A
+    region that encloses a negative volume at the mesh's rest positions, as
+    a cavity's faces do (they point out of the solid), is taken with two
+    corners of each triangle swapped."""
     path = f"meshes[{idx}].volume_region"
     vspec = spec["volume_region"]
     _check_keys(vspec, {"model", "kappa_v_atm", "p0_atm", "group", "name"},
@@ -457,18 +460,23 @@ def _volume_region(spec: dict, idx: int, tris, groups: dict, offset: int):
         raise SceneError(f"{path}.name must be a string with no comma or "
                          f"line break (it heads a CSV column), got {name!r}")
     with _at(path):
+        tris = mesh.surface_tris
         if group != "surface":
             if group not in groups:
                 raise SceneError(f"{path}.group: no surface group named "
                                  f"{group!r}")
             tris = tris[groups[group]]
-        return VolumePenaltyParams(
+        vp = VolumePenaltyParams(
             region=tris + offset,
             model=vspec.get("model", "quadratic"),
             kappa_v_atm=_number(vspec.get("kappa_v_atm", 1.0),
                                 f"{path}.kappa_v_atm"),
             p0_atm=_number(vspec.get("p0_atm", 1.0), f"{path}.p0_atm"),
             name=name)
+    rest = np.linalg.det(mesh.rest_positions[tris]).sum() / 6.0
+    if rest == 0.0:
+        raise SceneError(f"{path}: the region encloses no volume at rest")
+    return vp if rest > 0.0 else replace(vp, region=vp.region[:, [0, 2, 1]])
 
 
 def load_scene_file(path: str) -> SceneConfig:

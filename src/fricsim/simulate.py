@@ -125,7 +125,6 @@ class Simulation:
         extra = np.zeros((0, 2), int)  # penetrating pairs of earlier tries
         info = StepInfo(index=self.step_index, retries=0)
         prev = self.prev_state
-        guess = None if prev is None else 2.0 * st.v - prev.v
 
         def fail(message, report=None):
             exc = StepFailure(self.step_index, message, pen.kappa, report)
@@ -135,7 +134,7 @@ class Simulation:
         while True:
             try:
                 result = self.scheme.step(model, contact, st, h, self._solve,
-                                          prev=prev, guess=guess)
+                                          prev=prev)
                 info.reports.extend(result.reports)
                 for _ in range(self.scene.fixed_point_iters - 1
                                if contact.cset.size else 0):

@@ -129,6 +129,49 @@ def test_cli_run_counts_solves_started_from_the_extrapolation(tmp_path,
             in capsys.readouterr().out)
 
 
+def test_cli_run_simulation_failure_exits_3(tmp_path, capsys):
+    # the mis-split TR on ball_in_box trips the stiffness cap at step 11:
+    # exit 3 and one JSON line on stderr
+    with open(os.path.join(SCENES, "ball_in_box.json")) as fh:
+        doc = json.load(fh)
+    doc.update(integrator="tr_missplit", duration=0.2)
+    cfg = tmp_path / "missplit.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "simulation"
+    assert err["message"].startswith("step 11: contact stiffness ")
+
+
+def test_cli_run_out_under_a_regular_file_exits_4(tmp_path, capsys):
+    with open(os.path.join(SCENES, "tet_drop_min.json")) as fh:
+        doc = json.load(fh)
+    doc["duration"] = 0.02
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(doc))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "io"
+
+
+def test_cli_block_slide_quick_writes_both_files(tmp_path):
+    # the quick matrix over 0.5 s: every row runs (TR's from the settled
+    # start) and none fails
+    out = tmp_path / "bs"
+    assert cli.main(["block-slide", "--quick", "--duration", "0.5",
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "block_slide.json").read_text())
+    assert {(r["integrator"], r["h"]) for r in doc} >= {("tr", 0.1),
+                                                        ("be", 0.05)}
+    assert not any(r["failure"] for r in doc)
+    table = (out / "block_slide.txt").read_text()
+    assert table == format_report([SlideResult(**r) for r in doc]) + "\n"
+
+
 def test_cli_check_and_run(tmp_path):
     scenes = os.path.join(os.path.dirname(__file__), "..", "scenes")
     cfg = os.path.join(scenes, "tet_drop_min.json")

@@ -297,22 +297,33 @@ def test_missplit_stage_solves_against_no_pairs():
         assert err <= 1e-10
 
 
-@pytest.mark.parametrize("name, with_prev, offered, stages", [
-    ("be", True, True, 1), ("tr", True, True, 1),
-    ("tr_missplit", True, True, 1), ("bdf2", True, True, 1),
-    ("bdf2", False, False, 1), ("sdirk2", True, False, 2),
-    ("trbdf2", True, False, 2)])
-def test_schemes_say_which_stage_takes_the_guess(name, with_prev, offered,
-                                                 stages):
-    # the first stage starts from v0; BE, TR, tr_missplit and BDF2 (with a
-    # history) offer their one stage the guess, BDF2's BE bootstrap and
-    # every stage of SDIRK2 and TR-BDF2 none, and a second stage starts
-    # from the first stage's result
+def _offer(name, with_prev, offered, stages, lagged_pass=False):
+    """A case of the test below, with the id ``name-with_prev-offered-
+    stages``, and ``-v0`` when a v0 is given."""
+    return pytest.param(name, with_prev, lagged_pass, offered, stages,
+                        id=f"{name}-{with_prev}-{offered}-{stages}"
+                        + ("-v0" if lagged_pass else ""))
+
+
+@pytest.mark.parametrize("name, with_prev, lagged_pass, offered, stages", [
+    _offer("be", True, True, 1), _offer("tr", True, True, 1),
+    _offer("tr_missplit", True, True, 1), _offer("bdf2", True, True, 1),
+    _offer("bdf2", False, False, 1), _offer("sdirk2", True, False, 2),
+    _offer("trbdf2", True, False, 2),
+    _offer("be", True, False, 1, lagged_pass=True)])
+def test_schemes_say_which_stage_takes_the_guess(name, with_prev, lagged_pass,
+                                                 offered, stages):
+    # the first stage starts from v0 (default the step's v) and is offered
+    # 2v - v_prev only when it ends at t + h, the step has a previous state
+    # and no v0 is given: BE, TR, tr_missplit and BDF2 with a history, but
+    # not BDF2's BE bootstrap, the t + gamma h first stages of SDIRK2 and
+    # TR-BDF2 or a lagged pass; a second stage starts from the first
+    # stage's result with no guess
     h = 0.01
     model, st, contact = _sliding_cube(h)
-    prev = SystemState(st.q - h * st.v, st.v.copy(), -h) if with_prev \
+    prev = SystemState(st.q - h * st.v, st.v - 0.01, -h) if with_prev \
         else None
-    v0, prediction = st.v + 1e-3, 2.0 * st.v
+    v0 = st.v + 1e-3 if lagged_pass else None
     calls = []
 
     def recording(problem, v_start, guess=None):
@@ -321,12 +332,36 @@ def test_schemes_say_which_stage_takes_the_guess(name, with_prev, offered,
         return v, rep
 
     make_scheme(name).step(model, contact, st, h, recording, prev=prev,
-                           v0=v0, guess=prediction)
+                           v0=v0)
     assert len(calls) == stages
     (v_start, guess, _), *later = calls
-    assert v_start is v0 and guess is (prediction if offered else None)
+    assert v_start is (st.v if v0 is None else v0)
+    if offered:
+        assert np.array_equal(guess, 2.0 * st.v - prev.v)
+    else:
+        assert guess is None
     for (v_start, guess, _), (_, _, v_before) in zip(later, calls):
         assert v_start is v_before and guess is None
+
+
+@pytest.mark.parametrize("name", ["be", "tr", "tr_missplit", "bdf2",
+                                  "sdirk2", "trbdf2"])
+def test_step_ends_at_the_last_stage_positions(name):
+    # every scheme's end state is (positions(v), v) of its last stage
+    h = 0.01
+    model, st, contact = _sliding_cube(h)
+    prev = SystemState(st.q - h * st.v, st.v.copy(), -h)
+    seen = []
+
+    def capture(problem, v_start, guess=None):
+        v, rep = _solve(problem, v_start, guess)
+        seen.append((problem, v))
+        return v, rep
+
+    res = make_scheme(name).step(model, contact, st, h, capture, prev=prev)
+    prob, v = seen[-1]
+    assert res.v is v
+    assert np.array_equal(res.q, prob.positions(v))
 
 
 def test_residual_roundtrip_consistency():

@@ -5,9 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from fricsim import cli
 from fricsim.experiments import (ball_drop_scene, block_slide_scene,
                                  plate_squeeze_scene)
 from fricsim.export import export, read_trajectory_csv, write_trajectory_csv
+from fricsim.mesh import surface_triangles
+from fricsim.meshgen import box_grid
 from fricsim.scene import _DEFAULTS, SceneError, load_scene, load_scene_file
 from fricsim.simulate import Simulation, run_simulation
 from fricsim.solvers import SolverConfig
@@ -383,9 +386,99 @@ def test_volume_region_name_heads_one_csv_column(first, second, names,
 def test_distinct_region_names_record_their_own_volumes():
     scene = load_scene(_region_cubes({"name": "small"}, {}))
     assert scene.region_names == ["small", "b_volume"]
+    # whole-surface regions keep the surface's triangles as they are
+    assert np.array_equal(np.concatenate([vp.region for vp in
+                                          scene.volume_penalties]),
+                          scene.mesh.surface_tris)
     rec = Simulation(scene).record()
     assert rec.region_volumes["small"] == pytest.approx(0.001, rel=1e-12)
     assert rec.region_volumes["b_volume"] == pytest.approx(0.008, rel=1e-12)
+
+
+def _cavity_scene(tmp_path, group="cavity"):
+    """A 0.3 m box of 3 divisions with its centre cell's tets removed,
+    resting 0.05 m above the ground, whose ``cavity`` surface group is the
+    12 faces around the hole; they point out of the solid, into the
+    cavity.  Returns the scene file's path."""
+    verts, tets = box_grid((0.3, 0.3, 0.3), (3, 3, 3))
+    lo, hi = verts.min(axis=0) + 0.1, verts.min(axis=0) + 0.2
+    tets = tets[~np.all((verts[tets].mean(axis=1) > lo)
+                        & (verts[tets].mean(axis=1) < hi), axis=1)]
+    tris = surface_triangles(tets)
+    inner = np.all((verts[tris] > lo - 1e-9) & (verts[tris] < hi + 1e-9),
+                   axis=(1, 2))
+    assert inner.sum() == 12
+    (tmp_path / "cavity.json").write_text(json.dumps({
+        "vertices": verts.tolist(), "tets": tets.tolist(),
+        "surface_groups": {"cavity": np.flatnonzero(inner).tolist(),
+                           "none": []}}))
+    doc = {**MINIMAL, "duration": 0.01, "step": 0.002,
+           "meshes": [{"name": "box", "file": "cavity.json",
+                       "translate": [0.0, 0.2, 0.0],
+                       "volume_region": {"model": "ideal_gas",
+                                         "group": group,
+                                         "name": "cavity"}}]}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cavity_region_loads_and_runs(tmp_path, capsys):
+    # a cavity's faces enclose -0.001 m^3 as given; the region takes them
+    # with two corners swapped, so V0 is the cavity's +0.001 m^3
+    path = _cavity_scene(tmp_path)
+    scene = load_scene_file(str(path))
+    vp, = scene.volume_penalties
+    sim = Simulation(scene)
+    assert sim.model.volume_penalties[0].rest_volume == pytest.approx(
+        0.001, rel=1e-12)
+    groups = json.loads((tmp_path / "cavity.json").read_text())
+    given = scene.mesh.surface_tris[groups["surface_groups"]["cavity"]]
+    assert np.array_equal(vp.region, given[:, [0, 2, 1]])
+    for _ in range(3):
+        sim.advance()
+    assert sim.record().region_volumes["cavity"] > 0.0
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    cols, rows = read_trajectory_csv(str(out / "trajectory.csv"))
+    assert np.all(rows[:, cols.index("vol_cavity")] > 0.0)
+    # a region that encloses no volume is a config error, not a traceback
+    path = _cavity_scene(tmp_path, group="none")
+    with pytest.raises(SceneError, match=r"^meshes\[0\]\.volume_region: "
+                       r"the region encloses no volume at rest$"):
+        load_scene_file(str(path))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("contains", [False, True])
+def test_sphere_obstacle_from_scene_json(tmp_path, capsys, contains):
+    # a cube falls onto a fixed ball, or inside a container that rises to
+    # meet it; neither lets a vertex through
+    doc = json.loads(json.dumps(MINIMAL))
+    doc.update(duration=0.1, step=0.005)
+    doc["meshes"][0]["velocity"] = [0.0, -1.0, 0.0]
+    if contains:
+        sphere = {"kind": "sphere", "center": [0.0, 0.2, 0.0],
+                  "radius": 0.3, "contains": True, "friction": {"mu_d": 0.3},
+                  "motion": {"translation": [[0.0, [0.0, 0.0, 0.0]],
+                                             [0.1, [0.0, 0.2, 0.0]]]}}
+    else:
+        sphere = {"kind": "sphere", "center": [0.0, -0.1, 0.0],
+                  "radius": 0.2, "friction": {"mu_d": 0.3}}
+    doc["obstacles"] = [sphere]
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["obstacles"] == [sphere]
+    scene = load_scene_file(str(path))
+    records, _, _ = run_simulation(scene)
+    gaps = [r.deepest_gap for r in records]
+    assert min(gaps) > 0.0
+    assert min(gaps) < scene.penalty.delta  # the sphere was met
+    if contains:  # and its rise lifted the cube
+        assert records[-1].com[1] > min(r.com[1] for r in records) + 0.03
 
 
 def test_solver_config_built_once():

@@ -287,7 +287,7 @@ def _scene_file(name, **top):
      r"reduce the time step h$"),
     # a solver failure inside a kappa retry
     ("plate_squeeze.json", {"integrator": "tr_missplit"},
-     simulate.MAX_RETRIES, 3, 275.1459351404705, 9181532.193716496,
+     simulate.MAX_RETRIES, 3, 275.1459351404705, 9181532.19371435,
      r".* \[\w+\]$"),
 ], ids=["retries", "cap", "solve"])
 def test_failed_step_leaves_the_simulation_as_it_found_it(

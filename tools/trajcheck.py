@@ -73,9 +73,10 @@ SCENES = (
     # the mis-split TR fails at step 11 of the ball, which meets a wall
     # within a step and so never feels contact at a step start, and at
     # step 3 of the plates, whose contact enters every step's explicit half.
-    # How the plates fail depends on rounding: every mu_d moved up by one
-    # ulp turns their LineSearchFailed into MaxIters, so such a flip alone
-    # is no defect.
+    # How the plates fail depends on rounding: a one-ulp change, such as
+    # every mu_d moved up by one ulp or TR's end q taken as the stage's
+    # positions(v), flips their failure between LineSearchFailed and
+    # MaxIters, so such a flip alone is no defect.
     ("ball_missplit", lambda ex: dict(_scene_doc("ball_in_box.json"),
                                       integrator="tr_missplit"), 12),
     ("plate_missplit", lambda ex: dict(_scene_doc("plate_squeeze.json"),
